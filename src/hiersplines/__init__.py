@@ -25,21 +25,18 @@ from .univariate import (
     LocalKnotVector,
     children_with_coefficients,
     dyadic_refine,
-    eval_bspline,
     is_child_of,
     make_open_knot_vector,
     parents_of,
     uniform_open_knot_vector,
 )
 from .tensor import (
-    CellId,
     CellSet,
     LevelSpline,
     TensorFunctionId,
     TensorLevel,
     build_level_sequence,
     extend_level_sequence,
-    support_extension_cell,
     tensor_children,
     tensor_parents,
 )

@@ -7,8 +7,6 @@ Subcommands:
   dump-mesh <fixture> --out cells.json      active cells as level-tagged boxes
 
 Exit codes: 0 all good, 1 invariant failure, 2 input or validation error.
-HIERSPLINES_THREADS sets the worker count of the invariant suite;
-HIERSPLINES_BACKEND picks the evaluation backend (auto, numba, numpy).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from pathlib import Path
 
 from .errors import AdmissibilityError, FixtureError, HierSplineError
 from .fixtures import dump_active_cells, load_fixture
-from .hierarchy import active_mesh
 from .invariants import run_invariant_suite
 from .quasiinterp import OperatorConfig
 from .study import load_family, run_convergence_study, write_report

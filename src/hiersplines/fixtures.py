@@ -19,8 +19,15 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import FixtureError, HierSplineError
-from .hierarchy import HierarchicalMesh, SubdomainHierarchy, validate_hierarchy
-from .tensor import Index, TensorLevel, build_level_sequence, iter_box, cell_descendant_ranges
+from .hierarchy import HierarchicalMesh, SubdomainHierarchy, active_mesh, validate_hierarchy
+from .tensor import (
+    Index,
+    TensorLevel,
+    build_level_sequence,
+    cell_descendant_ranges,
+    id_sort_key,
+    iter_box,
+)
 from .univariate import KnotVector, as_knot, make_open_knot_vector
 
 FIXTURE_SCHEMA = "hiersplines-fixture-v1"
@@ -50,6 +57,24 @@ def _expect(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
+def _expect_object(raw, where: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise FixtureError(where, "must be a JSON object")
+    return raw
+
+
+def _expect_list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise FixtureError(where, "must be an array")
+    return raw
+
+
+def _parse_level(raw, low: int, high: int, where: str) -> int:
+    if not isinstance(raw, int) or not low <= raw <= high:
+        raise FixtureError(where, f"must be an integer in {low}..{high}")
+    return raw
+
+
 def _parse_value(raw, where: str) -> Fraction:
     try:
         return as_knot(raw)
@@ -57,37 +82,36 @@ def _parse_value(raw, where: str) -> Fraction:
         raise FixtureError(where, f"cannot parse knot value {raw!r}") from None
 
 
+def _parse_cell(raw, dim: int, where: str) -> Index:
+    if not isinstance(raw, list) or len(raw) != dim \
+            or not all(isinstance(v, int) for v in raw):
+        raise FixtureError(where, f"cell must be an array of {dim} integers")
+    return tuple(raw)
+
+
 def _parse_cells(raw, dim: int, where: str) -> list[Index]:
     if not isinstance(raw, list):
         raise FixtureError(where, "cell list must be an array")
-    cells = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, list) or len(entry) != dim \
-                or not all(isinstance(v, int) for v in entry):
-            raise FixtureError(f"{where}[{i}]",
-                               f"cell must be an array of {dim} integers")
-        cells.append(tuple(entry))
-    return cells
+    return [_parse_cell(entry, dim, f"{where}[{i}]") for i, entry in enumerate(raw)]
 
 
 def _parse_direction_knots(degree: int, raw, where: str) -> KnotVector:
-    bps_raw = _expect(raw, "breakpoints", where)
+    raw = _expect_object(raw, where)
+    bps_raw = _expect_list(_expect(raw, "breakpoints", where), f"{where}.breakpoints")
     values = [_parse_value(v, f"{where}.breakpoints[{i}]")
               for i, v in enumerate(bps_raw)]
     mults = raw.get("multiplicities")
+    if mults is not None and not (isinstance(mults, list)
+                                  and all(isinstance(m, int) for m in mults)):
+        raise FixtureError(f"{where}.multiplicities", "must be an array of integers")
     try:
         return make_open_knot_vector(degree, values, mults)
     except HierSplineError as exc:
         raise FixtureError(where, str(exc)) from None
 
 
-def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
-    if not isinstance(obj, Mapping):
-        raise FixtureError(source, "fixture must be a JSON object")
-    schema = obj.get("schema")
-    if schema != FIXTURE_SCHEMA:
-        raise FixtureError(f"{source}.schema",
-                           f"expected {FIXTURE_SCHEMA!r}, got {schema!r}")
+def _parse_shape(obj: Mapping, source: str) -> tuple[int, list[int], int]:
+    """Dimension, per-direction degrees and depth, shared by both formats."""
     dim = _expect(obj, "dimension", source)
     if not isinstance(dim, int) or dim < 1:
         raise FixtureError(f"{source}.dimension", "must be a positive integer")
@@ -99,23 +123,13 @@ def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
     depth = _expect(obj, "depth", source)
     if not isinstance(depth, int) or depth < 1:
         raise FixtureError(f"{source}.depth", "must be a positive integer")
+    return dim, degrees, depth
 
-    bps = _expect(obj, "breakpoints", source)
-    if not isinstance(bps, list) or len(bps) != dim:
-        raise FixtureError(f"{source}.breakpoints",
-                           f"need one breakpoint list per direction ({dim})")
-    mults = obj.get("multiplicities")
-    if mults is not None and (not isinstance(mults, list) or len(mults) != dim):
-        raise FixtureError(f"{source}.multiplicities",
-                           f"need one multiplicity list per direction ({dim})")
-    initial = []
-    for i in range(dim):
-        raw = {"breakpoints": bps[i]}
-        if mults is not None:
-            raw["multiplicities"] = mults[i]
-        initial.append(_parse_direction_knots(degrees[i], raw,
-                                              f"{source}.breakpoints[{i}]"))
 
+def _parse_levels(obj: Mapping, initial: list[KnotVector], degrees: list[int],
+                  depth: int, source: str):
+    """The level sequence and its refinement rule ("dyadic" or explicit)."""
+    dim = len(degrees)
     refinement = obj.get("refinement", "dyadic")
     if refinement == "dyadic":
         rule = "dyadic"
@@ -138,22 +152,44 @@ def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
     else:
         raise FixtureError(f"{source}.refinement",
                            "must be \"dyadic\" or {\"explicit\": [...]}")
-
     try:
-        levels = build_level_sequence(initial, depth, rule)
+        return build_level_sequence(initial, depth, rule), rule
     except HierSplineError as exc:
         raise FixtureError(f"{source}.refinement", str(exc)) from None
 
-    subs_raw = obj.get("subdomains", [])
-    if not isinstance(subs_raw, list):
-        raise FixtureError(f"{source}.subdomains", "must be an array")
+
+def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
+    obj = _expect_object(obj, source)
+    schema = obj.get("schema")
+    if schema != FIXTURE_SCHEMA:
+        raise FixtureError(f"{source}.schema",
+                           f"expected {FIXTURE_SCHEMA!r}, got {schema!r}")
+    dim, degrees, depth = _parse_shape(obj, source)
+
+    bps = _expect(obj, "breakpoints", source)
+    if not isinstance(bps, list) or len(bps) != dim:
+        raise FixtureError(f"{source}.breakpoints",
+                           f"need one breakpoint list per direction ({dim})")
+    mults = obj.get("multiplicities")
+    if mults is not None and (not isinstance(mults, list) or len(mults) != dim):
+        raise FixtureError(f"{source}.multiplicities",
+                           f"need one multiplicity list per direction ({dim})")
+    initial = []
+    for i in range(dim):
+        raw = {"breakpoints": bps[i]}
+        if mults is not None:
+            raw["multiplicities"] = mults[i]
+        initial.append(_parse_direction_knots(degrees[i], raw,
+                                              f"{source}.breakpoints[{i}]"))
+    levels, rule = _parse_levels(obj, initial, degrees, depth, source)
+
+    subs_raw = _expect_list(obj.get("subdomains", []), f"{source}.subdomains")
     per_level: dict[int, list[Index]] = {}
     for i, entry in enumerate(subs_raw):
         where = f"{source}.subdomains[{i}]"
-        ell = _expect(entry, "level", where)
-        if not isinstance(ell, int) or not 1 <= ell <= depth - 1:
-            raise FixtureError(f"{where}.level",
-                               f"must be an integer in 1..{depth - 1}")
+        entry = _expect_object(entry, where)
+        ell = _parse_level(_expect(entry, "level", where), 1, depth - 1,
+                           f"{where}.level")
         if ell in per_level:
             raise FixtureError(f"{where}.level", f"duplicate subdomain {ell}")
         per_level[ell] = _parse_cells(_expect(entry, "cells", where), dim,
@@ -166,15 +202,17 @@ def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
         raise FixtureError(f"{source}.subdomains", str(exc)) from None
 
     enlargement = None
-    if "enlargement" in obj and obj["enlargement"] is not None:
-        raw = obj["enlargement"]
+    if obj.get("enlargement") is not None:
         where = f"{source}.enlargement"
+        raw = _expect_object(obj["enlargement"], where)
         plan = EnlargementSpec()
-        for i, entry in enumerate(raw.get("additions", [])):
-            ell = _expect(entry, "level", f"{where}.additions[{i}]")
+        additions = _expect_list(raw.get("additions", []), f"{where}.additions")
+        for i, entry in enumerate(additions):
+            at = f"{where}.additions[{i}]"
+            entry = _expect_object(entry, at)
+            ell = _parse_level(_expect(entry, "level", at), 1, depth - 1, f"{at}.level")
             plan.additions.setdefault(ell, []).extend(
-                _parse_cells(_expect(entry, "cells", f"{where}.additions[{i}]"),
-                             dim, f"{where}.additions[{i}].cells"))
+                _parse_cells(_expect(entry, "cells", at), dim, f"{at}.cells"))
         if raw.get("new_deepest"):
             plan.new_deepest = _parse_cells(raw["new_deepest"], dim,
                                             f"{where}.new_deepest")
@@ -191,13 +229,16 @@ def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
                    enlargement=enlargement)
 
 
-def load_fixture(path) -> Fixture:
-    path = Path(path)
+def _read_json(path: Path):
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FixtureError(str(path), f"invalid JSON: {exc}") from None
-    return parse_fixture(obj, source=path.stem)
+
+
+def load_fixture(path) -> Fixture:
+    path = Path(path)
+    return parse_fixture(_read_json(path), source=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +373,42 @@ def _parent_cell(levels: Sequence[TensorLevel], level: int, idx: Index) -> Index
 
 def parse_mesh_dump(obj: Mapping, source: str = "mesh"
                     ) -> tuple[list[TensorLevel], SubdomainHierarchy]:
+    obj = _expect_object(obj, source)
     if obj.get("schema") != MESH_SCHEMA:
         raise FixtureError(f"{source}.schema",
                            f"expected {MESH_SCHEMA!r}, got {obj.get('schema')!r}")
-    dim = _expect(obj, "dimension", source)
-    degrees = _expect(obj, "degrees", source)
-    depth = _expect(obj, "depth", source)
-    initial = [
-        _parse_direction_knots(degrees[i], raw, f"{source}.initial[{i}]")
-        for i, raw in enumerate(_expect(obj, "initial", source))]
-    refinement = obj.get("refinement", "dyadic")
-    if refinement == "dyadic":
-        rule = "dyadic"
-    else:
-        rule = []
-        for ell, per_dir in enumerate(refinement["explicit"]):
-            rule.append(tuple(
-                _parse_direction_knots(degrees[i], per_dir[i],
-                                       f"{source}.refinement[{ell}][{i}]")
-                for i in range(dim)))
-    levels = build_level_sequence(initial, depth, rule)
+    dim, degrees, depth = _parse_shape(obj, source)
+    initial_raw = _expect(obj, "initial", source)
+    if not isinstance(initial_raw, list) or len(initial_raw) != dim:
+        raise FixtureError(f"{source}.initial",
+                           f"need one knot vector per direction ({dim})")
+    initial = [_parse_direction_knots(degrees[i], raw, f"{source}.initial[{i}]")
+               for i, raw in enumerate(initial_raw)]
+    levels, _ = _parse_levels(obj, initial, degrees, depth, source)
     active: list[list[Index]] = [[] for _ in range(depth)]
-    for i, entry in enumerate(_expect(obj, "cells", source)):
-        ell = entry["level"]
-        if not 0 <= ell < depth:
-            raise FixtureError(f"{source}.cells[{i}].level", "out of range")
-        active[ell].append(tuple(entry["index"]))
+    for i, entry in enumerate(_expect_list(_expect(obj, "cells", source),
+                                           f"{source}.cells")):
+        where = f"{source}.cells[{i}]"
+        entry = _expect_object(entry, where)
+        ell = _parse_level(_expect(entry, "level", where), 0, depth - 1,
+                           f"{where}.level")
+        idx = _parse_cell(_expect(entry, "index", where), dim, f"{where}.index")
+        if any(not 0 <= j < n for j, n in zip(idx, levels[ell].num_cells)):
+            raise FixtureError(f"{where}.index",
+                               f"out of range for level {ell} grid "
+                               f"{levels[ell].num_cells}")
+        active[ell].append(idx)
     hierarchy = hierarchy_from_active_cells(levels, active)
+    # the rebuild always yields some hierarchy; a gap, overlap or repeated
+    # cell shows as a mismatch with that hierarchy's active cells
+    rebuilt = [list(cells) for cells in active_mesh(hierarchy, levels).active]
+    rebuilt += [[]] * (depth - hierarchy.depth)
+    if rebuilt != [sorted(cells, key=id_sort_key) for cells in active]:
+        raise FixtureError(f"{source}.cells", "the cells are not the active cells "
+                           "of a hierarchy (a gap, an overlap or a repeated cell)")
     return levels, hierarchy
 
 
 def load_mesh_dump(path) -> tuple[list[TensorLevel], SubdomainHierarchy]:
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    return parse_mesh_dump(obj, source=path.stem)
+    return parse_mesh_dump(_read_json(path), source=path.stem)

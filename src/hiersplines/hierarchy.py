@@ -224,21 +224,6 @@ class HierarchicalMesh:
             vol += self.levels[ell].cell_volume(c)
         return vol
 
-    def locate(self, point) -> tuple[int, Index] | None:
-        """Active cell whose closure contains the point (deepest level wins)."""
-        for ell in range(len(self.active) - 1, -1, -1):
-            idx = self.levels[ell].locate(point)
-            if idx is not None and idx in set(self.active[ell]):
-                return ell, idx
-        # fall back to a full scan across levels for boundary cases
-        for ell, cells in enumerate(self.active):
-            lv = self.levels[ell]
-            for c in cells:
-                box = lv.cell_box(c)
-                if all(float(lo) <= x <= float(hi) for x, (lo, hi) in zip(point, box)):
-                    return ell, c
-        return None
-
 
 def active_cells_per_level(h: SubdomainHierarchy,
                            levels: Sequence[TensorLevel]) -> list[list[Index]]:
@@ -398,9 +383,6 @@ class HierBasis:
 
     def weight(self, fid: Fid) -> Fraction:
         return self.weights.weight(fid)
-
-    def depth(self) -> int:
-        return self.hierarchy.depth
 
 
 def _selection_stages(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
@@ -567,10 +549,6 @@ def expand_deactivated(fid: Fid, basis: HierBasis) -> dict[Fid, Fraction]:
                 "hierarchy violates the expansion guarantee")
     cache[fid] = out
     return out
-
-
-def expansion_as_function(fid: Fid, basis: HierBasis) -> HierSplineFunction:
-    return HierSplineFunction(basis, dict(expand_deactivated(fid, basis)))
 
 
 # ---------------------------------------------------------------------------

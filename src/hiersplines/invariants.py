@@ -7,8 +7,6 @@ random generator is seeded per check from the suite seed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -748,31 +746,16 @@ def _chk_enlargement(ctx: _Context) -> InvariantResult:
 
 def run_invariant_suite(fixture: Fixture,
                         config: OperatorConfig | None = None,
-                        seed: int = 20240831,
-                        threads: int | None = None) -> SuiteReport:
-    """Run every registered invariant on the fixture.
-
-    ``threads`` defaults to the HIERSPLINES_THREADS environment variable
-    (sequential when unset). Results come back in registration order either
-    way.
-    """
+                        seed: int = 20240831) -> SuiteReport:
+    """Run every registered invariant on the fixture, in registration order."""
     config = config or OperatorConfig()
     ctx = _Context(fixture, config, seed)
-    if threads is None:
-        threads = int(os.environ.get("HIERSPLINES_THREADS", "1"))
-
-    def run_one(item: tuple[str, Check]) -> InvariantResult:
-        name, fn = item
+    results = []
+    for name, fn in _CHECKS:
         try:
-            return fn(ctx)
+            results.append(fn(ctx))
         except HierSplineError as exc:
-            return InvariantResult(name, False, 0, float("inf"), str(exc))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, _CHECKS))
-    else:
-        results = [run_one(item) for item in _CHECKS]
+            results.append(InvariantResult(name, False, 0, float("inf"), str(exc)))
     counts = {
         "active_classical": len(ctx.classical),
         "active_refinable": len(ctx.refinable),

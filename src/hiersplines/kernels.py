@@ -1,18 +1,10 @@
-"""Float evaluation kernels with selectable numba / pure-numpy backends.
+"""Float evaluation kernels, vectorized over batches of points with numpy.
 
 The hot loops of the package are pointwise evaluations: span lookup, the
 nonzero-basis triangle, single B-splines from local knot vectors, and
 tensor-product spline evaluation over batches of points. Everything
 combinatorial (knot bookkeeping, exact rational coefficients) lives in the
 higher-level modules; the kernels only ever see float64 arrays.
-
-The backend is fixed once at import time:
-
-    HIERSPLINES_BACKEND=auto    numba when importable, numpy otherwise (default)
-    HIERSPLINES_BACKEND=numba   require the JIT backend, fail loudly if missing
-    HIERSPLINES_BACKEND=numpy   force the vectorized numpy fallback
-
-``bench/bench_kernels.py`` times the two backends against each other.
 
 Conventions: spans are right-continuous in the interior and the value at
 the right end of the domain is the limit from the left, so partitions of
@@ -21,32 +13,34 @@ unity hold pointwise on the whole closed domain.
 
 from __future__ import annotations
 
-import os
-from types import SimpleNamespace
-
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "available_backends",
     "find_spans",
     "basis_columns",
     "local_values",
     "tensor_spline_values",
 ]
 
+# the one implementation; reported as "backend" in `check --report`
+BACKEND = "numpy"
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
 
-def _find_spans_np(knots, degree, xs):
+def find_spans(knots, degree, xs):
     n = knots.shape[0] - degree - 1
     spans = np.searchsorted(knots, xs, side="right").astype(np.int64) - 1
     np.clip(spans, degree, n - 1, out=spans)
     return spans
 
 
-def _basis_columns_np(knots, degree, xs, spans):
+def basis_columns(knots, degree, xs, spans):
+    return _nonzero_basis(knots, degree, xs, spans)
+
+
+def _nonzero_basis(knots, degree, xs, spans):
+    # tensor_spline_values calls this directly, so a wrapper installed on
+    # basis_columns (perfbench/tracer.py) counts only the outside callers
     m = xs.shape[0]
     p = degree
     out = np.ones((m, p + 1))
@@ -64,7 +58,7 @@ def _basis_columns_np(knots, degree, xs, spans):
     return out
 
 
-def _local_values_np(tau, degree, xs, domain_right):
+def local_values(tau, degree, xs, domain_right):
     p = degree
     x = np.asarray(xs, dtype=np.float64)
     at_right = x == domain_right
@@ -86,17 +80,17 @@ def _local_values_np(tau, degree, xs, domain_right):
     return n[:, 0]
 
 
-def _tensor_spline_values_np(coeffs, knots_flat, knot_offsets, degrees,
-                             strides, offsets_table, points):
+def tensor_spline_values(coeffs, knots_flat, knot_offsets, degrees,
+                         strides, offsets_table, points):
     m, d = points.shape
     spans = []
     bases = []
     for i in range(d):
         kn = knots_flat[knot_offsets[i]:knot_offsets[i + 1]]
         p = int(degrees[i])
-        s = _find_spans_np(kn, p, points[:, i])
+        s = find_spans(kn, p, points[:, i])
         spans.append(s)
-        bases.append(_basis_columns_np(kn, p, points[:, i], s))
+        bases.append(_nonzero_basis(kn, p, points[:, i], s))
     out = np.zeros(m)
     for t in range(offsets_table.shape[0]):
         w = np.ones(m)
@@ -107,191 +101,3 @@ def _tensor_spline_values_np(coeffs, knots_flat, knot_offsets, degrees,
             idx += (spans[i] - int(degrees[i]) + o) * int(strides[i])
         out += w * coeffs[idx]
     return out
-
-
-_numpy_impl = SimpleNamespace(
-    name="numpy",
-    find_spans=_find_spans_np,
-    basis_columns=_basis_columns_np,
-    local_values=_local_values_np,
-    tensor_spline_values=_tensor_spline_values_np,
-)
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _find_span_scalar(knots, degree, x):
-        n = knots.shape[0] - degree - 1
-        if x >= knots[n]:
-            return n - 1
-        if x <= knots[degree]:
-            return degree
-        lo = degree
-        hi = n
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if knots[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    @njit(cache=True)
-    def _find_spans_nb(knots, degree, xs):
-        m = xs.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        for q in range(m):
-            out[q] = _find_span_scalar(knots, degree, xs[q])
-        return out
-
-    @njit(cache=True)
-    def _basis_columns_nb(knots, degree, xs, spans):
-        m = xs.shape[0]
-        p = degree
-        out = np.empty((m, p + 1))
-        left = np.empty(p)
-        right = np.empty(p)
-        for q in range(m):
-            x = xs[q]
-            s = spans[q]
-            out[q, 0] = 1.0
-            for j in range(1, p + 1):
-                left[j - 1] = x - knots[s + 1 - j]
-                right[j - 1] = knots[s + j] - x
-                saved = 0.0
-                for r in range(j):
-                    tmp = out[q, r] / (right[r] + left[j - r - 1])
-                    out[q, r] = saved + right[r] * tmp
-                    saved = left[j - r - 1] * tmp
-                out[q, j] = saved
-        return out
-
-    @njit(cache=True)
-    def _local_values_nb(tau, degree, xs, domain_right):
-        p = degree
-        m = xs.shape[0]
-        out = np.empty(m)
-        n = np.empty(p + 1)
-        for q in range(m):
-            x = xs[q]
-            if x < tau[0] or x > tau[p + 1]:
-                out[q] = 0.0
-                continue
-            at_right = x == domain_right
-            for i in range(p + 1):
-                if at_right:
-                    inside = (tau[i] < x) and (x <= tau[i + 1])
-                else:
-                    inside = (tau[i] <= x) and (x < tau[i + 1])
-                n[i] = 1.0 if inside else 0.0
-            for k in range(1, p + 1):
-                for i in range(p + 1 - k):
-                    acc = 0.0
-                    d1 = tau[i + k] - tau[i]
-                    if d1 > 0.0:
-                        acc += (x - tau[i]) / d1 * n[i]
-                    d2 = tau[i + k + 1] - tau[i + 1]
-                    if d2 > 0.0:
-                        acc += (tau[i + k + 1] - x) / d2 * n[i + 1]
-                    n[i] = acc
-            out[q] = n[0]
-        return out
-
-    @njit(cache=True)
-    def _tensor_spline_values_nb(coeffs, knots_flat, knot_offsets, degrees,
-                                 strides, offsets_table, points):
-        m = points.shape[0]
-        d = points.shape[1]
-        nterms = offsets_table.shape[0]
-        out = np.empty(m)
-        maxp = 0
-        for i in range(d):
-            if degrees[i] > maxp:
-                maxp = degrees[i]
-        bas = np.empty((d, maxp + 1))
-        spans = np.empty(d, dtype=np.int64)
-        left = np.empty(maxp)
-        right = np.empty(maxp)
-        for q in range(m):
-            for i in range(d):
-                kn = knots_flat[knot_offsets[i]:knot_offsets[i + 1]]
-                p = degrees[i]
-                x = points[q, i]
-                s = _find_span_scalar(kn, p, x)
-                spans[i] = s
-                bas[i, 0] = 1.0
-                for j in range(1, p + 1):
-                    left[j - 1] = x - kn[s + 1 - j]
-                    right[j - 1] = kn[s + j] - x
-                    saved = 0.0
-                    for r in range(j):
-                        tmp = bas[i, r] / (right[r] + left[j - r - 1])
-                        bas[i, r] = saved + right[r] * tmp
-                        saved = left[j - r - 1] * tmp
-                    bas[i, j] = saved
-            acc = 0.0
-            for t in range(nterms):
-                w = 1.0
-                idx = 0
-                for i in range(d):
-                    o = offsets_table[t, i]
-                    w *= bas[i, o]
-                    idx += (spans[i] - degrees[i] + o) * strides[i]
-                acc += w * coeffs[idx]
-            out[q] = acc
-        return out
-
-    _numba_impl = SimpleNamespace(
-        name="numba",
-        find_spans=_find_spans_nb,
-        basis_columns=_basis_columns_nb,
-        local_values=_local_values_nb,
-        tensor_spline_values=_tensor_spline_values_nb,
-    )
-else:
-    _numba_impl = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-def available_backends() -> dict:
-    """Backends usable in this process, keyed by name."""
-    out = {"numpy": _numpy_impl}
-    if _numba_impl is not None:
-        out["numba"] = _numba_impl
-    return out
-
-
-def _select_backend():
-    requested = os.environ.get("HIERSPLINES_BACKEND", "auto").strip().lower()
-    if requested in ("", "auto"):
-        return _numba_impl if _numba_impl is not None else _numpy_impl
-    if requested == "numpy":
-        return _numpy_impl
-    if requested == "numba":
-        if _numba_impl is None:
-            raise RuntimeError(
-                "HIERSPLINES_BACKEND=numba but numba is not importable")
-        return _numba_impl
-    raise RuntimeError(
-        f"HIERSPLINES_BACKEND={requested!r} not understood "
-        "(expected auto, numba or numpy)")
-
-
-_impl = _select_backend()
-
-BACKEND = _impl.name
-find_spans = _impl.find_spans
-basis_columns = _impl.basis_columns
-local_values = _impl.local_values
-tensor_spline_values = _impl.tensor_spline_values

@@ -21,7 +21,12 @@ import numpy as np
 from .errors import HierSplineError
 from .fixtures import Fixture, load_fixture
 from .functions import get_function
-from .hierarchy import active_mesh, build_refinable_basis, compute_weights
+from .hierarchy import (
+    active_mesh,
+    build_refinable_basis,
+    compute_weights,
+    support_in_subdomain,
+)
 from .quasiinterp import (
     MultiscaleQuasiInterpolant,
     OperatorConfig,
@@ -164,7 +169,7 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
             estimate_terms.append(term)
         steps.append(StudyStep(
             step=step, mesh_id=fixture.name,
-            active_classical=_classical_count(fixture, weights),
+            active_classical=_classical_count(h, levels, weights),
             active_refinable=len(refinable),
             mesh_sizes=[[str(v) for v in levels[ell].max_interval_lengths]
                         for ell in range(h.depth)],
@@ -176,10 +181,15 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
                        steps=steps, rows=rows)
 
 
-def _classical_count(fixture: Fixture, weights) -> int:
-    from .hierarchy import build_hierarchical_basis
-    basis, _ = build_hierarchical_basis(fixture.hierarchy, fixture.levels, weights)
-    return len(basis)
+def _classical_count(h, levels, weights) -> int:
+    """Size of the classical basis, read off the weights.
+
+    Weights are defined exactly for the functions of level ell supported
+    in subdomain ell; the classical ones among them are those whose
+    support does not also lie in subdomain ell+1.
+    """
+    return sum(1 for f in weights.values
+               if not support_in_subdomain(h, levels, f.level, f.indices, f.level + 1))
 
 
 def _fill_orders(rows: list[StudyRow]) -> None:

@@ -51,14 +51,6 @@ class TensorFunctionId:
 
 
 @dataclass(frozen=True)
-class CellId:
-    """A mesh cell: level plus per-direction interval indices."""
-
-    level: int
-    indices: Index
-
-
-@dataclass(frozen=True)
 class CellSet:
     """A set of cells, all of one level."""
 
@@ -74,18 +66,6 @@ class CellSet:
     def sorted(self) -> list[Index]:
         return sorted(self.cells, key=id_sort_key)
 
-    def union(self, other: "CellSet") -> "CellSet":
-        if other.level != self.level:
-            raise HierSplineError("cannot union cell sets of different levels")
-        return CellSet(self.level, self.cells | other.cells)
-
-    def bounding_ranges(self) -> list[range] | None:
-        if not self.cells:
-            return None
-        d = len(next(iter(self.cells)))
-        lo = [min(c[i] for c in self.cells) for i in range(d)]
-        hi = [max(c[i] for c in self.cells) for i in range(d)]
-        return [range(a, b + 1) for a, b in zip(lo, hi)]
 
 
 @dataclass(frozen=True)
@@ -149,6 +129,7 @@ class TensorLevel:
         return vol
 
     def support_extension_box(self, indices: Index) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Closed region covered by the supports of all functions acting on the cell."""
         return tuple(kv.intervals[j].extension for kv, j in zip(self.kvs, indices))
 
     def support_extension_cell_ranges(self, indices: Index) -> list[range]:
@@ -265,11 +246,6 @@ def tensor_parents(indices: Index, coarse: TensorLevel, fine: TensorLevel) -> li
                for ckv, fkv, j in zip(coarse.kvs, fine.kvs, indices)]
     return [tuple(per_dir[i][c] for i, c in enumerate(combo))
             for combo in iter_box([range(len(r)) for r in per_dir])]
-
-
-def support_extension_cell(level: TensorLevel, indices: Index):
-    """Closed region covered by supports of all functions acting on the cell."""
-    return level.support_extension_box(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +406,3 @@ class LevelSpline:
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)
-
-
-def sample_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Uniform sample of the unit cube."""
-    return rng.random((count, dim))
-
-
-def random_level_spline(level: TensorLevel, rng: np.random.Generator,
-                        support: Sequence[Index] | None = None) -> LevelSpline:
-    """Random coefficients over the whole level basis or a given subset."""
-    ids = list(support) if support is not None else list(level.function_ids())
-    coeffs = {idx: float(rng.uniform(-1.0, 1.0)) for idx in ids}
-    return LevelSpline(level, coeffs)

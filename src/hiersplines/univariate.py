@@ -273,12 +273,6 @@ class KnotVector:
             return range(0)
         return range(first, last + 1)
 
-    def interval_containing(self, value: Fraction) -> int:
-        """Index of the interval whose interior or left edge holds ``value``."""
-        lefts = self._interval_lefts()
-        j = bisect.bisect_right(lefts, value) - 1
-        return max(0, min(j, len(lefts) - 1))
-
     def multiplicity(self, value: Fraction) -> int:
         lo = bisect.bisect_left(self.knots, value)
         hi = bisect.bisect_right(self.knots, value)
@@ -340,14 +334,6 @@ def dyadic_refine(kv: KnotVector) -> KnotVector:
         if j < len(bp) - 1:
             knots.append((v + bp.values[j + 1]) / 2)
     return KnotVector(kv.degree, tuple(knots))
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def eval_bspline(local: LocalKnotVector, x: float) -> float:
-    """Value at x of the B-spline with the given local knot vector."""
-    return local.value_at(float(x))
 
 
 # ---------------------------------------------------------------------------

@@ -3,30 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiersplines import kernels
 from hiersplines.fixtures import Fixture, load_fixture
 from hiersplines.hierarchy import SubdomainHierarchy
 from hiersplines.tensor import build_level_sequence, cell_descendant_ranges, iter_box
 from hiersplines.univariate import uniform_open_knot_vector
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure steady state."""
-    knots = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
-    xs = np.linspace(0.0, 1.0, 7)
-    spans = kernels.find_spans(knots, 2, xs)
-    kernels.basis_columns(knots, 2, xs, spans)
-    kernels.local_values(knots[:4], 2, xs, 1.0)
-    levels = build_level_sequence([uniform_open_knot_vector(2, 2)] * 2, 1)
-    from hiersplines.tensor import level_evaluator
-    ev = level_evaluator(levels[0])
-    ev.evaluate_dense(np.ones(ev.size), np.column_stack([xs, xs]))
-    ev1 = level_evaluator(build_level_sequence([uniform_open_knot_vector(1, 2)], 1)[0])
-    ev1.evaluate_dense(np.ones(ev1.size), xs.reshape(-1, 1))
-    yield
 
 
 def repo_fixture(name: str) -> Fixture:

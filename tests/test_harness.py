@@ -11,6 +11,7 @@ from hiersplines.errors import FixtureError, HierSplineError
 from hiersplines.fixtures import (
     dump_active_cells,
     load_fixture,
+    load_mesh_dump,
     parse_fixture,
     parse_mesh_dump,
     write_fixture,
@@ -78,6 +79,18 @@ class TestFixtureParsing:
         with pytest.raises(FixtureError, match="enlargement"):
             parse_fixture(obj, "demo")
 
+    @pytest.mark.parametrize("edit,where", [
+        (lambda obj: obj.update(enlargement=[1, 2]), r"demo\.enlargement:"),
+        (lambda obj: obj.update(subdomains=[3]), r"demo\.subdomains\[0\]:"),
+        (lambda obj: obj["enlargement"]["additions"][0].update(level="x"),
+         r"demo\.enlargement\.additions\[0\]\.level:"),
+    ], ids=["enlargement_not_object", "subdomain_not_object", "addition_level_not_int"])
+    def test_malformed_section_refused(self, edit, where):
+        obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
+        edit(obj)
+        with pytest.raises(FixtureError, match=where):
+            parse_fixture(obj, "demo")
+
     def test_fixture_write_read_identity(self, tmp_path):
         fx = repo_fixture("d2_corner_admissible")
         out = tmp_path / "roundtrip.json"
@@ -94,6 +107,32 @@ class TestFixtureParsing:
         assert h2 == fx.hierarchy
         basis2, _ = build_hierarchical_basis(h2, levels2)
         assert basis2.member_set == basis.member_set
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda obj: obj.update(refinement="weird"), r"mesh\.refinement:"),
+        (lambda obj: obj["cells"][0].pop("level"), r"mesh\.cells\[0\]:.*'level'"),
+        (lambda obj: obj.update(degrees=[2]), r"mesh\.degrees:"),
+        (lambda obj: obj["cells"][0].update(index=[0]), r"mesh\.cells\[0\]\.index:"),
+        (lambda obj: obj["cells"][0].update(index=[0, 99]), r"mesh\.cells\[0\]\.index:"),
+        (lambda obj: obj.update(cells={}), r"mesh\.cells:"),
+        (lambda obj: obj["cells"].pop(), r"mesh\.cells:.*gap"),
+        (lambda obj: obj["cells"].append(obj["cells"][0]), r"mesh\.cells:.*repeated"),
+    ], ids=["unknown_refinement", "cell_without_level", "degrees_wrong_length",
+            "index_too_short", "index_out_of_range", "cells_not_array",
+            "cell_missing", "cell_repeated"])
+    def test_malformed_mesh_dump_refused(self, edit, where):
+        fx = repo_fixture("d2_single_cell")
+        _, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
+        obj = json.loads(json.dumps(dump_active_cells(mesh)))
+        edit(obj)
+        with pytest.raises(FixtureError, match=where):
+            parse_mesh_dump(obj)
+
+    def test_mesh_dump_invalid_json_refused(self, tmp_path):
+        path = tmp_path / "cells.json"
+        path.write_text("{not json")
+        with pytest.raises(FixtureError, match="invalid JSON"):
+            load_mesh_dump(path)
 
 
 class TestStudy:
@@ -120,6 +159,15 @@ class TestStudy:
             assert parsed["h"] == float(row.h)
             assert parsed["order"] == row.order
 
+    @pytest.mark.parametrize("name", ["cubic_lshape", "cubic_narrow_block"])
+    def test_classical_count_matches_built_basis(self, name):
+        # the two fixtures whose classical basis has zero-weight functions
+        fx = repo_fixture(name)
+        report = run_convergence_study([fx], "sin", 2)
+        classical, _ = build_hierarchical_basis(fx.hierarchy, fx.levels)
+        step = report.steps[0]
+        assert step.active_classical == len(classical) > step.active_refinable
+
     def test_json_roundtrip_bit_for_bit(self):
         fixtures = [repo_fixture("d2_depth1_uniform")]
         report = run_convergence_study(fixtures, "gauss", 1)
@@ -143,13 +191,6 @@ class TestInvariantSuite:
         report = run_invariant_suite(fx)
         assert report.passed
         assert report.counts["zero_weight"] > 0
-
-    def test_threaded_run_matches_sequential(self):
-        fx = repo_fixture("d1_depth3_blocks")
-        seq = run_invariant_suite(fx, threads=1)
-        par = run_invariant_suite(fx, threads=4)
-        assert [r.to_dict() for r in seq.results] \
-            == [r.to_dict() for r in par.results]
 
 
 def _cli(*args, **kw):
@@ -191,6 +232,16 @@ class TestCli:
         res = _cli("check", str(bad))
         assert res.returncode == 2
         assert "nesting" in res.stderr
+
+    def test_check_malformed_section_exit_two(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
+        obj["enlargement"] = [1, 2]
+        bad.write_text(json.dumps(obj))
+        res = _cli("check", str(bad))
+        assert res.returncode == 2
+        assert "enlargement: must be a JSON object" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_dump_mesh(self, tmp_path):
         out = tmp_path / "cells.json"

@@ -1,4 +1,4 @@
-"""Backend agreement and evaluation-convention tests for the kernels."""
+"""Evaluation conventions and exact-oracle agreement of the kernels."""
 
 from fractions import Fraction
 
@@ -12,8 +12,6 @@ from hiersplines.univariate import dyadic_refine, make_open_knot_vector, uniform
 
 from .oracles import bspline_value_exact
 
-BACKENDS = list(kernels.available_backends().items())
-
 
 def _example_knots():
     return [
@@ -24,12 +22,11 @@ def _example_knots():
     ]
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_find_spans_conventions(name, impl):
+def test_find_spans_conventions():
     kv = make_open_knot_vector(2, ["0", "1/4", "1/2", "1"], [3, 1, 2, 3])
     knots = kv.floats()
     xs = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
-    spans = impl.find_spans(knots, 2, xs)
+    spans = kernels.find_spans(knots, 2, xs)
     n = kv.num_basis
     for x, s in zip(xs, spans):
         assert 2 <= s <= n - 1
@@ -40,52 +37,30 @@ def test_find_spans_conventions(name, impl):
             assert knots[s] < knots[s + 1] == 1.0
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_backends_agree_with_exact_oracle(name, impl):
+def test_local_values_match_exact_oracle():
     rng = np.random.default_rng(5)
     for kv in _example_knots():
         xs_exact = [Fraction(k, 17) for k in range(18)]
         xs = np.array([float(x) for x in xs_exact])
         for j in range(kv.num_basis):
             tau = kv.floats()[j:j + kv.degree + 2]
-            got = impl.local_values(tau, kv.degree, xs, 1.0)
+            got = kernels.local_values(tau, kv.degree, xs, 1.0)
             want = [float(bspline_value_exact(kv.local(j).knots, x))
                     for x in xs_exact]
             assert np.abs(got - np.array(want)).max() < 1e-14
 
 
-def test_backends_agree_pairwise():
-    if len(BACKENDS) < 2:
-        pytest.skip("only one backend available")
-    rng = np.random.default_rng(11)
-    impls = [impl for _, impl in BACKENDS]
-    for kv in _example_knots():
-        knots = kv.floats()
-        xs = np.sort(rng.random(257))
-        xs[0], xs[-1] = 0.0, 1.0
-        results = []
-        for impl in impls:
-            spans = impl.find_spans(knots, kv.degree, xs)
-            cols = impl.basis_columns(knots, kv.degree, xs, spans)
-            results.append((spans, cols))
-        for spans, cols in results[1:]:
-            assert np.array_equal(spans, results[0][0])
-            assert np.abs(cols - results[0][1]).max() < 1e-15
-
-
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_basis_columns_sum_to_one(name, impl):
+def test_basis_columns_sum_to_one():
     rng = np.random.default_rng(3)
     for kv in _example_knots():
         knots = kv.floats()
         xs = np.concatenate([rng.random(200), [0.0, 1.0]])
-        spans = impl.find_spans(knots, kv.degree, xs)
-        cols = impl.basis_columns(knots, kv.degree, xs, spans)
+        spans = kernels.find_spans(knots, kv.degree, xs)
+        cols = kernels.basis_columns(knots, kv.degree, xs, spans)
         assert np.abs(cols.sum(axis=1) - 1.0).max() < 1e-14
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_tensor_kernel_matches_product_of_locals(name, impl):
+def test_tensor_kernel_matches_product_of_locals():
     rng = np.random.default_rng(9)
     kvx = uniform_open_knot_vector(2, 4)
     kvy = uniform_open_knot_vector(1, 3)
@@ -94,14 +69,14 @@ def test_tensor_kernel_matches_product_of_locals(name, impl):
     ev = TensorSplineEvaluator(level)
     coeffs = rng.random(ev.size)
     pts = rng.random((400, 2))
-    got = impl.tensor_spline_values(coeffs, ev.knots_flat, ev.knot_offsets,
+    got = kernels.tensor_spline_values(coeffs, ev.knots_flat, ev.knot_offsets,
                                     ev.degrees, ev.strides, ev.offsets_table,
                                     pts)
     want = np.zeros(400)
     for ix in range(kvx.num_basis):
-        vx = impl.local_values(kvx.floats()[ix:ix + 4], 2, pts[:, 0], 1.0)
+        vx = kernels.local_values(kvx.floats()[ix:ix + 4], 2, pts[:, 0], 1.0)
         for iy in range(kvy.num_basis):
-            vy = impl.local_values(kvy.floats()[iy:iy + 3], 1, pts[:, 1], 1.0)
+            vy = kernels.local_values(kvy.floats()[iy:iy + 3], 1, pts[:, 1], 1.0)
             want += coeffs[ev.linear_index((ix, iy))] * vx * vy
     assert np.abs(got - want).max() < 1e-13
 

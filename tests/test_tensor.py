@@ -15,7 +15,6 @@ from hiersplines.tensor import (
     id_sort_key,
     iter_box,
     level_evaluator,
-    support_extension_cell,
     tensor_children,
     tensor_parents,
 )
@@ -105,19 +104,19 @@ class TestTensorChildren:
 class TestCells:
     def test_support_extension_interior(self):
         levels = make_levels(1, 2, 8, 1)
-        box = support_extension_cell(levels[0], (4,))
+        box = levels[0].support_extension_box((4,))
         assert box == ((F(2, 8), F(7, 8)),)
 
     def test_support_extension_boundary_clipped(self):
         levels = make_levels(1, 2, 8, 1)
-        box = support_extension_cell(levels[0], (0,))
+        box = levels[0].support_extension_box((0,))
         assert box == ((F(0), F(3, 8)),)
 
     def test_support_extension_is_tensor_product(self):
         levels = make_levels(2, (2, 1), 6, 1)
-        box = support_extension_cell(levels[0], (3, 2))
-        bx = support_extension_cell(make_levels(1, 2, 6, 1)[0], (3,))
-        by = support_extension_cell(make_levels(1, 1, 6, 1)[0], (2,))
+        box = levels[0].support_extension_box((3, 2))
+        bx = make_levels(1, 2, 6, 1)[0].support_extension_box((3,))
+        by = make_levels(1, 1, 6, 1)[0].support_extension_box((2,))
         assert box == (bx[0], by[0])
 
     def test_ancestors_and_descendants(self):

@@ -14,7 +14,6 @@ from hiersplines.univariate import (
     LocalKnotVector,
     children_with_coefficients,
     dyadic_refine,
-    eval_bspline,
     is_child_of,
     make_open_knot_vector,
     parents_of,
@@ -62,22 +61,22 @@ class TestKnotVector:
 class TestEvalBspline:
     def test_hat_peak(self):
         local = LocalKnotVector(1, (F(0), F(1, 2), F(1)))
-        assert eval_bspline(local, 0.5) == 1.0
+        assert local.value_at(0.5) == 1.0
 
     def test_uniform_quadratic_midpoint(self):
         # frozen from the exact recursion on {0, 1/3, 2/3, 1} at x = 1/2
         local = LocalKnotVector(2, (F(0), F(1, 3), F(2, 3), F(1)))
-        assert eval_bspline(local, 0.5) == pytest.approx(0.75, abs=1e-15)
+        assert local.value_at(0.5) == pytest.approx(0.75, abs=1e-15)
         assert bspline_value_exact(local.knots, F(1, 2)) == F(3, 4)
 
     def test_outside_support(self):
         local = LocalKnotVector(2, (F(0), F(0), F(0), F(1, 2)))
-        assert eval_bspline(local, 0.75) == 0.0
+        assert local.value_at(0.75) == 0.0
 
     def test_right_end_left_limit(self):
         kv = uniform_open_knot_vector(2, 4)
         last = kv.local(kv.num_basis - 1)
-        assert eval_bspline(last, 1.0) == 1.0
+        assert last.value_at(1.0) == 1.0
 
     def test_matches_exact_oracle_at_rationals(self):
         kv = make_open_knot_vector(3, ["0", "1/4", "1/2", "3/4", "1"],
@@ -86,7 +85,7 @@ class TestEvalBspline:
             local = kv.local(j)
             for x in [F(k, 13) for k in range(14)]:
                 want = float(bspline_value_exact(local.knots, x))
-                assert eval_bspline(local, float(x)) == pytest.approx(want, abs=1e-14)
+                assert local.value_at(float(x)) == pytest.approx(want, abs=1e-14)
 
 
 class TestDyadicRefine:
