@@ -94,7 +94,11 @@ def _cmd_study(args) -> int:
     q = math.inf if args.q == "inf" else int(args.q)
     smoothness = None
     if args.smoothness:
-        smoothness = [int(s) for s in args.smoothness.split(",")]
+        try:
+            smoothness = [int(s) for s in args.smoothness.split(",")]
+        except ValueError:
+            raise HierSplineError(
+                f"--s must be a comma list of integers, got {args.smoothness!r}") from None
     report = run_convergence_study(fixtures, args.function, q, smoothness,
                                    config=_config(args))
     write_report(report, json_path=args.report, csv_path=args.csv)

@@ -51,6 +51,11 @@ class Fixture:
     enlargement: EnlargementSpec | None = None
 
 
+def _is_int(raw) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _expect(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise FixtureError(where, f"missing required field {key!r}")
@@ -70,7 +75,7 @@ def _expect_list(raw, where: str) -> list:
 
 
 def _parse_level(raw, low: int, high: int, where: str) -> int:
-    if not isinstance(raw, int) or not low <= raw <= high:
+    if not _is_int(raw) or not low <= raw <= high:
         raise FixtureError(where, f"must be an integer in {low}..{high}")
     return raw
 
@@ -84,7 +89,7 @@ def _parse_value(raw, where: str) -> Fraction:
 
 def _parse_cell(raw, dim: int, where: str) -> Index:
     if not isinstance(raw, list) or len(raw) != dim \
-            or not all(isinstance(v, int) for v in raw):
+            or not all(_is_int(v) for v in raw):
         raise FixtureError(where, f"cell must be an array of {dim} integers")
     return tuple(raw)
 
@@ -102,7 +107,7 @@ def _parse_direction_knots(degree: int, raw, where: str) -> KnotVector:
               for i, v in enumerate(bps_raw)]
     mults = raw.get("multiplicities")
     if mults is not None and not (isinstance(mults, list)
-                                  and all(isinstance(m, int) for m in mults)):
+                                  and all(_is_int(m) for m in mults)):
         raise FixtureError(f"{where}.multiplicities", "must be an array of integers")
     try:
         return make_open_knot_vector(degree, values, mults)
@@ -113,15 +118,15 @@ def _parse_direction_knots(degree: int, raw, where: str) -> KnotVector:
 def _parse_shape(obj: Mapping, source: str) -> tuple[int, list[int], int]:
     """Dimension, per-direction degrees and depth, shared by both formats."""
     dim = _expect(obj, "dimension", source)
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise FixtureError(f"{source}.dimension", "must be a positive integer")
     degrees = _expect(obj, "degrees", source)
     if not (isinstance(degrees, list) and len(degrees) == dim
-            and all(isinstance(p, int) and p >= 0 for p in degrees)):
+            and all(_is_int(p) and p >= 0 for p in degrees)):
         raise FixtureError(f"{source}.degrees",
                            f"must be {dim} nonnegative integers")
     depth = _expect(obj, "depth", source)
-    if not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise FixtureError(f"{source}.depth", "must be a positive integer")
     return dim, degrees, depth
 

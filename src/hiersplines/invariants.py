@@ -27,12 +27,10 @@ from .hierarchy import (
     zero_weight_by_characterization,
 )
 from .quasiinterp import (
-    LevelQuasiInterpolant,
     LocalProjectionWorkspace,
     MultiscaleQuasiInterpolant,
     OperatorConfig,
-    check_admissibility,
-    compute_core_domains,
+    level_tables,
 )
 from .tensor import (
     TensorFunctionId as Fid,
@@ -96,11 +94,13 @@ class _Context:
             self.hierarchy, self.levels, self.weights)
         self.refinable = build_refinable_basis(
             self.hierarchy, self.levels, self.weights)
-        self.core = compute_core_domains(self.hierarchy, self.levels)
-        self.report = check_admissibility(self.hierarchy, self.levels, self.core)
+        # the operator refuses only in apply_parts when the core domains
+        # are not nested; its core domains and level stages serve all checks
         self.operator = MultiscaleQuasiInterpolant(
-            self.hierarchy, self.levels, self.refinable, config) \
-            if self.report.omega_nested else None
+            self.hierarchy, self.levels, self.refinable, config)
+        self.core = self.operator.core
+        self.report = self.operator.report
+        self.stages = self.operator.stages
 
     def rng(self, tag: str) -> np.random.Generator:
         import zlib
@@ -519,9 +519,7 @@ def _chk_kronecker(ctx: _Context) -> InvariantResult:
     """
     rng = ctx.rng("kronecker_far")
     worst, count = 0.0, 0
-    for ell in range(ctx.hierarchy.depth):
-        op = LevelQuasiInterpolant(ctx.hierarchy, ctx.levels, ell, ctx.core,
-                                   ctx.config)
+    for op in ctx.stages:
         members = op.members
         member_set = set(members)
         lv = op.level
@@ -558,8 +556,9 @@ def _chk_mass(ctx: _Context) -> InvariantResult:
         if not cells:
             continue
         cell = cells[len(cells) // 2]
-        ws = LocalProjectionWorkspace(ctx.levels[ell], cell, ctx.config)
-        ws_fine = LocalProjectionWorkspace(ctx.levels[ell], cell, finer)
+        ws = ctx.stages[ell].workspace(cell)
+        ws_fine = LocalProjectionWorkspace(ctx.levels[ell], cell,
+                                           level_tables(ctx.levels[ell], finer))
         if not np.array_equal(ws.mass, ws.mass.T):
             return InvariantResult("mass_matrix_quadrature", False, count, 1.0,
                                    "mass matrix not symmetric")
@@ -580,9 +579,7 @@ def _chk_children_cover(ctx: _Context) -> InvariantResult:
                                "dyadic refinement only")
     count = 0
     for ell in range(ctx.hierarchy.depth - 1):
-        fine_op = LevelQuasiInterpolant(ctx.hierarchy, ctx.levels, ell + 1,
-                                        ctx.core, ctx.config)
-        for idx in fine_op.members:
+        for idx in ctx.stages[ell + 1].members:
             count += 1
             parents = tensor_parents(idx, ctx.levels[ell], ctx.levels[ell + 1])
             if not any(support_in_subdomain(ctx.hierarchy, ctx.levels, ell,
@@ -600,9 +597,7 @@ def _chk_core_in_refinable(ctx: _Context) -> InvariantResult:
         return InvariantResult("core_functions_in_refinable", True, 0, 0.0,
                                "core domains not nested")
     count = 0
-    for ell in range(ctx.hierarchy.depth):
-        op = LevelQuasiInterpolant(ctx.hierarchy, ctx.levels, ell, ctx.core,
-                                   ctx.config)
+    for ell, op in enumerate(ctx.stages):
         stage = ctx.refinable.stages[min(ell, len(ctx.refinable.stages) - 1)]
         for idx in op.members:
             count += 1
@@ -618,9 +613,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
     rng = ctx.rng("level_ops")
     worst, count = 0.0, 0
     pts = ctx.points("level_ops_pts", 150)
-    for ell in range(ctx.hierarchy.depth):
-        op = LevelQuasiInterpolant(ctx.hierarchy, ctx.levels, ell, ctx.core,
-                                   ctx.config)
+    for ell, op in enumerate(ctx.stages):
         if not op.members:
             continue
         lv = ctx.levels[ell]
@@ -660,12 +653,10 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
 
 @_check("multiscale_identities")
 def _chk_multiscale(ctx: _Context) -> InvariantResult:
-    if ctx.operator is None:
+    if not ctx.report.omega_nested:
         # the operator must refuse on non-nested core domains
         try:
-            MultiscaleQuasiInterpolant(ctx.hierarchy, ctx.levels,
-                                       ctx.refinable, ctx.config).apply_parts(
-                lambda p: np.ones(p.shape[0]))
+            ctx.operator.apply_parts(lambda p: np.ones(p.shape[0]))
         except AdmissibilityError:
             return InvariantResult("multiscale_identities", True, 1, 0.0,
                                    "refused on non-nested core domains")

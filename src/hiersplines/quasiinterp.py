@@ -3,24 +3,23 @@
 Per level, the core domain collects the cells whose support extension
 stays inside the level's subdomain; on it the full tensor-product space of
 that level is exactly representable in the hierarchical space. Each basis
-function acting there gets a dual functional, realized as one row of the
-inverse local mass matrix on an anchor cell, reduced to quadrature-ready
-coefficients. The per-level operators combine into the multiscale operator
-through residual correction; when the core domains are nested its output
-lies in the span of the refinable basis and is returned expressed over it.
+function acting there gets a dual functional from the local L2 projection
+on an anchor cell, as weights on the cell's Gauss nodes; it is the tensor
+product of univariate duals, tabulated per level, direction and interval.
+The per-level operators combine into the multiscale operator through
+residual correction; when the core domains are nested its output lies in
+the span of the refinable basis and is returned expressed over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from numbers import Integral
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import roots_legendre
 
 from .errors import AdmissibilityError, EvaluationError, HierSplineError
 from .hierarchy import (
@@ -45,6 +44,7 @@ from .tensor import (
     id_sort_key,
     iter_box,
 )
+from .univariate import KnotVector
 from . import kernels
 
 PointFunction = Callable[[np.ndarray], np.ndarray]
@@ -55,8 +55,8 @@ class OperatorConfig:
     """Quadrature and sampling knobs.
 
     quad_increment: extra Gauss points per direction for the dual
-        functionals (the default already integrates local mass matrices
-        exactly).
+        functionals, beyond the degree+1 at which the local projection
+        interpolates; more points make it a discrete least-squares fit.
     error_quad_increment: extra Gauss points per direction for error
         integrals.
     sup_samples_per_cell: point budget per cell for sup-norm sampling,
@@ -66,6 +66,13 @@ class OperatorConfig:
     quad_increment: int = 0
     error_quad_increment: int = 2
     sup_samples_per_cell: int = 1000
+
+    def __post_init__(self):
+        for name, least in (("quad_increment", 0), ("error_quad_increment", 0),
+                            ("sup_samples_per_cell", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise HierSplineError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 DEFAULT_CONFIG = OperatorConfig()
@@ -170,90 +177,104 @@ def check_admissibility(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
 @lru_cache(maxsize=None)
 def _gauss_base(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule mapped to [0, 1]."""
-    t, w = roots_legendre(count)
+    t, w = np.polynomial.legendre.leggauss(count)
     return 0.5 * (t + 1.0), 0.5 * w
 
 
-def _gauss_rule(lo: Fraction, hi: Fraction, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of per-direction factors, first direction fastest."""
+    out = factors[0]
+    for f in factors[1:]:
+        # on vectors the outer product is np.kron at a tenth of its call cost
+        out = np.kron(f, out) if f.ndim > 1 else np.multiply.outer(f, out).ravel()
+    return out
+
+
+def _tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The (m, d) points of a tensor grid, first direction fastest."""
+    mesh = np.meshgrid(*axes[::-1], indexing="ij")
+    return np.stack(mesh[::-1], axis=-1).reshape(-1, len(axes))
+
+
+class IntervalTables(NamedTuple):
+    """Local projector data of the J intervals of one knot vector.
+
+    For an n-point Gauss rule: ``nodes`` and ``weights`` are (J, n), ``mass``
+    is (J, p+1, p+1), and ``duals[j][:, i]`` holds the node coefficients of
+    the functional dual to the i-th function alive on interval j.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    mass: np.ndarray
+    duals: np.ndarray
+
+
+def interval_tables(kv: KnotVector, count: int) -> IntervalTables:
+    """The tables of all intervals of ``kv``, in one vectorised pass.
+
+    With collocation matrix B and weights W, the dual rows (B^T W B)^{-1} B^T W
+    equal R^{-1} Q^T W^{1/2} for the QR factorisation W^{1/2} B = QR, so the
+    mass matrix, whose condition number is that of W^{1/2} B squared, is never solved.
+    """
     t, w = _gauss_base(count)
-    a, b = float(lo), float(hi)
-    return a + (b - a) * t, (b - a) * w
+    bp = kv.breakpoint_floats()
+    left, length = bp[:-1, None], np.diff(bp)[:, None]
+    nodes = left + length * t
+    weights = length * w
+    spans = np.repeat([c.flat_index for c in kv.intervals], count)
+    vals = kernels.basis_columns(kv.floats(), kv.degree, nodes.ravel(), spans)
+    vals = vals.reshape(nodes.shape + (kv.degree + 1,))
+    mass = np.swapaxes(vals, 1, 2) @ (vals * weights[:, :, None])
+    root = np.sqrt(weights)[:, :, None]
+    q, r = np.linalg.qr(root * vals)
+    duals = root * np.swapaxes(np.linalg.solve(r, np.swapaxes(q, 1, 2)), 1, 2)
+    return IntervalTables(nodes, weights, 0.5 * (mass + np.swapaxes(mass, 1, 2)), duals)
+
+
+def level_tables(level: TensorLevel, config: OperatorConfig
+                 ) -> tuple[IntervalTables, ...]:
+    """Per-direction interval tables of a level for the dual functionals."""
+    return tuple(interval_tables(kv, kv.degree + 1 + config.quad_increment)
+                 for kv in level.kvs)
 
 
 class LocalProjectionWorkspace:
     """L2 projection onto the local polynomial space of one cell.
 
     The local basis consists of the level functions not vanishing on the
-    cell; its mass matrix is symmetric positive definite and the chosen
-    Gauss rule integrates products of two local functions exactly.
+    cell, in canonical order. Under the tensor Gauss rule the local mass
+    matrix is the Kronecker product of the univariate ones, and each dual
+    row is the Kronecker product of univariate dual columns, so the
+    workspace is a view of its level's interval tables. Nodes, weights,
+    mass and rows all run with the first direction fastest.
     """
 
-    def __init__(self, level: TensorLevel, cell: Index, config: OperatorConfig):
+    def __init__(self, level: TensorLevel, cell: Index,
+                 tables: Sequence[IntervalTables]):
         self.level = level
         self.cell = cell
-        d = level.dim
-        func_ranges = level.functions_on_cell(cell)
-        self.local_functions: list[Index] = list(iter_box(func_ranges))
-        counts = [kv.degree + 1 + config.quad_increment for kv in level.kvs]
-        pts_1d, wts_1d, bas_1d = [], [], []
-        for i, kv in enumerate(level.kvs):
-            c = kv.intervals[cell[i]]
-            x, w = _gauss_rule(c.left, c.right, counts[i])
-            pts_1d.append(x)
-            wts_1d.append(w)
-            spans = np.full(x.shape, c.flat_index, dtype=np.int64)
-            bas_1d.append(kernels.basis_columns(kv.floats(), kv.degree, x, spans))
-        node_combos = np.array(list(iter_box([range(len(p)) for p in pts_1d])), dtype=np.int64)
-        func_combos = np.array(list(iter_box([range(len(r)) for r in func_ranges])), dtype=np.int64)
-        m = node_combos.shape[0]
-        n = func_combos.shape[0]
-        nodes = np.empty((m, d))
-        weights = np.ones(m)
-        for i in range(d):
-            nodes[:, i] = pts_1d[i][node_combos[:, i]]
-            weights *= wts_1d[i][node_combos[:, i]]
-        bas = np.ones((m, n))
-        for i in range(d):
-            bas *= bas_1d[i][node_combos[:, i]][:, func_combos[:, i]]
-        self.nodes = nodes
-        self.weights = weights
-        self.basis_values = bas
-        self.mass = bas.T @ (bas * weights[:, None])
-        self.mass = 0.5 * (self.mass + self.mass.T)
-        # Jacobi equilibration keeps the factorization well conditioned for
-        # higher degrees, where near-vanishing local functions skew the mass
-        self._scale = 1.0 / np.sqrt(np.diag(self.mass))
-        scaled = self.mass * np.outer(self._scale, self._scale)
-        self._factor = cho_factor(0.5 * (scaled + scaled.T))
-        self._rows: dict[int, np.ndarray] = {}
+        self.local_functions: list[Index] = list(iter_box(level.functions_on_cell(cell)))
+        # the cell's entry of every table field, one tuple per field
+        nodes, weights, self._masses, self._duals = zip(
+            *[[field[j] for field in tab] for tab, j in zip(tables, cell)])
+        self.nodes = _tensor_grid(nodes)
+        self.weights = _kron(weights)
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        d = self._scale
-        x = d * cho_solve(self._factor, d * rhs)
-        resid = rhs - self.mass @ x
-        x += d * cho_solve(self._factor, d * resid)
-        return x
+    @property
+    def mass(self) -> np.ndarray:
+        return _kron(self._masses)
 
     def local_index(self, indices: Index) -> int:
         return self.local_functions.index(indices)
 
-    def moments(self, values_at_nodes: np.ndarray) -> np.ndarray:
-        return self.basis_values.T @ (self.weights * values_at_nodes)
-
-    def projection_coefficients(self, f: PointFunction) -> np.ndarray:
-        vals = f(self.nodes)
-        return self._solve(self.moments(vals))
-
     def dual_row(self, i0: int) -> np.ndarray:
         """Quadrature-ready coefficients of the i0-th dual functional."""
-        row = self._rows.get(i0)
-        if row is None:
-            e = np.zeros(len(self.local_functions))
-            e[i0] = 1.0
-            w = self._solve(e)
-            row = self.weights * (self.basis_values @ w)
-            self._rows[i0] = row
-        return row
+        cols = []
+        for duals in self._duals:
+            i0, i = divmod(i0, duals.shape[1])
+            cols.append(duals[:, i])
+        return _kron(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +296,6 @@ class LevelQuasiInterpolant:
                  config: OperatorConfig = DEFAULT_CONFIG):
         self.level = levels[ell]
         self.level_index = ell
-        self.config = config
         candidates: dict[Index, list[Index]] = {}
         for cell in sorted(core.cells(ell), key=id_sort_key):
             for fidx in iter_box(self.level.functions_on_cell(cell)):
@@ -295,6 +315,7 @@ class LevelQuasiInterpolant:
             anchor[fidx] = min(cells, key=badness)
         self.members: tuple[Index, ...] = tuple(sorted(anchor, key=id_sort_key))
         self.anchor_cells = anchor
+        self.tables = level_tables(self.level, config)
         self._workspaces: dict[Index, LocalProjectionWorkspace] = {}
 
     def __len__(self) -> int:
@@ -303,7 +324,7 @@ class LevelQuasiInterpolant:
     def workspace(self, cell: Index) -> LocalProjectionWorkspace:
         ws = self._workspaces.get(cell)
         if ws is None:
-            ws = LocalProjectionWorkspace(self.level, cell, self.config)
+            ws = LocalProjectionWorkspace(self.level, cell, self.tables)
             self._workspaces[cell] = ws
         return ws
 
@@ -315,10 +336,9 @@ class LevelQuasiInterpolant:
                 f"of level {self.level_index}")
         ws = self.workspace(self.anchor_cells[indices])
         row = ws.dual_row(ws.local_index(indices))
-        nodes = ws.nodes
 
         def functional(f: PointFunction) -> float:
-            return float(row @ checked_callable(f)(nodes))
+            return float(row @ checked_callable(f)(ws.nodes))
 
         return functional
 
@@ -331,20 +351,13 @@ class LevelQuasiInterpolant:
         cells = sorted(set(self.anchor_cells.values()), key=id_sort_key)
         if not cells:
             return LevelSpline(self.level, {})
-        node_blocks = [self.workspace(c).nodes for c in cells]
-        stops = np.cumsum([b.shape[0] for b in node_blocks])
-        all_vals = g(np.vstack(node_blocks))
-        values: dict[Index, np.ndarray] = {}
-        start = 0
-        for cell, stop in zip(cells, stops):
-            values[cell] = all_vals[start:stop]
-            start = stop
+        # every cell of a level carries the same number of nodes
+        all_vals = g(np.vstack([self.workspace(c).nodes for c in cells]))
+        values = dict(zip(cells, all_vals.reshape(len(cells), -1)))
         coeffs: dict[Index, float] = {}
         for m in self.members:
-            cell = self.anchor_cells[m]
-            ws = self.workspace(cell)
-            row = ws.dual_row(ws.local_index(m))
-            coeffs[m] = float(row @ values[cell])
+            ws = self.workspace(self.anchor_cells[m])
+            coeffs[m] = float(ws.dual_row(ws.local_index(m)) @ values[ws.cell])
         return LevelSpline(self.level, coeffs)
 
 
@@ -492,28 +505,6 @@ def _cells_geometry(level: TensorLevel, idxs: np.ndarray
     return lows, spans
 
 
-def _unit_rule(level: TensorLevel, counts: Sequence[int]
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss rule on the unit cube, nodes (m, d) and weights (m,)."""
-    per = [_gauss_base(c) for c in counts]
-    combos = np.array(list(iter_box([range(c) for c in counts])), dtype=np.int64)
-    nodes = np.empty((combos.shape[0], level.dim))
-    weights = np.ones(combos.shape[0])
-    for i in range(level.dim):
-        nodes[:, i] = per[i][0][combos[:, i]]
-        weights *= per[i][1][combos[:, i]]
-    return nodes, weights
-
-
-def _unit_grid(dim: int, per_direction: int) -> np.ndarray:
-    axis = np.linspace(0.0, 1.0, per_direction)
-    combos = np.array(list(iter_box([range(per_direction)] * dim)), dtype=np.int64)
-    nodes = np.empty((combos.shape[0], dim))
-    for i in range(dim):
-        nodes[:, i] = axis[combos[:, i]]
-    return nodes
-
-
 _BATCH_POINTS = 1 << 20
 
 
@@ -538,7 +529,7 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
     if math.isinf(qv):
         d = mesh.levels[0].dim
         per_dir = max(2, math.ceil(config.sup_samples_per_cell ** (1.0 / d)))
-        base = _unit_grid(d, per_dir)
+        base = _tensor_grid([np.linspace(0.0, 1.0, per_dir)] * d)
         worst = 0.0
         for ell, idxs in groups.items():
             lv = mesh.levels[ell]
@@ -554,7 +545,9 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
     for ell, idxs in groups.items():
         lv = mesh.levels[ell]
         counts = [kv.degree + 1 + config.error_quad_increment for kv in lv.kvs]
-        base, base_w = _unit_rule(lv, counts)
+        rules = [_gauss_base(c) for c in counts]
+        base = _tensor_grid([t for t, _ in rules])
+        base_w = _kron([w for _, w in rules])
         lows, spans = _cells_geometry(lv, np.array(idxs, dtype=np.int64))
         vols = spans.prod(axis=1)
         chunk = max(1, _BATCH_POINTS // base.shape[0])

@@ -9,6 +9,7 @@ import pytest
 
 from hiersplines.errors import FixtureError, HierSplineError
 from hiersplines.fixtures import (
+    Fixture,
     dump_active_cells,
     load_fixture,
     load_mesh_dump,
@@ -17,11 +18,11 @@ from hiersplines.fixtures import (
     write_fixture,
 )
 from hiersplines.functions import get_function
-from hiersplines.hierarchy import build_hierarchical_basis
+from hiersplines.hierarchy import SubdomainHierarchy, build_hierarchical_basis
 from hiersplines.invariants import run_invariant_suite
 from hiersplines.study import read_study_csv, run_convergence_study
 
-from .conftest import FIXTURE_DIR, repo_fixture
+from .conftest import FIXTURE_DIR, make_levels, repo_fixture
 
 
 class TestFunctions:
@@ -84,7 +85,13 @@ class TestFixtureParsing:
         (lambda obj: obj.update(subdomains=[3]), r"demo\.subdomains\[0\]:"),
         (lambda obj: obj["enlargement"]["additions"][0].update(level="x"),
          r"demo\.enlargement\.additions\[0\]\.level:"),
-    ], ids=["enlargement_not_object", "subdomain_not_object", "addition_level_not_int"])
+        (lambda obj: obj["subdomains"][0].update(level=True),
+         r"demo\.subdomains\[0\]\.level:"),
+        (lambda obj: obj["subdomains"][0].update(cells=[[True], [2]]),
+         r"demo\.subdomains\[0\]\.cells\[0\]:"),
+        (lambda obj: obj.update(dimension=True), r"demo\.dimension:"),
+    ], ids=["enlargement_not_object", "subdomain_not_object", "addition_level_not_int",
+            "subdomain_level_bool", "cell_entry_bool", "dimension_bool"])
     def test_malformed_section_refused(self, edit, where):
         obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
         edit(obj)
@@ -117,9 +124,15 @@ class TestFixtureParsing:
         (lambda obj: obj.update(cells={}), r"mesh\.cells:"),
         (lambda obj: obj["cells"].pop(), r"mesh\.cells:.*gap"),
         (lambda obj: obj["cells"].append(obj["cells"][0]), r"mesh\.cells:.*repeated"),
+        (lambda obj: obj["cells"][0].update(level=False), r"mesh\.cells\[0\]\.level:"),
+        (lambda obj: obj["cells"][0].update(index=[True, 0]), r"mesh\.cells\[0\]\.index:"),
+        (lambda obj: obj["initial"][0].update(multiplicities=[3, True, 1, 1, 3]),
+         r"mesh\.initial\[0\]\.multiplicities:"),
+        (lambda obj: obj.update(depth=True), r"mesh\.depth:"),
     ], ids=["unknown_refinement", "cell_without_level", "degrees_wrong_length",
             "index_too_short", "index_out_of_range", "cells_not_array",
-            "cell_missing", "cell_repeated"])
+            "cell_missing", "cell_repeated", "level_bool", "index_entry_bool",
+            "multiplicity_bool", "depth_bool"])
     def test_malformed_mesh_dump_refused(self, edit, where):
         fx = repo_fixture("d2_single_cell")
         _, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
@@ -191,6 +204,20 @@ class TestInvariantSuite:
         report = run_invariant_suite(fx)
         assert report.passed
         assert report.counts["zero_weight"] > 0
+
+    def test_non_nested_core_domains_are_refused_not_checked(self):
+        # the hierarchy of TestMultiscale.test_refuses_non_nested
+        levels = make_levels(1, 2, 16, 3)
+        h = SubdomainHierarchy.from_cells(
+            [[(i,) for i in range(10)], [(i,) for i in range(8, 20)]])
+        fx = Fixture(name="non_nested", dimension=1, degrees=(2,), levels=levels,
+                     hierarchy=h, refinement="dyadic")
+        report = run_invariant_suite(fx)
+        assert report.passed
+        assert report.counts["core_nested"] is False
+        details = {r.name: r.detail for r in report.results}
+        assert details["multiscale_identities"] == "refused on non-nested core domains"
+        assert details["core_functions_in_refinable"] == "core domains not nested"
 
 
 def _cli(*args, **kw):
@@ -279,6 +306,25 @@ class TestCli:
         orders = [r["order"] for r in rows if r["order"] is not None]
         assert orders and orders[-1] > 2.5
 
+    @pytest.mark.parametrize("args,message", [
+        (["check", "{fixture}", "--quad-increment", "-1"], "quad_increment"),
+        (["study", "{family}", "--f", "sin", "--error-quad-increment", "-3"],
+         "error_quad_increment"),
+        (["study", "{family}", "--f", "sin", "--q", "inf", "--sup-samples", "-5"],
+         "sup_samples_per_cell"),
+        (["study", "{family}", "--f", "sin", "--s", "a"], "--s"),
+    ], ids=["check_quad_increment", "study_error_quad_increment",
+            "study_sup_samples", "study_smoothness_not_int"])
+    def test_out_of_range_operator_settings_exit_two(self, tmp_path, args, message):
+        family = tmp_path / "family"
+        family.mkdir()
+        fixture = FIXTURE_DIR / "d2_depth1_uniform.json"
+        (family / fixture.name).write_bytes(fixture.read_bytes())
+        res = _cli(*[a.format(fixture=fixture, family=family) for a in args])
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_study_refuses_non_nested_family(self, tmp_path):
         family = tmp_path / "family"
         family.mkdir()
@@ -296,3 +342,11 @@ class TestCli:
         res = _cli("study", str(family), "--f", "sin", "--q", "2")
         assert res.returncode == 2
         assert "core domains" in res.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, hiersplines; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -11,13 +11,23 @@ from hiersplines.hierarchy import (
 )
 from hiersplines.quasiinterp import (
     LevelQuasiInterpolant,
+    LocalProjectionWorkspace,
     MultiscaleQuasiInterpolant,
+    OperatorConfig,
     check_admissibility,
     compute_core_domains,
     error_norms,
+    level_tables,
     lq_norm,
 )
-from hiersplines.tensor import CellSet, LevelSpline, eval_function, iter_box
+from hiersplines.tensor import (
+    CellSet,
+    LevelSpline,
+    build_level_sequence,
+    eval_function,
+    iter_box,
+)
+from hiersplines.univariate import make_open_knot_vector
 
 from .conftest import corner_hierarchy, make_levels, random_hierarchy
 
@@ -127,6 +137,44 @@ class TestDualFunctionals:
 
         with pytest.raises(EvaluationError, match="non-finite"):
             op.apply(bad)
+
+
+def _explicit_levels(dim):
+    """Two explicit non-uniform levels, different per direction; in d=3
+    the second direction carries a double internal knot."""
+    if dim == 2:
+        coarse = [make_open_knot_vector(2, ["0", "1/5", "1/2", "1"]),
+                  make_open_knot_vector(3, ["0", "1/3", "3/7", "1"])]
+        fine = [make_open_knot_vector(2, ["0", "1/10", "1/5", "1/2", "2/3", "1"]),
+                make_open_knot_vector(3, ["0", "1/3", "3/7", "5/7", "1"])]
+    else:
+        coarse = [make_open_knot_vector(1, ["0", "2/5", "1"]),
+                  make_open_knot_vector(2, ["0", "1/3", "1"], [3, 2, 3]),
+                  make_open_knot_vector(3, ["0", "1/4", "1"])]
+        fine = [make_open_knot_vector(1, ["0", "1/5", "2/5", "1"]),
+                make_open_knot_vector(2, ["0", "1/6", "1/3", "3/4", "1"], [3, 1, 2, 1, 3]),
+                make_open_knot_vector(3, ["0", "1/4", "5/8", "1"])]
+    return build_level_sequence(coarse, 2, [fine])
+
+
+class TestTensorFactoredProjector:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_kronecker_factors_match_dense_reference(self, dim, extra):
+        for level in _explicit_levels(dim):
+            tables = level_tables(level, OperatorConfig(quad_increment=extra))
+            for cell in level.cell_ids():
+                ws = LocalProjectionWorkspace(level, cell, tables)
+                assert ws.weights.sum() == pytest.approx(float(level.cell_volume(cell)),
+                                                         rel=1e-14)
+                vals = np.column_stack([eval_function(level, f, ws.nodes)
+                                        for f in ws.local_functions])
+                dense = vals.T @ (ws.weights[:, None] * vals)
+                scale = np.abs(dense).max()
+                assert np.abs(ws.mass - dense).max() <= 1e-13 * scale
+                rows = np.array([ws.dual_row(i)
+                                 for i in range(len(ws.local_functions))])
+                assert np.abs(rows @ vals - np.eye(vals.shape[1])).max() <= 1e-12
 
 
 class TestLevelOperator:
