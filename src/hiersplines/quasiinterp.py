@@ -505,9 +505,6 @@ def _cells_geometry(level: TensorLevel, idxs: np.ndarray
     return lows, spans
 
 
-_BATCH_POINTS = 1 << 20
-
-
 def _grouped_cells(cells):
     groups: dict[int, list] = {}
     for ell, idx in cells:
@@ -515,11 +512,29 @@ def _grouped_cells(cells):
     return groups
 
 
+def _abs_batches(g: PointFunction, lows: np.ndarray, spans: np.ndarray,
+                 base: np.ndarray):
+    """|g| at the base nodes mapped into each cell, as (first cell, values
+    of shape (cells, nodes)), in batches of whole cells of at most
+    ``kernels.BLOCK`` points and at least one cell."""
+    chunk = max(1, kernels.BLOCK // base.shape[0])
+    for k in range(0, lows.shape[0], chunk):
+        nodes = lows[k:k + chunk, None, :] + spans[k:k + chunk, None, :] * base[None, :, :]
+        vals = g(nodes.reshape(-1, base.shape[1]))
+        yield k, np.abs(vals).reshape(-1, base.shape[0])
+
+
 def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
             region: CellSet | None = None,
             config: OperatorConfig = DEFAULT_CONFIG) -> float:
     """L^q norm over a region by per-cell Gauss quadrature, or the maximum
-    over a dense sample for q = inf. Cells are batched level by level."""
+    over a dense sample for q = inf. Cells are taken level by level.
+
+    For finite q the batches only fill a level's table of |f|^q at the
+    nodes, and the per-cell integrals are formed once per level: a
+    matrix-vector product rounds a row differently depending on how many
+    rows it is given, and so the norm does not depend on the batch size.
+    """
     qv = _as_q(q)
     g = checked_callable(f)
     cells = integration_cells(mesh, region)
@@ -532,14 +547,9 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
         base = _tensor_grid([np.linspace(0.0, 1.0, per_dir)] * d)
         worst = 0.0
         for ell, idxs in groups.items():
-            lv = mesh.levels[ell]
-            lows, spans = _cells_geometry(lv, np.array(idxs, dtype=np.int64))
-            chunk = max(1, _BATCH_POINTS // base.shape[0])
-            for k in range(0, lows.shape[0], chunk):
-                nodes = lows[k:k + chunk, None, :] \
-                    + spans[k:k + chunk, None, :] * base[None, :, :]
-                vals = g(nodes.reshape(-1, d))
-                worst = max(worst, float(np.abs(vals).max()))
+            lows, spans = _cells_geometry(mesh.levels[ell], np.array(idxs, dtype=np.int64))
+            for _, vals in _abs_batches(g, lows, spans, base):
+                worst = max(worst, float(vals.max()))
         return worst
     total = 0.0
     for ell, idxs in groups.items():
@@ -549,13 +559,10 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
         base = _tensor_grid([t for t, _ in rules])
         base_w = _kron([w for _, w in rules])
         lows, spans = _cells_geometry(lv, np.array(idxs, dtype=np.int64))
-        vols = spans.prod(axis=1)
-        chunk = max(1, _BATCH_POINTS // base.shape[0])
-        for k in range(0, lows.shape[0], chunk):
-            nodes = lows[k:k + chunk, None, :] \
-                + spans[k:k + chunk, None, :] * base[None, :, :]
-            vals = g(nodes.reshape(-1, lv.dim)).reshape(-1, base.shape[0])
-            total += float(vols[k:k + chunk] @ (np.abs(vals) ** qv @ base_w))
+        powers = np.empty((lows.shape[0], base.shape[0]))
+        for k, vals in _abs_batches(g, lows, spans, base):
+            powers[k:k + vals.shape[0]] = vals ** qv
+        total += float(spans.prod(axis=1) @ (powers @ base_w))
     return total ** (1.0 / qv)
 
 

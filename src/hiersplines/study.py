@@ -155,9 +155,12 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
             err = error_norms(f, interpolant, q, mesh=mesh, region=region,
                               config=config)
             core_cells = op.core.cellsets[ell]
-            err_core = error_norms(f, interpolant, q, mesh=mesh,
-                                   region=core_cells, config=config) \
-                if core_cells.cells else 0.0
+            if ell == 0:
+                err_core = err  # the core domain of level 0 is the whole domain
+            else:
+                err_core = error_norms(f, interpolant, q, mesh=mesh,
+                                       region=core_cells, config=config) \
+                    if core_cells.cells else 0.0
             hs = levels[ell].max_interval_lengths
             rows.append(StudyRow(step=step, level=ell, h=max(hs),
                                  error=err, error_core=err_core))

@@ -136,11 +136,9 @@ class TensorLevel:
         """The support extension of a cell, as per-direction interval ranges."""
         out = []
         for kv, j in zip(self.kvs, indices):
-            lo, hi = kv.intervals[j].extension
-            lefts = kv._interval_lefts()
-            first = bisect.bisect_left(lefts, lo)
-            last = bisect.bisect_left(lefts, hi) - 1
-            out.append(range(first, last + 1))
+            k, p = kv.intervals[j].flat_index, kv.degree
+            bpi = kv.breakpoint_indices()
+            out.append(range(bpi[k - p], bpi[k + p + 1]))
         return out
 
     def functions_on_cell(self, indices: Index) -> list[range]:
@@ -382,10 +380,11 @@ def as_points(points, dim: int) -> np.ndarray:
 def eval_function(level: TensorLevel, indices: Index, points) -> np.ndarray:
     """Evaluate one tensor-product basis function at a batch of points."""
     pts = as_points(points, level.dim)
-    out = np.ones(pts.shape[0])
+    out = None
     for i, (kv, j) in enumerate(zip(level.kvs, indices)):
         tau = kv.floats()[j:j + kv.degree + 2]
-        out *= kernels.local_values(tau, kv.degree, np.ascontiguousarray(pts[:, i]), 1.0)
+        vals = kernels.local_values(tau, kv.degree, np.ascontiguousarray(pts[:, i]), 1.0)
+        out = vals if out is None else np.multiply(out, vals, out=out)
     return out
 
 

@@ -243,20 +243,20 @@ class KnotVector:
     def support(self, j: int) -> tuple[Fraction, Fraction]:
         return (self.knots[j], self.knots[j + self.degree + 1])
 
-    def _interval_lefts(self) -> list[Fraction]:
-        lefts = self.__dict__.get("_lefts")
-        if lefts is None:
-            lefts = [c.left for c in self.intervals]
-            self.__dict__["_lefts"] = lefts
-        return lefts
+    def breakpoint_indices(self) -> tuple[int, ...]:
+        """For each flat knot index, the index of its value among the
+        breakpoints; interval i runs from breakpoint i to breakpoint i+1."""
+        table = self.__dict__.get("_bp_indices")
+        if table is None:
+            table = tuple(i for i, m in enumerate(self.breakpoints.multiplicities)
+                          for _ in range(m))
+            self.__dict__["_bp_indices"] = table
+        return table
 
     def function_interval_range(self, j: int) -> tuple[int, int]:
         """Inclusive range of interval indices covered by supp of function j."""
-        lo, hi = self.support(j)
-        lefts = self._interval_lefts()
-        first = bisect.bisect_left(lefts, lo)
-        last = bisect.bisect_left(lefts, hi) - 1
-        return first, last
+        bpi = self.breakpoint_indices()
+        return bpi[j], bpi[j + self.degree + 1] - 1
 
     def functions_on_interval(self, interval_index: int) -> range:
         """Indices of the degree+1 functions that are nonzero on the interval."""

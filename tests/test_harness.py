@@ -22,7 +22,7 @@ from hiersplines.hierarchy import SubdomainHierarchy, build_hierarchical_basis
 from hiersplines.invariants import run_invariant_suite
 from hiersplines.study import read_study_csv, run_convergence_study
 
-from .conftest import FIXTURE_DIR, make_levels, repo_fixture
+from .conftest import FIXTURE_DIR, corner_hierarchy, make_levels, repo_fixture
 
 
 class TestFunctions:
@@ -181,6 +181,19 @@ class TestStudy:
         step = report.steps[0]
         assert step.active_classical == len(classical) > step.active_refinable
 
+    @pytest.mark.parametrize("q", [1, 2, "inf"])
+    def test_level_zero_core_error_is_the_error(self, q):
+        # the core domain of level 0 is the whole domain; summing its
+        # cells in another order moved gauss's q=1 and q=2 errors by an ulp
+        levels = make_levels(2, 2, 4, 3)
+        corner = Fixture(name="corner4", dimension=2, degrees=(2, 2), levels=levels,
+                         hierarchy=corner_hierarchy(levels, [2, 2]), refinement="dyadic")
+        rows = run_convergence_study([corner], "gauss", q).rows
+        rows += run_convergence_study([repo_fixture("cubic_lshape")], "sin", q).rows
+        level0 = [r for r in rows if r.level == 0]
+        assert len(level0) == 2
+        assert all(r.error_core == r.error for r in level0)
+
     def test_json_roundtrip_bit_for_bit(self):
         fixtures = [repo_fixture("d2_depth1_uniform")]
         report = run_convergence_study(fixtures, "gauss", 1)
@@ -235,6 +248,16 @@ class TestCli:
         assert payload["passed"] is True
         assert {r["name"] for r in payload["invariants"]} >= {
             "partition_of_unity_weighted", "mesh_roundtrip"}
+
+    def test_package_runs_as_module(self):
+        run = [sys.executable, "-m", "hiersplines", "check"]
+        ok = subprocess.run(run + [str(FIXTURE_DIR / "d2_single_cell.json")],
+                            capture_output=True, text=True)
+        assert ok.returncode == 0, ok.stderr
+        missing = subprocess.run(run + [str(FIXTURE_DIR / "no_such_fixture.json")],
+                                 capture_output=True, text=True)
+        assert missing.returncode == 2
+        assert "error:" in missing.stderr
 
     def test_check_invariant_failure_exit_one(self, monkeypatch, capsys):
         from hiersplines import cli, invariants

@@ -92,3 +92,108 @@ def test_partition_of_unity_random_refined(degree, intervals, seed):
     for j in range(kv.num_basis):
         total += kv.local(j).evaluate(xs)
     assert np.abs(total - 1.0).max() < 1e-12
+
+
+def _reference_basis(knots, p, xs, spans):
+    # the unblocked triangle, column by column
+    m = xs.shape[0]
+    out = np.ones((m, p + 1))
+    left = np.empty((m, p))
+    right = np.empty((m, p))
+    for j in range(1, p + 1):
+        left[:, j - 1] = xs - knots[spans + 1 - j]
+        right[:, j - 1] = knots[spans + j] - xs
+        saved = np.zeros(m)
+        for r in range(j):
+            tmp = out[:, r] / (right[:, r] + left[:, j - r - 1])
+            out[:, r] = saved + right[:, r] * tmp
+            saved = left[:, j - r - 1] * tmp
+        out[:, j] = saved
+    return out
+
+
+def _reference_tensor_values(ev, coeffs, points):
+    # one pass over all points, one full-length weight and index per term
+    m, d = points.shape
+    spans, bases = [], []
+    for i in range(d):
+        kn = ev.knots_flat[ev.knot_offsets[i]:ev.knot_offsets[i + 1]]
+        p = int(ev.degrees[i])
+        s = kernels.find_spans(kn, p, points[:, i])
+        spans.append(s)
+        bases.append(_reference_basis(kn, p, points[:, i], s))
+    out = np.zeros(m)
+    for t in range(ev.offsets_table.shape[0]):
+        w = np.ones(m)
+        idx = np.zeros(m, dtype=np.int64)
+        for i in range(d):
+            o = int(ev.offsets_table[t, i])
+            w *= bases[i][:, o]
+            idx += (spans[i] - int(ev.degrees[i]) + o) * int(ev.strides[i])
+        out += w * coeffs[idx]
+    return out
+
+
+def _reference_local_values(tau, p, x, domain_right):
+    at_right = x == domain_right
+    n = np.empty((x.shape[0], p + 1))
+    for i in range(p + 1):
+        half_open = (tau[i] <= x) & (x < tau[i + 1])
+        left_limit = (tau[i] < x) & (x <= tau[i + 1])
+        n[:, i] = np.where(at_right, left_limit, half_open)
+    for k in range(1, p + 1):
+        for i in range(p + 1 - k):
+            d1 = tau[i + k] - tau[i]
+            d2 = tau[i + k + 1] - tau[i + 1]
+            acc = np.zeros_like(x)
+            if d1 > 0.0:
+                acc += (x - tau[i]) / d1 * n[:, i]
+            if d2 > 0.0:
+                acc += (tau[i + k + 1] - x) / d2 * n[:, i + 1]
+            n[:, i] = acc
+    return n[:, 0]
+
+
+def _blocking_level(dim, degree):
+    # a double internal knot at 1/3 in every direction
+    kv = make_open_knot_vector(degree, ["0", "1/3", "1/2", "1"], [degree + 1, 2, 1, degree + 1])
+    from hiersplines.tensor import TensorLevel
+    return TensorLevel(0, (kv,) * dim)
+
+
+def _blocking_points(dim, m, seed):
+    pts = np.random.default_rng(seed).random((m, dim))
+    # the domain ends and the double knot, each in every direction
+    marks = np.array([0.0, 1.0, 1.0 / 3.0])
+    for r in range(min(m, 3 * dim)):
+        pts[r, r % dim] = marks[r // dim]
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_blocked_evaluation_equals_concatenated_splits(dim, degree):
+    from hiersplines.tensor import TensorSplineEvaluator, eval_function
+    level = _blocking_level(dim, degree)
+    ev = TensorSplineEvaluator(level)
+    coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, ev.size)
+    fid = tuple(n // 2 for n in level.num_basis)
+    b = kernels.BLOCK
+    for m in (1, b - 1, b, b + 1, 3 * b + 7):
+        pts = _blocking_points(dim, m, m)
+        whole = ev.evaluate_dense(coeffs, pts)
+        single = eval_function(level, fid, pts)
+        cuts = sorted({0, m, min(m, 1), m // 3, min(m, b + 5)})
+        pieces = list(zip(cuts, cuts[1:]))
+        split = np.concatenate([ev.evaluate_dense(coeffs, pts[a:z]) for a, z in pieces])
+        split_single = np.concatenate([eval_function(level, fid, pts[a:z]) for a, z in pieces])
+        assert whole.tobytes() == split.tobytes()
+        assert single.tobytes() == split_single.tobytes()
+        # the blocked kernels keep the unblocked arithmetic, bit for bit
+        assert whole.tobytes() == _reference_tensor_values(ev, coeffs, pts).tobytes()
+        for kv in level.kvs[:1]:
+            for j in range(kv.num_basis):
+                tau = kv.floats()[j:j + degree + 2]
+                got = kernels.local_values(tau, degree, pts[:, 0], 1.0)
+                want = _reference_local_values(tau, degree, pts[:, 0], 1.0)
+                assert got.tobytes() == want.tobytes()

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from hiersplines import kernels
 from hiersplines.errors import AdmissibilityError, EvaluationError, HierSplineError
+from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
     SubdomainHierarchy,
     active_mesh,
     build_refinable_basis,
 )
+from hiersplines.invariants import dual_pair_blocks
 from hiersplines.quasiinterp import (
     LevelQuasiInterpolant,
     LocalProjectionWorkspace,
@@ -29,7 +32,7 @@ from hiersplines.tensor import (
 )
 from hiersplines.univariate import make_open_knot_vector
 
-from .conftest import corner_hierarchy, make_levels, random_hierarchy
+from .conftest import corner_hierarchy, make_levels, random_hierarchy, repo_fixture
 
 
 def _sin2(pts):
@@ -96,6 +99,21 @@ class TestDualFunctionals:
                 val = lam(lambda p, mj=mj: eval_function(op.level, mj, p))
                 worst = max(worst, abs(val - (1.0 if mi == mj else 0.0)))
         assert worst < 1e-10
+
+    def test_pair_matrix_matches_brute_force(self):
+        fx = repo_fixture("d2_single_cell")
+        op = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels)
+        stages = [stage for stage in op.stages if stage.members]
+        assert stages
+        for stage in stages:
+            members = stage.members
+            got = np.vstack([block for _, block in dual_pair_blocks(stage)])
+            want = np.array([[stage.dual_functional(mi)(
+                lambda p, mj=mj: eval_function(stage.level, mj, p))
+                for mj in members] for mi in members])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-13
+            assert np.abs(got - np.eye(len(members))).max() < 1e-13
 
     def test_local_support(self):
         levels = make_levels(2, 2, 8, 3)
@@ -320,6 +338,20 @@ class TestNorms:
         f = lambda p: np.where(p[:, 0] < 0.25, 1.0, 0.0)
         region = CellSet(0, frozenset({(0,)}))
         assert lq_norm(f, 2, mesh, region) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("block", [40, 100, 5000])
+    def test_batch_size_leaves_norms_unchanged(self, monkeypatch, block):
+        # 40 points hold one quadrature cell, 100 hold two, 5000 hold
+        # four sampled cells of the sup norm and many quadrature cells
+        fx = repo_fixture("cubic_lshape")
+        f = get_function("sin", fx.dimension)
+        s = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels).apply(f)
+        mesh = active_mesh(fx.hierarchy, fx.levels)
+        qs = (1, 2, "inf")
+        want = [error_norms(f, s, q, mesh=mesh) for q in qs]
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        got = [error_norms(f, s, q, mesh=mesh) for q in qs]
+        assert got == want
 
     def test_rejects_unknown_q(self):
         levels = make_levels(1, 1, 2, 1)

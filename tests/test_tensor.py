@@ -1,5 +1,6 @@
 """Tensor-product levels, nesting, children products and cell geometry."""
 
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import numpy as np
@@ -24,7 +25,7 @@ from hiersplines.univariate import (
     uniform_open_knot_vector,
 )
 
-from .conftest import make_levels
+from .conftest import FIXTURE_DIR, make_levels, repo_fixture
 
 
 class TestLevelSequence:
@@ -128,6 +129,25 @@ class TestCells:
     def test_cell_volume(self):
         levels = make_levels(2, 1, (2, 4), 1)
         assert levels[0].cell_volume((0, 0)) == F(1, 8)
+
+    def test_interval_ranges_match_bisection(self):
+        # every knot vector of every fixture, plus an internal knot of
+        # multiplicity degree+1
+        kvs = {kv for path in sorted(FIXTURE_DIR.glob("*.json"))
+               for lv in repo_fixture(path.stem).levels for kv in lv.kvs}
+        kvs.add(make_open_knot_vector(2, ["0", "1/4", "1/2", "1"], [3, 3, 1, 3]))
+        for kv in kvs:
+            # the reference: bisection of the support ends in the interval lefts
+            lefts = [c.left for c in kv.intervals]
+            level = build_level_sequence([kv], 1)[0]
+            for j in range(kv.num_basis):
+                lo, hi = kv.support(j)
+                want = (bisect_left(lefts, lo), bisect_left(lefts, hi) - 1)
+                assert kv.function_interval_range(j) == want
+            for c in kv.intervals:
+                lo, hi = c.extension
+                want = range(bisect_left(lefts, lo), bisect_left(lefts, hi))
+                assert level.support_extension_cell_ranges((c.index,)) == [want]
 
 
 class TestEvaluator:
