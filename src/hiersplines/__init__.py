@@ -54,6 +54,7 @@ from .hierarchy import (
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
+    express_over,
     partition_of_unity,
     validate_hierarchy,
     zero_weight_by_characterization,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import AdmissibilityError, FixtureError, HierSplineError
 from .fixtures import dump_active_cells, load_fixture
+from .hierarchy import build_hierarchical_basis, build_refinable_basis, compute_weights
 from .invariants import run_invariant_suite
 from .quasiinterp import OperatorConfig
 from .study import load_family, run_convergence_study, write_report
@@ -113,7 +114,6 @@ def _cmd_study(args) -> int:
 
 def _cmd_dump(args) -> int:
     fixture = load_fixture(args.fixture)
-    from .hierarchy import build_hierarchical_basis, build_refinable_basis, compute_weights
     weights = compute_weights(fixture.hierarchy, fixture.levels)
     classical, mesh = build_hierarchical_basis(fixture.hierarchy,
                                                fixture.levels, weights)

@@ -19,11 +19,18 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import FixtureError, HierSplineError
-from .hierarchy import HierarchicalMesh, SubdomainHierarchy, active_mesh, validate_hierarchy
+from .hierarchy import (
+    HierarchicalMesh,
+    SubdomainHierarchy,
+    active_mesh,
+    enlarge_hierarchy,
+    validate_hierarchy,
+)
 from .tensor import (
     Index,
     TensorLevel,
     build_level_sequence,
+    cell_ancestor,
     cell_descendant_ranges,
     id_sort_key,
     iter_box,
@@ -222,7 +229,6 @@ def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
             plan.new_deepest = _parse_cells(raw["new_deepest"], dim,
                                             f"{where}.new_deepest")
         try:
-            from .hierarchy import enlarge_hierarchy
             enlarge_hierarchy(hierarchy, levels, plan.additions, plan.new_deepest)
         except HierSplineError as exc:
             raise FixtureError(where, str(exc)) from None
@@ -351,7 +357,7 @@ def hierarchy_from_active_cells(levels: Sequence[TensorLevel],
     covered[depth - 1] = set(active[depth - 1])
     for ell in range(depth - 2, -1, -1):
         covered[ell] = set(active[ell])
-        parents = {_parent_cell(levels, ell + 1, child)
+        parents = {cell_ancestor(levels, ell + 1, ell, child)
                    for child in covered[ell + 1]}
         for c in parents:
             if c in covered[ell]:
@@ -362,18 +368,13 @@ def hierarchy_from_active_cells(levels: Sequence[TensorLevel],
     subdomains = []
     for ell in range(1, depth):
         cells = set()
-        parents = {_parent_cell(levels, ell, c) for c in covered[ell]}
+        parents = {cell_ancestor(levels, ell, ell - 1, c) for c in covered[ell]}
         for c in parents:
             kids = iter_box(cell_descendant_ranges(levels, ell - 1, ell, c))
             if all(k in covered[ell] for k in kids):
                 cells.add(c)
         subdomains.append(cells)
     return SubdomainHierarchy.from_cells(subdomains)
-
-
-def _parent_cell(levels: Sequence[TensorLevel], level: int, idx: Index) -> Index:
-    from .tensor import cell_ancestor
-    return cell_ancestor(levels, level, level - 1, idx)
 
 
 def parse_mesh_dump(obj: Mapping, source: str = "mesh"

@@ -9,6 +9,11 @@ Two flavors of basis are built over the same hierarchy:
   the classical basis and can be maintained through parent/child
   relations alone, with no mesh traversal.
 
+A spline given by coefficients on functions of several levels is written
+over a basis by the same relations: one sweep from the coarsest level
+down keeps the coefficients of active functions and passes those of
+deactivated ones to their children, scaled by the two-scale coefficients.
+
 Partition-of-unity weights are exact rationals and positivity is decided
 structurally (does the function inherit from a positive deactivated
 parent?), never by comparing a float against zero. Subdomains are closed
@@ -33,6 +38,7 @@ from .tensor import (
     TensorLevel,
     cell_ancestor,
     cell_descendant_ranges,
+    extend_level_sequence,
     id_sort_key,
     iter_box,
     level_evaluator,
@@ -133,38 +139,26 @@ def cell_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
     return cell_ancestor(levels, level, ell - 1, indices) in cells
 
 
-def _ancestor_ranges(levels: Sequence[TensorLevel], from_level: int,
-                     to_level: int, ranges: Sequence[range]) -> list[range]:
-    """Map per-direction contiguous interval ranges to the coarser level.
-
-    Ancestor maps are monotone and onto within a range, so a contiguous
-    range maps to the contiguous range between its endpoints' ancestors.
-    """
-    lo = tuple(r.start for r in ranges)
-    hi = tuple(r.stop - 1 for r in ranges)
-    alo = cell_ancestor(levels, from_level, to_level, lo)
-    ahi = cell_ancestor(levels, from_level, to_level, hi)
-    return [range(a, b + 1) for a, b in zip(alo, ahi)]
-
-
 def support_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
                          level: int, indices: Index, ell: int) -> bool:
-    """Is the support of function ``indices`` of ``level`` inside subdomain ell?"""
+    """Is the support of function ``indices`` of ``level`` inside subdomain ell?
+
+    Requires level >= ell-1, like :func:`cell_in_subdomain`. Ancestor maps
+    are monotone and onto, so the support's interval ranges map to the
+    ranges between their endpoints' ancestors.
+    """
     cells = h.subdomain_cells(ell)
     if cells is None:
         return True
     if not cells:
         return False
+    if level < ell - 1:
+        raise HierarchyError("function coarser than the subdomain's granularity")
     ranges = levels[level].function_cell_ranges(indices)
-    grain = ell - 1
-    if level > grain:
-        ranges = _ancestor_ranges(levels, level, grain, ranges)
-    elif level < grain:
-        lo = cell_descendant_ranges(
-            levels, level, grain, tuple(r.start for r in ranges))
-        hi = cell_descendant_ranges(
-            levels, level, grain, tuple(r.stop - 1 for r in ranges))
-        ranges = [range(a.start, b.stop) for a, b in zip(lo, hi)]
+    if level > ell - 1:
+        lo = cell_ancestor(levels, level, ell - 1, tuple(r.start for r in ranges))
+        hi = cell_ancestor(levels, level, ell - 1, tuple(r.stop - 1 for r in ranges))
+        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
     for c in iter_box(ranges):
         if c not in cells:
             return False
@@ -244,15 +238,8 @@ def active_cells_per_level(h: SubdomainHierarchy,
 
 
 def active_mesh(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> HierarchicalMesh:
-    levels = tuple(levels[:h.depth])
-    entries = h.__dict__.setdefault("_mesh_cache", [])
-    for stored, mesh in entries:
-        if len(stored) == len(levels) and all(a is b for a, b in zip(stored, levels)):
-            return mesh
-    mesh = HierarchicalMesh(levels, tuple(
+    return HierarchicalMesh(tuple(levels[:h.depth]), tuple(
         tuple(c) for c in active_cells_per_level(h, levels)))
-    entries.append((levels, mesh))
-    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +344,6 @@ class HierBasis:
     stages: tuple[frozenset[Fid], ...]
     weights: WeightMap
     _member_set: frozenset[Fid] = field(default=None, repr=False)
-    _expansion_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self._member_set is None:
@@ -479,19 +465,18 @@ class HierSplineFunction:
 
     basis: HierBasis
     coefficients: dict[Fid, Fraction | float]
+    _dense: list | None = field(default=None, init=False, repr=False)
 
     def _dense_parts(self):
-        parts = self.__dict__.get("_dense")
-        if parts is None:
+        if self._dense is None:
             per_level: dict[int, dict[Index, float]] = {}
             for fid, c in self.coefficients.items():
                 per_level.setdefault(fid.level, {})[fid.indices] = float(c)
-            parts = []
+            self._dense = []
             for ell, coeffs in sorted(per_level.items()):
                 ev = level_evaluator(self.basis.levels[ell])
-                parts.append((ev, ev.dense(coeffs)))
-            self.__dict__["_dense"] = parts
-        return parts
+                self._dense.append((ev, ev.dense(coeffs)))
+        return self._dense
 
     def evaluate(self, points) -> np.ndarray:
         out = None
@@ -514,41 +499,44 @@ def partition_of_unity(basis: HierBasis) -> HierSplineFunction:
     return HierSplineFunction(basis, coeffs)
 
 
-def expand_deactivated(fid: Fid, basis: HierBasis) -> dict[Fid, Fraction]:
-    """Write a deactivated function over the active ones of finer levels.
+def express_over(coefficients: Mapping[Fid, Fraction | float],
+                 basis: HierBasis) -> dict[Fid, Fraction | float]:
+    """Write a combination of level functions over the active ones.
 
-    Repeated two-scale steps, stopping each branch on an active function.
-    Reaching the deepest level with an inactive function is impossible for
-    valid hierarchies and raises.
+    One parent-to-children sweep, coarsest level first: the coefficient of
+    an active function is kept, that of a deactivated one is passed to its
+    children on the next level times the two-scale coefficients. Exact
+    coefficients stay exact. A function that is neither raises.
     """
-    if fid in basis:
-        return {fid: Fraction(1)}
-    h = basis.hierarchy
-    levels = basis.levels
-    if not support_in_subdomain(h, levels, fid.level, fid.indices, fid.level + 1):
-        raise HierarchyError(
-            f"{fid} is neither active nor deactivated in this basis")
-    cache = basis._expansion_cache
-    if fid in cache:
-        return cache[fid]
-    ell = fid.level
-    if ell + 1 >= h.depth:
-        raise InternalInvariantError(
-            "deactivated function at the deepest level cannot be expanded")
-    out: dict[Fid, Fraction] = {}
-    for child_idx, c in tensor_children(fid.indices, levels[ell], levels[ell + 1]):
-        child = Fid(ell + 1, child_idx)
-        if child in basis:
-            out[child] = out.get(child, Fraction(0)) + c
-        elif support_in_subdomain(h, levels, ell + 1, child_idx, ell + 2):
-            for g, cg in expand_deactivated(child, basis).items():
-                out[g] = out.get(g, Fraction(0)) + c * cg
-        else:
-            raise InternalInvariantError(
-                f"child {child} is neither active nor deactivated; the "
-                "hierarchy violates the expansion guarantee")
-    cache[fid] = out
+    h, levels = basis.hierarchy, basis.levels
+    pending: list[dict[Index, Fraction | float]] = [{} for _ in range(h.depth)]
+
+    def neither(fid: Fid) -> HierarchyError:
+        return HierarchyError(f"{fid} is neither active nor deactivated in this basis")
+
+    for fid, c in coefficients.items():
+        if not 0 <= fid.level < h.depth:
+            raise neither(fid)
+        pending[fid.level][fid.indices] = c
+    out: dict[Fid, Fraction | float] = {}
+    for ell, row in enumerate(pending):
+        for idx, c in row.items():
+            fid = Fid(ell, idx)
+            if fid in basis:
+                out[fid] = c
+            elif support_in_subdomain(h, levels, ell, idx, ell + 1):
+                kids = pending[ell + 1]
+                for child, cc in tensor_children(idx, levels[ell], levels[ell + 1]):
+                    kids[child] = kids[child] + c * cc if child in kids else c * cc
+            else:
+                raise neither(fid)
     return out
+
+
+def expand_deactivated(fid: Fid, basis: HierBasis) -> dict[Fid, Fraction]:
+    """Write a deactivated function exactly over the active ones of finer
+    levels; an active function is returned as itself."""
+    return express_over({fid: Fraction(1)}, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +567,6 @@ def enlarge_hierarchy(h: SubdomainHierarchy,
     if deepest:
         subs.append(deepest)
     enlarged = SubdomainHierarchy.from_cells(subs)
-    from .tensor import extend_level_sequence
     checked_levels = extend_level_sequence(levels, enlarged.depth)
     validate_hierarchy(enlarged, checked_levels)
     for ell in range(1, h.depth):

@@ -7,6 +7,7 @@ random generator is seeded per check from the suite seed.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,6 +20,7 @@ from .functions import get_function
 from .hierarchy import (
     build_hierarchical_basis,
     build_refinable_basis,
+    cell_in_subdomain,
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
@@ -34,7 +36,9 @@ from .quasiinterp import (
     level_tables,
 )
 from .tensor import (
+    LevelSpline,
     TensorFunctionId as Fid,
+    cell_descendant_ranges,
     eval_function,
     extend_level_sequence,
     id_sort_key,
@@ -104,7 +108,6 @@ class _Context:
         self.stages = self.operator.stages
 
     def rng(self, tag: str) -> np.random.Generator:
-        import zlib
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
 
     def points(self, tag: str, count: int) -> np.ndarray:
@@ -468,8 +471,6 @@ def _chk_roundtrip(ctx: _Context) -> InvariantResult:
 
 @_check("core_domains_definition")
 def _chk_core(ctx: _Context) -> InvariantResult:
-    from .hierarchy import cell_in_subdomain
-    from .tensor import cell_descendant_ranges
     lv0 = ctx.levels[0]
     if len(ctx.core.cells(0)) != int(np.prod(lv0.num_cells)):
         return InvariantResult("core_domains_definition", False, 1, 1.0,
@@ -626,7 +627,6 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
         lv = ctx.levels[ell]
         # reproduction on the span of the members
         coeffs = {m: float(rng.uniform(-1, 1)) for m in op.members}
-        from .tensor import LevelSpline
         s = LevelSpline(lv, coeffs)
         ps = op.apply(s.evaluate)
         worst = max(worst, float(np.abs(ps.evaluate(pts) - s.evaluate(pts)).max()))
@@ -674,7 +674,6 @@ def _chk_multiscale(ctx: _Context) -> InvariantResult:
     pts = ctx.points("multiscale_pts", 200)
     worst, count = 0.0, 0
     # reproduction of the coarsest space
-    from .tensor import LevelSpline
     s0 = LevelSpline(ctx.levels[0], {i: float(rng.uniform(-1, 1))
                                      for i in ctx.levels[0].function_ids()})
     out = op.apply(s0.evaluate)

@@ -30,7 +30,7 @@ from .hierarchy import (
     active_mesh,
     build_refinable_basis,
     cell_in_subdomain,
-    expand_deactivated,
+    express_over,
     validate_hierarchy,
 )
 from .tensor import (
@@ -413,22 +413,13 @@ class MultiscaleQuasiInterpolant:
         return self.express_over_refinable(parts)
 
     def express_over_refinable(self, parts: Sequence[LevelSpline]) -> HierSplineFunction:
-        basis = self.refinable
-        coeffs: dict[Fid, float] = {}
-
-        def add(fid: Fid, value: float):
-            coeffs[fid] = coeffs.get(fid, 0.0) + value
-
-        for part in parts:
-            ell = part.level.index
-            for idx, c in part.coefficients.items():
-                fid = Fid(ell, idx)
-                if fid in basis:
-                    add(fid, c)
-                else:
-                    for g, cg in expand_deactivated(fid, basis).items():
-                        add(g, c * float(cg))
-        return HierSplineFunction(basis, coeffs)
+        """The sum of per-level splines, one per level as from
+        :meth:`apply_parts`, over the refinable basis."""
+        if len({part.level.index for part in parts}) != len(parts):
+            raise HierSplineError("express_over_refinable takes one spline per level")
+        coeffs = {Fid(part.level.index, idx): c
+                  for part in parts for idx, c in part.coefficients.items()}
+        return HierSplineFunction(self.refinable, express_over(coeffs, self.refinable))
 
     def stage_value(self, f: PointFunction, ell: int) -> LevelSpline:
         """Direct application of the level operator, outside the recursion."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -24,7 +24,6 @@ from .univariate import (
     LocalKnotVector,
     children_table,
     dyadic_refine,
-    pair_cache,
     parent_table,
 )
 
@@ -70,10 +69,25 @@ class CellSet:
 
 @dataclass(frozen=True)
 class TensorLevel:
-    """One level of the nested sequence: d knot vectors plus derived mesh."""
+    """One level of the nested sequence: d knot vectors plus derived mesh.
+
+    ``interval_parents[i][j]`` is the interval of the previous level's
+    direction ``i`` that contains interval ``j`` here; level 0 has none.
+    The maps follow from the knot vectors, so they take no part in
+    comparison or hashing.
+    """
 
     index: int
     kvs: tuple[KnotVector, ...]
+    interval_parents: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        want = () if self.index == 0 else self.num_cells
+        got = tuple(map(len, self.interval_parents))
+        if got != want:
+            raise NestingError(f"level {self.index}: interval parent maps must "
+                               f"have lengths {want}, got {got}")
 
     @property
     def dim(self) -> int:
@@ -175,22 +189,19 @@ def build_level_sequence(initial: Sequence[KnotVector], depth: int,
     """
     if depth < 1:
         raise HierSplineError("depth must be at least 1")
-    kvs = tuple(initial)
-    levels = [TensorLevel(0, kvs)]
+    levels = [TensorLevel(0, tuple(initial))]
     if rule == "dyadic":
-        for ell in range(1, depth):
-            kvs = tuple(dyadic_refine(kv) for kv in kvs)
-            levels.append(TensorLevel(ell, kvs))
-        return levels
+        return extend_level_sequence(levels, depth)
     explicit = list(rule)
     if len(explicit) != depth - 1:
         raise NestingError(
             f"explicit rule must supply {depth - 1} levels, got {len(explicit)}")
-    for ell in range(1, depth):
-        fine = tuple(explicit[ell - 1])
-        if len(fine) != len(kvs):
-            raise NestingError(f"level {ell}: expected {len(kvs)} directions")
-        for i, (coarse_kv, fine_kv) in enumerate(zip(kvs, fine)):
+    for ell, fine in enumerate(explicit, start=1):
+        coarse = levels[-1]
+        fine = tuple(fine)
+        if len(fine) != coarse.dim:
+            raise NestingError(f"level {ell}: expected {coarse.dim} directions")
+        for i, (coarse_kv, fine_kv) in enumerate(zip(coarse.kvs, fine)):
             if fine_kv.degree != coarse_kv.degree:
                 raise NestingError(
                     f"level {ell}, direction {i}: degree changed")
@@ -198,8 +209,7 @@ def build_level_sequence(initial: Sequence[KnotVector], depth: int,
                 raise NestingError(
                     f"level {ell}, direction {i}: knot vector does not refine "
                     "the previous level")
-        kvs = fine
-        levels.append(TensorLevel(ell, kvs))
+        levels.append(_refined_level(coarse, fine))
     return levels
 
 
@@ -207,9 +217,22 @@ def extend_level_sequence(levels: Sequence[TensorLevel], depth: int) -> list[Ten
     """Extend by dyadic refinement until ``depth`` levels exist."""
     out = list(levels)
     while len(out) < depth:
-        kvs = tuple(dyadic_refine(kv) for kv in out[-1].kvs)
-        out.append(TensorLevel(len(out), kvs))
+        out.append(_refined_level(out[-1], tuple(dyadic_refine(kv) for kv in out[-1].kvs)))
     return out
+
+
+def _refined_level(coarse: TensorLevel, kvs: tuple[KnotVector, ...]) -> TensorLevel:
+    """The level after ``coarse`` with knot vectors ``kvs`` nesting it.
+
+    Every fine interval lies in the coarse interval its left end falls in,
+    so a bisection of the fine breakpoints gives the parent maps.
+    """
+    parents = []
+    for ckv, fkv in zip(coarse.kvs, kvs):
+        lefts = ckv.breakpoints.values
+        parents.append(tuple(bisect.bisect_right(lefts, v) - 1
+                             for v in fkv.breakpoints.values[:-1]))
+    return TensorLevel(coarse.index + 1, kvs, tuple(parents))
 
 
 # ---------------------------------------------------------------------------
@@ -247,48 +270,7 @@ def tensor_parents(indices: Index, coarse: TensorLevel, fine: TensorLevel) -> li
 
 
 # ---------------------------------------------------------------------------
-# interval ancestor maps between nested knot vectors
-
-def interval_ancestors(fine_kv: KnotVector, coarse_kv: KnotVector) -> tuple[int, ...]:
-    """For each fine interval, the coarse interval containing it."""
-    cache = pair_cache(fine_kv, "_interval_ancestors")
-    hit = cache.get(coarse_kv)
-    if hit is not None:
-        return hit
-    coarse_cells = coarse_kv.intervals
-    lefts = [c.left for c in coarse_cells]
-    out = []
-    for cell in fine_kv.intervals:
-        j = bisect.bisect_right(lefts, cell.left) - 1
-        cc = coarse_cells[j]
-        if not (cc.left <= cell.left and cell.right <= cc.right):
-            raise NestingError(
-                f"interval [{cell.left}, {cell.right}] not nested in the "
-                "coarser mesh")
-        out.append(j)
-    table = tuple(out)
-    cache[coarse_kv] = table
-    return table
-
-
-def interval_children(coarse_kv: KnotVector, fine_kv: KnotVector) -> tuple[range, ...]:
-    """For each coarse interval, the contiguous range of fine intervals in it."""
-    cache = pair_cache(coarse_kv, "_interval_children")
-    hit = cache.get(fine_kv)
-    if hit is not None:
-        return hit
-    anc = interval_ancestors(fine_kv, coarse_kv)
-    n = coarse_kv.num_intervals
-    first = [None] * n
-    last = [None] * n
-    for fine_j, coarse_j in enumerate(anc):
-        if first[coarse_j] is None:
-            first[coarse_j] = fine_j
-        last[coarse_j] = fine_j
-    table = tuple(range(a, b + 1) for a, b in zip(first, last))
-    cache[fine_kv] = table
-    return table
-
+# cells across levels
 
 def cell_ancestor(levels: Sequence[TensorLevel], from_level: int, to_level: int,
                   indices: Index) -> Index:
@@ -297,24 +279,23 @@ def cell_ancestor(levels: Sequence[TensorLevel], from_level: int, to_level: int,
         raise HierSplineError("ancestor level must not be finer")
     idx = indices
     for ell in range(from_level, to_level, -1):
-        idx = tuple(
-            interval_ancestors(levels[ell].kvs[i], levels[ell - 1].kvs[i])[j]
-            for i, j in enumerate(idx))
+        idx = tuple(m[j] for m, j in zip(levels[ell].interval_parents, idx))
     return idx
 
 
 def cell_descendant_ranges(levels: Sequence[TensorLevel], from_level: int,
                            to_level: int, indices: Index) -> list[range]:
-    """Per-direction fine interval ranges of a coarse cell's descendants."""
+    """Per-direction fine interval ranges of a coarse cell's descendants.
+
+    The parent maps are nondecreasing, so the children of a range of
+    intervals are the fine intervals whose parents fall in it.
+    """
     if to_level < from_level:
         raise HierSplineError("descendant level must not be coarser")
     ranges = [range(j, j + 1) for j in indices]
-    for ell in range(from_level, to_level):
-        new = []
-        for i, r in enumerate(ranges):
-            table = interval_children(levels[ell].kvs[i], levels[ell + 1].kvs[i])
-            new.append(range(table[r.start].start, table[r.stop - 1].stop))
-        ranges = new
+    for ell in range(from_level + 1, to_level + 1):
+        ranges = [range(bisect.bisect_left(m, r.start), bisect.bisect_right(m, r.stop - 1))
+                  for m, r in zip(levels[ell].interval_parents, ranges)]
     return ranges
 
 
@@ -395,13 +376,13 @@ class LevelSpline:
     level: TensorLevel
     coefficients: dict[Index, float]
 
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+
     def evaluate(self, points) -> np.ndarray:
         ev = level_evaluator(self.level)
-        dense = self.__dict__.get("_dense")
-        if dense is None:
-            dense = ev.dense(self.coefficients)
-            self.__dict__["_dense"] = dense
-        return ev.evaluate_dense(dense, points)
+        if self._dense is None:
+            self._dense = ev.dense(self.coefficients)
+        return ev.evaluate_dense(self._dense, points)
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)

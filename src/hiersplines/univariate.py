@@ -122,8 +122,9 @@ class KnotVector:
     knots: tuple[Fraction, ...]
 
     def __hash__(self) -> int:
-        # rational knots hash and compare slowly; knot vectors key several
-        # caches, so both operations get fast paths
+        # rational knots hash and compare slowly, and knot vectors key the
+        # two-scale table caches (see pair_cache), so both operations get
+        # fast paths
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.degree, self.knots))
@@ -479,7 +480,11 @@ def parents_of(child: LocalKnotVector, coarse: KnotVector) -> list[LocalKnotVect
 
 def pair_cache(owner: KnotVector, name: str) -> dict:
     """A per-instance cache dict; keys are looked up identity-first, which
-    avoids rehashing and comparing long rational tuples on every access."""
+    avoids rehashing and comparing long rational tuples on every access.
+
+    Its two users are :func:`children_table` and :func:`parent_table`,
+    whose tables take exact knot insertion to build.
+    """
     d = owner.__dict__.get(name)
     if d is None:
         d = {}

@@ -6,7 +6,7 @@ import pytest
 from hiersplines.fixtures import Fixture, load_fixture
 from hiersplines.hierarchy import SubdomainHierarchy
 from hiersplines.tensor import build_level_sequence, cell_descendant_ranges, iter_box
-from hiersplines.univariate import uniform_open_knot_vector
+from hiersplines.univariate import make_open_knot_vector, uniform_open_knot_vector
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -39,15 +39,51 @@ def corner_hierarchy(levels, widths):
     return SubdomainHierarchy.from_cells(subs)
 
 
-def random_hierarchy(rng, dim=None, depth=None, degrees=None):
-    """A valid random hierarchy over a dyadic level sequence."""
+def random_refinement(rng, kv):
+    """A random knot vector nesting ``kv``: zero to two new knots per
+    interval at sevenths of it, and internal multiplicities raised at
+    random, up to degree+1."""
+    p = kv.degree
+    bp = kv.breakpoints
+    values, mults = [], []
+    for j, (v, m) in enumerate(zip(bp.values, bp.multiplicities)):
+        if 0 < j < len(bp) - 1 and rng.random() < 0.3:
+            m = int(rng.integers(m, p + 2))
+        values.append(v)
+        mults.append(m)
+        if j == len(bp) - 1:
+            break
+        step = (bp.values[j + 1] - v) / 7
+        for t in sorted(rng.choice(np.arange(1, 7), size=int(rng.integers(0, 3)),
+                                   replace=False)):
+            values.append(v + int(t) * step)
+            mults.append(1 if rng.random() < 0.7 else int(rng.integers(1, p + 2)))
+    return make_open_knot_vector(p, values, mults)
+
+
+def random_explicit_levels(rng, initial, depth):
+    """Explicit, non-uniform, non-dyadic and multiplicity-raising levels."""
+    rule = []
+    kvs = list(initial)
+    for _ in range(depth - 1):
+        kvs = [random_refinement(rng, kv) for kv in kvs]
+        rule.append(kvs)
+    return build_level_sequence(initial, depth, rule)
+
+
+def random_hierarchy(rng, dim=None, depth=None, degrees=None, explicit=False):
+    """A valid random hierarchy over a dyadic level sequence, or over
+    random explicit levels."""
     dim = dim if dim is not None else int(rng.integers(1, 3))
     depth = depth if depth is not None else int(rng.integers(2, 5))
     if degrees is None:
         degrees = [int(rng.integers(1, 4)) for _ in range(dim)]
     intervals = [int(rng.integers(2, 5)) for _ in range(dim)]
     initial = [uniform_open_knot_vector(p, m) for p, m in zip(degrees, intervals)]
-    levels = build_level_sequence(initial, depth)
+    if explicit:
+        levels = random_explicit_levels(rng, initial, depth)
+    else:
+        levels = build_level_sequence(initial, depth)
     subs = []
     pool = [tuple(c) for c in levels[0].cell_ids()]
     for ell in range(1, depth):

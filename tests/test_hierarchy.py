@@ -1,11 +1,13 @@
 """Hierarchies, the two bases, weights, expansion and enlargement."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from hiersplines.errors import HierarchyError
+from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
+from hiersplines.fixtures import parse_fixture
 from hiersplines.hierarchy import (
     SubdomainHierarchy,
     active_mesh,
@@ -14,19 +16,24 @@ from hiersplines.hierarchy import (
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
+    express_over,
     partition_of_unity,
+    support_in_subdomain,
     validate_hierarchy,
     zero_weight_by_characterization,
 )
+from hiersplines.quasiinterp import MultiscaleQuasiInterpolant
 from hiersplines.tensor import (
+    LevelSpline,
     TensorFunctionId as Fid,
     eval_function,
     extend_level_sequence,
     iter_box,
+    tensor_children,
     tensor_parents,
 )
 
-from .conftest import make_levels, random_hierarchy
+from .conftest import FIXTURE_DIR, make_levels, random_hierarchy, repo_fixture
 from .oracles import bspline_value_exact
 
 
@@ -172,7 +179,6 @@ class TestExpansion:
         deact = [Fid(0, i) for i in levels[0].function_ids()
                  if Fid(0, i) not in refinable]
         assert deact
-        from hiersplines.tensor import tensor_children
         for fid in deact:
             exp = expand_deactivated(fid, refinable)
             kids = dict()
@@ -203,6 +209,151 @@ class TestExpansion:
             for i in levels[0].function_ids()
             if Fid(0, i) not in refinable)
         assert mixed
+
+
+def reference_expand(fid, basis, memo):
+    """The memoised recursive expansion the level sweep replaced, kept as
+    the reference: each deactivated function is written exactly over the
+    active functions, depth first."""
+    if fid in basis:
+        return {fid: F(1)}
+    h, levels = basis.hierarchy, basis.levels
+    if not support_in_subdomain(h, levels, fid.level, fid.indices, fid.level + 1):
+        raise HierarchyError(f"{fid} is neither active nor deactivated in this basis")
+    if fid in memo:
+        return memo[fid]
+    ell = fid.level
+    out = {}
+    for child_idx, c in tensor_children(fid.indices, levels[ell], levels[ell + 1]):
+        child = Fid(ell + 1, child_idx)
+        if child in basis:
+            out[child] = out.get(child, F(0)) + c
+        elif support_in_subdomain(h, levels, ell + 1, child_idx, ell + 2):
+            for g, cg in reference_expand(child, basis, memo).items():
+                out[g] = out.get(g, F(0)) + c * cg
+        else:
+            raise InternalInvariantError(f"child {child} is neither active nor deactivated")
+    memo[fid] = out
+    return out
+
+
+def reference_express(parts, basis, memo, magnitude=False):
+    """The per-coefficient float expansion the sweep replaced; with
+    ``magnitude`` the sum of the terms' absolute values instead."""
+    out = {}
+    for part in parts:
+        for idx, c in part.coefficients.items():
+            c = abs(c) if magnitude else c
+            fid = Fid(part.level.index, idx)
+            terms = {fid: 1} if fid in basis else reference_expand(fid, basis, memo)
+            for g, cg in terms.items():
+                out[g] = out.get(g, 0.0) + c * float(cg)
+    return out
+
+
+def _sweep_cases():
+    rng = np.random.default_rng(1507)
+    for dim, degrees in ((1, None), (2, [1, 2])):
+        for depth in (3, 4):
+            for explicit in (False, True):
+                for k in range(2):
+                    levels, h = random_hierarchy(rng, dim, depth, degrees, explicit)
+                    yield f"d{dim}-depth{depth}-{'explicit' if explicit else 'dyadic'}-{k}", levels, h
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        fx = repo_fixture(path.stem)
+        yield path.stem, fx.levels, fx.hierarchy
+
+
+SWEEP_CASES = list(_sweep_cases())
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name,levels,h", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    def test_expansion_matches_recursion(self, name, levels, h):
+        weights = compute_weights(h, levels)
+        for basis in (build_hierarchical_basis(h, levels, weights)[0],
+                      build_refinable_basis(h, levels, weights)):
+            memo = {}
+            deactivated = frozenset().union(*basis.stages) - basis.member_set
+            for fid in sorted(deactivated, key=lambda f: (f.level, f.indices)):
+                got = expand_deactivated(fid, basis)
+                assert got == reference_expand(fid, basis, memo), fid
+                assert all(isinstance(c, F) and c > 0 for c in got.values())
+            # every other function sunk into the next subdomain: the sweep
+            # agrees with the recursion, or both refuse
+            for ell in range(h.depth - 1):
+                for idx in levels[ell].function_ids():
+                    fid = Fid(ell, idx)
+                    if fid in deactivated or not support_in_subdomain(
+                            h, levels, ell, idx, ell + 1):
+                        continue
+                    try:
+                        want = reference_expand(fid, basis, memo)
+                    except HierSplineError:
+                        with pytest.raises(HierarchyError):
+                            expand_deactivated(fid, basis)
+                    else:
+                        assert expand_deactivated(fid, basis) == want
+
+    @pytest.mark.parametrize("name,levels,h", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    def test_express_over_refinable_matches_recursion(self, name, levels, h):
+        rng = np.random.default_rng(41)
+        op = MultiscaleQuasiInterpolant(h, levels)
+        basis = op.refinable
+        alive = frozenset().union(*basis.stages)
+        parts = [LevelSpline(levels[ell], {
+            f.indices: float(rng.uniform(-1, 1))
+            for f in sorted(alive, key=lambda f: f.indices) if f.level == ell})
+            for ell in range(h.depth)]
+        got = op.express_over_refinable(parts).coefficients
+        memo = {}
+        want = reference_express(parts, basis, memo)
+        scale = reference_express(parts, basis, memo, magnitude=True)
+        assert got.keys() == want.keys()
+        for fid, c in want.items():
+            assert abs(got[fid] - c) <= 1e-14 * scale[fid], fid
+
+    def test_neither_active_nor_deactivated_is_named(self):
+        levels = make_levels(1, 2, 4, 3)
+        h = SubdomainHierarchy.from_cells([[(0,), (1,)], [(0,)]])
+        basis = build_refinable_basis(h, levels)
+        outside = Fid(1, (7,))
+        assert outside not in basis
+        assert not support_in_subdomain(h, levels, 1, (7,), 2)
+        for fid in (outside, Fid(2, (9,)), Fid(3, (0,))):
+            with pytest.raises(HierarchyError, match=re.escape(str(fid))):
+                express_over({Fid(0, (0,)): 1.0, fid: 1.0}, basis)
+
+    def test_multiplicity_raise_keeps_its_message(self):
+        # the level-1 knot 1/2 goes from multiplicity 1 to 2
+        fx = parse_fixture({
+            "schema": "hiersplines-fixture-v1", "dimension": 1, "degrees": [2],
+            "breakpoints": [["0", "1/3", "1/2", "1"]], "depth": 2,
+            "refinement": {"explicit": [[{
+                "breakpoints": ["0", "1/9", "2/9", "1/3", "1/2", "3/4", "1"],
+                "multiplicities": [3, 1, 1, 1, 2, 1, 3]}]]},
+            "subdomains": [{"level": 1, "cells": [[0], [1]]}]})
+        op = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels)
+        with pytest.raises(HierarchyError) as err:
+            op.apply(lambda p: np.ones(p.shape[0]))
+        assert str(err.value) == ("TensorFunctionId(level=1, indices=(4,)) is "
+                                  "neither active nor deactivated in this basis")
+
+    def test_repeated_level_refused(self):
+        levels = make_levels(1, 2, 4, 2)
+        op = MultiscaleQuasiInterpolant(SubdomainHierarchy.from_cells([[(0,)]]), levels)
+        part = LevelSpline(levels[0], {(0,): 1.0})
+        with pytest.raises(HierSplineError, match="one spline per level"):
+            op.express_over_refinable([part, part])
+
+
+class TestContainment:
+    def test_coarse_function_against_finer_subdomain_refused(self):
+        levels = make_levels(1, 2, 4, 3)
+        h = SubdomainHierarchy.from_cells([[(0,), (1,)], [(0,), (1,)]])
+        with pytest.raises(HierarchyError, match="coarser than"):
+            support_in_subdomain(h, levels, 0, (0,), 2)
+        assert support_in_subdomain(h, levels, 1, (0,), 2)
 
 
 class TestEnlargement:

@@ -8,6 +8,7 @@ import pytest
 
 from hiersplines.errors import NestingError
 from hiersplines.tensor import (
+    TensorLevel,
     build_level_sequence,
     cell_ancestor,
     cell_descendant_ranges,
@@ -25,7 +26,7 @@ from hiersplines.univariate import (
     uniform_open_knot_vector,
 )
 
-from .conftest import FIXTURE_DIR, make_levels, repo_fixture
+from .conftest import FIXTURE_DIR, make_levels, random_explicit_levels, repo_fixture
 
 
 class TestLevelSequence:
@@ -53,6 +54,70 @@ class TestLevelSequence:
         levels = make_levels(1, 1, 2, 1)
         out = extend_level_sequence(levels, 3)
         assert [lv.num_cells[0] for lv in out] == [2, 4, 8]
+
+
+def _item5_levels():
+    """Explicit non-uniform levels raising the multiplicity of 1/2 at
+    level 1 and of 3/4 at level 2, with a dyadic second direction."""
+    x = [make_open_knot_vector(2, ["0", "1/3", "1/2", "1"]),
+         make_open_knot_vector(2, ["0", "1/9", "2/9", "1/3", "1/2", "3/4", "1"],
+                               [3, 1, 1, 1, 2, 1, 3]),
+         make_open_knot_vector(2, ["0", "1/27", "1/9", "2/9", "1/3", "1/2", "5/8",
+                                   "3/4", "1"], [3, 1, 1, 1, 1, 3, 1, 2, 3])]
+    y = [uniform_open_knot_vector(1, 2 ** ell) for ell in range(3)]
+    return build_level_sequence([x[0], y[0]], 3, [(x[1], y[1]), (x[2], y[2])])
+
+
+class TestParentMaps:
+    LEVELS = [_item5_levels()] + [
+        random_explicit_levels(np.random.default_rng(seed), [
+            uniform_open_knot_vector(p, m) for p, m in ((1, 3), (3, 2))], 4)
+        for seed in range(3)]
+
+    @pytest.mark.parametrize("case", range(len(LEVELS)))
+    def test_maps_match_interval_containment(self, case):
+        levels = self.LEVELS[case]
+        for fine in range(1, len(levels)):
+            for coarse in range(fine):
+                for i in range(levels[0].dim):
+                    cells_f = levels[fine].kvs[i].intervals
+                    cells_c = levels[coarse].kvs[i].intervals
+                    inside = {c.index: [f.index for f in cells_f
+                                        if c.left <= f.left and f.right <= c.right]
+                              for c in cells_c}
+                    for c, kids in inside.items():
+                        cell = [0] * levels[0].dim
+                        cell[i] = c
+                        ranges = cell_descendant_ranges(levels, coarse, fine, tuple(cell))
+                        assert list(ranges[i]) == kids
+                        for k in kids:
+                            cell[i] = k
+                            assert cell_ancestor(levels, fine, coarse, tuple(cell))[i] == c
+
+    def test_dyadic_build_and_extension_carry_equal_maps(self):
+        initial = [make_open_knot_vector(2, ["0", "1/3", "1/2", "1"], [3, 2, 1, 3]),
+                   uniform_open_knot_vector(1, 3)]
+        built = build_level_sequence(initial, 4)
+        for start in (1, 2):
+            extended = extend_level_sequence(built[:start], 4)
+            assert extended == built
+            assert [lv.interval_parents for lv in extended] == \
+                [lv.interval_parents for lv in built]
+        assert built[0].interval_parents == ()
+        assert built[1].interval_parents[0] == (0, 0, 1, 1, 2, 2)
+
+    def test_level_without_maps_refused(self):
+        levels = make_levels(2, 1, 2, 2)
+        kvs = levels[1].kvs
+        with pytest.raises(NestingError, match="level 1"):
+            TensorLevel(1, kvs)
+        with pytest.raises(NestingError, match="level 1"):
+            TensorLevel(1, kvs, (levels[1].interval_parents[0],))
+        with pytest.raises(NestingError, match="level 1"):
+            TensorLevel(1, kvs, (levels[1].interval_parents[0], (0, 0, 1)))
+        with pytest.raises(NestingError, match="level 0"):
+            TensorLevel(0, levels[0].kvs, levels[1].interval_parents)
+        assert TensorLevel(1, kvs, levels[1].interval_parents) == levels[1]
 
 
 class TestTensorChildren:
