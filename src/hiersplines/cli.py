@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import AdmissibilityError, FixtureError, HierSplineError
+from .errors import HierSplineError
 from .fixtures import dump_active_cells, load_fixture
 from .hierarchy import build_hierarchical_basis, build_refinable_basis, compute_weights
 from .invariants import run_invariant_suite
@@ -134,19 +134,10 @@ def main(argv=None) -> int:
             return _cmd_check(args)
         if args.command == "study":
             return _cmd_study(args)
-        if args.command == "dump-mesh":
-            return _cmd_dump(args)
-        parser.error("unknown command")
-    except (FixtureError, AdmissibilityError) as exc:
+        return _cmd_dump(args)
+    except (HierSplineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HierSplineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

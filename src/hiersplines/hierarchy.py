@@ -36,6 +36,7 @@ from .tensor import (
     Index,
     TensorFunctionId,
     TensorLevel,
+    as_points,
     cell_ancestor,
     cell_descendant_ranges,
     extend_level_sequence,
@@ -484,9 +485,7 @@ class HierSplineFunction:
             vals = ev.evaluate_dense(dense, points)
             out = vals if out is None else out + vals
         if out is None:
-            pts = np.asarray(points, dtype=np.float64)
-            m = pts.shape[0] if pts.ndim == 2 else np.atleast_2d(pts).shape[0]
-            out = np.zeros(m)
+            out = np.zeros(len(as_points(points, self.basis.levels[0].dim)))
         return out
 
     def __call__(self, points) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Open knot vectors and univariate B-spline machinery.
 
 Knots are stored as exact :class:`fractions.Fraction` values. Dyadic
-refinement, subsequence tests, multiplicity counts and the knot-insertion
+refinement, subsequence tests, multiplicity counts and the two-scale
 coefficients then stay exact, which removes every tolerance question from
 the parent/child bookkeeping. Floats coming from input files convert
 exactly (binary floats are rationals), so "equal as read" is literal.
@@ -17,7 +17,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -29,14 +30,15 @@ ONE = Fraction(1)
 
 
 def as_knot(value) -> Fraction:
-    """Convert a number or string ("0.3", "1/3") to an exact Fraction."""
+    """Convert a number or string ("0.3", "1/3") to an exact Fraction.
+
+    Booleans are refused although they are ints.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise KnotVectorError(f"cannot interpret {value!r} as a knot")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise KnotVectorError(f"cannot interpret {value!r} as a knot")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -165,40 +167,32 @@ class KnotVector:
     def num_basis(self) -> int:
         return len(self.knots) - self.degree - 1
 
-    @property
+    @cached_property
     def breakpoints(self) -> Breakpoints:
-        bp = self.__dict__.get("_breakpoints")
-        if bp is None:
-            values: list[Fraction] = []
-            mults: list[int] = []
-            for k in self.knots:
-                if values and values[-1] == k:
-                    mults[-1] += 1
-                else:
-                    values.append(k)
-                    mults.append(1)
-            bp = Breakpoints(tuple(values), tuple(mults))
-            self.__dict__["_breakpoints"] = bp
-        return bp
+        values: list[Fraction] = []
+        mults: list[int] = []
+        for k in self.knots:
+            if values and values[-1] == k:
+                mults[-1] += 1
+            else:
+                values.append(k)
+                mults.append(1)
+        return Breakpoints(tuple(values), tuple(mults))
 
-    @property
+    @cached_property
     def intervals(self) -> tuple[IntervalCell, ...]:
-        cached = self.__dict__.get("_intervals")
-        if cached is None:
-            cells = []
-            bp = self.breakpoints
-            flat = 0
-            p = self.degree
-            for j in range(len(bp) - 1):
-                flat += bp.multiplicities[j]
-                k = flat - 1
-                ext = (self.knots[k - p], self.knots[k + p + 1])
-                cells.append(IntervalCell(
-                    index=j, left=bp.values[j], right=bp.values[j + 1],
-                    flat_index=k, extension=ext))
-            cached = tuple(cells)
-            self.__dict__["_intervals"] = cached
-        return cached
+        cells = []
+        bp = self.breakpoints
+        flat = 0
+        p = self.degree
+        for j in range(len(bp) - 1):
+            flat += bp.multiplicities[j]
+            k = flat - 1
+            ext = (self.knots[k - p], self.knots[k + p + 1])
+            cells.append(IntervalCell(
+                index=j, left=bp.values[j], right=bp.values[j + 1],
+                flat_index=k, extension=ext))
+        return tuple(cells)
 
     def floats(self) -> np.ndarray:
         arr = self.__dict__.get("_floats")
@@ -340,117 +334,54 @@ def dyadic_refine(kv: KnotVector) -> KnotVector:
 # ---------------------------------------------------------------------------
 # two-scale machinery
 
-def _boehm_insert(tau: list[Fraction], degree: int,
-                  coeffs: list[Fraction], u: Fraction
-                  ) -> tuple[list[Fraction], list[Fraction]]:
-    """One knot-insertion step on a spline given over the knot list ``tau``.
-
-    Coefficients outside the tracked window are zero; index arithmetic
-    stays inside ``tau`` for every entry that can be nonzero.
-    """
-    p = degree
-    k = bisect.bisect_right(tau, u) - 1
-    m = len(coeffs)
-
-    def old(i: int) -> Fraction:
-        return coeffs[i] if 0 <= i < m else ZERO
-
-    out: list[Fraction] = []
-    for i in range(m + 1):
-        if i <= k - p:
-            out.append(old(i))
-        elif i >= k + 1:
-            out.append(old(i - 1))
-        else:
-            alpha = (u - tau[i]) / (tau[i + p] - tau[i])
-            out.append(alpha * old(i) + (1 - alpha) * old(i - 1))
-    new_tau = tau[:k + 1] + [u] + tau[k + 1:]
-    return new_tau, out
-
-
-def _refined_local_knots(parent: LocalKnotVector, fine: KnotVector) -> list[Fraction]:
-    """Parent's local knots with all fine knots interior to its support inserted."""
-    lo, hi = parent.support
-    for v in set(parent.knots):
-        if fine.multiplicity(v) < parent.multiplicity(v):
-            raise RefinementMismatchError(
-                f"knot {v} of the parent has multiplicity "
-                f"{parent.multiplicity(v)} but only {fine.multiplicity(v)} "
-                "in the fine knot vector")
-    merged: list[Fraction] = [k for k in parent.knots if k == lo]
-    merged.extend(k for k in fine.knots if lo < k < hi)
-    merged.extend(k for k in parent.knots if k == hi)
-    return merged
-
-
-def _window_index_in(fine: KnotVector, window: tuple[Fraction, ...]) -> int:
-    """Index j with fine.local(j).knots == window.
-
-    The window is pinned by the position of the last copy of its leading
-    value in the fine sequence.
-    """
-    a = window[0]
-    t = 1
-    while t < len(window) and window[t] == a:
-        t += 1
-    last_a = bisect.bisect_right(fine.knots, a) - 1
-    j = last_a - t + 1
-    if j < 0 or j >= fine.num_basis or fine.knots[j:j + len(window)] != window:
-        raise RefinementMismatchError(
-            f"window {tuple(map(str, window))} is not a run of consecutive "
-            "knots in the fine knot vector")
-    return j
-
-
 def children_with_coefficients(parent: LocalKnotVector, fine: KnotVector
                                ) -> list[tuple[LocalKnotVector, Fraction]]:
-    """Decompose a coarse B-spline over the fine basis by knot insertion.
+    """Decompose a coarse B-spline over the fine basis.
 
-    Returns every child (a window of the refined local knot vector, tagged
-    with its index in ``fine``) together with its strictly positive
+    The coefficient of fine function i is the discrete B-spline of the
+    parent's knots at t_i, ..., t_{i+p} (the Oslo recurrence of Cohen,
+    Lyche & Riesenfeld, 1980): degree-0 indicators at t_i, raised one
+    degree at a time with t_{i+1}, ..., t_{i+p}. Returns every child,
+    tagged with its index in ``fine``, with its strictly positive
     coefficient. The weighted children reproduce the parent pointwise.
     """
     p = parent.degree
     if p != fine.degree:
         raise RefinementMismatchError(
             f"degree mismatch: parent {p}, fine {fine.degree}")
-    merged = _refined_local_knots(parent, fine)
-
-    tau = list(parent.knots)
-    coeffs: list[Fraction] = [ONE]
-    to_insert = _multiset_difference(merged, tau)
-    for u in to_insert:
-        tau, coeffs = _boehm_insert(tau, p, coeffs, u)
-
+    tau = parent.knots
+    for v in set(tau):
+        if fine.multiplicity(v) < parent.multiplicity(v):
+            raise RefinementMismatchError(
+                f"knot {v} of the parent has multiplicity "
+                f"{parent.multiplicity(v)} but only {fine.multiplicity(v)} "
+                "in the fine knot vector")
+    t = fine.knots
     out: list[tuple[LocalKnotVector, Fraction]] = []
-    for i, c in enumerate(coeffs):
-        if c <= 0:
-            # windows that receive no mass are not children
-            continue
-        window = tuple(tau[i:i + p + 2])
-        j = _window_index_in(fine, window)
-        out.append((LocalKnotVector(p, window, index=j), c))
+    for i in fine.functions_supported_in(*parent.support):
+        alpha = [ONE if tau[j] <= t[i] < tau[j + 1] else ZERO for j in range(p + 1)]
+        for k in range(1, p + 1):
+            x = t[i + k]
+            nxt = []
+            for j in range(p + 1 - k):
+                acc = ZERO
+                d1 = tau[j + k] - tau[j]
+                if d1 > 0:
+                    acc += (x - tau[j]) / d1 * alpha[j]
+                d2 = tau[j + k + 1] - tau[j + 1]
+                if d2 > 0:
+                    acc += (tau[j + k + 1] - x) / d2 * alpha[j + 1]
+                nxt.append(acc)
+            alpha = nxt
+        if alpha[0] > 0:
+            out.append((fine.local(i), alpha[0]))
     return out
-
-
-def _multiset_difference(superseq: Iterable[Fraction],
-                         subseq: Iterable[Fraction]) -> list[Fraction]:
-    remaining = list(subseq)
-    out = []
-    for v in superseq:
-        if remaining and remaining[0] == v:
-            remaining.pop(0)
-        else:
-            out.append(v)
-    if remaining:
-        raise RefinementMismatchError("refined knot list lost a parent knot")
-    return sorted(out)
 
 
 def is_child_of(child: LocalKnotVector, parent: LocalKnotVector) -> bool:
     """Parent/child test by endpoint containment and endpoint multiplicities.
 
-    This is an independent route from the knot-insertion construction in
+    This is an independent route from the Oslo recurrence in
     :func:`children_with_coefficients`; the two must agree on every pair.
     """
     c_lo, c_hi = child.support
@@ -465,17 +396,16 @@ def is_child_of(child: LocalKnotVector, parent: LocalKnotVector) -> bool:
 
 
 def parents_of(child: LocalKnotVector, coarse: KnotVector) -> list[LocalKnotVector]:
-    """All coarse basis functions of which ``child`` is a child."""
-    out = []
+    """All coarse basis functions of which ``child`` is a child.
+
+    The candidates, coarse functions whose support contains the child's,
+    form one run of indices found by bisection in the coarse knots.
+    """
     c_lo, c_hi = child.support
-    for j in range(coarse.num_basis):
-        lo, hi = coarse.support(j)
-        if lo > c_lo or hi < c_hi:
-            continue
-        cand = coarse.local(j)
-        if is_child_of(child, cand):
-            out.append(cand)
-    return out
+    first = max(bisect.bisect_left(coarse.knots, c_hi) - coarse.degree - 1, 0)
+    stop = min(bisect.bisect_right(coarse.knots, c_lo), coarse.num_basis)
+    return [cand for cand in map(coarse.local, range(first, stop))
+            if is_child_of(child, cand)]
 
 
 def pair_cache(owner: KnotVector, name: str) -> dict:
@@ -483,7 +413,7 @@ def pair_cache(owner: KnotVector, name: str) -> dict:
     avoids rehashing and comparing long rational tuples on every access.
 
     Its two users are :func:`children_table` and :func:`parent_table`,
-    whose tables take exact knot insertion to build.
+    whose tables take exact rational arithmetic to build.
     """
     d = owner.__dict__.get(name)
     if d is None:

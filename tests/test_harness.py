@@ -90,13 +90,25 @@ class TestFixtureParsing:
         (lambda obj: obj["subdomains"][0].update(cells=[[True], [2]]),
          r"demo\.subdomains\[0\]\.cells\[0\]:"),
         (lambda obj: obj.update(dimension=True), r"demo\.dimension:"),
+        (lambda obj: obj["breakpoints"][0].__setitem__(4, True),
+         r"demo\.breakpoints\[0\]\.breakpoints\[4\]:"),
+        (lambda obj: obj.update(refinement={"explicit": [[{
+            "breakpoints": ["0", "1/8", "1/4", "1/2", "3/4", True]}]]}),
+         r"demo\.refinement\.explicit\[0\]\[0\]\.breakpoints\[5\]:"),
     ], ids=["enlargement_not_object", "subdomain_not_object", "addition_level_not_int",
-            "subdomain_level_bool", "cell_entry_bool", "dimension_bool"])
+            "subdomain_level_bool", "cell_entry_bool", "dimension_bool",
+            "initial_breakpoint_bool", "explicit_breakpoint_bool"])
     def test_malformed_section_refused(self, edit, where):
         obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
         edit(obj)
         with pytest.raises(FixtureError, match=where):
             parse_fixture(obj, "demo")
+
+    def test_benchmark_input_is_the_repo_fixture(self):
+        # the check_nested benchmark workload reads its own copy
+        name = "d2_nested_not_admissible.json"
+        copy = FIXTURE_DIR.parent / "perfbench" / "data" / name
+        assert copy.read_bytes() == (FIXTURE_DIR / name).read_bytes()
 
     def test_fixture_write_read_identity(self, tmp_path):
         fx = repo_fixture("d2_corner_admissible")
@@ -129,10 +141,12 @@ class TestFixtureParsing:
         (lambda obj: obj["initial"][0].update(multiplicities=[3, True, 1, 1, 3]),
          r"mesh\.initial\[0\]\.multiplicities:"),
         (lambda obj: obj.update(depth=True), r"mesh\.depth:"),
+        (lambda obj: obj["initial"][0]["breakpoints"].__setitem__(4, True),
+         r"mesh\.initial\[0\]\.breakpoints\[4\]:"),
     ], ids=["unknown_refinement", "cell_without_level", "degrees_wrong_length",
             "index_too_short", "index_out_of_range", "cells_not_array",
             "cell_missing", "cell_repeated", "level_bool", "index_entry_bool",
-            "multiplicity_bool", "depth_bool"])
+            "multiplicity_bool", "depth_bool", "initial_breakpoint_bool"])
     def test_malformed_mesh_dump_refused(self, edit, where):
         fx = repo_fixture("d2_single_cell")
         _, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
@@ -292,6 +306,16 @@ class TestCli:
         assert res.returncode == 2
         assert "enlargement: must be a JSON object" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_check_boolean_knot_exit_two(self, tmp_path, capsys):
+        from hiersplines import cli
+
+        bad = tmp_path / "bad.json"
+        obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
+        obj["breakpoints"][0][-1] = True
+        bad.write_text(json.dumps(obj))
+        assert cli.main(["check", str(bad)]) == 2
+        assert "breakpoints[4]: cannot parse knot value True" in capsys.readouterr().err
 
     def test_dump_mesh(self, tmp_path):
         out = tmp_path / "cells.json"

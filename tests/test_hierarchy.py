@@ -9,6 +9,7 @@ import pytest
 from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
 from hiersplines.fixtures import parse_fixture
 from hiersplines.hierarchy import (
+    HierSplineFunction,
     SubdomainHierarchy,
     active_mesh,
     build_hierarchical_basis,
@@ -172,6 +173,16 @@ class TestRefinableBasis:
 
 
 class TestExpansion:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_spline_gives_one_value_per_point(self, dim, rng):
+        levels = make_levels(dim, 2, 4, 1)
+        basis, _ = build_hierarchical_basis(SubdomainHierarchy.from_cells([]), levels)
+        pts = rng.random(5) if dim == 1 else rng.random((5, dim))
+        one = HierSplineFunction(basis, {next(iter(basis.functions())): F(1)})
+        empty = HierSplineFunction(basis, {})
+        assert one(pts).shape == (5,)
+        assert np.array_equal(empty(pts), np.zeros(5))
+
     def test_single_step_is_child_list(self):
         levels = make_levels(1, 2, 4, 2)
         h = SubdomainHierarchy.from_cells([[(0,), (1,), (2,)]])

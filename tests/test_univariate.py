@@ -20,6 +20,7 @@ from hiersplines.univariate import (
     uniform_open_knot_vector,
 )
 
+from .conftest import random_refinement
 from .oracles import bspline_value_exact
 
 
@@ -203,6 +204,58 @@ class TestParents:
         too_many = LocalKnotVector(2, (F(0), F(1, 2), F(1, 2), F(1, 2)))
         assert is_child_of(inside, parent)
         assert not is_child_of(too_many, parent)
+
+
+def _parents_by_full_scan(child, coarse):
+    """Reference: every coarse function tested with the endpoint route."""
+    return [coarse.local(j) for j in range(coarse.num_basis)
+            if is_child_of(child, coarse.local(j))]
+
+
+def _random_pairs(n):
+    """Coarse/fine pairs: one random refinement of a random knot vector,
+    and a refinement of that refinement (a two-step jump)."""
+    rng = np.random.default_rng(61)
+    for k in range(n):
+        degree = int(rng.integers(1, 4))
+        coarse = random_refinement(
+            rng, uniform_open_knot_vector(degree, int(rng.integers(1, 4))))
+        fine = random_refinement(rng, coarse)
+        yield pytest.param(coarse, fine, id=f"p{degree}-{k}-one-step")
+        yield pytest.param(coarse, random_refinement(rng, fine),
+                           id=f"p{degree}-{k}-two-step")
+
+
+RANDOM_PAIRS = list(_random_pairs(20))
+
+
+class TestTwoScaleRandom:
+    @pytest.mark.parametrize("coarse,fine", RANDOM_PAIRS)
+    def test_children_reproduce_parent_exactly(self, coarse, fine):
+        p = fine.degree
+        xs = [F(0), F(1)]
+        for cell in fine.intervals:
+            xs.extend(cell.left + cell.length * F(k, p + 3) for k in range(1, p + 3))
+        for j in range(coarse.num_basis):
+            parent = coarse.local(j)
+            kids = children_with_coefficients(parent, fine)
+            assert kids and all(c > 0 for _, c in kids)
+            for x in xs:
+                # a B-spline vanishes outside its closed support
+                got = sum(c * bspline_value_exact(child.knots, x) for child, c in kids
+                          if child.support[0] <= x <= child.support[1])
+                assert got == bspline_value_exact(parent.knots, x), (j, x)
+
+    @pytest.mark.parametrize("coarse,fine", RANDOM_PAIRS)
+    def test_parents_are_the_transpose_of_children(self, coarse, fine):
+        children = {j: {k.index for k, _ in
+                        children_with_coefficients(coarse.local(j), fine)}
+                    for j in range(coarse.num_basis)}
+        for i in range(fine.num_basis):
+            child = fine.local(i)
+            parents = [q.index for q in parents_of(child, coarse)]
+            assert parents == [q.index for q in _parents_by_full_scan(child, coarse)]
+            assert set(parents) == {j for j, kids in children.items() if i in kids}
 
 
 @settings(max_examples=30, deadline=None)
