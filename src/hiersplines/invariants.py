@@ -7,9 +7,11 @@ random generator is seeded per check from the suite seed.
 
 from __future__ import annotations
 
+import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -18,6 +20,8 @@ from .errors import AdmissibilityError, HierSplineError
 from .fixtures import Fixture, dump_active_cells, parse_mesh_dump
 from .functions import get_function
 from .hierarchy import (
+    HierarchicalMesh,
+    HierBasis,
     build_hierarchical_basis,
     build_refinable_basis,
     cell_in_subdomain,
@@ -38,6 +42,7 @@ from .quasiinterp import (
 from .tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
+    TensorLevel,
     cell_descendant_ranges,
     eval_function,
     extend_level_sequence,
@@ -60,11 +65,12 @@ class InvariantResult:
     count: int = 0
     worst: float = 0.0
     detail: str = ""
+    seconds: float = 0.0  # wall time of the check, set by the suite
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": bool(self.passed),
                 "count": int(self.count), "worst_residual": float(self.worst),
-                "detail": self.detail}
+                "detail": self.detail, "seconds": float(self.seconds)}
 
 
 @dataclass
@@ -142,6 +148,57 @@ def _check(name: str):
 def _result(name: str, worst: float, count: int, tol: float,
             detail: str = "") -> InvariantResult:
     return InvariantResult(name, bool(worst <= tol), count, float(worst), detail)
+
+
+class _LevelColumns:
+    """Functions of each level at fixed points, as columns of a matrix.
+
+    Per level and direction, every univariate function is tabulated at the
+    points once, with kernels.local_values on its local knots. A tensor
+    function's column is the product of its directions' columns, taken in
+    direction order as in eval_function, so it equals eval_function at the
+    same points bit for bit. Only the gathered columns are formed, so a
+    fine level costs its per-direction tables, not a points x functions
+    matrix.
+    """
+
+    def __init__(self, levels, pts: np.ndarray):
+        self.levels = levels
+        self.pts = pts
+        self._tables: dict[int, list[np.ndarray]] = {}
+
+    def columns(self, ell: int, indices) -> np.ndarray:
+        tables = self._tables.get(ell)
+        if tables is None:
+            tables = []
+            for kv, x in zip(self.levels[ell].kvs, self.pts.T):
+                p, knots, x = kv.degree, kv.floats(), np.ascontiguousarray(x)
+                tables.append(np.stack([kernels.local_values(knots[j:j + p + 2], p, x, 1.0)
+                                        for j in range(kv.num_basis)], axis=1))
+            self._tables[ell] = tables
+        idx = np.array(indices, dtype=np.int64).reshape(-1, len(tables))
+        out = tables[0][:, idx[:, 0]]
+        for k in range(1, len(tables)):
+            out *= tables[k][:, idx[:, k]]
+        return out
+
+    def function(self, fid: Fid) -> np.ndarray:
+        return self.columns(fid.level, [fid.indices])[:, 0]
+
+    def combination(self, terms: Mapping[Fid, Fraction]) -> np.ndarray:
+        """sum of c * g over the terms, one dot product per level."""
+        by_level: dict[int, list] = {}
+        for g, c in terms.items():
+            by_level.setdefault(g.level, []).append((g.indices, float(c)))
+        acc = np.zeros(self.pts.shape[0])
+        for ell, pairs in sorted(by_level.items()):
+            acc += self.columns(ell, [idx for idx, _ in pairs]) @ np.array([c for _, c in pairs])
+        return acc
+
+    def children(self, fid: Fid) -> dict[Fid, Fraction]:
+        """The two-scale expansion of a function over the next level."""
+        return {Fid(fid.level + 1, idx): c for idx, c in tensor_children(
+            fid.indices, self.levels[fid.level], self.levels[fid.level + 1])}
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +289,16 @@ def _chk_tensor_pou(ctx: _Context) -> InvariantResult:
 def _chk_tensor_two_scale(ctx: _Context) -> InvariantResult:
     if len(ctx.levels) < 2:
         return InvariantResult("tensor_two_scale", True, 0, 0.0, "single level")
-    pts = ctx.points("tensor_two_scale", 120)
+    cols = _LevelColumns(ctx.levels, ctx.points("tensor_two_scale", 120))
     rng = ctx.rng("tensor_two_scale_pick")
     worst, count = 0.0, 0
-    for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
+    for coarse in ctx.levels[:-1]:
         ids = list(coarse.function_ids())
         picks = {tuple(ids[k]) for k in rng.integers(0, len(ids), size=min(50, len(ids)))}
         for idx in picks:
-            kids = tensor_children(idx, coarse, fine)
-            vals = eval_function(coarse, idx, pts)
-            acc = np.zeros(pts.shape[0])
-            for cidx, c in kids:
-                acc += float(c) * eval_function(fine, cidx, pts)
-            worst = max(worst, float(np.abs(vals - acc).max()))
+            fid = Fid(coarse.index, idx)
+            acc = cols.combination(cols.children(fid))
+            worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
             count += 1
     return _result("tensor_two_scale", worst, count, TOL_EXACT)
 
@@ -321,27 +375,104 @@ def _chk_hier_pou(ctx: _Context) -> InvariantResult:
 
 @_check("linear_independence_active")
 def _chk_hier_li(ctx: _Context) -> InvariantResult:
+    return active_independence(ctx.classical, ctx.mesh)
+
+
+def _ticks(degree: int) -> np.ndarray:
+    """degree+1 interior points of the unit interval, (i+1)/(degree+2)."""
+    n = degree + 1
+    return (np.arange(n) + 1.0) / (n + 1.0)
+
+
+def active_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantResult:
     """Full column rank of a collocation matrix over well-spread points.
 
     Points form a tensor grid of degree+1 interior points per active cell;
     a spline combination vanishing on all of them vanishes cell by cell,
     so the matrix has full column rank exactly when the active functions
     are independent, and the grid keeps it numerically well separated.
+
+    The rank is certified level by level, as in the independence proof of
+    Vuong, Giannelli, Juettler & Simeon (2011). Order the rows by the level
+    of their active cell and the columns by function level: an active
+    function of level k has its support in subdomain k, so it vanishes at
+    the interior points of the active cells of every coarser level, and the
+    matrix is block lower triangular. That zero structure is checked from
+    the supports, with no floats. Full rank of every diagonal block then
+    gives full rank of the whole. Block l has Gram matrix
+    G_l = sum over the active cells c of level l of A_c^T A_c, restricted to
+    the active functions of level l, where A_c is the Kronecker product of
+    per-direction (p+1) x (p+1) collocation blocks; G_l counts as regular
+    when its eigenvalues satisfy lambda_min > max(rows, cols) * eps *
+    lambda_max. Since lambda = sigma^2, this is stricter than the
+    max(rows, cols) * eps * sigma_max tolerance of numpy's matrix_rank.
+    When the structure or a block fails, the dense collocation matrix and
+    matrix_rank give the verdict and the rank in the detail.
     """
-    basis = ctx.classical
+    levels, h = basis.levels, basis.hierarchy
+    structured = all(support_in_subdomain(h, levels, f.level, f.indices, f.level)
+                     for f in basis.functions())
+    if structured and all(_gram_block_regular(levels[ell], mesh.active[ell], members)
+                          for ell, members in enumerate(basis.members_by_level)):
+        n = len(basis)
+        m = sum(len(cells) * int(np.prod([p + 1 for p in levels[ell].degrees]))
+                for ell, cells in enumerate(mesh.active))
+        return InvariantResult("linear_independence_active", True, 1, 0.0,
+                               f"rank {n} of {n} at {m} points")
+    return dense_independence(basis, mesh)
+
+
+def _gram_block_regular(level: TensorLevel, cells, members) -> bool:
+    """Is the level's diagonal block of the collocation matrix regular?
+
+    See :func:`active_independence`. Per direction, the (p+1) x (p+1)
+    Gram blocks B^T B of every interval come from one find_spans and
+    basis_columns pass; a cell's A_c^T A_c is their Kronecker product,
+    first direction fastest, and all cells scatter into G_l at once.
+    """
+    if not members:
+        return True
+    if not cells:
+        return False
+    n = len(members)
+    cells = np.array(cells, dtype=np.int64).reshape(len(cells), level.dim)
+    position = np.full(level.num_basis, -1, dtype=np.int64)
+    position[tuple(np.array(members, dtype=np.int64).reshape(n, level.dim).T)] = np.arange(n)
+    local = np.ones((len(cells), 1, 1))
+    flat = np.zeros((len(cells), 1), dtype=np.int64)
+    stride = 1
+    for k, kv in enumerate(level.kvs):
+        p, knots, bps = kv.degree, kv.floats(), kv.breakpoint_floats()
+        x = (bps[:-1, None] + (bps[1:] - bps[:-1])[:, None] * _ticks(p)).ravel()
+        spans = kernels.find_spans(knots, p, x)
+        block = kernels.basis_columns(knots, p, x, spans).reshape(-1, p + 1, p + 1)
+        gram = np.einsum("iqa,iqb->iab", block, block)[cells[:, k]]
+        first = (spans[::p + 1] - p)[cells[:, k]]
+        # direction k varies slower than the directions before it
+        local = np.einsum("cab,cij->caibj", gram, local).reshape(
+            len(cells), (p + 1) * local.shape[1], (p + 1) * local.shape[2])
+        flat = ((first[:, None] + np.arange(p + 1)) * stride)[:, :, None] + flat[:, None, :]
+        flat = flat.reshape(len(cells), -1)
+        stride *= kv.num_basis
+    pos = position.ravel(order="F")[flat]
+    keep = (pos[:, :, None] >= 0) & (pos[:, None, :] >= 0)
+    keys = (pos[:, :, None] * n + pos[:, None, :])[keep]
+    gram = np.bincount(keys, weights=local[keep], minlength=n * n).reshape(n, n)
+    eig = np.linalg.eigvalsh(gram)
+    rows = len(cells) * local.shape[1]
+    return bool(eig[0] > max(rows, n) * np.finfo(float).eps * eig[-1])
+
+
+def dense_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantResult:
+    """The rank of the whole collocation matrix of active_independence."""
     members = list(basis.functions())
     blocks = []
-    for ell, idx in ctx.mesh.cells():
-        lv = ctx.mesh.levels[ell]
-        box = lv.cell_box(idx)
-        axes = []
-        for i, (lo, hi) in enumerate(box):
-            n = lv.degrees[i] + 1
-            ticks = (np.arange(n) + 1.0) / (n + 1.0)
-            axes.append(float(lo) + (float(hi) - float(lo)) * ticks)
+    for ell, idx in mesh.cells():
+        lv = mesh.levels[ell]
+        axes = [float(lo) + (float(hi) - float(lo)) * _ticks(p)
+                for p, (lo, hi) in zip(lv.degrees, lv.cell_box(idx))]
         combos = list(iter_box([range(len(a)) for a in axes]))
-        pts = np.array([[axes[i][c[i]] for i in range(ctx.dim)] for c in combos])
-        blocks.append(pts)
+        blocks.append(np.array([[a[i] for a, i in zip(axes, c)] for c in combos]))
     pts = np.vstack(blocks)
     mat = np.column_stack([
         eval_function(basis.levels[f.level], f.indices, pts) for f in members])
@@ -380,42 +511,33 @@ def _chk_partition(ctx: _Context) -> InvariantResult:
 
 @_check("coarse_space_in_refinable")
 def _chk_coarse_in_refinable(ctx: _Context) -> InvariantResult:
-    pts = ctx.points("v0_span", 150)
+    cols = _LevelColumns(ctx.levels, ctx.points("v0_span", 150))
     worst, count = 0.0, 0
     for idx in ctx.levels[0].function_ids():
         fid = Fid(0, idx)
         count += 1
         if fid in ctx.refinable:
             continue
-        expansion = expand_deactivated(fid, ctx.refinable)
-        vals = eval_function(ctx.levels[0], idx, pts)
-        acc = np.zeros(pts.shape[0])
-        for g, c in expansion.items():
-            acc += float(c) * eval_function(ctx.levels[g.level], g.indices, pts)
-        worst = max(worst, float(np.abs(vals - acc).max()))
+        acc = cols.combination(expand_deactivated(fid, ctx.refinable))
+        worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
     return _result("coarse_space_in_refinable", worst, count, TOL_EXACT)
 
 
 @_check("refinable_stage_nesting")
 def _chk_stage_nesting(ctx: _Context) -> InvariantResult:
-    pts = ctx.points("stage_nesting", 100)
+    cols = _LevelColumns(ctx.levels, ctx.points("stage_nesting", 100))
     basis = ctx.refinable
     worst, count = 0.0, 0
     for ell in range(len(basis.stages) - 1):
         gone = basis.stages[ell] - basis.stages[ell + 1]
         for fid in gone:
-            kids = tensor_children(fid.indices, ctx.levels[fid.level],
-                                   ctx.levels[fid.level + 1])
-            for cidx, _ in kids:
-                if Fid(fid.level + 1, cidx) not in basis.stages[ell + 1]:
-                    return InvariantResult(
-                        "refinable_stage_nesting", False, count, 1.0,
-                        f"child of {fid} missing from the next stage")
-            vals = eval_function(ctx.levels[fid.level], fid.indices, pts)
-            acc = np.zeros(pts.shape[0])
-            for cidx, c in kids:
-                acc += float(c) * eval_function(ctx.levels[fid.level + 1], cidx, pts)
-            worst = max(worst, float(np.abs(vals - acc).max()))
+            kids = cols.children(fid)
+            if not kids.keys() <= basis.stages[ell + 1]:
+                return InvariantResult(
+                    "refinable_stage_nesting", False, count, 1.0,
+                    f"child of {fid} missing from the next stage")
+            acc = cols.combination(kids)
+            worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
             count += 1
     return _result("refinable_stage_nesting", worst, count, TOL_EXACT)
 
@@ -633,14 +755,20 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
         count += pts.shape[0]
         # annihilation of anything vanishing on the core cells
         core_cells = ctx.core.cells(ell)
+        in_core = np.zeros(lv.num_cells, dtype=bool)
+        if core_cells:
+            in_core[tuple(np.array(list(core_cells)).T)] = True
 
         def vanishing(p: np.ndarray) -> np.ndarray:
-            out = np.ones(p.shape[0])
-            for i in range(p.shape[0]):
-                loc = lv.locate(p[i])
-                if loc is not None and loc in core_cells:
-                    out[i] = 0.0
-            return out
+            # TensorLevel.locate for all points at once
+            found = np.ones(p.shape[0], dtype=bool)
+            loc = []
+            for kv, x in zip(lv.kvs, p.T):
+                bps = kv.breakpoint_floats()
+                found &= (x >= bps[0]) & (x <= bps[-1])
+                j = np.searchsorted(bps, x, side="right") - 1
+                loc.append(np.clip(j, 0, bps.size - 2))
+            return np.where(found & in_core[tuple(loc)], 0.0, 1.0)
 
         pz = op.apply(vanishing)
         zworst = max((abs(v) for v in pz.coefficients.values()), default=0.0)
@@ -722,19 +850,15 @@ def _chk_enlargement(ctx: _Context) -> InvariantResult:
                 return InvariantResult("enlargement_monotonicity", False,
                                        count, 1.0, f"weight dropped at {fid}")
     refinable2 = build_refinable_basis(h2, levels2, w2)
-    pts = ctx.points("enlargement", 100)
+    # levels2 extends ctx.levels, so one set of columns serves both
+    cols = _LevelColumns(levels2, ctx.points("enlargement", 100))
     worst = 0.0
     for fid in ctx.refinable.functions():
         count += 1
-        lvl = ctx.levels[fid.level]
-        vals = eval_function(lvl, fid.indices, pts)
         if fid in refinable2:
             continue
-        expansion = expand_deactivated(fid, refinable2)
-        acc = np.zeros(pts.shape[0])
-        for g, c in expansion.items():
-            acc += float(c) * eval_function(levels2[g.level], g.indices, pts)
-        worst = max(worst, float(np.abs(vals - acc).max()))
+        acc = cols.combination(expand_deactivated(fid, refinable2))
+        worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
     return _result("enlargement_monotonicity", worst, count, TOL_OPERATOR)
 
 
@@ -749,10 +873,13 @@ def run_invariant_suite(fixture: Fixture,
     ctx = _Context(fixture, config, seed)
     results = []
     for name, fn in _CHECKS:
+        start = time.perf_counter()
         try:
-            results.append(fn(ctx))
+            result = fn(ctx)
         except HierSplineError as exc:
-            results.append(InvariantResult(name, False, 0, float("inf"), str(exc)))
+            result = InvariantResult(name, False, 0, float("inf"), str(exc))
+        result.seconds = time.perf_counter() - start
+        results.append(result)
     counts = {
         "active_classical": len(ctx.classical),
         "active_refinable": len(ctx.refinable),

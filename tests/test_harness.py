@@ -1,12 +1,15 @@
 """Function catalog, fixture parsing, studies, reports and the CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hiersplines import invariants
 from hiersplines.errors import FixtureError, HierSplineError
 from hiersplines.fixtures import (
     Fixture,
@@ -18,11 +21,27 @@ from hiersplines.fixtures import (
     write_fixture,
 )
 from hiersplines.functions import get_function
-from hiersplines.hierarchy import SubdomainHierarchy, build_hierarchical_basis
-from hiersplines.invariants import run_invariant_suite
+from hiersplines.hierarchy import (
+    SubdomainHierarchy,
+    build_hierarchical_basis,
+    support_in_subdomain,
+)
+from hiersplines.invariants import (
+    active_independence,
+    dense_independence,
+    run_invariant_suite,
+)
 from hiersplines.study import read_study_csv, run_convergence_study
+from hiersplines.tensor import build_level_sequence
+from hiersplines.univariate import make_open_knot_vector, uniform_open_knot_vector
 
-from .conftest import FIXTURE_DIR, corner_hierarchy, make_levels, repo_fixture
+from .conftest import (
+    FIXTURE_DIR,
+    corner_hierarchy,
+    make_levels,
+    random_hierarchy,
+    repo_fixture,
+)
 
 
 class TestFunctions:
@@ -245,6 +264,90 @@ class TestInvariantSuite:
         details = {r.name: r.detail for r in report.results}
         assert details["multiscale_identities"] == "refused on non-nested core domains"
         assert details["core_functions_in_refinable"] == "core domains not nested"
+
+    def test_every_invariant_reports_its_wall_time(self):
+        report = run_invariant_suite(repo_fixture("d2_single_cell"))
+        rows = report.to_dict()["invariants"]
+        assert len(rows) == len(invariants._CHECKS)
+        for row in rows:
+            assert isinstance(row["seconds"], float)
+            assert row["seconds"] >= 0.0
+
+    def test_perturbed_two_scale_coefficient_fails(self, monkeypatch):
+        exact = invariants.tensor_children
+
+        def perturbed(indices, coarse, fine):
+            kids = exact(indices, coarse, fine)
+            (idx, c), rest = kids[0], kids[1:]
+            return [(idx, c * Fraction(1000001, 1000000))] + rest
+
+        monkeypatch.setattr(invariants, "tensor_children", perturbed)
+        report = run_invariant_suite(repo_fixture("d1_depth3_blocks"))
+        verdicts = {r.name: r.passed for r in report.results}
+        assert not verdicts["tensor_two_scale"]
+        assert not verdicts["refinable_stage_nesting"]
+
+
+def _with_member(basis, level, indices):
+    """The basis with one more function of ``level`` among its members."""
+    by_level = list(basis.members_by_level)
+    by_level[level] = by_level[level] + (indices,)
+    return dataclasses.replace(basis, members_by_level=tuple(by_level),
+                               _member_set=None)
+
+
+class TestLinearIndependence:
+    def _assert_matches_dense(self, basis, mesh):
+        """The certified verdict and detail equal those of one dense SVD."""
+        got = active_independence(basis, mesh)
+        ref = dense_independence(basis, mesh)
+        assert (got.passed, got.detail) == (ref.passed, ref.detail)
+        return got
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_random_hierarchies_match_dense_reference(self, dim, explicit):
+        rng = np.random.default_rng(7 + dim + 10 * explicit)
+        for _ in range(4):
+            levels, h = random_hierarchy(rng, dim=dim, depth=3, explicit=explicit)
+            basis, mesh = build_hierarchical_basis(h, levels)
+            assert self._assert_matches_dense(basis, mesh).passed
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_fixtures_match_dense_reference(self, path):
+        fx = load_fixture(path)
+        basis, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
+        assert self._assert_matches_dense(basis, mesh).passed
+
+    def test_injected_dependent_column_fails(self):
+        fx = repo_fixture("d2_corner_admissible")
+        basis, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
+        # a level-0 function sunk into subdomain 1 is a combination of
+        # active functions of finer levels
+        sunk = next(idx for idx in fx.levels[0].function_ids()
+                    if support_in_subdomain(fx.hierarchy, fx.levels, 0, idx, 1))
+        dependent = _with_member(basis, 0, sunk)
+        got = self._assert_matches_dense(dependent, mesh)
+        assert not got.passed
+        n = len(basis)
+        assert got.detail.startswith(f"rank {n} of {n + 1} at ")
+
+    def test_dependence_across_levels_fails(self):
+        # Level 1 inserts one knot, 7/8, so the level-1 hat at 1/2 equals
+        # the active level-0 hat at 1/2. Added as a level-1 member it keeps
+        # every diagonal block regular; only its support, which leaves
+        # subdomain 1, shows that the blocks do not decide the rank.
+        quarters = [Fraction(i, 4) for i in range(5)]
+        fine = make_open_knot_vector(1, quarters[:4] + [Fraction(7, 8), Fraction(1)])
+        levels = build_level_sequence([uniform_open_knot_vector(1, 4)], 2, [[fine]])
+        h = SubdomainHierarchy.from_cells([[(2,), (3,)]])
+        basis, mesh = build_hierarchical_basis(h, levels)
+        assert self._assert_matches_dense(basis, mesh).passed
+        twin = _with_member(basis, 1, (2,))
+        got = self._assert_matches_dense(twin, mesh)
+        assert not got.passed
+        assert got.detail == f"rank {len(basis)} of {len(basis) + 1} at 10 points"
 
 
 def _cli(*args, **kw):
