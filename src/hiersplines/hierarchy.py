@@ -20,10 +20,23 @@ parent?), never by comparing a float against zero. Subdomains are closed
 unions of cells of the previous level, so the whole construction can be
 rebuilt from the active cells alone; :mod:`hiersplines.fixtures` round
 trips that.
+
+Containment, weights and selections are computed for whole levels.
+Each subdomain is a boolean grid over the previous level's cells
+(:class:`SubdomainGrids`), and which supports, cells or support
+extensions of a level lie in it is one box query per level. Weights and
+selections are per-level grids carried down through the integer
+two-scale tables of :func:`hiersplines.univariate.two_scale_table`;
+Fractions appear only in the results. The scalar queries
+(:func:`support_in_subdomain`, :func:`cell_in_subdomain`) and the sweep
+look up the same cached level answers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -38,13 +51,14 @@ from .tensor import (
     TensorLevel,
     as_points,
     cell_ancestor,
-    cell_descendant_ranges,
+    children_numerators,
     extend_level_sequence,
     id_sort_key,
     iter_box,
     level_evaluator,
-    tensor_children,
+    marked_indices,
     tensor_parents,
+    two_scale_tables,
 )
 
 CLASSICAL = "classical"
@@ -65,6 +79,8 @@ class SubdomainHierarchy:
 
     depth: int
     subdomains: tuple[frozenset[Index], ...]
+    # SubdomainGrids per level sequence, see subdomain_grids
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -97,27 +113,155 @@ class SubdomainHierarchy:
         return CellSet(ell - 1, cells)
 
 
+class SubdomainGrids:
+    """A checked hierarchy over its levels, as per-level boolean grids.
+
+    Subdomain ell is a boolean grid over the cells of level ell-1, with a
+    summed-area table that counts its cells in any box with 2**d lookups.
+    The interval parent maps, composed into integer arrays, carry cells of
+    finer levels to that grid; being monotone and onto, they carry a box
+    of intervals to the box between the ancestors of its ends. Queries
+    answer for a whole level at once.
+    """
+
+    def __init__(self, h: SubdomainHierarchy, levels: Sequence[TensorLevel]):
+        if len(levels) < h.depth:
+            raise HierarchyError(
+                f"hierarchy of depth {h.depth} needs {h.depth} levels, "
+                f"got {len(levels)}")
+        self.depth = h.depth
+        self.levels = tuple(levels)
+        self._maps: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._masks: dict[tuple[int, int], np.ndarray] = {}
+        self._grids: list[np.ndarray] = []
+        self._sums: list[np.ndarray] = []
+        for ell in range(1, h.depth):
+            shape = levels[ell - 1].num_cells
+            cells = h.subdomains[ell - 1]
+            for c in cells:
+                if len(c) != len(shape) or any(not 0 <= j < n for j, n in zip(c, shape)):
+                    raise HierarchyError(
+                        f"subdomain {ell}: cell {c} out of range for level "
+                        f"{ell - 1} grid {shape}")
+            grid = np.zeros(shape, dtype=bool)
+            grid[_index_arrays(cells, len(shape))] = True
+            sums = np.zeros(tuple(n + 1 for n in shape), dtype=np.int32)
+            acc = grid.astype(np.int32)
+            for axis in range(len(shape)):
+                acc = acc.cumsum(axis=axis)
+            sums[(slice(1, None),) * len(shape)] = acc
+            self._grids.append(grid)
+            self._sums.append(sums)
+        for ell in range(1, h.depth - 1):
+            inner = list(h.subdomains[ell])
+            parents = self.ancestor_maps(ell, ell - 1)
+            cells = _index_arrays(inner, len(parents))
+            inside = self._grids[ell - 1][tuple(m[a] for m, a in zip(parents, cells))]
+            if not inside.all():
+                raise HierarchyError(
+                    f"hierarchy nesting violated: cell {inner[int(np.argmin(inside))]} "
+                    f"of subdomain {ell + 1} is not inside subdomain {ell}")
+
+    def ancestor_maps(self, level: int, to_level: int) -> tuple[np.ndarray, ...]:
+        """Per direction, the interval of ``to_level`` containing each
+        interval of ``level``."""
+        key = (level, to_level)
+        maps = self._maps.get(key)
+        if maps is None:
+            if level == to_level:
+                maps = tuple(np.arange(n) for n in self.levels[level].num_cells)
+            else:
+                below = self.ancestor_maps(level - 1, to_level)
+                maps = tuple(b[np.asarray(m, dtype=np.int64)] for b, m in
+                             zip(below, self.levels[level].interval_parents))
+            self._maps[key] = maps
+        return maps
+
+    def boxes_inside(self, ell: int, level: int, lo: Sequence[np.ndarray],
+                     hi: Sequence[np.ndarray]) -> np.ndarray:
+        """Which boxes of intervals of ``level`` lie in subdomain ell,
+        1 <= ell < depth and level >= ell-1.
+
+        Direction i offers the ranges lo[i][a]..hi[i][a] (inclusive); the
+        answer has one entry per combination of them, axis i for direction i.
+        Many ranges share their ancestor range, so the boxes are counted
+        once per distinct combination of ancestor ranges.
+        """
+        los, his, inverses = [], [], []
+        for m, a, b, n in zip(self.ancestor_maps(level, ell - 1), lo, hi,
+                              self._grids[ell - 1].shape):
+            key, inverse = np.unique(m[a] * (n + 1) + m[b] + 1, return_inverse=True)
+            los.append(key // (n + 1))
+            his.append(key % (n + 1))
+            inverses.append(inverse.ravel())
+        sums = self._sums[ell - 1]
+        d = len(los)
+        count = np.zeros(tuple(map(len, los)), dtype=sums.dtype)
+        for corner in itertools.product((False, True), repeat=d):
+            term = sums[np.ix_(*[b if up else a for a, b, up in zip(los, his, corner)])]
+            if (d - sum(corner)) % 2:
+                count -= term
+            else:
+                count += term
+        volume = functools.reduce(np.multiply.outer, [b - a for a, b in zip(los, his)])
+        return (count == volume)[np.ix_(*inverses)]
+
+    def cells_inside(self, level: int, ell: int) -> np.ndarray:
+        """Which cells of ``level`` lie in subdomain ell (level >= ell-1)."""
+        if ell <= 0 or ell >= self.depth:
+            return np.full(self.levels[level].num_cells, ell <= 0)
+        return self._grids[ell - 1][np.ix_(*self.ancestor_maps(level, ell - 1))]
+
+    def cell_inside(self, level: int, indices: Index, ell: int) -> bool:
+        """:meth:`cells_inside` for one cell, 1 <= ell < depth."""
+        maps = self.ancestor_maps(level, ell - 1)
+        return bool(self._grids[ell - 1][tuple(m[j] for m, j in zip(maps, indices))])
+
+    def supports_inside(self, level: int, ell: int) -> np.ndarray:
+        """Which functions of ``level`` have their support in subdomain ell
+        (level >= ell-1). Cached: the scalar queries read it."""
+        key = (level, ell)
+        mask = self._masks.get(key)
+        if mask is None:
+            lv = self.levels[level]
+            if ell <= 0 or ell >= self.depth:
+                mask = np.full(lv.num_basis, ell <= 0)
+            else:
+                lo, hi = [], []
+                for kv in lv.kvs:
+                    bpi = np.array(kv.breakpoint_indices(), dtype=np.int64)
+                    n = kv.num_basis
+                    lo.append(bpi[:n])
+                    hi.append(bpi[kv.degree + 1:kv.degree + 1 + n] - 1)
+                mask = self.boxes_inside(ell, level, lo, hi)
+            self._masks[key] = mask
+        return mask
+
+
+def _index_arrays(cells: Iterable[Index], dim: int) -> tuple[np.ndarray, ...]:
+    """Per-direction index arrays of a collection of multi-indices."""
+    cells = list(cells)
+    return tuple(np.array(cells, dtype=np.int64).reshape(len(cells), dim).T)
+
+
+def subdomain_grids(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> SubdomainGrids:
+    """The grids of ``h`` over ``levels``, built once per level sequence.
+
+    Building them checks the hierarchy and raises HierarchyError when it
+    is invalid. The grids keep the levels alive, so their identities key
+    the cache.
+    """
+    key = tuple(map(id, levels))
+    grids = h._grids.get(key)
+    if grids is None:
+        grids = SubdomainGrids(h, levels)
+        h._grids[key] = grids
+    return grids
+
+
 def validate_hierarchy(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> None:
     """Check cell indices and the nesting chain; raise HierarchyError if bad."""
-    if len(levels) < h.depth:
-        raise HierarchyError(
-            f"hierarchy of depth {h.depth} needs {h.depth} levels, "
-            f"got {len(levels)}")
-    for ell in range(1, h.depth):
-        grid = levels[ell - 1].num_cells
-        for c in h.subdomains[ell - 1]:
-            if len(c) != len(grid) or any(not 0 <= j < n for j, n in zip(c, grid)):
-                raise HierarchyError(
-                    f"subdomain {ell}: cell {c} out of range for level "
-                    f"{ell - 1} grid {grid}")
-    for ell in range(1, h.depth - 1):
-        outer = h.subdomains[ell - 1]
-        inner = h.subdomains[ell]
-        for c in inner:
-            if cell_ancestor(levels, ell, ell - 1, c) not in outer:
-                raise HierarchyError(
-                    f"hierarchy nesting violated: cell {c} of subdomain "
-                    f"{ell + 1} is not inside subdomain {ell}")
+    subdomain_grids(h, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +281,14 @@ def cell_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
         return False
     if level < ell - 1:
         raise HierarchyError("cell coarser than the subdomain's granularity")
-    return cell_ancestor(levels, level, ell - 1, indices) in cells
+    return subdomain_grids(h, levels).cell_inside(level, indices, ell)
 
 
 def support_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
                          level: int, indices: Index, ell: int) -> bool:
     """Is the support of function ``indices`` of ``level`` inside subdomain ell?
 
-    Requires level >= ell-1, like :func:`cell_in_subdomain`. Ancestor maps
-    are monotone and onto, so the support's interval ranges map to the
-    ranges between their endpoints' ancestors.
+    Requires level >= ell-1, like :func:`cell_in_subdomain`.
     """
     cells = h.subdomain_cells(ell)
     if cells is None:
@@ -155,44 +297,24 @@ def support_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
         return False
     if level < ell - 1:
         raise HierarchyError("function coarser than the subdomain's granularity")
-    ranges = levels[level].function_cell_ranges(indices)
-    if level > ell - 1:
-        lo = cell_ancestor(levels, level, ell - 1, tuple(r.start for r in ranges))
-        hi = cell_ancestor(levels, level, ell - 1, tuple(r.stop - 1 for r in ranges))
-        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    for c in iter_box(ranges):
-        if c not in cells:
-            return False
-    return True
+    return bool(subdomain_grids(h, levels).supports_inside(level, ell)[indices])
 
 
-def _functions_with_support_in(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
-                               level: int, ell: int) -> list[Index]:
-    """All functions of ``level`` whose support lies in subdomain ``ell``.
+def _support_in_cells(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
+                      level: int, indices: Index, ell: int) -> bool:
+    """:func:`support_in_subdomain` through :func:`cell_ancestor` and the
+    stored cell set, with no grid; a route independent of the grids.
 
-    Scans only the window of functions whose support fits the subdomain's
-    bounding box.
+    Ancestor maps are monotone and onto, so the support's interval ranges
+    map to the ranges between their endpoints' ancestors.
     """
     cells = h.subdomain_cells(ell)
     if cells is None:
-        return sorted(levels[level].function_ids(), key=id_sort_key)
-    if not cells:
-        return []
-    lv = levels[level]
-    base = levels[ell - 1]
-    lo = [min(c[i] for c in cells) for i in range(lv.dim)]
-    hi = [max(c[i] for c in cells) for i in range(lv.dim)]
-    box = []
-    for i in range(lv.dim):
-        cao = base.kvs[i].intervals[lo[i]]
-        cah = base.kvs[i].intervals[hi[i]]
-        box.append((cao.left, cah.right))
-    candidates = lv.functions_supported_in_box(box)
-    out = []
-    for idx in iter_box(candidates):
-        if support_in_subdomain(h, levels, level, idx, ell):
-            out.append(idx)
-    return out
+        return True
+    ranges = levels[level].function_cell_ranges(indices)
+    lo = cell_ancestor(levels, level, ell - 1, tuple(r.start for r in ranges))
+    hi = cell_ancestor(levels, level, ell - 1, tuple(r.stop - 1 for r in ranges))
+    return all(c in cells for c in iter_box([range(a, b + 1) for a, b in zip(lo, hi)]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +326,8 @@ class HierarchicalMesh:
 
     levels: tuple[TensorLevel, ...]
     active: tuple[tuple[Index, ...], ...]
+    _covered: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def cells(self) -> Iterator[tuple[int, Index]]:
         for ell, cells in enumerate(self.active):
@@ -219,23 +343,27 @@ class HierarchicalMesh:
             vol += self.levels[ell].cell_volume(c)
         return vol
 
+    def covered(self, level: int) -> np.ndarray:
+        """Boolean grid over the cells of ``level``: which lie inside an
+        active cell of that level or of a coarser one. A cell is covered
+        when it is active or its parent is covered."""
+        if self._covered is None:
+            grids: list[np.ndarray] = []
+            for ell, (lv, cells) in enumerate(zip(self.levels, self.active)):
+                grid = np.zeros(lv.num_cells, dtype=bool)
+                grid[_index_arrays(cells, lv.dim)] = True
+                if ell:
+                    grid |= grids[-1][np.ix_(*map(np.asarray, lv.interval_parents))]
+                grids.append(grid)
+            object.__setattr__(self, "_covered", tuple(grids))
+        return self._covered[level]
+
 
 def active_cells_per_level(h: SubdomainHierarchy,
                            levels: Sequence[TensorLevel]) -> list[list[Index]]:
-    out: list[list[Index]] = []
-    for ell in range(h.depth):
-        inner = h.subdomain_cells(ell + 1)
-        if ell == 0:
-            pool: Iterable[Index] = levels[0].cell_ids()
-        else:
-            cells = h.subdomain_cells(ell)
-            pool_set: set[Index] = set()
-            for c in cells:
-                pool_set.update(iter_box(cell_descendant_ranges(levels, ell - 1, ell, c)))
-            pool = pool_set
-        active = [c for c in pool if c not in inner]
-        out.append(sorted(active, key=id_sort_key))
-    return out
+    grids = subdomain_grids(h, levels)
+    return [marked_indices(grids.cells_inside(ell, ell) & ~grids.cells_inside(ell, ell + 1))
+            for ell in range(h.depth)]
 
 
 def active_mesh(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> HierarchicalMesh:
@@ -265,40 +393,102 @@ class WeightMap:
 
 
 def compute_weights(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> WeightMap:
-    """Level-by-level weight recursion.
+    """Level-by-level weight recursion on integer numerators.
 
     Level-0 functions carry weight one. A function of the next level whose
     support lies in that level's subdomain collects weighted two-scale
     coefficients from every function of the previous level whose support
-    also lies there. Scattering from those coarse functions reaches exactly
-    the required sums because children supports shrink.
+    also lies there; its children never leave the subdomain, since
+    children supports shrink. Over the common denominator D_ell the
+    numerators of level ell+1 are those of the coarse functions inside,
+    multiplied along each direction by the integer two-scale table, and
+    D_{ell+1} = D_ell * q_1 * ... * q_d. Weights lie in [0, 1] and every
+    term is nonnegative, so every partial sum is at most D_{ell+1}: int64
+    holds them below 2**62, Python ints beyond. Positivity is the pattern
+    image of the positive coarse functions inside.
+
+    The arrays cover only the bounding box of the functions involved, a
+    small part of a deep level under local refinement.
     """
-    validate_hierarchy(h, levels)
+    grids = subdomain_grids(h, levels)
     values: dict[Fid, Fraction] = {}
     positive: dict[Fid, bool] = {}
-    for idx in levels[0].function_ids():
-        fid = Fid(0, idx)
-        values[fid] = Fraction(1)
-        positive[fid] = True
+    everything = np.ones(levels[0].num_basis, dtype=bool)
+    box = _bounding_box(everything)
+    numerators = everything.astype(np.int64)
+    flags = everything
+    denominator = 1
+    _record_weights(values, positive, 0, everything, box, numerators, flags, denominator)
     for ell in range(h.depth - 1):
-        coarse_inside = _functions_with_support_in(h, levels, ell, ell + 1)
-        fine_inside = _functions_with_support_in(h, levels, ell + 1, ell + 1)
-        for idx in fine_inside:
-            fid = Fid(ell + 1, idx)
-            values[fid] = Fraction(0)
-            positive[fid] = False
-        for idx in coarse_inside:
-            src = Fid(ell, idx)
-            w = values[src]
-            pos = positive[src]
-            for child_idx, c in tensor_children(idx, levels[ell], levels[ell + 1]):
-                dst = Fid(ell + 1, child_idx)
-                if dst not in values:
-                    raise InternalInvariantError(
-                        f"child {dst} escaped subdomain {ell + 1}")
-                values[dst] += w * c
-                positive[dst] = positive[dst] or pos
+        tables = two_scale_tables(levels[ell], levels[ell + 1])
+        coarse_inside = grids.supports_inside(ell, ell + 1)
+        fine_inside = grids.supports_inside(ell + 1, ell + 1)
+        sub = _bounding_box(coarse_inside)
+        mask = coarse_inside[sub]
+        denominator *= math.prod(tab.denominator for tab in tables)
+        dtype = np.int64 if denominator < 2 ** 62 else object
+        coarse = np.where(mask, _crop(numerators, box, sub), 0).astype(dtype)
+        flags = _window_image(mask & _crop(flags, box, sub), sub, tables)[1]
+        numerators = _window_image(coarse, sub, tables)[1]
+        box, reached = _window_image(mask, sub, tables)
+        escaped = marked_indices(reached & ~fine_inside[box])
+        if escaped:
+            idx = tuple(b.start + j for b, j in zip(box, escaped[0]))
+            raise InternalInvariantError(
+                f"child {Fid(ell + 1, idx)} escaped subdomain {ell + 1}")
+        _record_weights(values, positive, ell + 1, fine_inside, box, numerators, flags,
+                        denominator)
     return WeightMap(values, positive)
+
+
+def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
+    """Per direction, the index range of the True entries (empty if none)."""
+    out = []
+    for axis in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
+        out.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0))
+    return tuple(out)
+
+
+def _crop(window: np.ndarray, box: tuple[slice, ...], sub: tuple[slice, ...]) -> np.ndarray:
+    """The entries in ``sub`` of an array covering ``box``, zero outside it."""
+    out = np.zeros(tuple(s.stop - s.start for s in sub), dtype=window.dtype)
+    src, dst = [], []
+    for b, s in zip(box, sub):
+        lo, hi = max(b.start, s.start), min(b.stop, s.stop)
+        if lo >= hi:
+            return out
+        src.append(slice(lo - b.start, hi - b.start))
+        dst.append(slice(lo - s.start, hi - s.start))
+    out[tuple(dst)] = window[tuple(src)]
+    return out
+
+
+def _window_image(window: np.ndarray, box: tuple[slice, ...], tables
+                  ) -> tuple[tuple[slice, ...], np.ndarray]:
+    """An array over ``box`` of one level carried to the next through the
+    two-scale tables of every direction, with the box it then covers
+    (boolean: the children of the marked functions)."""
+    out_box = []
+    for axis, (tab, s) in enumerate(zip(tables, box)):
+        first, window = tab.image(window, axis, s.start)
+        out_box.append(slice(first, first + window.shape[axis]))
+    return tuple(out_box), window
+
+
+def _record_weights(values: dict, positive: dict, ell: int, defined: np.ndarray,
+                    box: tuple[slice, ...], numerators: np.ndarray, flags: np.ndarray,
+                    denominator: int) -> None:
+    """Enter the weights of the defined functions of a level, canonical
+    order; ``numerators`` and ``flags`` cover ``box``."""
+    sub = _bounding_box(defined)
+    inside = defined[sub].T
+    nums = _crop(numerators, box, sub).T[inside].tolist()
+    pos = _crop(flags, box, sub).T[inside].tolist()
+    for idx, n, f in zip(marked_indices(defined), nums, pos):
+        fid = Fid(ell, idx)
+        values[fid] = Fraction(n, denominator)
+        positive[fid] = f
 
 
 def zero_weight_by_characterization(h: SubdomainHierarchy,
@@ -309,12 +499,14 @@ def zero_weight_by_characterization(h: SubdomainHierarchy,
 
     True exactly when every parent with a defined positive weight keeps
     part of its support outside the function's subdomain. Must agree with
-    ``weights.weight(fid) == 0``.
+    ``weights.weight(fid) == 0``. Parents come from the endpoint tests and
+    supports are checked cell by cell, so nothing here reads the two-scale
+    tables or the subdomain grids that the recursion uses.
     """
     ell = fid.level
     if ell == 0:
         raise HierarchyError("level-0 functions always have weight one")
-    if not support_in_subdomain(h, levels, ell, fid.indices, ell):
+    if not _support_in_cells(h, levels, ell, fid.indices, ell):
         raise HierarchyError(
             "characterization applies only to functions supported inside "
             "their level's subdomain")
@@ -322,7 +514,7 @@ def zero_weight_by_characterization(h: SubdomainHierarchy,
         parent = Fid(ell - 1, p_idx)
         if not weights.defined(parent) or weights.weight(parent) <= 0:
             continue
-        if support_in_subdomain(h, levels, ell - 1, p_idx, ell):
+        if _support_in_cells(h, levels, ell - 1, p_idx, ell):
             return False
     return True
 
@@ -379,49 +571,50 @@ def _selection_stages(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
     Stage 0 is the whole coarsest basis. Each step removes the functions
     whose support sank into the next subdomain and adds either every next
     level function supported there (classical) or only the children of the
-    removed ones (refinable).
+    removed ones (refinable). The newest level's selection is a boolean
+    grid; later stages share the function ids of earlier ones.
     """
-    stages: list[set[Fid]] = [{Fid(0, idx) for idx in levels[0].function_ids()}]
+    grids = subdomain_grids(h, levels)
+    alive = np.ones(levels[0].num_basis, dtype=bool)
+    stages = [_fid_set(0, alive)]
     for ell in range(h.depth - 1):
-        current = stages[-1]
         # nesting makes deeper subdomains subsets of earlier ones, so a
         # function can only sink at the step matching its own level
-        deact = {fid for fid in current
-                 if fid.level == ell
-                 and support_in_subdomain(h, levels, fid.level, fid.indices, ell + 1)}
-        survivors = current - deact
-        added: set[Fid] = set()
+        sunk = alive & grids.supports_inside(ell, ell + 1)
         if refinable:
-            for fid in deact:
-                for child_idx, _ in tensor_children(fid.indices, levels[ell], levels[ell + 1]):
-                    added.add(Fid(ell + 1, child_idx))
+            sub = _bounding_box(sunk)
+            box, kids = _window_image(sunk[sub], sub,
+                                      two_scale_tables(levels[ell], levels[ell + 1]))
+            alive = np.zeros(levels[ell + 1].num_basis, dtype=bool)
+            alive[box] = kids
         else:
-            for idx in _functions_with_support_in(h, levels, ell + 1, ell + 1):
-                added.add(Fid(ell + 1, idx))
-        stages.append(survivors | added)
+            alive = grids.supports_inside(ell + 1, ell + 1)
+        stages.append((stages[-1] - _fid_set(ell, sunk)) | _fid_set(ell + 1, alive))
     return stages
+
+
+def _fid_set(ell: int, mask: np.ndarray) -> set[Fid]:
+    return {Fid(ell, idx) for idx in marked_indices(mask)}
 
 
 def _closed_form_classical(h: SubdomainHierarchy,
                            levels: Sequence[TensorLevel]) -> set[Fid]:
-    out: set[Fid] = set()
-    for ell in range(h.depth):
-        for idx in _functions_with_support_in(h, levels, ell, ell):
-            if not support_in_subdomain(h, levels, ell, idx, ell + 1):
-                out.add(Fid(ell, idx))
-    return out
+    grids = subdomain_grids(h, levels)
+    return set().union(*(
+        _fid_set(ell, grids.supports_inside(ell, ell) & ~grids.supports_inside(ell, ell + 1))
+        for ell in range(h.depth)))
 
 
 def _basis_from_members(flavor: str, h: SubdomainHierarchy,
                         levels: Sequence[TensorLevel],
                         members: set[Fid], stages: list[set[Fid]],
                         weights: WeightMap) -> HierBasis:
-    by_level: list[tuple[Index, ...]] = []
-    for ell in range(h.depth):
-        ids = sorted((f.indices for f in members if f.level == ell), key=id_sort_key)
-        by_level.append(tuple(ids))
-    return HierBasis(flavor, h, tuple(levels[:h.depth]), tuple(by_level),
-                     tuple(frozenset(s) for s in stages), weights)
+    by_level: list[list[Index]] = [[] for _ in range(h.depth)]
+    for f in members:
+        by_level[f.level].append(f.indices)
+    return HierBasis(flavor, h, tuple(levels[:h.depth]),
+                     tuple(tuple(sorted(ids, key=id_sort_key)) for ids in by_level),
+                     tuple(frozenset(s) for s in stages), weights, frozenset(members))
 
 
 def build_hierarchical_basis(h: SubdomainHierarchy,
@@ -504,10 +697,13 @@ def express_over(coefficients: Mapping[Fid, Fraction | float],
 
     One parent-to-children sweep, coarsest level first: the coefficient of
     an active function is kept, that of a deactivated one is passed to its
-    children on the next level times the two-scale coefficients. Exact
-    coefficients stay exact. A function that is neither raises.
+    children on the next level times the two-scale coefficients n/q.
+    Exact coefficients stay exact; a float one is multiplied by the float
+    nearest n/q, which is what a product with the coefficient's Fraction
+    gives. A function that is neither raises.
     """
     h, levels = basis.hierarchy, basis.levels
+    grids = subdomain_grids(h, levels)
     pending: list[dict[Index, Fraction | float]] = [{} for _ in range(h.depth)]
 
     def neither(fid: Fid) -> HierarchyError:
@@ -519,14 +715,21 @@ def express_over(coefficients: Mapping[Fid, Fraction | float],
         pending[fid.level][fid.indices] = c
     out: dict[Fid, Fraction | float] = {}
     for ell, row in enumerate(pending):
+        sinks = grids.supports_inside(ell, ell + 1)
+        tables = None
         for idx, c in row.items():
             fid = Fid(ell, idx)
             if fid in basis:
                 out[fid] = c
-            elif support_in_subdomain(h, levels, ell, idx, ell + 1):
+            elif sinks[idx]:
+                if tables is None:
+                    tables = two_scale_tables(levels[ell], levels[ell + 1])
+                    q = math.prod(tab.denominator for tab in tables)
                 kids = pending[ell + 1]
-                for child, cc in tensor_children(idx, levels[ell], levels[ell + 1]):
-                    kids[child] = kids[child] + c * cc if child in kids else c * cc
+                exact = not isinstance(c, float)
+                for child, n in children_numerators(idx, tables):
+                    cc = c * Fraction(n, q) if exact else c * (n / q)
+                    kids[child] = kids[child] + cc if child in kids else cc
             else:
                 raise neither(fid)
     return out

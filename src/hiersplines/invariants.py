@@ -24,7 +24,6 @@ from .hierarchy import (
     HierBasis,
     build_hierarchical_basis,
     build_refinable_basis,
-    cell_in_subdomain,
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
@@ -43,6 +42,7 @@ from .tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
     TensorLevel,
+    cell_ancestor,
     cell_descendant_ranges,
     eval_function,
     extend_level_sequence,
@@ -602,16 +602,18 @@ def _chk_core(ctx: _Context) -> InvariantResult:
         lv = ctx.levels[ell]
         stored = ctx.core.cells(ell)
         # a cell whose extension fits the subdomain lies in it itself, so
-        # checking the subdomain's own cells is exhaustive
+        # checking the subdomain's own cells is exhaustive; cells are mapped
+        # one by one, independently of the grids that built the core
+        cells = ctx.hierarchy.subdomain_cells(ell)
         pool: set = set()
-        for c in ctx.hierarchy.subdomain_cells(ell):
+        for c in cells:
             pool.update(iter_box(cell_descendant_ranges(ctx.levels, ell - 1, ell, c)))
         if not stored <= pool:
             return InvariantResult("core_domains_definition", False, count,
                                    1.0, f"core of level {ell} escapes the subdomain")
         for c in pool:
             ext = lv.support_extension_cell_ranges(c)
-            inside = all(cell_in_subdomain(ctx.hierarchy, ctx.levels, ell, cc, ell)
+            inside = all(cell_ancestor(ctx.levels, ell, ell - 1, cc) in cells
                          for cc in iter_box(ext))
             count += 1
             if inside != (c in stored):

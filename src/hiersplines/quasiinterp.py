@@ -29,8 +29,8 @@ from .hierarchy import (
     SubdomainHierarchy,
     active_mesh,
     build_refinable_basis,
-    cell_in_subdomain,
     express_over,
+    subdomain_grids,
     validate_hierarchy,
 )
 from .tensor import (
@@ -39,10 +39,10 @@ from .tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
     TensorLevel,
-    cell_ancestor,
     cell_descendant_ranges,
     id_sort_key,
     iter_box,
+    marked_indices,
 )
 from .univariate import KnotVector
 from . import kernels
@@ -112,38 +112,24 @@ class CoreDomains:
 
 def compute_core_domains(h: SubdomainHierarchy,
                          levels: Sequence[TensorLevel]) -> CoreDomains:
-    validate_hierarchy(h, levels)
-    sets: list[CellSet] = []
-    for ell in range(h.depth):
-        lv = levels[ell]
-        if ell == 0:
-            sets.append(CellSet(0, frozenset(lv.cell_ids())))
-            continue
-        pool: set[Index] = set()
-        for c in h.subdomain_cells(ell):
-            pool.update(iter_box(cell_descendant_ranges(levels, ell - 1, ell, c)))
-        keep = set()
-        for c in pool:
-            ext = lv.support_extension_cell_ranges(c)
-            inside = True
-            for cc in iter_box(ext):
-                if not cell_in_subdomain(h, levels, ell, cc, ell):
-                    inside = False
-                    break
-            if inside:
-                keep.add(c)
-        sets.append(CellSet(ell, frozenset(keep)))
-    nested = True
-    for ell in range(h.depth - 1):
-        fine = sets[ell + 1].cells
-        coarse = sets[ell].cells
-        for c in fine:
-            if cell_ancestor(levels, ell + 1, ell, c) not in coarse:
-                nested = False
-                break
-        if not nested:
-            break
-    return CoreDomains(tuple(sets), nested)
+    """Core cells level by level, each level's support extensions checked
+    against its subdomain as one box query; nesting by parent lookup."""
+    grids = subdomain_grids(h, levels)
+    masks = [np.ones(levels[0].num_cells, dtype=bool)]
+    for ell in range(1, h.depth):
+        lo, hi = zip(*map(_extension_ranges, levels[ell].kvs))
+        masks.append(grids.boxes_inside(ell, ell, lo, hi))
+    nested = all(not (fine & ~coarse[np.ix_(*grids.ancestor_maps(ell + 1, ell))]).any()
+                 for ell, (coarse, fine) in enumerate(zip(masks, masks[1:])))
+    sets = tuple(CellSet(ell, frozenset(marked_indices(m))) for ell, m in enumerate(masks))
+    return CoreDomains(sets, nested)
+
+
+def _extension_ranges(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Per interval, the first and last interval of its support extension."""
+    bpi = np.array(kv.breakpoint_indices(), dtype=np.int64)
+    flat = np.array([c.flat_index for c in kv.intervals], dtype=np.int64)
+    return bpi[flat - kv.degree], bpi[flat + kv.degree + 1] - 1
 
 
 @dataclass(frozen=True)
@@ -464,14 +450,12 @@ def integration_cells(mesh: HierarchicalMesh, region: CellSet | None
     if region is None:
         return list(mesh.cells())
     levels = mesh.levels
-    active_sets = [set(a) for a in mesh.active]
     out: list[tuple[int, Index]] = []
 
     def resolve(level: int, idx: Index):
-        for k in range(level, -1, -1):
-            if cell_ancestor(levels, level, k, idx) in active_sets[k]:
-                out.append((level, idx))
-                return
+        if mesh.covered(level)[idx]:
+            out.append((level, idx))
+            return
         if level + 1 >= len(levels):
             raise HierSplineError(
                 f"cell {idx} of level {level} is not covered by the active mesh")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -22,9 +23,10 @@ from .errors import HierSplineError, NestingError
 from .univariate import (
     KnotVector,
     LocalKnotVector,
-    children_table,
+    TwoScaleTable,
     dyadic_refine,
     parent_table,
+    two_scale_table,
 )
 
 Index = tuple[int, ...]
@@ -39,6 +41,12 @@ def iter_box(ranges: Sequence[range]) -> Iterator[Index]:
     """Multi-indices of a box in canonical order."""
     for combo in itertools.product(*reversed(ranges)):
         yield combo[::-1]
+
+
+def marked_indices(mask: np.ndarray) -> list[Index]:
+    """The True entries of a grid (axis i for direction i), as
+    multi-indices in canonical order."""
+    return list(zip(*(a.tolist() for a in reversed(np.nonzero(mask.T)))))
 
 
 @dataclass(frozen=True)
@@ -238,27 +246,41 @@ def _refined_level(coarse: TensorLevel, kvs: tuple[KnotVector, ...]) -> TensorLe
 # ---------------------------------------------------------------------------
 # parent/child across levels
 
+def two_scale_tables(coarse: TensorLevel, fine: TensorLevel) -> tuple[TwoScaleTable, ...]:
+    """Per direction, the two-scale table from ``coarse`` to ``fine``."""
+    if fine.index != coarse.index + 1:
+        raise HierSplineError(
+            f"levels {coarse.index} and {fine.index} are not consecutive")
+    return tuple(two_scale_table(ckv, fkv) for ckv, fkv in zip(coarse.kvs, fine.kvs))
+
+
+def children_numerators(indices: Index, tables: Sequence[TwoScaleTable]
+                        ) -> list[tuple[Index, int]]:
+    """Children of a coarse function, in canonical order, each with the
+    numerator of its coefficient over the product of the tables'
+    denominators."""
+    rows = [tab.rows[j] for tab, j in zip(tables, indices)]
+    out = []
+    for combo in itertools.product(*reversed(rows)):
+        n = 1
+        for _, c in combo:
+            n *= c
+        out.append((tuple(i for i, _ in reversed(combo)), n))
+    return out
+
+
 def tensor_children(indices: Index, coarse: TensorLevel, fine: TensorLevel
                     ) -> list[tuple[Index, Fraction]]:
     """Children of a coarse function with two-scale coefficients.
 
     Per-direction children combine as products; the coefficient of a
-    combination is the product of the univariate coefficients.
+    combination is the product of the univariate coefficients, formed as
+    one fraction of the products of their integer numerators and
+    denominators.
     """
-    if fine.index != coarse.index + 1:
-        raise HierSplineError(
-            f"levels {coarse.index} and {fine.index} are not consecutive")
-    per_dir = [children_table(ckv, fkv)[j]
-               for ckv, fkv, j in zip(coarse.kvs, fine.kvs, indices)]
-    out = []
-    for combo in itertools.product(*[range(len(row)) for row in reversed(per_dir)]):
-        combo = combo[::-1]
-        idx = tuple(per_dir[i][c][0] for i, c in enumerate(combo))
-        coef = Fraction(1)
-        for i, c in enumerate(combo):
-            coef *= per_dir[i][c][1]
-        out.append((idx, coef))
-    return out
+    tables = two_scale_tables(coarse, fine)
+    q = math.prod(tab.denominator for tab in tables)
+    return [(idx, Fraction(n, q)) for idx, n in children_numerators(indices, tables)]
 
 
 def tensor_parents(indices: Index, coarse: TensorLevel, fine: TensorLevel) -> list[Index]:

@@ -15,6 +15,7 @@ on the whole closed interval.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -349,15 +350,23 @@ def children_with_coefficients(parent: LocalKnotVector, fine: KnotVector
     if p != fine.degree:
         raise RefinementMismatchError(
             f"degree mismatch: parent {p}, fine {fine.degree}")
-    tau = parent.knots
-    for v in set(tau):
+    for v in set(parent.knots):
         if fine.multiplicity(v) < parent.multiplicity(v):
             raise RefinementMismatchError(
                 f"knot {v} of the parent has multiplicity "
                 f"{parent.multiplicity(v)} but only {fine.multiplicity(v)} "
                 "in the fine knot vector")
+    return [(fine.local(i), c) for i, c in _oslo_children(parent, fine)]
+
+
+def _oslo_children(parent: LocalKnotVector, fine: KnotVector) -> list[tuple[int, Fraction]]:
+    """The (fine index, coefficient) pairs of
+    :func:`children_with_coefficients`, for a fine knot vector already
+    known to contain the parent's knots with their multiplicities."""
+    p = parent.degree
+    tau = parent.knots
     t = fine.knots
-    out: list[tuple[LocalKnotVector, Fraction]] = []
+    out: list[tuple[int, Fraction]] = []
     for i in fine.functions_supported_in(*parent.support):
         alpha = [ONE if tau[j] <= t[i] < tau[j + 1] else ZERO for j in range(p + 1)]
         for k in range(1, p + 1):
@@ -374,7 +383,7 @@ def children_with_coefficients(parent: LocalKnotVector, fine: KnotVector
                 nxt.append(acc)
             alpha = nxt
         if alpha[0] > 0:
-            out.append((fine.local(i), alpha[0]))
+            out.append((i, alpha[0]))
     return out
 
 
@@ -412,8 +421,9 @@ def pair_cache(owner: KnotVector, name: str) -> dict:
     """A per-instance cache dict; keys are looked up identity-first, which
     avoids rehashing and comparing long rational tuples on every access.
 
-    Its two users are :func:`children_table` and :func:`parent_table`,
-    whose tables take exact rational arithmetic to build.
+    Its users are :func:`children_table`, :func:`two_scale_table` and
+    :func:`parent_table`, whose tables take exact rational arithmetic to
+    build.
     """
     d = owner.__dict__.get(name)
     if d is None:
@@ -432,11 +442,81 @@ def children_table(coarse: KnotVector, fine: KnotVector
     if not fine.contains_as_subsequence(coarse):
         raise RefinementMismatchError(
             "fine knot vector does not refine the coarse one")
-    rows = []
-    for j in range(coarse.num_basis):
-        kids = children_with_coefficients(coarse.local(j), fine)
-        rows.append(tuple((lkv.index, c) for lkv, c in kids))
-    table = tuple(rows)
+    if coarse.degree != fine.degree:
+        raise RefinementMismatchError(
+            f"degree mismatch: parent {coarse.degree}, fine {fine.degree}")
+    table = tuple(tuple(_oslo_children(coarse.local(j), fine))
+                  for j in range(coarse.num_basis))
+    cache[fine] = table
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class TwoScaleTable:
+    """The two-scale matrix of a coarse/fine pair as integer slot arrays.
+
+    Row j holds the children of coarse function j, in fine index order:
+    ``index[j, k]`` is the fine index of the k-th child and
+    ``numerator[j, k] / denominator`` its coefficient. Rows with fewer
+    children repeat their last child with numerator 0, so ``present``
+    (numerator > 0) is the 0/1 pattern of the matrix and every slot of a
+    row stays within its children. ``rows[j]`` holds the same children as
+    (fine index, numerator) pairs of Python ints, for one function at a
+    time.
+
+    Every coefficient lies in (0, 1], so the numerators are at most the
+    denominator; they are int64 below 2**62 and Python ints from there on.
+    """
+
+    denominator: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    index: np.ndarray
+    numerator: np.ndarray
+    present: np.ndarray
+
+    def image(self, x: np.ndarray, axis: int, start: int) -> tuple[int, np.ndarray]:
+        """x multiplied along ``axis`` by the matrix, coarse to fine.
+
+        x holds the coarse functions start, start+1, ... along ``axis``.
+        The result covers the fine functions from the first child of these
+        to the last, and comes with the index of the first:
+        out[.., f, ..] = sum of x[.., j, ..] * numerator[j, k] over the
+        slots with index[j, k] = f. The sum runs over the band, one product
+        per slot. Boolean x gives the boolean image through the pattern:
+        the children of the marked functions.
+        """
+        rows = slice(start, start + x.shape[axis])
+        index = self.index[rows]
+        weights = (self.present if x.dtype == bool else self.numerator.astype(x.dtype))[rows]
+        first = int(index.min()) if index.size else 0
+        size = int(index.max()) + 1 - first if index.size else 0
+        x = np.moveaxis(x, axis, 0)
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        out = np.zeros((size,) + x.shape[1:], dtype=x.dtype)
+        for k in range(index.shape[1]):
+            np.add.at(out, index[:, k] - first, x * weights[:, k].reshape(shape))
+        return first, np.moveaxis(out, 0, axis)
+
+
+def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
+    """The table of :func:`children_table` over one common denominator."""
+    cache = pair_cache(coarse, "_two_scale_tables")
+    hit = cache.get(fine)
+    if hit is not None:
+        return hit
+    exact = children_table(coarse, fine)
+    q = math.lcm(*(c.denominator for row in exact for _, c in row))
+    rows = tuple(tuple((i, c.numerator * (q // c.denominator)) for i, c in row)
+                 for row in exact)
+    width = max(map(len, rows))
+    index = np.zeros((len(rows), width), dtype=np.int64)
+    numerator = np.zeros((len(rows), width), dtype=np.int64 if q < 2 ** 62 else object)
+    for j, row in enumerate(rows):
+        index[j] = row[-1][0]
+        for k, (i, n) in enumerate(row):
+            index[j, k] = i
+            numerator[j, k] = n
+    table = TwoScaleTable(q, rows, index, numerator, numerator > 0)
     cache[fine] = table
     return table
 

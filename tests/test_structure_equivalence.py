@@ -1,0 +1,391 @@
+"""The integer two-scale tables and subdomain grids against the scalar
+routes they replaced.
+
+The reference functions below are the former per-function
+implementations: two-scale coefficients as products of Fractions, and
+containment through one cell_ancestor call per cell. Every structural
+output must equal theirs exactly: weights as reduced Fractions in the same
+order, selections, core domains, integration cells in the same order, and
+coefficients written over a basis bit for bit, the sign of zero included.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
+from hiersplines.hierarchy import (
+    _closed_form_classical,
+    _selection_stages,
+    active_cells_per_level,
+    active_mesh,
+    build_hierarchical_basis,
+    build_refinable_basis,
+    cell_in_subdomain,
+    compute_weights,
+    enlarge_hierarchy,
+    express_over,
+    support_in_subdomain,
+)
+from hiersplines.quasiinterp import compute_core_domains, integration_cells
+from hiersplines.tensor import (
+    TensorFunctionId as Fid,
+    cell_ancestor,
+    cell_descendant_ranges,
+    extend_level_sequence,
+    id_sort_key,
+    iter_box,
+    tensor_children,
+    two_scale_tables,
+)
+from hiersplines.univariate import children_table
+
+from .conftest import FIXTURE_DIR, random_enlargement, random_hierarchy, repo_fixture
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def ref_tensor_children(indices, coarse, fine):
+    per_dir = [children_table(ckv, fkv)[j]
+               for ckv, fkv, j in zip(coarse.kvs, fine.kvs, indices)]
+    out = []
+    for combo in itertools.product(*[range(len(row)) for row in reversed(per_dir)]):
+        combo = combo[::-1]
+        idx = tuple(per_dir[i][c][0] for i, c in enumerate(combo))
+        coef = Fraction(1)
+        for i, c in enumerate(combo):
+            coef *= per_dir[i][c][1]
+        out.append((idx, coef))
+    return out
+
+
+def ref_cell_in_subdomain(h, levels, level, indices, ell):
+    cells = h.subdomain_cells(ell)
+    if cells is None:
+        return True
+    if not cells:
+        return False
+    if level < ell - 1:
+        raise HierarchyError("cell coarser than the subdomain's granularity")
+    return cell_ancestor(levels, level, ell - 1, indices) in cells
+
+
+def ref_support_in_subdomain(h, levels, level, indices, ell):
+    cells = h.subdomain_cells(ell)
+    if cells is None:
+        return True
+    if not cells:
+        return False
+    if level < ell - 1:
+        raise HierarchyError("function coarser than the subdomain's granularity")
+    ranges = levels[level].function_cell_ranges(indices)
+    if level > ell - 1:
+        lo = cell_ancestor(levels, level, ell - 1, tuple(r.start for r in ranges))
+        hi = cell_ancestor(levels, level, ell - 1, tuple(r.stop - 1 for r in ranges))
+        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    for c in iter_box(ranges):
+        if c not in cells:
+            return False
+    return True
+
+
+def ref_functions_with_support_in(h, levels, level, ell):
+    cells = h.subdomain_cells(ell)
+    if cells is None:
+        return sorted(levels[level].function_ids(), key=id_sort_key)
+    if not cells:
+        return []
+    lv = levels[level]
+    base = levels[ell - 1]
+    lo = [min(c[i] for c in cells) for i in range(lv.dim)]
+    hi = [max(c[i] for c in cells) for i in range(lv.dim)]
+    box = []
+    for i in range(lv.dim):
+        box.append((base.kvs[i].intervals[lo[i]].left, base.kvs[i].intervals[hi[i]].right))
+    return [idx for idx in iter_box(lv.functions_supported_in_box(box))
+            if ref_support_in_subdomain(h, levels, level, idx, ell)]
+
+
+def ref_compute_weights(h, levels):
+    values, positive = {}, {}
+    for idx in levels[0].function_ids():
+        values[Fid(0, idx)] = Fraction(1)
+        positive[Fid(0, idx)] = True
+    for ell in range(h.depth - 1):
+        coarse_inside = ref_functions_with_support_in(h, levels, ell, ell + 1)
+        fine_inside = ref_functions_with_support_in(h, levels, ell + 1, ell + 1)
+        for idx in fine_inside:
+            values[Fid(ell + 1, idx)] = Fraction(0)
+            positive[Fid(ell + 1, idx)] = False
+        for idx in coarse_inside:
+            w = values[Fid(ell, idx)]
+            pos = positive[Fid(ell, idx)]
+            for child_idx, c in ref_tensor_children(idx, levels[ell], levels[ell + 1]):
+                dst = Fid(ell + 1, child_idx)
+                if dst not in values:
+                    raise InternalInvariantError(f"child {dst} escaped subdomain {ell + 1}")
+                values[dst] += w * c
+                positive[dst] = positive[dst] or pos
+    return values, positive
+
+
+def ref_selection_stages(h, levels, refinable):
+    stages = [{Fid(0, idx) for idx in levels[0].function_ids()}]
+    for ell in range(h.depth - 1):
+        current = stages[-1]
+        deact = {fid for fid in current if fid.level == ell and
+                 ref_support_in_subdomain(h, levels, fid.level, fid.indices, ell + 1)}
+        added = set()
+        if refinable:
+            for fid in deact:
+                for child_idx, _ in ref_tensor_children(fid.indices, levels[ell],
+                                                        levels[ell + 1]):
+                    added.add(Fid(ell + 1, child_idx))
+        else:
+            for idx in ref_functions_with_support_in(h, levels, ell + 1, ell + 1):
+                added.add(Fid(ell + 1, idx))
+        stages.append((current - deact) | added)
+    return stages
+
+
+def ref_closed_form_classical(h, levels):
+    return {Fid(ell, idx) for ell in range(h.depth)
+            for idx in ref_functions_with_support_in(h, levels, ell, ell)
+            if not ref_support_in_subdomain(h, levels, ell, idx, ell + 1)}
+
+
+def ref_compute_core_domains(h, levels):
+    sets = [frozenset(levels[0].cell_ids())]
+    for ell in range(1, h.depth):
+        lv = levels[ell]
+        pool = set()
+        for c in h.subdomain_cells(ell):
+            pool.update(iter_box(cell_descendant_ranges(levels, ell - 1, ell, c)))
+        sets.append(frozenset(
+            c for c in pool
+            if all(ref_cell_in_subdomain(h, levels, ell, cc, ell)
+                   for cc in iter_box(lv.support_extension_cell_ranges(c)))))
+    nested = all(cell_ancestor(levels, ell + 1, ell, c) in sets[ell]
+                 for ell in range(h.depth - 1) for c in sets[ell + 1])
+    return sets, nested
+
+
+def ref_active_cells_per_level(h, levels):
+    out = []
+    for ell in range(h.depth):
+        inner = h.subdomain_cells(ell + 1)
+        if ell == 0:
+            pool = set(levels[0].cell_ids())
+        else:
+            pool = set()
+            for c in h.subdomain_cells(ell):
+                pool.update(iter_box(cell_descendant_ranges(levels, ell - 1, ell, c)))
+        out.append(sorted((c for c in pool if c not in inner), key=id_sort_key))
+    return out
+
+
+def ref_integration_cells(mesh, region):
+    if region is None:
+        return list(mesh.cells())
+    levels = mesh.levels
+    active_sets = [set(a) for a in mesh.active]
+    out = []
+
+    def resolve(level, idx):
+        for k in range(level, -1, -1):
+            if cell_ancestor(levels, level, k, idx) in active_sets[k]:
+                out.append((level, idx))
+                return
+        if level + 1 >= len(levels):
+            raise HierSplineError(
+                f"cell {idx} of level {level} is not covered by the active mesh")
+        for child in iter_box(cell_descendant_ranges(levels, level, level + 1, idx)):
+            resolve(level + 1, child)
+
+    for idx in region.sorted():
+        resolve(region.level, idx)
+    return out
+
+
+def ref_express_over(coefficients, basis):
+    h, levels = basis.hierarchy, basis.levels
+    pending = [{} for _ in range(h.depth)]
+
+    def neither(fid):
+        return HierarchyError(f"{fid} is neither active nor deactivated in this basis")
+
+    for fid, c in coefficients.items():
+        if not 0 <= fid.level < h.depth:
+            raise neither(fid)
+        pending[fid.level][fid.indices] = c
+    out = {}
+    for ell, row in enumerate(pending):
+        for idx, c in row.items():
+            fid = Fid(ell, idx)
+            if fid in basis:
+                out[fid] = c
+            elif ref_support_in_subdomain(h, levels, ell, idx, ell + 1):
+                kids = pending[ell + 1]
+                for child, cc in ref_tensor_children(idx, levels[ell], levels[ell + 1]):
+                    kids[child] = kids[child] + c * cc if child in kids else c * cc
+            else:
+                raise neither(fid)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
+CASES = 30
+
+
+def random_case(k: int, explicit: bool):
+    """Case k: d = 1 or 2, degrees from 1 to 3, depth from 2 to 4."""
+    rng = np.random.default_rng([20261018, k, explicit])
+    dim = 1 + k % 2
+    degrees = [1 + (k + i) % 3 for i in range(dim)]
+    return random_hierarchy(rng, dim=dim, degrees=degrees, explicit=explicit)
+
+
+def weight_denominator(h, levels) -> int:
+    """The common denominator of the deepest level's weight numerators."""
+    return math.prod(tab.denominator for ell in range(h.depth - 1)
+                     for tab in two_scale_tables(levels[ell], levels[ell + 1]))
+
+
+def bits(value):
+    """Type and exact value; repr tells -0.0 from 0.0."""
+    return type(value), repr(value)
+
+
+def assert_same_expression(got, want):
+    assert list(got) == list(want)
+    assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
+
+
+def assert_equivalent(levels, h, rng):
+    # containment, every query the level ranges allow
+    for ell in range(h.depth + 1):
+        for level in range(max(ell - 1, 0), h.depth):
+            lv = levels[level]
+            for idx in lv.function_ids():
+                assert support_in_subdomain(h, levels, level, idx, ell) == \
+                    ref_support_in_subdomain(h, levels, level, idx, ell), (level, idx, ell)
+            for idx in lv.cell_ids():
+                assert cell_in_subdomain(h, levels, level, idx, ell) == \
+                    ref_cell_in_subdomain(h, levels, level, idx, ell), (level, idx, ell)
+    # two-scale coefficients
+    for ell in range(h.depth - 1):
+        for idx in levels[ell].function_ids():
+            assert tensor_children(idx, levels[ell], levels[ell + 1]) == \
+                ref_tensor_children(idx, levels[ell], levels[ell + 1])
+    # weights, in the same order
+    values, positive = ref_compute_weights(h, levels)
+    weights = compute_weights(h, levels)
+    assert list(weights.values.items()) == list(values.items())
+    assert list(weights.positive.items()) == list(positive.items())
+    assert all(type(v) is Fraction for v in weights.values.values())
+    # selections
+    for refinable in (False, True):
+        assert _selection_stages(h, levels, refinable) == \
+            ref_selection_stages(h, levels, refinable)
+    assert _closed_form_classical(h, levels) == ref_closed_form_classical(h, levels)
+    assert active_cells_per_level(h, levels) == ref_active_cells_per_level(h, levels)
+    # core domains
+    core = compute_core_domains(h, levels)
+    sets, nested = ref_compute_core_domains(h, levels)
+    assert [cs.cells for cs in core.cellsets] == sets
+    assert [cs.level for cs in core.cellsets] == list(range(h.depth))
+    assert core.nested == nested
+    # integration cells, in the same order
+    mesh = active_mesh(h, levels)
+    regions = [None] + [h.cellset(ell) for ell in range(1, h.depth)] + list(core.cellsets)
+    for region in regions:
+        assert integration_cells(mesh, region) == ref_integration_cells(mesh, region)
+    # coefficients written over both bases
+    classical, _ = build_hierarchical_basis(h, levels, weights)
+    refinable = build_refinable_basis(h, levels, weights)
+    for basis in (classical, refinable):
+        for make in (_float_coefficient, _exact_coefficient):
+            coeffs = _random_coefficients(rng, basis, make)
+            try:
+                want = ref_express_over(coeffs, basis)
+            except HierarchyError as exc:
+                with pytest.raises(HierarchyError) as got:
+                    express_over(coeffs, basis)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_expression(express_over(coeffs, basis), want)
+
+
+def _float_coefficient(rng):
+    return [0.0, -0.0, float(rng.normal()), -1e-300 * float(rng.random())][int(rng.integers(4))]
+
+
+def _exact_coefficient(rng):
+    if rng.random() < 0.2:
+        return 1
+    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+
+
+def _random_coefficients(rng, basis, make):
+    """Coefficients on a random part of the active functions and of those
+    whose support sank into the next subdomain, all levels."""
+    h, levels = basis.hierarchy, basis.levels
+    coeffs = {}
+    for ell in range(h.depth):
+        for idx in levels[ell].function_ids():
+            fid = Fid(ell, idx)
+            if (fid in basis or ref_support_in_subdomain(h, levels, ell, idx, ell + 1)) \
+                    and rng.random() < 0.4:
+                coeffs[fid] = make(rng)
+    return coeffs
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixtures_match_scalar_routes(name, rng):
+    fx = repo_fixture(name)
+    assert_equivalent(fx.levels, fx.hierarchy, rng)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["dyadic", "explicit"])
+@pytest.mark.parametrize("k", range(CASES))
+def test_random_hierarchies_match_scalar_routes(k, explicit, rng):
+    levels, h = random_case(k, explicit)
+    assert_equivalent(levels, h, rng)
+
+
+def test_some_explicit_case_needs_python_int_numerators():
+    denominators = [weight_denominator(h, levels)
+                    for levels, h in (random_case(k, True) for k in range(CASES))]
+    assert max(denominators) >= 2 ** 62
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["dyadic", "explicit"])
+def test_enlargement_sequences_match_scalar_routes(explicit, rng):
+    for k in range(4):
+        levels, h = random_case(k, explicit)
+        for _ in range(3):
+            adds, deepest = random_enlargement(rng, levels, h)
+            h = enlarge_hierarchy(h, levels, adds, deepest)
+            levels = extend_level_sequence(levels, h.depth)
+            assert_equivalent(levels, h, rng)
+
+
+def test_coarse_queries_keep_their_messages():
+    fx = repo_fixture("d1_depth3_blocks")
+    h, levels = fx.hierarchy, fx.levels
+    assert h.depth >= 3
+    with pytest.raises(HierarchyError,
+                       match="^function coarser than the subdomain's granularity$"):
+        support_in_subdomain(h, levels, 0, (0,), 2)
+    with pytest.raises(HierarchyError,
+                       match="^cell coarser than the subdomain's granularity$"):
+        cell_in_subdomain(h, levels, 0, (0,), 2)
