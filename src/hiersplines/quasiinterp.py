@@ -6,6 +6,10 @@ that level is exactly representable in the hierarchical space. Each basis
 function acting there gets a dual functional from the local L2 projection
 on an anchor cell, as weights on the cell's Gauss nodes; it is the tensor
 product of univariate duals, tabulated per level, direction and interval.
+The anchors of a whole level are found at once on integer interval ranges,
+and an operator gathers the Gauss nodes of all its anchor cells from the
+tables with one index per direction, so a cell's workspace is only a view
+that forms its rows on demand.
 The per-level operators combine into the multiscale operator through
 residual correction; when the core domains are nested its output lies in
 the span of the refinable basis and is returned expressed over it.
@@ -14,8 +18,8 @@ the span of the refinable basis and is returned expressed over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,7 +44,6 @@ from .tensor import (
     TensorFunctionId as Fid,
     TensorLevel,
     cell_descendant_ranges,
-    id_sort_key,
     iter_box,
     marked_indices,
 )
@@ -101,10 +104,12 @@ def checked_callable(f: PointFunction) -> PointFunction:
 @dataclass(frozen=True)
 class CoreDomains:
     """Per level, the cells whose support extension stays inside the
-    level's subdomain, plus whether the chain is nested top-down."""
+    level's subdomain, plus whether the chain is nested top-down.
+    ``masks[ell]`` marks the same cells on the grid of level ell's cells."""
 
     cellsets: tuple[CellSet, ...]
     nested: bool
+    masks: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     def cells(self, ell: int) -> frozenset[Index]:
         return self.cellsets[ell].cells
@@ -122,7 +127,7 @@ def compute_core_domains(h: SubdomainHierarchy,
     nested = all(not (fine & ~coarse[np.ix_(*grids.ancestor_maps(ell + 1, ell))]).any()
                  for ell, (coarse, fine) in enumerate(zip(masks, masks[1:])))
     sets = tuple(CellSet(ell, frozenset(marked_indices(m))) for ell, m in enumerate(masks))
-    return CoreDomains(sets, nested)
+    return CoreDomains(sets, nested, tuple(masks))
 
 
 def _extension_ranges(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +182,19 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The (m, d) points of a tensor grid, first direction fastest."""
-    mesh = np.meshgrid(*axes[::-1], indexing="ij")
-    return np.stack(mesh[::-1], axis=-1).reshape(-1, len(axes))
+    """The (m, d) points of a tensor grid, first direction fastest.
+
+    Axes of shape (c, n_k) give c grids, one after the other.
+    """
+    d = len(axes)
+    lead = axes[0].shape[:-1]
+    sizes = [a.shape[-1] for a in axes]
+    out = np.empty(lead + tuple(reversed(sizes)) + (d,))
+    for k, a in enumerate(axes):
+        shape = [1] * d
+        shape[d - 1 - k] = sizes[k]
+        out[..., k] = a.reshape(lead + tuple(shape))
+    return out.reshape(-1, d)
 
 
 class IntervalTables(NamedTuple):
@@ -232,35 +247,117 @@ class LocalProjectionWorkspace:
     cell, in canonical order. Under the tensor Gauss rule the local mass
     matrix is the Kronecker product of the univariate ones, and each dual
     row is the Kronecker product of univariate dual columns, so the
-    workspace is a view of its level's interval tables. Nodes, weights,
-    mass and rows all run with the first direction fastest.
+    workspace is a view of its level's interval tables: it keeps only the
+    level, the cell and the tables, and forms nodes, weights, mass and the
+    local functions on use. Nodes, weights, mass and rows all run with the
+    first direction fastest.
     """
 
     def __init__(self, level: TensorLevel, cell: Index,
                  tables: Sequence[IntervalTables]):
         self.level = level
         self.cell = cell
-        self.local_functions: list[Index] = list(iter_box(level.functions_on_cell(cell)))
-        # the cell's entry of every table field, one tuple per field
-        nodes, weights, self._masses, self._duals = zip(
-            *[[field[j] for field in tab] for tab, j in zip(tables, cell)])
-        self.nodes = _tensor_grid(nodes)
-        self.weights = _kron(weights)
+        self._tables = tables
+
+    def _rows(self, name: str) -> list[np.ndarray]:
+        """The cell's entry of one table field, per direction."""
+        return [getattr(tab, name)[j] for tab, j in zip(self._tables, self.cell)]
+
+    @cached_property
+    def local_functions(self) -> list[Index]:
+        return list(iter_box(self.level.functions_on_cell(self.cell)))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _tensor_grid(self._rows("nodes"))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _kron(self._rows("weights"))
 
     @property
     def mass(self) -> np.ndarray:
-        return _kron(self._masses)
+        return _kron(self._rows("mass"))
 
     def local_index(self, indices: Index) -> int:
-        return self.local_functions.index(indices)
+        """The position of a level function in ``local_functions``."""
+        i0 = 0
+        for kv, j, i in zip(reversed(self.level.kvs), reversed(self.cell), reversed(indices)):
+            i -= kv.intervals[j].flat_index - kv.degree
+            if not 0 <= i <= kv.degree:
+                raise HierSplineError(
+                    f"function {tuple(indices)} of level {self.level.index} "
+                    f"does not act on cell {tuple(self.cell)}")
+            i0 = i0 * (kv.degree + 1) + i
+        return i0
 
     def dual_row(self, i0: int) -> np.ndarray:
         """Quadrature-ready coefficients of the i0-th dual functional."""
         cols = []
-        for duals in self._duals:
-            i0, i = divmod(i0, duals.shape[1])
-            cols.append(duals[:, i])
+        for tab, j in zip(self._tables, self.cell):
+            i0, i = divmod(i0, tab.duals.shape[2])
+            cols.append(tab.duals[j, :, i])
         return _kron(cols)
+
+
+def _support_ranges(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Per function, the first and last interval of its support."""
+    bpi = np.array(kv.breakpoint_indices(), dtype=np.int64)
+    return bpi[:kv.num_basis], bpi[kv.degree + 1:] - 1
+
+
+def _anchor_search(level: TensorLevel, core: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The functions with a core cell in their support, in canonical
+    order, and the anchor cell of each, as two (members, d) index arrays.
+
+    A function's candidates are, per direction, the offsets 0..W_k-1 from
+    the first interval of its support that stay inside the support, kept
+    where the cell is in the core. The anchor minimises the squared
+    distance of the doubled cell centre to the doubled support centre,
+    ties going to the first candidate in canonical order: it minimises
+    distance * prod(W) + offset rank, the rank first direction fastest.
+    Only the functions whose support meets the core's bounding box are
+    searched, on an array of shape (functions..., offsets...).
+    """
+    d = level.dim
+    marked = np.nonzero(core)
+    if marked[0].size == 0:
+        empty = np.zeros((0, d), dtype=np.int64)
+        return empty, empty
+    box = [(int(m.min()), int(m.max())) for m in marked]
+    firsts, lookup, widths = [], [], []
+    inside, dist, rank = True, 0, 0
+    for k, (kv, (lo, hi)) in enumerate(zip(level.kvs, box)):
+        a, b = _support_ranges(kv)
+        # the supports meeting [lo, hi], a run since both ends are nondecreasing
+        start = int(np.searchsorted(b, lo))
+        stop = int(np.searchsorted(a, hi, side="right"))
+        a, b = a[start:stop], b[start:stop]
+        w = int((b - a).max()) + 1
+        cells = a[:, None] + np.arange(w)
+        shape = [1] * (2 * d)
+        shape[k], shape[d + k] = cells.shape
+        inside = inside & ((cells <= b[:, None]) & (cells >= lo)
+                           & (cells <= hi)).reshape(shape)
+        dist = dist + ((2 * cells - (a + b)[:, None]) ** 2).reshape(shape)
+        rank = rank + (np.arange(w) * math.prod(widths)).reshape(shape[d:])
+        firsts.append((start, a))
+        lookup.append((np.clip(cells, lo, hi) - lo).reshape(shape))
+        widths.append(w)
+    crop = core[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    inside = inside & crop[tuple(lookup)]
+    funcs = inside.shape[:d]
+    inside = inside.reshape(funcs + (-1,))
+    key = np.where(inside, (dist * math.prod(widths) + rank).reshape(inside.shape),
+                   np.iinfo(np.int64).max)
+    best = np.unravel_index(key.argmin(axis=-1), widths)
+    # canonical order: the last direction slowest
+    found = np.nonzero(inside.any(axis=-1).T)[::-1]
+    members = np.stack([start + f for (start, _), f in zip(firsts, found)], axis=1)
+    anchors = np.stack([a[f] + o[found] for (_, a), f, o in zip(firsts, found, best)],
+                       axis=1)
+    return members, anchors
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +379,11 @@ class LevelQuasiInterpolant:
                  config: OperatorConfig = DEFAULT_CONFIG):
         self.level = levels[ell]
         self.level_index = ell
-        candidates: dict[Index, list[Index]] = {}
-        for cell in sorted(core.cells(ell), key=id_sort_key):
-            for fidx in iter_box(self.level.functions_on_cell(cell)):
-                candidates.setdefault(fidx, []).append(cell)
-        anchor: dict[Index, Index] = {}
-        for fidx, cells in candidates.items():
-            ranges = self.level.function_cell_ranges(fidx)
-            center = [r.start + r.stop - 1 for r in ranges]  # doubled index
-
-            def badness(cell: Index):
-                dist = 0
-                for i, j in enumerate(cell):
-                    delta = 2 * j - center[i]
-                    dist += delta * delta
-                return (dist, id_sort_key(cell))
-
-            anchor[fidx] = min(cells, key=badness)
-        self.members: tuple[Index, ...] = tuple(sorted(anchor, key=id_sort_key))
-        self.anchor_cells = anchor
+        members, self._anchors = _anchor_search(self.level, core.masks[ell])
+        self.members: tuple[Index, ...] = tuple(zip(*(m.tolist() for m in members.T)))
+        # keyed in the order of the members, which apply pairs with the anchor rows
+        self.anchor_cells: dict[Index, Index] = dict(
+            zip(self.members, zip(*(a.tolist() for a in self._anchors.T))))
         self.tables = level_tables(self.level, config)
         self._workspaces: dict[Index, LocalProjectionWorkspace] = {}
 
@@ -331,19 +414,22 @@ class LevelQuasiInterpolant:
     def apply(self, f: PointFunction) -> LevelSpline:
         """Coefficient-wise application; the zero spline when no member.
 
-        The callback is evaluated once over the concatenated anchor nodes.
+        The callback is evaluated once, on the Gauss nodes of the distinct
+        anchor cells in canonical order, gathered from the tables.
         """
         g = checked_callable(f)
-        cells = sorted(set(self.anchor_cells.values()), key=id_sort_key)
-        if not cells:
+        if not self.members:
             return LevelSpline(self.level, {})
+        order = np.ravel_multi_index(tuple(self._anchors.T[::-1]), self.level.num_cells[::-1])
+        _, first, rows = np.unique(order, return_index=True, return_inverse=True)
+        cells = self._anchors[first]
+        nodes = _tensor_grid([tab.nodes[c] for tab, c in zip(self.tables, cells.T)])
         # every cell of a level carries the same number of nodes
-        all_vals = g(np.vstack([self.workspace(c).nodes for c in cells]))
-        values = dict(zip(cells, all_vals.reshape(len(cells), -1)))
+        values = g(nodes).reshape(len(cells), -1)
         coeffs: dict[Index, float] = {}
-        for m in self.members:
-            ws = self.workspace(self.anchor_cells[m])
-            coeffs[m] = float(ws.dual_row(ws.local_index(m)) @ values[ws.cell])
+        for (m, cell), r in zip(self.anchor_cells.items(), rows.tolist()):
+            ws = self.workspace(cell)
+            coeffs[m] = float(ws.dual_row(ws.local_index(m)) @ values[r])
         return LevelSpline(self.level, coeffs)
 
 

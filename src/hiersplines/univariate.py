@@ -445,10 +445,44 @@ def children_table(coarse: KnotVector, fine: KnotVector
     if coarse.degree != fine.degree:
         raise RefinementMismatchError(
             f"degree mismatch: parent {coarse.degree}, fine {fine.degree}")
-    table = tuple(tuple(_oslo_children(coarse.local(j), fine))
-                  for j in range(coarse.num_basis))
+    table = _oslo_table(coarse, fine)
     cache[fine] = table
     return table
+
+
+def _oslo_table(coarse: KnotVector, fine: KnotVector
+                ) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """:func:`_oslo_children` of every coarse function, run once per local
+    knot pattern.
+
+    The coefficients are invariant under increasing affine maps of the
+    knots. With all knots scaled to integers, a coarse function's pattern
+    is the difference vector, from its first knot and divided by its gcd,
+    of its p+2 knots and of the knots of the fine functions in its
+    support; functions with equal patterns have the same children relative
+    to the first fine function in their support, with equal coefficients.
+    """
+    p = coarse.degree
+    scale = math.lcm(*(k.denominator for k in fine.knots))
+    t = [k.numerator * (scale // k.denominator) for k in fine.knots]
+    tau = [k.numerator * (scale // k.denominator) for k in coarse.knots]
+    runs: dict[tuple[int, ...], tuple[tuple[int, Fraction], ...]] = {}
+    rows = []
+    for j in range(coarse.num_basis):
+        # the fine functions supported in the parent's support, as in
+        # KnotVector.functions_supported_in
+        first = bisect.bisect_left(t, tau[j])
+        stop = min(bisect.bisect_right(t, tau[j + p + 1]) - p - 1, fine.num_basis)
+        knots = tau[j:j + p + 2] + t[first:stop + p + 1]
+        base = knots[0]
+        step = math.gcd(*(x - base for x in knots))
+        pattern = tuple((x - base) // step for x in knots)
+        run = runs.get(pattern)
+        if run is None:
+            run = tuple((i - first, c) for i, c in _oslo_children(coarse.local(j), fine))
+            runs[pattern] = run
+        rows.append(tuple((first + i, c) for i, c in run))
+    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiersplines import univariate
 from hiersplines.errors import KnotVectorError, RefinementMismatchError
 from hiersplines.univariate import (
     KnotVector,
     LocalKnotVector,
+    _oslo_children,
+    children_table,
     children_with_coefficients,
     dyadic_refine,
     is_child_of,
@@ -256,6 +259,34 @@ class TestTwoScaleRandom:
             parents = [q.index for q in parents_of(child, coarse)]
             assert parents == [q.index for q in _parents_by_full_scan(child, coarse)]
             assert set(parents) == {j for j, kids in children.items() if i in kids}
+
+    @pytest.mark.parametrize("coarse,fine", RANDOM_PAIRS)
+    def test_table_rows_equal_direct_oslo_runs(self, coarse, fine):
+        table = children_table(coarse, fine)
+        assert len(table) == coarse.num_basis
+        for j, row in enumerate(table):
+            want = _oslo_children(coarse.local(j), fine)
+            assert [i for i, _ in row] == [i for i, _ in want]
+            assert [c for _, c in row] == [c for _, c in want]
+            assert all(type(c) is F for _, c in row)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_oslo_runs_once_per_local_knot_pattern(degree, monkeypatch):
+    """On a uniform knot vector only the p+1 functions at each end see a
+    repeated knot; every other function shares one interior pattern."""
+    runs = []
+
+    def counted(parent, fine):
+        runs.append(parent.index)
+        return _oslo_children(parent, fine)
+
+    monkeypatch.setattr(univariate, "_oslo_children", counted)
+    coarse = uniform_open_knot_vector(degree, 64)
+    table = children_table(coarse, dyadic_refine(coarse))
+    assert len(runs) == 2 * (degree + 1) + 1
+    interior = [[(i - 2 * j, c) for i, c in row] for j, row in enumerate(table)]
+    assert all(row == interior[degree + 1] for row in interior[degree + 1:-(degree + 1)])
 
 
 @settings(max_examples=30, deadline=None)
