@@ -47,6 +47,7 @@ from .errors import HierarchyError, InternalInvariantError
 from .tensor import (
     CellSet,
     Index,
+    LevelSpline,
     TensorFunctionId,
     TensorLevel,
     as_points,
@@ -54,8 +55,8 @@ from .tensor import (
     children_numerators,
     extend_level_sequence,
     id_sort_key,
+    index_arrays,
     iter_box,
-    level_evaluator,
     marked_indices,
     tensor_parents,
     two_scale_tables,
@@ -144,7 +145,7 @@ class SubdomainGrids:
                         f"subdomain {ell}: cell {c} out of range for level "
                         f"{ell - 1} grid {shape}")
             grid = np.zeros(shape, dtype=bool)
-            grid[_index_arrays(cells, len(shape))] = True
+            grid[index_arrays(cells, len(shape))] = True
             sums = np.zeros(tuple(n + 1 for n in shape), dtype=np.int32)
             acc = grid.astype(np.int32)
             for axis in range(len(shape)):
@@ -155,7 +156,7 @@ class SubdomainGrids:
         for ell in range(1, h.depth - 1):
             inner = list(h.subdomains[ell])
             parents = self.ancestor_maps(ell, ell - 1)
-            cells = _index_arrays(inner, len(parents))
+            cells = index_arrays(inner, len(parents))
             inside = self._grids[ell - 1][tuple(m[a] for m, a in zip(parents, cells))]
             if not inside.all():
                 raise HierarchyError(
@@ -172,8 +173,7 @@ class SubdomainGrids:
                 maps = tuple(np.arange(n) for n in self.levels[level].num_cells)
             else:
                 below = self.ancestor_maps(level - 1, to_level)
-                maps = tuple(b[np.asarray(m, dtype=np.int64)] for b, m in
-                             zip(below, self.levels[level].interval_parents))
+                maps = tuple(b[m] for b, m in zip(below, self.levels[level].parent_arrays))
             self._maps[key] = maps
         return maps
 
@@ -227,21 +227,10 @@ class SubdomainGrids:
             if ell <= 0 or ell >= self.depth:
                 mask = np.full(lv.num_basis, ell <= 0)
             else:
-                lo, hi = [], []
-                for kv in lv.kvs:
-                    bpi = np.array(kv.breakpoint_indices(), dtype=np.int64)
-                    n = kv.num_basis
-                    lo.append(bpi[:n])
-                    hi.append(bpi[kv.degree + 1:kv.degree + 1 + n] - 1)
-                mask = self.boxes_inside(ell, level, lo, hi)
+                mask = self.boxes_inside(ell, level, *zip(*(kv.support_intervals
+                                                            for kv in lv.kvs)))
             self._masks[key] = mask
         return mask
-
-
-def _index_arrays(cells: Iterable[Index], dim: int) -> tuple[np.ndarray, ...]:
-    """Per-direction index arrays of a collection of multi-indices."""
-    cells = list(cells)
-    return tuple(np.array(cells, dtype=np.int64).reshape(len(cells), dim).T)
 
 
 def subdomain_grids(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> SubdomainGrids:
@@ -326,8 +315,6 @@ class HierarchicalMesh:
 
     levels: tuple[TensorLevel, ...]
     active: tuple[tuple[Index, ...], ...]
-    _covered: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def cells(self) -> Iterator[tuple[int, Index]]:
         for ell, cells in enumerate(self.active):
@@ -347,16 +334,18 @@ class HierarchicalMesh:
         """Boolean grid over the cells of ``level``: which lie inside an
         active cell of that level or of a coarser one. A cell is covered
         when it is active or its parent is covered."""
-        if self._covered is None:
-            grids: list[np.ndarray] = []
-            for ell, (lv, cells) in enumerate(zip(self.levels, self.active)):
-                grid = np.zeros(lv.num_cells, dtype=bool)
-                grid[_index_arrays(cells, lv.dim)] = True
-                if ell:
-                    grid |= grids[-1][np.ix_(*map(np.asarray, lv.interval_parents))]
-                grids.append(grid)
-            object.__setattr__(self, "_covered", tuple(grids))
         return self._covered[level]
+
+    @functools.cached_property
+    def _covered(self) -> tuple[np.ndarray, ...]:
+        grids: list[np.ndarray] = []
+        for ell, (lv, cells) in enumerate(zip(self.levels, self.active)):
+            grid = np.zeros(lv.num_cells, dtype=bool)
+            grid[index_arrays(cells, lv.dim)] = True
+            if ell:
+                grid |= grids[-1][np.ix_(*lv.parent_arrays)]
+            grids.append(grid)
+        return tuple(grids)
 
 
 def active_cells_per_level(h: SubdomainHierarchy,
@@ -536,24 +525,16 @@ class HierBasis:
     members_by_level: tuple[tuple[Index, ...], ...]
     stages: tuple[frozenset[Fid], ...]
     weights: WeightMap
-    _member_set: frozenset[Fid] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self._member_set is None:
-            ms = frozenset(Fid(ell, idx)
-                           for ell, ids in enumerate(self.members_by_level)
-                           for idx in ids)
-            object.__setattr__(self, "_member_set", ms)
-
-    @property
+    @functools.cached_property
     def member_set(self) -> frozenset[Fid]:
-        return self._member_set
+        return frozenset(self.functions())
 
     def __len__(self) -> int:
-        return len(self._member_set)
+        return len(self.member_set)
 
     def __contains__(self, fid: Fid) -> bool:
-        return fid in self._member_set
+        return fid in self.member_set
 
     def functions(self) -> Iterator[Fid]:
         for ell, ids in enumerate(self.members_by_level):
@@ -614,7 +595,7 @@ def _basis_from_members(flavor: str, h: SubdomainHierarchy,
         by_level[f.level].append(f.indices)
     return HierBasis(flavor, h, tuple(levels[:h.depth]),
                      tuple(tuple(sorted(ids, key=id_sort_key)) for ids in by_level),
-                     tuple(frozenset(s) for s in stages), weights, frozenset(members))
+                     tuple(frozenset(s) for s in stages), weights)
 
 
 def build_hierarchical_basis(h: SubdomainHierarchy,
@@ -659,23 +640,20 @@ class HierSplineFunction:
 
     basis: HierBasis
     coefficients: dict[Fid, Fraction | float]
-    _dense: list | None = field(default=None, init=False, repr=False)
 
-    def _dense_parts(self):
-        if self._dense is None:
-            per_level: dict[int, dict[Index, float]] = {}
-            for fid, c in self.coefficients.items():
-                per_level.setdefault(fid.level, {})[fid.indices] = float(c)
-            self._dense = []
-            for ell, coeffs in sorted(per_level.items()):
-                ev = level_evaluator(self.basis.levels[ell])
-                self._dense.append((ev, ev.dense(coeffs)))
-        return self._dense
+    @functools.cached_property
+    def _parts(self) -> list[LevelSpline]:
+        """The float coefficients as one spline per level, coarsest first."""
+        per_level: dict[int, dict[Index, float]] = {}
+        for fid, c in self.coefficients.items():
+            per_level.setdefault(fid.level, {})[fid.indices] = float(c)
+        return [LevelSpline(self.basis.levels[ell], coeffs)
+                for ell, coeffs in sorted(per_level.items())]
 
     def evaluate(self, points) -> np.ndarray:
         out = None
-        for ev, dense in self._dense_parts():
-            vals = ev.evaluate_dense(dense, points)
+        for part in self._parts:
+            vals = part.evaluate(points)
             out = vals if out is None else out + vals
         if out is None:
             out = np.zeros(len(as_points(points, self.basis.levels[0].dim)))
@@ -700,7 +678,8 @@ def express_over(coefficients: Mapping[Fid, Fraction | float],
     children on the next level times the two-scale coefficients n/q.
     Exact coefficients stay exact; a float one is multiplied by the float
     nearest n/q, which is what a product with the coefficient's Fraction
-    gives. A function that is neither raises.
+    gives. A function that is neither, or is no function of its level,
+    raises.
     """
     h, levels = basis.hierarchy, basis.levels
     grids = subdomain_grids(h, levels)
@@ -721,6 +700,9 @@ def express_over(coefficients: Mapping[Fid, Fraction | float],
             fid = Fid(ell, idx)
             if fid in basis:
                 out[fid] = c
+            elif len(idx) != sinks.ndim or not all(0 <= j < n for j, n in zip(idx, sinks.shape)):
+                raise HierarchyError(f"{fid} is outside the function grid {sinks.shape} "
+                                     f"of level {ell}")
             elif sinks[idx]:
                 if tables is None:
                     tables = two_scale_tables(levels[ell], levels[ell + 1])

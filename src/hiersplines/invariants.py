@@ -28,6 +28,7 @@ from .hierarchy import (
     enlarge_hierarchy,
     expand_deactivated,
     partition_of_unity,
+    subdomain_grids,
     support_in_subdomain,
     zero_weight_by_characterization,
 )
@@ -47,8 +48,8 @@ from .tensor import (
     eval_function,
     extend_level_sequence,
     id_sort_key,
+    index_arrays,
     iter_box,
-    level_evaluator,
     tensor_children,
     tensor_parents,
 )
@@ -172,7 +173,7 @@ class _LevelColumns:
         if tables is None:
             tables = []
             for kv, x in zip(self.levels[ell].kvs, self.pts.T):
-                p, knots, x = kv.degree, kv.floats(), np.ascontiguousarray(x)
+                p, knots, x = kv.degree, kv.floats, np.ascontiguousarray(x)
                 tables.append(np.stack([kernels.local_values(knots[j:j + p + 2], p, x, 1.0)
                                         for j in range(kv.num_basis)], axis=1))
             self._tables[ell] = tables
@@ -278,7 +279,7 @@ def _chk_tensor_pou(ctx: _Context) -> InvariantResult:
     pts = np.vstack([pts, np.zeros((1, ctx.dim)), np.ones((1, ctx.dim))])
     worst, count = 0.0, 0
     for lv in ctx.levels:
-        ev = level_evaluator(lv)
+        ev = lv.evaluator
         vals = ev.evaluate_dense(np.ones(ev.size), pts)
         worst = max(worst, float(np.abs(vals - 1.0).max()))
         count += pts.shape[0]
@@ -409,9 +410,9 @@ def active_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantRe
     When the structure or a block fails, the dense collocation matrix and
     matrix_rank give the verdict and the rank in the detail.
     """
-    levels, h = basis.levels, basis.hierarchy
-    structured = all(support_in_subdomain(h, levels, f.level, f.indices, f.level)
-                     for f in basis.functions())
+    levels, grids = basis.levels, subdomain_grids(basis.hierarchy, basis.levels)
+    structured = all(grids.supports_inside(ell, ell)[index_arrays(members, levels[ell].dim)].all()
+                     for ell, members in enumerate(basis.members_by_level))
     if structured and all(_gram_block_regular(levels[ell], mesh.active[ell], members)
                           for ell, members in enumerate(basis.members_by_level)):
         n = len(basis)
@@ -437,17 +438,17 @@ def _gram_block_regular(level: TensorLevel, cells, members) -> bool:
     n = len(members)
     cells = np.array(cells, dtype=np.int64).reshape(len(cells), level.dim)
     position = np.full(level.num_basis, -1, dtype=np.int64)
-    position[tuple(np.array(members, dtype=np.int64).reshape(n, level.dim).T)] = np.arange(n)
+    position[index_arrays(members, level.dim)] = np.arange(n)
     local = np.ones((len(cells), 1, 1))
     flat = np.zeros((len(cells), 1), dtype=np.int64)
     stride = 1
     for k, kv in enumerate(level.kvs):
-        p, knots, bps = kv.degree, kv.floats(), kv.breakpoint_floats()
+        p, knots, bps = kv.degree, kv.floats, kv.breakpoint_floats
         x = (bps[:-1, None] + (bps[1:] - bps[:-1])[:, None] * _ticks(p)).ravel()
         spans = kernels.find_spans(knots, p, x)
         block = kernels.basis_columns(knots, p, x, spans).reshape(-1, p + 1, p + 1)
         gram = np.einsum("iqa,iqb->iab", block, block)[cells[:, k]]
-        first = (spans[::p + 1] - p)[cells[:, k]]
+        first = kv.first_functions[cells[:, k]]
         # direction k varies slower than the directions before it
         local = np.einsum("cab,cij->caibj", gram, local).reshape(
             len(cells), (p + 1) * local.shape[1], (p + 1) * local.shape[2])
@@ -649,13 +650,13 @@ def dual_pair_blocks(op: LevelQuasiInterpolant):
                        dtype=np.int64).reshape(members.shape)
     factors = []
     for k, (kv, tab) in enumerate(zip(op.level.kvs, op.tables)):
-        p, knots = kv.degree, kv.floats()
+        p, knots = kv.degree, kv.floats
         nodes = tab.nodes.ravel()
         values = np.stack([kernels.local_values(knots[j:j + p + 2], p, nodes, 1.0)
                            for j in range(kv.num_basis)]).reshape((-1,) + tab.nodes.shape)
         # per interval, local function and univariate function j
         per_interval = np.einsum("iql,jiq->ilj", tab.duals, values)
-        first = np.array([c.flat_index - p for c in kv.intervals], dtype=np.int64)
+        first = kv.first_functions
         # row i: member i's k-th dual applied to every function of direction k
         factors.append(per_interval[anchors[:, k], members[:, k] - first[anchors[:, k]]])
     step = max(1, kernels.BLOCK // max(1, len(members)))
@@ -756,21 +757,11 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
         worst = max(worst, float(np.abs(ps.evaluate(pts) - s.evaluate(pts)).max()))
         count += pts.shape[0]
         # annihilation of anything vanishing on the core cells
-        core_cells = ctx.core.cells(ell)
-        in_core = np.zeros(lv.num_cells, dtype=bool)
-        if core_cells:
-            in_core[tuple(np.array(list(core_cells)).T)] = True
+        core_cells, in_core = ctx.core.cells(ell), ctx.core.masks[ell]
 
         def vanishing(p: np.ndarray) -> np.ndarray:
-            # TensorLevel.locate for all points at once
-            found = np.ones(p.shape[0], dtype=bool)
-            loc = []
-            for kv, x in zip(lv.kvs, p.T):
-                bps = kv.breakpoint_floats()
-                found &= (x >= bps[0]) & (x <= bps[-1])
-                j = np.searchsorted(bps, x, side="right") - 1
-                loc.append(np.clip(j, 0, bps.size - 2))
-            return np.where(found & in_core[tuple(loc)], 0.0, 1.0)
+            found, cells = lv.locate_all(p)
+            return np.where(found & in_core[cells], 0.0, 1.0)
 
         pz = op.apply(vanishing)
         zworst = max((abs(v) for v in pz.coefficients.values()), default=0.0)

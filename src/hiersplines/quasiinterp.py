@@ -43,7 +43,7 @@ from .tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
     TensorLevel,
-    cell_descendant_ranges,
+    index_arrays,
     iter_box,
     marked_indices,
 )
@@ -122,19 +122,12 @@ def compute_core_domains(h: SubdomainHierarchy,
     grids = subdomain_grids(h, levels)
     masks = [np.ones(levels[0].num_cells, dtype=bool)]
     for ell in range(1, h.depth):
-        lo, hi = zip(*map(_extension_ranges, levels[ell].kvs))
-        masks.append(grids.boxes_inside(ell, ell, lo, hi))
+        masks.append(grids.boxes_inside(ell, ell, *zip(*(kv.extension_intervals
+                                                          for kv in levels[ell].kvs))))
     nested = all(not (fine & ~coarse[np.ix_(*grids.ancestor_maps(ell + 1, ell))]).any()
                  for ell, (coarse, fine) in enumerate(zip(masks, masks[1:])))
     sets = tuple(CellSet(ell, frozenset(marked_indices(m))) for ell, m in enumerate(masks))
     return CoreDomains(sets, nested, tuple(masks))
-
-
-def _extension_ranges(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Per interval, the first and last interval of its support extension."""
-    bpi = np.array(kv.breakpoint_indices(), dtype=np.int64)
-    flat = np.array([c.flat_index for c in kv.intervals], dtype=np.int64)
-    return bpi[flat - kv.degree], bpi[flat + kv.degree + 1] - 1
 
 
 @dataclass(frozen=True)
@@ -219,12 +212,12 @@ def interval_tables(kv: KnotVector, count: int) -> IntervalTables:
     mass matrix, whose condition number is that of W^{1/2} B squared, is never solved.
     """
     t, w = _gauss_base(count)
-    bp = kv.breakpoint_floats()
+    bp = kv.breakpoint_floats
     left, length = bp[:-1, None], np.diff(bp)[:, None]
     nodes = left + length * t
     weights = length * w
-    spans = np.repeat([c.flat_index for c in kv.intervals], count)
-    vals = kernels.basis_columns(kv.floats(), kv.degree, nodes.ravel(), spans)
+    spans = np.repeat(kv.first_functions + kv.degree, count)
+    vals = kernels.basis_columns(kv.floats, kv.degree, nodes.ravel(), spans)
     vals = vals.reshape(nodes.shape + (kv.degree + 1,))
     mass = np.swapaxes(vals, 1, 2) @ (vals * weights[:, :, None])
     root = np.sqrt(weights)[:, :, None]
@@ -283,7 +276,7 @@ class LocalProjectionWorkspace:
         """The position of a level function in ``local_functions``."""
         i0 = 0
         for kv, j, i in zip(reversed(self.level.kvs), reversed(self.cell), reversed(indices)):
-            i -= kv.intervals[j].flat_index - kv.degree
+            i -= kv.first_functions.item(j)
             if not 0 <= i <= kv.degree:
                 raise HierSplineError(
                     f"function {tuple(indices)} of level {self.level.index} "
@@ -298,12 +291,6 @@ class LocalProjectionWorkspace:
             i0, i = divmod(i0, tab.duals.shape[2])
             cols.append(tab.duals[j, :, i])
         return _kron(cols)
-
-
-def _support_ranges(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Per function, the first and last interval of its support."""
-    bpi = np.array(kv.breakpoint_indices(), dtype=np.int64)
-    return bpi[:kv.num_basis], bpi[kv.degree + 1:] - 1
 
 
 def _anchor_search(level: TensorLevel, core: np.ndarray
@@ -329,7 +316,7 @@ def _anchor_search(level: TensorLevel, core: np.ndarray
     firsts, lookup, widths = [], [], []
     inside, dist, rank = True, 0, 0
     for k, (kv, (lo, hi)) in enumerate(zip(level.kvs, box)):
-        a, b = _support_ranges(kv)
+        a, b = kv.support_intervals
         # the supports meeting [lo, hi], a run since both ends are nondecreasing
         start = int(np.searchsorted(b, lo))
         stop = int(np.searchsorted(a, hi, side="right"))
@@ -532,25 +519,37 @@ def integration_cells(mesh: HierarchicalMesh, region: CellSet | None
 
     A region cell sitting inside an active cell is used as is; otherwise it
     splits into its children until the pieces align with the active mesh.
+    The split runs level by level on boolean grids. The cells come in the
+    order of a depth-first descent through the region cells and each
+    cell's children in canonical order: by the canonical ranks of their
+    ancestors, coarsest first.
     """
     if region is None:
         return list(mesh.cells())
-    levels = mesh.levels
-    out: list[tuple[int, Index]] = []
-
-    def resolve(level: int, idx: Index):
-        if mesh.covered(level)[idx]:
-            out.append((level, idx))
-            return
-        if level + 1 >= len(levels):
-            raise HierSplineError(
-                f"cell {idx} of level {level} is not covered by the active mesh")
-        for child in iter_box(cell_descendant_ranges(levels, level, level + 1, idx)):
-            resolve(level + 1, child)
-
-    for idx in region.sorted():
-        resolve(region.level, idx)
-    return out
+    levels, top = mesh.levels, region.level
+    pending = np.zeros(levels[top].num_cells, dtype=bool)
+    pending[index_arrays(region.cells, levels[top].dim)] = True
+    cells, keys = [], []
+    for ell in range(top, len(levels)):
+        covered = mesh.covered(ell)
+        idx = np.nonzero(pending & covered)
+        cells.extend((ell, c) for c in zip(*(i.tolist() for i in idx)))
+        # ranks deepest first, np.lexsort's last key being the primary one;
+        # no kept cell has a kept descendant, so the padding never decides
+        ranks = [np.full(idx[0].size, -1)] * (len(levels) - 1 - ell)
+        for k in range(ell, top - 1, -1):
+            ranks.append(np.ravel_multi_index(idx[::-1], levels[k].num_cells[::-1]))
+            idx = tuple(m[i] for m, i in zip(levels[k].parent_arrays, idx))
+        keys.append(ranks)
+        pending &= ~covered
+        if not pending.any():
+            break
+        if ell + 1 == len(levels):
+            raise HierSplineError(f"cell {marked_indices(pending)[0]} of level {ell} "
+                                  "is not covered by the active mesh")
+        pending = pending[np.ix_(*levels[ell + 1].parent_arrays)]
+    order = np.lexsort([np.concatenate(column) for column in zip(*keys)])
+    return [cells[i] for i in order.tolist()]
 
 
 def _cells_geometry(level: TensorLevel, idxs: np.ndarray
@@ -560,7 +559,7 @@ def _cells_geometry(level: TensorLevel, idxs: np.ndarray
     lows = np.empty((n, level.dim))
     spans = np.empty((n, level.dim))
     for i, kv in enumerate(level.kvs):
-        bp = kv.breakpoint_floats()
+        bp = kv.breakpoint_floats
         lows[:, i] = bp[idxs[:, i]]
         spans[:, i] = bp[idxs[:, i] + 1] - bp[idxs[:, i]]
     return lows, spans

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +25,7 @@ from .hierarchy import (
     active_mesh,
     build_refinable_basis,
     compute_weights,
-    support_in_subdomain,
+    subdomain_grids,
 )
 from .quasiinterp import (
     MultiscaleQuasiInterpolant,
@@ -75,7 +75,7 @@ class StudyReport:
             "function": self.function,
             "q": self.q,
             "smoothness": self.smoothness,
-            "steps": [vars(s) for s in self.steps],
+            "steps": [asdict(s) for s in self.steps],
             "rows": [r.to_dict() for r in self.rows],
         }
 
@@ -172,7 +172,7 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
             estimate_terms.append(term)
         steps.append(StudyStep(
             step=step, mesh_id=fixture.name,
-            active_classical=_classical_count(h, levels, weights),
+            active_classical=_classical_count(h, levels),
             active_refinable=len(refinable),
             mesh_sizes=[[str(v) for v in levels[ell].max_interval_lengths]
                         for ell in range(h.depth)],
@@ -184,15 +184,14 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
                        steps=steps, rows=rows)
 
 
-def _classical_count(h, levels, weights) -> int:
-    """Size of the classical basis, read off the weights.
-
-    Weights are defined exactly for the functions of level ell supported
-    in subdomain ell; the classical ones among them are those whose
-    support does not also lie in subdomain ell+1.
-    """
-    return sum(1 for f in weights.values
-               if not support_in_subdomain(h, levels, f.level, f.indices, f.level + 1))
+def _classical_count(h, levels) -> int:
+    """Size of the classical basis: per level ell, the functions supported
+    in subdomain ell but not in subdomain ell+1, counted on the support
+    masks of the grids."""
+    grids = subdomain_grids(h, levels)
+    return sum(int(np.count_nonzero(grids.supports_inside(ell, ell)
+                                    & ~grids.supports_inside(ell, ell + 1)))
+               for ell in range(h.depth))
 
 
 def _fill_orders(rows: list[StudyRow]) -> None:

@@ -5,6 +5,10 @@ lexicographic with the first direction varying fastest, i.e. the linear
 index of (i_0, ..., i_{d-1}) over dims (n_0, ..., n_{d-1}) is
 i_0 + n_0*(i_1 + n_1*(...)). All sorted listings and dense coefficient
 layouts follow this order.
+
+A :class:`TensorLevel` reads the index tables of its knot vectors and
+owns, as ``functools.cached_property``, its parent maps as int64 arrays
+and its evaluator.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +52,13 @@ def marked_indices(mask: np.ndarray) -> list[Index]:
     """The True entries of a grid (axis i for direction i), as
     multi-indices in canonical order."""
     return list(zip(*(a.tolist() for a in reversed(np.nonzero(mask.T)))))
+
+
+def index_arrays(cells: Iterable[Index], dim: int) -> tuple[np.ndarray, ...]:
+    """Per-direction index arrays of a collection of multi-indices, to
+    index a grid with."""
+    cells = list(cells)
+    return tuple(np.array(cells, dtype=np.int64).reshape(len(cells), dim).T)
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,14 @@ class TensorLevel:
     def max_interval_lengths(self) -> tuple[Fraction, ...]:
         return tuple(kv.max_interval_length for kv in self.kvs)
 
+    @cached_property
+    def parent_arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.array(m, dtype=np.int64) for m in self.interval_parents)
+
+    @cached_property
+    def evaluator(self) -> "TensorSplineEvaluator":
+        return TensorSplineEvaluator(self)
+
     def function_ids(self) -> Iterator[Index]:
         return iter_box([range(n) for n in self.num_basis])
 
@@ -156,12 +176,8 @@ class TensorLevel:
 
     def support_extension_cell_ranges(self, indices: Index) -> list[range]:
         """The support extension of a cell, as per-direction interval ranges."""
-        out = []
-        for kv, j in zip(self.kvs, indices):
-            k, p = kv.intervals[j].flat_index, kv.degree
-            bpi = kv.breakpoint_indices()
-            out.append(range(bpi[k - p], bpi[k + p + 1]))
-        return out
+        return [range(kv.extension_intervals[0].item(j), kv.extension_intervals[1].item(j) + 1)
+                for kv, j in zip(self.kvs, indices)]
 
     def functions_on_cell(self, indices: Index) -> list[range]:
         return [kv.functions_on_interval(j) for kv, j in zip(self.kvs, indices)]
@@ -172,16 +188,19 @@ class TensorLevel:
 
     def locate(self, point: Sequence[float]) -> Index | None:
         """Cell whose closure contains the point, by right-continuous lookup."""
-        idx = []
-        for kv, x in zip(self.kvs, point):
-            bps = kv.breakpoint_floats()
-            x = float(x)
-            if x < bps[0] or x > bps[-1]:
-                return None
-            j = int(np.searchsorted(bps, x, side="right")) - 1
-            j = max(0, min(j, bps.size - 2))
-            idx.append(j)
-        return tuple(idx)
+        found, cells = self.locate_all(np.array([point], dtype=np.float64))
+        return tuple(int(c[0]) for c in cells) if found[0] else None
+
+    def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """:meth:`locate` for the rows of an (m, d) array: which points lie
+        in the domain, and their cells as one index array per direction."""
+        found = np.ones(points.shape[0], dtype=bool)
+        cells = []
+        for kv, x in zip(self.kvs, points.T):
+            bps = kv.breakpoint_floats
+            found &= ~((x < bps[0]) | (x > bps[-1]))
+            cells.append(np.clip(np.searchsorted(bps, x, side="right") - 1, 0, bps.size - 2))
+        return found, tuple(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +348,7 @@ class TensorSplineEvaluator:
 
     def __init__(self, level: TensorLevel):
         self.level = level
-        knots = [kv.floats() for kv in level.kvs]
+        knots = [kv.floats for kv in level.kvs]
         self.knots_flat = np.concatenate(knots)
         offs = np.zeros(level.dim + 1, dtype=np.int64)
         offs[1:] = np.cumsum([k.size for k in knots])
@@ -363,14 +382,6 @@ class TensorSplineEvaluator:
         return self.evaluate_dense(self.dense(coefficients), points)
 
 
-def level_evaluator(level: TensorLevel) -> TensorSplineEvaluator:
-    ev = level.__dict__.get("_evaluator")
-    if ev is None:
-        ev = TensorSplineEvaluator(level)
-        level.__dict__["_evaluator"] = ev
-    return ev
-
-
 def as_points(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -385,7 +396,7 @@ def eval_function(level: TensorLevel, indices: Index, points) -> np.ndarray:
     pts = as_points(points, level.dim)
     out = None
     for i, (kv, j) in enumerate(zip(level.kvs, indices)):
-        tau = kv.floats()[j:j + kv.degree + 2]
+        tau = kv.floats[j:j + kv.degree + 2]
         vals = kernels.local_values(tau, kv.degree, np.ascontiguousarray(pts[:, i]), 1.0)
         out = vals if out is None else np.multiply(out, vals, out=out)
     return out
@@ -398,13 +409,12 @@ class LevelSpline:
     level: TensorLevel
     coefficients: dict[Index, float]
 
-    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        return self.level.evaluator.dense(self.coefficients)
 
     def evaluate(self, points) -> np.ndarray:
-        ev = level_evaluator(self.level)
-        if self._dense is None:
-            self._dense = ev.dense(self.coefficients)
-        return ev.evaluate_dense(self._dense, points)
+        return self.level.evaluator.evaluate_dense(self._dense, points)
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)

@@ -10,6 +10,11 @@ Pointwise evaluation happens in float64 through :mod:`hiersplines.kernels`.
 The convention is right-continuity in the interior of the domain and the
 limit from the left at the right end, which makes partitions of unity hold
 on the whole closed interval.
+
+A :class:`KnotVector` owns every table derived from its knots, each a
+``functools.cached_property``: its floats, the int64 index tables
+``support_intervals``, ``first_functions`` and ``extension_intervals``,
+and the two-scale tables of the pairs it belongs to.
 """
 
 from __future__ import annotations
@@ -57,15 +62,13 @@ class Breakpoints:
 class IntervalCell:
     """One nonempty breakpoint interval of a knot vector.
 
-    ``flat_index`` is the position k in the full knot sequence with
-    knots[k] = left and knots[k+1] = right. ``extension`` is the union of
-    the supports of all basis functions that act on the interval.
+    ``extension`` is the union of the supports of all basis functions that
+    act on the interval.
     """
 
     index: int
     left: Fraction
     right: Fraction
-    flat_index: int
     extension: tuple[Fraction, Fraction]
 
     @property
@@ -126,13 +129,12 @@ class KnotVector:
 
     def __hash__(self) -> int:
         # rational knots hash and compare slowly, and knot vectors key the
-        # two-scale table caches (see pair_cache), so both operations get
-        # fast paths
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.degree, self.knots))
-            self.__dict__["_hash"] = h
-        return h
+        # two-scale table caches, so both operations get fast paths
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.degree, self.knots))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -182,32 +184,39 @@ class KnotVector:
 
     @cached_property
     def intervals(self) -> tuple[IntervalCell, ...]:
-        cells = []
-        bp = self.breakpoints
-        flat = 0
-        p = self.degree
-        for j in range(len(bp) - 1):
-            flat += bp.multiplicities[j]
-            k = flat - 1
-            ext = (self.knots[k - p], self.knots[k + p + 1])
-            cells.append(IntervalCell(
-                index=j, left=bp.values[j], right=bp.values[j + 1],
-                flat_index=k, extension=ext))
-        return tuple(cells)
+        bp, kn, p = self.breakpoints, self.knots, self.degree
+        return tuple(IntervalCell(index=j, left=bp.values[j], right=bp.values[j + 1],
+                                  extension=(kn[k], kn[k + 2 * p + 1]))
+                     for j, k in enumerate(self.first_functions.tolist()))
 
+    @cached_property
     def floats(self) -> np.ndarray:
-        arr = self.__dict__.get("_floats")
-        if arr is None:
-            arr = np.array([float(k) for k in self.knots])
-            object.__setattr__(self, "_floats", arr)
-        return arr
+        return np.array([float(k) for k in self.knots])
 
+    @cached_property
     def breakpoint_floats(self) -> np.ndarray:
-        arr = self.__dict__.get("_bp_floats")
-        if arr is None:
-            arr = np.array([float(v) for v in self.breakpoints.values])
-            object.__setattr__(self, "_bp_floats", arr)
-        return arr
+        return np.array([float(v) for v in self.breakpoints.values])
+
+    @cached_property
+    def support_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per function, the first and last interval of its support."""
+        mults = self.breakpoints.multiplicities
+        # per knot, its breakpoint; interval i runs from breakpoint i to i+1
+        bpi = np.repeat(np.arange(len(mults), dtype=np.int64), mults)
+        return bpi[:self.num_basis], bpi[self.degree + 1:] - 1
+
+    @cached_property
+    def first_functions(self) -> np.ndarray:
+        """Per interval, the first of the degree+1 functions acting on it."""
+        ends = np.cumsum(self.breakpoints.multiplicities[:-1], dtype=np.int64)
+        return ends - 1 - self.degree
+
+    @cached_property
+    def extension_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per interval, the first and last interval of its support extension."""
+        first, last = self.support_intervals
+        k = self.first_functions
+        return first[k], last[k + self.degree]
 
     @property
     def num_intervals(self) -> int:
@@ -239,25 +248,31 @@ class KnotVector:
     def support(self, j: int) -> tuple[Fraction, Fraction]:
         return (self.knots[j], self.knots[j + self.degree + 1])
 
-    def breakpoint_indices(self) -> tuple[int, ...]:
-        """For each flat knot index, the index of its value among the
-        breakpoints; interval i runs from breakpoint i to breakpoint i+1."""
-        table = self.__dict__.get("_bp_indices")
-        if table is None:
-            table = tuple(i for i, m in enumerate(self.breakpoints.multiplicities)
-                          for _ in range(m))
-            self.__dict__["_bp_indices"] = table
-        return table
-
     def function_interval_range(self, j: int) -> tuple[int, int]:
         """Inclusive range of interval indices covered by supp of function j."""
-        bpi = self.breakpoint_indices()
-        return bpi[j], bpi[j + self.degree + 1] - 1
+        first, last = self.support_intervals
+        return first.item(j), last.item(j)
 
     def functions_on_interval(self, interval_index: int) -> range:
         """Indices of the degree+1 functions that are nonzero on the interval."""
-        k = self.intervals[interval_index].flat_index
-        return range(k - self.degree, k + 1)
+        k = self.first_functions.item(interval_index)
+        return range(k, k + self.degree + 1)
+
+    # the tables of children_table and two_scale_table (this knot vector
+    # coarse) and of parent_table (this one fine), keyed by the other one;
+    # dict lookups try identity first, so a hit compares no rationals
+
+    @cached_property
+    def _children_tables(self) -> dict:
+        return {}
+
+    @cached_property
+    def _two_scale_tables(self) -> dict:
+        return {}
+
+    @cached_property
+    def _parent_tables(self) -> dict:
+        return {}
 
     def functions_supported_in(self, lo: Fraction, hi: Fraction) -> range:
         """Indices j with supp b_j contained in [lo, hi]."""
@@ -417,25 +432,10 @@ def parents_of(child: LocalKnotVector, coarse: KnotVector) -> list[LocalKnotVect
             if is_child_of(child, cand)]
 
 
-def pair_cache(owner: KnotVector, name: str) -> dict:
-    """A per-instance cache dict; keys are looked up identity-first, which
-    avoids rehashing and comparing long rational tuples on every access.
-
-    Its users are :func:`children_table`, :func:`two_scale_table` and
-    :func:`parent_table`, whose tables take exact rational arithmetic to
-    build.
-    """
-    d = owner.__dict__.get(name)
-    if d is None:
-        d = {}
-        owner.__dict__[name] = d
-    return d
-
-
 def children_table(coarse: KnotVector, fine: KnotVector
                    ) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Per coarse function: its children as (fine index, coefficient) pairs."""
-    cache = pair_cache(coarse, "_children_tables")
+    cache = coarse._children_tables
     hit = cache.get(fine)
     if hit is not None:
         return hit
@@ -534,7 +534,7 @@ class TwoScaleTable:
 
 def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
     """The table of :func:`children_table` over one common denominator."""
-    cache = pair_cache(coarse, "_two_scale_tables")
+    cache = coarse._two_scale_tables
     hit = cache.get(fine)
     if hit is not None:
         return hit
@@ -557,7 +557,7 @@ def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
 
 def parent_table(coarse: KnotVector, fine: KnotVector) -> tuple[tuple[int, ...], ...]:
     """Per fine function: indices of its coarse parents (endpoint test route)."""
-    cache = pair_cache(fine, "_parent_tables")
+    cache = fine._parent_tables
     hit = cache.get(coarse)
     if hit is not None:
         return hit

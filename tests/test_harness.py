@@ -292,8 +292,7 @@ def _with_member(basis, level, indices):
     """The basis with one more function of ``level`` among its members."""
     by_level = list(basis.members_by_level)
     by_level[level] = by_level[level] + (indices,)
-    return dataclasses.replace(basis, members_by_level=tuple(by_level),
-                               _member_set=None)
+    return dataclasses.replace(basis, members_by_level=tuple(by_level))
 
 
 class TestLinearIndependence:

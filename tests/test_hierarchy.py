@@ -335,6 +335,20 @@ class TestSweep:
             with pytest.raises(HierarchyError, match=re.escape(str(fid))):
                 express_over({Fid(0, (0,)): 1.0, fid: 1.0}, basis)
 
+    @pytest.mark.parametrize("indices", [(-7, -7), (10, 10), (0,)],
+                             ids=["negative", "past_the_end", "wrong_length"])
+    def test_index_outside_the_function_grid_is_refused(self, indices):
+        # level 0 is 10 x 10; a negative index must not wrap around to (3, 3)
+        fx = repo_fixture("d2_corner_admissible")
+        basis = build_refinable_basis(fx.hierarchy, fx.levels)
+        assert fx.levels[0].num_basis == (10, 10)
+        fid = Fid(0, indices)
+        message = re.escape(f"{fid} is outside the function grid (10, 10) of level 0")
+        with pytest.raises(HierarchyError, match=message):
+            expand_deactivated(fid, basis)
+        with pytest.raises(HierarchyError, match=message):
+            express_over({Fid(0, (3, 3)): F(1), fid: F(1)}, basis)
+
     def test_multiplicity_raise_keeps_its_message(self):
         # the level-1 knot 1/2 goes from multiplicity 1 to 2
         fx = parse_fixture({

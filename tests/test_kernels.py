@@ -24,7 +24,7 @@ def _example_knots():
 
 def test_find_spans_conventions():
     kv = make_open_knot_vector(2, ["0", "1/4", "1/2", "1"], [3, 1, 2, 3])
-    knots = kv.floats()
+    knots = kv.floats
     xs = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     spans = kernels.find_spans(knots, 2, xs)
     n = kv.num_basis
@@ -43,7 +43,7 @@ def test_local_values_match_exact_oracle():
         xs_exact = [Fraction(k, 17) for k in range(18)]
         xs = np.array([float(x) for x in xs_exact])
         for j in range(kv.num_basis):
-            tau = kv.floats()[j:j + kv.degree + 2]
+            tau = kv.floats[j:j + kv.degree + 2]
             got = kernels.local_values(tau, kv.degree, xs, 1.0)
             want = [float(bspline_value_exact(kv.local(j).knots, x))
                     for x in xs_exact]
@@ -53,7 +53,7 @@ def test_local_values_match_exact_oracle():
 def test_basis_columns_sum_to_one():
     rng = np.random.default_rng(3)
     for kv in _example_knots():
-        knots = kv.floats()
+        knots = kv.floats
         xs = np.concatenate([rng.random(200), [0.0, 1.0]])
         spans = kernels.find_spans(knots, kv.degree, xs)
         cols = kernels.basis_columns(knots, kv.degree, xs, spans)
@@ -74,9 +74,9 @@ def test_tensor_kernel_matches_product_of_locals():
                                     pts)
     want = np.zeros(400)
     for ix in range(kvx.num_basis):
-        vx = kernels.local_values(kvx.floats()[ix:ix + 4], 2, pts[:, 0], 1.0)
+        vx = kernels.local_values(kvx.floats[ix:ix + 4], 2, pts[:, 0], 1.0)
         for iy in range(kvy.num_basis):
-            vy = kernels.local_values(kvy.floats()[iy:iy + 3], 1, pts[:, 1], 1.0)
+            vy = kernels.local_values(kvy.floats[iy:iy + 3], 1, pts[:, 1], 1.0)
             want += coeffs[ev.linear_index((ix, iy))] * vx * vy
     assert np.abs(got - want).max() < 1e-13
 
@@ -193,7 +193,7 @@ def test_blocked_evaluation_equals_concatenated_splits(dim, degree):
         assert whole.tobytes() == _reference_tensor_values(ev, coeffs, pts).tobytes()
         for kv in level.kvs[:1]:
             for j in range(kv.num_basis):
-                tau = kv.floats()[j:j + degree + 2]
+                tau = kv.floats[j:j + degree + 2]
                 got = kernels.local_values(tau, degree, pts[:, 0], 1.0)
                 want = _reference_local_values(tau, degree, pts[:, 0], 1.0)
                 assert got.tobytes() == want.tobytes()

@@ -16,7 +16,6 @@ from hiersplines.tensor import (
     extend_level_sequence,
     id_sort_key,
     iter_box,
-    level_evaluator,
     tensor_children,
     tensor_parents,
 )
@@ -26,7 +25,13 @@ from hiersplines.univariate import (
     uniform_open_knot_vector,
 )
 
-from .conftest import FIXTURE_DIR, make_levels, random_explicit_levels, repo_fixture
+from .conftest import (
+    FIXTURE_DIR,
+    make_levels,
+    random_explicit_levels,
+    random_refinement,
+    repo_fixture,
+)
 
 
 class TestLevelSequence:
@@ -196,23 +201,43 @@ class TestCells:
         assert levels[0].cell_volume((0, 0)) == F(1, 8)
 
     def test_interval_ranges_match_bisection(self):
-        # every knot vector of every fixture, plus an internal knot of
-        # multiplicity degree+1
+        # every knot vector of every fixture, an internal knot of
+        # multiplicity degree+1, and random refinements that raise
+        # multiplicities up to degree+1
         kvs = {kv for path in sorted(FIXTURE_DIR.glob("*.json"))
                for lv in repo_fixture(path.stem).levels for kv in lv.kvs}
         kvs.add(make_open_knot_vector(2, ["0", "1/4", "1/2", "1"], [3, 3, 1, 3]))
+        rng = np.random.default_rng(1018)
+        for degree in (0, 1, 2, 3):
+            kv = uniform_open_knot_vector(degree, 3)
+            for _ in range(3):
+                kv = random_refinement(rng, kv)
+                kvs.add(kv)
+        assert any(max(kv.breakpoints.multiplicities[1:-1], default=0) == kv.degree + 1
+                   for kv in kvs if kv.degree > 1)
         for kv in kvs:
             # the reference: bisection of the support ends in the interval lefts
             lefts = [c.left for c in kv.intervals]
             level = build_level_sequence([kv], 1)[0]
+            supports = []
             for j in range(kv.num_basis):
                 lo, hi = kv.support(j)
-                want = (bisect_left(lefts, lo), bisect_left(lefts, hi) - 1)
-                assert kv.function_interval_range(j) == want
+                supports.append((bisect_left(lefts, lo), bisect_left(lefts, hi) - 1))
+                assert kv.function_interval_range(j) == supports[-1]
+            assert [a.dtype for a in kv.support_intervals] == [np.int64] * 2
+            assert list(zip(*(a.tolist() for a in kv.support_intervals))) == supports
+            assert kv.first_functions.dtype == np.int64
+            assert [a.dtype for a in kv.extension_intervals] == [np.int64] * 2
             for c in kv.intervals:
+                acting = [j for j, (a, b) in enumerate(supports) if a <= c.index <= b]
+                first = int(kv.first_functions[c.index])
+                assert acting == list(range(first, first + kv.degree + 1))
+                assert kv.functions_on_interval(c.index) == range(first, first + kv.degree + 1)
                 lo, hi = c.extension
                 want = range(bisect_left(lefts, lo), bisect_left(lefts, hi))
                 assert level.support_extension_cell_ranges((c.index,)) == [want]
+                got = [int(a[c.index]) for a in kv.extension_intervals]
+                assert got == [want.start, want.stop - 1]
 
 
 class TestEvaluator:
@@ -222,7 +247,7 @@ class TestEvaluator:
             levels = make_levels(dim, degrees, 2, 2)
             pts = rng.random((500, dim))
             for lv in levels:
-                ev = level_evaluator(lv)
+                ev = lv.evaluator
                 vals = ev.evaluate_dense(np.ones(ev.size), pts)
                 assert np.abs(vals - 1.0).max() < 1e-12
 
