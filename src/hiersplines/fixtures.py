@@ -30,10 +30,8 @@ from .tensor import (
     Index,
     TensorLevel,
     build_level_sequence,
-    cell_ancestor,
-    cell_descendant_ranges,
     id_sort_key,
-    iter_box,
+    marked_indices,
 )
 from .univariate import KnotVector, as_knot, make_open_knot_vector
 
@@ -176,6 +174,9 @@ def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
     if schema != FIXTURE_SCHEMA:
         raise FixtureError(f"{source}.schema",
                            f"expected {FIXTURE_SCHEMA!r}, got {schema!r}")
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise FixtureError(f"{source}.name", "must be a string")
     dim, degrees, depth = _parse_shape(obj, source)
 
     bps = _expect(obj, "breakpoints", source)
@@ -234,8 +235,7 @@ def parse_fixture(obj: Mapping, source: str = "fixture") -> Fixture:
             raise FixtureError(where, str(exc)) from None
         enlargement = plan
 
-    name = obj.get("name") or source
-    return Fixture(name=name, dimension=dim, degrees=tuple(degrees),
+    return Fixture(name=name or source, dimension=dim, degrees=tuple(degrees),
                    levels=levels, hierarchy=hierarchy, refinement=rule,
                    enlargement=enlargement)
 
@@ -277,7 +277,8 @@ def fixture_to_dict(fixture: Fixture) -> dict:
         out["refinement"] = "dyadic"
     else:
         out["refinement"] = {"explicit": [
-            [_kv_to_dict(kv) for kv in kvs] for kvs in fixture.refinement]}
+            [_kv_to_dict(kv) for kv in kvs]
+            for kvs in fixture.refinement[:fixture.hierarchy.depth - 1]]}
     subs = []
     for ell in range(1, fixture.hierarchy.depth):
         cells = fixture.hierarchy.subdomain_cells(ell)
@@ -345,36 +346,15 @@ def hierarchy_from_active_cells(levels: Sequence[TensorLevel],
                                 ) -> SubdomainHierarchy:
     """Rebuild the subdomain hierarchy from the active cells of each level.
 
-    Bottom-up: a cell belongs to the point set of the levels at or below
-    some depth exactly when it is active there or all its children belong
-    one level deeper. Subdomain ell then collects the previous-level cells
-    all of whose children lie in that point set.
+    Subdomain ell is the set of level ell-1 cells that no active cell of
+    level ell-1 or coarser covers, read off the mesh's covered grids.
     """
     depth = len(active)
     if depth < 1 or depth > len(levels):
         raise HierSplineError("active cell lists do not match the levels")
-    covered: list[set[Index]] = [set() for _ in range(depth)]
-    covered[depth - 1] = set(active[depth - 1])
-    for ell in range(depth - 2, -1, -1):
-        covered[ell] = set(active[ell])
-        parents = {cell_ancestor(levels, ell + 1, ell, child)
-                   for child in covered[ell + 1]}
-        for c in parents:
-            if c in covered[ell]:
-                continue
-            kids = iter_box(cell_descendant_ranges(levels, ell, ell + 1, c))
-            if all(k in covered[ell + 1] for k in kids):
-                covered[ell].add(c)
-    subdomains = []
-    for ell in range(1, depth):
-        cells = set()
-        parents = {cell_ancestor(levels, ell, ell - 1, c) for c in covered[ell]}
-        for c in parents:
-            kids = iter_box(cell_descendant_ranges(levels, ell - 1, ell, c))
-            if all(k in covered[ell] for k in kids):
-                cells.add(c)
-        subdomains.append(cells)
-    return SubdomainHierarchy.from_cells(subdomains)
+    mesh = HierarchicalMesh(tuple(levels[:depth]), tuple(tuple(c) for c in active))
+    return SubdomainHierarchy.from_cells(
+        [marked_indices(~mesh.covered(ell)) for ell in range(depth - 1)])
 
 
 def parse_mesh_dump(obj: Mapping, source: str = "mesh"
@@ -405,8 +385,8 @@ def parse_mesh_dump(obj: Mapping, source: str = "mesh"
                                f"{levels[ell].num_cells}")
         active[ell].append(idx)
     hierarchy = hierarchy_from_active_cells(levels, active)
-    # the rebuild always yields some hierarchy; a gap, overlap or repeated
-    # cell shows as a mismatch with that hierarchy's active cells
+    # the rebuild always yields some nested hierarchy; a gap, overlap or
+    # repeated cell shows as a mismatch with that hierarchy's active cells
     rebuilt = [list(cells) for cells in active_mesh(hierarchy, levels).active]
     rebuilt += [[]] * (depth - hierarchy.depth)
     if rebuilt != [sorted(cells, key=id_sort_key) for cells in active]:

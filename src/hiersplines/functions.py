@@ -58,28 +58,23 @@ class TestFunction:
     factors: tuple[Factor, ...]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        return self._product(points, 0, 0)
+
+    def directional_derivative(self, direction: int, order: int) -> Callable[[np.ndarray], np.ndarray]:
+        if not 0 <= direction < self.dim:
+            raise HierSplineError(f"direction {direction} out of range")
+        return lambda points: self._product(points, direction, order)
+
+    def _product(self, points: np.ndarray, direction: int, order: int) -> np.ndarray:
+        """The factors at the points, in direction order, with the one of
+        ``direction`` differentiated ``order`` times."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         out = np.ones(pts.shape[0])
         for i, factor in enumerate(self.factors):
-            out *= factor(pts[:, i], 0)
+            out *= factor(pts[:, i], order if i == direction else 0)
         return out
-
-    def directional_derivative(self, direction: int, order: int) -> Callable[[np.ndarray], np.ndarray]:
-        if not 0 <= direction < self.dim:
-            raise HierSplineError(f"direction {direction} out of range")
-
-        def deriv(points: np.ndarray) -> np.ndarray:
-            pts = np.asarray(points, dtype=np.float64)
-            if pts.ndim == 1:
-                pts = pts.reshape(-1, 1)
-            out = np.ones(pts.shape[0])
-            for i, factor in enumerate(self.factors):
-                out *= factor(pts[:, i], order if i == direction else 0)
-            return out
-
-        return deriv
 
 
 def get_function(name: str, dim: int,

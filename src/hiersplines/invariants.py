@@ -174,7 +174,7 @@ class _LevelColumns:
             tables = []
             for kv, x in zip(self.levels[ell].kvs, self.pts.T):
                 p, knots, x = kv.degree, kv.floats, np.ascontiguousarray(x)
-                tables.append(np.stack([kernels.local_values(knots[j:j + p + 2], p, x, 1.0)
+                tables.append(np.stack([kernels.local_values(knots[j:j + p + 2], p, x)
                                         for j in range(kv.num_basis)], axis=1))
             self._tables[ell] = tables
         idx = np.array(indices, dtype=np.int64).reshape(-1, len(tables))
@@ -279,8 +279,7 @@ def _chk_tensor_pou(ctx: _Context) -> InvariantResult:
     pts = np.vstack([pts, np.zeros((1, ctx.dim)), np.ones((1, ctx.dim))])
     worst, count = 0.0, 0
     for lv in ctx.levels:
-        ev = lv.evaluator
-        vals = ev.evaluate_dense(np.ones(ev.size), pts)
+        vals = LevelSpline(lv, dict.fromkeys(lv.function_ids(), 1.0)).evaluate(pts)
         worst = max(worst, float(np.abs(vals - 1.0).max()))
         count += pts.shape[0]
     return _result("tensor_partition_of_unity", worst, count, TOL_EXACT)
@@ -652,7 +651,7 @@ def dual_pair_blocks(op: LevelQuasiInterpolant):
     for k, (kv, tab) in enumerate(zip(op.level.kvs, op.tables)):
         p, knots = kv.degree, kv.floats
         nodes = tab.nodes.ravel()
-        values = np.stack([kernels.local_values(knots[j:j + p + 2], p, nodes, 1.0)
+        values = np.stack([kernels.local_values(knots[j:j + p + 2], p, nodes)
                            for j in range(kv.num_basis)]).reshape((-1,) + tab.nodes.shape)
         # per interval, local function and univariate function j
         per_interval = np.einsum("iql,jiq->ilj", tab.duals, values)

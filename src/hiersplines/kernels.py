@@ -6,9 +6,16 @@ tensor-product spline evaluation over batches of points. Everything
 combinatorial (knot bookkeeping, exact rational coefficients) lives in the
 higher-level modules; the kernels only ever see float64 arrays.
 
-Conventions: spans are right-continuous in the interior and the value at
-the right end of the domain is the limit from the left, so partitions of
-unity hold pointwise on the whole closed domain.
+Conventions: the domain is [0, 1] in every direction, as ``KnotVector``
+guarantees. Spans are right-continuous in the interior and the value at
+the right end 1.0 is the limit from the left, so partitions of unity hold
+pointwise on the whole closed domain.
+
+``tensor_spline_values(coeffs, knots, degrees, points)`` evaluates the
+spline with dense coefficients ``coeffs`` (first direction fastest) over
+the per-direction knot arrays ``knots`` (``KnotVector.floats``) and
+``degrees`` at the rows of the (m, d) array ``points``; it derives the
+strides and term offsets from the knots and degrees.
 
 ``tensor_spline_values`` and ``local_values`` work through their points in
 blocks of ``BLOCK`` points, and ``quasiinterp.lq_norm`` batches its
@@ -25,6 +32,8 @@ of the outputs on any split of the points.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -78,21 +87,21 @@ def _nonzero_basis(knots, degree, xs, spans):
     return rows
 
 
-def local_values(tau, degree, xs, domain_right):
+def local_values(tau, degree, xs):
     x_all = np.asarray(xs, dtype=np.float64)
     out = np.empty(x_all.shape[0])
     for start in range(0, x_all.shape[0], BLOCK):
         x = x_all[start:start + BLOCK]
         # left of a support the triangle can leave -0.0; adding 0.0 makes
         # every zero +0.0
-        np.add(_local_block(tau, degree, x, domain_right), 0.0,
+        np.add(_local_block(tau, degree, x), 0.0,
                out=out[start:start + BLOCK])
     return out
 
 
-def _local_block(tau, degree, x, domain_right):
+def _local_block(tau, degree, x):
     p = degree
-    at_right = x == domain_right
+    at_right = x == 1.0  # the right end of the domain
     n = []
     for i in range(p + 1):
         half_open = (tau[i] <= x) & (x < tau[i + 1])
@@ -111,15 +120,16 @@ def _local_block(tau, degree, x, domain_right):
     return n[0]
 
 
-def tensor_spline_values(coeffs, knots_flat, knot_offsets, degrees,
-                         strides, offsets_table, points):
+def tensor_spline_values(coeffs, knots, degrees, points):
     m, d = points.shape
-    knots = [knots_flat[knot_offsets[i]:knot_offsets[i + 1]] for i in range(d)]
     degs = [int(p) for p in degrees]
-    strides = [int(s) for s in strides]
-    # per term: its offset in each direction and the shift of its linear index
-    terms = [(row, sum(o * s for o, s in zip(row, strides)))
-             for row in offsets_table.tolist()]
+    strides = [1]
+    for k, p in zip(knots[:-1], degs):
+        strides.append(strides[-1] * (k.shape[0] - p - 1))
+    # per term, first direction fastest: its offset in each direction and
+    # the shift of its linear index
+    table = [row[::-1] for row in itertools.product(*(range(p + 1) for p in reversed(degs)))]
+    terms = [(row, sum(o * s for o, s in zip(row, strides))) for row in table]
     out = np.zeros(m)
     for start in range(0, m, BLOCK):
         stop = min(m, start + BLOCK)

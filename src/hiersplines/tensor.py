@@ -6,9 +6,10 @@ index of (i_0, ..., i_{d-1}) over dims (n_0, ..., n_{d-1}) is
 i_0 + n_0*(i_1 + n_1*(...)). All sorted listings and dense coefficient
 layouts follow this order.
 
-A :class:`TensorLevel` reads the index tables of its knot vectors and
-owns, as ``functools.cached_property``, its parent maps as int64 arrays
-and its evaluator.
+A :class:`TensorLevel` reads the index tables and float knots of its knot
+vectors and owns, as a ``functools.cached_property``, its parent maps as
+int64 arrays. A :class:`LevelSpline` hands its dense coefficients and the
+level's float knots straight to ``kernels.tensor_spline_values``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,10 +133,6 @@ class TensorLevel:
     @cached_property
     def parent_arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(np.array(m, dtype=np.int64) for m in self.interval_parents)
-
-    @cached_property
-    def evaluator(self) -> "TensorSplineEvaluator":
-        return TensorSplineEvaluator(self)
 
     def function_ids(self) -> Iterator[Index]:
         return iter_box([range(n) for n in self.num_basis])
@@ -343,45 +340,6 @@ def cell_descendant_ranges(levels: Sequence[TensorLevel], from_level: int,
 # ---------------------------------------------------------------------------
 # spline evaluation over a level
 
-class TensorSplineEvaluator:
-    """Packed per-level arrays feeding the tensor evaluation kernel."""
-
-    def __init__(self, level: TensorLevel):
-        self.level = level
-        knots = [kv.floats for kv in level.kvs]
-        self.knots_flat = np.concatenate(knots)
-        offs = np.zeros(level.dim + 1, dtype=np.int64)
-        offs[1:] = np.cumsum([k.size for k in knots])
-        self.knot_offsets = offs
-        self.degrees = np.array(level.degrees, dtype=np.int64)
-        dims = level.num_basis
-        strides = [1]
-        for n in dims[:-1]:
-            strides.append(strides[-1] * n)
-        self.strides = np.array(strides, dtype=np.int64)
-        self.size = int(np.prod(dims))
-        table = list(iter_box([range(p + 1) for p in level.degrees]))
-        self.offsets_table = np.array(table, dtype=np.int64).reshape(len(table), level.dim)
-
-    def linear_index(self, indices: Index) -> int:
-        return int(sum(i * s for i, s in zip(indices, self.strides)))
-
-    def dense(self, coefficients: Mapping[Index, float]) -> np.ndarray:
-        arr = np.zeros(self.size)
-        for idx, c in coefficients.items():
-            arr[self.linear_index(idx)] = float(c)
-        return arr
-
-    def evaluate_dense(self, dense: np.ndarray, points: np.ndarray) -> np.ndarray:
-        pts = as_points(points, self.level.dim)
-        return kernels.tensor_spline_values(
-            dense, self.knots_flat, self.knot_offsets, self.degrees,
-            self.strides, self.offsets_table, pts)
-
-    def evaluate(self, coefficients: Mapping[Index, float], points) -> np.ndarray:
-        return self.evaluate_dense(self.dense(coefficients), points)
-
-
 def as_points(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -397,7 +355,7 @@ def eval_function(level: TensorLevel, indices: Index, points) -> np.ndarray:
     out = None
     for i, (kv, j) in enumerate(zip(level.kvs, indices)):
         tau = kv.floats[j:j + kv.degree + 2]
-        vals = kernels.local_values(tau, kv.degree, np.ascontiguousarray(pts[:, i]), 1.0)
+        vals = kernels.local_values(tau, kv.degree, np.ascontiguousarray(pts[:, i]))
         out = vals if out is None else np.multiply(out, vals, out=out)
     return out
 
@@ -411,10 +369,19 @@ class LevelSpline:
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        return self.level.evaluator.dense(self.coefficients)
+        lv = self.level
+        arr = np.zeros(math.prod(lv.num_basis))
+        flat = np.ravel_multi_index(index_arrays(self.coefficients, lv.dim),
+                                    lv.num_basis, order="F")
+        arr[flat] = [float(c) for c in self.coefficients.values()]
+        return arr
 
     def evaluate(self, points) -> np.ndarray:
-        return self.level.evaluator.evaluate_dense(self._dense, points)
+        lv = self.level
+        # points by keyword: the benchmark tracer counts them from there
+        return kernels.tensor_spline_values(
+            self._dense, [kv.floats for kv in lv.kvs], lv.degrees,
+            points=as_points(points, lv.dim))
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)

@@ -108,9 +108,9 @@ class LocalKnotVector:
     def floats(self) -> np.ndarray:
         return np.array([float(k) for k in self.knots])
 
-    def evaluate(self, xs, domain_right: float = 1.0) -> np.ndarray:
+    def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        return kernels.local_values(self.floats(), self.degree, xs, domain_right)
+        return kernels.local_values(self.floats(), self.degree, xs)
 
     def value_at(self, x: float) -> float:
         return float(self.evaluate(np.array([x]))[0])

@@ -114,14 +114,23 @@ class TestFixtureParsing:
         (lambda obj: obj.update(refinement={"explicit": [[{
             "breakpoints": ["0", "1/8", "1/4", "1/2", "3/4", True]}]]}),
          r"demo\.refinement\.explicit\[0\]\[0\]\.breakpoints\[5\]:"),
+        (lambda obj: obj.update(name=5), r"demo\.name:"),
     ], ids=["enlargement_not_object", "subdomain_not_object", "addition_level_not_int",
             "subdomain_level_bool", "cell_entry_bool", "dimension_bool",
-            "initial_breakpoint_bool", "explicit_breakpoint_bool"])
+            "initial_breakpoint_bool", "explicit_breakpoint_bool", "name_not_string"])
     def test_malformed_section_refused(self, edit, where):
         obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
         edit(obj)
         with pytest.raises(FixtureError, match=where):
             parse_fixture(obj, "demo")
+
+    @pytest.mark.parametrize("name", [None, ""])
+    def test_missing_or_empty_name_falls_back_to_source(self, name):
+        obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
+        obj.pop("name", None)
+        if name is not None:
+            obj["name"] = name
+        assert parse_fixture(obj, "demo").name == "demo"
 
     def test_benchmark_input_is_the_repo_fixture(self):
         # the check_nested benchmark workload reads its own copy
@@ -130,12 +139,23 @@ class TestFixtureParsing:
         assert copy.read_bytes() == (FIXTURE_DIR / name).read_bytes()
 
     def test_fixture_write_read_identity(self, tmp_path):
-        fx = repo_fixture("d2_corner_admissible")
-        out = tmp_path / "roundtrip.json"
-        write_fixture(fx, out)
-        fx2 = load_fixture(out)
-        assert fx2.hierarchy == fx.hierarchy
-        assert fx2.levels[0].kvs == fx.levels[0].kvs
+        # an explicit fixture of depth 3 whose subdomain 2 is empty: the
+        # written depth is 2, so only one explicit level goes with it
+        kv = uniform_open_knot_vector(2, 4)
+        rule = [(make_open_knot_vector(2, ["0", "1/8", "1/4", "1/2", "3/4", "1"]),),
+                (make_open_knot_vector(2, ["0", "1/16", "1/8", "1/4", "1/2", "3/4", "1"]),)]
+        levels = build_level_sequence([kv], 3, rule)
+        explicit = Fixture(name="explicit", dimension=1, degrees=(2,), levels=levels,
+                           hierarchy=SubdomainHierarchy.from_cells([[(0,), (1,)], []]),
+                           refinement=rule)
+        for fx in (repo_fixture("d2_corner_admissible"), explicit):
+            out = tmp_path / "roundtrip.json"
+            write_fixture(fx, out)
+            fx2 = load_fixture(out)
+            assert fx2.hierarchy == fx.hierarchy
+            assert fx2.levels[0].kvs == fx.levels[0].kvs
+            assert [lv.kvs for lv in fx2.levels] == \
+                [lv.kvs for lv in fx.levels[:fx.hierarchy.depth]]
 
     def test_mesh_dump_roundtrip_identical_basis(self):
         fx = repo_fixture("cubic_narrow_block")
@@ -173,6 +193,40 @@ class TestFixtureParsing:
         edit(obj)
         with pytest.raises(FixtureError, match=where):
             parse_mesh_dump(obj)
+
+    @staticmethod
+    def _assert_each_removal_refused(h, levels, explicit, picks=None):
+        _, mesh = build_hierarchical_basis(h, levels)
+        obj = json.loads(json.dumps(dump_active_cells(
+            mesh, refinement="explicit" if explicit else "dyadic")))
+        cells = obj["cells"]
+        for k in range(len(cells)) if picks is None else picks:
+            with pytest.raises(FixtureError, match=r"^demo\.cells:"):
+                parse_mesh_dump({**obj, "cells": cells[:k] + cells[k + 1:]}, "demo")
+
+    def test_mesh_dump_missing_cell_refused_at_cells(self):
+        # dropping level-1 cell (5, 0) here once rebuilt a hierarchy that
+        # was not nested
+        levels, h = random_hierarchy(np.random.default_rng(7), dim=2, degrees=[2, 3],
+                                     depth=3, explicit=True)
+        _, mesh = build_hierarchical_basis(h, levels)
+        k = list(mesh.cells()).index((1, (5, 0)))
+        self._assert_each_removal_refused(h, levels, True, [k])
+        rng = np.random.default_rng(11)
+        for explicit in (False, True):
+            for _ in range(3):
+                levels, h = random_hierarchy(rng, dim=2, depth=3, explicit=explicit)
+                self._assert_each_removal_refused(h, levels, explicit)
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_fixture_mesh_dump_missing_cell_refused_at_cells(self, path):
+        fx = load_fixture(path)
+        _, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
+        n = mesh.cell_count()
+        picks = sorted({0, n - 1, *np.random.default_rng(n).integers(0, n, 6).tolist()})
+        self._assert_each_removal_refused(fx.hierarchy, fx.levels,
+                                          fx.refinement != "dyadic", picks)
 
     def test_mesh_dump_invalid_json_refused(self, tmp_path):
         path = tmp_path / "cells.json"

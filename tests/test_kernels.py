@@ -1,5 +1,6 @@
 """Evaluation conventions and exact-oracle agreement of the kernels."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiersplines import kernels
+from hiersplines.tensor import iter_box
 from hiersplines.univariate import dyadic_refine, make_open_knot_vector, uniform_open_knot_vector
 
 from .oracles import bspline_value_exact
@@ -44,7 +46,7 @@ def test_local_values_match_exact_oracle():
         xs = np.array([float(x) for x in xs_exact])
         for j in range(kv.num_basis):
             tau = kv.floats[j:j + kv.degree + 2]
-            got = kernels.local_values(tau, kv.degree, xs, 1.0)
+            got = kernels.local_values(tau, kv.degree, xs)
             want = [float(bspline_value_exact(kv.local(j).knots, x))
                     for x in xs_exact]
             assert np.abs(got - np.array(want)).max() < 1e-14
@@ -64,20 +66,16 @@ def test_tensor_kernel_matches_product_of_locals():
     rng = np.random.default_rng(9)
     kvx = uniform_open_knot_vector(2, 4)
     kvy = uniform_open_knot_vector(1, 3)
-    from hiersplines.tensor import TensorLevel, TensorSplineEvaluator
-    level = TensorLevel(0, (kvx, kvy))
-    ev = TensorSplineEvaluator(level)
-    coeffs = rng.random(ev.size)
+    coeffs = rng.random(kvx.num_basis * kvy.num_basis)
     pts = rng.random((400, 2))
-    got = kernels.tensor_spline_values(coeffs, ev.knots_flat, ev.knot_offsets,
-                                    ev.degrees, ev.strides, ev.offsets_table,
-                                    pts)
+    got = kernels.tensor_spline_values(coeffs, [kvx.floats, kvy.floats], (2, 1),
+                                       points=pts)
     want = np.zeros(400)
     for ix in range(kvx.num_basis):
-        vx = kernels.local_values(kvx.floats[ix:ix + 4], 2, pts[:, 0], 1.0)
+        vx = kernels.local_values(kvx.floats[ix:ix + 4], 2, pts[:, 0])
         for iy in range(kvy.num_basis):
-            vy = kernels.local_values(kvy.floats[iy:iy + 3], 1, pts[:, 1], 1.0)
-            want += coeffs[ev.linear_index((ix, iy))] * vx * vy
+            vy = kernels.local_values(kvy.floats[iy:iy + 3], 1, pts[:, 1])
+            want += coeffs[ix + kvx.num_basis * iy] * vx * vy
     assert np.abs(got - want).max() < 1e-13
 
 
@@ -112,30 +110,32 @@ def _reference_basis(knots, p, xs, spans):
     return out
 
 
-def _reference_tensor_values(ev, coeffs, points):
+def _reference_tensor_values(level, coeffs, points):
     # one pass over all points, one full-length weight and index per term
     m, d = points.shape
+    strides = [math.prod(level.num_basis[:i]) for i in range(d)]
+    offsets_table = list(iter_box([range(p + 1) for p in level.degrees]))
     spans, bases = [], []
     for i in range(d):
-        kn = ev.knots_flat[ev.knot_offsets[i]:ev.knot_offsets[i + 1]]
-        p = int(ev.degrees[i])
+        kn = level.kvs[i].floats
+        p = level.degrees[i]
         s = kernels.find_spans(kn, p, points[:, i])
         spans.append(s)
         bases.append(_reference_basis(kn, p, points[:, i], s))
     out = np.zeros(m)
-    for t in range(ev.offsets_table.shape[0]):
+    for offsets in offsets_table:
         w = np.ones(m)
         idx = np.zeros(m, dtype=np.int64)
         for i in range(d):
-            o = int(ev.offsets_table[t, i])
+            o = offsets[i]
             w *= bases[i][:, o]
-            idx += (spans[i] - int(ev.degrees[i]) + o) * int(ev.strides[i])
+            idx += (spans[i] - level.degrees[i] + o) * strides[i]
         out += w * coeffs[idx]
     return out
 
 
-def _reference_local_values(tau, p, x, domain_right):
-    at_right = x == domain_right
+def _reference_local_values(tau, p, x):
+    at_right = x == 1.0
     n = np.empty((x.shape[0], p + 1))
     for i in range(p + 1):
         half_open = (tau[i] <= x) & (x < tau[i + 1])
@@ -173,27 +173,29 @@ def _blocking_points(dim, m, seed):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_blocked_evaluation_equals_concatenated_splits(dim, degree):
-    from hiersplines.tensor import TensorSplineEvaluator, eval_function
+    from hiersplines.tensor import eval_function
     level = _blocking_level(dim, degree)
-    ev = TensorSplineEvaluator(level)
-    coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, ev.size)
+    knots = [kv.floats for kv in level.kvs]
+    coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, math.prod(level.num_basis))
     fid = tuple(n // 2 for n in level.num_basis)
     b = kernels.BLOCK
     for m in (1, b - 1, b, b + 1, 3 * b + 7):
         pts = _blocking_points(dim, m, m)
-        whole = ev.evaluate_dense(coeffs, pts)
+        whole = kernels.tensor_spline_values(coeffs, knots, level.degrees, points=pts)
         single = eval_function(level, fid, pts)
         cuts = sorted({0, m, min(m, 1), m // 3, min(m, b + 5)})
         pieces = list(zip(cuts, cuts[1:]))
-        split = np.concatenate([ev.evaluate_dense(coeffs, pts[a:z]) for a, z in pieces])
+        split = np.concatenate([kernels.tensor_spline_values(coeffs, knots, level.degrees,
+                                                             points=pts[a:z])
+                                for a, z in pieces])
         split_single = np.concatenate([eval_function(level, fid, pts[a:z]) for a, z in pieces])
         assert whole.tobytes() == split.tobytes()
         assert single.tobytes() == split_single.tobytes()
         # the blocked kernels keep the unblocked arithmetic, bit for bit
-        assert whole.tobytes() == _reference_tensor_values(ev, coeffs, pts).tobytes()
+        assert whole.tobytes() == _reference_tensor_values(level, coeffs, pts).tobytes()
         for kv in level.kvs[:1]:
             for j in range(kv.num_basis):
                 tau = kv.floats[j:j + degree + 2]
-                got = kernels.local_values(tau, degree, pts[:, 0], 1.0)
-                want = _reference_local_values(tau, degree, pts[:, 0], 1.0)
+                got = kernels.local_values(tau, degree, pts[:, 0])
+                want = _reference_local_values(tau, degree, pts[:, 0])
                 assert got.tobytes() == want.tobytes()

@@ -8,6 +8,7 @@ import pytest
 
 from hiersplines.errors import NestingError
 from hiersplines.tensor import (
+    LevelSpline,
     TensorLevel,
     build_level_sequence,
     cell_ancestor,
@@ -247,8 +248,7 @@ class TestEvaluator:
             levels = make_levels(dim, degrees, 2, 2)
             pts = rng.random((500, dim))
             for lv in levels:
-                ev = lv.evaluator
-                vals = ev.evaluate_dense(np.ones(ev.size), pts)
+                vals = LevelSpline(lv, dict.fromkeys(lv.function_ids(), 1.0)).evaluate(pts)
                 assert np.abs(vals - 1.0).max() < 1e-12
 
     def test_canonical_order_first_direction_fastest(self):
