@@ -118,8 +118,7 @@ def _cmd_dump(args) -> int:
     classical, mesh = build_hierarchical_basis(fixture.hierarchy,
                                                fixture.levels, weights)
     refinable = build_refinable_basis(fixture.hierarchy, fixture.levels, weights)
-    payload = dump_active_cells(mesh, fixture.refinement,
-                                bases=(classical, refinable))
+    payload = dump_active_cells(mesh, bases=(classical, refinable))
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out} ({mesh.cell_count()} cells, "
           f"{len(classical)} active functions)")

@@ -18,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .errors import FixtureError, HierSplineError
 from .hierarchy import (
     HierarchicalMesh,
@@ -31,9 +33,10 @@ from .tensor import (
     TensorLevel,
     build_level_sequence,
     id_sort_key,
+    index_arrays,
     marked_indices,
 )
-from .univariate import KnotVector, as_knot, make_open_knot_vector
+from .univariate import KnotVector, as_knot, dyadic_refine, make_open_knot_vector
 
 FIXTURE_SCHEMA = "hiersplines-fixture-v1"
 MESH_SCHEMA = "hiersplines-mesh-v1"
@@ -303,12 +306,13 @@ def write_fixture(fixture: Fixture, path) -> None:
 # ---------------------------------------------------------------------------
 # active-cell dumps and the mesh round trip
 
-def dump_active_cells(mesh: HierarchicalMesh, refinement="dyadic",
-                      bases: Sequence = ()) -> dict:
+def dump_active_cells(mesh: HierarchicalMesh, *, bases: Sequence = ()) -> dict:
     """Level-tagged boxes of the active cells plus the level structure.
 
-    Optional bases are dumped alongside as level-tagged active functions
-    with their exact weights; re-parsing uses only the cells.
+    The levels are written as "dyadic" when each one is the dyadic
+    refinement of the one before, and explicitly otherwise. Optional bases
+    are dumped alongside as level-tagged active functions with their exact
+    weights; re-parsing uses only the cells.
     """
     level0 = mesh.levels[0]
     out: dict[str, Any] = {
@@ -318,7 +322,8 @@ def dump_active_cells(mesh: HierarchicalMesh, refinement="dyadic",
         "initial": [_kv_to_dict(kv) for kv in level0.kvs],
         "depth": len(mesh.levels),
     }
-    if refinement == "dyadic":
+    if all(kv == dyadic_refine(ckv) for coarse, fine in zip(mesh.levels, mesh.levels[1:])
+           for ckv, kv in zip(coarse.kvs, fine.kvs)):
         out["refinement"] = "dyadic"
     else:
         out["refinement"] = {"explicit": [
@@ -352,7 +357,10 @@ def hierarchy_from_active_cells(levels: Sequence[TensorLevel],
     depth = len(active)
     if depth < 1 or depth > len(levels):
         raise HierSplineError("active cell lists do not match the levels")
-    mesh = HierarchicalMesh(tuple(levels[:depth]), tuple(tuple(c) for c in active))
+    masks = tuple(np.zeros(lv.num_cells, dtype=bool) for lv in levels[:depth])
+    for lv, mask, cells in zip(levels, masks, active):
+        mask[index_arrays(cells, lv.dim)] = True
+    mesh = HierarchicalMesh(tuple(levels[:depth]), masks)
     return SubdomainHierarchy.from_cells(
         [marked_indices(~mesh.covered(ell)) for ell in range(depth - 1)])
 

@@ -30,6 +30,12 @@ two-scale tables of :func:`hiersplines.univariate.two_scale_table`;
 Fractions appear only in the results. The scalar queries
 (:func:`support_in_subdomain`, :func:`cell_in_subdomain`) and the sweep
 look up the same cached level answers.
+
+The results are stored as per-level boolean grids too: the active cells
+of a :class:`HierarchicalMesh`, and the selected and active functions of
+a :class:`HierBasis`. Their tuple and frozenset views (``active``,
+``members_by_level``, ``member_set``, ``stages``) are derived on first
+use, for readers that want cells or function ids one by one.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ import numpy as np
 
 from .errors import HierarchyError, InternalInvariantError
 from .tensor import (
-    CellSet,
     Index,
     LevelSpline,
     TensorFunctionId,
@@ -54,7 +59,6 @@ from .tensor import (
     cell_ancestor,
     children_numerators,
     extend_level_sequence,
-    id_sort_key,
     index_arrays,
     iter_box,
     marked_indices,
@@ -106,12 +110,6 @@ class SubdomainHierarchy:
         if ell >= self.depth:
             return frozenset()
         return self.subdomains[ell - 1]
-
-    def cellset(self, ell: int) -> CellSet:
-        cells = self.subdomain_cells(ell)
-        if cells is None:
-            raise HierarchyError("subdomain 0 is the whole domain")
-        return CellSet(ell - 1, cells)
 
 
 class SubdomainGrids:
@@ -309,12 +307,18 @@ def _support_in_cells(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
 # ---------------------------------------------------------------------------
 # hierarchical mesh
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchicalMesh:
-    """Active cells per level; they tile the domain with disjoint interiors."""
+    """Active cells per level, as boolean grids over each level's cells;
+    they tile the domain with disjoint interiors."""
 
     levels: tuple[TensorLevel, ...]
-    active: tuple[tuple[Index, ...], ...]
+    masks: tuple[np.ndarray, ...]
+
+    @functools.cached_property
+    def active(self) -> tuple[tuple[Index, ...], ...]:
+        """The active cells of each level in canonical order."""
+        return tuple(tuple(marked_indices(m)) for m in self.masks)
 
     def cells(self) -> Iterator[tuple[int, Index]]:
         for ell, cells in enumerate(self.active):
@@ -322,7 +326,7 @@ class HierarchicalMesh:
                 yield ell, c
 
     def cell_count(self) -> int:
-        return sum(len(c) for c in self.active)
+        return sum(int(np.count_nonzero(m)) for m in self.masks)
 
     def total_volume(self) -> Fraction:
         vol = Fraction(0)
@@ -338,26 +342,18 @@ class HierarchicalMesh:
 
     @functools.cached_property
     def _covered(self) -> tuple[np.ndarray, ...]:
-        grids: list[np.ndarray] = []
-        for ell, (lv, cells) in enumerate(zip(self.levels, self.active)):
-            grid = np.zeros(lv.num_cells, dtype=bool)
-            grid[index_arrays(cells, lv.dim)] = True
-            if ell:
-                grid |= grids[-1][np.ix_(*lv.parent_arrays)]
-            grids.append(grid)
-        return tuple(grids)
-
-
-def active_cells_per_level(h: SubdomainHierarchy,
-                           levels: Sequence[TensorLevel]) -> list[list[Index]]:
-    grids = subdomain_grids(h, levels)
-    return [marked_indices(grids.cells_inside(ell, ell) & ~grids.cells_inside(ell, ell + 1))
-            for ell in range(h.depth)]
+        grids = self.masks[:1]
+        for lv, mask in zip(self.levels[1:], self.masks[1:]):
+            grids += (mask | grids[-1][np.ix_(*lv.parent_arrays)],)
+        return grids
 
 
 def active_mesh(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> HierarchicalMesh:
+    """The cells of each level inside its subdomain but not the next one."""
+    grids = subdomain_grids(h, levels)
     return HierarchicalMesh(tuple(levels[:h.depth]), tuple(
-        tuple(c) for c in active_cells_per_level(h, levels)))
+        grids.cells_inside(ell, ell) & ~grids.cells_inside(ell, ell + 1)
+        for ell in range(h.depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,26 +511,44 @@ def zero_weight_by_characterization(h: SubdomainHierarchy,
 class HierBasis:
     """An active set of functions across levels with their weights.
 
-    ``stages`` records the intermediate selection after each level step;
-    stage ell holds every function alive after processing subdomain ell.
+    Per level, ``selected`` marks the functions that the selection step
+    opening the level brought in, and ``active`` those of them still
+    active at the end; both are boolean grids over the level's functions.
+    Stage k of the selection holds the active functions of the levels
+    before k and the selected ones of level k.
     """
 
     flavor: str
     hierarchy: SubdomainHierarchy
     levels: tuple[TensorLevel, ...]
-    members_by_level: tuple[tuple[Index, ...], ...]
-    stages: tuple[frozenset[Fid], ...]
+    selected: tuple[np.ndarray, ...]
+    active: tuple[np.ndarray, ...]
     weights: WeightMap
+
+    @functools.cached_property
+    def members_by_level(self) -> tuple[tuple[Index, ...], ...]:
+        return tuple(tuple(marked_indices(m)) for m in self.active)
 
     @functools.cached_property
     def member_set(self) -> frozenset[Fid]:
         return frozenset(self.functions())
 
+    @functools.cached_property
+    def stages(self) -> tuple[frozenset[Fid], ...]:
+        """Stage k: every function alive after processing subdomain k."""
+        stages, before = [], []
+        for ell, (mask, members) in enumerate(zip(self.selected, self.members_by_level)):
+            stages.append(frozenset(before + [Fid(ell, idx) for idx in marked_indices(mask)]))
+            before += [Fid(ell, idx) for idx in members]
+        return tuple(stages)
+
     def __len__(self) -> int:
-        return len(self.member_set)
+        return sum(int(np.count_nonzero(m)) for m in self.active)
 
     def __contains__(self, fid: Fid) -> bool:
-        return fid in self.member_set
+        return 0 <= fid.level < len(self.active) \
+            and _in_grid(fid.indices, self.active[fid.level].shape) \
+            and bool(self.active[fid.level][fid.indices])
 
     def functions(self) -> Iterator[Fid]:
         for ell, ids in enumerate(self.members_by_level):
@@ -545,23 +559,28 @@ class HierBasis:
         return self.weights.weight(fid)
 
 
-def _selection_stages(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
-                      refinable: bool) -> list[set[Fid]]:
-    """Run the recursive selection, returning the stage sets.
+def _in_grid(indices: Index, shape: tuple[int, ...]) -> bool:
+    return len(indices) == len(shape) and all(0 <= j < n for j, n in zip(indices, shape))
 
-    Stage 0 is the whole coarsest basis. Each step removes the functions
-    whose support sank into the next subdomain and adds either every next
-    level function supported there (classical) or only the children of the
-    removed ones (refinable). The newest level's selection is a boolean
-    grid; later stages share the function ids of earlier ones.
+
+def _selections(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
+                refinable: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run the recursive selection: per level, the functions selected when
+    the level opens and those still active at the end.
+
+    Level 0 opens with its whole basis. Each step removes the functions
+    of the newest level whose support sank into the next subdomain, and
+    opens the next level with either every function supported there
+    (classical) or only the children of the removed ones (refinable).
+    Nesting makes deeper subdomains subsets of earlier ones, so a function
+    can only sink at the step after the one that opened its level.
     """
     grids = subdomain_grids(h, levels)
-    alive = np.ones(levels[0].num_basis, dtype=bool)
-    stages = [_fid_set(0, alive)]
+    selected = [np.ones(levels[0].num_basis, dtype=bool)]
+    active = []
     for ell in range(h.depth - 1):
-        # nesting makes deeper subdomains subsets of earlier ones, so a
-        # function can only sink at the step matching its own level
-        sunk = alive & grids.supports_inside(ell, ell + 1)
+        sunk = selected[ell] & grids.supports_inside(ell, ell + 1)
+        active.append(selected[ell] & ~sunk)
         if refinable:
             sub = _bounding_box(sunk)
             box, kids = _window_image(sunk[sub], sub,
@@ -570,32 +589,16 @@ def _selection_stages(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
             alive[box] = kids
         else:
             alive = grids.supports_inside(ell + 1, ell + 1)
-        stages.append((stages[-1] - _fid_set(ell, sunk)) | _fid_set(ell + 1, alive))
-    return stages
-
-
-def _fid_set(ell: int, mask: np.ndarray) -> set[Fid]:
-    return {Fid(ell, idx) for idx in marked_indices(mask)}
+        selected.append(alive)
+    active.append(selected[-1])
+    return selected, active
 
 
 def _closed_form_classical(h: SubdomainHierarchy,
-                           levels: Sequence[TensorLevel]) -> set[Fid]:
+                           levels: Sequence[TensorLevel]) -> list[np.ndarray]:
     grids = subdomain_grids(h, levels)
-    return set().union(*(
-        _fid_set(ell, grids.supports_inside(ell, ell) & ~grids.supports_inside(ell, ell + 1))
-        for ell in range(h.depth)))
-
-
-def _basis_from_members(flavor: str, h: SubdomainHierarchy,
-                        levels: Sequence[TensorLevel],
-                        members: set[Fid], stages: list[set[Fid]],
-                        weights: WeightMap) -> HierBasis:
-    by_level: list[list[Index]] = [[] for _ in range(h.depth)]
-    for f in members:
-        by_level[f.level].append(f.indices)
-    return HierBasis(flavor, h, tuple(levels[:h.depth]),
-                     tuple(tuple(sorted(ids, key=id_sort_key)) for ids in by_level),
-                     tuple(frozenset(s) for s in stages), weights)
+    return [grids.supports_inside(ell, ell) & ~grids.supports_inside(ell, ell + 1)
+            for ell in range(h.depth)]
 
 
 def build_hierarchical_basis(h: SubdomainHierarchy,
@@ -608,14 +611,14 @@ def build_hierarchical_basis(h: SubdomainHierarchy,
     are computed; disagreement means corrupt input or a bug, so it raises.
     """
     validate_hierarchy(h, levels)
-    stages = _selection_stages(h, levels, refinable=False)
-    closed = _closed_form_classical(h, levels)
-    if stages[-1] != closed:
+    selected, active = _selections(h, levels, refinable=False)
+    if not all(map(np.array_equal, active, _closed_form_classical(h, levels))):
         raise InternalInvariantError(
             "recursive and closed-form selections disagree")
     if weights is None:
         weights = compute_weights(h, levels)
-    basis = _basis_from_members(CLASSICAL, h, levels, closed, stages, weights)
+    basis = HierBasis(CLASSICAL, h, tuple(levels[:h.depth]), tuple(selected), tuple(active),
+                      weights)
     return basis, active_mesh(h, levels)
 
 
@@ -625,10 +628,11 @@ def build_refinable_basis(h: SubdomainHierarchy,
     """The children-only basis; equals the positive-weight part of the
     classical one."""
     validate_hierarchy(h, levels)
-    stages = _selection_stages(h, levels, refinable=True)
+    selected, active = _selections(h, levels, refinable=True)
     if weights is None:
         weights = compute_weights(h, levels)
-    return _basis_from_members(REFINABLE, h, levels, set(stages[-1]), stages, weights)
+    return HierBasis(REFINABLE, h, tuple(levels[:h.depth]), tuple(selected), tuple(active),
+                     weights)
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +697,15 @@ def express_over(coefficients: Mapping[Fid, Fraction | float],
             raise neither(fid)
         pending[fid.level][fid.indices] = c
     out: dict[Fid, Fraction | float] = {}
-    for ell, row in enumerate(pending):
+    for ell, (row, active) in enumerate(zip(pending, basis.active)):
         sinks = grids.supports_inside(ell, ell + 1)
         tables = None
         for idx, c in row.items():
-            fid = Fid(ell, idx)
-            if fid in basis:
-                out[fid] = c
-            elif len(idx) != sinks.ndim or not all(0 <= j < n for j, n in zip(idx, sinks.shape)):
-                raise HierarchyError(f"{fid} is outside the function grid {sinks.shape} "
-                                     f"of level {ell}")
+            if not _in_grid(idx, active.shape):
+                raise HierarchyError(f"{Fid(ell, idx)} is outside the function grid "
+                                     f"{active.shape} of level {ell}")
+            if active[idx]:
+                out[Fid(ell, idx)] = c
             elif sinks[idx]:
                 if tables is None:
                     tables = two_scale_tables(levels[ell], levels[ell + 1])
@@ -713,7 +716,7 @@ def express_over(coefficients: Mapping[Fid, Fraction | float],
                     cc = c * Fraction(n, q) if exact else c * (n / q)
                     kids[child] = kids[child] + cc if child in kids else cc
             else:
-                raise neither(fid)
+                raise neither(Fid(ell, idx))
     return out
 
 

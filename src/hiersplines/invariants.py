@@ -7,6 +7,7 @@ random generator is seeded per check from the suite seed.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -47,9 +48,8 @@ from .tensor import (
     cell_descendant_ranges,
     eval_function,
     extend_level_sequence,
-    id_sort_key,
-    index_arrays,
     iter_box,
+    marked_indices,
     tensor_children,
     tensor_parents,
 )
@@ -120,8 +120,10 @@ class _Context:
     def points(self, tag: str, count: int) -> np.ndarray:
         return self.rng(tag).random((count, self.dim))
 
-    def points_in_cells(self, tag: str, level: int, cells, count: int) -> np.ndarray | None:
-        cells = sorted(cells, key=id_sort_key)
+    def points_in_cells(self, tag: str, level: int, mask: np.ndarray,
+                        count: int) -> np.ndarray | None:
+        """Random points in random cells among those marked on the level's grid."""
+        cells = marked_indices(mask)
         if not cells:
             return None
         rng = self.rng(tag)
@@ -410,34 +412,37 @@ def active_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantRe
     matrix_rank give the verdict and the rank in the detail.
     """
     levels, grids = basis.levels, subdomain_grids(basis.hierarchy, basis.levels)
-    structured = all(grids.supports_inside(ell, ell)[index_arrays(members, levels[ell].dim)].all()
-                     for ell, members in enumerate(basis.members_by_level))
-    if structured and all(_gram_block_regular(levels[ell], mesh.active[ell], members)
-                          for ell, members in enumerate(basis.members_by_level)):
+    structured = not any((members & ~grids.supports_inside(ell, ell)).any()
+                         for ell, members in enumerate(basis.active))
+    if structured and all(_gram_block_regular(lv, cells, members)
+                          for lv, cells, members in zip(levels, mesh.masks, basis.active)):
         n = len(basis)
-        m = sum(len(cells) * int(np.prod([p + 1 for p in levels[ell].degrees]))
-                for ell, cells in enumerate(mesh.active))
+        m = sum(int(np.count_nonzero(cells)) * math.prod(p + 1 for p in lv.degrees)
+                for lv, cells in zip(levels, mesh.masks))
         return InvariantResult("linear_independence_active", True, 1, 0.0,
                                f"rank {n} of {n} at {m} points")
     return dense_independence(basis, mesh)
 
 
-def _gram_block_regular(level: TensorLevel, cells, members) -> bool:
+def _gram_block_regular(level: TensorLevel, cells: np.ndarray, members: np.ndarray) -> bool:
     """Is the level's diagonal block of the collocation matrix regular?
 
-    See :func:`active_independence`. Per direction, the (p+1) x (p+1)
-    Gram blocks B^T B of every interval come from one find_spans and
-    basis_columns pass; a cell's A_c^T A_c is their Kronecker product,
-    first direction fastest, and all cells scatter into G_l at once.
+    ``cells`` and ``members`` mark the level's active cells and functions
+    on its grids. See :func:`active_independence`. Per direction, the
+    (p+1) x (p+1) Gram blocks B^T B of every interval come from one
+    find_spans and basis_columns pass; a cell's A_c^T A_c is their
+    Kronecker product, first direction fastest, and all cells scatter into
+    G_l at once.
     """
-    if not members:
+    n = int(np.count_nonzero(members))
+    if not n:
         return True
-    if not cells:
+    if not cells.any():
         return False
-    n = len(members)
-    cells = np.array(cells, dtype=np.int64).reshape(len(cells), level.dim)
+    # both in canonical order, the first direction fastest
+    cells = np.argwhere(cells.T)[:, ::-1]
     position = np.full(level.num_basis, -1, dtype=np.int64)
-    position[index_arrays(members, level.dim)] = np.arange(n)
+    position.T[members.T] = np.arange(n)
     local = np.ones((len(cells), 1, 1))
     flat = np.zeros((len(cells), 1), dtype=np.int64)
     stride = 1
@@ -491,16 +496,15 @@ def _chk_partition(ctx: _Context) -> InvariantResult:
                                ctx.mesh.cell_count(), 1.0,
                                f"volumes sum to {vol}")
     rng = ctx.rng("cells_partition")
-    active_sets = [set(a) for a in ctx.mesh.active]
     count = 0
     for _ in range(200):
         pt = rng.random(ctx.dim)
         # random floats avoid breakpoints, so locating per level counts
         # interior hits
         hits = 0
-        for ell, cells in enumerate(active_sets):
-            loc = ctx.mesh.levels[ell].locate(pt)
-            if loc is not None and loc in cells:
+        for lv, mask in zip(ctx.mesh.levels, ctx.mesh.masks):
+            loc = lv.locate(pt)
+            if loc is not None and mask[loc]:
                 hits += 1
         if hits != 1:
             return InvariantResult("active_cells_partition", False, count,
@@ -577,7 +581,7 @@ def _chk_refinable_positive(ctx: _Context) -> InvariantResult:
 
 @_check("mesh_roundtrip")
 def _chk_roundtrip(ctx: _Context) -> InvariantResult:
-    dump = dump_active_cells(ctx.mesh, ctx.fixture.refinement)
+    dump = dump_active_cells(ctx.mesh)
     levels2, h2 = parse_mesh_dump(dump)
     if h2 != ctx.hierarchy:
         return InvariantResult("mesh_roundtrip", False, 1, 1.0,
@@ -593,8 +597,7 @@ def _chk_roundtrip(ctx: _Context) -> InvariantResult:
 
 @_check("core_domains_definition")
 def _chk_core(ctx: _Context) -> InvariantResult:
-    lv0 = ctx.levels[0]
-    if len(ctx.core.cells(0)) != int(np.prod(lv0.num_cells)):
+    if not ctx.core.masks[0].all():
         return InvariantResult("core_domains_definition", False, 1, 1.0,
                                "level-0 core must cover the domain")
     count = 1
@@ -684,7 +687,7 @@ def _chk_mass(ctx: _Context) -> InvariantResult:
     worst, count = 0.0, 0
     finer = OperatorConfig(quad_increment=ctx.config.quad_increment + 3)
     for ell in range(ctx.hierarchy.depth):
-        cells = sorted(ctx.core.cells(ell), key=id_sort_key)
+        cells = marked_indices(ctx.core.masks[ell])
         if not cells:
             continue
         cell = cells[len(cells) // 2]
@@ -729,11 +732,11 @@ def _chk_core_in_refinable(ctx: _Context) -> InvariantResult:
         return InvariantResult("core_functions_in_refinable", True, 0, 0.0,
                                "core domains not nested")
     count = 0
-    for ell, op in enumerate(ctx.stages):
-        stage = ctx.refinable.stages[min(ell, len(ctx.refinable.stages) - 1)]
+    # stage ell holds, of level ell, the functions selected when the level opened
+    for ell, (op, selected) in enumerate(zip(ctx.stages, ctx.refinable.selected)):
         for idx in op.members:
             count += 1
-            if Fid(ell, idx) not in stage:
+            if not selected[idx]:
                 return InvariantResult(
                     "core_functions_in_refinable", False, count, 1.0,
                     f"core function {idx} of level {ell} outside the stage")
@@ -756,7 +759,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
         worst = max(worst, float(np.abs(ps.evaluate(pts) - s.evaluate(pts)).max()))
         count += pts.shape[0]
         # annihilation of anything vanishing on the core cells
-        core_cells, in_core = ctx.core.cells(ell), ctx.core.masks[ell]
+        in_core = ctx.core.masks[ell]
 
         def vanishing(p: np.ndarray) -> np.ndarray:
             found, cells = lv.locate_all(p)
@@ -770,7 +773,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
         s_full = LevelSpline(lv, {i: float(rng.uniform(-1, 1))
                                   for i in lv.function_ids()})
         ps_full = op.apply(s_full.evaluate)
-        inside = ctx.points_in_cells(f"level_ops_core_{ell}", ell, core_cells, 100)
+        inside = ctx.points_in_cells(f"level_ops_core_{ell}", ell, in_core, 100)
         if inside is not None:
             worst = max(worst, float(np.abs(
                 ps_full.evaluate(inside) - s_full.evaluate(inside)).max()))
@@ -807,8 +810,7 @@ def _chk_multiscale(ctx: _Context) -> InvariantResult:
     worst = max(worst, float(np.abs(expressed.evaluate(pts) - raw).max()))
     count += pts.shape[0]
     for ell in range(ctx.hierarchy.depth):
-        inside = ctx.points_in_cells(f"multiscale_core_{ell}", ell,
-                                     ctx.core.cells(ell), 200)
+        inside = ctx.points_in_cells(f"multiscale_core_{ell}", ell, ctx.core.masks[ell], 200)
         if inside is None:
             continue
         # partial recursion equals the direct level operator on the core

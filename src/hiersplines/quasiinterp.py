@@ -13,12 +13,17 @@ that forms its rows on demand.
 The per-level operators combine into the multiscale operator through
 residual correction; when the core domains are nested its output lies in
 the span of the refinable basis and is returned expressed over it.
+
+Core domains and norm regions are stored as boolean grids over a level's
+cells; the cell sets of :meth:`CoreDomains.cells` are derived from them on
+first use, and the cells a norm integrates over come per level as index
+arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
@@ -43,7 +48,6 @@ from .tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
     TensorLevel,
-    index_arrays,
     iter_box,
     marked_indices,
 )
@@ -101,18 +105,21 @@ def checked_callable(f: PointFunction) -> PointFunction:
 # ---------------------------------------------------------------------------
 # core domains and admissibility
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoreDomains:
     """Per level, the cells whose support extension stays inside the
     level's subdomain, plus whether the chain is nested top-down.
-    ``masks[ell]`` marks the same cells on the grid of level ell's cells."""
+    ``masks[ell]`` marks them on the grid of level ell's cells."""
 
-    cellsets: tuple[CellSet, ...]
+    masks: tuple[np.ndarray, ...]
     nested: bool
-    masks: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     def cells(self, ell: int) -> frozenset[Index]:
-        return self.cellsets[ell].cells
+        return self._cellsets[ell]
+
+    @cached_property
+    def _cellsets(self) -> tuple[frozenset[Index], ...]:
+        return tuple(frozenset(marked_indices(m)) for m in self.masks)
 
 
 def compute_core_domains(h: SubdomainHierarchy,
@@ -126,8 +133,7 @@ def compute_core_domains(h: SubdomainHierarchy,
                                                           for kv in levels[ell].kvs))))
     nested = all(not (fine & ~coarse[np.ix_(*grids.ancestor_maps(ell + 1, ell))]).any()
                  for ell, (coarse, fine) in enumerate(zip(masks, masks[1:])))
-    sets = tuple(CellSet(ell, frozenset(marked_indices(m))) for ell, m in enumerate(masks))
-    return CoreDomains(sets, nested, tuple(masks))
+    return CoreDomains(tuple(masks), nested)
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,9 @@ def check_admissibility(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
     core nesting; strictness implies nesting, which is asserted."""
     if core is None:
         core = compute_core_domains(h, levels)
-    strict = True
-    for ell in range(1, h.depth):
-        cells = h.subdomain_cells(ell)
-        if not cells <= core.cells(ell - 1):
-            strict = False
-            break
+    grids = subdomain_grids(h, levels)
+    strict = not any((grids.cells_inside(ell - 1, ell) & ~core.masks[ell - 1]).any()
+                     for ell in range(1, h.depth))
     if strict and not core.nested:
         raise HierSplineError(
             "strictly admissible mesh with non-nested core domains; "
@@ -513,27 +516,33 @@ def _as_q(q) -> float:
 
 
 def integration_cells(mesh: HierarchicalMesh, region: CellSet | None
-                      ) -> list[tuple[int, Index]]:
+                      ) -> list[tuple[int, np.ndarray]]:
     """Cells covering the region on each of which every hierarchical spline
-    of this mesh is a single polynomial.
+    of this mesh is a single polynomial, per level as an (n, d) index array.
 
     A region cell sitting inside an active cell is used as is; otherwise it
     splits into its children until the pieces align with the active mesh.
-    The split runs level by level on boolean grids. The cells come in the
-    order of a depth-first descent through the region cells and each
-    cell's children in canonical order: by the canonical ranks of their
-    ancestors, coarsest first.
+    The split runs level by level on boolean grids. A depth-first descent
+    through the region cells, each cell's children in canonical order,
+    sorts the cells by the canonical ranks of their ancestors, coarsest
+    first. The levels come in the order of their first cell in that
+    descent, and each level's cells in the descent's order. Without a
+    region, the active cells of each level in canonical order.
     """
+    levels = mesh.levels
     if region is None:
-        return list(mesh.cells())
-    levels, top = mesh.levels, region.level
-    pending = np.zeros(levels[top].num_cells, dtype=bool)
-    pending[index_arrays(region.cells, levels[top].dim)] = True
-    cells, keys = [], []
+        return [(ell, np.argwhere(m.T)[:, ::-1]) for ell, m in enumerate(mesh.masks) if m.any()]
+    top = region.level
+    if not 0 <= top < len(levels) or np.shape(region.mask) != levels[top].num_cells:
+        raise HierSplineError(
+            f"a region of level {top} with a grid of shape {np.shape(region.mask)} does not "
+            f"fit a mesh of levels 0..{len(levels) - 1}")
+    pending = np.array(region.mask, dtype=bool)
+    found, keys = [], []
     for ell in range(top, len(levels)):
         covered = mesh.covered(ell)
         idx = np.nonzero(pending & covered)
-        cells.extend((ell, c) for c in zip(*(i.tolist() for i in idx)))
+        found.append((np.full(idx[0].size, ell), np.stack(idx, axis=1)))
         # ranks deepest first, np.lexsort's last key being the primary one;
         # no kept cell has a kept descendant, so the padding never decides
         ranks = [np.full(idx[0].size, -1)] * (len(levels) - 1 - ell)
@@ -549,7 +558,9 @@ def integration_cells(mesh: HierarchicalMesh, region: CellSet | None
                                   "is not covered by the active mesh")
         pending = pending[np.ix_(*levels[ell + 1].parent_arrays)]
     order = np.lexsort([np.concatenate(column) for column in zip(*keys)])
-    return [cells[i] for i in order.tolist()]
+    ells, cells = (np.concatenate(column)[order] for column in zip(*found))
+    _, first = np.unique(ells, return_index=True)
+    return [(int(ells[i]), cells[ells == ells[i]]) for i in np.sort(first)]
 
 
 def _cells_geometry(level: TensorLevel, idxs: np.ndarray
@@ -563,13 +574,6 @@ def _cells_geometry(level: TensorLevel, idxs: np.ndarray
         lows[:, i] = bp[idxs[:, i]]
         spans[:, i] = bp[idxs[:, i] + 1] - bp[idxs[:, i]]
     return lows, spans
-
-
-def _grouped_cells(cells):
-    groups: dict[int, list] = {}
-    for ell, idx in cells:
-        groups.setdefault(ell, []).append(idx)
-    return groups
 
 
 def _abs_batches(g: PointFunction, lows: np.ndarray, spans: np.ndarray,
@@ -597,28 +601,27 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
     """
     qv = _as_q(q)
     g = checked_callable(f)
-    cells = integration_cells(mesh, region)
-    if not cells:
+    groups = integration_cells(mesh, region)
+    if not groups:
         return 0.0
-    groups = _grouped_cells(cells)
     if math.isinf(qv):
         d = mesh.levels[0].dim
         per_dir = max(2, math.ceil(config.sup_samples_per_cell ** (1.0 / d)))
         base = _tensor_grid([np.linspace(0.0, 1.0, per_dir)] * d)
         worst = 0.0
-        for ell, idxs in groups.items():
-            lows, spans = _cells_geometry(mesh.levels[ell], np.array(idxs, dtype=np.int64))
+        for ell, idxs in groups:
+            lows, spans = _cells_geometry(mesh.levels[ell], idxs)
             for _, vals in _abs_batches(g, lows, spans, base):
                 worst = max(worst, float(vals.max()))
         return worst
     total = 0.0
-    for ell, idxs in groups.items():
+    for ell, idxs in groups:
         lv = mesh.levels[ell]
         counts = [kv.degree + 1 + config.error_quad_increment for kv in lv.kvs]
         rules = [_gauss_base(c) for c in counts]
         base = _tensor_grid([t for t, _ in rules])
         base_w = _kron([w for _, w in rules])
-        lows, spans = _cells_geometry(lv, np.array(idxs, dtype=np.int64))
+        lows, spans = _cells_geometry(lv, idxs)
         powers = np.empty((lows.shape[0], base.shape[0]))
         for k, vals in _abs_batches(g, lows, spans, base):
             powers[k:k + vals.shape[0]] = vals ** qv

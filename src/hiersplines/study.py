@@ -104,12 +104,6 @@ def read_study_csv(text: str) -> list[dict]:
     return rows
 
 
-def _domain_region(fixture: Fixture, ell: int) -> CellSet | None:
-    if ell == 0:
-        return None
-    return fixture.hierarchy.cellset(ell)
-
-
 def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
                           q, smoothness: Sequence[int] | None = None,
                           config: OperatorConfig | None = None) -> StudyReport:
@@ -149,18 +143,20 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
         op = MultiscaleQuasiInterpolant(h, levels, refinable, config)
         interpolant = op.apply(f)
         mesh = active_mesh(h, levels)
+        grids = subdomain_grids(h, levels)
         estimate_terms = []
         for ell in range(h.depth):
-            region = _domain_region(fixture, ell)
+            # subdomain ell is a grid over the cells of level ell - 1
+            region = CellSet(ell - 1, grids.cells_inside(ell - 1, ell)) if ell else None
             err = error_norms(f, interpolant, q, mesh=mesh, region=region,
                               config=config)
-            core_cells = op.core.cellsets[ell]
+            core = op.core.masks[ell]
             if ell == 0:
                 err_core = err  # the core domain of level 0 is the whole domain
             else:
                 err_core = error_norms(f, interpolant, q, mesh=mesh,
-                                       region=core_cells, config=config) \
-                    if core_cells.cells else 0.0
+                                       region=CellSet(ell, core), config=config) \
+                    if core.any() else 0.0
             hs = levels[ell].max_interval_lengths
             rows.append(StudyRow(step=step, level=ell, h=max(hs),
                                  error=err, error_core=err_core))

@@ -6,6 +6,11 @@ index of (i_0, ..., i_{d-1}) over dims (n_0, ..., n_{d-1}) is
 i_0 + n_0*(i_1 + n_1*(...)). All sorted listings and dense coefficient
 layouts follow this order.
 
+A set of cells or functions of one level is stored as a boolean grid over
+the level's cells or functions, axis i for direction i (a
+:class:`CellSet` is a level plus such a grid); :func:`marked_indices`
+derives the multi-indices in canonical order where a reader needs them.
+
 A :class:`TensorLevel` reads the index tables and float knots of its knot
 vectors and owns, as a ``functools.cached_property``, its parent maps as
 int64 arrays. A :class:`LevelSpline` hands its dense coefficients and the
@@ -70,22 +75,16 @@ class TensorFunctionId:
     indices: Index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellSet:
-    """A set of cells, all of one level."""
+    """A set of cells of one level, as a boolean grid over that level's
+    cells (axis i for direction i)."""
 
     level: int
-    cells: frozenset[Index]
-
-    def __contains__(self, indices: Index) -> bool:
-        return indices in self.cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
+    mask: np.ndarray
 
     def sorted(self) -> list[Index]:
-        return sorted(self.cells, key=id_sort_key)
-
+        return marked_indices(self.mask)
 
 
 @dataclass(frozen=True)
@@ -248,14 +247,18 @@ def extend_level_sequence(levels: Sequence[TensorLevel], depth: int) -> list[Ten
 def _refined_level(coarse: TensorLevel, kvs: tuple[KnotVector, ...]) -> TensorLevel:
     """The level after ``coarse`` with knot vectors ``kvs`` nesting it.
 
-    Every fine interval lies in the coarse interval its left end falls in,
-    so a bisection of the fine breakpoints gives the parent maps.
+    Every fine interval lies in the coarse interval its left end falls in;
+    one merge of the two sorted breakpoint lists finds it.
     """
     parents = []
     for ckv, fkv in zip(coarse.kvs, kvs):
-        lefts = ckv.breakpoints.values
-        parents.append(tuple(bisect.bisect_right(lefts, v) - 1
-                             for v in fkv.breakpoints.values[:-1]))
+        rights = ckv.breakpoints.values[1:]
+        parent, out = 0, []
+        for v in fkv.breakpoints.values[:-1]:
+            while rights[parent] <= v:
+                parent += 1
+            out.append(parent)
+        parents.append(tuple(out))
     return TensorLevel(coarse.index + 1, kvs, tuple(parents))
 
 

@@ -284,10 +284,13 @@ class KnotVector:
             return range(0)
         return range(first, last + 1)
 
+    @cached_property
+    def _multiplicities(self) -> dict[Fraction, int]:
+        bp = self.breakpoints
+        return dict(zip(bp.values, bp.multiplicities))
+
     def multiplicity(self, value: Fraction) -> int:
-        lo = bisect.bisect_left(self.knots, value)
-        hi = bisect.bisect_right(self.knots, value)
-        return hi - lo
+        return self._multiplicities.get(value, 0)
 
     def contains_as_subsequence(self, other: "KnotVector") -> bool:
         """True when every knot of ``other`` appears here at least as often."""

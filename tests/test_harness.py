@@ -99,6 +99,20 @@ class TestFixtureParsing:
         with pytest.raises(FixtureError, match="enlargement"):
             parse_fixture(obj, "demo")
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["dyadic", "explicit"])
+    def test_mesh_dump_roundtrip_random_hierarchies(self, explicit):
+        # the first explicit draw once dumped as dyadic and could not be re-read
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            levels, h = random_hierarchy(rng, dim=2, degrees=[2, 3], depth=3,
+                                         explicit=explicit)
+            _, mesh = build_hierarchical_basis(h, levels)
+            dump = json.loads(json.dumps(dump_active_cells(mesh)))
+            assert (dump["refinement"] == "dyadic") == (not explicit or h.depth == 1)
+            levels2, h2 = parse_mesh_dump(dump)
+            assert h2 == h
+            assert [lv.kvs for lv in levels2] == [lv.kvs for lv in mesh.levels]
+
     @pytest.mark.parametrize("edit,where", [
         (lambda obj: obj.update(enlargement=[1, 2]), r"demo\.enlargement:"),
         (lambda obj: obj.update(subdomains=[3]), r"demo\.subdomains\[0\]:"),
@@ -195,10 +209,9 @@ class TestFixtureParsing:
             parse_mesh_dump(obj)
 
     @staticmethod
-    def _assert_each_removal_refused(h, levels, explicit, picks=None):
+    def _assert_each_removal_refused(h, levels, picks=None):
         _, mesh = build_hierarchical_basis(h, levels)
-        obj = json.loads(json.dumps(dump_active_cells(
-            mesh, refinement="explicit" if explicit else "dyadic")))
+        obj = json.loads(json.dumps(dump_active_cells(mesh)))
         cells = obj["cells"]
         for k in range(len(cells)) if picks is None else picks:
             with pytest.raises(FixtureError, match=r"^demo\.cells:"):
@@ -211,12 +224,12 @@ class TestFixtureParsing:
                                      depth=3, explicit=True)
         _, mesh = build_hierarchical_basis(h, levels)
         k = list(mesh.cells()).index((1, (5, 0)))
-        self._assert_each_removal_refused(h, levels, True, [k])
+        self._assert_each_removal_refused(h, levels, [k])
         rng = np.random.default_rng(11)
         for explicit in (False, True):
             for _ in range(3):
                 levels, h = random_hierarchy(rng, dim=2, depth=3, explicit=explicit)
-                self._assert_each_removal_refused(h, levels, explicit)
+                self._assert_each_removal_refused(h, levels)
 
     @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")),
                              ids=lambda p: p.stem)
@@ -225,8 +238,7 @@ class TestFixtureParsing:
         _, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
         n = mesh.cell_count()
         picks = sorted({0, n - 1, *np.random.default_rng(n).integers(0, n, 6).tolist()})
-        self._assert_each_removal_refused(fx.hierarchy, fx.levels,
-                                          fx.refinement != "dyadic", picks)
+        self._assert_each_removal_refused(fx.hierarchy, fx.levels, picks)
 
     def test_mesh_dump_invalid_json_refused(self, tmp_path):
         path = tmp_path / "cells.json"
@@ -344,9 +356,9 @@ class TestInvariantSuite:
 
 def _with_member(basis, level, indices):
     """The basis with one more function of ``level`` among its members."""
-    by_level = list(basis.members_by_level)
-    by_level[level] = by_level[level] + (indices,)
-    return dataclasses.replace(basis, members_by_level=tuple(by_level))
+    active = [mask.copy() for mask in basis.active]
+    active[level][indices] = True
+    return dataclasses.replace(basis, active=tuple(active))
 
 
 class TestLinearIndependence:

@@ -327,7 +327,7 @@ class TestNorms:
         mesh = active_mesh(h, levels)
         hat = levels[0].kvs[0].local(1)
         f = lambda p: hat.evaluate(p[:, 0])
-        region = CellSet(0, frozenset({(0,)}))
+        region = CellSet(0, np.array([True, False]))
         got = lq_norm(f, "inf", mesh, region)
         assert got == pytest.approx(1.0, abs=1e-12)
 
@@ -336,7 +336,7 @@ class TestNorms:
         h = SubdomainHierarchy.from_cells([])
         mesh = active_mesh(h, levels)
         f = lambda p: np.where(p[:, 0] < 0.25, 1.0, 0.0)
-        region = CellSet(0, frozenset({(0,)}))
+        region = CellSet(0, np.array([True, False, False, False]))
         assert lq_norm(f, 2, mesh, region) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("block", [40, 100, 5000])
@@ -358,3 +358,23 @@ class TestNorms:
         mesh = active_mesh(SubdomainHierarchy.from_cells([]), levels)
         with pytest.raises(HierSplineError):
             lq_norm(lambda p: np.ones(p.shape[0]), 3, mesh)
+
+    @pytest.mark.parametrize("level,shape,cell", [
+        (5, None, (0, 0)),
+        (0, (100, 1), (99, 0)),
+        (0, (8,), (0,)),
+        (-1, None, (0, 0)),
+    ], ids=["level_too_deep", "cell_out_of_range", "grid_of_wrong_dimension",
+            "negative_level"])
+    def test_malformed_region_refused(self, level, shape, cell):
+        fx = repo_fixture("d2_corner_admissible")
+        mesh = active_mesh(fx.hierarchy, fx.levels)
+        grid = np.zeros(shape or mesh.levels[0].num_cells, dtype=bool)
+        grid[cell] = True
+        region = CellSet(level, grid)
+        one = lambda p: np.ones(p.shape[0])
+        for q in (2, "inf"):
+            with pytest.raises(HierSplineError, match="region of level"):
+                lq_norm(one, q, mesh, region)
+            with pytest.raises(HierSplineError, match="region of level"):
+                error_norms(one, None, q, mesh=mesh, region=region)

@@ -21,8 +21,6 @@ import pytest
 from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
 from hiersplines.hierarchy import (
     _closed_form_classical,
-    _selection_stages,
-    active_cells_per_level,
     active_mesh,
     build_hierarchical_basis,
     build_refinable_basis,
@@ -30,16 +28,19 @@ from hiersplines.hierarchy import (
     compute_weights,
     enlarge_hierarchy,
     express_over,
+    subdomain_grids,
     support_in_subdomain,
 )
 from hiersplines.quasiinterp import compute_core_domains, integration_cells
 from hiersplines.tensor import (
+    CellSet,
     TensorFunctionId as Fid,
     cell_ancestor,
     cell_descendant_ranges,
     extend_level_sequence,
     id_sort_key,
     iter_box,
+    marked_indices,
     tensor_children,
     two_scale_tables,
 )
@@ -265,6 +266,15 @@ def bits(value):
     return type(value), repr(value)
 
 
+def by_level(cells):
+    """(level, cell) pairs grouped per level, the levels in the order of
+    their first cell."""
+    groups = {}
+    for ell, idx in cells:
+        groups.setdefault(ell, []).append(idx)
+    return list(groups.items())
+
+
 def assert_same_expression(got, want):
     assert list(got) == list(want)
     assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
@@ -293,25 +303,30 @@ def assert_equivalent(levels, h, rng):
     assert list(weights.positive.items()) == list(positive.items())
     assert all(type(v) is Fraction for v in weights.values.values())
     # selections
-    for refinable in (False, True):
-        assert _selection_stages(h, levels, refinable) == \
-            ref_selection_stages(h, levels, refinable)
-    assert _closed_form_classical(h, levels) == ref_closed_form_classical(h, levels)
-    assert active_cells_per_level(h, levels) == ref_active_cells_per_level(h, levels)
+    classical, _ = build_hierarchical_basis(h, levels, weights)
+    refinable = build_refinable_basis(h, levels, weights)
+    for basis in (classical, refinable):
+        assert list(basis.stages) == ref_selection_stages(h, levels, basis is refinable)
+    assert {Fid(ell, idx) for ell, mask in enumerate(_closed_form_classical(h, levels))
+            for idx in marked_indices(mask)} == ref_closed_form_classical(h, levels)
+    assert [list(cells) for cells in active_mesh(h, levels).active] == \
+        ref_active_cells_per_level(h, levels)
     # core domains
     core = compute_core_domains(h, levels)
     sets, nested = ref_compute_core_domains(h, levels)
-    assert [cs.cells for cs in core.cellsets] == sets
-    assert [cs.level for cs in core.cellsets] == list(range(h.depth))
+    assert [core.cells(ell) for ell in range(len(core.masks))] == sets
     assert core.nested == nested
     # integration cells, in the same order
     mesh = active_mesh(h, levels)
-    regions = [None] + [h.cellset(ell) for ell in range(1, h.depth)] + list(core.cellsets)
+    grids = subdomain_grids(h, levels)
+    regions = [None] + [CellSet(ell - 1, grids.cells_inside(ell - 1, ell))
+                        for ell in range(1, h.depth)] \
+        + [CellSet(ell, mask) for ell, mask in enumerate(core.masks)]
     for region in regions:
-        assert integration_cells(mesh, region) == ref_integration_cells(mesh, region)
+        assert [(ell, list(map(tuple, cells.tolist())))
+                for ell, cells in integration_cells(mesh, region)] == \
+            by_level(ref_integration_cells(mesh, region))
     # coefficients written over both bases
-    classical, _ = build_hierarchical_basis(h, levels, weights)
-    refinable = build_refinable_basis(h, levels, weights)
     for basis in (classical, refinable):
         for make in (_float_coefficient, _exact_coefficient):
             coeffs = _random_coefficients(rng, basis, make)

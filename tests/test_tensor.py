@@ -1,6 +1,6 @@
 """Tensor-product levels, nesting, children products and cell geometry."""
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import numpy as np
@@ -55,6 +55,19 @@ class TestLevelSequence:
         bad = make_open_knot_vector(2, ["0", "1/4", "3/4", "1"])
         with pytest.raises(NestingError, match="level 1, direction 0"):
             build_level_sequence([kv0], 2, [(bad,)])
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["dyadic", "explicit"])
+    def test_interval_parents_match_bisection(self, explicit):
+        rng = np.random.default_rng(1018)
+        for degrees in ([0, 1], [2, 3]):
+            initial = [uniform_open_knot_vector(p, 3) for p in degrees]
+            levels = random_explicit_levels(rng, initial, 4) if explicit \
+                else build_level_sequence(initial, 4)
+            for coarse, fine in zip(levels, levels[1:]):
+                want = tuple(tuple(bisect_right(ckv.breakpoints.values, v) - 1
+                                   for v in fkv.breakpoints.values[:-1])
+                             for ckv, fkv in zip(coarse.kvs, fine.kvs))
+                assert fine.interval_parents == want
 
     def test_extend_by_dyadic(self):
         levels = make_levels(1, 1, 2, 1)

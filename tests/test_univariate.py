@@ -1,5 +1,6 @@
 """Knot vectors, dyadic refinement and the two-scale machinery."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from math import comb
 
@@ -111,6 +112,29 @@ class TestDyadicRefine:
     def test_nested(self):
         kv = make_open_knot_vector(2, ["0", "1/3", "1"])
         assert dyadic_refine(kv).contains_as_subsequence(kv)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_contains_as_subsequence_matches_bisection(self, degree):
+        # two chains of random refinements, multiplicities raised up to
+        # degree+1, compared pairwise in both directions
+        rng = np.random.default_rng(degree)
+        kvs = []
+        for start in (2, 3):
+            kv = uniform_open_knot_vector(degree, start)
+            kvs.append(kv)
+            for _ in range(3):
+                kv = random_refinement(rng, kv)
+                kvs.append(kv)
+
+        def by_bisection(fine, coarse):
+            bp = coarse.breakpoints
+            return all(bisect_right(fine.knots, v) - bisect_left(fine.knots, v) >= m
+                       for v, m in zip(bp.values, bp.multiplicities))
+
+        verdicts = [(a.contains_as_subsequence(b), by_bisection(a, b))
+                    for a in kvs for b in kvs]
+        assert all(got == want for got, want in verdicts)
+        assert {want for _, want in verdicts} == {False, True}
 
 
 class TestChildren:
