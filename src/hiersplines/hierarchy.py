@@ -13,6 +13,11 @@ A spline given by coefficients on functions of several levels is written
 over a basis by the same relations: one sweep from the coarsest level
 down keeps the coefficients of active functions and passes those of
 deactivated ones to their children, scaled by the two-scale coefficients.
+The coefficients are stored per level as index and value arrays
+(:class:`hiersplines.tensor.LevelSpline`), and the sweep runs on them
+level by level (:func:`express_arrays`); a :class:`HierSplineFunction`
+holds one such spline per level, and the ``Fid``-keyed ``coefficients``
+dicts of it and of :func:`express_over` are views derived from them.
 
 Partition-of-unity weights are exact rationals and positivity is decided
 structurally (does the function inherit from a positive deactivated
@@ -57,11 +62,12 @@ from .tensor import (
     TensorLevel,
     as_points,
     cell_ancestor,
-    children_numerators,
     extend_level_sequence,
     index_arrays,
     iter_box,
+    marked_array,
     marked_indices,
+    tensor_children_arrays,
     tensor_parents,
     two_scale_tables,
 )
@@ -640,28 +646,23 @@ def build_refinable_basis(h: SubdomainHierarchy,
 
 @dataclass(eq=False)
 class HierSplineFunction:
-    """Coefficients over the active functions of a basis, evaluable pointwise."""
+    """A spline over the active functions of a basis, stored as one
+    :class:`LevelSpline` per level of the basis, coarsest first;
+    ``coefficients`` is the ``Fid``-keyed dict view, in stored order."""
 
     basis: HierBasis
-    coefficients: dict[Fid, Fraction | float]
+    parts: Sequence[LevelSpline]
 
     @functools.cached_property
-    def _parts(self) -> list[LevelSpline]:
-        """The float coefficients as one spline per level, coarsest first."""
-        per_level: dict[int, dict[Index, float]] = {}
-        for fid, c in self.coefficients.items():
-            per_level.setdefault(fid.level, {})[fid.indices] = float(c)
-        return [LevelSpline(self.basis.levels[ell], coeffs)
-                for ell, coeffs in sorted(per_level.items())]
+    def coefficients(self) -> dict[Fid, Fraction | float]:
+        return {Fid(part.level.index, idx): c
+                for part in self.parts for idx, c in part.coefficients.items()}
 
     def evaluate(self, points) -> np.ndarray:
-        out = None
-        for part in self._parts:
-            vals = part.evaluate(points)
-            out = vals if out is None else out + vals
-        if out is None:
-            out = np.zeros(len(as_points(points, self.basis.levels[0].dim)))
-        return out
+        """The parts with coefficients, summed coarsest first."""
+        vals = [part.evaluate(points) for part in self.parts if len(part.values)]
+        return functools.reduce(np.add, vals) if vals else \
+            np.zeros(len(as_points(points, self.basis.levels[0].dim)))
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)
@@ -669,54 +670,105 @@ class HierSplineFunction:
 
 def partition_of_unity(basis: HierBasis) -> HierSplineFunction:
     """The weighted combination of active functions that sums to one."""
-    coeffs = {fid: basis.weight(fid) for fid in basis.functions()}
-    return HierSplineFunction(basis, coeffs)
+    return HierSplineFunction(basis, [
+        LevelSpline(lv, marked_array(mask), np.array(
+            [basis.weight(Fid(ell, idx)) for idx in marked_indices(mask)], dtype=object))
+        for ell, (lv, mask) in enumerate(zip(basis.levels, basis.active))])
 
 
 def express_over(coefficients: Mapping[Fid, Fraction | float],
                  basis: HierBasis) -> dict[Fid, Fraction | float]:
     """Write a combination of level functions over the active ones.
 
-    One parent-to-children sweep, coarsest level first: the coefficient of
-    an active function is kept, that of a deactivated one is passed to its
-    children on the next level times the two-scale coefficients n/q.
-    Exact coefficients stay exact; a float one is multiplied by the float
-    nearest n/q, which is what a product with the coefficient's Fraction
-    gives. A function that is neither, or is no function of its level,
-    raises.
+    The coefficients are grouped into per-level index and value arrays,
+    in the order given, for :func:`express_arrays`; a level's values are
+    float64 when all of them are floats, else Python objects of the types
+    given. A function that is neither active nor deactivated, or is no
+    function of its level, raises.
     """
-    h, levels = basis.hierarchy, basis.levels
-    grids = subdomain_grids(h, levels)
-    pending: list[dict[Index, Fraction | float]] = [{} for _ in range(h.depth)]
-
-    def neither(fid: Fid) -> HierarchyError:
-        return HierarchyError(f"{fid} is neither active nor deactivated in this basis")
-
+    h = basis.hierarchy
+    grouped: list[dict[Index, Fraction | float]] = [{} for _ in range(h.depth)]
     for fid, c in coefficients.items():
         if not 0 <= fid.level < h.depth:
-            raise neither(fid)
-        pending[fid.level][fid.indices] = c
-    out: dict[Fid, Fraction | float] = {}
-    for ell, (row, active) in enumerate(zip(pending, basis.active)):
-        sinks = grids.supports_inside(ell, ell + 1)
-        tables = None
-        for idx, c in row.items():
-            if not _in_grid(idx, active.shape):
-                raise HierarchyError(f"{Fid(ell, idx)} is outside the function grid "
-                                     f"{active.shape} of level {ell}")
-            if active[idx]:
-                out[Fid(ell, idx)] = c
-            elif sinks[idx]:
-                if tables is None:
-                    tables = two_scale_tables(levels[ell], levels[ell + 1])
-                    q = math.prod(tab.denominator for tab in tables)
-                kids = pending[ell + 1]
-                exact = not isinstance(c, float)
-                for child, n in children_numerators(idx, tables):
-                    cc = c * Fraction(n, q) if exact else c * (n / q)
-                    kids[child] = kids[child] + cc if child in kids else cc
+            raise _neither(fid)
+        grouped[fid.level][fid.indices] = c
+    # an index of another length is no function of the level
+    pending = [(np.array([i if len(i) == lv.dim else (-1,) * lv.dim for i in row],
+                         dtype=np.int64).reshape(-1, lv.dim),
+                np.array(list(row.values()),
+                         dtype=float if all(type(c) is float for c in row.values()) else object))
+               for lv, row in zip(basis.levels, grouped)]
+    parts = express_arrays(pending, basis, [list(row) for row in grouped])
+    return HierSplineFunction(basis, parts).coefficients
+
+
+def _neither(fid: Fid) -> HierarchyError:
+    return HierarchyError(f"{fid} is neither active nor deactivated in this basis")
+
+
+def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: HierBasis,
+                   names: Sequence[Sequence[Index]] | None = None) -> list[LevelSpline]:
+    """Write per-level coefficients over the active functions of a basis,
+    one :class:`LevelSpline` per level.
+
+    ``pending[ell]`` holds the coefficients of level ell as an (n, d)
+    index array and an (n,) value array. One sweep, coarsest level first,
+    keeps the entries of active functions and passes those of deactivated
+    ones, whose support sank into the next subdomain, to their children on
+    the next level times the two-scale coefficients n/q, read from the
+    slot arrays of the two-scale tables. A level's
+    entries run in the order received, then the children added, in the
+    order first reached; the first contribution to a new child is
+    assigned (a -0.0 stays -0.0), later ones are added in parent order.
+    Exact values stay exact; a float one is multiplied by the float
+    nearest n/q, which is what a product with the coefficient's Fraction
+    gives, and which int64 division gives while q < 2**53. The first
+    entry that is neither active nor deactivated, or is no function of its
+    level, raises, named by ``names[ell][k]`` for the k-th received entry
+    when given.
+    """
+    levels = basis.levels
+    grids = subdomain_grids(basis.hierarchy, levels)
+    out, children = [], None
+    for ell, (lv, active, (indices, values)) in enumerate(zip(levels, basis.active, pending)):
+        inside = ((indices >= 0) & (indices < active.shape)).all(axis=1)
+        # an entry outside the grid refuses the level before any child is reached
+        if children is not None and inside.all():
+            both = np.concatenate([indices, children])
+            keys = np.ravel_multi_index(tuple(both.T), active.shape, order="F")
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            # slots in the order of first appearance: the received entries
+            # are distinct and keep theirs, the new children follow
+            slots = np.argsort(np.argsort(first))[inverse][len(indices):]
+            new = (first[inverse] == np.arange(len(both)))[len(indices):]
+            values = np.concatenate([values, terms[new]])
+            np.add.at(values, slots[~new], terms[~new])
+            indices = np.concatenate([indices, children[new]])
+            inside = np.ones(len(indices), dtype=bool)
+        at = tuple(np.where(inside, indices.T, 0))
+        keep = inside & active[at]
+        sunk = inside & ~keep & grids.supports_inside(ell, ell + 1)[at]
+        refused = ~(keep | sunk)
+        if refused.any():
+            k = int(refused.argmax())
+            fid = Fid(ell, names[ell][k] if names and k < len(names[ell])
+                      else tuple(indices[k].tolist()))
+            raise _neither(fid) if inside[k] else HierarchyError(
+                f"{fid} is outside the function grid {active.shape} of level {ell}")
+        out.append(LevelSpline(lv, indices[keep], values[keep]))
+        children = None
+        # none sinks on the deepest level: its next subdomain is empty
+        if sunk.any():
+            rows, children, numerators, q = tensor_children_arrays(
+                indices[sunk], two_scale_tables(lv, levels[ell + 1]))
+            coeffs = values[sunk][rows]
+            if coeffs.dtype == object:
+                terms = np.array([c * (n / q) if isinstance(c, float) else c * Fraction(n, q)
+                                  for c, n in zip(coeffs.tolist(), numerators.tolist())],
+                                 dtype=object)
             else:
-                raise neither(Fid(ell, idx))
+                terms = coeffs * (numerators / q if q < 2 ** 53
+                                  else np.array([n / q for n in numerators.tolist()]))
     return out
 
 

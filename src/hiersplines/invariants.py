@@ -281,7 +281,8 @@ def _chk_tensor_pou(ctx: _Context) -> InvariantResult:
     pts = np.vstack([pts, np.zeros((1, ctx.dim)), np.ones((1, ctx.dim))])
     worst, count = 0.0, 0
     for lv in ctx.levels:
-        vals = LevelSpline(lv, dict.fromkeys(lv.function_ids(), 1.0)).evaluate(pts)
+        every = np.array(list(lv.function_ids()))
+        vals = LevelSpline(lv, every, np.ones(len(every))).evaluate(pts)
         worst = max(worst, float(np.abs(vals - 1.0).max()))
         count += pts.shape[0]
     return _result("tensor_partition_of_unity", worst, count, TOL_EXACT)
@@ -743,6 +744,11 @@ def _chk_core_in_refinable(ctx: _Context) -> InvariantResult:
     return InvariantResult("core_functions_in_refinable", True, count, 0.0)
 
 
+def _random_spline(level: TensorLevel, indices: np.ndarray, rng) -> LevelSpline:
+    """Coefficients drawn one at a time from U(-1, 1), in index order."""
+    return LevelSpline(level, indices, [float(rng.uniform(-1, 1)) for _ in range(len(indices))])
+
+
 @_check("level_operator_identities")
 def _chk_level_ops(ctx: _Context) -> InvariantResult:
     rng = ctx.rng("level_ops")
@@ -753,8 +759,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
             continue
         lv = ctx.levels[ell]
         # reproduction on the span of the members
-        coeffs = {m: float(rng.uniform(-1, 1)) for m in op.members}
-        s = LevelSpline(lv, coeffs)
+        s = _random_spline(lv, op.member_indices, rng)
         ps = op.apply(s.evaluate)
         worst = max(worst, float(np.abs(ps.evaluate(pts) - s.evaluate(pts)).max()))
         count += pts.shape[0]
@@ -770,8 +775,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
         worst = max(worst, zworst)
         count += 1
         # reproduction of the full level space on the core region
-        s_full = LevelSpline(lv, {i: float(rng.uniform(-1, 1))
-                                  for i in lv.function_ids()})
+        s_full = _random_spline(lv, np.array(list(lv.function_ids())), rng)
         ps_full = op.apply(s_full.evaluate)
         inside = ctx.points_in_cells(f"level_ops_core_{ell}", ell, in_core, 100)
         if inside is not None:
@@ -797,8 +801,7 @@ def _chk_multiscale(ctx: _Context) -> InvariantResult:
     pts = ctx.points("multiscale_pts", 200)
     worst, count = 0.0, 0
     # reproduction of the coarsest space
-    s0 = LevelSpline(ctx.levels[0], {i: float(rng.uniform(-1, 1))
-                                     for i in ctx.levels[0].function_ids()})
+    s0 = _random_spline(ctx.levels[0], np.array(list(ctx.levels[0].function_ids())), rng)
     out = op.apply(s0.evaluate)
     worst = max(worst, float(np.abs(out.evaluate(pts) - s0.evaluate(pts)).max()))
     count += pts.shape[0]

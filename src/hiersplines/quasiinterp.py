@@ -38,7 +38,7 @@ from .hierarchy import (
     SubdomainHierarchy,
     active_mesh,
     build_refinable_basis,
-    express_over,
+    express_arrays,
     subdomain_grids,
     validate_hierarchy,
 )
@@ -46,9 +46,9 @@ from .tensor import (
     CellSet,
     Index,
     LevelSpline,
-    TensorFunctionId as Fid,
     TensorLevel,
     iter_box,
+    marked_array,
     marked_indices,
 )
 from .univariate import KnotVector
@@ -86,11 +86,15 @@ DEFAULT_CONFIG = OperatorConfig()
 
 
 def checked_callable(f: PointFunction) -> PointFunction:
-    """Wrap a callback so non-finite outputs raise with the location."""
+    """Wrap a callback so outputs of the wrong shape raise, and non-finite
+    ones raise with the location."""
 
     def wrapped(pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(pts), dtype=np.float64)
         if vals.shape != (pts.shape[0],):
+            if vals.shape != (pts.shape[0], 1):
+                raise EvaluationError(f"callback returned shape {vals.shape} for "
+                                      f"{pts.shape[0]} points, not one value per point")
             vals = vals.reshape(pts.shape[0])
         bad = ~np.isfinite(vals)
         if bad.any():
@@ -369,8 +373,8 @@ class LevelQuasiInterpolant:
                  config: OperatorConfig = DEFAULT_CONFIG):
         self.level = levels[ell]
         self.level_index = ell
-        members, self._anchors = _anchor_search(self.level, core.masks[ell])
-        self.members: tuple[Index, ...] = tuple(zip(*(m.tolist() for m in members.T)))
+        self.member_indices, self._anchors = _anchor_search(self.level, core.masks[ell])
+        self.members: tuple[Index, ...] = tuple(zip(*(m.tolist() for m in self.member_indices.T)))
         # keyed in the order of the members, which apply pairs with the anchor rows
         self.anchor_cells: dict[Index, Index] = dict(
             zip(self.members, zip(*(a.tolist() for a in self._anchors.T))))
@@ -402,25 +406,26 @@ class LevelQuasiInterpolant:
         return functional
 
     def apply(self, f: PointFunction) -> LevelSpline:
-        """Coefficient-wise application; the zero spline when no member.
+        """Coefficient-wise application, the values in the order of the
+        members; the zero spline when no member.
 
         The callback is evaluated once, on the Gauss nodes of the distinct
         anchor cells in canonical order, gathered from the tables.
         """
         g = checked_callable(f)
+        coeffs = np.zeros(len(self))
         if not self.members:
-            return LevelSpline(self.level, {})
+            return LevelSpline(self.level, self.member_indices, coeffs)
         order = np.ravel_multi_index(tuple(self._anchors.T[::-1]), self.level.num_cells[::-1])
         _, first, rows = np.unique(order, return_index=True, return_inverse=True)
         cells = self._anchors[first]
         nodes = _tensor_grid([tab.nodes[c] for tab, c in zip(self.tables, cells.T)])
         # every cell of a level carries the same number of nodes
         values = g(nodes).reshape(len(cells), -1)
-        coeffs: dict[Index, float] = {}
-        for (m, cell), r in zip(self.anchor_cells.items(), rows.tolist()):
+        for k, ((m, cell), r) in enumerate(zip(self.anchor_cells.items(), rows.tolist())):
             ws = self.workspace(cell)
-            coeffs[m] = float(ws.dual_row(ws.local_index(m)) @ values[r])
-        return LevelSpline(self.level, coeffs)
+            coeffs[k] = ws.dual_row(ws.local_index(m)) @ values[r]
+        return LevelSpline(self.level, self.member_indices, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +480,31 @@ class MultiscaleQuasiInterpolant:
         return self.express_over_refinable(parts)
 
     def express_over_refinable(self, parts: Sequence[LevelSpline]) -> HierSplineFunction:
-        """The sum of per-level splines, one per level as from
-        :meth:`apply_parts`, over the refinable basis."""
-        if len({part.level.index for part in parts}) != len(parts):
-            raise HierSplineError("express_over_refinable takes one spline per level")
-        coeffs = {Fid(part.level.index, idx): c
-                  for part in parts for idx, c in part.coefficients.items()}
-        return HierSplineFunction(self.refinable, express_over(coeffs, self.refinable))
+        """The sum of per-level splines, one on each level of the operator
+        and coarsest first as from :meth:`apply_parts`, over the refinable
+        basis."""
+        if [part.level for part in parts] != list(self.levels):
+            raise HierSplineError(
+                "express_over_refinable takes one spline per level, on the operator's levels "
+                f"and coarsest first; got splines on levels {[p.level.index for p in parts]}")
+        return HierSplineFunction(self.refinable, express_arrays(
+            [(part.indices, part.values) for part in parts], self.refinable))
+
+    def _check_level(self, ell: int) -> None:
+        if not 0 <= ell < self.hierarchy.depth:
+            raise HierSplineError(
+                f"level {ell} outside 0..{self.hierarchy.depth - 1} of the operator")
 
     def stage_value(self, f: PointFunction, ell: int) -> LevelSpline:
         """Direct application of the level operator, outside the recursion."""
+        self._check_level(ell)
         return self.stages[ell].apply(f)
 
     def decomposition_parts(self, f: PointFunction, ell: int) -> list[LevelSpline]:
         """The restricted form valid on the level's core domain: the level
         operator plus one correction per deeper level, each built from
         direct applications only."""
+        self._check_level(ell)
         self._require_nested()
         g = checked_callable(f)
         parts = [self.stages[ell].apply(g)]
@@ -531,7 +545,7 @@ def integration_cells(mesh: HierarchicalMesh, region: CellSet | None
     """
     levels = mesh.levels
     if region is None:
-        return [(ell, np.argwhere(m.T)[:, ::-1]) for ell, m in enumerate(mesh.masks) if m.any()]
+        return [(ell, marked_array(m)) for ell, m in enumerate(mesh.masks) if m.any()]
     top = region.level
     if not 0 <= top < len(levels) or np.shape(region.mask) != levels[top].num_cells:
         raise HierSplineError(

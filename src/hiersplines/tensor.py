@@ -13,8 +13,16 @@ derives the multi-indices in canonical order where a reader needs them.
 
 A :class:`TensorLevel` reads the index tables and float knots of its knot
 vectors and owns, as a ``functools.cached_property``, its parent maps as
-int64 arrays. A :class:`LevelSpline` hands its dense coefficients and the
-level's float knots straight to ``kernels.tensor_spline_values``.
+int64 arrays.
+
+Spline coefficients are stored per level as index and value arrays: a
+:class:`LevelSpline` holds an (n, d) int64 array of distinct functions of
+its level and an (n,) array of their values, float64 or, for exact
+values, object; its ``coefficients`` dict is a view derived on first use,
+in stored order. It hands its dense coefficients and the level's float
+knots straight to ``kernels.tensor_spline_values``. The children of a
+whole array of coarse functions come from the slot arrays of the
+two-scale tables at once (:func:`tensor_children_arrays`).
 """
 
 from __future__ import annotations
@@ -58,6 +66,11 @@ def marked_indices(mask: np.ndarray) -> list[Index]:
     """The True entries of a grid (axis i for direction i), as
     multi-indices in canonical order."""
     return list(zip(*(a.tolist() for a in reversed(np.nonzero(mask.T)))))
+
+
+def marked_array(mask: np.ndarray) -> np.ndarray:
+    """:func:`marked_indices` as an (n, d) index array."""
+    return np.argwhere(mask.T)[:, ::-1]
 
 
 def index_arrays(cells: Iterable[Index], dim: int) -> tuple[np.ndarray, ...]:
@@ -273,19 +286,30 @@ def two_scale_tables(coarse: TensorLevel, fine: TensorLevel) -> tuple[TwoScaleTa
     return tuple(two_scale_table(ckv, fkv) for ckv, fkv in zip(coarse.kvs, fine.kvs))
 
 
-def children_numerators(indices: Index, tables: Sequence[TwoScaleTable]
-                        ) -> list[tuple[Index, int]]:
-    """Children of a coarse function, in canonical order, each with the
-    numerator of its coefficient over the product of the tables'
-    denominators."""
-    rows = [tab.rows[j] for tab, j in zip(tables, indices)]
-    out = []
-    for combo in itertools.product(*reversed(rows)):
-        n = 1
-        for _, c in combo:
-            n *= c
-        out.append((tuple(i for i, _ in reversed(combo)), n))
-    return out
+def tensor_children_arrays(parents: np.ndarray, tables: Sequence[TwoScaleTable]
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The children of the rows of an (n, d) array of coarse functions,
+    read from the slot arrays of the tables.
+
+    Returns, one entry per (parent, child) pair, parents in row order and
+    each parent's children in canonical order: the parent's row, the
+    child as an (m, d) index array and the numerator of its coefficient;
+    then the common denominator q, the product of the tables'. Every
+    numerator is at most q, so the numerators are int64 below 2**63 and
+    Python ints from there on.
+    """
+    q = math.prod(tab.denominator for tab in tables)
+    rows = np.arange(len(parents))
+    children = np.zeros((len(parents), 0), dtype=np.int64)
+    numerators = np.ones(len(parents), dtype=np.int64 if q < 2 ** 63 else object)
+    # the last direction slowest: each direction splits the pairs so far
+    for k in reversed(range(len(tables))):
+        tab, j = tables[k], parents[rows, k]
+        pair, slot = np.nonzero(tab.present[j])
+        j, rows = j[pair], rows[pair]
+        children = np.column_stack([tab.index[j, slot], children[pair]])
+        numerators = numerators[pair] * tab.numerator[j, slot].astype(numerators.dtype)
+    return rows, children, numerators, q
 
 
 def tensor_children(indices: Index, coarse: TensorLevel, fine: TensorLevel
@@ -297,9 +321,9 @@ def tensor_children(indices: Index, coarse: TensorLevel, fine: TensorLevel
     one fraction of the products of their integer numerators and
     denominators.
     """
-    tables = two_scale_tables(coarse, fine)
-    q = math.prod(tab.denominator for tab in tables)
-    return [(idx, Fraction(n, q)) for idx, n in children_numerators(indices, tables)]
+    _, children, numerators, q = tensor_children_arrays(
+        np.array([indices], dtype=np.int64), two_scale_tables(coarse, fine))
+    return [(tuple(c), Fraction(n, q)) for c, n in zip(children.tolist(), numerators.tolist())]
 
 
 def tensor_parents(indices: Index, coarse: TensorLevel, fine: TensorLevel) -> list[Index]:
@@ -365,18 +389,54 @@ def eval_function(level: TensorLevel, indices: Index, points) -> np.ndarray:
 
 @dataclass(eq=False)
 class LevelSpline:
-    """A spline of one level given by coefficients over a subset of its basis."""
+    """A spline of one level: ``values[k]`` is the coefficient of the level
+    function ``indices[k]``.
+
+    ``indices`` is an (n, d) int64 array of distinct functions of the
+    level and ``values`` an (n,) array, float64, or object for exact
+    values; both are checked here. ``coefficients`` is the dict view, in
+    stored order.
+    """
 
     level: TensorLevel
-    coefficients: dict[Index, float]
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        lv = self.level
+        indices, values = np.asarray(self.indices), np.asarray(self.values)
+        if indices.ndim != 2 or indices.shape[1] != lv.dim or indices.dtype.kind not in "iu" \
+                or values.shape != (len(indices),):
+            raise HierSplineError(
+                f"a level-{lv.index} spline takes an (n, {lv.dim}) integer index array and n "
+                f"values, got indices of shape {indices.shape} and dtype {indices.dtype} and "
+                f"values of shape {values.shape}")
+        self.indices = indices.astype(np.int64, copy=False)
+        self.values = values if values.dtype == object else values.astype(np.float64, copy=False)
+        refused = ~((self.indices >= 0) & (self.indices < lv.num_basis)).all(axis=1)
+        twice = not refused.any() and np.unique(self._flat).size < len(indices)
+        if twice:
+            _, first = np.unique(self._flat, return_index=True)
+            refused[np.setdiff1d(np.arange(len(indices)), first)] = True
+        if refused.any():
+            why = f"appears twice in a level-{lv.index} spline" if twice else \
+                f"is outside the function grid {lv.num_basis} of level {lv.index}"
+            raise HierSplineError(
+                f"function {tuple(self.indices[refused.argmax()].tolist())} {why}")
+
+    @cached_property
+    def coefficients(self) -> dict[Index, float | Fraction]:
+        return dict(zip(map(tuple, self.indices.tolist()), self.values.tolist()))
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """The functions' linear indices, first direction fastest."""
+        return np.ravel_multi_index(tuple(self.indices.T), self.level.num_basis, order="F")
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        lv = self.level
-        arr = np.zeros(math.prod(lv.num_basis))
-        flat = np.ravel_multi_index(index_arrays(self.coefficients, lv.dim),
-                                    lv.num_basis, order="F")
-        arr[flat] = [float(c) for c in self.coefficients.values()]
+        arr = np.zeros(math.prod(self.level.num_basis))
+        arr[self._flat] = self.values.astype(np.float64)
         return arr
 
     def evaluate(self, points) -> np.ndarray:

@@ -497,16 +497,13 @@ class TwoScaleTable:
     ``numerator[j, k] / denominator`` its coefficient. Rows with fewer
     children repeat their last child with numerator 0, so ``present``
     (numerator > 0) is the 0/1 pattern of the matrix and every slot of a
-    row stays within its children. ``rows[j]`` holds the same children as
-    (fine index, numerator) pairs of Python ints, for one function at a
-    time.
+    row stays within its children.
 
     Every coefficient lies in (0, 1], so the numerators are at most the
     denominator; they are int64 below 2**62 and Python ints from there on.
     """
 
     denominator: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
     index: np.ndarray
     numerator: np.ndarray
     present: np.ndarray
@@ -543,17 +540,15 @@ def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
         return hit
     exact = children_table(coarse, fine)
     q = math.lcm(*(c.denominator for row in exact for _, c in row))
-    rows = tuple(tuple((i, c.numerator * (q // c.denominator)) for i, c in row)
-                 for row in exact)
-    width = max(map(len, rows))
-    index = np.zeros((len(rows), width), dtype=np.int64)
-    numerator = np.zeros((len(rows), width), dtype=np.int64 if q < 2 ** 62 else object)
-    for j, row in enumerate(rows):
+    width = max(map(len, exact))
+    index = np.zeros((len(exact), width), dtype=np.int64)
+    numerator = np.zeros((len(exact), width), dtype=np.int64 if q < 2 ** 62 else object)
+    for j, row in enumerate(exact):
         index[j] = row[-1][0]
-        for k, (i, n) in enumerate(row):
+        for k, (i, c) in enumerate(row):
             index[j, k] = i
-            numerator[j, k] = n
-    table = TwoScaleTable(q, rows, index, numerator, numerator > 0)
+            numerator[j, k] = c.numerator * (q // c.denominator)
+    table = TwoScaleTable(q, index, numerator, numerator > 0)
     cache[fine] = table
     return table
 

@@ -225,13 +225,13 @@ def test_criterion_06_operator_identities():
         for stage in op.stages:
             if not stage.members:
                 continue
-            s = LevelSpline(stage.level, {m: float(rng.uniform(-1, 1))
-                                          for m in stage.members})
+            s = LevelSpline(stage.level, stage.member_indices,
+                            [float(rng.uniform(-1, 1)) for _ in stage.members])
             out = stage.apply(s.evaluate)
             worst = max(worst, float(np.abs(out.evaluate(pts) - s.evaluate(pts)).max()))
         # the multiscale operator reproduces the coarsest space
-        s0 = LevelSpline(fx.levels[0], {i: float(rng.uniform(-1, 1))
-                                        for i in fx.levels[0].function_ids()})
+        ids = np.array(list(fx.levels[0].function_ids()))
+        s0 = LevelSpline(fx.levels[0], ids, [float(rng.uniform(-1, 1)) for _ in ids])
         out0 = op.apply(s0.evaluate)
         worst = max(worst, float(np.abs(out0.evaluate(pts) - s0.evaluate(pts)).max()))
         # the interpolant of a generic function lies in the refinable basis

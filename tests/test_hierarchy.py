@@ -8,6 +8,7 @@ import pytest
 
 from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
 from hiersplines.fixtures import parse_fixture
+from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
     HierSplineFunction,
     SubdomainHierarchy,
@@ -36,6 +37,14 @@ from hiersplines.tensor import (
 
 from .conftest import FIXTURE_DIR, make_levels, random_hierarchy, repo_fixture
 from .oracles import bspline_value_exact
+from .test_structure_equivalence import (
+    _exact_coefficient,
+    _float_coefficient,
+    _random_coefficients,
+    assert_same_expression,
+    random_case,
+    ref_express_over,
+)
 
 
 def _eval_over(levels, coeffs, pts):
@@ -178,8 +187,10 @@ class TestExpansion:
         levels = make_levels(dim, 2, 4, 1)
         basis, _ = build_hierarchical_basis(SubdomainHierarchy.from_cells([]), levels)
         pts = rng.random(5) if dim == 1 else rng.random((5, dim))
-        one = HierSplineFunction(basis, {next(iter(basis.functions())): F(1)})
-        empty = HierSplineFunction(basis, {})
+        first = np.array([next(iter(basis.functions())).indices])
+        one = HierSplineFunction(basis, [LevelSpline(levels[0], first,
+                                                     np.array([F(1)], dtype=object))])
+        empty = HierSplineFunction(basis, [LevelSpline(levels[0], first[:0], [])])
         assert one(pts).shape == (5,)
         assert np.array_equal(empty(pts), np.zeros(5))
 
@@ -276,6 +287,7 @@ def _sweep_cases():
 
 
 SWEEP_CASES = list(_sweep_cases())
+EXPLICIT_CASES = [(f"explicit-{k}", *random_case(k, True)) for k in range(0, 30, 5)]
 
 
 class TestSweep:
@@ -312,9 +324,12 @@ class TestSweep:
         op = MultiscaleQuasiInterpolant(h, levels)
         basis = op.refinable
         alive = frozenset().union(*basis.stages)
-        parts = [LevelSpline(levels[ell], {
-            f.indices: float(rng.uniform(-1, 1))
-            for f in sorted(alive, key=lambda f: f.indices) if f.level == ell})
+        ordered = sorted(alive, key=lambda f: f.indices)
+        parts = [LevelSpline(
+            levels[ell],
+            np.array([f.indices for f in ordered if f.level == ell],
+                     dtype=np.int64).reshape(-1, levels[ell].dim),
+            [float(rng.uniform(-1, 1)) for f in ordered if f.level == ell])
             for ell in range(h.depth)]
         got = op.express_over_refinable(parts).coefficients
         memo = {}
@@ -323,6 +338,51 @@ class TestSweep:
         assert got.keys() == want.keys()
         for fid, c in want.items():
             assert abs(got[fid] - c) <= 1e-14 * scale[fid], fid
+
+    @pytest.mark.parametrize("name,levels,h", SWEEP_CASES + EXPLICIT_CASES,
+                             ids=[c[0] for c in SWEEP_CASES + EXPLICIT_CASES])
+    def test_operator_route_bit_for_bit(self, name, levels, h):
+        # express_over_refinable on per-level arrays against the scalar
+        # route on the same coefficients as one Fid dict
+        rng = np.random.default_rng(43)
+        op = MultiscaleQuasiInterpolant(h, levels)
+        cases = [(_random_coefficients(rng, op.refinable, make), make is _exact_coefficient)
+                 for make in (_float_coefficient, _exact_coefficient)]
+        if op.report.omega_nested:
+            f = get_function("sin", levels[0].dim)
+            cases.append(({Fid(part.level.index, idx): c for part in op.apply_parts(f)
+                           for idx, c in part.coefficients.items()}, False))
+        for coeffs, exact in cases:
+            parts = [LevelSpline(
+                lv, np.array([g.indices for g in coeffs if g.level == ell],
+                             dtype=np.int64).reshape(-1, lv.dim),
+                np.array([c for g, c in coeffs.items() if g.level == ell],
+                         dtype=object if exact else np.float64))
+                for ell, lv in enumerate(op.levels)]
+            try:
+                want = ref_express_over(coeffs, op.refinable)
+            except HierarchyError as exc:
+                with pytest.raises(HierarchyError) as got:
+                    op.express_over_refinable(parts)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_expression(op.express_over_refinable(parts).coefficients, want)
+
+    def test_part_on_another_level_refused(self):
+        fx = repo_fixture("d2_corner_admissible")
+        op = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels)
+        coarse = make_levels(2, list(fx.degrees), 3, 1)[0]
+        assert coarse.num_cells == (3, 3) and coarse != op.levels[0]
+        deeper = extend_level_sequence(fx.levels, fx.hierarchy.depth + 1)[-1]
+        parts = [LevelSpline(lv, np.zeros((0, 2), dtype=np.int64), []) for lv in op.levels]
+        for ell, level in ((0, coarse), (len(parts) - 1, deeper)):
+            wrong = parts[:ell] + [LevelSpline(level, np.array([[0, 0]]), [1.0])] + parts[ell + 1:]
+            with pytest.raises(HierSplineError, match=r"on the operator's levels and coarsest "
+                                                      r"first; got splines on levels \["):
+                op.express_over_refinable(wrong)
+        with pytest.raises(HierSplineError, match="one spline per level"):
+            op.express_over_refinable(parts[:1])
+        assert op.express_over_refinable(parts).coefficients == {}
 
     def test_neither_active_nor_deactivated_is_named(self):
         levels = make_levels(1, 2, 4, 3)
@@ -367,7 +427,7 @@ class TestSweep:
     def test_repeated_level_refused(self):
         levels = make_levels(1, 2, 4, 2)
         op = MultiscaleQuasiInterpolant(SubdomainHierarchy.from_cells([[(0,)]]), levels)
-        part = LevelSpline(levels[0], {(0,): 1.0})
+        part = LevelSpline(levels[0], np.array([[0]]), [1.0])
         with pytest.raises(HierSplineError, match="one spline per level"):
             op.express_over_refinable([part, part])
 

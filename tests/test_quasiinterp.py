@@ -201,8 +201,8 @@ class TestLevelOperator:
         h = corner_hierarchy(levels, [5])
         core = compute_core_domains(h, levels)
         op = LevelQuasiInterpolant(h, levels, 1, core)
-        s = LevelSpline(levels[1], {m: float(rng.uniform(-1, 1))
-                                    for m in op.members})
+        s = LevelSpline(levels[1], op.member_indices,
+                        [float(rng.uniform(-1, 1)) for _ in op.members])
         out = op.apply(s.evaluate)
         pts = rng.random((300, 2))
         assert np.abs(out.evaluate(pts) - s.evaluate(pts)).max() < 1e-10
@@ -230,8 +230,8 @@ class TestLevelOperator:
         h = SubdomainHierarchy.from_cells([[(i,) for i in range(5)]])
         core = compute_core_domains(h, levels)
         op = LevelQuasiInterpolant(h, levels, 1, core)
-        s = LevelSpline(levels[1], {i: float(rng.uniform(-1, 1))
-                                    for i in levels[1].function_ids()})
+        ids = np.array(list(levels[1].function_ids()))
+        s = LevelSpline(levels[1], ids, [float(rng.uniform(-1, 1)) for _ in ids])
         out = op.apply(s.evaluate)
         inside = []
         for c in sorted(core.cells(1)):
@@ -250,8 +250,8 @@ class TestMultiscale:
         h = corner_hierarchy(levels, [4, 4])
         op = MultiscaleQuasiInterpolant(h, levels)
         pts = rng.random((400, 2))
-        s0 = LevelSpline(levels[0], {i: float(rng.uniform(-1, 1))
-                                     for i in levels[0].function_ids()})
+        ids = np.array(list(levels[0].function_ids()))
+        s0 = LevelSpline(levels[0], ids, [float(rng.uniform(-1, 1)) for _ in ids])
         out = op.apply(s0.evaluate)
         assert np.abs(out.evaluate(pts) - s0.evaluate(pts)).max() < 1e-10
         from hiersplines.functions import get_function
@@ -288,6 +288,14 @@ class TestMultiscale:
             v_rec = sum(p.evaluate(pts) for p in parts)
             assert np.abs(v_dec - v_rec).max() < 1e-10
 
+    @pytest.mark.parametrize("ell", [-1, 3, 9])
+    def test_level_index_outside_the_operator_refused(self, ell):
+        levels = make_levels(2, 2, 8, 3)
+        op = MultiscaleQuasiInterpolant(corner_hierarchy(levels, [4, 4]), levels)
+        for call in (op.stage_value, op.decomposition_parts):
+            with pytest.raises(HierSplineError, match=rf"^level {ell} outside 0\.\.2 "):
+                call(_sin2, ell)
+
     def test_refuses_non_nested(self):
         # the second subdomain sticks past the core of the first one, so the
         # chain of core domains breaks
@@ -298,6 +306,31 @@ class TestMultiscale:
         assert not core.nested
         with pytest.raises(AdmissibilityError):
             MultiscaleQuasiInterpolant(h, levels).apply_parts(_sin2)
+
+
+class TestCallbackShape:
+    @pytest.mark.parametrize("bad,shape", [
+        (lambda p: 1.0, r"\(\)"),
+        (lambda p: np.ones((p.shape[0], 2)), r"\(\d+, 2\)"),
+        (lambda p: np.ones(p.shape[0] + 1), r"\(\d+,\)"),
+    ], ids=["scalar", "two_columns", "one_too_many"])
+    def test_wrong_shape_refused(self, bad, shape):
+        levels = make_levels(2, 2, 8, 3)
+        h = corner_hierarchy(levels, [4, 4])
+        message = rf"^callback returned shape {shape} for \d+ points"
+        with pytest.raises(EvaluationError, match=message):
+            lq_norm(bad, 2, active_mesh(h, levels))
+        with pytest.raises(EvaluationError, match=message):
+            MultiscaleQuasiInterpolant(h, levels).apply(bad)
+
+    def test_one_column_accepted(self):
+        levels = make_levels(2, 2, 8, 3)
+        h = corner_hierarchy(levels, [4, 4])
+        column = lambda p: _sin2(p).reshape(-1, 1)  # noqa: E731
+        assert lq_norm(column, 2, active_mesh(h, levels)) == \
+            lq_norm(_sin2, 2, active_mesh(h, levels))
+        op = MultiscaleQuasiInterpolant(h, levels)
+        assert op.apply(column).coefficients == op.apply(_sin2).coefficients
 
 
 class TestNorms:
@@ -314,8 +347,8 @@ class TestNorms:
         levels = make_levels(1, 2, 4, 1)
         h = SubdomainHierarchy.from_cells([])
         op = MultiscaleQuasiInterpolant(h, levels)
-        s = LevelSpline(levels[0], {i: float(rng.uniform(-1, 1))
-                                    for i in levels[0].function_ids()})
+        ids = np.array(list(levels[0].function_ids()))
+        s = LevelSpline(levels[0], ids, [float(rng.uniform(-1, 1)) for _ in ids])
         out = op.apply(s.evaluate)
         mesh = active_mesh(h, levels)
         assert error_norms(s.evaluate, out, 2, mesh=mesh) < 1e-12

@@ -20,6 +20,7 @@ import pytest
 
 from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
 from hiersplines.hierarchy import (
+    SubdomainHierarchy,
     _closed_form_classical,
     active_mesh,
     build_hierarchical_basis,
@@ -35,6 +36,7 @@ from hiersplines.quasiinterp import compute_core_domains, integration_cells
 from hiersplines.tensor import (
     CellSet,
     TensorFunctionId as Fid,
+    build_level_sequence,
     cell_ancestor,
     cell_descendant_ranges,
     extend_level_sequence,
@@ -44,7 +46,7 @@ from hiersplines.tensor import (
     tensor_children,
     two_scale_tables,
 )
-from hiersplines.univariate import children_table
+from hiersplines.univariate import children_table, make_open_knot_vector
 
 from .conftest import FIXTURE_DIR, random_enlargement, random_hierarchy, repo_fixture
 
@@ -392,6 +394,22 @@ def test_enlargement_sequences_match_scalar_routes(explicit, rng):
             h = enlarge_hierarchy(h, levels, adds, deepest)
             levels = extend_level_sequence(levels, h.depth)
             assert_equivalent(levels, h, rng)
+
+
+@pytest.mark.parametrize("cells", [[(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1)]],
+                         ids=["whole", "corner"])
+def test_wide_denominators_match_scalar_routes(cells, rng):
+    # one direction's denominator is below 2**53 and their product above
+    # 2**63: float coefficients take the Python-int division and the
+    # numerator products Python ints
+    coarse = make_open_knot_vector(2, [0, Fraction(1, 3), 1], [3, 1, 3])
+    fine = make_open_knot_vector(2, [0, Fraction(1, 1000003), Fraction(1, 3), Fraction(2, 3),
+                                     Fraction(999999937, 1000000007), 1], [3, 1, 1, 1, 1, 3])
+    levels = build_level_sequence([coarse, coarse], 2, [[fine, fine]])
+    tables = two_scale_tables(levels[0], levels[1])
+    assert all(tab.denominator < 2 ** 53 for tab in tables)
+    assert math.prod(tab.denominator for tab in tables) >= 2 ** 63
+    assert_equivalent(levels, SubdomainHierarchy.from_cells([cells]), rng)
 
 
 def test_coarse_queries_keep_their_messages():

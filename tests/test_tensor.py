@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hiersplines.errors import NestingError
+from hiersplines.errors import HierSplineError, NestingError
 from hiersplines.tensor import (
     LevelSpline,
     TensorLevel,
@@ -261,8 +261,45 @@ class TestEvaluator:
             levels = make_levels(dim, degrees, 2, 2)
             pts = rng.random((500, dim))
             for lv in levels:
-                vals = LevelSpline(lv, dict.fromkeys(lv.function_ids(), 1.0)).evaluate(pts)
+                ids = np.array(list(lv.function_ids()))
+                vals = LevelSpline(lv, ids, np.ones(len(ids))).evaluate(pts)
                 assert np.abs(vals - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("indices,values,message", [
+        ({(99, 0): 1.0}, [1.0], r"got indices of shape \(\) and dtype object "),
+        ([[0.0, 1.0]], [1.0], r"got indices of shape \(1, 2\) and dtype float64 "),
+        ([0, 1], [1.0], r"got indices of shape \(2,\) and dtype int64 "),
+        ([[0, 1, 2]], [1.0], r"got indices of shape \(1, 3\) and dtype int64 "),
+        ([[1, 2]], [1.0, 2.0], r"^a level-0 spline takes an \(n, 2\) integer index array and n "
+                               r"values, got indices of shape \(1, 2\) and dtype int64 and "
+                               r"values of shape \(2,\)$"),
+        ([[1, 2], [99, 0]], [1.0, 2.0],
+         r"^function \(99, 0\) is outside the function grid \(10, 10\) of level 0$"),
+        ([[1, 2], [0, -1]], [1.0, 2.0],
+         r"^function \(0, -1\) is outside the function grid \(10, 10\) of level 0$"),
+        ([[1, 2], [3, 4], [1, 2]], [1.0, 2.0, 3.0],
+         r"^function \(1, 2\) appears twice in a level-0 spline$"),
+    ], ids=["dict", "float_indices", "one_dimensional", "three_columns", "values_length",
+            "past_the_end", "negative", "duplicate"])
+    def test_level_spline_checked_at_the_boundary(self, indices, values, message):
+        level = repo_fixture("d2_corner_admissible").levels[0]
+        assert level.num_basis == (10, 10)
+        indices = indices if isinstance(indices, dict) else np.array(indices)
+        with pytest.raises(HierSplineError, match=message):
+            LevelSpline(level, indices, values)
+
+    def test_level_spline_views_keep_order_and_types(self):
+        level = make_levels(2, 1, 2, 1)[0]
+        exact = LevelSpline(level, np.array([[2, 0], [0, 1]]),
+                            np.array([F(1, 3), 2], dtype=object))
+        assert list(exact.coefficients.items()) == [((2, 0), F(1, 3)), ((0, 1), 2)]
+        assert type(exact.coefficients[(0, 1)]) is int
+        floats = LevelSpline(level, np.array([[1, 1], [0, 0]], dtype=np.int32), [-0.0, 0.5])
+        assert floats.indices.dtype == np.int64 and floats.values.dtype == np.float64
+        assert [repr(c) for c in floats.coefficients.values()] == ["-0.0", "0.5"]
+        pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.25]])
+        want = eval_function(level, (2, 0), pts) / 3 + 2 * eval_function(level, (0, 1), pts)
+        assert np.abs(exact.evaluate(pts) - want).max() < 1e-15
 
     def test_canonical_order_first_direction_fastest(self):
         levels = make_levels(2, 1, 2, 1)
