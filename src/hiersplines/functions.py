@@ -9,13 +9,15 @@ interpolation machinery itself never needs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import hermite
 
 from .errors import HierSplineError
+from .tensor import as_axes
 
 Factor = Callable[[np.ndarray, int], np.ndarray]
 
@@ -51,29 +53,52 @@ def _poly_factor(coefficients: Sequence[float]) -> Factor:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Product of per-direction factors, callable on (m, d) point arrays."""
+    """Product of per-direction factors, callable on (m, d) point arrays,
+    with the factor of ``direction`` differentiated ``order`` times."""
 
     name: str
     dim: int
     factors: tuple[Factor, ...]
+    direction: int = 0
+    order: int = 0
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self._product(points, 0, 0)
-
-    def directional_derivative(self, direction: int, order: int) -> Callable[[np.ndarray], np.ndarray]:
-        if not 0 <= direction < self.dim:
-            raise HierSplineError(f"direction {direction} out of range")
-        return lambda points: self._product(points, direction, order)
-
-    def _product(self, points: np.ndarray, direction: int, order: int) -> np.ndarray:
-        """The factors at the points, in direction order, with the one of
-        ``direction`` differentiated ``order`` times."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        out = np.ones(pts.shape[0])
-        for i, factor in enumerate(self.factors):
-            out *= factor(pts[:, i], order if i == direction else 0)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise HierSplineError(
+                f"points of shape {pts.shape} for a function of dimension {self.dim}")
+        return self._product([pts[:, i] for i in range(self.dim)], pts.shape[:1])
+
+    def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """The values on c tensor grids, ``axes[k]`` holding the (c, n_k)
+        coordinates of direction k, as (c, n_{d-1}, ..., n_0)."""
+        axes = as_axes(axes, self.dim)
+        c = axes[0].shape[0]
+        coords = []
+        for k, a in enumerate(axes):
+            # direction k in place k of the grid shape, counted from the last
+            shape = [c] + [1] * self.dim
+            shape[self.dim - k] = a.shape[1]
+            coords.append(a.reshape(shape))
+        return self._product(coords, (c,) + tuple(a.shape[1] for a in reversed(axes)))
+
+    def directional_derivative(self, direction: int, order: int) -> TestFunction:
+        if not 0 <= direction < self.dim:
+            raise HierSplineError(f"direction {direction} out of range")
+        if isinstance(order, bool) or not isinstance(order, Integral) or order < 0:
+            raise HierSplineError(f"derivative order must be an integer >= 0, got {order!r}")
+        if self.order and direction != self.direction:
+            raise HierSplineError("mixed derivatives are not supported")
+        return replace(self, direction=direction, order=self.order + int(order))
+
+    def _product(self, coords: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+        """The factors at the coordinates, in direction order, multiplied
+        into ones of ``shape``."""
+        out = np.ones(shape)
+        for i, (factor, x) in enumerate(zip(self.factors, coords)):
+            out *= factor(x, self.order if i == self.direction else 0)
         return out
 
 

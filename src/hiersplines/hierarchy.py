@@ -60,6 +60,7 @@ from .tensor import (
     LevelSpline,
     TensorFunctionId,
     TensorLevel,
+    as_axes,
     as_points,
     cell_ancestor,
     extend_level_sequence,
@@ -663,6 +664,15 @@ class HierSplineFunction:
         vals = [part.evaluate(points) for part in self.parts if len(part.values)]
         return functools.reduce(np.add, vals) if vals else \
             np.zeros(len(as_points(points, self.basis.levels[0].dim)))
+
+    def on_grid(self, axes) -> np.ndarray:
+        """The parts with coefficients on c tensor grids (see
+        :meth:`LevelSpline.on_grid`), summed coarsest first."""
+        vals = [part.on_grid(axes) for part in self.parts if len(part.values)]
+        if vals:
+            return functools.reduce(np.add, vals)
+        axes = as_axes(axes, self.basis.levels[0].dim)
+        return np.zeros((len(axes[0]),) + tuple(a.shape[1] for a in reversed(axes)))
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)

@@ -51,7 +51,9 @@ from .tensor import (
     iter_box,
     marked_indices,
     tensor_children,
+    tensor_children_arrays,
     tensor_parents,
+    two_scale_tables,
 )
 from .univariate import children_table, is_child_of, parent_table
 
@@ -198,10 +200,21 @@ class _LevelColumns:
             acc += self.columns(ell, [idx for idx, _ in pairs]) @ np.array([c for _, c in pairs])
         return acc
 
-    def children(self, fid: Fid) -> dict[Fid, Fraction]:
-        """The two-scale expansion of a function over the next level."""
-        return {Fid(fid.level + 1, idx): c for idx, c in tensor_children(
-            fid.indices, self.levels[fid.level], self.levels[fid.level + 1])}
+    def children(self, fids: list[Fid]) -> list[dict[Fid, Fraction]]:
+        """The two-scale expansions of functions over the next level, in
+        the order given, each in canonical order as from tensor_children;
+        one tensor_children_arrays pass per level."""
+        out: list[dict[Fid, Fraction]] = [{} for _ in fids]
+        by_level: dict[int, list[int]] = {}
+        for k, fid in enumerate(fids):
+            by_level.setdefault(fid.level, []).append(k)
+        for ell, ks in by_level.items():
+            rows, children, numerators, q = tensor_children_arrays(
+                np.array([fids[k].indices for k in ks], dtype=np.int64).reshape(len(ks), -1),
+                two_scale_tables(self.levels[ell], self.levels[ell + 1]))
+            for r, child, n in zip(rows.tolist(), children.tolist(), numerators.tolist()):
+                out[ks[r]][Fid(ell + 1, tuple(child))] = Fraction(n, q)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +310,10 @@ def _chk_tensor_two_scale(ctx: _Context) -> InvariantResult:
     worst, count = 0.0, 0
     for coarse in ctx.levels[:-1]:
         ids = list(coarse.function_ids())
-        picks = {tuple(ids[k]) for k in rng.integers(0, len(ids), size=min(50, len(ids)))}
-        for idx in picks:
-            fid = Fid(coarse.index, idx)
-            acc = cols.combination(cols.children(fid))
+        picks = [Fid(coarse.index, idx) for idx in
+                 {tuple(ids[k]) for k in rng.integers(0, len(ids), size=min(50, len(ids)))}]
+        for fid, kids in zip(picks, cols.children(picks)):
+            acc = cols.combination(kids)
             worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
             count += 1
     return _result("tensor_two_scale", worst, count, TOL_EXACT)
@@ -534,9 +547,8 @@ def _chk_stage_nesting(ctx: _Context) -> InvariantResult:
     basis = ctx.refinable
     worst, count = 0.0, 0
     for ell in range(len(basis.stages) - 1):
-        gone = basis.stages[ell] - basis.stages[ell + 1]
-        for fid in gone:
-            kids = cols.children(fid)
+        gone = list(basis.stages[ell] - basis.stages[ell + 1])
+        for fid, kids in zip(gone, cols.children(gone)):
             if not kids.keys() <= basis.stages[ell + 1]:
                 return InvariantResult(
                     "refinable_stage_nesting", False, count, 1.0,

@@ -18,6 +18,15 @@ Core domains and norm regions are stored as boolean grids over a level's
 cells; the cell sets of :meth:`CoreDomains.cells` are derived from them on
 first use, and the cells a norm integrates over come per level as index
 arrays.
+
+Every node of a norm lies on a per-cell tensor grid, Gauss nodes for
+finite q and an equispaced sample for q = inf, so the norms evaluate per
+direction: a batch of cells becomes one (cells, n_k) axis per direction,
+and splines and test functions take it through their ``on_grid`` method,
+which finds spans and basis rows, or evaluates a factor, once per axis
+sample and forms the grid by broadcasting. A plain callable is evaluated
+at the grid's points. Both routes do the same scalar operations per point,
+so the norms do not depend on which one is taken.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -96,14 +105,33 @@ def checked_callable(f: PointFunction) -> PointFunction:
                 raise EvaluationError(f"callback returned shape {vals.shape} for "
                                       f"{pts.shape[0]} points, not one value per point")
             vals = vals.reshape(pts.shape[0])
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            where = pts[int(np.argmax(bad))]
-            raise EvaluationError(
-                f"callback returned a non-finite value at {tuple(where)}")
-        return vals
+        return _finite(vals, lambda: pts)
 
     return wrapped
+
+
+def _finite(vals: np.ndarray, points: Callable[[], np.ndarray]) -> np.ndarray:
+    """``vals``, or an error naming the first point, of the (m, d) array
+    ``points()`` in the order of the values, where a value is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        where = points()[int(np.argmax(bad))]
+        raise EvaluationError(f"callback returned a non-finite value at {tuple(where)}")
+    return vals
+
+
+def _grid_values(f, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """``f`` on c tensor grids, ``axes[k]`` holding the (c, n_k) coordinates
+    of direction k, as (c, nodes) with each grid's nodes first direction
+    fastest; checked as by :func:`checked_callable`.
+
+    A function with an ``on_grid`` method is evaluated per direction by it;
+    any other callable at the points of :func:`_tensor_grid`.
+    """
+    on_grid = getattr(f, "on_grid", None)
+    if on_grid is None:
+        return checked_callable(f)(_tensor_grid(axes)).reshape(len(axes[0]), -1)
+    return _finite(on_grid(axes).reshape(len(axes[0]), -1), lambda: _tensor_grid(axes))
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +550,15 @@ class MultiscaleQuasiInterpolant:
 # norms
 
 def _as_q(q) -> float:
-    if q in (1, 2):
-        return float(q)
-    if q in ("inf", "Inf", "INF", np.inf, math.inf, float("inf")):
-        return math.inf
+    """1.0, 2.0 or inf; anything else, bools and arrays too, is refused."""
+    if isinstance(q, str):
+        if q in ("inf", "Inf", "INF"):
+            return math.inf
+    elif isinstance(q, Real) and not isinstance(q, bool):
+        if q in (1, 2):
+            return float(q)
+        if q == math.inf:
+            return math.inf
     raise HierSplineError(f"only q in {{1, 2, inf}} supported, got {q!r}")
 
 
@@ -590,16 +623,16 @@ def _cells_geometry(level: TensorLevel, idxs: np.ndarray
     return lows, spans
 
 
-def _abs_batches(g: PointFunction, lows: np.ndarray, spans: np.ndarray,
-                 base: np.ndarray):
-    """|g| at the base nodes mapped into each cell, as (first cell, values
-    of shape (cells, nodes)), in batches of whole cells of at most
-    ``kernels.BLOCK`` points and at least one cell."""
-    chunk = max(1, kernels.BLOCK // base.shape[0])
+def _abs_batches(f, lows: np.ndarray, spans: np.ndarray,
+                 base: Sequence[np.ndarray]):
+    """|f| on the tensor grid of the per-direction base axes mapped into
+    each cell, as (first cell, values of shape (cells, nodes)), in batches
+    of whole cells of at most ``kernels.BLOCK`` nodes and at least one cell."""
+    chunk = max(1, kernels.BLOCK // math.prod(len(t) for t in base))
     for k in range(0, lows.shape[0], chunk):
-        nodes = lows[k:k + chunk, None, :] + spans[k:k + chunk, None, :] * base[None, :, :]
-        vals = g(nodes.reshape(-1, base.shape[1]))
-        yield k, np.abs(vals).reshape(-1, base.shape[0])
+        axes = [lows[k:k + chunk, i, None] + spans[k:k + chunk, i, None] * t
+                for i, t in enumerate(base)]
+        yield k, np.abs(_grid_values(f, axes))
 
 
 def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
@@ -614,18 +647,17 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
     rows it is given, and so the norm does not depend on the batch size.
     """
     qv = _as_q(q)
-    g = checked_callable(f)
     groups = integration_cells(mesh, region)
     if not groups:
         return 0.0
     if math.isinf(qv):
         d = mesh.levels[0].dim
         per_dir = max(2, math.ceil(config.sup_samples_per_cell ** (1.0 / d)))
-        base = _tensor_grid([np.linspace(0.0, 1.0, per_dir)] * d)
+        base = [np.linspace(0.0, 1.0, per_dir)] * d
         worst = 0.0
         for ell, idxs in groups:
             lows, spans = _cells_geometry(mesh.levels[ell], idxs)
-            for _, vals in _abs_batches(g, lows, spans, base):
+            for _, vals in _abs_batches(f, lows, spans, base):
                 worst = max(worst, float(vals.max()))
         return worst
     total = 0.0
@@ -633,14 +665,25 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
         lv = mesh.levels[ell]
         counts = [kv.degree + 1 + config.error_quad_increment for kv in lv.kvs]
         rules = [_gauss_base(c) for c in counts]
-        base = _tensor_grid([t for t, _ in rules])
         base_w = _kron([w for _, w in rules])
         lows, spans = _cells_geometry(lv, idxs)
-        powers = np.empty((lows.shape[0], base.shape[0]))
-        for k, vals in _abs_batches(g, lows, spans, base):
+        powers = np.empty((lows.shape[0], base_w.shape[0]))
+        for k, vals in _abs_batches(f, lows, spans, [t for t, _ in rules]):
             powers[k:k + vals.shape[0]] = vals ** qv
         total += float(spans.prod(axis=1) @ (powers @ base_w))
     return total ** (1.0 / qv)
+
+
+class _Difference:
+    """``f - s`` on tensor grids, for the norms."""
+
+    __slots__ = ("f", "s")
+
+    def __init__(self, f: PointFunction, s: HierSplineFunction):
+        self.f, self.s = f, s
+
+    def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        return _grid_values(self.f, axes) - self.s.on_grid(axes).reshape(len(axes[0]), -1)
 
 
 def error_norms(f: PointFunction, s: HierSplineFunction | None, q,
@@ -652,10 +695,4 @@ def error_norms(f: PointFunction, s: HierSplineFunction | None, q,
         if s is None:
             raise HierSplineError("need either a spline or a mesh")
         mesh = active_mesh(s.basis.hierarchy, s.basis.levels)
-    g = checked_callable(f)
-    if s is None:
-        diff = g
-    else:
-        def diff(pts: np.ndarray) -> np.ndarray:
-            return g(pts) - s.evaluate(pts)
-    return lq_norm(diff, q, mesh, region, config)
+    return lq_norm(f if s is None else _Difference(f, s), q, mesh, region, config)

@@ -30,6 +30,7 @@ from .hierarchy import (
 from .quasiinterp import (
     MultiscaleQuasiInterpolant,
     OperatorConfig,
+    _as_q,
     error_norms,
     lq_norm,
 )
@@ -116,6 +117,7 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
     """
     if not fixtures:
         raise HierSplineError("empty fixture family")
+    _as_q(q)
     config = config or OperatorConfig()
     degrees = fixtures[0].degrees
     dim = fixtures[0].dimension

@@ -376,6 +376,14 @@ def as_points(points, dim: int) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
+def as_axes(axes, dim: int) -> list[np.ndarray]:
+    """The axes of c tensor grids: ``dim`` float arrays of shape (c, n_k)."""
+    arrs = [np.asarray(a, dtype=np.float64) for a in axes]
+    if len(arrs) != dim or any(a.ndim != 2 or a.shape[0] != arrs[0].shape[0] for a in arrs):
+        raise HierSplineError(f"grid axes must be {dim} arrays of shape (c, n_k)")
+    return arrs
+
+
 def eval_function(level: TensorLevel, indices: Index, points) -> np.ndarray:
     """Evaluate one tensor-product basis function at a batch of points."""
     pts = as_points(points, level.dim)
@@ -445,6 +453,13 @@ class LevelSpline:
         return kernels.tensor_spline_values(
             self._dense, [kv.floats for kv in lv.kvs], lv.degrees,
             points=as_points(points, lv.dim))
+
+    def on_grid(self, axes) -> np.ndarray:
+        """The values on c tensor grids, ``axes[k]`` holding the (c, n_k)
+        coordinates of direction k, as (c, n_{d-1}, ..., n_0)."""
+        lv = self.level
+        return kernels.tensor_grid_values(
+            self._dense, [kv.floats for kv in lv.kvs], lv.degrees, as_axes(axes, lv.dim))
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)

@@ -340,14 +340,17 @@ class TestInvariantSuite:
             assert row["seconds"] >= 0.0
 
     def test_perturbed_two_scale_coefficient_fails(self, monkeypatch):
-        exact = invariants.tensor_children
+        exact = invariants.tensor_children_arrays
 
-        def perturbed(indices, coarse, fine):
-            kids = exact(indices, coarse, fine)
-            (idx, c), rest = kids[0], kids[1:]
-            return [(idx, c * Fraction(1000001, 1000000))] + rest
+        def perturbed(parents, tables):
+            # each parent's first coefficient times 1000001/1000000
+            rows, children, numerators, q = exact(parents, tables)
+            first = np.r_[True, rows[1:] != rows[:-1]]
+            numerators = numerators.astype(object) * 1000000
+            numerators[first] = numerators[first] // 1000000 * 1000001
+            return rows, children, numerators, q * 1000000
 
-        monkeypatch.setattr(invariants, "tensor_children", perturbed)
+        monkeypatch.setattr(invariants, "tensor_children_arrays", perturbed)
         report = run_invariant_suite(repo_fixture("d1_depth3_blocks"))
         verdicts = {r.name: r.passed for r in report.results}
         assert not verdicts["tensor_two_scale"]

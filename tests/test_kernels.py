@@ -199,3 +199,88 @@ def test_blocked_evaluation_equals_concatenated_splits(dim, degree):
                 got = kernels.local_values(tau, degree, pts[:, 0])
                 want = _reference_local_values(tau, degree, pts[:, 0])
                 assert got.tobytes() == want.tobytes()
+
+
+def _grid_axes(rng, level, cells):
+    """Per direction, ``cells`` rows of samples: every breakpoint of the
+    level, 1.0 among them, and a few random values, shuffled per row."""
+    axes = []
+    for kv in level.kvs:
+        samples = np.concatenate([kv.breakpoint_floats, rng.random(3)])
+        axes.append(np.stack([rng.permutation(samples) for _ in range(cells)]))
+    return axes
+
+
+def _random_spline(rng, level):
+    from hiersplines.tensor import LevelSpline
+    ids = np.array(list(level.function_ids()))
+    keep = ids[rng.random(len(ids)) < 0.7]
+    return LevelSpline(level, keep, rng.uniform(-1.0, 1.0, len(keep)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_level_spline_on_grid_equals_evaluate(dim, seed):
+    # explicit, non-uniform levels with multiplicities up to p+1
+    from hiersplines.quasiinterp import _tensor_grid
+    from .conftest import random_explicit_levels
+    rng = np.random.default_rng(seed)
+    initial = [uniform_open_knot_vector(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+               for _ in range(dim)]
+    for level in random_explicit_levels(rng, initial, 3):
+        s = _random_spline(rng, level)
+        axes = _grid_axes(rng, level, 4)
+        got = s.on_grid(axes)
+        assert got.shape == (4,) + tuple(a.shape[1] for a in reversed(axes))
+        pts = _tensor_grid(axes)
+        assert np.array_equal(got.reshape(-1), s.evaluate(pts))
+        # and the unblocked pointwise arithmetic, bit for bit
+        dense = np.zeros(math.prod(level.num_basis))
+        dense[np.ravel_multi_index(tuple(s.indices.T), level.num_basis, order="F")] = s.values
+        assert got.reshape(-1).tobytes() == _reference_tensor_values(level, dense, pts).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hier_spline_on_grid_equals_evaluate(dim):
+    from hiersplines.hierarchy import HierSplineFunction, build_refinable_basis
+    from hiersplines.quasiinterp import _tensor_grid
+    from hiersplines.tensor import LevelSpline, marked_array
+    from .conftest import random_hierarchy
+    rng = np.random.default_rng(dim)
+    levels, h = random_hierarchy(rng, dim=dim, depth=3, explicit=True)
+    basis = build_refinable_basis(h, levels)
+    parts = []
+    for lv, mask in zip(basis.levels, basis.active):
+        ids = marked_array(mask)
+        parts.append(LevelSpline(lv, ids, rng.uniform(-1.0, 1.0, len(ids))))
+    s = HierSplineFunction(basis, parts)
+    assert sum(len(p.values) > 0 for p in parts) > 1
+    axes = _grid_axes(rng, levels[h.depth - 1], 3)
+    assert np.array_equal(s.on_grid(axes).reshape(-1), s.evaluate(_tensor_grid(axes)))
+    empty = HierSplineFunction(basis, [LevelSpline(lv, np.zeros((0, dim), dtype=np.int64),
+                                                   np.zeros(0)) for lv in basis.levels])
+    assert np.array_equal(empty.on_grid(axes), np.zeros(s.on_grid(axes).shape))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_grid_batches_leave_values_unchanged(monkeypatch, block):
+    from hiersplines.tensor import TensorLevel
+    rng = np.random.default_rng(block)
+    kvs = (make_open_knot_vector(2, ["0", "1/3", "1/2", "1"], [3, 2, 1, 3]),
+           make_open_knot_vector(3, ["0", "1/4", "1"], [4, 4, 4]))
+    s = _random_spline(rng, TensorLevel(0, kvs))
+    axes = [rng.random((9, 5)), rng.random((9, 4))]
+    want = s.on_grid(axes)
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    assert s.on_grid(axes).tobytes() == want.tobytes()
+
+
+def test_on_grid_refuses_malformed_axes():
+    from hiersplines.errors import HierSplineError
+    from hiersplines.tensor import TensorLevel
+    level = TensorLevel(0, (uniform_open_knot_vector(2, 3),) * 2)
+    s = _random_spline(np.random.default_rng(0), level)
+    for axes in ([np.zeros((2, 3))], [np.zeros((2, 3)), np.zeros((3, 3))],
+                 [np.zeros(3), np.zeros(3)]):
+        with pytest.raises(HierSplineError, match="grid axes"):
+            s.on_grid(axes)

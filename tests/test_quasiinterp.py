@@ -386,11 +386,63 @@ class TestNorms:
         got = [error_norms(f, s, q, mesh=mesh) for q in qs]
         assert got == want
 
-    def test_rejects_unknown_q(self):
+    @pytest.mark.parametrize("q", [3, True, False, np.True_, np.array([2]), np.array([1, 2]),
+                                   np.array(2), 2 + 0j, "2", None],
+                             ids=["three", "true", "false", "numpy_true", "one_element_array",
+                                  "two_element_array", "zero_dim_array", "complex", "string_two",
+                                  "none"])
+    def test_rejects_unknown_q(self, q):
         levels = make_levels(1, 1, 2, 1)
         mesh = active_mesh(SubdomainHierarchy.from_cells([]), levels)
-        with pytest.raises(HierSplineError):
-            lq_norm(lambda p: np.ones(p.shape[0]), 3, mesh)
+        with pytest.raises(HierSplineError, match=r"only q in \{1, 2, inf\} supported"):
+            lq_norm(lambda p: np.ones(p.shape[0]), q, mesh)
+
+    @pytest.mark.parametrize("q,want", [(1, 1.0), (2.0, 2.0), (np.int64(2), 2.0),
+                                        ("inf", np.inf), ("INF", np.inf), (np.inf, np.inf)])
+    def test_accepts_known_q(self, q, want):
+        from hiersplines.quasiinterp import _as_q
+        assert _as_q(q) == want
+
+    def test_study_refuses_bool_q_before_running(self):
+        from hiersplines.study import run_convergence_study
+        with pytest.raises(HierSplineError, match="only q in"):
+            run_convergence_study([repo_fixture("d2_corner_admissible")], "sin", True)
+
+    @pytest.mark.parametrize("q", [1, 2, "inf"])
+    def test_test_function_and_plain_callable_give_equal_norms(self, q):
+        fx = repo_fixture("cubic_lshape")
+        f = get_function("gauss", fx.dimension)
+        s = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels).apply(f)
+        mesh = active_mesh(fx.hierarchy, fx.levels)
+        region = CellSet(0, np.ones(fx.levels[0].num_cells, dtype=bool))
+        plain = lambda p: f(p)  # noqa: E731
+        for g in (f, f.directional_derivative(1, 2)):
+            assert lq_norm(g, q, mesh) == lq_norm(lambda p: g(p), q, mesh)
+        assert error_norms(f, s, q, mesh=mesh) == error_norms(plain, s, q, mesh=mesh)
+        assert error_norms(f, s, q, mesh=mesh, region=region) == \
+            error_norms(plain, s, q, mesh=mesh, region=region)
+        assert error_norms(f, None, q, mesh=mesh) == error_norms(plain, None, q, mesh=mesh)
+
+    @pytest.mark.parametrize("q", [2, "inf"])
+    def test_nonfinite_callback_names_first_bad_point(self, q):
+        fx = repo_fixture("cubic_lshape")
+        f = get_function("sin", fx.dimension)
+        s = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels).apply(f)
+        calls = []
+
+        def bad(p):
+            calls.append(p.copy())
+            out = f(p)
+            out[(p[:, 0] > 0.6) & (p[:, 1] > 0.3)] = np.nan
+            return out
+
+        with pytest.raises(EvaluationError, match="non-finite value at") as caught:
+            error_norms(bad, s, q, mesh=active_mesh(fx.hierarchy, fx.levels))
+        last = calls[-1]
+        first_bad = last[int(np.argmax((last[:, 0] > 0.6) & (last[:, 1] > 0.3)))]
+        assert str(caught.value) == f"callback returned a non-finite value at {tuple(first_bad)}"
+        # every earlier batch was clean
+        assert not any(((p[:, 0] > 0.6) & (p[:, 1] > 0.3)).any() for p in calls[:-1])
 
     @pytest.mark.parametrize("level,shape,cell", [
         (5, None, (0, 0)),
@@ -411,3 +463,48 @@ class TestNorms:
                 lq_norm(one, q, mesh, region)
             with pytest.raises(HierSplineError, match="region of level"):
                 error_norms(one, None, q, mesh=mesh, region=region)
+
+
+class TestFunctionsOnGrids:
+    @pytest.mark.parametrize("name", ["sin", "gauss", "poly"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_on_grid_equals_call(self, name, dim):
+        from hiersplines.quasiinterp import _tensor_grid
+        rng = np.random.default_rng(dim)
+        degrees = [int(p) for p in rng.integers(1, 4, size=dim)]
+        f = get_function(name, dim, degrees)
+        # samples on breakpoints of a dyadic mesh, at both ends and random
+        marks = np.array([0.0, 0.25, 0.5, 1.0])
+        axes = [np.stack([rng.permutation(np.concatenate([marks, rng.random(2 + k)]))
+                          for _ in range(3)]) for k in range(dim)]
+        pts = _tensor_grid(axes)
+        for direction in range(dim):
+            for order in range(degrees[direction] + 2):
+                g = f.directional_derivative(direction, order)
+                assert (g.direction, g.order) == (direction, order)
+                got = g.on_grid(axes)
+                assert got.shape == (3,) + tuple(a.shape[1] for a in reversed(axes))
+                assert np.array_equal(got.reshape(-1), g(pts))
+
+    def test_derivative_of_derivative(self):
+        f = get_function("sin", 2)
+        pts = np.random.default_rng(0).random((7, 2))
+        twice = f.directional_derivative(1, 1).directional_derivative(1, 2)
+        assert np.array_equal(twice(pts), f.directional_derivative(1, 3)(pts))
+        with pytest.raises(HierSplineError, match="mixed"):
+            f.directional_derivative(1, 1).directional_derivative(0, 1)
+
+    @pytest.mark.parametrize("direction,order,message", [
+        (2, 1, "direction"), (-1, 1, "direction"), (0, -1, "order"), (0, 1.5, "order"),
+        (0, True, "order")])
+    def test_bad_derivative_refused(self, direction, order, message):
+        with pytest.raises(HierSplineError, match=message):
+            get_function("gauss", 2).directional_derivative(direction, order)
+
+    def test_wrong_dimension_refused(self):
+        f = get_function("sin", 2)
+        with pytest.raises(HierSplineError, match="grid axes"):
+            f.on_grid([np.zeros((1, 3))])
+        for pts in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 2))):
+            with pytest.raises(HierSplineError, match="for a function of dimension 2"):
+                f(pts)
