@@ -27,6 +27,13 @@ which finds spans and basis rows, or evaluates a factor, once per axis
 sample and forms the grid by broadcasting. A plain callable is evaluated
 at the grid's points. Both routes do the same scalar operations per point,
 so the norms do not depend on which one is taken.
+
+A norm reads its cells' values from a table of one integrand: per cell,
+|f|^q at the Gauss nodes or the largest |f| of the sample, evaluated the
+first time a norm asks for the cell. Norms of several regions over one
+mesh that share a table evaluate each shared cell once, and since each
+norm still reduces the rows of its own cells in its own order, its value
+does not depend on which norms came before.
 """
 
 from __future__ import annotations
@@ -635,43 +642,123 @@ def _abs_batches(f, lows: np.ndarray, spans: np.ndarray,
         yield k, np.abs(_grid_values(f, axes))
 
 
+class _LevelRows(NamedTuple):
+    """The rows kept for one level: the cells' ranks in the order the rows
+    were added, that order sorted, and one row per cell."""
+
+    ranks: np.ndarray
+    order: np.ndarray
+    rows: np.ndarray
+
+
+def _positions(kept: _LevelRows | None, ranks: np.ndarray) -> np.ndarray:
+    """Where the cells of the given ranks sit among the kept rows, -1 for
+    the cells not kept."""
+    if kept is None:
+        return np.full(len(ranks), -1)
+    at = kept.order[np.searchsorted(kept.ranks, ranks, sorter=kept.order)
+                    .clip(max=len(kept.order) - 1)]
+    return np.where(kept.ranks[at] == ranks, at, -1)
+
+
+class _CellRows:
+    """What the L^q norms of one integrand integrate, one row per cell,
+    evaluated for the cells a norm asks for and kept for later norms.
+
+    For finite q a cell's row holds |f|^q at its Gauss nodes; for q = inf
+    it is the largest |f| over the cell's sample. A row is the same
+    whichever batch its cell is evaluated in, so the norms of several
+    regions over one mesh can share the rows of the cells they share.
+    Rows are kept per level and looked up by the cells' canonical ranks.
+    """
+
+    __slots__ = ("f", "qv", "mesh", "config", "_levels")
+
+    def __init__(self, f: PointFunction, q, mesh: HierarchicalMesh,
+                 config: OperatorConfig = DEFAULT_CONFIG):
+        self.f, self.qv, self.mesh, self.config = f, _as_q(q), mesh, config
+        self._levels: dict[int, _LevelRows] = {}
+
+    def base(self, ell: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Per direction, the nodes on [0, 1] of level ell's cells and
+        their Gauss weights, None for the sup-norm sample."""
+        if math.isinf(self.qv):
+            d = self.mesh.levels[0].dim
+            per_dir = max(2, math.ceil(self.config.sup_samples_per_cell ** (1.0 / d)))
+            return [(np.linspace(0.0, 1.0, per_dir), None)] * d
+        return [_gauss_base(kv.degree + 1 + self.config.error_quad_increment)
+                for kv in self.mesh.levels[ell].kvs]
+
+    def rows(self, ell: int, idxs: np.ndarray, lows: np.ndarray,
+             spans: np.ndarray) -> np.ndarray:
+        """The rows of the (n, d) cells ``idxs`` of level ell, whose lower
+        corners and edge lengths are ``lows`` and ``spans``, in their order;
+        the cells not yet kept are evaluated first, in that order."""
+        lv = self.mesh.levels[ell]
+        ranks = np.ravel_multi_index(tuple(idxs.T[::-1]), lv.num_cells[::-1])
+        kept = self._levels.get(ell)
+        at = _positions(kept, ranks)
+        miss = at < 0
+        if miss.any():
+            rows, added = self._evaluate(ell, lows[miss], spans[miss]), ranks[miss]
+            if kept is not None:
+                rows = np.concatenate([kept.rows, rows])
+                added = np.concatenate([kept.ranks, added])
+            kept = self._levels[ell] = _LevelRows(added, np.argsort(added, kind="stable"), rows)
+            at = _positions(kept, ranks)
+        # a whole level in the order it was added needs no gather
+        return kept.rows if np.array_equal(at, np.arange(len(kept.ranks))) else kept.rows[at]
+
+    def release(self, ell: int) -> None:
+        """Forget the rows of level ell."""
+        self._levels.pop(ell, None)
+
+    def _evaluate(self, ell: int, lows: np.ndarray, spans: np.ndarray) -> np.ndarray:
+        base = self.base(ell)
+        nodes = [t for t, _ in base]
+        inf = math.isinf(self.qv)
+        out = np.empty(lows.shape[:1] if inf else (lows.shape[0], math.prod(map(len, nodes))))
+        for k, vals in _abs_batches(self.f, lows, spans, nodes):
+            out[k:k + vals.shape[0]] = vals.max(axis=1) if inf else vals ** self.qv
+        return out
+
+
 def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
             region: CellSet | None = None,
             config: OperatorConfig = DEFAULT_CONFIG) -> float:
     """L^q norm over a region by per-cell Gauss quadrature, or the maximum
     over a dense sample for q = inf. Cells are taken level by level.
 
-    For finite q the batches only fill a level's table of |f|^q at the
-    nodes, and the per-cell integrals are formed once per level: a
-    matrix-vector product rounds a row differently depending on how many
-    rows it is given, and so the norm does not depend on the batch size.
+    The norm gathers the rows of its integration cells from a table of
+    per-cell values (|f|^q at the Gauss nodes, or the cell's largest |f|),
+    which evaluates the cells it does not hold yet; a plain call fills a
+    fresh one, and the convergence study passes one table per integrand
+    to the norms of all its regions. For finite q the per-cell integrals
+    are formed once per level from the gathered rows, in the order of
+    :func:`integration_cells`: a matrix-vector product rounds a row
+    differently depending on how many rows it is given and where, and so
+    the norm depends neither on the batches nor on which norms shared the
+    table.
     """
     qv = _as_q(q)
+    shared = isinstance(f, _CellRows)
+    table = f if shared else _CellRows(f, qv, mesh, config)
+    if table.qv != qv or table.mesh is not mesh or table.config != config:
+        raise HierSplineError("a table of cell values serves only norms of its own q, "
+                              "mesh and configuration")
     groups = integration_cells(mesh, region)
-    if not groups:
-        return 0.0
-    if math.isinf(qv):
-        d = mesh.levels[0].dim
-        per_dir = max(2, math.ceil(config.sup_samples_per_cell ** (1.0 / d)))
-        base = [np.linspace(0.0, 1.0, per_dir)] * d
-        worst = 0.0
-        for ell, idxs in groups:
-            lows, spans = _cells_geometry(mesh.levels[ell], idxs)
-            for _, vals in _abs_batches(f, lows, spans, base):
-                worst = max(worst, float(vals.max()))
-        return worst
     total = 0.0
     for ell, idxs in groups:
-        lv = mesh.levels[ell]
-        counts = [kv.degree + 1 + config.error_quad_increment for kv in lv.kvs]
-        rules = [_gauss_base(c) for c in counts]
-        base_w = _kron([w for _, w in rules])
-        lows, spans = _cells_geometry(lv, idxs)
-        powers = np.empty((lows.shape[0], base_w.shape[0]))
-        for k, vals in _abs_batches(f, lows, spans, [t for t, _ in rules]):
-            powers[k:k + vals.shape[0]] = vals ** qv
-        total += float(spans.prod(axis=1) @ (powers @ base_w))
-    return total ** (1.0 / qv)
+        lows, spans = _cells_geometry(mesh.levels[ell], idxs)
+        rows = table.rows(ell, idxs, lows, spans)
+        if math.isinf(qv):
+            total = max(total, float(rows.max()))
+        else:
+            base_w = _kron([w for _, w in table.base(ell)])
+            total += float(spans.prod(axis=1) @ (rows @ base_w))
+        if not shared:
+            table.release(ell)
+    return total if math.isinf(qv) else total ** (1.0 / qv)
 
 
 class _Difference:

@@ -2,7 +2,11 @@
 
 A family is an ordered list of fixtures (refinement steps). Per step the
 multiscale interpolant of a catalog function is computed and its errors
-are measured per level, on the level subdomain and on its core region.
+are measured per level, on the level subdomain and on its core region,
+together with the estimate terms h^s ||d^s f|| on the subdomain. The
+regions are unions of active cells, so per step each integrand (the error
+and each directional derivative) is evaluated once per active cell into a
+table, and every region's norm gathers its cells' rows from it.
 Observed orders pair a row with the previous step's row whose mesh size is
 exactly twice as large.
 """
@@ -31,7 +35,8 @@ from .quasiinterp import (
     MultiscaleQuasiInterpolant,
     OperatorConfig,
     _as_q,
-    error_norms,
+    _CellRows,
+    _Difference,
     lq_norm,
 )
 from .tensor import CellSet
@@ -88,20 +93,44 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
+# the columns read_study_csv reads, with their parsers; an empty order is None
+_CSV_COLUMNS = {"step": int, "level": int, "h": float, "error": float, "order": float}
+
+
 def read_study_csv(text: str) -> list[dict]:
+    """The rows of a study CSV as :meth:`StudyReport.csv_text` writes it.
+
+    Blank lines are skipped. Text without a header naming every column of
+    ``_CSV_COLUMNS``, a row with another number of fields than the header,
+    or a field its column cannot parse is refused with the line's number.
+    """
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise HierSplineError("study CSV: no header line")
+    n, head = lines[0]
+    header = head.split(",")
+    missing = [c for c in _CSV_COLUMNS if c not in header]
+    if missing:
+        raise HierSplineError(f"study CSV line {n}: the header lacks {', '.join(missing)}")
     rows = []
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        row = dict(zip(header, parts))
-        rows.append({
-            "step": int(row["step"]),
-            "level": int(row["level"]),
-            "h": float(row["h"]),
-            "error": float(row["error"]),
-            "order": float(row["order"]) if row["order"] else None,
-        })
+    for n, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(header):
+            raise HierSplineError(
+                f"study CSV line {n}: {len(fields)} fields for {len(header)} columns")
+        row = dict(zip(header, fields))
+        parsed: dict = {}
+        for name, parse in _CSV_COLUMNS.items():
+            if name == "order" and not row[name]:
+                parsed[name] = None
+                continue
+            try:
+                parsed[name] = parse(row[name])
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise HierSplineError(
+                    f"study CSV line {n}: {name} {row[name]!r} is not {kind}") from None
+        rows.append(parsed)
     return rows
 
 
@@ -110,7 +139,8 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
                           config: OperatorConfig | None = None) -> StudyReport:
     """Interpolate the named function on every step and report errors.
 
-    Refuses (by propagation) on any step whose core domains are not
+    Refuses a family whose steps differ in degrees or dimension before any
+    step runs, and (by propagation) any step whose core domains are not
     nested. ``smoothness`` holds the per-direction derivative orders used
     for the reported estimate terms; it defaults to degree+1 and must stay
     within [1, degree+1].
@@ -130,56 +160,84 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
         if not 1 <= s <= p + 1:
             raise HierSplineError(
                 f"smoothness order {s} outside 1..{p + 1}")
+    for step, fixture in enumerate(fixtures):
+        if fixture.degrees != degrees or fixture.dimension != dim:
+            raise HierSplineError(
+                f"step {step} changes degrees or dimension")
     f = get_function(f_name, dim, degrees)
 
     rows: list[StudyRow] = []
     steps: list[StudyStep] = []
     for step, fixture in enumerate(fixtures):
-        if fixture.degrees != degrees or fixture.dimension != dim:
-            raise HierSplineError(
-                f"step {step} changes degrees or dimension")
-        h = fixture.hierarchy
-        levels = fixture.levels
-        weights = compute_weights(h, levels)
-        refinable = build_refinable_basis(h, levels, weights)
-        op = MultiscaleQuasiInterpolant(h, levels, refinable, config)
-        interpolant = op.apply(f)
-        mesh = active_mesh(h, levels)
-        grids = subdomain_grids(h, levels)
-        estimate_terms = []
-        for ell in range(h.depth):
-            # subdomain ell is a grid over the cells of level ell - 1
-            region = CellSet(ell - 1, grids.cells_inside(ell - 1, ell)) if ell else None
-            err = error_norms(f, interpolant, q, mesh=mesh, region=region,
-                              config=config)
-            core = op.core.masks[ell]
-            if ell == 0:
-                err_core = err  # the core domain of level 0 is the whole domain
-            else:
-                err_core = error_norms(f, interpolant, q, mesh=mesh,
-                                       region=CellSet(ell, core), config=config) \
-                    if core.any() else 0.0
-            hs = levels[ell].max_interval_lengths
-            rows.append(StudyRow(step=step, level=ell, h=max(hs),
-                                 error=err, error_core=err_core))
-            term = 0.0
-            for i, (s_i, h_i) in enumerate(zip(smoothness, hs)):
-                dnorm = lq_norm(f.directional_derivative(i, s_i), q, mesh,
-                                region, config)
-                term += float(h_i) ** s_i * dnorm
-            estimate_terms.append(term)
-        steps.append(StudyStep(
-            step=step, mesh_id=fixture.name,
-            active_classical=_classical_count(h, levels),
-            active_refinable=len(refinable),
-            mesh_sizes=[[str(v) for v in levels[ell].max_interval_lengths]
-                        for ell in range(h.depth)],
-            estimate_terms=estimate_terms))
+        step_rows, report = _study_step(step, fixture, f, q, smoothness, config)
+        rows += step_rows
+        steps.append(report)
 
     _fill_orders(rows)
     qs = "inf" if (isinstance(q, str) and q.lower() == "inf") or q == math.inf else str(q)
     return StudyReport(function=f_name, q=qs, smoothness=smoothness,
                        steps=steps, rows=rows)
+
+
+def _study_step(step: int, fixture: Fixture, f, q, smoothness: list[int],
+                config: OperatorConfig) -> tuple[list[StudyRow], StudyStep]:
+    """Interpolate ``f`` on one step; its rows and its report.
+
+    Each integrand (the error and each directional derivative) gets one
+    table of per-cell values, which every region's norm reads; the tables
+    are taken one after the other, and the operator is dropped before
+    them, so that only the interpolant and one table are held at a time.
+    """
+    h = fixture.hierarchy
+    levels = fixture.levels
+    refinable = build_refinable_basis(h, levels, compute_weights(h, levels))
+    op = MultiscaleQuasiInterpolant(h, levels, refinable, config)
+    interpolant, core = op.apply(f), op.core
+    del op
+    mesh = active_mesh(h, levels)
+    grids = subdomain_grids(h, levels)
+    # subdomain ell is a grid over the cells of level ell - 1; subdomain 0
+    # and core domain 0 are the whole domain
+    subdomains = [None] + [CellSet(ell - 1, grids.cells_inside(ell - 1, ell))
+                           for ell in range(1, h.depth)]
+    cores = [None] + [CellSet(ell, core.masks[ell]) for ell in range(1, h.depth)]
+    errors = _level_norms(_CellRows(_Difference(f, interpolant), q, mesh, config),
+                          list(zip(subdomains, cores)))
+    dnorms = [_level_norms(_CellRows(f.directional_derivative(i, s_i), q, mesh, config),
+                           [(sub,) for sub in subdomains])
+              for i, s_i in enumerate(smoothness)]
+    rows, estimate_terms = [], []
+    for ell, (err, err_core) in enumerate(errors):
+        hs = levels[ell].max_interval_lengths
+        rows.append(StudyRow(step=step, level=ell, h=max(hs),
+                             error=err, error_core=err_core))
+        term = 0.0
+        for s_i, h_i, per_level in zip(smoothness, hs, dnorms):
+            term += float(h_i) ** s_i * per_level[ell][0]
+        estimate_terms.append(term)
+    return rows, StudyStep(
+        step=step, mesh_id=fixture.name,
+        active_classical=_classical_count(h, levels),
+        active_refinable=len(refinable),
+        mesh_sizes=[[str(v) for v in levels[ell].max_interval_lengths]
+                    for ell in range(h.depth)],
+        estimate_terms=estimate_terms)
+
+
+def _level_norms(table: _CellRows, regions: Sequence[Sequence[CellSet | None]]
+                 ) -> list[list[float]]:
+    """Per level ell, the norms of the table's integrand over the regions
+    ``regions[ell]``, None for the whole domain.
+
+    Each region of level ell lies inside subdomain ell, so its cells are of
+    level ell or finer, and level ell's rows are released after its norms.
+    """
+    out = []
+    for ell, level_regions in enumerate(regions):
+        out.append([lq_norm(table, table.qv, table.mesh, region, table.config)
+                    for region in level_regions])
+        table.release(ell)
+    return out
 
 
 def _classical_count(h, levels) -> int:

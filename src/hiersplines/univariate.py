@@ -222,7 +222,7 @@ class KnotVector:
     def num_intervals(self) -> int:
         return len(self.breakpoints) - 1
 
-    @property
+    @cached_property
     def max_interval_length(self) -> Fraction:
         return max(c.length for c in self.intervals)
 

@@ -2,7 +2,8 @@
 
 Per repository fixture, ``tests/golden`` holds the ``check --report``
 JSON with the wall times removed and the ``dump-mesh`` JSON. It also holds
-the study CSV and JSON report of a small two-step corner family. After a
+the study CSV and JSON reports of a small two-step corner family, for the
+function and norm pairs of ``CORNER_STUDIES``. After a
 change that is meant to alter outputs, rewrite them with
 ``PYTHONPATH=src python -m tests.test_golden``.
 """
@@ -42,9 +43,16 @@ def mesh_dump(name: str, tmp: Path) -> str:
     return out.read_text(encoding="utf-8")
 
 
+# (function, q, golden file stem) of each recorded corner study
+CORNER_STUDIES = (("sin", "2", "corner_study"),
+                  ("gauss", "1", "corner_study_gauss_q1"),
+                  ("gauss", "inf", "corner_study_gauss_qinf"))
+
+
 def corner_study(tmp: Path) -> dict[str, str]:
-    """The study CSV and JSON report of a quadratic corner family, 4 and 8
-    cells per direction, three levels refined towards one corner."""
+    """The study CSV and JSON reports, per entry of ``CORNER_STUDIES``, of a
+    quadratic corner family, 4 and 8 cells per direction, three levels
+    refined towards one corner."""
     family = tmp / "family"
     family.mkdir()
     for s, n in enumerate((4, 8)):
@@ -53,11 +61,14 @@ def corner_study(tmp: Path) -> dict[str, str]:
         h = SubdomainHierarchy.from_cells([box, box])
         write_fixture(Fixture(f"corner_s{s}", 2, (2, 2), levels, h, "dyadic"),
                       family / f"corner_s{s}.json")
-    csv, report = tmp / "study.csv", tmp / "study.json"
-    cli.main(["study", str(family), "--f", "sin", "--q", "2",
-              "--csv", str(csv), "--report", str(report)])
-    return {"corner_study.csv": csv.read_text(encoding="utf-8"),
-            "corner_study.json": report.read_text(encoding="utf-8")}
+    outputs = {}
+    for f_name, q, stem in CORNER_STUDIES:
+        csv, report = tmp / f"{stem}.csv", tmp / f"{stem}.json"
+        cli.main(["study", str(family), "--f", f_name, "--q", q,
+                  "--csv", str(csv), "--report", str(report)])
+        outputs[csv.name] = csv.read_text(encoding="utf-8")
+        outputs[report.name] = report.read_text(encoding="utf-8")
+    return outputs
 
 
 def _golden(name: str) -> str:

@@ -293,6 +293,30 @@ class TestStudy:
         assert len(level0) == 2
         assert all(r.error_core == r.error for r in level0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no header line"),
+        ("\n  \n", "no header line"),
+        ("step,level\n1,2\n", "line 1: the header lacks h, error, order"),
+        ("step,level,h,error,order\n0,x,0.5,0.1,\n", "line 2: level 'x' is not an integer"),
+        ("step,level,h,error,order\n0,1,0.5,0.1,\n\n0,2,0.25\n", "line 4: 3 fields for 5"),
+        ("step,level,h,error,order\n0,1,0.5,0.1,fast\n", "line 2: order 'fast' is not a number"),
+    ])
+    def test_malformed_csv_refused_with_line(self, text, message):
+        with pytest.raises(HierSplineError, match=message):
+            read_study_csv(text)
+
+    def test_family_checked_before_any_step_runs(self, monkeypatch):
+        from hiersplines import study
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the family was checked")
+
+        monkeypatch.setattr(study, "compute_weights", no_step)
+        fixtures = [repo_fixture("d2_depth1_uniform"), repo_fixture("d2_single_cell"),
+                    repo_fixture("d1_depth3_blocks")]
+        with pytest.raises(HierSplineError, match="step 2 changes degrees or dimension"):
+            run_convergence_study(fixtures, "sin", 2)
+
     def test_json_roundtrip_bit_for_bit(self):
         fixtures = [repo_fixture("d2_depth1_uniform")]
         report = run_convergence_study(fixtures, "gauss", 1)
