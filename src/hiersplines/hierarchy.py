@@ -730,18 +730,33 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
     entries run in the order received, then the children added, in the
     order first reached; the first contribution to a new child is
     assigned (a -0.0 stays -0.0), later ones are added in parent order.
-    Exact values stay exact; a float one is multiplied by the float
-    nearest n/q, which is what a product with the coefficient's Fraction
-    gives, and which int64 division gives while q < 2**53. The first
-    entry that is neither active nor deactivated, or is no function of its
-    level, raises, named by ``names[ell][k]`` for the k-th received entry
-    when given.
+    A float value is multiplied by the float nearest n/q, which is what a
+    product with the coefficient's Fraction gives, and which int64
+    division gives while q < 2**53.
+
+    Exact values (ints and Fractions) stay exact. Every exact value the
+    sweep meets on level ell is a multiple of 1/D_ell, where D_0 is the lcm
+    of the denominators given and D_{ell+1} = D_ell * q, so a level whose
+    values are all exact carries integer numerators over D_ell: they are
+    scaled and merged by the same array operations as floats, in int64
+    while a bound on their size stays below 2**63 and as Python ints
+    beyond. Fractions are made only for the kept entries that children
+    reached; a received entry no child reached keeps its own object, so an
+    int stays an int. A level that mixes floats and exact values works on
+    the objects one by one, as Python's arithmetic does.
+
+    The first entry that is neither active nor deactivated, or is no
+    function of its level, raises, named by ``names[ell][k]`` for the k-th
+    received entry when given.
     """
     levels = basis.levels
     grids = subdomain_grids(basis.hierarchy, levels)
-    out, children = [], None
+    denominator = math.lcm(*(v.denominator for _, values in pending if values.dtype == object
+                             for v in values.tolist() if isinstance(v, Fraction)))
+    out, children, exact_terms = [], None, False
     for ell, (lv, active, (indices, values)) in enumerate(zip(levels, basis.active, pending)):
         inside = ((indices >= 0) & (indices < active.shape)).all(axis=1)
+        numerators = None
         # an entry outside the grid refuses the level before any child is reached
         if children is not None and inside.all():
             both = np.concatenate([indices, children])
@@ -751,8 +766,18 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
             # are distinct and keep theirs, the new children follow
             slots = np.argsort(np.argsort(first))[inverse][len(indices):]
             new = (first[inverse] == np.arange(len(both)))[len(indices):]
-            values = np.concatenate([values, terms[new]])
-            np.add.at(values, slots[~new], terms[~new])
+            if exact_terms and _all_exact(values):
+                numerators = _merged(_numerators(values, denominator), terms, slots, new)
+                reached = np.zeros(len(numerators), dtype=bool)
+                reached[len(values):] = True
+                reached[slots] = True
+                values = np.concatenate([values.astype(object), np.empty(int(new.sum()), object)])
+            else:
+                if exact_terms:
+                    terms = np.array([Fraction(t, denominator) for t in terms.tolist()],
+                                     dtype=object)
+                values = np.concatenate([values, terms[new]])
+                np.add.at(values, slots[~new], terms[~new])
             indices = np.concatenate([indices, children[new]])
             inside = np.ones(len(indices), dtype=bool)
         at = tuple(np.where(inside, indices.T, 0))
@@ -765,21 +790,67 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
                       else tuple(indices[k].tolist()))
             raise _neither(fid) if inside[k] else HierarchyError(
                 f"{fid} is outside the function grid {active.shape} of level {ell}")
+        if numerators is not None:
+            made = keep & reached
+            values[made] = [Fraction(n, denominator) for n in numerators[made].tolist()]
         out.append(LevelSpline(lv, indices[keep], values[keep]))
         children = None
         # none sinks on the deepest level: its next subdomain is empty
         if sunk.any():
-            rows, children, numerators, q = tensor_children_arrays(
+            rows, children, factors, q = tensor_children_arrays(
                 indices[sunk], two_scale_tables(lv, levels[ell + 1]))
-            coeffs = values[sunk][rows]
-            if coeffs.dtype == object:
+            exact_terms = numerators is not None or _all_exact(values[sunk])
+            if exact_terms:
+                coarse = numerators[sunk] if numerators is not None else \
+                    _numerators(values[sunk], denominator)
+                terms = _product(coarse[rows], factors)
+            elif values.dtype == object:
                 terms = np.array([c * (n / q) if isinstance(c, float) else c * Fraction(n, q)
-                                  for c, n in zip(coeffs.tolist(), numerators.tolist())],
-                                 dtype=object)
+                                  for c, n in zip(values[sunk][rows].tolist(),
+                                                  factors.tolist())], dtype=object)
             else:
-                terms = coeffs * (numerators / q if q < 2 ** 53
-                                  else np.array([n / q for n in numerators.tolist()]))
+                terms = values[sunk][rows] * (
+                    factors / q if q < 2 ** 53 else np.array([n / q for n in factors.tolist()]))
+            denominator *= q
     return out
+
+
+def _all_exact(values: np.ndarray) -> bool:
+    """Are all the values ints or Fractions (true of none)?"""
+    return not len(values) or values.dtype == object and all(
+        isinstance(v, (int, Fraction)) for v in values.tolist())
+
+
+def _numerators(values: np.ndarray, denominator: int) -> np.ndarray:
+    """The numerators over ``denominator`` of exact values whose own
+    denominators divide it: int64 when all fit, else Python ints."""
+    nums = [v.numerator * (denominator // v.denominator) for v in values.tolist()]
+    fits = not nums or max(map(abs, nums)) < 2 ** 63
+    return np.array(nums, dtype=np.int64 if fits else object)
+
+
+def _bound(numbers: np.ndarray) -> int:
+    return int(np.abs(numbers).max(initial=0))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, in int64 while the bound fits."""
+    if a.dtype == b.dtype == np.int64 and _bound(a) * _bound(b) < 2 ** 63:
+        return a * b
+    return a.astype(object) * b.astype(object)
+
+
+def _merged(received: np.ndarray, terms: np.ndarray, slots: np.ndarray,
+            new: np.ndarray) -> np.ndarray:
+    """The received numerators, then those of the new children, with the
+    other terms added into their slots: as the float merge does, in int64
+    while the received plus all terms' magnitudes stay below 2**63."""
+    exact = received.dtype == terms.dtype == np.int64 and \
+        _bound(received) + len(terms) * _bound(terms) < 2 ** 63
+    dtype = np.int64 if exact else object
+    merged = np.concatenate([received.astype(dtype), terms[new].astype(dtype)])
+    np.add.at(merged, slots[~new], terms[~new].astype(dtype))
+    return merged
 
 
 def expand_deactivated(fid: Fid, basis: HierBasis) -> dict[Fid, Fraction]:

@@ -418,10 +418,11 @@ def active_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantRe
     gives full rank of the whole. Block l has Gram matrix
     G_l = sum over the active cells c of level l of A_c^T A_c, restricted to
     the active functions of level l, where A_c is the Kronecker product of
-    per-direction (p+1) x (p+1) collocation blocks; G_l counts as regular
-    when its eigenvalues satisfy lambda_min > max(rows, cols) * eps *
-    lambda_max. Since lambda = sigma^2, this is stricter than the
-    max(rows, cols) * eps * sigma_max tolerance of numpy's matrix_rank.
+    per-direction (p+1) x (p+1) collocation blocks. G_l counts as regular
+    when G_l - tau I has a Cholesky factor, with tau = c * ||G_l||_inf and
+    c = max(rows, cols) * eps. Since ||G_l||_inf >= lambda_max, success
+    gives lambda_min > tau >= c * lambda_max; since lambda = sigma^2, that
+    is stricter than the c * sigma_max tolerance of numpy's matrix_rank.
     When the structure or a block fails, the dense collocation matrix and
     matrix_rank give the verdict and the rank in the detail.
     """
@@ -446,7 +447,9 @@ def _gram_block_regular(level: TensorLevel, cells: np.ndarray, members: np.ndarr
     (p+1) x (p+1) Gram blocks B^T B of every interval come from one
     find_spans and basis_columns pass; a cell's A_c^T A_c is their
     Kronecker product, first direction fastest, and all cells scatter into
-    G_l at once.
+    G_l at once. In canonical order G_l is banded: its half-bandwidth is
+    the widest spread of function positions within one cell, and
+    :func:`_shifted_cholesky` tests it block by block.
     """
     n = int(np.count_nonzero(members))
     if not n:
@@ -477,9 +480,38 @@ def _gram_block_regular(level: TensorLevel, cells: np.ndarray, members: np.ndarr
     keep = (pos[:, :, None] >= 0) & (pos[:, None, :] >= 0)
     keys = (pos[:, :, None] * n + pos[:, None, :])[keep]
     gram = np.bincount(keys, weights=local[keep], minlength=n * n).reshape(n, n)
-    eig = np.linalg.eigvalsh(gram)
+    spread = (pos.max(axis=1) - np.where(pos >= 0, pos, n).min(axis=1))[(pos >= 0).any(axis=1)]
     rows = len(cells) * local.shape[1]
-    return bool(eig[0] > max(rows, n) * np.finfo(float).eps * eig[-1])
+    return _shifted_cholesky(gram, int(spread.max(initial=0)),
+                             max(rows, n) * np.finfo(float).eps)
+
+
+def _shifted_cholesky(gram: np.ndarray, bandwidth: int, c: float) -> bool:
+    """Does G - tau I have a Cholesky factor, tau = c * ||G||_inf?
+
+    ``gram`` is a symmetric n x n matrix G with G[i, j] = 0 whenever
+    |i - j| > ``bandwidth``; it is overwritten. In diagonal blocks of size
+    b = max(bandwidth, 1) the matrix is block tridiagonal, so each step
+    factors the pivot block, solves for the panel below it and updates the
+    next diagonal block by the Schur complement: about n * b^2 work and no
+    n x n temporary. A block that is not numerically positive definite
+    fails the test.
+    """
+    n, b = len(gram), max(bandwidth, 1)
+    starts = range(0, n, b)
+    norm = max(float(np.abs(gram[s:s + b, max(s - b, 0):s + 2 * b]).sum(axis=1).max())
+               for s in starts)
+    gram[np.diag_indices(n)] -= c * norm
+    try:
+        for s in starts:
+            e, f = s + b, s + 2 * b
+            low = np.linalg.cholesky(gram[s:e, s:e])
+            if e < n:
+                panel = np.linalg.solve(low, gram[e:f, s:e].T)
+                gram[e:f, e:f] -= panel.T @ panel
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def dense_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantResult:

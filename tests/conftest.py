@@ -9,6 +9,8 @@ from hiersplines.tensor import build_level_sequence, cell_descendant_ranges, ite
 from hiersplines.univariate import make_open_knot_vector, uniform_open_knot_vector
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+# inputs kept out of the fixture set the golden files enumerate
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def repo_fixture(name: str) -> Fixture:

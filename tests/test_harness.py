@@ -4,13 +4,19 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hiersplines import invariants
-from hiersplines.errors import FixtureError, HierSplineError
+from hiersplines.errors import (
+    AdmissibilityError,
+    FixtureError,
+    HierarchyError,
+    HierSplineError,
+)
 from hiersplines.fixtures import (
     Fixture,
     dump_active_cells,
@@ -36,6 +42,7 @@ from hiersplines.tensor import build_level_sequence
 from hiersplines.univariate import make_open_knot_vector, uniform_open_knot_vector
 
 from .conftest import (
+    DATA_DIR,
     FIXTURE_DIR,
     corner_hierarchy,
     make_levels,
@@ -388,6 +395,22 @@ def _with_member(basis, level, indices):
     return dataclasses.replace(basis, active=tuple(active))
 
 
+def _random_independence_cases(dim, explicit):
+    """Four random hierarchies of depth 3, as (basis, mesh) pairs."""
+    rng = np.random.default_rng(7 + dim + 10 * explicit)
+    for _ in range(4):
+        levels, h = random_hierarchy(rng, dim=dim, depth=3, explicit=explicit)
+        yield build_hierarchical_basis(h, levels)
+
+
+def _fixture_basis(path):
+    fx = load_fixture(path)
+    return build_hierarchical_basis(fx.hierarchy, fx.levels)
+
+
+FIXTURE_PATHS = sorted(FIXTURE_DIR.glob("*.json"))
+
+
 class TestLinearIndependence:
     def _assert_matches_dense(self, basis, mesh):
         """The certified verdict and detail equal those of one dense SVD."""
@@ -399,18 +422,45 @@ class TestLinearIndependence:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("explicit", [False, True])
     def test_random_hierarchies_match_dense_reference(self, dim, explicit):
-        rng = np.random.default_rng(7 + dim + 10 * explicit)
-        for _ in range(4):
-            levels, h = random_hierarchy(rng, dim=dim, depth=3, explicit=explicit)
-            basis, mesh = build_hierarchical_basis(h, levels)
+        for basis, mesh in _random_independence_cases(dim, explicit):
             assert self._assert_matches_dense(basis, mesh).passed
 
-    @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")),
-                             ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
     def test_fixtures_match_dense_reference(self, path):
-        fx = load_fixture(path)
-        basis, mesh = build_hierarchical_basis(fx.hierarchy, fx.levels)
-        assert self._assert_matches_dense(basis, mesh).passed
+        assert self._assert_matches_dense(*_fixture_basis(path)).passed
+
+    @pytest.fixture
+    def no_dense_rank(self, monkeypatch):
+        """Fail on any fall back to the dense rank: a certificate that
+        always fell back would still pass every verdict test."""
+        def refuse(basis, mesh):
+            raise AssertionError("dense_independence called")
+
+        monkeypatch.setattr(invariants, "dense_independence", refuse)
+
+    @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+    def test_fixtures_certified_without_dense_rank(self, no_dense_rank, path):
+        assert active_independence(*_fixture_basis(path)).passed
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_random_hierarchies_certified_without_dense_rank(self, no_dense_rank, dim,
+                                                             explicit):
+        for basis, mesh in _random_independence_cases(dim, explicit):
+            assert active_independence(basis, mesh).passed
+
+    def test_certificate_memory_stays_near_one_gram_block(self):
+        # numpy reports its array memory to tracemalloc; the Gram block of
+        # the largest level is the one n x n array the certificate makes
+        basis, mesh = _fixture_basis(FIXTURE_DIR / "d2_nested_not_admissible.json")
+        n = max(int(np.count_nonzero(mask)) for mask in basis.active)
+        tracemalloc.start()
+        try:
+            assert active_independence(basis, mesh).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_injected_dependent_column_fails(self):
         fx = repo_fixture("d2_corner_admissible")
@@ -441,6 +491,79 @@ class TestLinearIndependence:
         assert not got.passed
         assert got.detail == f"rank {len(basis)} of {len(basis) + 1} at 10 points"
 
+
+def _banded_spd(n, b, rng):
+    """B^T B for a random lower banded B with a dominant diagonal: symmetric
+    positive definite, with half-bandwidth b."""
+    lower = np.tril(np.triu(rng.normal(size=(n, n)), -b))
+    lower[np.diag_indices(n)] = 2.0 + rng.random(n)
+    return lower.T @ lower
+
+
+def _with_smallest_eigenvalue(gram, ratio):
+    """gram - s I with lambda_min = ratio * lambda_max."""
+    eig = np.linalg.eigvalsh(gram)
+    shift = (eig[0] - ratio * eig[-1]) / (1.0 - ratio)
+    return gram - shift * np.eye(len(gram))
+
+
+def _inf_norm(gram):
+    return np.abs(gram).sum(axis=1).max()
+
+
+class TestShiftedCholesky:
+    """The blocked test of G - c ||G||_inf I on constructed banded matrices."""
+
+    C = 1e-12
+
+    def _regular(self, gram, bandwidth):
+        return invariants._shifted_cholesky(gram.copy(), bandwidth, self.C)
+
+    def test_near_singular_block_fails(self):
+        gram = _with_smallest_eigenvalue(_banded_spd(40, 3, np.random.default_rng(1)),
+                                         0.5 * self.C)
+        eig = np.linalg.eigvalsh(gram)
+        assert eig[0] == pytest.approx(0.5 * self.C * eig[-1], rel=1e-3)
+        assert not self._regular(gram, 3)
+
+    def test_margin_over_the_shift_passes(self):
+        gram = _banded_spd(40, 3, np.random.default_rng(2))
+        for _ in range(3):
+            eig = np.linalg.eigvalsh(gram)
+            gram = gram - (eig[0] - 10 * self.C * _inf_norm(gram)) * np.eye(40)
+        eig = np.linalg.eigvalsh(gram)
+        assert eig[0] == pytest.approx(10 * self.C * _inf_norm(gram), rel=1e-3)
+        assert self._regular(gram, 3)
+
+    def test_singular_matrices_fail(self):
+        # the Neumann difference matrix annihilates the constants
+        n = 12
+        neumann = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        neumann[0, 0] = neumann[-1, -1] = 1
+        assert not self._regular(neumann, 1)
+        assert not self._regular(np.zeros((5, 5)), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("b", [0, 1, 3, 6, 39, 60])
+    def test_blocks_agree_with_dense_cholesky(self, n, b):
+        # regular, and shifted to near the limit from both sides; a band
+        # as wide as the matrix or wider is the dense case
+        rng = np.random.default_rng([n, b])
+        gram = _banded_spd(n, min(b, n - 1), rng)
+        for g in (gram, _with_smallest_eigenvalue(gram, 0.5 * self.C),
+                  _with_smallest_eigenvalue(gram, 100 * self.C)):
+            shifted = g - self.C * _inf_norm(g) * np.eye(n)
+            try:
+                np.linalg.cholesky(shifted)
+                want = True
+            except np.linalg.LinAlgError:
+                want = False
+            assert self._regular(g, b) == want
+
+    def test_one_by_one(self):
+        assert self._regular(np.array([[2.0]]), 0)
+        assert not self._regular(np.array([[0.0]]), 0)
+        assert not self._regular(np.array([[-1.0]]), 0)
 
 def _cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "hiersplines.cli", *args],
@@ -585,6 +708,20 @@ class TestCli:
         assert res.returncode == 2
         assert "core domains" in res.stderr
 
+
+
+@pytest.mark.xfail(strict=True, raises=HierarchyError,
+                   reason="a knot of raised multiplicity on the boundary of subdomain 1 "
+                          "stops the operator with an internal HierarchyError")
+def test_raised_multiplicity_on_subdomain_boundary_runs_or_is_refused():
+    # level 1 raises the knot 1/2, the right end of subdomain 1, to
+    # multiplicity 2; its function 4 is a core function whose only parent
+    # is not sunk into the subdomain
+    fx = load_fixture(DATA_DIR / "raised_multiplicity_on_boundary.json")
+    try:
+        run_convergence_study([fx], "sin", 2)
+    except AdmissibilityError:
+        pass
 
 def test_import_leaves_scipy_unloaded():
     res = subprocess.run(

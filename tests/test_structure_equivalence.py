@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hiersplines import hierarchy
 from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
 from hiersplines.hierarchy import (
     SubdomainHierarchy,
@@ -411,6 +412,81 @@ def test_wide_denominators_match_scalar_routes(cells, rng):
     assert math.prod(tab.denominator for tab in tables) >= 2 ** 63
     assert_equivalent(levels, SubdomainHierarchy.from_cells([cells]), rng)
 
+
+
+# ---------------------------------------------------------------------------
+# the exact sweep: integer numerators over one denominator
+
+def _spy_merges(monkeypatch):
+    """The dtypes of the numerator arrays the exact sweep merges."""
+    dtypes = []
+    merged = hierarchy._merged
+
+    def spy(*args):
+        out = merged(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(hierarchy, "_merged", spy)
+    return dtypes
+
+
+def _sunk_and_active_coefficients(basis, make):
+    """make(k) on every active function and every one whose support sank
+    into the next subdomain, all levels, k counting them."""
+    h, levels = basis.hierarchy, basis.levels
+    fids = [Fid(ell, idx) for ell in range(h.depth) for idx in levels[ell].function_ids()
+            if Fid(ell, idx) in basis or support_in_subdomain(h, levels, ell, idx, ell + 1)]
+    return {fid: make(k) for k, fid in enumerate(fids)}
+
+
+def test_deep_exact_sweep_takes_python_ints(monkeypatch):
+    levels, h = random_case(7, True)
+    assert h.depth == 4 and weight_denominator(h, levels) >= 2 ** 62
+    basis, _ = build_hierarchical_basis(h, levels)
+    coeffs = _sunk_and_active_coefficients(basis, lambda k: Fraction(1 + k % 5, 3 + k % 4))
+    dtypes = _spy_merges(monkeypatch)
+    got = express_over(coeffs, basis)
+    assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
+    assert_same_expression(got, ref_express_over(coeffs, basis))
+
+
+@pytest.mark.parametrize("name", ["d1_depth3_blocks", "d2_corner_admissible",
+                                  "d3_depth2_corner"])
+def test_exact_sweep_mixing_ints_and_fractions(name, monkeypatch):
+    fx = repo_fixture(name)
+    for basis in build_hierarchical_basis(fx.hierarchy, fx.levels)[0], \
+            build_refinable_basis(fx.hierarchy, fx.levels):
+        coeffs = _sunk_and_active_coefficients(
+            basis, lambda k: k % 4 - 1 if k % 3 else Fraction(k % 7 - 3, 1 + k % 5))
+        # one sunk function, of the finest level with any: its children
+        # reach some of the ints of the next level
+        for fid in [fid for fid in coeffs if fid not in basis][:-1]:
+            del coeffs[fid]
+        dtypes = _spy_merges(monkeypatch)
+        got = express_over(coeffs, basis)
+        assert dtypes
+        # ints no child reached stay ints, the entries children reached
+        # are Fractions
+        assert {type(v) for fid, v in got.items() if fid.level} == {int, Fraction}
+        assert_same_expression(got, ref_express_over(coeffs, basis))
+
+
+@pytest.mark.parametrize("name", ["d1_depth3_blocks", "d2_corner_admissible",
+                                  "d3_depth2_corner"])
+def test_sweep_mixing_floats_and_fractions(name, rng):
+    fx = repo_fixture(name)
+    basis, _ = build_hierarchical_basis(fx.hierarchy, fx.levels)
+    # level 0 exact, the finer levels mixed: exact terms reach floats
+    for make in (lambda k: Fraction(k % 5 - 2, 3) if k % 2 else _float_coefficient(rng),
+                 lambda k: float(k % 3) - 0.5 if k % 4 == 1 else Fraction(1, 1 + k % 6)):
+        coeffs = _sunk_and_active_coefficients(basis, make)
+        for fid in coeffs:
+            if fid.level == 0:
+                coeffs[fid] = Fraction(fid.indices[0] % 3 - 1, 7)
+        got = express_over(coeffs, basis)
+        assert {type(v) for v in got.values()} >= {float, Fraction}
+        assert_same_expression(got, ref_express_over(coeffs, basis))
 
 def test_coarse_queries_keep_their_messages():
     fx = repo_fixture("d1_depth3_blocks")
