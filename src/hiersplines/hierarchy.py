@@ -336,9 +336,20 @@ class HierarchicalMesh:
         return sum(int(np.count_nonzero(m)) for m in self.masks)
 
     def total_volume(self) -> Fraction:
+        """The active cells' volumes summed exactly: per level, the mask
+        contracted with each direction's interval lengths, as integer
+        numerators over the lcm of the breakpoints' denominators."""
         vol = Fraction(0)
-        for ell, c in self.cells():
-            vol += self.levels[ell].cell_volume(c)
+        for lv, mask in zip(self.levels, self.masks):
+            total, denominator = mask.astype(object), 1
+            # the last axis first: each product contracts it
+            for kv in reversed(lv.kvs):
+                bps = kv.breakpoints.values
+                d = math.lcm(*(b.denominator for b in bps))
+                total = total @ np.diff(np.array([b.numerator * (d // b.denominator)
+                                                  for b in bps], dtype=object))
+                denominator *= d
+            vol += Fraction(int(total), denominator)
         return vol
 
     def covered(self, level: int) -> np.ndarray:
@@ -486,14 +497,17 @@ def _record_weights(values: dict, positive: dict, ell: int, defined: np.ndarray,
 def zero_weight_by_characterization(h: SubdomainHierarchy,
                                     levels: Sequence[TensorLevel],
                                     fid: Fid,
-                                    weights: WeightMap) -> bool:
+                                    weights: WeightMap,
+                                    sunk: dict[Fid, bool] | None = None) -> bool:
     """Zero-weight test through the parents instead of the recursion.
 
     True exactly when every parent with a defined positive weight keeps
     part of its support outside the function's subdomain. Must agree with
     ``weights.weight(fid) == 0``. Parents come from the endpoint tests and
     supports are checked cell by cell, so nothing here reads the two-scale
-    tables or the subdomain grids that the recursion uses.
+    tables or the subdomain grids that the recursion uses. ``sunk`` keeps
+    the parents' support tests: one dict passed to the calls on the
+    functions of one hierarchy tests each parent once.
     """
     ell = fid.level
     if ell == 0:
@@ -502,11 +516,14 @@ def zero_weight_by_characterization(h: SubdomainHierarchy,
         raise HierarchyError(
             "characterization applies only to functions supported inside "
             "their level's subdomain")
+    sunk = {} if sunk is None else sunk
     for p_idx in tensor_parents(fid.indices, levels[ell - 1], levels[ell]):
         parent = Fid(ell - 1, p_idx)
         if not weights.defined(parent) or weights.weight(parent) <= 0:
             continue
-        if _support_in_cells(h, levels, ell - 1, p_idx, ell):
+        if parent not in sunk:
+            sunk[parent] = _support_in_cells(h, levels, ell - 1, p_idx, ell)
+        if sunk[parent]:
             return False
     return True
 

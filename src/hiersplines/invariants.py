@@ -12,7 +12,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .hierarchy import (
     build_refinable_basis,
     compute_weights,
     enlarge_hierarchy,
-    expand_deactivated,
+    express_arrays,
     partition_of_unity,
     subdomain_grids,
     support_in_subdomain,
@@ -41,6 +41,7 @@ from .quasiinterp import (
     level_tables,
 )
 from .tensor import (
+    Index,
     LevelSpline,
     TensorFunctionId as Fid,
     TensorLevel,
@@ -49,6 +50,7 @@ from .tensor import (
     eval_function,
     extend_level_sequence,
     iter_box,
+    marked_array,
     marked_indices,
     tensor_children,
     tensor_children_arrays,
@@ -124,19 +126,18 @@ class _Context:
 
     def points_in_cells(self, tag: str, level: int, mask: np.ndarray,
                         count: int) -> np.ndarray | None:
-        """Random points in random cells among those marked on the level's grid."""
-        cells = marked_indices(mask)
-        if not cells:
+        """Random points in random cells among those marked on the level's
+        grid: the cells in one draw, then the coordinates in another, point
+        by point and each point's directions in order."""
+        cells = marked_array(mask)
+        if not len(cells):
             return None
         rng = self.rng(tag)
-        lv = self.levels[level]
-        picks = rng.integers(0, len(cells), size=count)
-        pts = np.empty((count, self.dim))
-        for i, c in enumerate(picks):
-            box = lv.cell_box(cells[c])
-            for k, (lo, hi) in enumerate(box):
-                pts[i, k] = rng.uniform(float(lo), float(hi))
-        return pts
+        picks = cells[rng.integers(0, len(cells), size=count)]
+        bps = [kv.breakpoint_floats for kv in self.levels[level].kvs]
+        lo = np.column_stack([b[picks[:, k]] for k, b in enumerate(bps)])
+        hi = np.column_stack([b[picks[:, k] + 1] for k, b in enumerate(bps)])
+        return rng.uniform(lo, hi, size=(count, self.dim))
 
 
 Check = Callable[[_Context], InvariantResult]
@@ -190,21 +191,26 @@ class _LevelColumns:
     def function(self, fid: Fid) -> np.ndarray:
         return self.columns(fid.level, [fid.indices])[:, 0]
 
-    def combination(self, terms: Mapping[Fid, Fraction]) -> np.ndarray:
-        """sum of c * g over the terms, one dot product per level."""
-        by_level: dict[int, list] = {}
-        for g, c in terms.items():
-            by_level.setdefault(g.level, []).append((g.indices, float(c)))
+    def combination(self, terms: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
+        """sum of c * g over the terms, given per level as the level, an
+        (m, d) index array and m float coefficients: one dot product per
+        level, in the order given."""
         acc = np.zeros(self.pts.shape[0])
-        for ell, pairs in sorted(by_level.items()):
-            acc += self.columns(ell, [idx for idx, _ in pairs]) @ np.array([c for _, c in pairs])
+        for ell, indices, coefficients in terms:
+            acc += self.columns(ell, indices) @ coefficients
         return acc
 
-    def children(self, fids: list[Fid]) -> list[dict[Fid, Fraction]]:
+    def spline_sum(self, parts: Sequence[LevelSpline]) -> np.ndarray:
+        """The sum of per-level splines, coarsest first, with exact values."""
+        return self.combination((part.level.index, part.indices, part.values.astype(np.float64))
+                                for part in parts if len(part.indices))
+
+    def children(self, fids: list[Fid]) -> list[tuple[np.ndarray, np.ndarray]]:
         """The two-scale expansions of functions over the next level, in
-        the order given, each in canonical order as from tensor_children;
-        one tensor_children_arrays pass per level."""
-        out: list[dict[Fid, Fraction]] = [{} for _ in fids]
+        the order given: per function, its children as an (m, d) index
+        array in canonical order and their coefficients n/q as the floats
+        nearest them, as from tensor_children_arrays in one pass per level."""
+        out: list = [None] * len(fids)
         by_level: dict[int, list[int]] = {}
         for k, fid in enumerate(fids):
             by_level.setdefault(fid.level, []).append(k)
@@ -212,8 +218,14 @@ class _LevelColumns:
             rows, children, numerators, q = tensor_children_arrays(
                 np.array([fids[k].indices for k in ks], dtype=np.int64).reshape(len(ks), -1),
                 two_scale_tables(self.levels[ell], self.levels[ell + 1]))
-            for r, child, n in zip(rows.tolist(), children.tolist(), numerators.tolist()):
-                out[ks[r]][Fid(ell + 1, tuple(child))] = Fraction(n, q)
+            # int64 division rounds n/q correctly while q < 2**53, Python's always
+            coefficients = numerators / q if numerators.dtype == np.int64 and q < 2 ** 53 \
+                else np.array([n / q for n in numerators.tolist()], dtype=np.float64)
+            # the pairs run parent by parent
+            bounds = np.searchsorted(rows, np.arange(len(ks) + 1)).tolist()
+            for r, k in enumerate(ks):
+                out[k] = (children[bounds[r]:bounds[r + 1]],
+                          coefficients[bounds[r]:bounds[r + 1]])
         return out
 
 
@@ -241,24 +253,25 @@ def _chk_uni_two_scale(ctx: _Context) -> InvariantResult:
     worst, count = 0.0, 0
     for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
         for ckv, fkv in zip(coarse.kvs, fine.kvs):
+            fine_values = [fkv.local(i).evaluate(xs) for i in range(fkv.num_basis)]
             for j in range(ckv.num_basis):
                 parent = ckv.local(j)
-                kids = [(fkv.local(i), c) for i, c in children_table(ckv, fkv)[j]]
+                kids = children_table(ckv, fkv)[j]
                 lo, hi = parent.support
-                for child, c in kids:
+                for i, c in kids:
                     if c <= 0:
                         return InvariantResult(
                             "univariate_two_scale", False, count, 1.0,
                             f"nonpositive coefficient {c}")
-                    clo, chi = child.support
+                    clo, chi = fkv.support(i)
                     if clo < lo or chi > hi:
                         return InvariantResult(
                             "univariate_two_scale", False, count, 1.0,
                             "child support escapes the parent")
                 vals = parent.evaluate(xs)
                 acc = np.zeros_like(xs)
-                for child, c in kids:
-                    acc += float(c) * child.evaluate(xs)
+                for i, c in kids:
+                    acc += float(c) * fine_values[i]
                 worst = max(worst, float(np.abs(vals - acc).max()))
                 count += 1
     return _result("univariate_two_scale", worst, count, TOL_EXACT)
@@ -272,11 +285,12 @@ def _chk_characterization(ctx: _Context) -> InvariantResult:
             by_window = {j: {idx for idx, _ in children_table(ckv, fkv)[j]}
                          for j in range(ckv.num_basis)}
             ptab = parent_table(ckv, fkv)
+            fine_locals = [fkv.local(i) for i in range(fkv.num_basis)]
             for j in range(ckv.num_basis):
                 parent = ckv.local(j)
-                for i in range(fkv.num_basis):
+                for i, child in enumerate(fine_locals):
                     insertion = i in by_window[j]
-                    endpoint = is_child_of(fkv.local(i), parent)
+                    endpoint = is_child_of(child, parent)
                     via_parents = j in ptab[i]
                     count += 1
                     if not insertion == endpoint == via_parents:
@@ -312,8 +326,8 @@ def _chk_tensor_two_scale(ctx: _Context) -> InvariantResult:
         ids = list(coarse.function_ids())
         picks = [Fid(coarse.index, idx) for idx in
                  {tuple(ids[k]) for k in rng.integers(0, len(ids), size=min(50, len(ids)))}]
-        for fid, kids in zip(picks, cols.children(picks)):
-            acc = cols.combination(kids)
+        for fid, (kids, coefficients) in zip(picks, cols.children(picks)):
+            acc = cols.combination([(fid.level + 1, kids, coefficients)])
             worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
             count += 1
     return _result("tensor_two_scale", worst, count, TOL_EXACT)
@@ -541,22 +555,19 @@ def _chk_partition(ctx: _Context) -> InvariantResult:
         return InvariantResult("active_cells_partition", False,
                                ctx.mesh.cell_count(), 1.0,
                                f"volumes sum to {vol}")
-    rng = ctx.rng("cells_partition")
-    count = 0
-    for _ in range(200):
-        pt = rng.random(ctx.dim)
-        # random floats avoid breakpoints, so locating per level counts
-        # interior hits
-        hits = 0
-        for lv, mask in zip(ctx.mesh.levels, ctx.mesh.masks):
-            loc = lv.locate(pt)
-            if loc is not None and mask[loc]:
-                hits += 1
-        if hits != 1:
-            return InvariantResult("active_cells_partition", False, count,
-                                   1.0, f"point {pt} in {hits} active cells")
-        count += 1
-    return InvariantResult("active_cells_partition", True, count, 0.0)
+    pts = ctx.rng("cells_partition").random((200, ctx.dim))
+    # random floats avoid breakpoints, so locating per level counts
+    # interior hits
+    hits = np.zeros(len(pts), dtype=np.int64)
+    for lv, mask in zip(ctx.mesh.levels, ctx.mesh.masks):
+        found, cells = lv.locate_all(pts)
+        hits += found & mask[cells]
+    bad = np.flatnonzero(hits != 1)
+    if bad.size:
+        count = int(bad[0])
+        return InvariantResult("active_cells_partition", False, count,
+                               1.0, f"point {pts[count]} in {hits[count]} active cells")
+    return InvariantResult("active_cells_partition", True, len(pts), 0.0)
 
 
 @_check("coarse_space_in_refinable")
@@ -568,9 +579,18 @@ def _chk_coarse_in_refinable(ctx: _Context) -> InvariantResult:
         count += 1
         if fid in ctx.refinable:
             continue
-        acc = cols.combination(expand_deactivated(fid, ctx.refinable))
+        acc = cols.spline_sum(_expanded(fid, ctx.refinable))
         worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
     return _result("coarse_space_in_refinable", worst, count, TOL_EXACT)
+
+
+def _expanded(fid: Fid, basis: HierBasis) -> list[LevelSpline]:
+    """A function written exactly over the active ones of a basis, one
+    spline per level, as expand_deactivated writes it before its dict view."""
+    return express_arrays([
+        (np.array([fid.indices], dtype=np.int64), np.array([Fraction(1)], dtype=object))
+        if ell == fid.level else (np.zeros((0, lv.dim), dtype=np.int64), np.zeros(0))
+        for ell, lv in enumerate(basis.levels)], basis)
 
 
 @_check("refinable_stage_nesting")
@@ -580,12 +600,13 @@ def _chk_stage_nesting(ctx: _Context) -> InvariantResult:
     worst, count = 0.0, 0
     for ell in range(len(basis.stages) - 1):
         gone = list(basis.stages[ell] - basis.stages[ell + 1])
-        for fid, kids in zip(gone, cols.children(gone)):
-            if not kids.keys() <= basis.stages[ell + 1]:
+        following = {(g.level, g.indices) for g in basis.stages[ell + 1]}
+        for fid, (kids, coefficients) in zip(gone, cols.children(gone)):
+            if not all((fid.level + 1, kid) in following for kid in map(tuple, kids.tolist())):
                 return InvariantResult(
                     "refinable_stage_nesting", False, count, 1.0,
                     f"child of {fid} missing from the next stage")
-            acc = cols.combination(kids)
+            acc = cols.combination([(fid.level + 1, kids, coefficients)])
             worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
             count += 1
     return _result("refinable_stage_nesting", worst, count, TOL_EXACT)
@@ -607,7 +628,9 @@ def _chk_refinable_positive(ctx: _Context) -> InvariantResult:
                                len(positive), 1.0, "set mismatch")
     count = len(positive)
     # numeric weight zero must agree with the structural flag and with the
-    # parent-wise test, for every function the recursion defines below level 0
+    # parent-wise test, for every function the recursion defines below level 0;
+    # each parent's support is tested once
+    sunk: dict[Fid, bool] = {}
     for fid, value in ctx.weights.values.items():
         if fid.level == 0:
             continue
@@ -617,7 +640,7 @@ def _chk_refinable_positive(ctx: _Context) -> InvariantResult:
             return InvariantResult("refinable_equals_positive_weights", False,
                                    count, 1.0, f"flag disagrees at {fid}")
         char = zero_weight_by_characterization(ctx.hierarchy, ctx.levels,
-                                               fid, ctx.weights)
+                                               fid, ctx.weights, sunk)
         if char != (value == 0):
             return InvariantResult("refinable_equals_positive_weights", False,
                                    count, 1.0, f"parent test disagrees at {fid}")
@@ -651,7 +674,7 @@ def _chk_core(ctx: _Context) -> InvariantResult:
         stored = ctx.core.cells(ell)
         # a cell whose extension fits the subdomain lies in it itself, so
         # checking the subdomain's own cells is exhaustive; cells are mapped
-        # one by one, independently of the grids that built the core
+        # through cell_ancestor, independently of the grids that built the core
         cells = ctx.hierarchy.subdomain_cells(ell)
         pool: set = set()
         for c in cells:
@@ -659,10 +682,19 @@ def _chk_core(ctx: _Context) -> InvariantResult:
         if not stored <= pool:
             return InvariantResult("core_domains_definition", False, count,
                                    1.0, f"core of level {ell} escapes the subdomain")
+        # per direction, the first and last interval of each extension
+        first, last = ([e.tolist() for e in ends]
+                       for ends in zip(*(kv.extension_intervals for kv in lv.kvs)))
+        boxes: dict[tuple[Index, Index], bool] = {}
         for c in pool:
-            ext = lv.support_extension_cell_ranges(c)
-            inside = all(cell_ancestor(ctx.levels, ell, ell - 1, cc) in cells
-                         for cc in iter_box(ext))
+            # ancestor maps are monotone and onto, so the extension maps onto
+            # the box between its corner cells' ancestors
+            lo = cell_ancestor(ctx.levels, ell, ell - 1, tuple(e[j] for e, j in zip(first, c)))
+            hi = cell_ancestor(ctx.levels, ell, ell - 1, tuple(e[j] for e, j in zip(last, c)))
+            inside = boxes.get((lo, hi))
+            if inside is None:
+                inside = boxes[lo, hi] = all(
+                    a in cells for a in iter_box([range(a, b + 1) for a, b in zip(lo, hi)]))
             count += 1
             if inside != (c in stored):
                 return InvariantResult("core_domains_definition", False,
@@ -789,8 +821,8 @@ def _chk_core_in_refinable(ctx: _Context) -> InvariantResult:
 
 
 def _random_spline(level: TensorLevel, indices: np.ndarray, rng) -> LevelSpline:
-    """Coefficients drawn one at a time from U(-1, 1), in index order."""
-    return LevelSpline(level, indices, [float(rng.uniform(-1, 1)) for _ in range(len(indices))])
+    """Coefficients from U(-1, 1) in index order, in one vector draw."""
+    return LevelSpline(level, indices, rng.uniform(-1, 1, len(indices)))
 
 
 @_check("level_operator_identities")
@@ -898,7 +930,7 @@ def _chk_enlargement(ctx: _Context) -> InvariantResult:
         count += 1
         if fid in refinable2:
             continue
-        acc = cols.combination(expand_deactivated(fid, refinable2))
+        acc = cols.spline_sum(_expanded(fid, refinable2))
         worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
     return _result("enlargement_monotonicity", worst, count, TOL_OPERATOR)
 

@@ -8,8 +8,10 @@ on an anchor cell, as weights on the cell's Gauss nodes; it is the tensor
 product of univariate duals, tabulated per level, direction and interval.
 The anchors of a whole level are found at once on integer interval ranges,
 and an operator gathers the Gauss nodes of all its anchor cells from the
-tables with one index per direction, so a cell's workspace is only a view
-that forms its rows on demand.
+tables with one index per direction. The dual rows depend only on the
+level and its core domain, never on the function applied, so an operator
+forms its members' rows once, through each anchor cell's workspace, on its
+first application, and keeps them stacked for every later one.
 The per-level operators combine into the multiscale operator through
 residual correction; when the core domains are nested its output lies in
 the span of the refinable basis and is returned expressed over it.
@@ -401,6 +403,10 @@ class LevelQuasiInterpolant:
     order). Anchoring each function where it is substantial keeps the dual
     rows small; anchoring by position alone drags boundary-heavy cells in
     and costs several digits for higher degrees.
+
+    The members' dual rows are formed on the first :meth:`apply`, one
+    workspace per distinct anchor cell, and kept as one (members, nodes)
+    array; each application then takes one dot product per member.
     """
 
     def __init__(self, h: SubdomainHierarchy, levels: Sequence[TensorLevel],
@@ -440,6 +446,15 @@ class LevelQuasiInterpolant:
 
         return functional
 
+    @cached_property
+    def _dual_rows(self) -> np.ndarray:
+        """Row k: the dual row of member k on its anchor cell's nodes."""
+        rows = np.empty((len(self), math.prod(tab.nodes.shape[1] for tab in self.tables)))
+        for k, (m, cell) in enumerate(self.anchor_cells.items()):
+            ws = self.workspace(cell)
+            rows[k] = ws.dual_row(ws.local_index(m))
+        return rows
+
     def apply(self, f: PointFunction) -> LevelSpline:
         """Coefficient-wise application, the values in the order of the
         members; the zero spline when no member.
@@ -448,19 +463,17 @@ class LevelQuasiInterpolant:
         anchor cells in canonical order, gathered from the tables.
         """
         g = checked_callable(f)
-        coeffs = np.zeros(len(self))
         if not self.members:
-            return LevelSpline(self.level, self.member_indices, coeffs)
+            return LevelSpline(self.level, self.member_indices, np.zeros(0))
         order = np.ravel_multi_index(tuple(self._anchors.T[::-1]), self.level.num_cells[::-1])
         _, first, rows = np.unique(order, return_index=True, return_inverse=True)
         cells = self._anchors[first]
         nodes = _tensor_grid([tab.nodes[c] for tab, c in zip(self.tables, cells.T)])
         # every cell of a level carries the same number of nodes
         values = g(nodes).reshape(len(cells), -1)
-        for k, ((m, cell), r) in enumerate(zip(self.anchor_cells.items(), rows.tolist())):
-            ws = self.workspace(cell)
-            coeffs[k] = ws.dual_row(ws.local_index(m)) @ values[r]
-        return LevelSpline(self.level, self.member_indices, coeffs)
+        # one dot product per member, as row @ values[r] would take it
+        coeffs = np.matmul(self._dual_rows[:, None, :], values[rows][:, :, None])
+        return LevelSpline(self.level, self.member_indices, coeffs.reshape(len(self)))
 
 
 # ---------------------------------------------------------------------------

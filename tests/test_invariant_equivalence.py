@@ -1,0 +1,431 @@
+"""The invariants against the per-item routes they replaced.
+
+The reference checks below are the former implementations: one
+cell_ancestor call per cell of every support extension, one
+LocalKnotVector per pair of functions, one evaluation per child, one
+support test per parent and function, one point at a time, expansions
+through the Fid dicts of expand_deactivated, two-scale coefficients as
+Fractions, and random draws one number at a time. Every rewritten
+invariant must give the same InvariantResult as its former route: the
+verdict, the count, the worst residual bit for bit and the detail, also
+on inputs where it fails.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hiersplines import invariants
+from hiersplines.errors import HierSplineError
+from hiersplines.fixtures import EnlargementSpec, Fixture, load_fixture
+from hiersplines.hierarchy import (
+    build_refinable_basis,
+    compute_weights,
+    enlarge_hierarchy,
+    expand_deactivated,
+    zero_weight_by_characterization,
+)
+from hiersplines.invariants import (
+    TOL_EXACT,
+    TOL_OPERATOR,
+    InvariantResult,
+    _Context,
+    _LevelColumns,
+    _result,
+)
+from hiersplines.quasiinterp import CoreDomains, OperatorConfig
+from hiersplines.tensor import (
+    LevelSpline,
+    TensorFunctionId as Fid,
+    cell_ancestor,
+    cell_descendant_ranges,
+    extend_level_sequence,
+    iter_box,
+    marked_indices,
+    tensor_children,
+    tensor_children_arrays,
+    two_scale_tables,
+)
+from hiersplines.univariate import children_table, is_child_of, parent_table
+
+from .conftest import DATA_DIR, FIXTURE_DIR, random_enlargement, random_hierarchy
+
+SEED = 20240831
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+class RefColumns(_LevelColumns):
+    """_LevelColumns with the former Fid-keyed expansions."""
+
+    def combination(self, terms):
+        by_level: dict[int, list] = {}
+        for g, c in terms.items():
+            by_level.setdefault(g.level, []).append((g.indices, float(c)))
+        acc = np.zeros(self.pts.shape[0])
+        for ell, pairs in sorted(by_level.items()):
+            acc += self.columns(ell, [idx for idx, _ in pairs]) @ np.array([c for _, c in pairs])
+        return acc
+
+    def children(self, fids):
+        out = [{} for _ in fids]
+        by_level: dict[int, list[int]] = {}
+        for k, fid in enumerate(fids):
+            by_level.setdefault(fid.level, []).append(k)
+        for ell, ks in by_level.items():
+            rows, children, numerators, q = tensor_children_arrays(
+                np.array([fids[k].indices for k in ks], dtype=np.int64).reshape(len(ks), -1),
+                two_scale_tables(self.levels[ell], self.levels[ell + 1]))
+            for r, child, n in zip(rows.tolist(), children.tolist(), numerators.tolist()):
+                out[ks[r]][Fid(ell + 1, tuple(child))] = Fraction(n, q)
+        return out
+
+
+def ref_random_spline(level, indices, rng):
+    return LevelSpline(level, indices, [float(rng.uniform(-1, 1)) for _ in range(len(indices))])
+
+
+def ref_points_in_cells(self, tag, level, mask, count):
+    cells = marked_indices(mask)
+    if not cells:
+        return None
+    rng = self.rng(tag)
+    lv = self.levels[level]
+    picks = rng.integers(0, len(cells), size=count)
+    pts = np.empty((count, self.dim))
+    for i, c in enumerate(picks):
+        box = lv.cell_box(cells[c])
+        for k, (lo, hi) in enumerate(box):
+            pts[i, k] = rng.uniform(float(lo), float(hi))
+    return pts
+
+
+def ref_total_volume(mesh):
+    vol = Fraction(0)
+    for ell, c in mesh.cells():
+        vol += mesh.levels[ell].cell_volume(c)
+    return vol
+
+
+def ref_uni_two_scale(ctx):
+    xs = ctx.rng("uni_two_scale").random(100)
+    worst, count = 0.0, 0
+    for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
+        for ckv, fkv in zip(coarse.kvs, fine.kvs):
+            for j in range(ckv.num_basis):
+                parent = ckv.local(j)
+                kids = [(fkv.local(i), c) for i, c in children_table(ckv, fkv)[j]]
+                lo, hi = parent.support
+                for child, c in kids:
+                    if c <= 0:
+                        return InvariantResult("univariate_two_scale", False, count, 1.0,
+                                               f"nonpositive coefficient {c}")
+                    clo, chi = child.support
+                    if clo < lo or chi > hi:
+                        return InvariantResult("univariate_two_scale", False, count, 1.0,
+                                               "child support escapes the parent")
+                vals = parent.evaluate(xs)
+                acc = np.zeros_like(xs)
+                for child, c in kids:
+                    acc += float(c) * child.evaluate(xs)
+                worst = max(worst, float(np.abs(vals - acc).max()))
+                count += 1
+    return _result("univariate_two_scale", worst, count, TOL_EXACT)
+
+
+def ref_characterization(ctx):
+    count = 0
+    for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
+        for ckv, fkv in zip(coarse.kvs, fine.kvs):
+            by_window = {j: {idx for idx, _ in children_table(ckv, fkv)[j]}
+                         for j in range(ckv.num_basis)}
+            ptab = parent_table(ckv, fkv)
+            for j in range(ckv.num_basis):
+                parent = ckv.local(j)
+                for i in range(fkv.num_basis):
+                    insertion = i in by_window[j]
+                    endpoint = is_child_of(fkv.local(i), parent)
+                    via_parents = j in ptab[i]
+                    count += 1
+                    if not insertion == endpoint == via_parents:
+                        return InvariantResult(
+                            "parent_child_characterization", False, count, 1.0,
+                            f"pair (parent {j}, child {i}) disagrees: "
+                            f"insertion={insertion} endpoint={endpoint} "
+                            f"parents={via_parents}")
+    return InvariantResult("parent_child_characterization", True, count, 0.0)
+
+
+def ref_tensor_two_scale(ctx):
+    if len(ctx.levels) < 2:
+        return InvariantResult("tensor_two_scale", True, 0, 0.0, "single level")
+    cols = RefColumns(ctx.levels, ctx.points("tensor_two_scale", 120))
+    rng = ctx.rng("tensor_two_scale_pick")
+    worst, count = 0.0, 0
+    for coarse in ctx.levels[:-1]:
+        ids = list(coarse.function_ids())
+        picks = [Fid(coarse.index, idx) for idx in
+                 {tuple(ids[k]) for k in rng.integers(0, len(ids), size=min(50, len(ids)))}]
+        for fid, kids in zip(picks, cols.children(picks)):
+            acc = cols.combination(kids)
+            worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
+            count += 1
+    return _result("tensor_two_scale", worst, count, TOL_EXACT)
+
+
+def ref_partition(ctx):
+    vol = ref_total_volume(ctx.mesh)
+    if vol != 1:
+        return InvariantResult("active_cells_partition", False, ctx.mesh.cell_count(), 1.0,
+                               f"volumes sum to {vol}")
+    rng = ctx.rng("cells_partition")
+    count = 0
+    for _ in range(200):
+        pt = rng.random(ctx.dim)
+        hits = 0
+        for lv, mask in zip(ctx.mesh.levels, ctx.mesh.masks):
+            loc = lv.locate(pt)
+            if loc is not None and mask[loc]:
+                hits += 1
+        if hits != 1:
+            return InvariantResult("active_cells_partition", False, count,
+                                   1.0, f"point {pt} in {hits} active cells")
+        count += 1
+    return InvariantResult("active_cells_partition", True, count, 0.0)
+
+
+def ref_coarse_in_refinable(ctx):
+    cols = RefColumns(ctx.levels, ctx.points("v0_span", 150))
+    worst, count = 0.0, 0
+    for idx in ctx.levels[0].function_ids():
+        fid = Fid(0, idx)
+        count += 1
+        if fid in ctx.refinable:
+            continue
+        acc = cols.combination(expand_deactivated(fid, ctx.refinable))
+        worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
+    return _result("coarse_space_in_refinable", worst, count, TOL_EXACT)
+
+
+def ref_stage_nesting(ctx):
+    cols = RefColumns(ctx.levels, ctx.points("stage_nesting", 100))
+    basis = ctx.refinable
+    worst, count = 0.0, 0
+    for ell in range(len(basis.stages) - 1):
+        gone = list(basis.stages[ell] - basis.stages[ell + 1])
+        for fid, kids in zip(gone, cols.children(gone)):
+            if not kids.keys() <= basis.stages[ell + 1]:
+                return InvariantResult("refinable_stage_nesting", False, count, 1.0,
+                                       f"child of {fid} missing from the next stage")
+            acc = cols.combination(kids)
+            worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
+            count += 1
+    return _result("refinable_stage_nesting", worst, count, TOL_EXACT)
+
+
+def ref_refinable_positive(ctx):
+    positive = {fid for fid in ctx.classical.functions() if ctx.weights.weight(fid) > 0}
+    if positive != ctx.refinable.member_set:
+        return InvariantResult("refinable_equals_positive_weights", False,
+                               len(positive), 1.0, "set mismatch")
+    count = len(positive)
+    for fid, value in ctx.weights.values.items():
+        if fid.level == 0:
+            continue
+        count += 1
+        flag = ctx.weights.is_positive(fid)
+        if (value > 0) != flag:
+            return InvariantResult("refinable_equals_positive_weights", False,
+                                   count, 1.0, f"flag disagrees at {fid}")
+        char = zero_weight_by_characterization(ctx.hierarchy, ctx.levels, fid, ctx.weights)
+        if char != (value == 0):
+            return InvariantResult("refinable_equals_positive_weights", False,
+                                   count, 1.0, f"parent test disagrees at {fid}")
+    return InvariantResult("refinable_equals_positive_weights", True, count, 0.0)
+
+
+def ref_core(ctx):
+    if not ctx.core.masks[0].all():
+        return InvariantResult("core_domains_definition", False, 1, 1.0,
+                               "level-0 core must cover the domain")
+    count = 1
+    for ell in range(1, ctx.hierarchy.depth):
+        lv = ctx.levels[ell]
+        stored = ctx.core.cells(ell)
+        cells = ctx.hierarchy.subdomain_cells(ell)
+        pool: set = set()
+        for c in cells:
+            pool.update(iter_box(cell_descendant_ranges(ctx.levels, ell - 1, ell, c)))
+        if not stored <= pool:
+            return InvariantResult("core_domains_definition", False, count,
+                                   1.0, f"core of level {ell} escapes the subdomain")
+        for c in pool:
+            ext = lv.support_extension_cell_ranges(c)
+            inside = all(cell_ancestor(ctx.levels, ell, ell - 1, cc) in cells
+                         for cc in iter_box(ext))
+            count += 1
+            if inside != (c in stored):
+                return InvariantResult("core_domains_definition", False, count, 1.0,
+                                       f"cell {c} of level {ell} misclassified")
+    return InvariantResult("core_domains_definition", True, count, 0.0)
+
+
+def ref_enlargement(ctx):
+    spec = ctx.fixture.enlargement
+    if spec is None:
+        return InvariantResult("enlargement_monotonicity", True, 0, 0.0,
+                               "no enlargement section")
+    h2 = enlarge_hierarchy(ctx.hierarchy, ctx.levels, spec.additions, spec.new_deepest)
+    levels2 = extend_level_sequence(ctx.levels, h2.depth)
+    w2 = compute_weights(h2, levels2)
+    count = 0
+    for fid, value in ctx.weights.values.items():
+        if w2.defined(fid):
+            count += 1
+            if w2.weight(fid) < value:
+                return InvariantResult("enlargement_monotonicity", False,
+                                       count, 1.0, f"weight dropped at {fid}")
+    refinable2 = build_refinable_basis(h2, levels2, w2)
+    cols = RefColumns(levels2, ctx.points("enlargement", 100))
+    worst = 0.0
+    for fid in ctx.refinable.functions():
+        count += 1
+        if fid in refinable2:
+            continue
+        acc = cols.combination(expand_deactivated(fid, refinable2))
+        worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
+    return _result("enlargement_monotonicity", worst, count, TOL_OPERATOR)
+
+
+REFERENCES = {
+    "univariate_two_scale": ref_uni_two_scale,
+    "parent_child_characterization": ref_characterization,
+    "tensor_two_scale": ref_tensor_two_scale,
+    "active_cells_partition": ref_partition,
+    "coarse_space_in_refinable": ref_coarse_in_refinable,
+    "refinable_stage_nesting": ref_stage_nesting,
+    "refinable_equals_positive_weights": ref_refinable_positive,
+    "core_domains_definition": ref_core,
+    "enlargement_monotonicity": ref_enlargement,
+}
+# checks whose only change is in the random draws they take
+DRAWING = ("level_operator_identities", "multiscale_identities")
+CHECKS = dict(invariants._CHECKS)
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def _outcome(check, ctx):
+    """A check's result with the worst residual as its bits, or the type
+    and message of what it raised."""
+    try:
+        r = check(ctx)
+    except HierSplineError as exc:
+        return type(exc), str(exc)
+    return r.name, bool(r.passed), int(r.count), float(r.worst).hex(), r.detail
+
+
+def _drawing_outcome(name, ctx, monkeypatch, former):
+    with monkeypatch.context() as m:
+        if former:
+            m.setattr(invariants, "_random_spline", ref_random_spline)
+            m.setattr(_Context, "points_in_cells", ref_points_in_cells)
+        return _outcome(CHECKS[name], ctx)
+
+
+def assert_same_outcomes(ctx, monkeypatch):
+    assert ctx.mesh.total_volume() == ref_total_volume(ctx.mesh)
+    for name, ref in REFERENCES.items():
+        assert _outcome(CHECKS[name], ctx) == _outcome(ref, ctx), name
+    for name in DRAWING:
+        assert _drawing_outcome(name, ctx, monkeypatch, False) == \
+            _drawing_outcome(name, ctx, monkeypatch, True), name
+
+
+def _context(fixture):
+    return _Context(fixture, OperatorConfig(), SEED)
+
+
+FIXTURES = sorted(FIXTURE_DIR.glob("*.json")) + [DATA_DIR / "raised_multiplicity_on_boundary.json"]
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_fixture_invariants_match_former_routes(path, monkeypatch):
+    assert_same_outcomes(_context(load_fixture(path)), monkeypatch)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["dyadic", "explicit"])
+def test_random_invariants_match_former_routes(rng, explicit, monkeypatch):
+    # explicit draws raise multiplicities up to degree + 1
+    for _ in range(8):
+        levels, h = random_hierarchy(rng, explicit=explicit)
+        additions, new_deepest = random_enlargement(rng, levels, h)
+        fx = Fixture("random", levels[0].dim, levels[0].degrees, levels, h,
+                     "explicit" if explicit else "dyadic",
+                     EnlargementSpec(additions, new_deepest))
+        assert_same_outcomes(_context(fx), monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# fault injection: the rewritten routes still see a broken input
+
+
+def _both(name, ctx):
+    got = _outcome(CHECKS[name], ctx)
+    assert got == _outcome(REFERENCES[name], ctx)
+    return got
+
+
+@pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
+                                  "d3_depth2_corner"])
+@pytest.mark.parametrize("into_core", [False, True], ids=["drop", "add"])
+def test_flipped_core_cell_is_named(name, into_core):
+    ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
+    ell = 1
+    pool = set()
+    for c in ctx.hierarchy.subdomain_cells(ell):
+        pool.update(iter_box(cell_descendant_ranges(ctx.levels, ell - 1, ell, c)))
+    flip = min(c for c in pool if ctx.core.masks[ell][c] != into_core)
+    masks = [m.copy() for m in ctx.core.masks]
+    masks[ell][flip] = into_core
+    ctx.core = CoreDomains(tuple(masks), ctx.core.nested)
+    got = _both("core_domains_definition", ctx)
+    assert got[1] is False
+    assert got[4] == f"cell {flip} of level {ell} misclassified"
+
+
+@pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
+                                  "d1_depth3_blocks"])
+def test_child_dropped_from_a_stage_is_named(name):
+    ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
+    basis = dataclasses.replace(ctx.refinable)
+    stages = list(basis.stages)
+    ell = next(k for k in range(len(stages) - 1) if stages[k] - stages[k + 1])
+    parent = min(stages[ell] - stages[ell + 1], key=lambda f: f.indices[::-1])
+    kids = tensor_children(parent.indices, ctx.levels[ell], ctx.levels[ell + 1])
+    child = Fid(ell + 1, kids[0][0])
+    stages[ell + 1] = stages[ell + 1] - {child}
+    basis.stages = tuple(stages)
+    ctx.refinable = basis
+    got = _both("refinable_stage_nesting", ctx)
+    assert got[1] is False
+    assert got[4].startswith(f"child of TensorFunctionId(level={ell}, indices=")
+    assert got[4].endswith(") missing from the next stage")
+
+
+@pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
+                                  "d3_depth2_corner"])
+def test_flipped_weight_flag_is_named(name):
+    ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
+    fid = next(f for f in ctx.weights.values if f.level > 0)
+    ctx.weights = dataclasses.replace(
+        ctx.weights, positive={**ctx.weights.positive, fid: not ctx.weights.positive[fid]})
+    got = _both("refinable_equals_positive_weights", ctx)
+    assert got[1] is False
+    assert got[4] == f"flag disagrees at {fid}"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hiersplines import kernels
+from hiersplines import kernels, quasiinterp
 from hiersplines.errors import AdmissibilityError, EvaluationError, HierSplineError
 from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
@@ -242,6 +242,34 @@ class TestLevelOperator:
         # away from the core region the reproduction generally fails
         outside = np.array([[0.95]])
         assert np.abs(out.evaluate(outside) - s.evaluate(outside)).max() > 1e-6
+
+
+    @pytest.mark.parametrize("name", ["d2_nested_not_admissible", "d1_depth3_blocks",
+                                      "d3_depth2_corner"])
+    def test_dual_rows_are_formed_once_and_match_the_functionals(self, monkeypatch, name):
+        built = []
+
+        class Counted(LocalProjectionWorkspace):
+            def __init__(self, level, cell, tables):
+                built.append(cell)
+                super().__init__(level, cell, tables)
+
+        monkeypatch.setattr(quasiinterp, "LocalProjectionWorkspace", Counted)
+        fx = repo_fixture(name)
+        f = get_function("sin", fx.dimension)
+        for op in MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels).stages:
+            first = op.apply(f)
+            anchors = set(op.anchor_cells.values())
+            assert sorted(built) == sorted(anchors)
+            second = op.apply(f)
+            assert len(built) == len(anchors)
+            assert first.values.tobytes() == second.values.tobytes()
+            for k, (m, cell) in enumerate(op.anchor_cells.items()):
+                ws = op.workspace(cell)
+                assert op._dual_rows[k].tobytes() == ws.dual_row(ws.local_index(m)).tobytes()
+                assert np.float64(op.dual_functional(m)(f)).tobytes() == first.values[k].tobytes()
+            assert len(built) == len(anchors)
+            built.clear()
 
 
 class TestMultiscale:
