@@ -678,21 +678,30 @@ class HierSplineFunction:
 
     def evaluate(self, points) -> np.ndarray:
         """The parts with coefficients, summed coarsest first."""
-        vals = [part.evaluate(points) for part in self.parts if len(part.values)]
-        return functools.reduce(np.add, vals) if vals else \
-            np.zeros(len(as_points(points, self.basis.levels[0].dim)))
+        total = _summed(part.evaluate(points) for part in self.parts if len(part.values))
+        return np.zeros(len(as_points(points, self.basis.levels[0].dim))) \
+            if total is None else total
 
     def on_grid(self, axes) -> np.ndarray:
         """The parts with coefficients on c tensor grids (see
         :meth:`LevelSpline.on_grid`), summed coarsest first."""
-        vals = [part.on_grid(axes) for part in self.parts if len(part.values)]
-        if vals:
-            return functools.reduce(np.add, vals)
-        axes = as_axes(axes, self.basis.levels[0].dim)
-        return np.zeros((len(axes[0]),) + tuple(a.shape[1] for a in reversed(axes)))
+        total = _summed(part.on_grid(axes) for part in self.parts if len(part.values))
+        if total is None:
+            axes = as_axes(axes, self.basis.levels[0].dim)
+            total = np.zeros((len(axes[0]),) + tuple(a.shape[1] for a in reversed(axes)))
+        return total
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)
+
+
+def _summed(arrays):
+    """The new arrays summed in order into the first, each made when the
+    sum reaches it, so that at most two are alive; None if there are none."""
+    total = None
+    for v in arrays:
+        total = v if total is None else np.add(total, v, out=total)
+    return total
 
 
 def partition_of_unity(basis: HierBasis) -> HierSplineFunction:

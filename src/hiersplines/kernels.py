@@ -27,33 +27,49 @@ sequence of scalar operations, term by term in the order of the
 coefficient offsets, so a point's value does not depend on the grid it
 was given in.
 
-The kernels work in blocks: ``tensor_grid_values`` through batches of
-whole grids holding at most ``BLOCK`` nodes (at least one grid), so
-``BLOCK`` points for ``tensor_spline_values``; ``local_values`` through
-blocks of ``BLOCK`` points; and ``quasiinterp.lq_norm`` batches its cells
-by the same constant. Why 4096: every temporary of a block is then one
-row of 4096 float64 or int64 values, 32 KiB, under 128 KiB, glibc's
-default mmap threshold, and a block's working set of a few dozen rows,
-around 1 MiB, stays in cache. Smaller blocks pay numpy's per-call cost
-more often: 2048 took 7-10% more CPU time on the sup-norm study of the
-benchmark, while 8192 was within the noise of 4096. The tensor kernel
-writes its block temporaries (spans, basis rows, products, gathers) into
-buffers allocated once per call, so the heap does not shrink and regrow
-around them from block to block. The arithmetic per point does not depend
-on the block, so each output equals, bit for bit, the concatenation of
-the outputs on any split of the points or grids.
+The kernels work in blocks. ``tensor_spline_values`` and ``local_values``
+take blocks of ``BLOCK`` points; ``tensor_grid_values`` takes batches of
+whole grids holding at most ``GRID_BLOCK`` nodes (at least one grid), and
+``quasiinterp.lq_norm`` hands it its cells in batches of that size. The
+tensor kernel writes a block's temporaries (spans, basis rows, products,
+gathers) into buffers allocated once per call, and its table of terms
+and strides is kept per degree and basis size, so what a block costs
+beyond its nodes is numpy's per-call cost: two dozen small operations per
+direction for the span search and the basis triangle, and four per term.
+On a 64x64 quadratic level at the sup norm's 32x32 sample per cell that
+is about 100 us per block, against about 26 us per cell (shared 2-CPU
+Xeon, numpy 2.4): at 4096 nodes, four such cells, the fixed part took
+half the kernel's time. Why 12288 nodes per grid batch: every temporary
+of a batch is then one row of at most 12288 float64 or int64 values,
+96 KiB, under the 128 KiB mmap threshold that the benchmark fixes
+(glibc's default), so the rows come from the heap and are not mapped,
+faulted in and unmapped per batch. Measured with ``perfbench/run.py``
+(``--seconds 8``, interleaved runs) on ``study_uniform_sup``: against
+4096, 8192 nodes took 17-19% less time, 12288 and 15360 26-32% less, and
+16384, whose 128 KiB rows are mapped, 20% less. Of the two best, 12288
+keeps a batch's rows smaller, and the peak memory of ``adaptive_enlarge``
+with them. Why 4096 points per block: a block of points keeps about
+fifteen rows of that length, one per basis function and direction
+besides the products, and 12288 raised the peak memory of the invariant
+suite (``check_nested``) by about 1 MB with no gain in time, while 2048
+took 7-10% more CPU time on the sup-norm study before the grid batches
+existed. The arithmetic per point does not depend on the block, so each
+output equals, bit for bit, the concatenation of the outputs on any split
+of the points or grids.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
     "BLOCK",
+    "GRID_BLOCK",
     "find_spans",
     "basis_columns",
     "local_values",
@@ -64,8 +80,10 @@ __all__ = [
 # the one implementation; reported as "backend" in `check --report`
 BACKEND = "numpy"
 
-# nodes per block of the kernels and per batch of the quadrature norms
+# points per block of the pointwise kernels
 BLOCK = 4096
+# nodes per batch of whole grids, in the grid kernel and the norms
+GRID_BLOCK = 12288
 
 
 def find_spans(knots, degree, xs):
@@ -75,7 +93,8 @@ def find_spans(knots, degree, xs):
 def _spans(knots, degree, xs, out):
     n = knots.shape[0] - degree - 1
     np.subtract(np.searchsorted(knots, xs, side="right"), 1, out=out)
-    return np.clip(out, degree, n - 1, out=out)
+    # np.clip, without its wrapper's cost per call
+    return np.minimum(np.maximum(out, degree, out=out), n - 1, out=out)
 
 
 def basis_columns(knots, degree, xs, spans):
@@ -91,7 +110,7 @@ def _nonzero_basis(knots, degree, xs, spans, work, index):
     rows and the int row ``index`` take the triangle's temporaries. Each
     row is its own array, so each stays as small as a block.
 
-    tensor_grid_values calls this directly, so a wrapper installed on
+    _blocked_grid_values calls this directly, so a wrapper installed on
     basis_columns (perfbench/tracer.py) counts only the outside callers.
     """
     p = degree
@@ -153,25 +172,36 @@ def _local_block(tau, degree, x):
 
 def tensor_spline_values(coeffs, knots, degrees, points):
     m, d = points.shape
-    return tensor_grid_values(coeffs, knots, degrees,
-                              [points[:, k, None] for k in range(d)]).reshape(m)
+    return _blocked_grid_values(coeffs, knots, degrees,
+                                [points[:, k, None] for k in range(d)], BLOCK).reshape(m)
+
+
+@lru_cache(maxsize=64)
+def _terms(degrees, counts):
+    """The stride of each direction in the dense coefficients (first
+    direction fastest) and, per term of the tensor product in that order,
+    its offset in each direction and the shift of its linear index."""
+    strides = [1]
+    for n in counts[:-1]:
+        strides.append(strides[-1] * n)
+    table = [row[::-1] for row in itertools.product(*(range(p + 1) for p in reversed(degrees)))]
+    return tuple(strides), tuple((row, sum(o * s for o, s in zip(row, strides)))
+                                 for row in table)
 
 
 def tensor_grid_values(coeffs, knots, degrees, axes):
+    return _blocked_grid_values(coeffs, knots, degrees, axes, GRID_BLOCK)
+
+
+def _blocked_grid_values(coeffs, knots, degrees, axes, block):
     d = len(axes)
     cells = axes[0].shape[0]
     sizes = [a.shape[1] for a in axes]
-    degs = [int(p) for p in degrees]
-    strides = [1]
-    for k, p in zip(knots[:-1], degs):
-        strides.append(strides[-1] * (k.shape[0] - p - 1))
-    # per term, first direction fastest: its offset in each direction and
-    # the shift of its linear index
-    table = [row[::-1] for row in itertools.product(*(range(p + 1) for p in reversed(degs)))]
-    terms = [(row, sum(o * s for o, s in zip(row, strides))) for row in table]
+    degs = tuple(int(p) for p in degrees)
+    strides, terms = _terms(degs, tuple(k.shape[0] - p - 1 for k, p in zip(knots, degs)))
     grid = tuple(reversed(sizes))
     out = np.zeros((cells,) + grid)
-    chunk = max(1, BLOCK // math.prod(sizes))
+    chunk = max(1, block // math.prod(sizes))
     # buffers for one batch of whole grids, allocated once per call
     full = (min(chunk, cells),) + grid
     weight, gathered = np.empty(full), np.empty(full)

@@ -28,7 +28,13 @@ and splines and test functions take it through their ``on_grid`` method,
 which finds spans and basis rows, or evaluates a factor, once per axis
 sample and forms the grid by broadcasting. A plain callable is evaluated
 at the grid's points. Both routes do the same scalar operations per point,
-so the norms do not depend on which one is taken.
+so the norms do not depend on which one is taken. A batch holds as many
+whole cells as fit in ``kernels.GRID_BLOCK`` nodes, at least one, and the
+grid kernel takes it in one call, so the kernel's fixed cost per call is
+paid about once per dozen sampled cells of the sup norm, not once per four
+(see :mod:`hiersplines.kernels`). The integrand of a batch, ``f - s`` for
+an error, is checked for finiteness once, and an error names its first
+non-finite node.
 
 A norm reads its cells' values from a table of one integrand: per cell,
 |f|^q at the Gauss nodes or the largest |f| of the sample, evaluated the
@@ -108,39 +114,49 @@ def checked_callable(f: PointFunction) -> PointFunction:
     ones raise with the location."""
 
     def wrapped(pts: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(pts), dtype=np.float64)
-        if vals.shape != (pts.shape[0],):
-            if vals.shape != (pts.shape[0], 1):
-                raise EvaluationError(f"callback returned shape {vals.shape} for "
-                                      f"{pts.shape[0]} points, not one value per point")
-            vals = vals.reshape(pts.shape[0])
-        return _finite(vals, lambda: pts)
+        return _finite(_per_point(f, pts), lambda: pts)
 
     return wrapped
+
+
+def _per_point(f: PointFunction, pts: np.ndarray) -> np.ndarray:
+    """``f`` at the (m, d) array ``pts`` as m float64 values, or an error
+    when it does not return one value per point."""
+    vals = np.asarray(f(pts), dtype=np.float64)
+    if vals.shape != (pts.shape[0],):
+        if vals.shape != (pts.shape[0], 1):
+            raise EvaluationError(f"callback returned shape {vals.shape} for "
+                                  f"{pts.shape[0]} points, not one value per point")
+        vals = vals.reshape(pts.shape[0])
+    return vals
 
 
 def _finite(vals: np.ndarray, points: Callable[[], np.ndarray]) -> np.ndarray:
     """``vals``, or an error naming the first point, of the (m, d) array
     ``points()`` in the order of the values, where a value is not finite."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        where = points()[int(np.argmax(bad))]
+    ok = np.isfinite(vals)
+    if not ok.all():
+        where = points()[int(np.argmin(ok))]
         raise EvaluationError(f"callback returned a non-finite value at {tuple(where)}")
     return vals
 
 
 def _grid_values(f, axes: Sequence[np.ndarray]) -> np.ndarray:
     """``f`` on c tensor grids, ``axes[k]`` holding the (c, n_k) coordinates
-    of direction k, as (c, nodes) with each grid's nodes first direction
-    fastest; checked as by :func:`checked_callable`.
+    of direction k, as a new float64 array of shape (c, nodes) with each
+    grid's nodes first direction fastest; checked for its shape but not
+    for finiteness, which the norms check once on their integrand.
 
-    A function with an ``on_grid`` method is evaluated per direction by it;
-    any other callable at the points of :func:`_tensor_grid`.
+    A function with an ``on_grid`` method is evaluated per direction by it,
+    and the array it returns is the caller's to overwrite; any other
+    callable is evaluated at the points of :func:`_tensor_grid`, and its
+    values are copied.
     """
+    c = len(axes[0])
     on_grid = getattr(f, "on_grid", None)
     if on_grid is None:
-        return checked_callable(f)(_tensor_grid(axes)).reshape(len(axes[0]), -1)
-    return _finite(on_grid(axes).reshape(len(axes[0]), -1), lambda: _tensor_grid(axes))
+        return np.array(_per_point(f, _tensor_grid(axes)).reshape(c, -1))
+    return np.asarray(on_grid(axes), dtype=np.float64).reshape(c, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +663,15 @@ def _abs_batches(f, lows: np.ndarray, spans: np.ndarray,
                  base: Sequence[np.ndarray]):
     """|f| on the tensor grid of the per-direction base axes mapped into
     each cell, as (first cell, values of shape (cells, nodes)), in batches
-    of whole cells of at most ``kernels.BLOCK`` nodes and at least one cell."""
-    chunk = max(1, kernels.BLOCK // math.prod(len(t) for t in base))
+    of whole cells of at most ``kernels.GRID_BLOCK`` nodes and at least
+    one cell. A batch's values are checked for finiteness once, before the
+    absolute value is taken in place."""
+    chunk = max(1, kernels.GRID_BLOCK // math.prod(len(t) for t in base))
     for k in range(0, lows.shape[0], chunk):
         axes = [lows[k:k + chunk, i, None] + spans[k:k + chunk, i, None] * t
                 for i, t in enumerate(base)]
-        yield k, np.abs(_grid_values(f, axes))
+        vals = _finite(_grid_values(f, axes), lambda: _tensor_grid(axes))
+        yield k, np.abs(vals, out=vals)
 
 
 class _LevelRows(NamedTuple):
@@ -732,7 +751,11 @@ class _CellRows:
         inf = math.isinf(self.qv)
         out = np.empty(lows.shape[:1] if inf else (lows.shape[0], math.prod(map(len, nodes))))
         for k, vals in _abs_batches(self.f, lows, spans, nodes):
-            out[k:k + vals.shape[0]] = vals.max(axis=1) if inf else vals ** self.qv
+            if inf:
+                vals.max(axis=1, out=out[k:k + vals.shape[0]])
+            else:
+                vals **= self.qv
+                out[k:k + vals.shape[0]] = vals
         return out
 
 
@@ -783,7 +806,11 @@ class _Difference:
         self.f, self.s = f, s
 
     def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return _grid_values(self.f, axes) - self.s.on_grid(axes).reshape(len(axes[0]), -1)
+        # the spline first, so that f's values are not held while the
+        # kernel's buffers are
+        s = self.s.on_grid(axes)
+        vals = _grid_values(self.f, axes)
+        return np.subtract(vals, s.reshape(vals.shape), out=vals)
 
 
 def error_norms(f: PointFunction, s: HierSplineFunction | None, q,

@@ -199,6 +199,20 @@ def test_blocked_evaluation_equals_concatenated_splits(dim, degree):
                 got = kernels.local_values(tau, degree, pts[:, 0])
                 want = _reference_local_values(tau, degree, pts[:, 0])
                 assert got.tobytes() == want.tobytes()
+    # whole grids of the sup-norm sample, 4 nodes a direction, whose edge
+    # nodes lie in the next cell's span: one grid, and grids one short of,
+    # exactly at and one over the grid block
+    from hiersplines.quasiinterp import _tensor_grid
+    per_grid, g = 4 ** dim, kernels.GRID_BLOCK
+    for cells in (1, g // per_grid - 1, g // per_grid, g // per_grid + 1):
+        axes = _sup_sample_axes(level, cells, 4)
+        whole = kernels.tensor_grid_values(coeffs, knots, level.degrees, axes)
+        split = np.concatenate([kernels.tensor_grid_values(coeffs, knots, level.degrees,
+                                                           [a[r:r + 1] for a in axes])
+                                for r in range(cells)])
+        assert whole.tobytes() == split.tobytes()
+        assert whole.reshape(-1).tobytes() == \
+            _reference_tensor_values(level, coeffs, _tensor_grid(axes)).tobytes()
 
 
 def _grid_axes(rng, level, cells):
@@ -262,17 +276,40 @@ def test_hier_spline_on_grid_equals_evaluate(dim):
     assert np.array_equal(empty.on_grid(axes), np.zeros(s.on_grid(axes).shape))
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+def _sup_sample_axes(level, cells, per_dir):
+    """Per direction, the sup norm's equispaced sample of ``per_dir`` nodes
+    on each of ``cells`` cells, cycling through the level's intervals; a
+    sample holds both ends of its interval, so its right edge node lies in
+    the next interval's span."""
+    t = np.linspace(0.0, 1.0, per_dir)
+    axes = []
+    for k, kv in enumerate(level.kvs):
+        bp = kv.breakpoint_floats
+        at = (np.arange(cells) // (k + 1)) % (len(bp) - 1)
+        axes.append(bp[at, None] + (bp[at + 1] - bp[at])[:, None] * t)
+    return axes
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, "block-1", "block", "block+1"])
 def test_grid_batches_leave_values_unchanged(monkeypatch, block):
     from hiersplines.tensor import TensorLevel
-    rng = np.random.default_rng(block)
+    rng = np.random.default_rng(block if isinstance(block, int) else len(block))
     kvs = (make_open_knot_vector(2, ["0", "1/3", "1/2", "1"], [3, 2, 1, 3]),
            make_open_knot_vector(3, ["0", "1/4", "1"], [4, 4, 4]))
     s = _random_spline(rng, TensorLevel(0, kvs))
-    axes = [rng.random((9, 5)), rng.random((9, 4))]
+    if isinstance(block, int):
+        size, axes = block, [rng.random((9, 5)), rng.random((9, 4))]
+    else:
+        # sup-norm samples of 32 x 32 nodes on enough cells for three
+        # batches, at and around the grid block
+        size = {"block-1": kernels.GRID_BLOCK - 1, "block": kernels.GRID_BLOCK,
+                "block+1": kernels.GRID_BLOCK + 1}[block]
+        axes = _sup_sample_axes(s.level, 2 * (kernels.GRID_BLOCK // 1024) + 1, 32)
     want = s.on_grid(axes)
-    monkeypatch.setattr(kernels, "BLOCK", block)
-    assert s.on_grid(axes).tobytes() == want.tobytes()
+    # one grid per batch, and the size under test
+    for patched in (1, size):
+        monkeypatch.setattr(kernels, "GRID_BLOCK", patched)
+        assert s.on_grid(axes).tobytes() == want.tobytes()
 
 
 def test_on_grid_refuses_malformed_axes():

@@ -400,19 +400,24 @@ class TestNorms:
         region = CellSet(0, np.array([True, False, False, False]))
         assert lq_norm(f, 2, mesh, region) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("block", [40, 100, 5000])
+    @pytest.mark.parametrize("block", [40, 100, 5000, "block-1", "block", "block+1"])
     def test_batch_size_leaves_norms_unchanged(self, monkeypatch, block):
         # 40 points hold one quadrature cell, 100 hold two, 5000 hold
-        # four sampled cells of the sup norm and many quadrature cells
+        # four sampled cells of the sup norm and many quadrature cells;
+        # around the grid block a batch of sampled cells, whose edge nodes
+        # lie in the next cell's span, gains or loses a cell. Every size is
+        # also checked against one cell per batch.
         fx = repo_fixture("cubic_lshape")
         f = get_function("sin", fx.dimension)
         s = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels).apply(f)
         mesh = active_mesh(fx.hierarchy, fx.levels)
         qs = (1, 2, "inf")
+        size = {"block-1": kernels.GRID_BLOCK - 1, "block": kernels.GRID_BLOCK,
+                "block+1": kernels.GRID_BLOCK + 1}.get(block, block)
         want = [error_norms(f, s, q, mesh=mesh) for q in qs]
-        monkeypatch.setattr(kernels, "BLOCK", block)
-        got = [error_norms(f, s, q, mesh=mesh) for q in qs]
-        assert got == want
+        for patched in (1, size):
+            monkeypatch.setattr(kernels, "GRID_BLOCK", patched)
+            assert [error_norms(f, s, q, mesh=mesh) for q in qs] == want
 
     def test_rejects_unknown_q(self):
         levels = make_levels(1, 1, 2, 1)
@@ -458,7 +463,7 @@ class TestNorms:
         assert error_norms(f, None, q, mesh=mesh) == error_norms(plain, None, q, mesh=mesh)
 
     @pytest.mark.parametrize("q", [2, "inf"])
-    def test_nonfinite_callback_names_first_bad_point(self, q):
+    def test_nonfinite_callback_names_first_bad_point(self, monkeypatch, q):
         fx = repo_fixture("cubic_lshape")
         f = get_function("sin", fx.dimension)
         s = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels).apply(f)
@@ -477,6 +482,33 @@ class TestNorms:
         assert str(caught.value) == f"callback returned a non-finite value at {tuple(first_bad)}"
         # every earlier batch was clean
         assert not any(((p[:, 0] > 0.6) & (p[:, 1] > 0.3)).any() for p in calls[:-1])
+
+        # an integrand evaluated on grids, NaN at known nodes, in batches
+        # of a few cells
+        monkeypatch.setattr(kernels, "GRID_BLOCK", 200)
+
+        class BadOnGrid:
+            def __init__(self):
+                self.batches = []
+
+            def __call__(self, p):
+                raise AssertionError("the norms evaluate it on grids")
+
+            def on_grid(self, axes):
+                pts = quasiinterp._tensor_grid(axes)
+                self.batches.append(pts)
+                vals = f.on_grid(axes)
+                vals.reshape(-1)[(pts[:, 0] > 0.6) & (pts[:, 1] > 0.3)] = np.nan
+                return vals
+
+        grid_bad = BadOnGrid()
+        with pytest.raises(EvaluationError) as caught:
+            error_norms(grid_bad, s, q, mesh=active_mesh(fx.hierarchy, fx.levels))
+        last = grid_bad.batches[-1]
+        first_bad = last[int(np.argmax((last[:, 0] > 0.6) & (last[:, 1] > 0.3)))]
+        assert str(caught.value) == f"callback returned a non-finite value at {tuple(first_bad)}"
+        assert len(grid_bad.batches) > 1
+        assert not any(((p[:, 0] > 0.6) & (p[:, 1] > 0.3)).any() for p in grid_bad.batches[:-1])
 
     @pytest.mark.parametrize("level,shape,cell", [
         (5, None, (0, 0)),
