@@ -72,6 +72,7 @@ from .tensor import (
     tensor_parents,
     two_scale_tables,
 )
+from .univariate import exact_dtype, nearest_floats
 
 CLASSICAL = "classical"
 REFINABLE = "refinable"
@@ -337,17 +338,16 @@ class HierarchicalMesh:
 
     def total_volume(self) -> Fraction:
         """The active cells' volumes summed exactly: per level, the mask
-        contracted with each direction's interval lengths, as integer
-        numerators over the lcm of the breakpoints' denominators."""
+        contracted with each direction's interval lengths, as the integer
+        knots' nonzero steps over their denominator."""
         vol = Fraction(0)
         for lv, mask in zip(self.levels, self.masks):
             total, denominator = mask.astype(object), 1
             # the last axis first: each product contracts it
             for kv in reversed(lv.kvs):
-                bps = kv.breakpoints.values
-                d = math.lcm(*(b.denominator for b in bps))
-                total = total @ np.diff(np.array([b.numerator * (d // b.denominator)
-                                                  for b in bps], dtype=object))
+                knots, d = kv.integer_knots
+                steps = np.diff(np.array(knots, dtype=object))
+                total = total @ steps[steps > 0]
                 denominator *= d
             vol += Fraction(int(total), denominator)
         return vol
@@ -406,9 +406,9 @@ def compute_weights(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> Wei
     numerators of level ell+1 are those of the coarse functions inside,
     multiplied along each direction by the integer two-scale table, and
     D_{ell+1} = D_ell * q_1 * ... * q_d. Weights lie in [0, 1] and every
-    term is nonnegative, so every partial sum is at most D_{ell+1}: int64
-    holds them below 2**62, Python ints beyond. Positivity is the pattern
-    image of the positive coarse functions inside.
+    term is nonnegative, so every partial sum is at most D_{ell+1}, the
+    bound of their :func:`exact_dtype`. Positivity is the pattern image of
+    the positive coarse functions inside.
 
     The arrays cover only the bounding box of the functions involved, a
     small part of a deep level under local refinement.
@@ -429,8 +429,7 @@ def compute_weights(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> Wei
         sub = _bounding_box(coarse_inside)
         mask = coarse_inside[sub]
         denominator *= math.prod(tab.denominator for tab in tables)
-        dtype = np.int64 if denominator < 2 ** 62 else object
-        coarse = np.where(mask, _crop(numerators, box, sub), 0).astype(dtype)
+        coarse = np.where(mask, _crop(numerators, box, sub), 0).astype(exact_dtype(denominator))
         flags = _window_image(mask & _crop(flags, box, sub), sub, tables)[1]
         numerators = _window_image(coarse, sub, tables)[1]
         box, reached = _window_image(mask, sub, tables)
@@ -756,20 +755,20 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
     entries run in the order received, then the children added, in the
     order first reached; the first contribution to a new child is
     assigned (a -0.0 stays -0.0), later ones are added in parent order.
-    A float value is multiplied by the float nearest n/q, which is what a
-    product with the coefficient's Fraction gives, and which int64
-    division gives while q < 2**53.
+    A float value is multiplied by the float nearest n/q
+    (:func:`nearest_floats`), which is what a product with the
+    coefficient's Fraction gives.
 
     Exact values (ints and Fractions) stay exact. Every exact value the
     sweep meets on level ell is a multiple of 1/D_ell, where D_0 is the lcm
     of the denominators given and D_{ell+1} = D_ell * q, so a level whose
     values are all exact carries integer numerators over D_ell: they are
-    scaled and merged by the same array operations as floats, in int64
-    while a bound on their size stays below 2**63 and as Python ints
-    beyond. Fractions are made only for the kept entries that children
-    reached; a received entry no child reached keeps its own object, so an
-    int stays an int. A level that mixes floats and exact values works on
-    the objects one by one, as Python's arithmetic does.
+    scaled and merged by the same array operations as floats, each in the
+    :func:`exact_dtype` of a bound on their size. Fractions are made only
+    for the kept entries that children reached; a received entry no child
+    reached keeps its own object, so an int stays an int. A level that
+    mixes floats and exact values works on the objects one by one, as
+    Python's arithmetic does.
 
     The first entry that is neither active nor deactivated, or is no
     function of its level, raises, named by ``names[ell][k]`` for the k-th
@@ -835,8 +834,7 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
                                   for c, n in zip(values[sunk][rows].tolist(),
                                                   factors.tolist())], dtype=object)
             else:
-                terms = values[sunk][rows] * (
-                    factors / q if q < 2 ** 53 else np.array([n / q for n in factors.tolist()]))
+                terms = values[sunk][rows] * nearest_floats(factors, q)
             denominator *= q
     return out
 
@@ -849,10 +847,9 @@ def _all_exact(values: np.ndarray) -> bool:
 
 def _numerators(values: np.ndarray, denominator: int) -> np.ndarray:
     """The numerators over ``denominator`` of exact values whose own
-    denominators divide it: int64 when all fit, else Python ints."""
+    denominators divide it."""
     nums = [v.numerator * (denominator // v.denominator) for v in values.tolist()]
-    fits = not nums or max(map(abs, nums)) < 2 ** 63
-    return np.array(nums, dtype=np.int64 if fits else object)
+    return np.array(nums, dtype=exact_dtype(max(map(abs, nums), default=0)))
 
 
 def _bound(numbers: np.ndarray) -> int:
@@ -860,20 +857,17 @@ def _bound(numbers: np.ndarray) -> int:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, in int64 while the bound fits."""
-    if a.dtype == b.dtype == np.int64 and _bound(a) * _bound(b) < 2 ** 63:
-        return a * b
-    return a.astype(object) * b.astype(object)
+    """a * b elementwise, in the dtype of the product of their bounds."""
+    dtype = exact_dtype(_bound(a) * _bound(b))
+    return a.astype(dtype) * b.astype(dtype)
 
 
 def _merged(received: np.ndarray, terms: np.ndarray, slots: np.ndarray,
             new: np.ndarray) -> np.ndarray:
     """The received numerators, then those of the new children, with the
-    other terms added into their slots: as the float merge does, in int64
-    while the received plus all terms' magnitudes stay below 2**63."""
-    exact = received.dtype == terms.dtype == np.int64 and \
-        _bound(received) + len(terms) * _bound(terms) < 2 ** 63
-    dtype = np.int64 if exact else object
+    other terms added into their slots: as the float merge does, in the
+    dtype of the received plus all terms' magnitudes."""
+    dtype = exact_dtype(_bound(received) + len(terms) * _bound(terms))
     merged = np.concatenate([received.astype(dtype), terms[new].astype(dtype)])
     np.add.at(merged, slots[~new], terms[~new].astype(dtype))
     return merged

@@ -57,7 +57,7 @@ from .tensor import (
     tensor_parents,
     two_scale_tables,
 )
-from .univariate import children_table, is_child_of, parent_table
+from .univariate import children_table, is_child_of, nearest_floats, parent_table
 
 TOL_EXACT = 1e-12
 TOL_OPERATOR = 1e-10
@@ -218,9 +218,7 @@ class _LevelColumns:
             rows, children, numerators, q = tensor_children_arrays(
                 np.array([fids[k].indices for k in ks], dtype=np.int64).reshape(len(ks), -1),
                 two_scale_tables(self.levels[ell], self.levels[ell + 1]))
-            # int64 division rounds n/q correctly while q < 2**53, Python's always
-            coefficients = numerators / q if numerators.dtype == np.int64 and q < 2 ** 53 \
-                else np.array([n / q for n in numerators.tolist()], dtype=np.float64)
+            coefficients = nearest_floats(numerators, q)
             # the pairs run parent by parent
             bounds = np.searchsorted(rows, np.arange(len(ks) + 1)).tolist()
             for r, k in enumerate(ks):

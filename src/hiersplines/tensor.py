@@ -20,9 +20,11 @@ Spline coefficients are stored per level as index and value arrays: a
 its level and an (n,) array of their values, float64 or, for exact
 values, object; its ``coefficients`` dict is a view derived on first use,
 in stored order. It hands its dense coefficients and the level's float
-knots straight to ``kernels.tensor_spline_values``. The children of a
-whole array of coarse functions come from the slot arrays of the
-two-scale tables at once (:func:`tensor_children_arrays`).
+knots straight to the kernels: ``kernels.tensor_spline_values`` at
+scattered points (``evaluate``) and ``kernels.tensor_grid_values`` on
+per-cell tensor grids (``on_grid``). The children of a whole array of
+coarse functions come from the slot arrays of the two-scale tables at
+once (:func:`tensor_children_arrays`).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .univariate import (
     LocalKnotVector,
     TwoScaleTable,
     dyadic_refine,
+    exact_dtype,
     parent_table,
     two_scale_table,
 )
@@ -295,13 +298,12 @@ def tensor_children_arrays(parents: np.ndarray, tables: Sequence[TwoScaleTable]
     each parent's children in canonical order: the parent's row, the
     child as an (m, d) index array and the numerator of its coefficient;
     then the common denominator q, the product of the tables'. Every
-    numerator is at most q, so the numerators are int64 below 2**63 and
-    Python ints from there on.
+    numerator is at most q, the bound of their :func:`exact_dtype`.
     """
     q = math.prod(tab.denominator for tab in tables)
     rows = np.arange(len(parents))
     children = np.zeros((len(parents), 0), dtype=np.int64)
-    numerators = np.ones(len(parents), dtype=np.int64 if q < 2 ** 63 else object)
+    numerators = np.ones(len(parents), dtype=exact_dtype(q))
     # the last direction slowest: each direction splits the pairs so far
     for k in reversed(range(len(tables))):
         tab, j = tables[k], parents[rows, k]

@@ -12,9 +12,23 @@ limit from the left at the right end, which makes partitions of unity hold
 on the whole closed interval.
 
 A :class:`KnotVector` owns every table derived from its knots, each a
-``functools.cached_property``: its floats, the int64 index tables
-``support_intervals``, ``first_functions`` and ``extension_intervals``,
-and the two-scale tables of the pairs it belongs to.
+``functools.cached_property``: its floats, its integer numerators over
+one denominator, the int64 index tables ``support_intervals``,
+``first_functions`` and ``extension_intervals``, and the two-scale
+tables of the pairs it belongs to.
+
+The two-scale relation is computed in one form, :class:`TwoScaleTable`:
+integer numerators over one denominator per coarse/fine pair. Its
+coefficients do not change under increasing affine maps of the knots, so
+the exact recurrence runs once per degree and reduced integer knot
+pattern in the process (:func:`_oslo_run`), whichever pair or level
+sequence the pattern comes from; :func:`children_table` and
+:func:`children_with_coefficients` read the same runs as Fractions.
+
+Every exact integer array of the package takes its format from one rule
+here: :func:`exact_dtype` gives int64 for a stated bound on the
+magnitudes below 2**63 and Python ints beyond, and :func:`nearest_floats`
+turns numerators over q into the floats nearest n/q.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,13 +52,34 @@ ONE = Fraction(1)
 def as_knot(value) -> Fraction:
     """Convert a number or string ("0.3", "1/3") to an exact Fraction.
 
-    Booleans are refused although they are ints.
+    Booleans are refused although they are ints, and so are NaN, the
+    infinities and strings that name no rational.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise KnotVectorError(f"cannot interpret {value!r} as a knot")
-    return Fraction(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise KnotVectorError(f"cannot interpret {value!r} as a knot")
+
+
+def exact_dtype(bound: int):
+    """The dtype of exact integers of magnitude at most ``bound``: int64
+    below 2**63, Python ints (object) from there on."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def nearest_floats(numerators: np.ndarray, q: int) -> np.ndarray:
+    """The floats nearest n/q for numerators n of magnitude at most q.
+
+    int64 true division rounds once, correctly, while q < 2**53 (both
+    operands are then exact floats); Python's int division always does.
+    """
+    if numerators.dtype == np.int64 and q < 2 ** 53:
+        return numerators / q
+    return np.array([n / q for n in numerators.tolist()], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -194,6 +229,12 @@ class KnotVector:
         return np.array([float(k) for k in self.knots])
 
     @cached_property
+    def integer_knots(self) -> tuple[tuple[int, ...], int]:
+        """The knots as integer numerators over the lcm of their denominators."""
+        d = math.lcm(*(k.denominator for k in self.knots))
+        return tuple(k.numerator * (d // k.denominator) for k in self.knots), d
+
+    @cached_property
     def breakpoint_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.breakpoints.values])
 
@@ -224,19 +265,15 @@ class KnotVector:
 
     @cached_property
     def max_interval_length(self) -> Fraction:
-        return max(c.length for c in self.intervals)
+        knots, d = self.integer_knots
+        return Fraction(max(b - a for a, b in zip(knots, knots[1:])), d)
 
     @property
     def quasi_uniformity(self) -> float:
         """Largest ratio of adjacent nonempty interval lengths (diagnostic)."""
-        cells = self.intervals
-        if len(cells) < 2:
-            return 1.0
-        ratios = []
-        for a, b in zip(cells, cells[1:]):
-            la, lb = float(a.length), float(b.length)
-            ratios.append(max(la / lb, lb / la))
-        return max(ratios)
+        knots, d = self.integer_knots
+        lengths = [(b - a) / d for a, b in zip(knots, knots[1:]) if b > a]
+        return max((max(la / lb, lb / la) for la, lb in zip(lengths, lengths[1:])), default=1.0)
 
     # -- functions ----------------------------------------------------------
 
@@ -258,8 +295,8 @@ class KnotVector:
         k = self.first_functions.item(interval_index)
         return range(k, k + self.degree + 1)
 
-    # the tables of children_table and two_scale_table (this knot vector
-    # coarse) and of parent_table (this one fine), keyed by the other one;
+    # the tables of two_scale_table and its view children_table (this knot
+    # vector coarse) and of parent_table (this one fine), keyed by the other one;
     # dict lookups try identity first, so a hit compares no rationals
 
     @cached_property
@@ -333,8 +370,9 @@ def make_open_knot_vector(degree: int,
 
 
 def uniform_open_knot_vector(degree: int, intervals: int) -> KnotVector:
-    if intervals < 1:
-        raise KnotVectorError("need at least one interval")
+    if isinstance(intervals, bool) or not isinstance(intervals, (int, np.integer)) \
+            or intervals < 1:
+        raise KnotVectorError(f"need a positive integer number of intervals, got {intervals!r}")
     values = [Fraction(i, intervals) for i in range(intervals + 1)]
     return make_open_knot_vector(degree, values)
 
@@ -357,12 +395,10 @@ def children_with_coefficients(parent: LocalKnotVector, fine: KnotVector
                                ) -> list[tuple[LocalKnotVector, Fraction]]:
     """Decompose a coarse B-spline over the fine basis.
 
-    The coefficient of fine function i is the discrete B-spline of the
-    parent's knots at t_i, ..., t_{i+p} (the Oslo recurrence of Cohen,
-    Lyche & Riesenfeld, 1980): degree-0 indicators at t_i, raised one
-    degree at a time with t_{i+1}, ..., t_{i+p}. Returns every child,
-    tagged with its index in ``fine``, with its strictly positive
-    coefficient. The weighted children reproduce the parent pointwise.
+    Returns every child, tagged with its index in ``fine``, with its
+    strictly positive coefficient, from the run of :func:`_oslo_run` on
+    the parent's knot pattern. The weighted children reproduce the parent
+    pointwise.
     """
     p = parent.degree
     if p != fine.degree:
@@ -374,35 +410,65 @@ def children_with_coefficients(parent: LocalKnotVector, fine: KnotVector
                 f"knot {v} of the parent has multiplicity "
                 f"{parent.multiplicity(v)} but only {fine.multiplicity(v)} "
                 "in the fine knot vector")
-    return [(fine.local(i), c) for i, c in _oslo_children(parent, fine)]
+    t, scale = fine.integer_knots
+    first, (offsets, numerators, q) = _children_run(
+        p, [k.numerator * (scale // k.denominator) for k in parent.knots], t)
+    return [(fine.local(first + i), Fraction(n, q)) for i, n in zip(offsets, numerators)]
 
 
-def _oslo_children(parent: LocalKnotVector, fine: KnotVector) -> list[tuple[int, Fraction]]:
-    """The (fine index, coefficient) pairs of
-    :func:`children_with_coefficients`, for a fine knot vector already
-    known to contain the parent's knots with their multiplicities."""
-    p = parent.degree
-    tau = parent.knots
-    t = fine.knots
-    out: list[tuple[int, Fraction]] = []
-    for i in fine.functions_supported_in(*parent.support):
+def _children_run(p: int, tau: Sequence[int], t: Sequence[int]
+                  ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The children of the B-spline on the integer knots ``tau`` among the
+    fine functions on the integer knots ``t``, on one scale: the fine index
+    of the first function supported in the parent's support, and the run of
+    :func:`_oslo_run` on their knot pattern.
+
+    The pattern is the difference vector, from the parent's first knot and
+    divided by its gcd, of the parent's p+2 knots and of the knots of the
+    fine functions in its support; the coefficients do not change under
+    increasing affine maps of the knots, so equal patterns have the same
+    children relative to the first one, with equal coefficients.
+    """
+    # the fine functions supported in the parent's support, as in
+    # KnotVector.functions_supported_in
+    first = bisect.bisect_left(t, tau[0])
+    stop = min(bisect.bisect_right(t, tau[-1]) - p - 1, len(t) - p - 1)
+    knots = (*tau, *t[first:stop + p + 1])
+    base = knots[0]
+    step = math.gcd(*(x - base for x in knots))
+    return first, _oslo_run(p, tuple((x - base) // step for x in knots))
+
+
+@lru_cache(maxsize=4096)
+def _oslo_run(p: int, pattern: tuple[int, ...]
+              ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The Oslo recurrence (Cohen, Lyche & Riesenfeld, 1980) on one knot
+    pattern of :func:`_children_run`: the parent's p+2 knots, then the
+    knots t of the fine functions in its support.
+
+    The coefficient of fine function i is the discrete B-spline of the
+    parent's knots at t_i, ..., t_{i+p}: degree-0 indicators at t_i,
+    raised one degree at a time with t_{i+1}, ..., t_{i+p}. Returns the
+    children with a positive coefficient as their offsets among the fine
+    functions, their numerators and their common denominator, the lcm of
+    the reduced coefficients' denominators.
+    """
+    tau, t = pattern[:p + 2], pattern[p + 2:]
+    offsets, coefficients = [], []
+    for i in range(len(t) - p - 1):
         alpha = [ONE if tau[j] <= t[i] < tau[j + 1] else ZERO for j in range(p + 1)]
+        # a nonzero alpha[j] of degree k-1 has tau[j] < tau[j+k]: no divisor is zero
         for k in range(1, p + 1):
             x = t[i + k]
-            nxt = []
-            for j in range(p + 1 - k):
-                acc = ZERO
-                d1 = tau[j + k] - tau[j]
-                if d1 > 0:
-                    acc += (x - tau[j]) / d1 * alpha[j]
-                d2 = tau[j + k + 1] - tau[j + 1]
-                if d2 > 0:
-                    acc += (tau[j + k + 1] - x) / d2 * alpha[j + 1]
-                nxt.append(acc)
-            alpha = nxt
+            alpha = [(Fraction(x - tau[j], tau[j + k] - tau[j]) * alpha[j] if alpha[j] else ZERO)
+                     + (Fraction(tau[j + k + 1] - x, tau[j + k + 1] - tau[j + 1]) * alpha[j + 1]
+                        if alpha[j + 1] else ZERO)
+                     for j in range(p + 1 - k)]
         if alpha[0] > 0:
-            out.append((i, alpha[0]))
-    return out
+            offsets.append(i)
+            coefficients.append(alpha[0])
+    q = math.lcm(*(c.denominator for c in coefficients))
+    return tuple(offsets), tuple(c.numerator * (q // c.denominator) for c in coefficients), q
 
 
 def is_child_of(child: LocalKnotVector, parent: LocalKnotVector) -> bool:
@@ -437,55 +503,18 @@ def parents_of(child: LocalKnotVector, coarse: KnotVector) -> list[LocalKnotVect
 
 def children_table(coarse: KnotVector, fine: KnotVector
                    ) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    """Per coarse function: its children as (fine index, coefficient) pairs."""
+    """Per coarse function: its children as (fine index, coefficient)
+    pairs, a view of :func:`two_scale_table` kept with the coarse knots."""
     cache = coarse._children_tables
     hit = cache.get(fine)
     if hit is not None:
         return hit
-    if not fine.contains_as_subsequence(coarse):
-        raise RefinementMismatchError(
-            "fine knot vector does not refine the coarse one")
-    if coarse.degree != fine.degree:
-        raise RefinementMismatchError(
-            f"degree mismatch: parent {coarse.degree}, fine {fine.degree}")
-    table = _oslo_table(coarse, fine)
+    tab = two_scale_table(coarse, fine)
+    q = tab.denominator
+    table = tuple(tuple((i, Fraction(n, q)) for i, n in zip(index, numerator) if n)
+                  for index, numerator in zip(tab.index.tolist(), tab.numerator.tolist()))
     cache[fine] = table
     return table
-
-
-def _oslo_table(coarse: KnotVector, fine: KnotVector
-                ) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    """:func:`_oslo_children` of every coarse function, run once per local
-    knot pattern.
-
-    The coefficients are invariant under increasing affine maps of the
-    knots. With all knots scaled to integers, a coarse function's pattern
-    is the difference vector, from its first knot and divided by its gcd,
-    of its p+2 knots and of the knots of the fine functions in its
-    support; functions with equal patterns have the same children relative
-    to the first fine function in their support, with equal coefficients.
-    """
-    p = coarse.degree
-    scale = math.lcm(*(k.denominator for k in fine.knots))
-    t = [k.numerator * (scale // k.denominator) for k in fine.knots]
-    tau = [k.numerator * (scale // k.denominator) for k in coarse.knots]
-    runs: dict[tuple[int, ...], tuple[tuple[int, Fraction], ...]] = {}
-    rows = []
-    for j in range(coarse.num_basis):
-        # the fine functions supported in the parent's support, as in
-        # KnotVector.functions_supported_in
-        first = bisect.bisect_left(t, tau[j])
-        stop = min(bisect.bisect_right(t, tau[j + p + 1]) - p - 1, fine.num_basis)
-        knots = tau[j:j + p + 2] + t[first:stop + p + 1]
-        base = knots[0]
-        step = math.gcd(*(x - base for x in knots))
-        pattern = tuple((x - base) // step for x in knots)
-        run = runs.get(pattern)
-        if run is None:
-            run = tuple((i - first, c) for i, c in _oslo_children(coarse.local(j), fine))
-            runs[pattern] = run
-        rows.append(tuple((first + i, c) for i, c in run))
-    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,7 +529,7 @@ class TwoScaleTable:
     row stays within its children.
 
     Every coefficient lies in (0, 1], so the numerators are at most the
-    denominator; they are int64 below 2**62 and Python ints from there on.
+    denominator, the bound their :func:`exact_dtype` is taken for.
     """
 
     denominator: int
@@ -533,21 +562,33 @@ class TwoScaleTable:
 
 
 def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
-    """The table of :func:`children_table` over one common denominator."""
+    """The two-scale matrix of a coarse/fine pair, filled from the runs of
+    :func:`_oslo_run` on the coarse functions' knot patterns, over the lcm
+    of the reduced coefficients' denominators."""
     cache = coarse._two_scale_tables
     hit = cache.get(fine)
     if hit is not None:
         return hit
-    exact = children_table(coarse, fine)
-    q = math.lcm(*(c.denominator for row in exact for _, c in row))
-    width = max(map(len, exact))
-    index = np.zeros((len(exact), width), dtype=np.int64)
-    numerator = np.zeros((len(exact), width), dtype=np.int64 if q < 2 ** 62 else object)
-    for j, row in enumerate(exact):
-        index[j] = row[-1][0]
-        for k, (i, c) in enumerate(row):
-            index[j, k] = i
-            numerator[j, k] = c.numerator * (q // c.denominator)
+    if not fine.contains_as_subsequence(coarse):
+        raise RefinementMismatchError(
+            "fine knot vector does not refine the coarse one")
+    if coarse.degree != fine.degree:
+        raise RefinementMismatchError(
+            f"degree mismatch: parent {coarse.degree}, fine {fine.degree}")
+    p = coarse.degree
+    # the coarse knots are fine knots, so their denominator divides the fine one
+    t, scale = fine.integer_knots
+    knots, d = coarse.integer_knots
+    tau = [x * (scale // d) for x in knots]
+    runs = [_children_run(p, tau[j:j + p + 2], t) for j in range(coarse.num_basis)]
+    q = math.lcm(*(r for _, (_, _, r) in runs))
+    width = max(len(offsets) for _, (offsets, _, _) in runs)
+    index = np.zeros((len(runs), width), dtype=np.int64)
+    numerator = np.zeros((len(runs), width), dtype=exact_dtype(q))
+    for j, (first, (offsets, numerators, r)) in enumerate(runs):
+        index[j] = first + offsets[-1]
+        index[j, :len(offsets)] = [first + i for i in offsets]
+        numerator[j, :len(offsets)] = [n * (q // r) for n in numerators]
     table = TwoScaleTable(q, index, numerator, numerator > 0)
     cache[fine] = table
     return table

@@ -635,6 +635,19 @@ class TestCli:
         assert cli.main(["check", str(bad)]) == 2
         assert "breakpoints[4]: cannot parse knot value True" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value,shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                             ("1/0", "'1/0'"), ("abc", "'abc'")],
+                             ids=["nan", "inf", "zero-denominator", "word"])
+    def test_check_unparsable_knot_exit_two(self, tmp_path, capsys, value, shown):
+        from hiersplines import cli
+
+        bad = tmp_path / "bad.json"
+        obj = json.loads((FIXTURE_DIR / "d1_linear_enlarge.json").read_text())
+        obj["breakpoints"][0][-2] = value
+        bad.write_text(json.dumps(obj))
+        assert cli.main(["check", str(bad)]) == 2
+        assert f"breakpoints[3]: cannot parse knot value {shown}" in capsys.readouterr().err
+
     def test_dump_mesh(self, tmp_path):
         out = tmp_path / "cells.json"
         res = _cli("dump-mesh", str(FIXTURE_DIR / "d2_single_cell.json"),

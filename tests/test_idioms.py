@@ -35,3 +35,45 @@ def test_rule_sees_every_form():
               "e = vars(f)\n"
               "@cached_property\ndef g(self):\n    return {}\n")
     assert sorted(line for line, _ in _instance_dict_uses(source)) == [1, 2, 3, 4]
+
+
+# the limits that decide between int64 and Python ints, and whether int64
+# division gives the float nearest n/q; univariate.exact_dtype and
+# univariate.nearest_floats own them
+LIMIT_BITS = (53, 62, 63)
+
+
+def _integer_limits(source: str) -> list[tuple[int, str]]:
+    """Line and text of every ``2 ** n`` and ``1 << n`` with n one of
+    LIMIT_BITS, and of every number equal to such a power."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant) \
+                and node.right.value in LIMIT_BITS and isinstance(node.left, ast.Constant) \
+                and (isinstance(node.op, ast.Pow) and node.left.value == 2
+                     or isinstance(node.op, ast.LShift) and node.left.value == 1):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Constant) and not isinstance(node.value, bool) \
+                and isinstance(node.value, (int, float)) \
+                and node.value in [2 ** n for n in LIMIT_BITS]:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "univariate.py"], ids=lambda p: p.name)
+def test_integer_limits_stay_in_univariate(path):
+    # the format of an exact integer array is decided in one module:
+    # callers state a bound and ask univariate.exact_dtype or nearest_floats
+    assert _integer_limits(path.read_text(encoding="utf-8")) == []
+
+
+def test_limit_rule_sees_every_form():
+    source = ("a = 2 ** 53\n"
+              "b = x < 2**62\n"
+              "c = 1 << 63\n"
+              "d = 9223372036854775808\n"
+              "e = 9007199254740992.0\n"
+              "f = 2 ** 52 + 2 ** 64 + (1 << 8) + 4611686018427387903\n"
+              "g = '2 ** 63'  # 2 ** 63\n")
+    assert sorted(line for line, _ in _integer_limits(source)) == [1, 2, 3, 4, 5]

@@ -7,10 +7,14 @@ containment through one cell_ancestor call per cell. Every structural
 output must equal theirs exactly: weights as reduced Fractions in the same
 order, selections, core domains, integration cells in the same order, and
 coefficients written over a basis bit for bit, the sign of zero included.
+The two-scale tables themselves must equal the former per-pair build:
+Fraction coefficients by the direct Oslo route, once per local knot
+pattern, converted to integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -18,8 +22,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hiersplines import hierarchy
+from hiersplines import hierarchy, univariate
 from hiersplines.errors import HierarchyError, HierSplineError, InternalInvariantError
+from hiersplines.fixtures import Fixture
 from hiersplines.hierarchy import (
     SubdomainHierarchy,
     _closed_form_classical,
@@ -47,12 +52,63 @@ from hiersplines.tensor import (
     tensor_children,
     two_scale_tables,
 )
-from hiersplines.univariate import children_table, make_open_knot_vector
+from hiersplines.study import run_convergence_study
+from hiersplines.univariate import (
+    children_table,
+    dyadic_refine,
+    make_open_knot_vector,
+    two_scale_table,
+    uniform_open_knot_vector,
+)
 
 from .conftest import FIXTURE_DIR, random_enlargement, random_hierarchy, repo_fixture
+from .oracles import oslo_children
+from .test_univariate import RANDOM_PAIRS
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+
+def ref_oslo_table(coarse, fine):
+    """The former children_table: oslo_children of every coarse function,
+    run once per local knot pattern. With all knots scaled to integers, a
+    coarse function's pattern is the difference vector, from its first
+    knot and divided by its gcd, of its p+2 knots and of the knots of the
+    fine functions in its support."""
+    p = coarse.degree
+    scale = math.lcm(*(k.denominator for k in fine.knots))
+    t = [k.numerator * (scale // k.denominator) for k in fine.knots]
+    tau = [k.numerator * (scale // k.denominator) for k in coarse.knots]
+    runs = {}
+    rows = []
+    for j in range(coarse.num_basis):
+        first = bisect.bisect_left(t, tau[j])
+        stop = min(bisect.bisect_right(t, tau[j + p + 1]) - p - 1, fine.num_basis)
+        knots = tau[j:j + p + 2] + t[first:stop + p + 1]
+        base = knots[0]
+        step = math.gcd(*(x - base for x in knots))
+        pattern = tuple((x - base) // step for x in knots)
+        run = runs.get(pattern)
+        if run is None:
+            run = tuple((i - first, c) for i, c in oslo_children(coarse.local(j), fine))
+            runs[pattern] = run
+        rows.append(tuple((first + i, c) for i, c in run))
+    return tuple(rows)
+
+
+def ref_two_scale_table(exact):
+    """The former conversion of a children table to slot arrays: the
+    denominator, index, numerator and present arrays."""
+    q = math.lcm(*(c.denominator for row in exact for _, c in row))
+    width = max(map(len, exact))
+    index = np.zeros((len(exact), width), dtype=np.int64)
+    numerator = np.zeros((len(exact), width), dtype=np.int64 if q < 2 ** 62 else object)
+    for j, row in enumerate(exact):
+        index[j] = row[-1][0]
+        for k, (i, c) in enumerate(row):
+            index[j, k] = i
+            numerator[j, k] = c.numerator * (q // c.denominator)
+    return q, index, numerator, numerator > 0
 
 
 def ref_tensor_children(indices, coarse, fine):
@@ -412,6 +468,75 @@ def test_wide_denominators_match_scalar_routes(cells, rng):
     assert math.prod(tab.denominator for tab in tables) >= 2 ** 63
     assert_equivalent(levels, SubdomainHierarchy.from_cells([cells]), rng)
 
+
+
+# ---------------------------------------------------------------------------
+# the two-scale tables against the former per-pair build
+
+
+def _wide_pair():
+    """The knot vectors of test_wide_denominators_match_scalar_routes."""
+    coarse = make_open_knot_vector(2, [0, Fraction(1, 3), 1], [3, 1, 3])
+    fine = make_open_knot_vector(2, [0, Fraction(1, 1000003), Fraction(1, 3), Fraction(2, 3),
+                                     Fraction(999999937, 1000000007), 1], [3, 1, 1, 1, 1, 3])
+    return coarse, fine
+
+
+def _corner_levels(steps):
+    """Per step of the corner-graded study family, its three levels in
+    each direction (quadratic, 4 * 2**s cells on level 0)."""
+    return [build_level_sequence([uniform_open_knot_vector(2, 4 * 2 ** s)] * 2, 3)
+            for s in range(steps)]
+
+
+def _table_pairs():
+    for name in FIXTURE_NAMES:
+        levels = repo_fixture(name).levels
+        for ell in range(len(levels) - 1):
+            for k, (ckv, fkv) in enumerate(zip(levels[ell].kvs, levels[ell + 1].kvs)):
+                yield pytest.param(ckv, fkv, id=f"{name}-{ell}-{k}")
+    for s, levels in enumerate(_corner_levels(5)):
+        for ell in range(2):
+            yield pytest.param(levels[ell].kvs[0], levels[ell + 1].kvs[0],
+                               id=f"corner_s{s}-{ell}")
+    for pair in RANDOM_PAIRS:
+        yield pytest.param(*pair.values, id=f"random-{pair.id}")
+    yield pytest.param(*_wide_pair(), id="wide")
+
+
+@pytest.mark.parametrize("coarse,fine", list(_table_pairs()))
+def test_tables_equal_the_former_ones(coarse, fine):
+    exact = ref_oslo_table(coarse, fine)
+    q, index, numerator, present = ref_two_scale_table(exact)
+    tab = two_scale_table(coarse, fine)
+    assert tab.denominator == q
+    assert tab.index.dtype == np.int64 and np.array_equal(tab.index, index)
+    assert tab.numerator.tolist() == numerator.tolist()
+    assert tab.numerator.dtype == (np.int64 if q < 2 ** 63 else object)
+    assert tab.present.dtype == bool and np.array_equal(tab.present, present)
+    rows = children_table(coarse, fine)
+    assert rows == exact
+    assert all(type(c) is Fraction for row in rows for _, c in row)
+
+
+def test_warm_study_runs_no_recurrence():
+    """The patterns are scale-free and the memo is process-wide: a study
+    on fresh levels runs no recurrence once the smallest step has run."""
+    def family(steps):
+        out = []
+        for s, levels in enumerate(_corner_levels(steps)):
+            box = list(iter_box([range(2 * 2 ** s)] * 2))
+            out.append(Fixture(name=f"corner_s{s}", dimension=2, degrees=(2, 2), levels=levels,
+                               hierarchy=SubdomainHierarchy.from_cells([box, box]),
+                               refinement="dyadic"))
+        return out
+
+    univariate._oslo_run.cache_clear()
+    run_convergence_study(family(1), "sin", 2)
+    # three patterns at each end of a quadratic uniform knot vector, one inside
+    assert univariate._oslo_run.cache_info().misses == 7
+    run_convergence_study(family(3), "sin", 2)
+    assert univariate._oslo_run.cache_info().misses == 7
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Knot vectors, dyadic refinement and the two-scale machinery."""
 
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hiersplines.errors import KnotVectorError, RefinementMismatchError
 from hiersplines.univariate import (
     KnotVector,
     LocalKnotVector,
-    _oslo_children,
+    as_knot,
     children_table,
     children_with_coefficients,
     dyadic_refine,
@@ -25,7 +26,7 @@ from hiersplines.univariate import (
 )
 
 from .conftest import random_refinement
-from .oracles import bspline_value_exact
+from .oracles import bspline_value_exact, oslo_children
 
 
 class TestKnotVector:
@@ -56,6 +57,35 @@ class TestKnotVector:
         assert cell.extension == (F(2, 8), F(7, 8))
         # boundary interval is clipped by the repeated end knots
         assert kv.intervals[0].extension == (F(0), F(3, 8))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       "1/0", "abc", True, None],
+                             ids=["nan", "inf", "-inf", "zero-denominator", "word", "bool",
+                                  "none"])
+    def test_refuses_values_that_are_no_knot(self, value):
+        message = f"^{re.escape(f'cannot interpret {value!r} as a knot')}$"
+        with pytest.raises(KnotVectorError, match=message):
+            as_knot(value)
+        with pytest.raises(KnotVectorError, match=message):
+            make_open_knot_vector(1, [0, value, 1])
+
+    @pytest.mark.parametrize("intervals", [2.5, True, "4", 4.0, 0, -1])
+    def test_uniform_refuses_a_count_that_is_no_positive_integer(self, intervals):
+        with pytest.raises(KnotVectorError, match=f"got {intervals!r}$"):
+            uniform_open_knot_vector(2, intervals)
+
+    def test_uniform_takes_numpy_integers(self):
+        assert uniform_open_knot_vector(2, np.int64(3)) == uniform_open_knot_vector(2, 3)
+
+    @pytest.mark.parametrize("kv", [uniform_open_knot_vector(2, 6),
+                                    make_open_knot_vector(3, ["0", "1/8", "1/3", "1/2", "1"],
+                                                          [4, 2, 1, 4, 4])],
+                             ids=["uniform", "repeated"])
+    def test_integer_knots_and_mesh_size(self, kv):
+        knots, d = kv.integer_knots
+        assert [F(k, d) for k in knots] == list(kv.knots)
+        assert d == lcm(*(k.denominator for k in kv.knots))
+        assert kv.max_interval_length == max(c.length for c in kv.intervals)
 
     def test_quasi_uniformity_diagnostic(self):
         # intervals 1/8, 3/8, 1/2: adjacent ratios 3 and 4/3
@@ -289,28 +319,26 @@ class TestTwoScaleRandom:
         table = children_table(coarse, fine)
         assert len(table) == coarse.num_basis
         for j, row in enumerate(table):
-            want = _oslo_children(coarse.local(j), fine)
+            want = oslo_children(coarse.local(j), fine)
             assert [i for i, _ in row] == [i for i, _ in want]
             assert [c for _, c in row] == [c for _, c in want]
             assert all(type(c) is F for _, c in row)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_oslo_runs_once_per_local_knot_pattern(degree, monkeypatch):
+def test_oslo_runs_once_per_local_knot_pattern(degree):
     """On a uniform knot vector only the p+1 functions at each end see a
-    repeated knot; every other function shares one interior pattern."""
-    runs = []
-
-    def counted(parent, fine):
-        runs.append(parent.index)
-        return _oslo_children(parent, fine)
-
-    monkeypatch.setattr(univariate, "_oslo_children", counted)
+    repeated knot; every other function shares one interior pattern. The
+    patterns are scale-free, so a finer uniform pair runs none anew."""
+    univariate._oslo_run.cache_clear()
     coarse = uniform_open_knot_vector(degree, 64)
     table = children_table(coarse, dyadic_refine(coarse))
-    assert len(runs) == 2 * (degree + 1) + 1
+    assert univariate._oslo_run.cache_info().misses == 2 * (degree + 1) + 1
     interior = [[(i - 2 * j, c) for i, c in row] for j, row in enumerate(table)]
     assert all(row == interior[degree + 1] for row in interior[degree + 1:-(degree + 1)])
+    coarse = uniform_open_knot_vector(degree, 128)
+    children_table(coarse, dyadic_refine(coarse))
+    assert univariate._oslo_run.cache_info().misses == 2 * (degree + 1) + 1
 
 
 @settings(max_examples=30, deadline=None)
