@@ -29,12 +29,16 @@ trips that.
 Containment, weights and selections are computed for whole levels.
 Each subdomain is a boolean grid over the previous level's cells
 (:class:`SubdomainGrids`), and which supports, cells or support
-extensions of a level lie in it is one box query per level. Weights and
-selections are per-level grids carried down through the integer
-two-scale tables of :func:`hiersplines.univariate.two_scale_table`;
-Fractions appear only in the results. The scalar queries
-(:func:`support_in_subdomain`, :func:`cell_in_subdomain`) and the sweep
-look up the same cached level answers.
+extensions of a level lie in it is one box query per level. The
+two-scale relation is applied in one way: the (parent, child) pairs of
+:func:`hiersplines.tensor.tensor_children_arrays`, read from the integer
+slot arrays of the two-scale tables. The sweep, the weights and the
+refinable selection all take their children from it. A
+:class:`WeightMap` stores, per level, the defined functions as an index
+array with integer numerators over one denominator and positivity flags;
+its ``Fid``-keyed dicts of Fractions are views made on first use. The
+scalar queries (:func:`support_in_subdomain`, :func:`cell_in_subdomain`)
+and the sweep look up the same cached level answers.
 
 The results are stored as per-level boolean grids too: the active cells
 of a :class:`HierarchicalMesh`, and the selected and active functions of
@@ -380,19 +384,52 @@ def active_mesh(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> Hierarc
 @dataclass(eq=False)
 class WeightMap:
     """Exact weights for every function whose support sits in its level's
-    subdomain, together with the structural positivity flag."""
+    subdomain, together with the structural positivity flag.
 
-    values: dict[Fid, Fraction]
-    positive: dict[Fid, bool]
+    Per level ell: ``indices`` holds the defined functions as an (n, d)
+    index array in canonical order, ``numerators`` their weights' integer
+    numerators over ``denominators[ell]`` and ``flags`` their positivity.
+    ``values`` (``Fid`` to ``Fraction``) and ``positive`` (``Fid`` to bool)
+    are dict views in that order, both made on the first use of either.
+    """
+
+    indices: tuple[np.ndarray, ...]
+    numerators: tuple[np.ndarray, ...]
+    flags: tuple[np.ndarray, ...]
+    denominators: tuple[int, ...]
+
+    @functools.cached_property
+    def _views(self) -> tuple[dict[Fid, Fraction], dict[Fid, bool]]:
+        fids = [Fid(ell, tuple(i)) for ell, idx in enumerate(self.indices) for i in idx.tolist()]
+        values = (Fraction(n, d) for nums, d in zip(self.numerators, self.denominators)
+                  for n in nums.tolist())
+        flags = (f for level in self.flags for f in level.tolist())
+        return dict(zip(fids, values)), dict(zip(fids, flags))
+
+    @property
+    def values(self) -> dict[Fid, Fraction]:
+        return self._views[0]
+
+    @property
+    def positive(self) -> dict[Fid, bool]:
+        return self._views[1]
 
     def weight(self, fid: Fid) -> Fraction:
-        return self.values[fid]
+        return _entry(self.values, fid)
 
     def is_positive(self, fid: Fid) -> bool:
-        return self.positive[fid]
+        return _entry(self.positive, fid)
 
     def defined(self, fid: Fid) -> bool:
         return fid in self.values
+
+
+def _entry(view: dict, fid: Fid):
+    """``view[fid]``; a function with no weight raises, named."""
+    if fid not in view:
+        raise HierarchyError(f"no weight for {fid}: it is no function of level {fid.level} "
+                             f"with its support in subdomain {fid.level}")
+    return view[fid]
 
 
 def compute_weights(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> WeightMap:
@@ -403,94 +440,46 @@ def compute_weights(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> Wei
     coefficients from every function of the previous level whose support
     also lies there; its children never leave the subdomain, since
     children supports shrink. Over the common denominator D_ell the
-    numerators of level ell+1 are those of the coarse functions inside,
-    multiplied along each direction by the integer two-scale table, and
+    numerators of level ell+1 are those of the coarse functions inside
+    times the numerators of their (parent, child) pairs from
+    :func:`tensor_children_arrays`, summed per child, and
     D_{ell+1} = D_ell * q_1 * ... * q_d. Weights lie in [0, 1] and every
     term is nonnegative, so every partial sum is at most D_{ell+1}, the
-    bound of their :func:`exact_dtype`. Positivity is the pattern image of
-    the positive coarse functions inside.
+    bound of their :func:`exact_dtype`; sums of exact integers do not
+    depend on their order. A child is positive when one of its parents
+    inside is.
 
-    The arrays cover only the bounding box of the functions involved, a
-    small part of a deep level under local refinement.
+    Only the defined functions are stored, a small part of a deep level
+    under local refinement.
     """
     grids = subdomain_grids(h, levels)
-    values: dict[Fid, Fraction] = {}
-    positive: dict[Fid, bool] = {}
-    everything = np.ones(levels[0].num_basis, dtype=bool)
-    box = _bounding_box(everything)
-    numerators = everything.astype(np.int64)
-    flags = everything
-    denominator = 1
-    _record_weights(values, positive, 0, everything, box, numerators, flags, denominator)
+    indices = marked_array(np.ones(levels[0].num_basis, dtype=bool))
+    numerators, denominator = np.ones(len(indices), dtype=np.int64), 1
+    flags = numerators > 0
+    out = [(indices, numerators, flags, denominator)]
     for ell in range(h.depth - 1):
-        tables = two_scale_tables(levels[ell], levels[ell + 1])
-        coarse_inside = grids.supports_inside(ell, ell + 1)
-        fine_inside = grids.supports_inside(ell + 1, ell + 1)
-        sub = _bounding_box(coarse_inside)
-        mask = coarse_inside[sub]
-        denominator *= math.prod(tab.denominator for tab in tables)
-        coarse = np.where(mask, _crop(numerators, box, sub), 0).astype(exact_dtype(denominator))
-        flags = _window_image(mask & _crop(flags, box, sub), sub, tables)[1]
-        numerators = _window_image(coarse, sub, tables)[1]
-        box, reached = _window_image(mask, sub, tables)
-        escaped = marked_indices(reached & ~fine_inside[box])
-        if escaped:
-            idx = tuple(b.start + j for b, j in zip(box, escaped[0]))
+        inside = grids.supports_inside(ell, ell + 1)[tuple(indices.T)]
+        rows, children, factors, q = tensor_children_arrays(
+            indices[inside], two_scale_tables(levels[ell], levels[ell + 1]))
+        indices = marked_array(grids.supports_inside(ell + 1, ell + 1))
+        # canonical order is ascending in the first-direction-fastest keys
+        shape = levels[ell + 1].num_basis
+        keys = np.ravel_multi_index(tuple(indices.T), shape, order="F")
+        child_keys = np.ravel_multi_index(tuple(children.T), shape, order="F")
+        slots = np.searchsorted(keys, child_keys)
+        # a child past the last key meets the sentinel -1
+        escaped = np.append(keys, -1)[slots] != child_keys
+        if escaped.any():
+            first = children[escaped][child_keys[escaped].argmin()]
             raise InternalInvariantError(
-                f"child {Fid(ell + 1, idx)} escaped subdomain {ell + 1}")
-        _record_weights(values, positive, ell + 1, fine_inside, box, numerators, flags,
-                        denominator)
-    return WeightMap(values, positive)
-
-
-def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
-    """Per direction, the index range of the True entries (empty if none)."""
-    out = []
-    for axis in range(mask.ndim):
-        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
-        out.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0))
-    return tuple(out)
-
-
-def _crop(window: np.ndarray, box: tuple[slice, ...], sub: tuple[slice, ...]) -> np.ndarray:
-    """The entries in ``sub`` of an array covering ``box``, zero outside it."""
-    out = np.zeros(tuple(s.stop - s.start for s in sub), dtype=window.dtype)
-    src, dst = [], []
-    for b, s in zip(box, sub):
-        lo, hi = max(b.start, s.start), min(b.stop, s.stop)
-        if lo >= hi:
-            return out
-        src.append(slice(lo - b.start, hi - b.start))
-        dst.append(slice(lo - s.start, hi - s.start))
-    out[tuple(dst)] = window[tuple(src)]
-    return out
-
-
-def _window_image(window: np.ndarray, box: tuple[slice, ...], tables
-                  ) -> tuple[tuple[slice, ...], np.ndarray]:
-    """An array over ``box`` of one level carried to the next through the
-    two-scale tables of every direction, with the box it then covers
-    (boolean: the children of the marked functions)."""
-    out_box = []
-    for axis, (tab, s) in enumerate(zip(tables, box)):
-        first, window = tab.image(window, axis, s.start)
-        out_box.append(slice(first, first + window.shape[axis]))
-    return tuple(out_box), window
-
-
-def _record_weights(values: dict, positive: dict, ell: int, defined: np.ndarray,
-                    box: tuple[slice, ...], numerators: np.ndarray, flags: np.ndarray,
-                    denominator: int) -> None:
-    """Enter the weights of the defined functions of a level, canonical
-    order; ``numerators`` and ``flags`` cover ``box``."""
-    sub = _bounding_box(defined)
-    inside = defined[sub].T
-    nums = _crop(numerators, box, sub).T[inside].tolist()
-    pos = _crop(flags, box, sub).T[inside].tolist()
-    for idx, n, f in zip(marked_indices(defined), nums, pos):
-        fid = Fid(ell, idx)
-        values[fid] = Fraction(n, denominator)
-        positive[fid] = f
+                f"child {Fid(ell + 1, tuple(first.tolist()))} escaped subdomain {ell + 1}")
+        terms = _product(numerators[inside][rows], factors)
+        denominator *= q
+        numerators = np.zeros(len(indices), dtype=exact_dtype(denominator))
+        np.add.at(numerators, slots, terms.astype(numerators.dtype))
+        flags = np.bincount(slots[flags[inside][rows]], minlength=len(indices)) > 0
+        out.append((indices, numerators, flags, denominator))
+    return WeightMap(*map(tuple, zip(*out)))
 
 
 def zero_weight_by_characterization(h: SubdomainHierarchy,
@@ -509,8 +498,9 @@ def zero_weight_by_characterization(h: SubdomainHierarchy,
     functions of one hierarchy tests each parent once.
     """
     ell = fid.level
-    if ell == 0:
-        raise HierarchyError("level-0 functions always have weight one")
+    if not 0 < ell < h.depth:
+        raise HierarchyError("level-0 functions always have weight one" if ell == 0 else
+                             f"{fid}: level {ell} is outside 1..{h.depth - 1}")
     if not _support_in_cells(h, levels, ell, fid.indices, ell):
         raise HierarchyError(
             "characterization applies only to functions supported inside "
@@ -597,6 +587,7 @@ def _selections(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
     (classical) or only the children of the removed ones (refinable).
     Nesting makes deeper subdomains subsets of earlier ones, so a function
     can only sink at the step after the one that opened its level.
+    Building the grids first checks the hierarchy.
     """
     grids = subdomain_grids(h, levels)
     selected = [np.ones(levels[0].num_basis, dtype=bool)]
@@ -605,11 +596,10 @@ def _selections(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
         sunk = selected[ell] & grids.supports_inside(ell, ell + 1)
         active.append(selected[ell] & ~sunk)
         if refinable:
-            sub = _bounding_box(sunk)
-            box, kids = _window_image(sunk[sub], sub,
-                                      two_scale_tables(levels[ell], levels[ell + 1]))
+            _, kids, _, _ = tensor_children_arrays(
+                marked_array(sunk), two_scale_tables(levels[ell], levels[ell + 1]))
             alive = np.zeros(levels[ell + 1].num_basis, dtype=bool)
-            alive[box] = kids
+            alive[tuple(kids.T)] = True
         else:
             alive = grids.supports_inside(ell + 1, ell + 1)
         selected.append(alive)
@@ -633,16 +623,11 @@ def build_hierarchical_basis(h: SubdomainHierarchy,
     Both the recursive selection and the closed-form level-wise selection
     are computed; disagreement means corrupt input or a bug, so it raises.
     """
-    validate_hierarchy(h, levels)
     selected, active = _selections(h, levels, refinable=False)
     if not all(map(np.array_equal, active, _closed_form_classical(h, levels))):
         raise InternalInvariantError(
             "recursive and closed-form selections disagree")
-    if weights is None:
-        weights = compute_weights(h, levels)
-    basis = HierBasis(CLASSICAL, h, tuple(levels[:h.depth]), tuple(selected), tuple(active),
-                      weights)
-    return basis, active_mesh(h, levels)
+    return _basis(CLASSICAL, h, levels, selected, active, weights), active_mesh(h, levels)
 
 
 def build_refinable_basis(h: SubdomainHierarchy,
@@ -650,12 +635,15 @@ def build_refinable_basis(h: SubdomainHierarchy,
                           weights: WeightMap | None = None) -> HierBasis:
     """The children-only basis; equals the positive-weight part of the
     classical one."""
-    validate_hierarchy(h, levels)
-    selected, active = _selections(h, levels, refinable=True)
-    if weights is None:
-        weights = compute_weights(h, levels)
-    return HierBasis(REFINABLE, h, tuple(levels[:h.depth]), tuple(selected), tuple(active),
-                     weights)
+    return _basis(REFINABLE, h, levels, *_selections(h, levels, refinable=True), weights)
+
+
+def _basis(flavor: str, h: SubdomainHierarchy, levels: Sequence[TensorLevel],
+           selected: list[np.ndarray], active: list[np.ndarray],
+           weights: WeightMap | None) -> HierBasis:
+    """A basis from its selections, with the weights computed if not given."""
+    return HierBasis(flavor, h, tuple(levels[:h.depth]), tuple(selected), tuple(active),
+                     compute_weights(h, levels) if weights is None else weights)
 
 
 # ---------------------------------------------------------------------------

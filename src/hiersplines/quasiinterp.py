@@ -47,6 +47,7 @@ does not depend on which norms came before.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Integral, Real
@@ -448,8 +449,11 @@ class LevelQuasiInterpolant:
             self._workspaces[cell] = ws
         return ws
 
-    def dual_functional(self, indices: Index) -> Callable[[PointFunction], float]:
-        """The functional dual to the given member on its anchor cell."""
+    def dual_functional(self, indices: Sequence[int]) -> Callable[[PointFunction], float]:
+        """The functional dual to the given member on its anchor cell; any
+        sequence of integers names the member, anything else raises
+        TypeError."""
+        indices = tuple(map(operator.index, indices))
         if indices not in self.anchor_cells:
             raise HierSplineError(
                 f"function {indices} has no full cell inside the core domain "

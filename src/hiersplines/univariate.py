@@ -537,29 +537,6 @@ class TwoScaleTable:
     numerator: np.ndarray
     present: np.ndarray
 
-    def image(self, x: np.ndarray, axis: int, start: int) -> tuple[int, np.ndarray]:
-        """x multiplied along ``axis`` by the matrix, coarse to fine.
-
-        x holds the coarse functions start, start+1, ... along ``axis``.
-        The result covers the fine functions from the first child of these
-        to the last, and comes with the index of the first:
-        out[.., f, ..] = sum of x[.., j, ..] * numerator[j, k] over the
-        slots with index[j, k] = f. The sum runs over the band, one product
-        per slot. Boolean x gives the boolean image through the pattern:
-        the children of the marked functions.
-        """
-        rows = slice(start, start + x.shape[axis])
-        index = self.index[rows]
-        weights = (self.present if x.dtype == bool else self.numerator.astype(x.dtype))[rows]
-        first = int(index.min()) if index.size else 0
-        size = int(index.max()) + 1 - first if index.size else 0
-        x = np.moveaxis(x, axis, 0)
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        out = np.zeros((size,) + x.shape[1:], dtype=x.dtype)
-        for k in range(index.shape[1]):
-            np.add.at(out, index[:, k] - first, x * weights[:, k].reshape(shape))
-        return first, np.moveaxis(out, 0, axis)
-
 
 def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
     """The two-scale matrix of a coarse/fine pair, filled from the runs of

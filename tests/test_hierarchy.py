@@ -11,6 +11,7 @@ from hiersplines.fixtures import parse_fixture
 from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
     HierSplineFunction,
+    SubdomainGrids,
     SubdomainHierarchy,
     active_mesh,
     build_hierarchical_basis,
@@ -20,6 +21,7 @@ from hiersplines.hierarchy import (
     expand_deactivated,
     express_over,
     partition_of_unity,
+    subdomain_grids,
     support_in_subdomain,
     validate_hierarchy,
     zero_weight_by_characterization,
@@ -30,7 +32,9 @@ from hiersplines.tensor import (
     TensorFunctionId as Fid,
     eval_function,
     extend_level_sequence,
+    id_sort_key,
     iter_box,
+    marked_indices,
     tensor_children,
     tensor_parents,
 )
@@ -130,6 +134,48 @@ class TestWeights:
                     continue
                 assert zero_weight_by_characterization(h, levels, fid, w) \
                     == (v == 0)
+
+    def test_missing_weight_is_refused_by_name(self):
+        fx = repo_fixture("d2_corner_admissible")
+        basis, _ = build_hierarchical_basis(fx.hierarchy, fx.levels)
+        for fid in (Fid(9, (0, 0)), Fid(0, (0,))):
+            assert basis.weights.defined(fid) is False
+            for read in (basis.weight, basis.weights.weight, basis.weights.is_positive):
+                with pytest.raises(HierarchyError,
+                                   match=re.escape(f"no weight for {fid}: it is no function "
+                                                   f"of level {fid.level}")):
+                    read(fid)
+
+    def test_escaped_child_is_named(self, monkeypatch):
+        # drop two children of the level-0 functions inside subdomain 1
+        # from the level-1 functions inside it: one of the first parent,
+        # met first, and one that comes first in canonical order, named
+        fx = repo_fixture("d2_corner_admissible")
+        h, levels = fx.hierarchy, fx.levels
+        grids = subdomain_grids(h, levels)
+        kids = [{c for c, _ in tensor_children(p, levels[0], levels[1])}
+                for p in marked_indices(grids.supports_inside(0, 1))]
+        met = max(kids[0], key=id_sort_key)
+        named = min(set().union(*kids) - kids[0], key=id_sort_key)
+        assert id_sort_key(named) < id_sort_key(met)
+        mask = grids.supports_inside(1, 1).copy()
+        mask[tuple(np.array([met, named]).T)] = False
+        real = SubdomainGrids.supports_inside
+        monkeypatch.setattr(SubdomainGrids, "supports_inside", lambda self, level, ell:
+                            mask if (level, ell) == (1, 1) else real(self, level, ell))
+        with pytest.raises(InternalInvariantError,
+                           match=re.escape(f"child {Fid(1, named)} escaped subdomain 1")):
+            compute_weights(h, levels)
+
+    def test_characterization_refuses_levels_outside_the_hierarchy(self):
+        fx = repo_fixture("d2_corner_admissible")
+        h = fx.hierarchy
+        w = compute_weights(h, fx.levels)
+        for level in (h.depth, 5, -1):
+            fid = Fid(level, (0, 0))
+            with pytest.raises(HierarchyError, match=re.escape(
+                    f"{fid}: level {level} is outside 1..{h.depth - 1}")):
+                zero_weight_by_characterization(h, fx.levels, fid, w)
 
     def test_partition_of_unity_exact_at_rationals(self):
         levels = make_levels(1, 2, 2, 2)

@@ -423,9 +423,13 @@ def test_child_dropped_from_a_stage_is_named(name):
                                   "d3_depth2_corner"])
 def test_flipped_weight_flag_is_named(name):
     ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
-    fid = next(f for f in ctx.weights.values if f.level > 0)
-    ctx.weights = dataclasses.replace(
-        ctx.weights, positive={**ctx.weights.positive, fid: not ctx.weights.positive[fid]})
+    # the first defined function below level 0, in the order of the views
+    ell = next(ell for ell, idx in enumerate(ctx.weights.indices) if ell > 0 and len(idx))
+    fid = Fid(ell, tuple(ctx.weights.indices[ell][0].tolist()))
+    flags = list(ctx.weights.flags)
+    flags[ell] = flags[ell].copy()
+    flags[ell][0] = not flags[ell][0]
+    ctx.weights = dataclasses.replace(ctx.weights, flags=tuple(flags))
     got = _both("refinable_equals_positive_weights", ctx)
     assert got[1] is False
     assert got[4] == f"flag disagrees at {fid}"

@@ -100,6 +100,22 @@ class TestDualFunctionals:
                 worst = max(worst, abs(val - (1.0 if mi == mj else 0.0)))
         assert worst < 1e-10
 
+    def test_any_integer_sequence_names_a_member(self):
+        levels = make_levels(2, 2, 8, 3)
+        h = corner_hierarchy(levels, [4, 4])
+        op = LevelQuasiInterpolant(h, levels, 1, compute_core_domains(h, levels))
+        m = op.members[0]
+
+        def f(p):
+            return eval_function(op.level, m, p)
+
+        want = op.dual_functional(m)(f)
+        for name in (list(m), np.array(m), [np.int64(j) for j in m]):
+            assert op.dual_functional(name)(f) == want
+        for name in ([0.5, 0], 3, ["0", "0"]):
+            with pytest.raises(TypeError):
+                op.dual_functional(name)
+
     def test_pair_matrix_matches_brute_force(self):
         fx = repo_fixture("d2_single_cell")
         op = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels)

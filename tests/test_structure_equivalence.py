@@ -466,7 +466,11 @@ def test_wide_denominators_match_scalar_routes(cells, rng):
     tables = two_scale_tables(levels[0], levels[1])
     assert all(tab.denominator < 2 ** 53 for tab in tables)
     assert math.prod(tab.denominator for tab in tables) >= 2 ** 63
-    assert_equivalent(levels, SubdomainHierarchy.from_cells([cells]), rng)
+    h = SubdomainHierarchy.from_cells([cells])
+    weights = compute_weights(h, levels)
+    assert weights.denominators[1] >= 2 ** 63
+    assert weights.numerators[1].dtype == object
+    assert_equivalent(levels, h, rng)
 
 
 

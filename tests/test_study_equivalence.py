@@ -21,6 +21,7 @@ from hiersplines.errors import HierSplineError
 from hiersplines.fixtures import Fixture
 from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
+    WeightMap,
     active_mesh,
     build_refinable_basis,
     compute_weights,
@@ -45,6 +46,7 @@ from hiersplines.study import StudyReport, StudyRow, StudyStep, run_convergence_
 from hiersplines.tensor import CellSet
 
 from .conftest import FIXTURE_DIR, random_hierarchy, repo_fixture
+from .test_acceptance import _corner_family
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
 QS = [1, 2, "inf"]
@@ -264,3 +266,14 @@ def test_table_serves_only_its_own_norms():
                                                       DEFAULT_CONFIG), (2, mesh, CONFIGS[1])]:
         with pytest.raises(HierSplineError, match="its own q, mesh and configuration"):
             lq_norm(table, q, m, None, config)
+
+
+def test_study_never_builds_the_weight_dicts(monkeypatch):
+    # a study reads no weight, so it builds no Fid key or Fraction per weight
+    def refuse(self):
+        raise AssertionError("the study built a weight dict view")
+
+    monkeypatch.setattr(WeightMap, "values", property(refuse))
+    monkeypatch.setattr(WeightMap, "positive", property(refuse))
+    report = run_convergence_study(_corner_family(2), "sin", 2)
+    assert [row.step for row in report.rows if row.level == 0] == [0, 1]
