@@ -340,7 +340,7 @@ def dump_active_cells(mesh: HierarchicalMesh, *, bases: Sequence = ()) -> dict:
             "flavor": basis.flavor,
             "members": [{"level": fid.level,
                          "index": list(fid.indices),
-                         "weight": str(basis.weight(fid))}
+                         "weight": str(basis.weights.values[fid])}
                         for fid in basis.functions()],
         } for basis in bases]
     return out
@@ -387,7 +387,7 @@ def parse_mesh_dump(obj: Mapping, source: str = "mesh"
         ell = _parse_level(_expect(entry, "level", where), 0, depth - 1,
                            f"{where}.level")
         idx = _parse_cell(_expect(entry, "index", where), dim, f"{where}.index")
-        if any(not 0 <= j < n for j, n in zip(idx, levels[ell].num_cells)):
+        if not levels[ell].holds(idx, cells=True):
             raise FixtureError(f"{where}.index",
                                f"out of range for level {ell} grid "
                                f"{levels[ell].num_cells}")

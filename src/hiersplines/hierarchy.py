@@ -35,16 +35,19 @@ two-scale relation is applied in one way: the (parent, child) pairs of
 slot arrays of the two-scale tables. The sweep, the weights and the
 refinable selection all take their children from it. A
 :class:`WeightMap` stores, per level, the defined functions as an index
-array with integer numerators over one denominator and positivity flags;
-its ``Fid``-keyed dicts of Fractions are views made on first use. The
+array with integer numerators over one denominator and positivity flags,
+and looks functions up by their positions in those arrays; its
+``Fid``-keyed dicts of Fractions are views made on first use. The
 scalar queries (:func:`support_in_subdomain`, :func:`cell_in_subdomain`)
 and the sweep look up the same cached level answers.
 
 The results are stored as per-level boolean grids too: the active cells
 of a :class:`HierarchicalMesh`, and the selected and active functions of
-a :class:`HierBasis`. Their tuple and frozenset views (``active``,
-``members_by_level``, ``member_set``, ``stages``) are derived on first
-use, for readers that want cells or function ids one by one.
+a :class:`HierBasis`. The package's own code reads these arrays. Their
+tuple and frozenset views (``active``, ``member_set``, ``stages``) and
+the weight dicts are derived on first use, for the dumps, the dict API
+(:func:`express_over`, :func:`expand_deactivated`) and the tests;
+:mod:`hiersplines.invariants` reads ``stages`` alone, see there.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ class SubdomainGrids:
             shape = levels[ell - 1].num_cells
             cells = h.subdomains[ell - 1]
             for c in cells:
-                if len(c) != len(shape) or any(not 0 <= j < n for j, n in zip(c, shape)):
+                if not levels[ell - 1].holds(c, cells=True):
                     raise HierarchyError(
                         f"subdomain {ell}: cell {c} out of range for level "
                         f"{ell - 1} grid {shape}")
@@ -273,6 +276,7 @@ def cell_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
     Requires level >= ell-1 so the cell maps to whole cells of the
     subdomain's granularity.
     """
+    levels[level].check_index(indices, cells=True)
     cells = h.subdomain_cells(ell)
     if cells is None:
         return True
@@ -289,6 +293,7 @@ def support_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
 
     Requires level >= ell-1, like :func:`cell_in_subdomain`.
     """
+    levels[level].check_index(indices)
     cells = h.subdomain_cells(ell)
     if cells is None:
         return True
@@ -389,14 +394,48 @@ class WeightMap:
     Per level ell: ``indices`` holds the defined functions as an (n, d)
     index array in canonical order, ``numerators`` their weights' integer
     numerators over ``denominators[ell]`` and ``flags`` their positivity.
-    ``values`` (``Fid`` to ``Fraction``) and ``positive`` (``Fid`` to bool)
-    are dict views in that order, both made on the first use of either.
+    :meth:`positions` finds functions among them, and ``weight``,
+    ``is_positive`` and ``defined`` read one entry through it. ``values``
+    (``Fid`` to ``Fraction``) and ``positive`` (``Fid`` to bool) are dict
+    views in that order, both made on the first use of either.
     """
 
     indices: tuple[np.ndarray, ...]
     numerators: tuple[np.ndarray, ...]
     flags: tuple[np.ndarray, ...]
     denominators: tuple[int, ...]
+
+    @functools.cached_property
+    def _grids(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per level, each defined function's position on a grid over their
+        bounding box widened by one on every side, -1 where none is
+        defined, and the lower corner of that grid."""
+        out = []
+        for idx in self.indices:
+            lo = (idx.min(axis=0) if len(idx) else 0) - 1
+            grid = np.full(idx.max(axis=0, initial=-1) - lo + 2, -1)
+            grid[tuple((idx - lo).T)] = np.arange(len(idx))
+            out.append((lo, grid))
+        return tuple(out)
+
+    def positions(self, level: int, indices) -> np.ndarray:
+        """Where the functions of an (n, d) index array of ``level`` sit
+        among its defined ones, -1 for a function with no weight. Indices
+        that are not int64, such as Python ints beyond its range, name none."""
+        indices = np.asarray(indices)
+        if indices.dtype != np.int64 or not 0 <= level < len(self.indices) \
+                or indices.shape[1:] != self.indices[level].shape[1:]:
+            return np.full(len(indices), -1)
+        lo, grid = self._grids[level]
+        # an index off the box is clipped to its border, where none is defined
+        return grid.take(np.ravel_multi_index(tuple((indices - lo).T), grid.shape, mode="clip"))
+
+    def defined_positions(self, level: int, indices) -> np.ndarray:
+        """:meth:`positions`, refusing the first function with no weight by name."""
+        at = self.positions(level, indices)
+        if (at < 0).any():
+            raise _no_weight(Fid(level, tuple(np.asarray(indices)[np.argmin(at)].tolist())))
+        return at
 
     @functools.cached_property
     def _views(self) -> tuple[dict[Fid, Fraction], dict[Fid, bool]]:
@@ -415,21 +454,20 @@ class WeightMap:
         return self._views[1]
 
     def weight(self, fid: Fid) -> Fraction:
-        return _entry(self.values, fid)
+        at = self.defined_positions(fid.level, [fid.indices])[0]
+        return Fraction(int(self.numerators[fid.level][at]), self.denominators[fid.level])
 
     def is_positive(self, fid: Fid) -> bool:
-        return _entry(self.positive, fid)
+        at = self.defined_positions(fid.level, [fid.indices])[0]
+        return bool(self.flags[fid.level][at])
 
     def defined(self, fid: Fid) -> bool:
-        return fid in self.values
+        return bool(self.positions(fid.level, [fid.indices])[0] >= 0)
 
 
-def _entry(view: dict, fid: Fid):
-    """``view[fid]``; a function with no weight raises, named."""
-    if fid not in view:
-        raise HierarchyError(f"no weight for {fid}: it is no function of level {fid.level} "
-                             f"with its support in subdomain {fid.level}")
-    return view[fid]
+def _no_weight(fid: Fid) -> HierarchyError:
+    return HierarchyError(f"no weight for {fid}: it is no function of level {fid.level} "
+                          f"with its support in subdomain {fid.level}")
 
 
 def compute_weights(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> WeightMap:
@@ -495,21 +533,26 @@ def zero_weight_by_characterization(h: SubdomainHierarchy,
     supports are checked cell by cell, so nothing here reads the two-scale
     tables or the subdomain grids that the recursion uses. ``sunk`` keeps
     the parents' support tests: one dict passed to the calls on the
-    functions of one hierarchy tests each parent once.
+    functions of one hierarchy tests each parent once. The weights of all
+    parents are looked up in one call.
     """
     ell = fid.level
     if not 0 < ell < h.depth:
         raise HierarchyError("level-0 functions always have weight one" if ell == 0 else
                              f"{fid}: level {ell} is outside 1..{h.depth - 1}")
+    if not levels[ell].holds(fid.indices):
+        raise HierarchyError(f"{fid} is outside the function grid {levels[ell].num_basis} "
+                             f"of level {ell}")
     if not _support_in_cells(h, levels, ell, fid.indices, ell):
         raise HierarchyError(
             "characterization applies only to functions supported inside "
             "their level's subdomain")
     sunk = {} if sunk is None else sunk
-    for p_idx in tensor_parents(fid.indices, levels[ell - 1], levels[ell]):
-        parent = Fid(ell - 1, p_idx)
-        if not weights.defined(parent) or weights.weight(parent) <= 0:
+    parents = tensor_parents(fid.indices, levels[ell - 1], levels[ell])
+    for p_idx, at in zip(parents, weights.positions(ell - 1, parents).tolist()):
+        if at < 0 or weights.numerators[ell - 1][at] <= 0:
             continue
+        parent = Fid(ell - 1, p_idx)
         if parent not in sunk:
             sunk[parent] = _support_in_cells(h, levels, ell - 1, p_idx, ell)
         if sunk[parent]:
@@ -539,10 +582,6 @@ class HierBasis:
     weights: WeightMap
 
     @functools.cached_property
-    def members_by_level(self) -> tuple[tuple[Index, ...], ...]:
-        return tuple(tuple(marked_indices(m)) for m in self.active)
-
-    @functools.cached_property
     def member_set(self) -> frozenset[Fid]:
         return frozenset(self.functions())
 
@@ -550,30 +589,25 @@ class HierBasis:
     def stages(self) -> tuple[frozenset[Fid], ...]:
         """Stage k: every function alive after processing subdomain k."""
         stages, before = [], []
-        for ell, (mask, members) in enumerate(zip(self.selected, self.members_by_level)):
-            stages.append(frozenset(before + [Fid(ell, idx) for idx in marked_indices(mask)]))
-            before += [Fid(ell, idx) for idx in members]
+        for ell, (selected, active) in enumerate(zip(self.selected, self.active)):
+            stages.append(frozenset(before + [Fid(ell, idx) for idx in marked_indices(selected)]))
+            before += [Fid(ell, idx) for idx in marked_indices(active)]
         return tuple(stages)
 
     def __len__(self) -> int:
         return sum(int(np.count_nonzero(m)) for m in self.active)
 
     def __contains__(self, fid: Fid) -> bool:
-        return 0 <= fid.level < len(self.active) \
-            and _in_grid(fid.indices, self.active[fid.level].shape) \
+        return 0 <= fid.level < len(self.active) and self.levels[fid.level].holds(fid.indices) \
             and bool(self.active[fid.level][fid.indices])
 
     def functions(self) -> Iterator[Fid]:
-        for ell, ids in enumerate(self.members_by_level):
-            for idx in ids:
+        for ell, mask in enumerate(self.active):
+            for idx in marked_indices(mask):
                 yield Fid(ell, idx)
 
     def weight(self, fid: Fid) -> Fraction:
         return self.weights.weight(fid)
-
-
-def _in_grid(indices: Index, shape: tuple[int, ...]) -> bool:
-    return len(indices) == len(shape) and all(0 <= j < n for j, n in zip(indices, shape))
 
 
 def _selections(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
@@ -693,10 +727,13 @@ def _summed(arrays):
 
 def partition_of_unity(basis: HierBasis) -> HierSplineFunction:
     """The weighted combination of active functions that sums to one."""
-    return HierSplineFunction(basis, [
-        LevelSpline(lv, marked_array(mask), np.array(
-            [basis.weight(Fid(ell, idx)) for idx in marked_indices(mask)], dtype=object))
-        for ell, (lv, mask) in enumerate(zip(basis.levels, basis.active))])
+    w, parts = basis.weights, []
+    for ell, (lv, mask) in enumerate(zip(basis.levels, basis.active)):
+        idx = marked_array(mask)
+        numerators = w.numerators[ell][w.defined_positions(ell, idx)]
+        parts.append(LevelSpline(lv, idx, np.array(
+            [Fraction(n, w.denominators[ell]) for n in numerators.tolist()], dtype=object)))
+    return HierSplineFunction(basis, parts)
 
 
 def express_over(coefficients: Mapping[Fid, Fraction | float],

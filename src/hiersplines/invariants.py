@@ -3,6 +3,19 @@
 Each check returns a result with the number of individual assertions it
 exercised and the worst residual it saw. The suite is deterministic: the
 random generator is seeded per check from the suite seed.
+
+The checks read the forms the library stores: the selected and active
+grids of a basis (``HierBasis.selected``, ``.active``), the per-level
+``indices``, ``numerators`` and ``flags`` of a ``WeightMap``, the slot
+arrays of the two-scale tables, a level operator's ``member_indices`` and
+``anchor_indices``, the core grids and a ``LevelSpline``'s ``values``.
+They build none of the ``Fid``, tuple or ``Fraction`` views of these,
+except one: ``refinable_stage_nesting`` iterates ``basis.stages``, so
+that a stage can be checked against the next one as the set it is, and
+its failure detail names the first function gone in that set's order.
+The independent routes stay scalar where independence is the point:
+``tensor_parents``, ``parent_table``, ``is_child_of``, ``cell_ancestor``
+and the characterization of zero weights by parents.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from .functions import get_function
 from .hierarchy import (
     HierarchicalMesh,
     HierBasis,
+    _closed_form_classical,
     build_hierarchical_basis,
     build_refinable_basis,
     compute_weights,
@@ -52,12 +66,11 @@ from .tensor import (
     iter_box,
     marked_array,
     marked_indices,
-    tensor_children,
     tensor_children_arrays,
     tensor_parents,
     two_scale_tables,
 )
-from .univariate import children_table, is_child_of, nearest_floats, parent_table
+from .univariate import is_child_of, nearest_floats, parent_table, two_scale_table
 
 TOL_EXACT = 1e-12
 TOL_OPERATOR = 1e-10
@@ -252,15 +265,17 @@ def _chk_uni_two_scale(ctx: _Context) -> InvariantResult:
     for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
         for ckv, fkv in zip(coarse.kvs, fine.kvs):
             fine_values = [fkv.local(i).evaluate(xs) for i in range(fkv.num_basis)]
-            for j in range(ckv.num_basis):
+            tab = two_scale_table(ckv, fkv)
+            for j, row in enumerate(zip(tab.index.tolist(), tab.numerator.tolist())):
                 parent = ckv.local(j)
-                kids = children_table(ckv, fkv)[j]
+                # the slots of the row that hold a child
+                kids = [(i, n) for i, n in zip(*row) if n]
                 lo, hi = parent.support
-                for i, c in kids:
-                    if c <= 0:
+                for i, n in kids:
+                    if n < 0:
                         return InvariantResult(
                             "univariate_two_scale", False, count, 1.0,
-                            f"nonpositive coefficient {c}")
+                            f"nonpositive coefficient {Fraction(n, tab.denominator)}")
                     clo, chi = fkv.support(i)
                     if clo < lo or chi > hi:
                         return InvariantResult(
@@ -268,8 +283,9 @@ def _chk_uni_two_scale(ctx: _Context) -> InvariantResult:
                             "child support escapes the parent")
                 vals = parent.evaluate(xs)
                 acc = np.zeros_like(xs)
-                for i, c in kids:
-                    acc += float(c) * fine_values[i]
+                for i, n in kids:
+                    # int true division rounds n/q once, as float(Fraction(n, q)) does
+                    acc += n / tab.denominator * fine_values[i]
                 worst = max(worst, float(np.abs(vals - acc).max()))
                 count += 1
     return _result("univariate_two_scale", worst, count, TOL_EXACT)
@@ -280,8 +296,8 @@ def _chk_characterization(ctx: _Context) -> InvariantResult:
     count = 0
     for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
         for ckv, fkv in zip(coarse.kvs, fine.kvs):
-            by_window = {j: {idx for idx, _ in children_table(ckv, fkv)[j]}
-                         for j in range(ckv.num_basis)}
+            tab = two_scale_table(ckv, fkv)
+            by_window = [set(i[m].tolist()) for i, m in zip(tab.index, tab.present)]
             ptab = parent_table(ckv, fkv)
             fine_locals = [fkv.local(i) for i in range(fkv.num_basis)]
             for j in range(ckv.num_basis):
@@ -351,7 +367,7 @@ def _chk_child_count(ctx: _Context) -> InvariantResult:
     if any(p is None for p in interior):
         return InvariantResult("interior_child_count", True, 0, 0.0,
                                "no interior function at level 0")
-    kids = tensor_children(tuple(interior), coarse, fine)
+    _, kids, _, _ = tensor_children_arrays(np.array([interior]), two_scale_tables(coarse, fine))
     ok = len(kids) == expected
     return InvariantResult("interior_child_count", ok, 1,
                            0.0 if ok else 1.0,
@@ -385,7 +401,7 @@ def _chk_local_li(ctx: _Context) -> InvariantResult:
 def _chk_selection(ctx: _Context) -> InvariantResult:
     # build_hierarchical_basis already cross-checks; re-run to surface it here
     basis, _ = build_hierarchical_basis(ctx.hierarchy, ctx.levels, ctx.weights)
-    ok = basis.member_set == ctx.classical.member_set
+    ok = all(map(np.array_equal, basis.active, ctx.classical.active))
     return InvariantResult("basis_selection_consistency", ok, len(basis),
                            0.0 if ok else 1.0)
 
@@ -528,7 +544,7 @@ def _shifted_cholesky(gram: np.ndarray, bandwidth: int, c: float) -> bool:
 
 def dense_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantResult:
     """The rank of the whole collocation matrix of active_independence."""
-    members = list(basis.functions())
+    members = [(lv, i) for lv, m in zip(basis.levels, basis.active) for i in marked_indices(m)]
     blocks = []
     for ell, idx in mesh.cells():
         lv = mesh.levels[ell]
@@ -537,8 +553,7 @@ def dense_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantRes
         combos = list(iter_box([range(len(a)) for a in axes]))
         blocks.append(np.array([[a[i] for a, i in zip(axes, c)] for c in combos]))
     pts = np.vstack(blocks)
-    mat = np.column_stack([
-        eval_function(basis.levels[f.level], f.indices, pts) for f in members])
+    mat = np.column_stack([eval_function(lv, idx, pts) for lv, idx in members])
     rank = np.linalg.matrix_rank(mat)
     ok = rank == len(members)
     return InvariantResult("linear_independence_active", ok, 1,
@@ -571,23 +586,20 @@ def _chk_partition(ctx: _Context) -> InvariantResult:
 @_check("coarse_space_in_refinable")
 def _chk_coarse_in_refinable(ctx: _Context) -> InvariantResult:
     cols = _LevelColumns(ctx.levels, ctx.points("v0_span", 150))
-    worst, count = 0.0, 0
-    for idx in ctx.levels[0].function_ids():
-        fid = Fid(0, idx)
-        count += 1
-        if fid in ctx.refinable:
-            continue
-        acc = cols.spline_sum(_expanded(fid, ctx.refinable))
-        worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
-    return _result("coarse_space_in_refinable", worst, count, TOL_EXACT)
+    worst = 0.0
+    deactivated = ~ctx.refinable.active[0]
+    for idx in marked_indices(deactivated):
+        acc = cols.spline_sum(_expanded(0, idx, ctx.refinable))
+        worst = max(worst, float(np.abs(cols.columns(0, [idx])[:, 0] - acc).max()))
+    return _result("coarse_space_in_refinable", worst, deactivated.size, TOL_EXACT)
 
 
-def _expanded(fid: Fid, basis: HierBasis) -> list[LevelSpline]:
+def _expanded(level: int, indices: Index, basis: HierBasis) -> list[LevelSpline]:
     """A function written exactly over the active ones of a basis, one
     spline per level, as expand_deactivated writes it before its dict view."""
     return express_arrays([
-        (np.array([fid.indices], dtype=np.int64), np.array([Fraction(1)], dtype=object))
-        if ell == fid.level else (np.zeros((0, lv.dim), dtype=np.int64), np.zeros(0))
+        (np.array([indices], dtype=np.int64), np.array([Fraction(1)], dtype=object))
+        if ell == level else (np.zeros((0, lv.dim), dtype=np.int64), np.zeros(0))
         for ell, lv in enumerate(basis.levels)], basis)
 
 
@@ -612,36 +624,39 @@ def _chk_stage_nesting(ctx: _Context) -> InvariantResult:
 
 @_check("refinable_subset_classical")
 def _chk_subset(ctx: _Context) -> InvariantResult:
-    ok = ctx.refinable.member_set <= ctx.classical.member_set
+    ok = not any((r & ~c).any() for r, c in zip(ctx.refinable.active, ctx.classical.active))
     return InvariantResult("refinable_subset_classical", ok,
                            len(ctx.refinable), 0.0 if ok else 1.0)
 
 
 @_check("refinable_equals_positive_weights")
 def _chk_refinable_positive(ctx: _Context) -> InvariantResult:
-    positive = {fid for fid in ctx.classical.functions()
-                if ctx.weights.weight(fid) > 0}
-    if positive != ctx.refinable.member_set:
+    weights = ctx.weights
+    positive = [mask.copy() for mask in ctx.classical.active]
+    for ell, mask in enumerate(positive):
+        idx = marked_array(mask)
+        mask[tuple(idx.T)] = weights.numerators[ell][weights.defined_positions(ell, idx)] > 0
+    count = sum(int(np.count_nonzero(m)) for m in positive)
+    if not all(map(np.array_equal, positive, ctx.refinable.active)):
         return InvariantResult("refinable_equals_positive_weights", False,
-                               len(positive), 1.0, "set mismatch")
-    count = len(positive)
+                               count, 1.0, "set mismatch")
     # numeric weight zero must agree with the structural flag and with the
     # parent-wise test, for every function the recursion defines below level 0;
     # each parent's support is tested once
     sunk: dict[Fid, bool] = {}
-    for fid, value in ctx.weights.values.items():
-        if fid.level == 0:
-            continue
-        count += 1
-        flag = ctx.weights.is_positive(fid)
-        if (value > 0) != flag:
-            return InvariantResult("refinable_equals_positive_weights", False,
-                                   count, 1.0, f"flag disagrees at {fid}")
-        char = zero_weight_by_characterization(ctx.hierarchy, ctx.levels,
-                                               fid, ctx.weights, sunk)
-        if char != (value == 0):
-            return InvariantResult("refinable_equals_positive_weights", False,
-                                   count, 1.0, f"parent test disagrees at {fid}")
+    levels = zip(weights.indices, weights.numerators, weights.flags)
+    for ell, (indices, numerators, flags) in list(enumerate(levels))[1:]:
+        for idx, value, flag in zip(indices.tolist(), numerators.tolist(), flags.tolist()):
+            fid = Fid(ell, tuple(idx))
+            count += 1
+            if (value > 0) != flag:
+                return InvariantResult("refinable_equals_positive_weights", False,
+                                       count, 1.0, f"flag disagrees at {fid}")
+            char = zero_weight_by_characterization(ctx.hierarchy, ctx.levels,
+                                                   fid, weights, sunk)
+            if char != (value == 0):
+                return InvariantResult("refinable_equals_positive_weights", False,
+                                       count, 1.0, f"parent test disagrees at {fid}")
     return InvariantResult("refinable_equals_positive_weights", True, count, 0.0)
 
 
@@ -652,9 +667,9 @@ def _chk_roundtrip(ctx: _Context) -> InvariantResult:
     if h2 != ctx.hierarchy:
         return InvariantResult("mesh_roundtrip", False, 1, 1.0,
                                "hierarchy differs after the round trip")
-    basis2, _ = build_hierarchical_basis(h2, levels2)
-    ok = basis2.member_set == ctx.classical.member_set
-    return InvariantResult("mesh_roundtrip", ok, len(basis2),
+    classical = _closed_form_classical(h2, levels2)
+    ok = all(map(np.array_equal, classical, ctx.classical.active))
+    return InvariantResult("mesh_roundtrip", ok, sum(int(np.count_nonzero(m)) for m in classical),
                            0.0 if ok else 1.0)
 
 
@@ -669,7 +684,7 @@ def _chk_core(ctx: _Context) -> InvariantResult:
     count = 1
     for ell in range(1, ctx.hierarchy.depth):
         lv = ctx.levels[ell]
-        stored = ctx.core.cells(ell)
+        stored = ctx.core.masks[ell]
         # a cell whose extension fits the subdomain lies in it itself, so
         # checking the subdomain's own cells is exhaustive; cells are mapped
         # through cell_ancestor, independently of the grids that built the core
@@ -677,7 +692,7 @@ def _chk_core(ctx: _Context) -> InvariantResult:
         pool: set = set()
         for c in cells:
             pool.update(iter_box(cell_descendant_ranges(ctx.levels, ell - 1, ell, c)))
-        if not stored <= pool:
+        if not pool.issuperset(marked_indices(stored)):
             return InvariantResult("core_domains_definition", False, count,
                                    1.0, f"core of level {ell} escapes the subdomain")
         # per direction, the first and last interval of each extension
@@ -694,7 +709,7 @@ def _chk_core(ctx: _Context) -> InvariantResult:
                 inside = boxes[lo, hi] = all(
                     a in cells for a in iter_box([range(a, b + 1) for a, b in zip(lo, hi)]))
             count += 1
-            if inside != (c in stored):
+            if inside != stored[c]:
                 return InvariantResult("core_domains_definition", False,
                                        count, 1.0,
                                        f"cell {c} of level {ell} misclassified")
@@ -722,9 +737,7 @@ def dual_pair_blocks(op: LevelQuasiInterpolant):
     come from kernels.local_values on each function's local knots, a route
     independent of the basis columns that built the duals.
     """
-    members = np.array(op.members, dtype=np.int64).reshape(len(op.members), op.level.dim)
-    anchors = np.array([op.anchor_cells[m] for m in op.members],
-                       dtype=np.int64).reshape(members.shape)
+    members, anchors = op.member_indices, op.anchor_indices
     factors = []
     for k, (kv, tab) in enumerate(zip(op.level.kvs, op.tables)):
         p, knots = kv.degree, kv.floats
@@ -753,7 +766,7 @@ def _chk_kronecker(ctx: _Context) -> InvariantResult:
             rows = np.arange(block.shape[0])
             block[rows, r + rows] -= 1.0
             worst = max(worst, float(np.abs(block).max()))
-        count += len(op.members) ** 2
+        count += len(op) ** 2
     return _result("dual_basis_kronecker", worst, count, TOL_OPERATOR)
 
 
@@ -789,7 +802,7 @@ def _chk_children_cover(ctx: _Context) -> InvariantResult:
                                "dyadic refinement only")
     count = 0
     for ell in range(ctx.hierarchy.depth - 1):
-        for idx in ctx.stages[ell + 1].members:
+        for idx in map(tuple, ctx.stages[ell + 1].member_indices.tolist()):
             count += 1
             parents = tensor_parents(idx, ctx.levels[ell], ctx.levels[ell + 1])
             if not any(support_in_subdomain(ctx.hierarchy, ctx.levels, ell,
@@ -809,7 +822,7 @@ def _chk_core_in_refinable(ctx: _Context) -> InvariantResult:
     count = 0
     # stage ell holds, of level ell, the functions selected when the level opened
     for ell, (op, selected) in enumerate(zip(ctx.stages, ctx.refinable.selected)):
-        for idx in op.members:
+        for idx in map(tuple, op.member_indices.tolist()):
             count += 1
             if not selected[idx]:
                 return InvariantResult(
@@ -829,7 +842,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
     worst, count = 0.0, 0
     pts = ctx.points("level_ops_pts", 150)
     for ell, op in enumerate(ctx.stages):
-        if not op.members:
+        if not len(op):
             continue
         lv = ctx.levels[ell]
         # reproduction on the span of the members
@@ -845,7 +858,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
             return np.where(found & in_core[cells], 0.0, 1.0)
 
         pz = op.apply(vanishing)
-        zworst = max((abs(v) for v in pz.coefficients.values()), default=0.0)
+        zworst = float(np.abs(pz.values).max(initial=0.0))
         worst = max(worst, zworst)
         count += 1
         # reproduction of the full level space on the core region
@@ -913,23 +926,27 @@ def _chk_enlargement(ctx: _Context) -> InvariantResult:
                            spec.new_deepest)
     levels2 = extend_level_sequence(ctx.levels, h2.depth)
     w2 = compute_weights(h2, levels2)
-    count = 0
-    for fid, value in ctx.weights.values.items():
-        if w2.defined(fid):
-            count += 1
-            if w2.weight(fid) < value:
-                return InvariantResult("enlargement_monotonicity", False,
-                                       count, 1.0, f"weight dropped at {fid}")
+    w1, count = ctx.weights, 0
+    for ell, (idx, numerators, d1) in enumerate(zip(w1.indices, w1.numerators, w1.denominators)):
+        at = w2.positions(ell, idx)
+        both = at >= 0
+        # n2 / d2 < n1 / d1, compared exactly as Python ints
+        dropped = w2.numerators[ell][at[both]].astype(object) * d1 \
+            < numerators[both].astype(object) * w2.denominators[ell]
+        if dropped.any():
+            k = int(dropped.argmax())
+            return InvariantResult("enlargement_monotonicity", False, count + k + 1, 1.0,
+                                   f"weight dropped at {Fid(ell, tuple(idx[both][k].tolist()))}")
+        count += int(both.sum())
     refinable2 = build_refinable_basis(h2, levels2, w2)
     # levels2 extends ctx.levels, so one set of columns serves both
     cols = _LevelColumns(levels2, ctx.points("enlargement", 100))
     worst = 0.0
-    for fid in ctx.refinable.functions():
-        count += 1
-        if fid in refinable2:
-            continue
-        acc = cols.spline_sum(_expanded(fid, refinable2))
-        worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
+    for ell, (active, active2) in enumerate(zip(ctx.refinable.active, refinable2.active)):
+        count += int(np.count_nonzero(active))
+        for idx in marked_indices(active & ~active2):
+            acc = cols.spline_sum(_expanded(ell, idx, refinable2))
+            worst = max(worst, float(np.abs(cols.columns(ell, [idx])[:, 0] - acc).max()))
     return _result("enlargement_monotonicity", worst, count, TOL_OPERATOR)
 
 

@@ -421,9 +421,13 @@ class LevelQuasiInterpolant:
     rows small; anchoring by position alone drags boundary-heavy cells in
     and costs several digits for higher degrees.
 
-    The members' dual rows are formed on the first :meth:`apply`, one
-    workspace per distinct anchor cell, and kept as one (members, nodes)
-    array; each application then takes one dot product per member.
+    The members and their anchor cells are stored as two (members, d)
+    index arrays in canonical order, ``member_indices`` and
+    ``anchor_indices``; ``members`` and ``anchor_cells`` are their tuple
+    and dict views, made on first use. The members' dual rows are formed
+    on the first :meth:`apply`, one workspace per distinct anchor cell, and
+    kept as one (members, nodes) array; each application then takes one
+    dot product per member.
     """
 
     def __init__(self, h: SubdomainHierarchy, levels: Sequence[TensorLevel],
@@ -431,16 +435,21 @@ class LevelQuasiInterpolant:
                  config: OperatorConfig = DEFAULT_CONFIG):
         self.level = levels[ell]
         self.level_index = ell
-        self.member_indices, self._anchors = _anchor_search(self.level, core.masks[ell])
-        self.members: tuple[Index, ...] = tuple(zip(*(m.tolist() for m in self.member_indices.T)))
-        # keyed in the order of the members, which apply pairs with the anchor rows
-        self.anchor_cells: dict[Index, Index] = dict(
-            zip(self.members, zip(*(a.tolist() for a in self._anchors.T))))
+        self.member_indices, self.anchor_indices = _anchor_search(self.level, core.masks[ell])
         self.tables = level_tables(self.level, config)
         self._workspaces: dict[Index, LocalProjectionWorkspace] = {}
 
+    @cached_property
+    def members(self) -> tuple[Index, ...]:
+        return tuple(map(tuple, self.member_indices.tolist()))
+
+    @cached_property
+    def anchor_cells(self) -> dict[Index, Index]:
+        """Member to anchor cell, in the order of the members."""
+        return dict(zip(self.members, map(tuple, self.anchor_indices.tolist())))
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.member_indices)
 
     def workspace(self, cell: Index) -> LocalProjectionWorkspace:
         ws = self._workspaces.get(cell)
@@ -470,8 +479,9 @@ class LevelQuasiInterpolant:
     def _dual_rows(self) -> np.ndarray:
         """Row k: the dual row of member k on its anchor cell's nodes."""
         rows = np.empty((len(self), math.prod(tab.nodes.shape[1] for tab in self.tables)))
-        for k, (m, cell) in enumerate(self.anchor_cells.items()):
-            ws = self.workspace(cell)
+        for k, (m, cell) in enumerate(zip(self.member_indices.tolist(),
+                                          self.anchor_indices.tolist())):
+            ws = self.workspace(tuple(cell))
             rows[k] = ws.dual_row(ws.local_index(m))
         return rows
 
@@ -483,11 +493,11 @@ class LevelQuasiInterpolant:
         anchor cells in canonical order, gathered from the tables.
         """
         g = checked_callable(f)
-        if not self.members:
+        if not len(self):
             return LevelSpline(self.level, self.member_indices, np.zeros(0))
-        order = np.ravel_multi_index(tuple(self._anchors.T[::-1]), self.level.num_cells[::-1])
+        order = np.ravel_multi_index(tuple(self.anchor_indices.T), self.level.num_cells, order="F")
         _, first, rows = np.unique(order, return_index=True, return_inverse=True)
-        cells = self._anchors[first]
+        cells = self.anchor_indices[first]
         nodes = _tensor_grid([tab.nodes[c] for tab, c in zip(self.tables, cells.T)])
         # every cell of a level carries the same number of nodes
         values = g(nodes).reshape(len(cells), -1)

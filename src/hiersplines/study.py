@@ -26,6 +26,7 @@ from .errors import HierSplineError
 from .fixtures import Fixture, load_fixture
 from .functions import get_function
 from .hierarchy import (
+    _closed_form_classical,
     active_mesh,
     build_refinable_basis,
     compute_weights,
@@ -241,13 +242,9 @@ def _level_norms(table: _CellRows, regions: Sequence[Sequence[CellSet | None]]
 
 
 def _classical_count(h, levels) -> int:
-    """Size of the classical basis: per level ell, the functions supported
-    in subdomain ell but not in subdomain ell+1, counted on the support
-    masks of the grids."""
-    grids = subdomain_grids(h, levels)
-    return sum(int(np.count_nonzero(grids.supports_inside(ell, ell)
-                                    & ~grids.supports_inside(ell, ell + 1)))
-               for ell in range(h.depth))
+    """Size of the classical basis, counted on the masks of its closed-form
+    selection."""
+    return sum(int(np.count_nonzero(m)) for m in _closed_form_classical(h, levels))
 
 
 def _fill_orders(rows: list[StudyRow]) -> None:

@@ -13,7 +13,9 @@ derives the multi-indices in canonical order where a reader needs them.
 
 A :class:`TensorLevel` reads the index tables and float knots of its knot
 vectors and owns, as a ``functools.cached_property``, its parent maps as
-int64 arrays.
+int64 arrays. It holds the one test that an index names one of its
+functions or cells (:meth:`TensorLevel.holds`), which every scalar
+per-index query passes its index through (:meth:`TensorLevel.check_index`).
 
 Spline coefficients are stored per level as index and value arrays: a
 :class:`LevelSpline` holds an (n, d) int64 array of distinct functions of
@@ -133,11 +135,11 @@ class TensorLevel:
     def degrees(self) -> tuple[int, ...]:
         return tuple(kv.degree for kv in self.kvs)
 
-    @property
+    @cached_property
     def num_basis(self) -> tuple[int, ...]:
         return tuple(kv.num_basis for kv in self.kvs)
 
-    @property
+    @cached_property
     def num_cells(self) -> tuple[int, ...]:
         return tuple(kv.num_intervals for kv in self.kvs)
 
@@ -148,6 +150,26 @@ class TensorLevel:
     @cached_property
     def parent_arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(np.array(m, dtype=np.int64) for m in self.interval_parents)
+
+    def holds(self, indices: Index, cells: bool = False) -> bool:
+        """Is ``indices`` a function of this level, or with ``cells`` a
+        cell: as many entries as directions, each inside its grid. The
+        scalar queries run it thousands of times per check, so it is a
+        plain loop."""
+        grid = self.num_cells if cells else self.num_basis
+        if len(indices) != len(grid):
+            return False
+        for j, n in zip(indices, grid):
+            if not 0 <= j < n:
+                return False
+        return True
+
+    def check_index(self, indices: Index, cells: bool = False) -> None:
+        """Refuse what :meth:`holds` refuses, naming the level and the index."""
+        if not self.holds(indices, cells):
+            kind, grid = ("cell", self.num_cells) if cells else ("function", self.num_basis)
+            raise HierSplineError(f"{kind} {tuple(indices)} is outside the {kind} grid "
+                                  f"{grid} of level {self.index}")
 
     def function_ids(self) -> Iterator[Index]:
         return iter_box([range(n) for n in self.num_basis])
@@ -323,6 +345,7 @@ def tensor_children(indices: Index, coarse: TensorLevel, fine: TensorLevel
     one fraction of the products of their integer numerators and
     denominators.
     """
+    coarse.check_index(indices)
     _, children, numerators, q = tensor_children_arrays(
         np.array([indices], dtype=np.int64), two_scale_tables(coarse, fine))
     return [(tuple(c), Fraction(n, q)) for c, n in zip(children.tolist(), numerators.tolist())]
@@ -330,6 +353,7 @@ def tensor_children(indices: Index, coarse: TensorLevel, fine: TensorLevel
 
 def tensor_parents(indices: Index, coarse: TensorLevel, fine: TensorLevel) -> list[Index]:
     """Parents of a fine function, from the univariate endpoint tests."""
+    fine.check_index(indices)
     per_dir = [parent_table(ckv, fkv)[j]
                for ckv, fkv, j in zip(coarse.kvs, fine.kvs, indices)]
     return [tuple(per_dir[i][c] for i, c in enumerate(combo))
@@ -344,6 +368,7 @@ def cell_ancestor(levels: Sequence[TensorLevel], from_level: int, to_level: int,
     """Map a cell of ``from_level`` to the cell of ``to_level`` containing it."""
     if to_level > from_level:
         raise HierSplineError("ancestor level must not be finer")
+    levels[from_level].check_index(indices, cells=True)
     idx = indices
     for ell in range(from_level, to_level, -1):
         idx = tuple(m[j] for m, j in zip(levels[ell].interval_parents, idx))
@@ -359,6 +384,7 @@ def cell_descendant_ranges(levels: Sequence[TensorLevel], from_level: int,
     """
     if to_level < from_level:
         raise HierSplineError("descendant level must not be coarser")
+    levels[from_level].check_index(indices, cells=True)
     ranges = [range(j, j + 1) for j in indices]
     for ell in range(from_level + 1, to_level + 1):
         ranges = [range(bisect.bisect_left(m, r.start), bisect.bisect_right(m, r.stop - 1))

@@ -177,6 +177,15 @@ class TestWeights:
                     f"{fid}: level {level} is outside 1..{h.depth - 1}")):
                 zero_weight_by_characterization(h, fx.levels, fid, w)
 
+    @pytest.mark.parametrize("indices", [(0, 0, 0), (10 ** 6, 0), (-1, 0)])
+    def test_characterization_refuses_indices_off_the_function_grid(self, indices):
+        fx = repo_fixture("d2_corner_admissible")
+        h, levels = fx.hierarchy, fx.levels
+        fid = Fid(1, indices)
+        with pytest.raises(HierarchyError, match=re.escape(
+                f"{fid} is outside the function grid {levels[1].num_basis} of level 1")):
+            zero_weight_by_characterization(h, levels, fid, compute_weights(h, levels))
+
     def test_partition_of_unity_exact_at_rationals(self):
         levels = make_levels(1, 2, 2, 2)
         h = SubdomainHierarchy.from_cells([[(0,)]])

@@ -77,3 +77,43 @@ def test_limit_rule_sees_every_form():
               "f = 2 ** 52 + 2 ** 64 + (1 << 8) + 4611686018427387903\n"
               "g = '2 ** 63'  # 2 ** 63\n")
     assert sorted(line for line, _ in _integer_limits(source)) == [1, 2, 3, 4, 5]
+
+
+# the invariants and the study read the per-level arrays; these views of
+# them serve the dumps, the dict API and the tests
+VIEW_FUNCTIONS = ("children_table", "tensor_children")
+VIEW_ATTRIBUTES = ("member_set", "members_by_level", "anchor_cells", "members", "coefficients")
+
+
+def _view_uses(source: str) -> list[tuple[int, str]]:
+    """Line and text of every call of a VIEW_FUNCTIONS function or of a
+    ``.functions()`` method, and of every read of a VIEW_ATTRIBUTES
+    attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name) and func.id in VIEW_FUNCTIONS \
+                or isinstance(func, ast.Attribute) \
+                and func.attr in VIEW_FUNCTIONS + ("functions",) \
+                or isinstance(node, ast.Attribute) and node.attr in VIEW_ATTRIBUTES:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("name", ["invariants.py", "study.py"])
+def test_checks_and_studies_read_the_arrays(name):
+    assert _view_uses((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_view_rule_sees_every_form():
+    source = ("a = children_table(c, f)\n"
+              "b = univariate.tensor_children(i, c, f)\n"
+              "c = list(basis.functions())\n"
+              "d = basis.member_set\n"
+              "e = basis.members_by_level\n"
+              "f = op.anchor_cells[m]\n"
+              "g = len(op.members)\n"
+              "h = part.coefficients.values()\n"
+              "i = functions(x) + tensor_children_arrays(p, t) + op.member_indices\n"
+              "j = 'basis.members'  # basis.functions()\n")
+    assert sorted(line for line, _ in _view_uses(source)) == [1, 2, 3, 4, 5, 6, 7, 8]

@@ -19,9 +19,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hiersplines import invariants
+from hiersplines import hierarchy, invariants
 from hiersplines.errors import HierSplineError
 from hiersplines.fixtures import EnlargementSpec, Fixture, load_fixture
+from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
     build_refinable_basis,
     compute_weights,
@@ -37,7 +38,12 @@ from hiersplines.invariants import (
     _LevelColumns,
     _result,
 )
-from hiersplines.quasiinterp import CoreDomains, OperatorConfig
+from hiersplines.quasiinterp import (
+    CoreDomains,
+    MultiscaleQuasiInterpolant,
+    OperatorConfig,
+    error_norms,
+)
 from hiersplines.tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
@@ -433,3 +439,49 @@ def test_flipped_weight_flag_is_named(name):
     got = _both("refinable_equals_positive_weights", ctx)
     assert got[1] is False
     assert got[4] == f"flag disagrees at {fid}"
+
+
+# ---------------------------------------------------------------------------
+# the suite reads the per-level arrays
+
+
+def test_the_suite_and_the_operator_build_no_views():
+    # fresh fixtures, so no earlier test filled the knot vectors' caches
+    ctx = _context(load_fixture(FIXTURE_DIR / "d2_nested_not_admissible.json"))
+    for _, check in invariants._CHECKS:
+        check(ctx)
+    fx = load_fixture(FIXTURE_DIR / "d2_corner_admissible.json")
+    op = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels)
+    f = get_function("sin", fx.dimension)
+    assert error_norms(f, op.apply(f), 2) > 0
+    # the only basis view built is the refinable stages, which
+    # refinable_stage_nesting iterates
+    assert [name for basis in (ctx.classical, ctx.refinable, op.refinable)
+            for name in ("member_set", "stages") if name in vars(basis)] == ["stages"]
+    assert "stages" in vars(ctx.refinable)
+    for owner, cache in [(ctx.weights, "_views"), (op.refinable.weights, "_views"),
+                         (ctx.core, "_cellsets"), (op.core, "_cellsets")]:
+        assert cache not in vars(owner)
+    for stage in [*ctx.stages, *op.stages]:
+        assert not {"members", "anchor_cells"} & vars(stage).keys()
+    for kv in [kv for lv in (*ctx.levels, *fx.levels) for kv in lv.kvs]:
+        assert not vars(kv).get("_children_tables")
+
+
+@pytest.mark.parametrize("name, calls", [("d2_nested_not_admissible", 1),
+                                         ("d1_linear_enlarge", 2)])
+def test_a_check_computes_the_weights_once(name, calls, monkeypatch):
+    # once for the context, and once more for an enlargement section's
+    # enlarged hierarchy
+    seen = []
+    real = hierarchy.compute_weights
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "compute_weights", counted)
+    monkeypatch.setattr(invariants, "compute_weights", counted)
+    report = invariants.run_invariant_suite(load_fixture(FIXTURE_DIR / f"{name}.json"))
+    assert next(r for r in report.results if r.name == "mesh_roundtrip").passed
+    assert len(seen) == calls

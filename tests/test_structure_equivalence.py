@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,7 @@ from hiersplines.tensor import (
     iter_box,
     marked_indices,
     tensor_children,
+    tensor_parents,
     two_scale_tables,
 )
 from hiersplines.study import run_convergence_study
@@ -616,6 +618,31 @@ def test_sweep_mixing_floats_and_fractions(name, rng):
         got = express_over(coeffs, basis)
         assert {type(v) for v in got.values()} >= {float, Fraction}
         assert_same_expression(got, ref_express_over(coeffs, basis))
+
+
+@pytest.mark.parametrize("query, kind, level, indices", [
+    (lambda h, lv: tensor_parents((-1, 0), lv[0], lv[1]), "function", 1, (-1, 0)),
+    (lambda h, lv: tensor_parents((0,), lv[0], lv[1]), "function", 1, (0,)),
+    (lambda h, lv: tensor_children((-1, 0), lv[0], lv[1]), "function", 0, (-1, 0)),
+    (lambda h, lv: cell_ancestor(lv, 1, 0, (-1, 0)), "cell", 1, (-1, 0)),
+    (lambda h, lv: cell_descendant_ranges(lv, 0, 1, (0, 10 ** 6)), "cell", 0, (0, 10 ** 6)),
+    (lambda h, lv: support_in_subdomain(h, lv, 1, (0,), 1), "function", 1, (0,)),
+    (lambda h, lv: support_in_subdomain(h, lv, 1, (10 ** 6, 0), 1), "function", 1, (10 ** 6, 0)),
+    (lambda h, lv: cell_in_subdomain(h, lv, 1, (0, -1), 1), "cell", 1, (0, -1)),
+    # the whole domain and an empty subdomain answer no index off the grid either
+    (lambda h, lv: support_in_subdomain(h, lv, 1, (10 ** 6, 0), 0), "function", 1, (10 ** 6, 0)),
+    (lambda h, lv: cell_in_subdomain(h, lv, 1, (0, 0, 0), 5), "cell", 1, (0, 0, 0)),
+], ids=["parents-negative", "parents-short", "children-negative", "ancestor-negative",
+        "descendants-large", "support-short", "support-large", "cell-negative",
+        "support-whole-domain", "cell-empty-subdomain"])
+def test_scalar_queries_refuse_indices_off_the_grid(query, kind, level, indices):
+    fx = repo_fixture("d2_corner_admissible")
+    lv = fx.levels[level]
+    grid = lv.num_cells if kind == "cell" else lv.num_basis
+    with pytest.raises(HierSplineError, match=re.escape(
+            f"{kind} {indices} is outside the {kind} grid {grid} of level {level}")):
+        query(fx.hierarchy, fx.levels)
+
 
 def test_coarse_queries_keep_their_messages():
     fx = repo_fixture("d1_depth3_blocks")
