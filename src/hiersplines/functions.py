@@ -95,10 +95,15 @@ class TestFunction:
 
     def _product(self, coords: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
         """The factors at the coordinates, in direction order, multiplied
-        into ones of ``shape``."""
-        out = np.ones(shape)
+        into the first one broadcast to ``shape``: the same values as from
+        ones of ``shape``, since 1.0 * x == x, without the fill."""
+        out = np.empty(shape)
         for i, (factor, x) in enumerate(zip(self.factors, coords)):
-            out *= factor(x, self.order if i == self.direction else 0)
+            vals = factor(x, self.order if i == self.direction else 0)
+            if i:
+                out *= vals
+            else:
+                out[...] = vals
         return out
 
 

@@ -24,17 +24,20 @@ arrays.
 Every node of a norm lies on a per-cell tensor grid, Gauss nodes for
 finite q and an equispaced sample for q = inf, so the norms evaluate per
 direction: a batch of cells becomes one (cells, n_k) axis per direction,
-and splines and test functions take it through their ``on_grid`` method,
-which finds spans and basis rows, or evaluates a factor, once per axis
-sample and forms the grid by broadcasting. A plain callable is evaluated
-at the grid's points. Both routes do the same scalar operations per point,
-so the norms do not depend on which one is taken. A batch holds as many
-whole cells as fit in ``kernels.GRID_BLOCK`` nodes, at least one, and the
-grid kernel takes it in one call, so the kernel's fixed cost per call is
-paid about once per dozen sampled cells of the sup norm, not once per four
-(see :mod:`hiersplines.kernels`). The integrand of a batch, ``f - s`` for
-an error, is checked for finiteness once, and an error names its first
-non-finite node.
+and splines and test functions take it through their ``on_grid`` method.
+A test function evaluates each factor once per axis sample and forms the
+grid by broadcasting, with the same scalar operations per point as its
+call on the grid's points, which is what a plain callable gets; so the
+norms of a test function do not depend on the route. A spline finds spans
+and basis rows once per axis sample and contracts each cell's coefficient
+block one direction at a time (sum factorisation, see
+:mod:`hiersplines.kernels`), which rounds differently from evaluating it
+at the grid's points, by a few ulps. A batch holds as many whole cells as
+fit in ``kernels.GRID_BLOCK`` nodes, at least one, and the grid kernel
+takes it in one call, so the kernel's fixed cost per call is paid about
+once per dozen sampled cells of the sup norm, not once per four. The
+integrand of a batch, ``f - s`` for an error, is checked for finiteness
+once, and an error names its first non-finite node.
 
 A norm reads its cells' values from a table of one integrand: per cell,
 |f|^q at the Gauss nodes or the largest |f| of the sample, evaluated the

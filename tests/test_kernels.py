@@ -154,6 +154,25 @@ def _reference_local_values(tau, p, x):
     return n[:, 0]
 
 
+def _assert_near_pointwise(grid, point, scale):
+    """The grid route contracts each grid's coefficient block one direction
+    at a time, so it rounds differently from the pointwise route: the two
+    may differ by 64 eps times the pointwise value of the same spline with
+    the absolute values of its coefficients."""
+    assert grid.size == point.size
+    assert np.all(np.abs(grid.reshape(-1) - point) <= 64 * np.finfo(float).eps * scale)
+
+
+def _magnitude(s):
+    """The level or hierarchical spline ``s`` with the absolute values of
+    its coefficients, the scale of _assert_near_pointwise."""
+    from hiersplines.hierarchy import HierSplineFunction
+    from hiersplines.tensor import LevelSpline
+    if isinstance(s, LevelSpline):
+        return LevelSpline(s.level, s.indices, np.abs(s.values))
+    return HierSplineFunction(s.basis, [_magnitude(part) for part in s.parts])
+
+
 def _blocking_level(dim, degree):
     # a double internal knot at 1/3 in every direction
     kv = make_open_knot_vector(degree, ["0", "1/3", "1/2", "1"], [degree + 1, 2, 1, degree + 1])
@@ -211,8 +230,9 @@ def test_blocked_evaluation_equals_concatenated_splits(dim, degree):
                                                            [a[r:r + 1] for a in axes])
                                 for r in range(cells)])
         assert whole.tobytes() == split.tobytes()
-        assert whole.reshape(-1).tobytes() == \
-            _reference_tensor_values(level, coeffs, _tensor_grid(axes)).tobytes()
+        pts = _tensor_grid(axes)
+        _assert_near_pointwise(whole, _reference_tensor_values(level, coeffs, pts),
+                               _reference_tensor_values(level, np.abs(coeffs), pts))
 
 
 def _grid_axes(rng, level, cells):
@@ -247,11 +267,11 @@ def test_level_spline_on_grid_equals_evaluate(dim, seed):
         got = s.on_grid(axes)
         assert got.shape == (4,) + tuple(a.shape[1] for a in reversed(axes))
         pts = _tensor_grid(axes)
-        assert np.array_equal(got.reshape(-1), s.evaluate(pts))
-        # and the unblocked pointwise arithmetic, bit for bit
+        _assert_near_pointwise(got, s.evaluate(pts), _magnitude(s).evaluate(pts))
+        # pointwise evaluation keeps the unblocked arithmetic, bit for bit
         dense = np.zeros(math.prod(level.num_basis))
         dense[np.ravel_multi_index(tuple(s.indices.T), level.num_basis, order="F")] = s.values
-        assert got.reshape(-1).tobytes() == _reference_tensor_values(level, dense, pts).tobytes()
+        assert s.evaluate(pts).tobytes() == _reference_tensor_values(level, dense, pts).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -270,7 +290,8 @@ def test_hier_spline_on_grid_equals_evaluate(dim):
     s = HierSplineFunction(basis, parts)
     assert sum(len(p.values) > 0 for p in parts) > 1
     axes = _grid_axes(rng, levels[h.depth - 1], 3)
-    assert np.array_equal(s.on_grid(axes).reshape(-1), s.evaluate(_tensor_grid(axes)))
+    pts = _tensor_grid(axes)
+    _assert_near_pointwise(s.on_grid(axes), s.evaluate(pts), _magnitude(s).evaluate(pts))
     empty = HierSplineFunction(basis, [LevelSpline(lv, np.zeros((0, dim), dtype=np.int64),
                                                    np.zeros(0)) for lv in basis.levels])
     assert np.array_equal(empty.on_grid(axes), np.zeros(s.on_grid(axes).shape))
@@ -321,3 +342,112 @@ def test_on_grid_refuses_malformed_axes():
                  [np.zeros(3), np.zeros(3)]):
         with pytest.raises(HierSplineError, match="grid axes"):
             s.on_grid(axes)
+
+
+def _random_hier_spline(rng, basis):
+    """A spline of ``basis`` with random coefficients on its active functions."""
+    from hiersplines.hierarchy import HierSplineFunction
+    from hiersplines.tensor import LevelSpline, marked_array
+    return HierSplineFunction(basis, [
+        LevelSpline(lv, marked_array(mask), rng.uniform(-1.0, 1.0, int(mask.sum())))
+        for lv, mask in zip(basis.levels, basis.active)])
+
+
+@pytest.mark.parametrize("sizes", [(0, 3), (4, 0), (0, 0)])
+@pytest.mark.parametrize("grids", [0, 2])
+def test_on_grid_with_no_samples_returns_the_empty_grid(sizes, grids):
+    # as the test functions do, instead of dividing by the node count
+    from hiersplines.functions import get_function
+    from hiersplines.hierarchy import build_refinable_basis
+    from hiersplines.tensor import TensorLevel
+    from .conftest import random_hierarchy
+    rng = np.random.default_rng(0)
+    level = TensorLevel(0, (uniform_open_knot_vector(2, 3),) * 2)
+    levels, h = random_hierarchy(rng, dim=2, depth=2)
+    basis = build_refinable_basis(h, levels)
+    axes = [np.zeros((grids, n)) for n in sizes]
+    want = get_function("sin", 2).on_grid(axes)
+    assert want.shape == (grids, sizes[1], sizes[0])
+    for f in (_random_spline(rng, level), _random_hier_spline(rng, basis)):
+        assert f.on_grid(axes).shape == want.shape
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [0, 2])
+def test_sup_sample_edge_node_takes_the_next_span(dim, degree):
+    # direction 0 jumps at 1/4 and 1/2, whose multiplicity is p+1, and the
+    # sup sample of the cells [1/4, 1/2] ends on the jump; the node there
+    # lies in the next span, as in pointwise evaluation
+    from hiersplines.quasiinterp import _tensor_grid
+    from hiersplines.tensor import LevelSpline, TensorLevel
+    jump = make_open_knot_vector(degree, ["0", "1/4", "1/2", "1"], [degree + 1] * 4)
+    smooth = uniform_open_knot_vector(2, 3)
+    level = TensorLevel(0, (jump,) + (smooth,) * (dim - 1))
+    ids = np.array(list(level.function_ids()))
+    # the coefficients rise by more than 1 from function to function in
+    # direction 0, so the two sides of a jump differ by more than 1
+    rng = np.random.default_rng(degree + dim)
+    s = LevelSpline(level, ids, 2.0 * ids[:, 0] + rng.uniform(0.0, 1.0, len(ids)))
+    cells, t = 3 ** (dim - 1), np.linspace(0.0, 1.0, 5)
+    axes = [np.tile(0.25 + 0.25 * t, (cells, 1))]
+    for k in range(1, dim):
+        at = (np.arange(cells) // 3 ** (k - 1)) % 3
+        axes.append((at[:, None] + t) / 3.0)
+    got = s.on_grid(axes)
+    pts = _tensor_grid(axes)
+    _assert_near_pointwise(got, s.evaluate(pts), _magnitude(s).evaluate(pts))
+    # the cell's own polynomial at its right edge is the left limit there
+    left = pts.copy()
+    left[left[:, 0] == 0.5, 0] = np.nextafter(0.5, 0.0)
+    own = s.evaluate(left).reshape(got.shape)
+    assert np.all(np.abs(got[..., -1] - own[..., -1]) > 1.0)
+
+
+def test_sup_grids_of_a_three_dimensional_fixture():
+    from hiersplines.hierarchy import active_mesh, build_refinable_basis
+    from hiersplines.quasiinterp import _cells_geometry, _tensor_grid, integration_cells
+    from .conftest import repo_fixture
+    fx = repo_fixture("d3_depth2_corner")
+    basis = build_refinable_basis(fx.hierarchy, fx.levels)
+    s = _random_hier_spline(np.random.default_rng(3), basis)
+    mesh = active_mesh(fx.hierarchy, fx.levels)
+    t = np.linspace(0.0, 1.0, 4)
+    for ell, idxs in integration_cells(mesh, None):
+        lows, spans = _cells_geometry(mesh.levels[ell], idxs)
+        axes = [lows[:, k, None] + spans[:, k, None] * t for k in range(3)]
+        got = s.on_grid(axes)
+        single = [s.on_grid([a[r:r + 1] for a in axes]) for r in range(len(idxs))]
+        assert got.tobytes() == np.concatenate(single).tobytes()
+        pts = _tensor_grid(axes)
+        _assert_near_pointwise(got, s.evaluate(pts), _magnitude(s).evaluate(pts))
+
+
+def test_windows_read_only_the_functions_alive_at_some_node():
+    # the level-0 cell [0, 1/2]^2 evaluated with a part three levels finer,
+    # whose 3 Gauss nodes a direction leave fine functions between them
+    # alive at no node, in one call with two cells of the fine level
+    from hiersplines.quasiinterp import _tensor_grid
+    from hiersplines.tensor import LevelSpline
+    from .conftest import make_levels
+    fine = make_levels(2, 1, 2, 4)[3]
+    ids = np.array(list(fine.function_ids()))
+    rng = np.random.default_rng(7)
+    s = LevelSpline(fine, ids, rng.uniform(-1.0, 1.0, len(ids)))
+    gauss = (np.polynomial.legendre.leggauss(3)[0] + 1.0) / 2.0
+    lows = np.array([[0.0, 0.0], [0.5, 0.25], [0.9375, 0.0]])
+    sides = np.array([0.5, 0.0625, 0.0625])
+    axes = [lows[:, k, None] + sides[:, None] * gauss for k in range(2)]
+    whole = s.on_grid(axes)
+    single = [s.on_grid([a[r:r + 1] for a in axes]) for r in range(3)]
+    assert whole.tobytes() == np.concatenate(single).tobytes()
+    pts = _tensor_grid(axes)
+    _assert_near_pointwise(whole, s.evaluate(pts), _magnitude(s).evaluate(pts))
+    # NaN for every function alive at no node of the coarse cell's grid
+    alive = [np.unique(kernels.find_spans(kv.floats, kv.degree, a[0])[:, None]
+                       - np.arange(kv.degree + 1)) for kv, a in zip(fine.kvs, axes)]
+    assert all(np.diff(a).max() > 1 for a in alive)
+    dead = ~(np.isin(ids[:, 0], alive[0]) & np.isin(ids[:, 1], alive[1]))
+    poisoned = LevelSpline(fine, ids, np.where(dead, np.nan, s.values))
+    for got in (poisoned.on_grid([a[:1] for a in axes]), poisoned.on_grid(axes)[:1]):
+        assert np.isfinite(got).all()
+        assert got.tobytes() == single[0].tobytes()
