@@ -421,8 +421,13 @@ class WeightMap:
     def positions(self, level: int, indices) -> np.ndarray:
         """Where the functions of an (n, d) index array of ``level`` sit
         among its defined ones, -1 for a function with no weight. Indices
-        that are not int64, such as Python ints beyond its range, name none."""
+        that are not int64 or rows of another length, such as Python ints
+        beyond its range, name none; a non-empty array that is not
+        two-dimensional, such as one function's flat index, is refused."""
         indices = np.asarray(indices)
+        if indices.size and indices.ndim != 2:
+            raise HierarchyError(f"function indices of level {level} must form an (n, "
+                                 f"{self.indices[0].shape[1]}) array, got shape {indices.shape}")
         if indices.dtype != np.int64 or not 0 <= level < len(self.indices) \
                 or indices.shape[1:] != self.indices[level].shape[1:]:
             return np.full(len(indices), -1)

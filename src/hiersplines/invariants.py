@@ -4,6 +4,13 @@ Each check returns a result with the number of individual assertions it
 exercised and the worst residual it saw. The suite is deterministic: the
 random generator is seeded per check from the suite seed.
 
+A check's name lives in its ``_check("...")`` registration only, which
+stamps it on every result; the checks build unnamed results through
+``_verdict`` and ``_within``. A failing check's detail names the level
+and the function or cell where it failed. Univariate B-splines come from
+one table, ``_univariate_values``: every function of a knot vector at
+given points, from kernels.local_values on its local knots.
+
 The checks read the forms the library stores: the selected and active
 grids of a basis (``HierBasis.selected``, ``.active``), the per-level
 ``indices``, ``numerators`` and ``flags`` of a ``WeightMap``, the slot
@@ -14,8 +21,9 @@ except one: ``refinable_stage_nesting`` iterates ``basis.stages``, so
 that a stage can be checked against the next one as the set it is, and
 its failure detail names the first function gone in that set's order.
 The independent routes stay scalar where independence is the point:
-``tensor_parents``, ``parent_table``, ``is_child_of``, ``cell_ancestor``
-and the characterization of zero weights by parents.
+``tensor_parents``, ``parent_table``, ``is_child_of`` on
+``LocalKnotVector``s, ``cell_ancestor`` and the characterization of zero
+weights by parents.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ from .tensor import (
     tensor_parents,
     two_scale_tables,
 )
-from .univariate import is_child_of, nearest_floats, parent_table, two_scale_table
+from .univariate import KnotVector, is_child_of, nearest_floats, parent_table, two_scale_table
 
 TOL_EXACT = 1e-12
 TOL_OPERATOR = 1e-10
@@ -158,27 +166,57 @@ _CHECKS: list[tuple[str, Check]] = []
 
 
 def _check(name: str):
+    """Register a check under ``name``, which it stamps on its results."""
     def deco(fn: Check) -> Check:
-        _CHECKS.append((name, fn))
-        return fn
+        def named(ctx: _Context) -> InvariantResult:
+            result = fn(ctx)
+            result.name = name
+            return result
+        _CHECKS.append((name, named))
+        return named
     return deco
 
 
-def _result(name: str, worst: float, count: int, tol: float,
-            detail: str = "") -> InvariantResult:
-    return InvariantResult(name, bool(worst <= tol), count, float(worst), detail)
+def _verdict(ok: bool, count: int, detail: str = "") -> InvariantResult:
+    """Passed, or failed with worst residual 1, after ``count`` assertions."""
+    return InvariantResult("", bool(ok), count, 0.0 if ok else 1.0, detail)
+
+
+def _within(worst: float, count: int, tol: float) -> InvariantResult:
+    return InvariantResult("", bool(worst <= tol), count, float(worst))
+
+
+def _univariate_values(kv: KnotVector, x) -> np.ndarray:
+    """Every function of the knot vector at the points x, one row per
+    function, from kernels.local_values on its local knots."""
+    p, knots, x = kv.degree, kv.floats, np.ascontiguousarray(x)
+    return np.stack([kernels.local_values(knots[j:j + p + 2], p, x)
+                     for j in range(kv.num_basis)])
+
+
+def _pair(ell: int, k: int, j: int, i: int) -> str:
+    return f"pair (parent {j} of level {ell}, child {i} of level {ell + 1}, direction {k})"
+
+
+def _same_masks(got, expected, count: int, what: str) -> InvariantResult:
+    """Passed when the per-level function grids agree; else failed, naming
+    the level and the first function where they differ, in canonical order."""
+    for ell, (a, b) in enumerate(zip(got, expected)):
+        if not np.array_equal(a, b):
+            idx = tuple(marked_array(a != b)[0].tolist())
+            return _verdict(False, count, f"{what}: function {idx} of level {ell}")
+    return _verdict(True, count)
 
 
 class _LevelColumns:
     """Functions of each level at fixed points, as columns of a matrix.
 
     Per level and direction, every univariate function is tabulated at the
-    points once, with kernels.local_values on its local knots. A tensor
-    function's column is the product of its directions' columns, taken in
-    direction order as in eval_function, so it equals eval_function at the
-    same points bit for bit. Only the gathered columns are formed, so a
-    fine level costs its per-direction tables, not a points x functions
-    matrix.
+    points once, by _univariate_values. A tensor function's column is the
+    product of its directions' columns, taken in direction order as in
+    eval_function, so it equals eval_function at the same points bit for
+    bit. Only the gathered columns are formed, so a fine level costs its
+    per-direction tables, not a points x functions matrix.
     """
 
     def __init__(self, levels, pts: np.ndarray):
@@ -189,12 +227,9 @@ class _LevelColumns:
     def columns(self, ell: int, indices) -> np.ndarray:
         tables = self._tables.get(ell)
         if tables is None:
-            tables = []
-            for kv, x in zip(self.levels[ell].kvs, self.pts.T):
-                p, knots, x = kv.degree, kv.floats, np.ascontiguousarray(x)
-                tables.append(np.stack([kernels.local_values(knots[j:j + p + 2], p, x)
-                                        for j in range(kv.num_basis)], axis=1))
-            self._tables[ell] = tables
+            # points x functions, C-contiguous as the gathers and matmuls expect
+            tables = self._tables[ell] = [np.ascontiguousarray(_univariate_values(kv, x).T)
+                                          for kv, x in zip(self.levels[ell].kvs, self.pts.T)]
         idx = np.array(indices, dtype=np.int64).reshape(-1, len(tables))
         out = tables[0][:, idx[:, 0]]
         for k in range(1, len(tables)):
@@ -251,51 +286,47 @@ def _chk_uni_pou(ctx: _Context) -> InvariantResult:
     for lv in ctx.levels:
         for kv in lv.kvs:
             total = np.zeros_like(xs)
-            for j in range(kv.num_basis):
-                total += kv.local(j).evaluate(xs)
+            for values in _univariate_values(kv, xs):
+                total += values
             worst = max(worst, float(np.abs(total - 1.0).max()))
             count += xs.size
-    return _result("univariate_partition_of_unity", worst, count, TOL_EXACT)
+    return _within(worst, count, TOL_EXACT)
 
 
 @_check("univariate_two_scale")
 def _chk_uni_two_scale(ctx: _Context) -> InvariantResult:
     xs = ctx.rng("uni_two_scale").random(100)
     worst, count = 0.0, 0
-    for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
-        for ckv, fkv in zip(coarse.kvs, fine.kvs):
-            fine_values = [fkv.local(i).evaluate(xs) for i in range(fkv.num_basis)]
+    for ell, (coarse, fine) in enumerate(zip(ctx.levels, ctx.levels[1:])):
+        for k, (ckv, fkv) in enumerate(zip(coarse.kvs, fine.kvs)):
+            parents, children = _univariate_values(ckv, xs), _univariate_values(fkv, xs)
             tab = two_scale_table(ckv, fkv)
             for j, row in enumerate(zip(tab.index.tolist(), tab.numerator.tolist())):
-                parent = ckv.local(j)
                 # the slots of the row that hold a child
                 kids = [(i, n) for i, n in zip(*row) if n]
-                lo, hi = parent.support
+                lo, hi = ckv.support(j)
                 for i, n in kids:
                     if n < 0:
-                        return InvariantResult(
-                            "univariate_two_scale", False, count, 1.0,
-                            f"nonpositive coefficient {Fraction(n, tab.denominator)}")
+                        return _verdict(False, count, f"nonpositive coefficient "
+                                        f"{Fraction(n, tab.denominator)} in {_pair(ell, k, j, i)}")
                     clo, chi = fkv.support(i)
                     if clo < lo or chi > hi:
-                        return InvariantResult(
-                            "univariate_two_scale", False, count, 1.0,
-                            "child support escapes the parent")
-                vals = parent.evaluate(xs)
+                        return _verdict(False, count, f"child support escapes the parent "
+                                        f"in {_pair(ell, k, j, i)}")
                 acc = np.zeros_like(xs)
                 for i, n in kids:
                     # int true division rounds n/q once, as float(Fraction(n, q)) does
-                    acc += n / tab.denominator * fine_values[i]
-                worst = max(worst, float(np.abs(vals - acc).max()))
+                    acc += n / tab.denominator * children[i]
+                worst = max(worst, float(np.abs(parents[j] - acc).max()))
                 count += 1
-    return _result("univariate_two_scale", worst, count, TOL_EXACT)
+    return _within(worst, count, TOL_EXACT)
 
 
 @_check("parent_child_characterization")
 def _chk_characterization(ctx: _Context) -> InvariantResult:
     count = 0
-    for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
-        for ckv, fkv in zip(coarse.kvs, fine.kvs):
+    for ell, (coarse, fine) in enumerate(zip(ctx.levels, ctx.levels[1:])):
+        for k, (ckv, fkv) in enumerate(zip(coarse.kvs, fine.kvs)):
             tab = two_scale_table(ckv, fkv)
             by_window = [set(i[m].tolist()) for i, m in zip(tab.index, tab.present)]
             ptab = parent_table(ckv, fkv)
@@ -308,12 +339,10 @@ def _chk_characterization(ctx: _Context) -> InvariantResult:
                     via_parents = j in ptab[i]
                     count += 1
                     if not insertion == endpoint == via_parents:
-                        return InvariantResult(
-                            "parent_child_characterization", False, count, 1.0,
-                            f"pair (parent {j}, child {i}) disagrees: "
-                            f"insertion={insertion} endpoint={endpoint} "
-                            f"parents={via_parents}")
-    return InvariantResult("parent_child_characterization", True, count, 0.0)
+                        return _verdict(False, count, f"{_pair(ell, k, j, i)} disagrees: "
+                                        f"insertion={insertion} endpoint={endpoint} "
+                                        f"parents={via_parents}")
+    return _verdict(True, count)
 
 
 @_check("tensor_partition_of_unity")
@@ -326,15 +355,17 @@ def _chk_tensor_pou(ctx: _Context) -> InvariantResult:
         vals = LevelSpline(lv, every, np.ones(len(every))).evaluate(pts)
         worst = max(worst, float(np.abs(vals - 1.0).max()))
         count += pts.shape[0]
-    return _result("tensor_partition_of_unity", worst, count, TOL_EXACT)
+    return _within(worst, count, TOL_EXACT)
 
 
 @_check("tensor_two_scale")
 def _chk_tensor_two_scale(ctx: _Context) -> InvariantResult:
     if len(ctx.levels) < 2:
-        return InvariantResult("tensor_two_scale", True, 0, 0.0, "single level")
-    cols = _LevelColumns(ctx.levels, ctx.points("tensor_two_scale", 120))
-    rng = ctx.rng("tensor_two_scale_pick")
+        return _verdict(True, 0, "single level")
+    # two draws: the points under the tag without "_pick", the picks under the tag
+    tag = "tensor_two_scale_pick"
+    cols = _LevelColumns(ctx.levels, ctx.points(tag.removesuffix("_pick"), 120))
+    rng = ctx.rng(tag)
     worst, count = 0.0, 0
     for coarse in ctx.levels[:-1]:
         ids = list(coarse.function_ids())
@@ -344,13 +375,13 @@ def _chk_tensor_two_scale(ctx: _Context) -> InvariantResult:
             acc = cols.combination([(fid.level + 1, kids, coefficients)])
             worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
             count += 1
-    return _result("tensor_two_scale", worst, count, TOL_EXACT)
+    return _within(worst, count, TOL_EXACT)
 
 
 @_check("interior_child_count")
 def _chk_child_count(ctx: _Context) -> InvariantResult:
     if ctx.fixture.refinement != "dyadic" or len(ctx.levels) < 2:
-        return InvariantResult("interior_child_count", True, 0, 0.0, "not applicable")
+        return _verdict(True, 0, "not applicable")
     coarse, fine = ctx.levels[0], ctx.levels[1]
     expected = 1
     interior = []
@@ -365,13 +396,9 @@ def _chk_child_count(ctx: _Context) -> InvariantResult:
                 break
         interior.append(pick)
     if any(p is None for p in interior):
-        return InvariantResult("interior_child_count", True, 0, 0.0,
-                               "no interior function at level 0")
+        return _verdict(True, 0, "no interior function at level 0")
     _, kids, _, _ = tensor_children_arrays(np.array([interior]), two_scale_tables(coarse, fine))
-    ok = len(kids) == expected
-    return InvariantResult("interior_child_count", ok, 1,
-                           0.0 if ok else 1.0,
-                           f"got {len(kids)}, expected {expected}")
+    return _verdict(len(kids) == expected, 1, f"got {len(kids)}, expected {expected}")
 
 
 @_check("local_linear_independence")
@@ -389,9 +416,8 @@ def _chk_local_li(ctx: _Context) -> InvariantResult:
         rank = np.linalg.matrix_rank(mat)
         count += 1
         if rank != len(funcs):
-            return InvariantResult("local_linear_independence", False, count,
-                                   1.0, f"rank {rank} < {len(funcs)} on level {lv.index}")
-    return InvariantResult("local_linear_independence", True, count, 0.0)
+            return _verdict(False, count, f"rank {rank} < {len(funcs)} on level {lv.index}")
+    return _verdict(True, count)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +427,7 @@ def _chk_local_li(ctx: _Context) -> InvariantResult:
 def _chk_selection(ctx: _Context) -> InvariantResult:
     # build_hierarchical_basis already cross-checks; re-run to surface it here
     basis, _ = build_hierarchical_basis(ctx.hierarchy, ctx.levels, ctx.weights)
-    ok = all(map(np.array_equal, basis.active, ctx.classical.active))
-    return InvariantResult("basis_selection_consistency", ok, len(basis),
-                           0.0 if ok else 1.0)
+    return _same_masks(basis.active, ctx.classical.active, len(basis), "selection mismatch")
 
 
 @_check("partition_of_unity_weighted")
@@ -414,7 +438,7 @@ def _chk_hier_pou(ctx: _Context) -> InvariantResult:
         vals = partition_of_unity(basis).evaluate(pts)
         worst = max(worst, float(np.abs(vals - 1.0).max()))
         count += pts.shape[0]
-    return _result("partition_of_unity_weighted", worst, count, TOL_EXACT)
+    return _within(worst, count, TOL_EXACT)
 
 
 @_check("linear_independence_active")
@@ -565,9 +589,7 @@ def dense_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantRes
 def _chk_partition(ctx: _Context) -> InvariantResult:
     vol = ctx.mesh.total_volume()
     if vol != 1:
-        return InvariantResult("active_cells_partition", False,
-                               ctx.mesh.cell_count(), 1.0,
-                               f"volumes sum to {vol}")
+        return _verdict(False, ctx.mesh.cell_count(), f"volumes sum to {vol}")
     pts = ctx.rng("cells_partition").random((200, ctx.dim))
     # random floats avoid breakpoints, so locating per level counts
     # interior hits
@@ -578,29 +600,33 @@ def _chk_partition(ctx: _Context) -> InvariantResult:
     bad = np.flatnonzero(hits != 1)
     if bad.size:
         count = int(bad[0])
-        return InvariantResult("active_cells_partition", False, count,
-                               1.0, f"point {pts[count]} in {hits[count]} active cells")
-    return InvariantResult("active_cells_partition", True, len(pts), 0.0)
+        return _verdict(False, count, f"point {pts[count]} in {hits[count]} active cells")
+    return _verdict(True, len(pts))
 
 
 @_check("coarse_space_in_refinable")
 def _chk_coarse_in_refinable(ctx: _Context) -> InvariantResult:
     cols = _LevelColumns(ctx.levels, ctx.points("v0_span", 150))
-    worst = 0.0
     deactivated = ~ctx.refinable.active[0]
-    for idx in marked_indices(deactivated):
-        acc = cols.spline_sum(_expanded(0, idx, ctx.refinable))
-        worst = max(worst, float(np.abs(cols.columns(0, [idx])[:, 0] - acc).max()))
-    return _result("coarse_space_in_refinable", worst, deactivated.size, TOL_EXACT)
+    worst = _expansion_residual(cols, [deactivated], ctx.refinable)
+    return _within(worst, deactivated.size, TOL_EXACT)
 
 
-def _expanded(level: int, indices: Index, basis: HierBasis) -> list[LevelSpline]:
-    """A function written exactly over the active ones of a basis, one
+def _expansion_residual(cols: _LevelColumns, marks: Sequence[np.ndarray],
+                        basis: HierBasis) -> float:
+    """The largest residual at the columns' points when each function that
+    ``marks[ell]`` marks on level ell's grid is written exactly over the
+    active functions of the basis: one exact sweep per function, one
     spline per level, as expand_deactivated writes it before its dict view."""
-    return express_arrays([
-        (np.array([indices], dtype=np.int64), np.array([Fraction(1)], dtype=object))
-        if ell == level else (np.zeros((0, lv.dim), dtype=np.int64), np.zeros(0))
-        for ell, lv in enumerate(basis.levels)], basis)
+    worst = 0.0
+    for level, mask in enumerate(marks):
+        for idx in marked_indices(mask):
+            acc = cols.spline_sum(express_arrays([
+                (np.array([idx], dtype=np.int64), np.array([Fraction(1)], dtype=object))
+                if ell == level else (np.zeros((0, lv.dim), dtype=np.int64), np.zeros(0))
+                for ell, lv in enumerate(basis.levels)], basis))
+            worst = max(worst, float(np.abs(cols.columns(level, [idx])[:, 0] - acc).max()))
+    return worst
 
 
 @_check("refinable_stage_nesting")
@@ -613,20 +639,18 @@ def _chk_stage_nesting(ctx: _Context) -> InvariantResult:
         following = {(g.level, g.indices) for g in basis.stages[ell + 1]}
         for fid, (kids, coefficients) in zip(gone, cols.children(gone)):
             if not all((fid.level + 1, kid) in following for kid in map(tuple, kids.tolist())):
-                return InvariantResult(
-                    "refinable_stage_nesting", False, count, 1.0,
-                    f"child of {fid} missing from the next stage")
+                return _verdict(False, count, f"child of {fid} missing from the next stage")
             acc = cols.combination([(fid.level + 1, kids, coefficients)])
             worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
             count += 1
-    return _result("refinable_stage_nesting", worst, count, TOL_EXACT)
+    return _within(worst, count, TOL_EXACT)
 
 
 @_check("refinable_subset_classical")
 def _chk_subset(ctx: _Context) -> InvariantResult:
-    ok = not any((r & ~c).any() for r, c in zip(ctx.refinable.active, ctx.classical.active))
-    return InvariantResult("refinable_subset_classical", ok,
-                           len(ctx.refinable), 0.0 if ok else 1.0)
+    refinable = ctx.refinable.active
+    return _same_masks([r & c for r, c in zip(refinable, ctx.classical.active)], refinable,
+                       len(ctx.refinable), "refinable but not classical")
 
 
 @_check("refinable_equals_positive_weights")
@@ -637,9 +661,9 @@ def _chk_refinable_positive(ctx: _Context) -> InvariantResult:
         idx = marked_array(mask)
         mask[tuple(idx.T)] = weights.numerators[ell][weights.defined_positions(ell, idx)] > 0
     count = sum(int(np.count_nonzero(m)) for m in positive)
-    if not all(map(np.array_equal, positive, ctx.refinable.active)):
-        return InvariantResult("refinable_equals_positive_weights", False,
-                               count, 1.0, "set mismatch")
+    mismatch = _same_masks(positive, ctx.refinable.active, count, "set mismatch")
+    if not mismatch.passed:
+        return mismatch
     # numeric weight zero must agree with the structural flag and with the
     # parent-wise test, for every function the recursion defines below level 0;
     # each parent's support is tested once
@@ -650,14 +674,12 @@ def _chk_refinable_positive(ctx: _Context) -> InvariantResult:
             fid = Fid(ell, tuple(idx))
             count += 1
             if (value > 0) != flag:
-                return InvariantResult("refinable_equals_positive_weights", False,
-                                       count, 1.0, f"flag disagrees at {fid}")
+                return _verdict(False, count, f"flag disagrees at {fid}")
             char = zero_weight_by_characterization(ctx.hierarchy, ctx.levels,
                                                    fid, weights, sunk)
             if char != (value == 0):
-                return InvariantResult("refinable_equals_positive_weights", False,
-                                       count, 1.0, f"parent test disagrees at {fid}")
-    return InvariantResult("refinable_equals_positive_weights", True, count, 0.0)
+                return _verdict(False, count, f"parent test disagrees at {fid}")
+    return _verdict(True, count)
 
 
 @_check("mesh_roundtrip")
@@ -665,12 +687,11 @@ def _chk_roundtrip(ctx: _Context) -> InvariantResult:
     dump = dump_active_cells(ctx.mesh)
     levels2, h2 = parse_mesh_dump(dump)
     if h2 != ctx.hierarchy:
-        return InvariantResult("mesh_roundtrip", False, 1, 1.0,
-                               "hierarchy differs after the round trip")
+        return _verdict(False, 1, "hierarchy differs after the round trip")
     classical = _closed_form_classical(h2, levels2)
-    ok = all(map(np.array_equal, classical, ctx.classical.active))
-    return InvariantResult("mesh_roundtrip", ok, sum(int(np.count_nonzero(m)) for m in classical),
-                           0.0 if ok else 1.0)
+    return _same_masks(classical, ctx.classical.active,
+                       sum(int(np.count_nonzero(m)) for m in classical),
+                       "selection mismatch after the round trip")
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +700,7 @@ def _chk_roundtrip(ctx: _Context) -> InvariantResult:
 @_check("core_domains_definition")
 def _chk_core(ctx: _Context) -> InvariantResult:
     if not ctx.core.masks[0].all():
-        return InvariantResult("core_domains_definition", False, 1, 1.0,
-                               "level-0 core must cover the domain")
+        return _verdict(False, 1, "level-0 core must cover the domain")
     count = 1
     for ell in range(1, ctx.hierarchy.depth):
         lv = ctx.levels[ell]
@@ -693,8 +713,7 @@ def _chk_core(ctx: _Context) -> InvariantResult:
         for c in cells:
             pool.update(iter_box(cell_descendant_ranges(ctx.levels, ell - 1, ell, c)))
         if not pool.issuperset(marked_indices(stored)):
-            return InvariantResult("core_domains_definition", False, count,
-                                   1.0, f"core of level {ell} escapes the subdomain")
+            return _verdict(False, count, f"core of level {ell} escapes the subdomain")
         # per direction, the first and last interval of each extension
         first, last = ([e.tolist() for e in ends]
                        for ends in zip(*(kv.extension_intervals for kv in lv.kvs)))
@@ -710,20 +729,16 @@ def _chk_core(ctx: _Context) -> InvariantResult:
                     a in cells for a in iter_box([range(a, b + 1) for a, b in zip(lo, hi)]))
             count += 1
             if inside != stored[c]:
-                return InvariantResult("core_domains_definition", False,
-                                       count, 1.0,
-                                       f"cell {c} of level {ell} misclassified")
-    return InvariantResult("core_domains_definition", True, count, 0.0)
+                return _verdict(False, count, f"cell {c} of level {ell} misclassified")
+    return _verdict(True, count)
 
 
 @_check("admissibility_implication")
 def _chk_admissibility(ctx: _Context) -> InvariantResult:
     rep = ctx.report
     if rep.strictly_admissible and not rep.omega_nested:
-        return InvariantResult("admissibility_implication", False, 1, 1.0,
-                               "strictness without nesting")
-    detail = f"strict={rep.strictly_admissible} nested={rep.omega_nested}"
-    return InvariantResult("admissibility_implication", True, 1, 0.0, detail)
+        return _verdict(False, 1, "strictness without nesting")
+    return _verdict(True, 1, f"strict={rep.strictly_admissible} nested={rep.omega_nested}")
 
 
 def dual_pair_blocks(op: LevelQuasiInterpolant):
@@ -734,16 +749,13 @@ def dual_pair_blocks(op: LevelQuasiInterpolant):
     function are tensor products, so each value is the product over
     directions of the univariate dual column of i_k on the anchor interval
     applied to the values of b_{j_k} at that interval's nodes. The values
-    come from kernels.local_values on each function's local knots, a route
-    independent of the basis columns that built the duals.
+    come from _univariate_values, a route independent of the basis columns
+    that built the duals.
     """
     members, anchors = op.member_indices, op.anchor_indices
     factors = []
     for k, (kv, tab) in enumerate(zip(op.level.kvs, op.tables)):
-        p, knots = kv.degree, kv.floats
-        nodes = tab.nodes.ravel()
-        values = np.stack([kernels.local_values(knots[j:j + p + 2], p, nodes)
-                           for j in range(kv.num_basis)]).reshape((-1,) + tab.nodes.shape)
+        values = _univariate_values(kv, tab.nodes.ravel()).reshape((-1,) + tab.nodes.shape)
         # per interval, local function and univariate function j
         per_interval = np.einsum("iql,jiq->ilj", tab.duals, values)
         first = kv.first_functions
@@ -767,7 +779,7 @@ def _chk_kronecker(ctx: _Context) -> InvariantResult:
             block[rows, r + rows] -= 1.0
             worst = max(worst, float(np.abs(block).max()))
         count += len(op) ** 2
-    return _result("dual_basis_kronecker", worst, count, TOL_OPERATOR)
+    return _within(worst, count, TOL_OPERATOR)
 
 
 @_check("mass_matrix_quadrature")
@@ -783,23 +795,22 @@ def _chk_mass(ctx: _Context) -> InvariantResult:
         ws_fine = LocalProjectionWorkspace(ctx.levels[ell], cell,
                                            level_tables(ctx.levels[ell], finer))
         if not np.array_equal(ws.mass, ws.mass.T):
-            return InvariantResult("mass_matrix_quadrature", False, count, 1.0,
-                                   "mass matrix not symmetric")
+            return _verdict(False, count, f"mass matrix of cell {cell} of level {ell} "
+                            "not symmetric")
         eigmin = float(np.linalg.eigvalsh(ws.mass).min())
         if eigmin <= 0:
-            return InvariantResult("mass_matrix_quadrature", False, count, 1.0,
-                                   f"mass matrix not positive definite ({eigmin})")
+            return _verdict(False, count, f"mass matrix of cell {cell} of level {ell} "
+                            f"not positive definite ({eigmin})")
         scale = float(np.abs(ws.mass).max())
         worst = max(worst, float(np.abs(ws.mass - ws_fine.mass).max()) / scale)
         count += 1
-    return _result("mass_matrix_quadrature", worst, count, 1e-12)
+    return _within(worst, count, 1e-12)
 
 
 @_check("children_cover_core_functions")
 def _chk_children_cover(ctx: _Context) -> InvariantResult:
     if ctx.fixture.refinement != "dyadic":
-        return InvariantResult("children_cover_core_functions", True, 0, 0.0,
-                               "dyadic refinement only")
+        return _verdict(True, 0, "dyadic refinement only")
     count = 0
     for ell in range(ctx.hierarchy.depth - 1):
         for idx in map(tuple, ctx.stages[ell + 1].member_indices.tolist()):
@@ -807,28 +818,24 @@ def _chk_children_cover(ctx: _Context) -> InvariantResult:
             parents = tensor_parents(idx, ctx.levels[ell], ctx.levels[ell + 1])
             if not any(support_in_subdomain(ctx.hierarchy, ctx.levels, ell,
                                             p, ell + 1) for p in parents):
-                return InvariantResult(
-                    "children_cover_core_functions", False, count, 1.0,
-                    f"{idx} at level {ell + 1} has no parent sunk in "
-                    f"subdomain {ell + 1}")
-    return InvariantResult("children_cover_core_functions", True, count, 0.0)
+                return _verdict(False, count, f"{idx} at level {ell + 1} has no parent "
+                                f"sunk in subdomain {ell + 1}")
+    return _verdict(True, count)
 
 
 @_check("core_functions_in_refinable")
 def _chk_core_in_refinable(ctx: _Context) -> InvariantResult:
     if not ctx.report.omega_nested:
-        return InvariantResult("core_functions_in_refinable", True, 0, 0.0,
-                               "core domains not nested")
+        return _verdict(True, 0, "core domains not nested")
     count = 0
     # stage ell holds, of level ell, the functions selected when the level opened
     for ell, (op, selected) in enumerate(zip(ctx.stages, ctx.refinable.selected)):
         for idx in map(tuple, op.member_indices.tolist()):
             count += 1
             if not selected[idx]:
-                return InvariantResult(
-                    "core_functions_in_refinable", False, count, 1.0,
-                    f"core function {idx} of level {ell} outside the stage")
-    return InvariantResult("core_functions_in_refinable", True, count, 0.0)
+                return _verdict(False, count,
+                                f"core function {idx} of level {ell} outside the stage")
+    return _verdict(True, count)
 
 
 def _random_spline(level: TensorLevel, indices: np.ndarray, rng) -> LevelSpline:
@@ -869,7 +876,7 @@ def _chk_level_ops(ctx: _Context) -> InvariantResult:
             worst = max(worst, float(np.abs(
                 ps_full.evaluate(inside) - s_full.evaluate(inside)).max()))
             count += inside.shape[0]
-    return _result("level_operator_identities", worst, count, TOL_OPERATOR)
+    return _within(worst, count, TOL_OPERATOR)
 
 
 @_check("multiscale_identities")
@@ -879,10 +886,8 @@ def _chk_multiscale(ctx: _Context) -> InvariantResult:
         try:
             ctx.operator.apply_parts(lambda p: np.ones(p.shape[0]))
         except AdmissibilityError:
-            return InvariantResult("multiscale_identities", True, 1, 0.0,
-                                   "refused on non-nested core domains")
-        return InvariantResult("multiscale_identities", False, 1, 1.0,
-                               "operator ran despite non-nested core domains")
+            return _verdict(True, 1, "refused on non-nested core domains")
+        return _verdict(False, 1, "operator ran despite non-nested core domains")
     op = ctx.operator
     rng = ctx.rng("multiscale")
     pts = ctx.points("multiscale_pts", 200)
@@ -913,15 +918,14 @@ def _chk_multiscale(ctx: _Context) -> InvariantResult:
         v_full = sum(p.evaluate(inside) for p in parts)
         worst = max(worst, float(np.abs(v_dec - v_full).max()))
         count += 2 * inside.shape[0]
-    return _result("multiscale_identities", worst, count, TOL_OPERATOR)
+    return _within(worst, count, TOL_OPERATOR)
 
 
 @_check("enlargement_monotonicity")
 def _chk_enlargement(ctx: _Context) -> InvariantResult:
     spec = ctx.fixture.enlargement
     if spec is None:
-        return InvariantResult("enlargement_monotonicity", True, 0, 0.0,
-                               "no enlargement section")
+        return _verdict(True, 0, "no enlargement section")
     h2 = enlarge_hierarchy(ctx.hierarchy, ctx.levels, spec.additions,
                            spec.new_deepest)
     levels2 = extend_level_sequence(ctx.levels, h2.depth)
@@ -935,19 +939,15 @@ def _chk_enlargement(ctx: _Context) -> InvariantResult:
             < numerators[both].astype(object) * w2.denominators[ell]
         if dropped.any():
             k = int(dropped.argmax())
-            return InvariantResult("enlargement_monotonicity", False, count + k + 1, 1.0,
-                                   f"weight dropped at {Fid(ell, tuple(idx[both][k].tolist()))}")
+            return _verdict(False, count + k + 1,
+                            f"weight dropped at {Fid(ell, tuple(idx[both][k].tolist()))}")
         count += int(both.sum())
     refinable2 = build_refinable_basis(h2, levels2, w2)
     # levels2 extends ctx.levels, so one set of columns serves both
     cols = _LevelColumns(levels2, ctx.points("enlargement", 100))
-    worst = 0.0
-    for ell, (active, active2) in enumerate(zip(ctx.refinable.active, refinable2.active)):
-        count += int(np.count_nonzero(active))
-        for idx in marked_indices(active & ~active2):
-            acc = cols.spline_sum(_expanded(ell, idx, refinable2))
-            worst = max(worst, float(np.abs(cols.columns(ell, [idx])[:, 0] - acc).max()))
-    return _result("enlargement_monotonicity", worst, count, TOL_OPERATOR)
+    gone = [a & ~a2 for a, a2 in zip(ctx.refinable.active, refinable2.active)]
+    worst = _expansion_residual(cols, gone, refinable2)
+    return _within(worst, count + len(ctx.refinable), TOL_OPERATOR)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -143,12 +144,12 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
     Refuses a family whose steps differ in degrees or dimension before any
     step runs, and (by propagation) any step whose core domains are not
     nested. ``smoothness`` holds the per-direction derivative orders used
-    for the reported estimate terms; it defaults to degree+1 and must stay
-    within [1, degree+1].
+    for the reported estimate terms; it defaults to degree+1 and must hold
+    integers within [1, degree+1], which the report keeps as Python ints.
     """
     if not fixtures:
         raise HierSplineError("empty fixture family")
-    _as_q(q)
+    q_value = _as_q(q)
     config = config or OperatorConfig()
     degrees = fixtures[0].degrees
     dim = fixtures[0].dimension
@@ -158,9 +159,12 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
     if len(smoothness) != dim:
         raise HierSplineError(f"need {dim} smoothness orders")
     for s, p in zip(smoothness, degrees):
+        if isinstance(s, bool) or not isinstance(s, Integral):
+            raise HierSplineError(f"smoothness order {s!r} is not an integer")
         if not 1 <= s <= p + 1:
             raise HierSplineError(
                 f"smoothness order {s} outside 1..{p + 1}")
+    smoothness = [int(s) for s in smoothness]
     for step, fixture in enumerate(fixtures):
         if fixture.degrees != degrees or fixture.dimension != dim:
             raise HierSplineError(
@@ -175,7 +179,7 @@ def run_convergence_study(fixtures: Sequence[Fixture], f_name: str,
         steps.append(report)
 
     _fill_orders(rows)
-    qs = "inf" if (isinstance(q, str) and q.lower() == "inf") or q == math.inf else str(q)
+    qs = "inf" if q_value == math.inf else str(int(q_value))
     return StudyReport(function=f_name, q=qs, smoothness=smoothness,
                        steps=steps, rows=rows)
 

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import subprocess
 import sys
+import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,8 +39,9 @@ from hiersplines.invariants import (
     dense_independence,
     run_invariant_suite,
 )
-from hiersplines.study import read_study_csv, run_convergence_study
-from hiersplines.tensor import build_level_sequence
+from hiersplines.quasiinterp import OperatorConfig
+from hiersplines.study import read_study_csv, run_convergence_study, write_report
+from hiersplines.tensor import build_level_sequence, marked_indices
 from hiersplines.univariate import make_open_knot_vector, uniform_open_knot_vector
 
 from .conftest import (
@@ -49,6 +52,7 @@ from .conftest import (
     random_hierarchy,
     repo_fixture,
 )
+from .test_invariant_equivalence import REFERENCES, _outcome
 
 
 class TestFunctions:
@@ -324,6 +328,30 @@ class TestStudy:
         with pytest.raises(HierSplineError, match="step 2 changes degrees or dimension"):
             run_convergence_study(fixtures, "sin", 2)
 
+    @pytest.mark.parametrize("smoothness", [[1.5, 2], [True, 2], [2, np.float64(3)]])
+    def test_non_integer_smoothness_refused_before_any_step(self, smoothness, monkeypatch):
+        from hiersplines import study
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the smoothness orders were checked")
+
+        monkeypatch.setattr(study, "compute_weights", no_step)
+        with pytest.raises(HierSplineError, match=r"smoothness order .* is not an integer"):
+            run_convergence_study([repo_fixture("d2_single_cell")], "sin", 2, smoothness)
+
+    def test_numpy_smoothness_orders_are_written_as_ints(self, tmp_path):
+        report = run_convergence_study([repo_fixture("d2_single_cell")], "sin", 2,
+                                       [np.int64(2), 3])
+        write_report(report, json_path=tmp_path / "study.json")
+        assert json.loads((tmp_path / "study.json").read_text())["smoothness"] == [2, 3]
+        assert [type(s) for s in report.smoothness] == [int, int]
+
+    @pytest.mark.parametrize("q, label", [
+        (2, "2"), (2.0, "2"), (np.float64(2), "2"), (1.0, "1"), (math.inf, "inf"),
+        ("inf", "inf"), (np.float64("inf"), "inf")])
+    def test_q_label_is_that_of_the_norm(self, q, label):
+        assert run_convergence_study([repo_fixture("d2_single_cell")], "sin", q).q == label
+
     def test_json_roundtrip_bit_for_bit(self):
         fixtures = [repo_fixture("d2_depth1_uniform")]
         report = run_convergence_study(fixtures, "gauss", 1)
@@ -370,6 +398,76 @@ class TestInvariantSuite:
             assert isinstance(row["seconds"], float)
             assert row["seconds"] >= 0.0
 
+    @pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
+                                      "d3_depth2_corner"])
+    @pytest.mark.parametrize("check, basis, what", [
+        ("basis_selection_consistency", "classical", "selection mismatch"),
+        ("refinable_subset_classical", "refinable", "refinable but not classical"),
+        ("refinable_equals_positive_weights", "refinable", "set mismatch"),
+        ("mesh_roundtrip", "classical", "selection mismatch after the round trip"),
+    ])
+    def test_a_changed_selection_is_named(self, name, check, basis, what):
+        # the last and the first level-1 function outside the classical
+        # basis join one basis; the detail names the first in canonical order
+        ctx = _suite_context(name)
+        outside = marked_indices(~ctx.classical.active[1])
+        setattr(ctx, basis, _with_member(_with_member(getattr(ctx, basis), 1, outside[-1]),
+                                         1, outside[0]))
+        named = dict(invariants._CHECKS)[check]
+        result = named(ctx)
+        assert (result.name, result.passed, result.worst) == (check, False, 1.0)
+        assert result.detail == f"{what}: function {outside[0]} of level 1"
+        if check in REFERENCES:
+            assert _outcome(named, ctx) == _outcome(REFERENCES[check], ctx)
+
+    def test_negative_two_scale_coefficient_is_named(self, monkeypatch):
+        real = invariants.two_scale_table
+
+        def negated(coarse, fine):
+            tab = real(coarse, fine)
+            numerator = tab.numerator.copy()
+            numerator[2, 1] *= -1
+            return dataclasses.replace(tab, numerator=numerator)
+
+        monkeypatch.setattr(invariants, "two_scale_table", negated)
+        ctx = _suite_context("d1_depth3_blocks")
+        tab = real(ctx.levels[0].kvs[0], ctx.levels[1].kvs[0])
+        child, c = tab.index[2, 1], Fraction(-int(tab.numerator[2, 1]), tab.denominator)
+        result = dict(invariants._CHECKS)["univariate_two_scale"](ctx)
+        assert not result.passed
+        assert result.detail == (f"nonpositive coefficient {c} in pair (parent 2 of level 0, "
+                                 f"child {child} of level 1, direction 0)")
+
+    def test_disagreeing_characterization_is_named(self, monkeypatch):
+        ctx = _suite_context("d1_depth3_blocks")
+        parent, child = ctx.levels[1].kvs[0].local(4), ctx.levels[2].kvs[0].local(9)
+        real = invariants.is_child_of
+
+        def flipped(c, p):
+            return real(c, p) != (c == child and p == parent)
+
+        monkeypatch.setattr(invariants, "is_child_of", flipped)
+        result = dict(invariants._CHECKS)["parent_child_characterization"](ctx)
+        assert not result.passed
+        assert result.detail.startswith(
+            "pair (parent 4 of level 1, child 9 of level 2, direction 0) disagrees: ")
+
+    @pytest.mark.parametrize("fault, detail", [
+        ("asymmetric", "not symmetric"), ("negative", "not positive definite (-1.0)")])
+    def test_mass_matrix_fault_names_the_cell(self, fault, detail, monkeypatch):
+        ctx = _suite_context("d2_corner_admissible")
+        cells = marked_indices(ctx.core.masks[0])
+        cell = cells[len(cells) // 2]
+        mass = ctx.stages[0].workspace(cell).mass.copy()
+        if fault == "asymmetric":
+            mass[0, 1] += 1e-3
+        else:
+            mass = -np.eye(len(mass))
+        monkeypatch.setattr(ctx.stages[0], "workspace", lambda c: SimpleNamespace(mass=mass))
+        result = dict(invariants._CHECKS)["mass_matrix_quadrature"](ctx)
+        assert not result.passed
+        assert result.detail == f"mass matrix of cell {cell} of level 0 {detail}"
+
     def test_perturbed_two_scale_coefficient_fails(self, monkeypatch):
         exact = invariants.tensor_children_arrays
 
@@ -386,6 +484,10 @@ class TestInvariantSuite:
         verdicts = {r.name: r.passed for r in report.results}
         assert not verdicts["tensor_two_scale"]
         assert not verdicts["refinable_stage_nesting"]
+
+
+def _suite_context(name):
+    return invariants._Context(repo_fixture(name), OperatorConfig(), 20240831)
 
 
 def _with_member(basis, level, indices):

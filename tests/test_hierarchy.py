@@ -146,6 +146,21 @@ class TestWeights:
                                                    f"of level {fid.level}")):
                     read(fid)
 
+    @pytest.mark.parametrize("flat", [(3, 4), np.array([3, 4]), [[[3, 4]]]],
+                             ids=["tuple", "array", "three-dimensional"])
+    def test_index_of_another_shape_is_refused_with_the_level(self, flat):
+        fx = repo_fixture("d2_corner_admissible")
+        w = compute_weights(fx.hierarchy, fx.levels)
+        message = re.escape("function indices of level 1 must form an (n, 2) array")
+        for read in (w.positions, w.defined_positions):
+            with pytest.raises(HierarchyError, match=message):
+                read(1, flat)
+            # empty input gives an empty result
+            assert read(1, []).shape == read(1, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+        # off-grid, short and non-int64 rows name no function
+        for rows in ([[99, 99]], [[0]], np.array([[3, 4]], dtype=object)):
+            assert w.positions(1, rows).tolist() == [-1]
+
     def test_escaped_child_is_named(self, monkeypatch):
         # drop two children of the level-0 functions inside subdomain 1
         # from the level-1 functions inside it: one of the first parent,

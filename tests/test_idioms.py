@@ -117,3 +117,84 @@ def test_view_rule_sees_every_form():
               "i = functions(x) + tensor_children_arrays(p, t) + op.member_indices\n"
               "j = 'basis.members'  # basis.functions()\n")
     assert sorted(line for line, _ in _view_uses(source)) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+# the checks of invariants.py state their names once, in the registry
+EXEMPT_NAME = "linear_independence_active"
+EXEMPT_FUNCTIONS = ("active_independence", "dense_independence")
+
+
+def _repeated_check_names(source: str) -> list[tuple[int, str]]:
+    """Line and text of every string equal to the name of a check that
+    ``_check(...)`` registers, other than the argument of its first
+    registration and EXEMPT_NAME inside EXEMPT_FUNCTIONS, which build the
+    result of the public independence test."""
+    tree = ast.parse(source)
+    registered: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_check" and node.args \
+                and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str):
+            registered.setdefault(node.args[0].value, id(node.args[0]))
+    allowed = set(registered.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in EXEMPT_FUNCTIONS:
+            allowed |= {id(n) for n in ast.walk(node)
+                        if isinstance(n, ast.Constant) and n.value == EXEMPT_NAME}
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in registered and id(node) not in allowed)
+
+
+def test_check_names_live_in_the_registry():
+    source = (SRC / "invariants.py").read_text(encoding="utf-8")
+    assert _repeated_check_names(source) == []
+    # the rule sees every registration
+    from hiersplines.invariants import _CHECKS
+
+    assert all(f'@_check("{name}")' in source for name, _ in _CHECKS)
+
+
+def test_name_rule_sees_every_form():
+    source = ('@_check("alpha")\n'
+              'def a(ctx):\n'
+              '    return InvariantResult("alpha", True)\n'
+              '@_check("linear_independence_active")\n'
+              'def b(ctx):\n'
+              '    return active_independence(ctx.classical, ctx.mesh)\n'
+              'def active_independence(basis, mesh):\n'
+              '    return InvariantResult("linear_independence_active", True)\n'
+              'def other():\n'
+              '    return {"linear_independence_active": 1, "alpha": 2}\n'
+              'x = ctx.points("alpha_pick", 9), f"{y} alpha", "Alpha", "alpha "\n'
+              '_check("alpha")\n'
+              'def dense_independence(basis, mesh):\n'
+              '    return InvariantResult("linear_independence_active", "alpha")\n')
+    assert [line for line, _ in _repeated_check_names(source)] == [3, 10, 10, 12, 14]
+
+
+def test_code_line_counter_skips_blank_comment_and_docstring_lines():
+    from .code_lines import code_lines
+
+    source = ('"""Module docstring\n'         # 1 docstring
+              'over two lines."""\n'          # 2 docstring
+              '\n'                            # 3 blank
+              '# a comment\n'                 # 4 comment
+              'import os  # and a comment\n'  # 5 code
+              '\n'                            # 6 blank
+              '\n'                            # 7 blank
+              'class A:\n'                    # 8 code
+              '    """Class docstring."""\n'  # 9 docstring
+              '\n'                            # 10 blank
+              '    def f(self):\n'            # 11 code
+              '        """Function\n'         # 12 docstring
+              '\n'                            # 13 docstring
+              '        docstring."""\n'       # 14 docstring
+              '        x = 1\n'               # 15 code
+              '        """A string\n'         # 16 code: no docstring
+              '\n'                            # 17 code, inside the string
+              '# not a comment"""\n'          # 18 code, inside the string
+              '        return (x,\n'          # 19 code
+              '                # a comment\n' # 20 comment
+              '                os)\n')        # 21 code
+    assert code_lines(source) == 9

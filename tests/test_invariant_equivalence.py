@@ -36,7 +36,6 @@ from hiersplines.invariants import (
     InvariantResult,
     _Context,
     _LevelColumns,
-    _result,
 )
 from hiersplines.quasiinterp import (
     CoreDomains,
@@ -64,6 +63,10 @@ SEED = 20240831
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+
+def _result(name, worst, count, tol, detail=""):
+    return InvariantResult(name, bool(worst <= tol), count, float(worst), detail)
 
 
 class RefColumns(_LevelColumns):
@@ -121,20 +124,22 @@ def ref_total_volume(mesh):
 def ref_uni_two_scale(ctx):
     xs = ctx.rng("uni_two_scale").random(100)
     worst, count = 0.0, 0
-    for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
-        for ckv, fkv in zip(coarse.kvs, fine.kvs):
+    for ell, (coarse, fine) in enumerate(zip(ctx.levels, ctx.levels[1:])):
+        for k, (ckv, fkv) in enumerate(zip(coarse.kvs, fine.kvs)):
             for j in range(ckv.num_basis):
                 parent = ckv.local(j)
                 kids = [(fkv.local(i), c) for i, c in children_table(ckv, fkv)[j]]
                 lo, hi = parent.support
                 for child, c in kids:
+                    pair = (f"pair (parent {j} of level {ell}, child {child.index} "
+                            f"of level {ell + 1}, direction {k})")
                     if c <= 0:
                         return InvariantResult("univariate_two_scale", False, count, 1.0,
-                                               f"nonpositive coefficient {c}")
+                                               f"nonpositive coefficient {c} in {pair}")
                     clo, chi = child.support
                     if clo < lo or chi > hi:
                         return InvariantResult("univariate_two_scale", False, count, 1.0,
-                                               "child support escapes the parent")
+                                               f"child support escapes the parent in {pair}")
                 vals = parent.evaluate(xs)
                 acc = np.zeros_like(xs)
                 for child, c in kids:
@@ -146,8 +151,8 @@ def ref_uni_two_scale(ctx):
 
 def ref_characterization(ctx):
     count = 0
-    for coarse, fine in zip(ctx.levels, ctx.levels[1:]):
-        for ckv, fkv in zip(coarse.kvs, fine.kvs):
+    for ell, (coarse, fine) in enumerate(zip(ctx.levels, ctx.levels[1:])):
+        for k, (ckv, fkv) in enumerate(zip(coarse.kvs, fine.kvs)):
             by_window = {j: {idx for idx, _ in children_table(ckv, fkv)[j]}
                          for j in range(ckv.num_basis)}
             ptab = parent_table(ckv, fkv)
@@ -161,7 +166,8 @@ def ref_characterization(ctx):
                     if not insertion == endpoint == via_parents:
                         return InvariantResult(
                             "parent_child_characterization", False, count, 1.0,
-                            f"pair (parent {j}, child {i}) disagrees: "
+                            f"pair (parent {j} of level {ell}, child {i} of level {ell + 1}, "
+                            f"direction {k}) disagrees: "
                             f"insertion={insertion} endpoint={endpoint} "
                             f"parents={via_parents}")
     return InvariantResult("parent_child_characterization", True, count, 0.0)
@@ -237,8 +243,10 @@ def ref_stage_nesting(ctx):
 def ref_refinable_positive(ctx):
     positive = {fid for fid in ctx.classical.functions() if ctx.weights.weight(fid) > 0}
     if positive != ctx.refinable.member_set:
-        return InvariantResult("refinable_equals_positive_weights", False,
-                               len(positive), 1.0, "set mismatch")
+        # the first function in canonical order, the first direction fastest
+        fid = min(positive ^ ctx.refinable.member_set, key=lambda f: (f.level, f.indices[::-1]))
+        return InvariantResult("refinable_equals_positive_weights", False, len(positive), 1.0,
+                               f"set mismatch: function {fid.indices} of level {fid.level}")
     count = len(positive)
     for fid, value in ctx.weights.values.items():
         if fid.level == 0:
