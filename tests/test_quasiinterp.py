@@ -206,8 +206,7 @@ class TestTensorFactoredProjector:
                 dense = vals.T @ (ws.weights[:, None] * vals)
                 scale = np.abs(dense).max()
                 assert np.abs(ws.mass - dense).max() <= 1e-13 * scale
-                rows = np.array([ws.dual_row(i)
-                                 for i in range(len(ws.local_functions))])
+                rows = quasiinterp._kron([tab.duals[j].T for tab, j in zip(tables, cell)])
                 assert np.abs(rows @ vals - np.eye(vals.shape[1])).max() <= 1e-12
 
 
@@ -259,6 +258,21 @@ class TestLevelOperator:
         outside = np.array([[0.95]])
         assert np.abs(out.evaluate(outside) - s.evaluate(outside)).max() > 1e-6
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_level_without_members_has_no_rows(self, dim):
+        degrees = [2, 1, 3][:dim]
+        levels = make_levels(dim, degrees, 4, 2)
+        h = SubdomainHierarchy.from_cells([[(1,) * dim]])
+        core = compute_core_domains(h, levels)
+        assert not core.masks[1].any()
+        op = LevelQuasiInterpolant(h, levels, 1, core)
+        assert len(op) == 0
+        rows = op._dual_rows
+        assert rows.shape == (0, np.prod([p + 1 for p in degrees]))
+        assert rows.dtype == np.float64
+        assert op.apply(_sin2).values.shape == (0,)
+        with pytest.raises(HierSplineError, match="has no full cell inside the core domain"):
+            op.dual_functional((0,) * dim)
 
     @pytest.mark.parametrize("name", ["d2_nested_not_admissible", "d1_depth3_blocks",
                                       "d3_depth2_corner"])
@@ -280,9 +294,7 @@ class TestLevelOperator:
             second = op.apply(f)
             assert len(built) == len(anchors)
             assert first.values.tobytes() == second.values.tobytes()
-            for k, (m, cell) in enumerate(op.anchor_cells.items()):
-                ws = op.workspace(cell)
-                assert op._dual_rows[k].tobytes() == ws.dual_row(ws.local_index(m)).tobytes()
+            for k, m in enumerate(op.members):
                 assert np.float64(op.dual_functional(m)(f)).tobytes() == first.values[k].tobytes()
             assert len(built) == len(anchors)
             built.clear()
