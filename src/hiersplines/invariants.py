@@ -58,6 +58,7 @@ from .hierarchy import (
 from .quasiinterp import (
     LevelQuasiInterpolant,
     LocalProjectionWorkspace,
+    MAX_INCREMENT,
     MultiscaleQuasiInterpolant,
     OperatorConfig,
     level_tables,
@@ -785,7 +786,7 @@ def _chk_kronecker(ctx: _Context) -> InvariantResult:
 @_check("mass_matrix_quadrature")
 def _chk_mass(ctx: _Context) -> InvariantResult:
     worst, count = 0.0, 0
-    finer = OperatorConfig(quad_increment=ctx.config.quad_increment + 3)
+    finer = OperatorConfig(quad_increment=min(ctx.config.quad_increment + 3, MAX_INCREMENT))
     for ell in range(ctx.hierarchy.depth):
         cells = marked_indices(ctx.core.masks[ell])
         if not cells:

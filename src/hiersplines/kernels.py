@@ -28,19 +28,29 @@ grids, ``axes[k]`` a (c, n_k) array whose row r holds the k-th coordinates
 of grid r; the error norms, whose nodes all lie on per-cell grids, use it.
 It sums the same terms by sum factorisation (Antolin, Buffa, Calabro,
 Martinelli & Sangalli, CMAME 285, 2015). Per direction it finds the span
-and the p+1 nonzero basis values of every axis sample, as the pointwise
-entry does; the sample on a cell's right edge keeps its right-continuous
-span, which is the next cell's. The window of a grid in direction k is
+and the p+1 nonzero basis values of every sample of an axis row, as the
+pointwise entry does; the sample on a cell's right edge keeps its
+right-continuous span, which is the next cell's. The window of a row is
 the ordered set of functions alive at some of its samples, so the
 function of span s and offset o at a sample is one of s - p, ..., s; the
 basis values widen to a (w_k, n_k) matrix over the window, zero where a
-function is not alive at a sample. The grid's coefficient block over its
-windows is gathered once, and contracted with the widened matrices one
-direction at a time, the last direction first, with ``np.matmul``. A
-function alive at no node of a grid is not in its window, and its
-coefficient is not read. Work and memory per grid follow its own windows.
-The contraction rounds differently from the pointwise sum, by a few ulps
-of the sum of the terms' magnitudes.
+function is not alive at a sample. Each grid gathers the windows of its
+rows; its coefficient block over its windows is gathered once, and
+contracted with the widened matrices one direction at a time, the last
+direction first, with ``np.matmul``. A function alive at no node of a
+grid is not in its window, and its coefficient is not read. Work and
+memory per grid follow its own windows. The contraction rounds
+differently from the pointwise sum, by a few ulps of the sum of the
+terms' magnitudes.
+
+The windows are formed once per distinct axis row. Axes given as a
+``GridAxes`` carry, per direction, their distinct rows and each grid's
+index into them, and a cache of the windows per direction and knot
+vector. The norms hand the kernel one ``GridAxes`` per batch, all the
+batches of a level sharing the rows and the cache, so the rows of a level
+are evaluated once per part and direction: an n x n level has n distinct
+rows per direction for its n^2 cells. Plain (c, n_k) axes are their own
+distinct rows.
 
 Grids are contracted in runs of consecutive grids with windows of one
 shape, and a run in parts whose coefficient blocks and partial
@@ -83,6 +93,7 @@ __all__ = [
     "BACKEND",
     "BLOCK",
     "GRID_BLOCK",
+    "GridAxes",
     "find_spans",
     "basis_columns",
     "local_values",
@@ -119,10 +130,9 @@ def _nonzero_basis(knots, degree, xs, spans):
     basis_columns (perfbench/tracer.py) counts only the outside callers.
     """
     p, m = degree, xs.shape[0]
-    rows = [np.empty(m) for _ in range(p + 1)]
+    rows = [np.ones(m)] + [np.empty(m) for _ in range(p)]
     left, right = [np.empty(m) for _ in range(p)], [np.empty(m) for _ in range(p)]
     tmp, saved, index = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
-    rows[0][...] = 1.0
     # every take here reads in range; mode "clip" because the default
     # "raise" buffers a take's output instead of writing it in place
     for j in range(1, p + 1):
@@ -199,13 +209,37 @@ def tensor_spline_values(coeffs, knots, degrees, points):
     return out
 
 
+class GridAxes(list):
+    """The d (c, n_k) axes of c tensor grids, ``self[k]`` gathered as
+    ``rows[k][index[k]]`` from the distinct rows ``rows[k]`` of direction
+    k, carrying the rows, the index and a dict ``cache`` of the grid
+    kernel's windows on the rows. Axes that share rows and cache share the
+    windows: the norms pass one per batch of a level."""
+
+    def __init__(self, rows, index, cache):
+        super().__init__(r[i] for r, i in zip(rows, index))
+        self.rows, self.index, self.cache = rows, index, cache
+
+    def windows(self, k, knots, degree):
+        """The windows of direction k, per grid its first entry and its
+        width, then per entry its function and its basis row, for a part
+        on ``knots`` of ``degree``; formed on the distinct rows once per
+        cache."""
+        if (key := (k, degree, knots.tobytes())) not in self.cache:
+            self.cache[key] = _windows(knots, degree, self.rows[k])
+        first, width, funcs, rows = self.cache[key]
+        return first[self.index[k]], width[self.index[k]], funcs, rows
+
+
 def tensor_grid_values(coeffs, knots, degrees, axes):
+    # plain axes are their own distinct rows
+    axes = axes if isinstance(axes, GridAxes) else GridAxes(axes, [slice(None)] * len(axes), {})
     sizes = [a.shape[1] for a in axes]
     out = np.empty((axes[0].shape[0],) + tuple(reversed(sizes)))
     if not out.size:
         return out
     counts = [k.shape[0] - int(p) - 1 for k, p in zip(knots, degrees)]
-    dirs = [_windows(kn, int(p), a) for kn, p, a in zip(knots, degrees, axes)]
+    dirs = [axes.windows(k, kn, int(p)) for k, (kn, p) in enumerate(zip(knots, degrees))]
     # each run of grids whose windows have one shape is contracted in parts
     # whose blocks and partial contractions hold at most about GRID_BLOCK
     # numbers
@@ -254,14 +288,14 @@ def _windows(knots, degree, x):
 
 def _contract(coeffs, counts, widths, dirs, start, stop):
     """The values on the grids ``start`` to ``stop``, whose windows have
-    the widths ``widths`` and so lie one after the other: each grid's
-    coefficient block over its windows, gathered once, is contracted with
-    the grid's (w, n) basis rows of one direction after the other, the
-    last direction first."""
+    the widths ``widths``: each grid's w entries from its first one give
+    its window's functions and (w, n) basis rows, and its coefficient
+    block over its windows, gathered once, is contracted with the basis
+    rows of one direction after the other, the last direction first."""
     d, g, block, bases = len(dirs), stop - start, 0, []
     for k, ((first, _, funcs, rows), w) in enumerate(zip(dirs, widths)):
-        entries = slice(first[start], first[start] + g * w)
-        bases.append(rows[entries].reshape(g, w, -1))
+        entries = first[start:stop, None] + np.arange(w)
+        bases.append(rows[entries])
         index = funcs[entries] * math.prod(counts[:k])
         block = block + index.reshape((g,) + (1,) * (d - 1 - k) + (w,) + (1,) * k)
     t = coeffs.take(block)

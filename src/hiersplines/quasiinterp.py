@@ -31,15 +31,20 @@ A test function evaluates each factor once per axis sample and forms the
 grid by broadcasting, with the same scalar operations per point as its
 call on the grid's points, which is what a plain callable gets; so the
 norms of a test function do not depend on the route. A spline finds spans
-and basis rows once per axis sample and contracts each cell's coefficient
-block one direction at a time (sum factorisation, see
+and basis rows per axis row and contracts each cell's coefficient block
+one direction at a time (sum factorisation, see
 :mod:`hiersplines.kernels`), which rounds differently from evaluating it
-at the grid's points, by a few ulps. A batch holds as many whole cells as
-fit in ``kernels.GRID_BLOCK`` nodes, at least one, and the grid kernel
-takes it in one call, so the kernel's fixed cost per call is paid about
-once per dozen sampled cells of the sup norm, not once per four. The
-integrand of a batch, ``f - s`` for an error, is checked for finiteness
-once, and an error names its first non-finite node.
+at the grid's points, by a few ulps. The axis rows of a level repeat, one
+per cell index in each direction, so they are formed once per distinct
+cell index, and a batch's axes are a ``kernels.GridAxes`` that gathers
+them and shares one cache of the kernel's windows with every batch of
+the level: the spans, basis rows and windows of a level's rows are found
+once per spline part and direction, not once per batch. A batch holds as
+many whole cells as fit in ``kernels.GRID_BLOCK`` nodes, at least one,
+and the grid kernel takes it in one call, so the kernel's fixed cost per
+call is paid about once per dozen sampled cells of the sup norm, not once
+per four. The integrand of a batch, ``f - s`` for an error, is checked
+for finiteness once, and an error names its first non-finite node.
 
 A norm reads its cells' values from a table of one integrand: per cell,
 |f|^q at the Gauss nodes or the largest |f| of the sample, evaluated the
@@ -87,6 +92,11 @@ from . import kernels
 PointFunction = Callable[[np.ndarray], np.ndarray]
 
 
+# caps of the OperatorConfig knobs
+MAX_INCREMENT = 64
+MAX_SUP_SAMPLES = 2 ** 20
+
+
 @dataclass(frozen=True)
 class OperatorConfig:
     """Quadrature and sampling knobs.
@@ -98,6 +108,12 @@ class OperatorConfig:
         integrals.
     sup_samples_per_cell: point budget per cell for sup-norm sampling,
         split evenly across directions.
+
+    Each knob is an integer between a floor and a fixed cap, and anything
+    else is refused. The increments stop at ``MAX_INCREMENT``: a rule of n
+    Gauss points solves an n x n eigenvalue problem, and 64 extra points
+    already integrate polynomials of degree 2p + 129 exactly. The sample
+    stops at ``MAX_SUP_SAMPLES``, about a million nodes per cell.
     """
 
     quad_increment: int = 0
@@ -105,11 +121,19 @@ class OperatorConfig:
     sup_samples_per_cell: int = 1000
 
     def __post_init__(self):
-        for name, least in (("quad_increment", 0), ("error_quad_increment", 0),
-                            ("sup_samples_per_cell", 1)):
+        for name, least, most in (("quad_increment", 0, MAX_INCREMENT),
+                                  ("error_quad_increment", 0, MAX_INCREMENT),
+                                  ("sup_samples_per_cell", 1, MAX_SUP_SAMPLES)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise HierSplineError(f"{name} must be an integer >= {least}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, Integral) \
+                    or not least <= value <= most:
+                # a huge integer is named by its size; its decimal string
+                # may be refused
+                got = f"an integer of {int(value).bit_length()} bits" \
+                    if isinstance(value, Integral) and int(value).bit_length() > 64 \
+                    else repr(value)
+                raise HierSplineError(
+                    f"{name} must be an integer from {least} to {most}, got {got}")
 
 
 DEFAULT_CONFIG = OperatorConfig()
@@ -683,17 +707,26 @@ def _cells_geometry(level: TensorLevel, idxs: np.ndarray
     return lows, spans
 
 
-def _abs_batches(f, lows: np.ndarray, spans: np.ndarray,
+def _abs_batches(f, level: TensorLevel, idxs: np.ndarray,
                  base: Sequence[np.ndarray]):
     """|f| on the tensor grid of the per-direction base axes mapped into
-    each cell, as (first cell, values of shape (cells, nodes)), in batches
-    of whole cells of at most ``kernels.GRID_BLOCK`` nodes and at least
-    one cell. A batch's values are checked for finiteness once, before the
-    absolute value is taken in place."""
+    each of the (n, d) cells ``idxs`` of ``level``, as (first cell, values
+    of shape (cells, nodes)), in batches of whole cells of at most
+    ``kernels.GRID_BLOCK`` nodes and at least one cell. A batch's values
+    are checked for finiteness once, before the absolute value is taken in
+    place.
+
+    Per direction the base axis is mapped once into each distinct cell
+    row, with the arithmetic of :func:`_cells_geometry`, and a batch's axes
+    gather their rows from these and share one cache of the grid kernel's
+    windows."""
+    found = [np.unique(i, return_inverse=True) for i in idxs.T]
+    rows = [bp[u, None] + (bp[u + 1] - bp[u])[:, None] * t
+            for (u, _), bp, t in zip(found, (kv.breakpoint_floats for kv in level.kvs), base)]
     chunk = max(1, kernels.GRID_BLOCK // math.prod(len(t) for t in base))
-    for k in range(0, lows.shape[0], chunk):
-        axes = [lows[k:k + chunk, i, None] + spans[k:k + chunk, i, None] * t
-                for i, t in enumerate(base)]
+    cache = {}
+    for k in range(0, idxs.shape[0], chunk):
+        axes = kernels.GridAxes(rows, [at[k:k + chunk] for _, at in found], cache)
         vals = _finite(_grid_values(f, axes), lambda: _tensor_grid(axes))
         yield k, np.abs(vals, out=vals)
 
@@ -745,18 +778,16 @@ class _CellRows:
         return [_gauss_base(kv.degree + 1 + self.config.error_quad_increment)
                 for kv in self.mesh.levels[ell].kvs]
 
-    def rows(self, ell: int, idxs: np.ndarray, lows: np.ndarray,
-             spans: np.ndarray) -> np.ndarray:
-        """The rows of the (n, d) cells ``idxs`` of level ell, whose lower
-        corners and edge lengths are ``lows`` and ``spans``, in their order;
-        the cells not yet kept are evaluated first, in that order."""
+    def rows(self, ell: int, idxs: np.ndarray) -> np.ndarray:
+        """The rows of the (n, d) cells ``idxs`` of level ell, in their
+        order; the cells not yet kept are evaluated first, in that order."""
         lv = self.mesh.levels[ell]
         ranks = np.ravel_multi_index(tuple(idxs.T[::-1]), lv.num_cells[::-1])
         kept = self._levels.get(ell)
         at = _positions(kept, ranks)
         miss = at < 0
         if miss.any():
-            rows, added = self._evaluate(ell, lows[miss], spans[miss]), ranks[miss]
+            rows, added = self._evaluate(ell, idxs[miss]), ranks[miss]
             if kept is not None:
                 rows = np.concatenate([kept.rows, rows])
                 added = np.concatenate([kept.ranks, added])
@@ -769,12 +800,11 @@ class _CellRows:
         """Forget the rows of level ell."""
         self._levels.pop(ell, None)
 
-    def _evaluate(self, ell: int, lows: np.ndarray, spans: np.ndarray) -> np.ndarray:
-        base = self.base(ell)
-        nodes = [t for t, _ in base]
+    def _evaluate(self, ell: int, idxs: np.ndarray) -> np.ndarray:
+        nodes = [t for t, _ in self.base(ell)]
         inf = math.isinf(self.qv)
-        out = np.empty(lows.shape[:1] if inf else (lows.shape[0], math.prod(map(len, nodes))))
-        for k, vals in _abs_batches(self.f, lows, spans, nodes):
+        out = np.empty(idxs.shape[:1] if inf else (idxs.shape[0], math.prod(map(len, nodes))))
+        for k, vals in _abs_batches(self.f, self.mesh.levels[ell], idxs, nodes):
             if inf:
                 vals.max(axis=1, out=out[k:k + vals.shape[0]])
             else:
@@ -809,11 +839,11 @@ def lq_norm(f: PointFunction, q, mesh: HierarchicalMesh,
     groups = integration_cells(mesh, region)
     total = 0.0
     for ell, idxs in groups:
-        lows, spans = _cells_geometry(mesh.levels[ell], idxs)
-        rows = table.rows(ell, idxs, lows, spans)
+        rows = table.rows(ell, idxs)
         if math.isinf(qv):
             total = max(total, float(rows.max()))
         else:
+            _, spans = _cells_geometry(mesh.levels[ell], idxs)
             base_w = _kron([w for _, w in table.base(ell)])
             total += float(spans.prod(axis=1) @ (rows @ base_w))
         if not shared:

@@ -405,11 +405,13 @@ def as_points(points, dim: int) -> np.ndarray:
 
 
 def as_axes(axes, dim: int) -> list[np.ndarray]:
-    """The axes of c tensor grids: ``dim`` float arrays of shape (c, n_k)."""
+    """The axes of c tensor grids: ``dim`` float arrays of shape (c, n_k),
+    as a list, or the :class:`kernels.GridAxes` given, which keeps its
+    distinct rows and its cache of windows."""
     arrs = [np.asarray(a, dtype=np.float64) for a in axes]
     if len(arrs) != dim or any(a.ndim != 2 or a.shape[0] != arrs[0].shape[0] for a in arrs):
         raise HierSplineError(f"grid axes must be {dim} arrays of shape (c, n_k)")
-    return arrs
+    return axes if isinstance(axes, kernels.GridAxes) else arrs
 
 
 def eval_function(level: TensorLevel, indices: Index, points) -> np.ndarray:

@@ -793,8 +793,18 @@ class TestCli:
         (["study", "{family}", "--f", "sin", "--q", "inf", "--sup-samples", "-5"],
          "sup_samples_per_cell"),
         (["study", "{family}", "--f", "sin", "--s", "a"], "--s"),
+        # one over each cap, and a sample count too large for a float
+        (["check", "{fixture}", "--quad-increment", "65"], "quad_increment"),
+        (["study", "{family}", "--f", "sin", "--error-quad-increment", "65"],
+         "error_quad_increment"),
+        (["study", "{family}", "--f", "sin", "--q", "inf", "--sup-samples", str(2 ** 20 + 1)],
+         "sup_samples_per_cell"),
+        (["study", "{family}", "--f", "sin", "--q", "inf", "--sup-samples", "1" + "0" * 400],
+         "sup_samples_per_cell"),
     ], ids=["check_quad_increment", "study_error_quad_increment",
-            "study_sup_samples", "study_smoothness_not_int"])
+            "study_sup_samples", "study_smoothness_not_int", "check_quad_increment_over_cap",
+            "study_error_quad_increment_over_cap", "study_sup_samples_over_cap",
+            "study_sup_samples_400_digits"])
     def test_out_of_range_operator_settings_exit_two(self, tmp_path, args, message):
         family = tmp_path / "family"
         family.mkdir()

@@ -451,3 +451,123 @@ def test_windows_read_only_the_functions_alive_at_some_node():
     for got in (poisoned.on_grid([a[:1] for a in axes]), poisoned.on_grid(axes)[:1]):
         assert np.isfinite(got).all()
         assert got.tobytes() == single[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# windows on the distinct rows of a level
+
+
+class _Parts:
+    """Splines summed on the same axes, as in a hierarchical spline."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def on_grid(self, axes):
+        total = None
+        for s in self.parts:
+            v = s.on_grid(axes)
+            total = v if total is None else np.add(total, v, out=total)
+        return total
+
+
+@st.composite
+def _distinct_row_cases(draw):
+    """Per direction of d = 1..3: cells between breakpoints at 24ths, a
+    coarser part on some of them and a finer part on all of them and some
+    48ths, each of degree 0..4 with interior multiplicities up to p+1;
+    some of the cells in any order, and Gauss or sup-sample nodes."""
+    from hiersplines.tensor import TensorLevel
+    d = draw(st.integers(1, 3))
+    cuts = [sorted(draw(st.sets(st.integers(1, 23), min_size=1, max_size=4))) for _ in range(d)]
+
+    def level(points):
+        kvs = []
+        for at in points:
+            p = draw(st.integers(0, 4))
+            mults = [draw(st.integers(1, p + 1)) for _ in at]
+            kvs.append(make_open_knot_vector(
+                p, [0, *(Fraction(a, 48) for a in at), 1], [p + 1, *mults, p + 1]))
+        return TensorLevel(0, tuple(kvs))
+
+    cells = level([[2 * c for c in cut] for cut in cuts])
+    coarse = level([[2 * c for c in sorted(draw(st.sets(st.sampled_from(cut))))] for cut in cuts])
+    fine = level([sorted({2 * c for c in cut} | draw(st.sets(st.sampled_from(range(1, 48, 2)),
+                                                             max_size=3)))
+                  for cut in cuts])
+    ranks = draw(st.permutations(range(math.prod(cells.num_cells))))
+    ranks = ranks[:draw(st.integers(1, len(ranks)))]
+    idxs = np.stack(np.unravel_index(ranks, cells.num_cells), axis=1)
+    if draw(st.booleans()):
+        from hiersplines.quasiinterp import _gauss_base
+        base = [_gauss_base(draw(st.integers(1, 5)))[0] for _ in range(d)]
+    else:
+        # the sup sample, whose last node is the cell's right edge
+        base = [np.linspace(0.0, 1.0, draw(st.integers(2, 6)))] * d
+    return cells, (coarse, fine), idxs, base
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_distinct_row_cases(), data=st.data())
+def test_distinct_row_windows_equal_per_grid_axes(case, data):
+    """The norms' distinct-row route gives the values of per-grid (c, n_k)
+    axes, bit for bit, whatever the batches."""
+    from unittest import mock
+    from hiersplines.quasiinterp import _abs_batches, _cells_geometry
+    cells, levels, idxs, base = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    f = _Parts([_random_spline(rng, lv) for lv in levels])
+    lows, spans = _cells_geometry(cells, idxs)
+    plain = [lows[:, k, None] + spans[:, k, None] * t for k, t in enumerate(base)]
+    want = f.on_grid(plain).reshape(len(idxs), -1)
+    nodes = math.prod(map(len, base))
+    with mock.patch.object(kernels, "GRID_BLOCK", data.draw(st.integers(1, 3 * nodes))):
+        got = np.concatenate([v for _, v in _abs_batches(f, cells, idxs, base)])
+    assert got.tobytes() == np.abs(want).tobytes()
+    # the kernel on rows found by value, in batches cut at any grids
+    found = [np.unique(a, axis=0, return_inverse=True) for a in plain]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(idxs) - 1))) if len(idxs) > 1 else [])
+    cache, pieces = {}, []
+    for a, z in zip([0, *cuts], [*cuts, len(idxs)]):
+        axes = kernels.GridAxes([u for u, _ in found],
+                                [i.reshape(-1)[a:z] for _, i in found], cache)
+        assert all(x.tobytes() == p[a:z].tobytes() for x, p in zip(axes, plain))
+        pieces.append(f.on_grid(axes).reshape(z - a, -1))
+    assert np.concatenate(pieces).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, "inf"])
+def test_windows_formed_once_per_part_direction_and_distinct_row(monkeypatch, q):
+    from hiersplines.functions import get_function
+    from hiersplines.hierarchy import active_mesh, build_refinable_basis
+    from hiersplines.quasiinterp import error_norms, integration_cells
+    from .conftest import repo_fixture
+    fx = repo_fixture("d2_corner_admissible")
+    basis = build_refinable_basis(fx.hierarchy, fx.levels)
+    s = _random_hier_spline(np.random.default_rng(5), basis)
+    parts = [p for p in s.parts if len(p.values)]
+    assert len(parts) > 1
+    mesh = active_mesh(fx.hierarchy, fx.levels)
+    received, grids = [], []
+    windows, grid_values = kernels._windows, kernels.tensor_grid_values
+
+    def counted_windows(knots, degree, x):
+        received.append(x.copy())
+        return windows(knots, degree, x)
+
+    def counted_grid_values(coeffs, knots, degrees, axes):
+        grids.append(len(axes[0]))
+        return grid_values(coeffs, knots, degrees, axes)
+
+    monkeypatch.setattr(kernels, "_windows", counted_windows)
+    monkeypatch.setattr(kernels, "tensor_grid_values", counted_grid_values)
+    monkeypatch.setattr(kernels, "GRID_BLOCK", 200)
+    error_norms(get_function("sin", 2), s, q, mesh=mesh)
+    groups = integration_cells(mesh, None)
+    distinct = sum(len(np.unique(idxs[:, k])) for _, idxs in groups for k in range(2))
+    assert sum(len(x) for x in received) == len(parts) * distinct
+    assert len(received) == len(parts) * 2 * len(groups)
+    assert all(len(np.unique(x, axis=0)) == len(x) for x in received)
+    # the grid kernel ran on many more batches than windows were formed
+    assert len(grids) > 2 * len(received)
+    assert sum(grids) == len(parts) * sum(len(idxs) for _, idxs in groups)

@@ -538,6 +538,48 @@ class TestNorms:
         assert len(grid_bad.batches) > 1
         assert not any(((p[:, 0] > 0.6) & (p[:, 1] > 0.3)).any() for p in grid_bad.batches[:-1])
 
+    @pytest.mark.parametrize("q", [2, "inf"])
+    def test_on_grid_receives_float_axes_of_the_cells(self, monkeypatch, q):
+        # a caller's on_grid gets d float64 arrays of shape (c, n_k) per
+        # batch, whose points are those of the cells' own grids, and a
+        # non-finite value is named at its first node
+        from hiersplines.quasiinterp import _cells_geometry, _tensor_grid, integration_cells
+        fx = repo_fixture("d2_corner_admissible")
+        mesh = active_mesh(fx.hierarchy, fx.levels)
+        f = get_function("sin", 2)
+        monkeypatch.setattr(kernels, "GRID_BLOCK", 300)
+
+        class Recording:
+            def __init__(self, poisoned=None):
+                self.batches, self.poisoned = [], poisoned
+
+            def on_grid(self, axes):
+                assert len(axes) == 2
+                for a in axes:
+                    assert isinstance(a, np.ndarray) and a.dtype == np.float64
+                    assert a.ndim == 2 and a.shape[0] == len(axes[0])
+                self.batches.append(_tensor_grid(axes))
+                vals = f.on_grid(axes)
+                if len(self.batches) == self.poisoned:
+                    vals.reshape(-1)[[7, 9]] = np.nan
+                return vals
+
+        plain = Recording()
+        want = lq_norm(f, q, mesh)
+        assert lq_norm(plain, q, mesh) == want
+        table, former = quasiinterp._CellRows(f, q, mesh), []
+        for ell, idxs in integration_cells(mesh, None):
+            lows, spans = _cells_geometry(mesh.levels[ell], idxs)
+            former.append(_tensor_grid([lows[:, k, None] + spans[:, k, None] * nodes
+                                        for k, (nodes, _) in enumerate(table.base(ell))]))
+        assert len(plain.batches) > len(former)
+        assert np.concatenate(plain.batches).tobytes() == np.concatenate(former).tobytes()
+        bad = Recording(poisoned=3)
+        with pytest.raises(EvaluationError) as caught:
+            lq_norm(bad, q, mesh)
+        assert str(caught.value) == ("callback returned a non-finite value at "
+                                     f"{tuple(bad.batches[2][7])}")
+
     @pytest.mark.parametrize("level,shape,cell", [
         (5, None, (0, 0)),
         (0, (100, 1), (99, 0)),
@@ -602,3 +644,18 @@ class TestFunctionsOnGrids:
         for pts in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 2))):
             with pytest.raises(HierSplineError, match="for a function of dimension 2"):
                 f(pts)
+
+
+@pytest.mark.parametrize("name,least,most", [
+    ("quad_increment", 0, quasiinterp.MAX_INCREMENT),
+    ("error_quad_increment", 0, quasiinterp.MAX_INCREMENT),
+    ("sup_samples_per_cell", 1, quasiinterp.MAX_SUP_SAMPLES),
+])
+def test_operator_config_bounds(name, least, most):
+    # the bounds are accepted; nothing is evaluated at them
+    assert getattr(OperatorConfig(**{name: least}), name) == least
+    assert getattr(OperatorConfig(**{name: most}), name) == most
+    for value in (least - 1, most + 1, np.int64(most + 1), 10 ** 400, -10 ** 5000, 2.0, True):
+        with pytest.raises(HierSplineError, match=f"^{name} must be an integer from "
+                                                  f"{least} to {most}, got "):
+            OperatorConfig(**{name: value})
