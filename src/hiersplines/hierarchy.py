@@ -69,14 +69,12 @@ from .tensor import (
     TensorLevel,
     as_axes,
     as_points,
-    cell_ancestor,
     extend_level_sequence,
+    has_marked_parent,
     index_arrays,
-    iter_box,
     marked_array,
     marked_indices,
     tensor_children_arrays,
-    tensor_parents,
     two_scale_tables,
 )
 from .univariate import exact_dtype, nearest_floats
@@ -304,23 +302,6 @@ def support_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
     return bool(subdomain_grids(h, levels).supports_inside(level, ell)[indices])
 
 
-def _support_in_cells(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
-                      level: int, indices: Index, ell: int) -> bool:
-    """:func:`support_in_subdomain` through :func:`cell_ancestor` and the
-    stored cell set, with no grid; a route independent of the grids.
-
-    Ancestor maps are monotone and onto, so the support's interval ranges
-    map to the ranges between their endpoints' ancestors.
-    """
-    cells = h.subdomain_cells(ell)
-    if cells is None:
-        return True
-    ranges = levels[level].function_cell_ranges(indices)
-    lo = cell_ancestor(levels, level, ell - 1, tuple(r.start for r in ranges))
-    hi = cell_ancestor(levels, level, ell - 1, tuple(r.stop - 1 for r in ranges))
-    return all(c in cells for c in iter_box([range(a, b + 1) for a, b in zip(lo, hi)]))
-
-
 # ---------------------------------------------------------------------------
 # hierarchical mesh
 
@@ -525,44 +506,67 @@ def compute_weights(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> Wei
     return WeightMap(*map(tuple, zip(*out)))
 
 
-def zero_weight_by_characterization(h: SubdomainHierarchy,
-                                    levels: Sequence[TensorLevel],
-                                    fid: Fid,
-                                    weights: WeightMap,
-                                    sunk: dict[Fid, bool] | None = None) -> bool:
-    """Zero-weight test through the parents instead of the recursion.
+def zero_weights_by_parents(h: SubdomainHierarchy, levels: Sequence[TensorLevel], ell: int,
+                            indices, weights: WeightMap) -> np.ndarray:
+    """Zero-weight test through the parents instead of the recursion, for
+    the rows of an (n, d) array of functions of level ell, 0 < ell < depth.
 
-    True exactly when every parent with a defined positive weight keeps
-    part of its support outside the function's subdomain. Must agree with
-    ``weights.weight(fid) == 0``. Parents come from the endpoint tests and
-    supports are checked cell by cell, so nothing here reads the two-scale
-    tables or the subdomain grids that the recursion uses. ``sunk`` keeps
-    the parents' support tests: one dict passed to the calls on the
-    functions of one hierarchy tests each parent once. The weights of all
-    parents are looked up in one call.
+    A row is True exactly when every parent with a positive weight keeps
+    part of its support outside subdomain ell; it must agree with a zero
+    numerator. Parents come from the endpoint tests
+    (:func:`has_marked_parent`), and a support lies in the subdomain
+    when every cell of level ell-1 that it meets, through the interval
+    parent maps, is one of the subdomain's stored cells. Nothing here
+    reads the two-scale tables or the subdomain grids that the recursion
+    uses. The first row that is no function of the level, or whose
+    support leaves subdomain ell, is refused.
     """
-    ell = fid.level
+    rows = np.asarray(indices)
     if not 0 < ell < h.depth:
+        named = f"{Fid(ell, tuple(rows[0].tolist()))}: " if len(rows) else ""
         raise HierarchyError("level-0 functions always have weight one" if ell == 0 else
-                             f"{fid}: level {ell} is outside 1..{h.depth - 1}")
-    if not levels[ell].holds(fid.indices):
-        raise HierarchyError(f"{fid} is outside the function grid {levels[ell].num_basis} "
+                             f"{named}level {ell} is outside 1..{h.depth - 1}")
+    fine, coarse = levels[ell], levels[ell - 1]
+    off = np.ones(len(rows), dtype=bool) if rows.shape[1:] != (fine.dim,) else \
+        ~((rows >= 0) & (rows < fine.num_basis)).all(axis=1)
+    if off.any():
+        fid = Fid(ell, tuple(rows[off.argmax()].tolist()))
+        raise HierarchyError(f"{fid} is outside the function grid {fine.num_basis} "
                              f"of level {ell}")
-    if not _support_in_cells(h, levels, ell, fid.indices, ell):
+    grid = np.zeros(coarse.num_cells, dtype=bool)
+    grid[index_arrays(h.subdomain_cells(ell), fine.dim)] = True
+    if not _supports_in(grid, fine, rows, fine.parent_arrays).all():
         raise HierarchyError(
             "characterization applies only to functions supported inside "
             "their level's subdomain")
-    sunk = {} if sunk is None else sunk
-    parents = tensor_parents(fid.indices, levels[ell - 1], levels[ell])
-    for p_idx, at in zip(parents, weights.positions(ell - 1, parents).tolist()):
-        if at < 0 or weights.numerators[ell - 1][at] <= 0:
-            continue
-        parent = Fid(ell - 1, p_idx)
-        if parent not in sunk:
-            sunk[parent] = _support_in_cells(h, levels, ell - 1, p_idx, ell)
-        if sunk[parent]:
-            return False
-    return True
+    positive = weights.indices[ell - 1][weights.numerators[ell - 1] > 0]
+    sunk = np.zeros(coarse.num_basis, dtype=bool)
+    sunk[tuple(positive.T)] = _supports_in(grid, coarse, positive)
+    return ~has_marked_parent(rows, coarse, fine, sunk)
+
+
+def _supports_in(grid: np.ndarray, level: TensorLevel, rows: np.ndarray,
+                 maps: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """Which supports of the rows of an (n, d) array of functions of
+    ``level`` meet only marked cells of ``grid``, a boolean grid over the
+    cells of ``level`` or, through the interval maps ``maps``, of another
+    level. The maps are monotone, so a support's cells form the box
+    between its end intervals' images; every cell of each box is tested,
+    the offsets of a narrower box clipped to its last cell."""
+    ends = []
+    for k, kv in enumerate(level.kvs):
+        a, b = (e[rows[:, k]] for e in kv.support_intervals)
+        ends.append((a, b) if maps is None else (maps[k][a], maps[k][b]))
+    inside = np.ones(len(rows), dtype=bool)
+    for offsets in itertools.product(*(range(int((b - a).max(initial=0)) + 1) for a, b in ends)):
+        inside &= grid[tuple(np.minimum(a + o, b) for (a, b), o in zip(ends, offsets))]
+    return inside
+
+
+def zero_weight_by_characterization(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
+                                    fid: Fid, weights: WeightMap) -> bool:
+    """:func:`zero_weights_by_parents` for one function."""
+    return bool(zero_weights_by_parents(h, levels, fid.level, [fid.indices], weights)[0])
 
 
 # ---------------------------------------------------------------------------

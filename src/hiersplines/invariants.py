@@ -20,10 +20,22 @@ They build none of the ``Fid``, tuple or ``Fraction`` views of these,
 except one: ``refinable_stage_nesting`` iterates ``basis.stages``, so
 that a stage can be checked against the next one as the set it is, and
 its failure detail names the first function gone in that set's order.
-The independent routes stay scalar where independence is the point:
-``tensor_parents``, ``parent_table``, ``is_child_of`` on
-``LocalKnotVector``s, ``cell_ancestor`` and the characterization of zero
-weights by parents.
+
+Where independence is the point, a check takes a route of its own, not
+the builders', and runs it per level on index arrays:
+
+- ``refinable_equals_positive_weights`` tests zero weights through the
+  parents (``zero_weights_by_parents``): parents from the endpoint tests
+  of ``parent_table``, supports against the stored subdomain cells
+  through the interval parent maps; no two-scale table or subdomain grid.
+- ``parent_child_characterization`` compares the two-scale slots, the
+  parent table and ``is_child_of`` on ``LocalKnotVector``s, which runs on
+  the pairs whose supports nest; the other pairs fail its first test.
+- ``children_cover_core_functions`` takes the parents from the endpoint
+  tests too (``has_marked_parent``).
+- ``dual_basis_kronecker`` applies the duals to B-spline values from
+  ``_univariate_values``, not to the basis columns that built them.
+- ``core_domains_definition`` maps cells through ``cell_ancestor``.
 """
 
 from __future__ import annotations
@@ -52,11 +64,9 @@ from .hierarchy import (
     express_arrays,
     partition_of_unity,
     subdomain_grids,
-    support_in_subdomain,
-    zero_weight_by_characterization,
+    zero_weights_by_parents,
 )
 from .quasiinterp import (
-    LevelQuasiInterpolant,
     LocalProjectionWorkspace,
     MAX_INCREMENT,
     MultiscaleQuasiInterpolant,
@@ -72,14 +82,21 @@ from .tensor import (
     cell_descendant_ranges,
     eval_function,
     extend_level_sequence,
+    has_marked_parent,
     iter_box,
     marked_array,
     marked_indices,
     tensor_children_arrays,
-    tensor_parents,
     two_scale_tables,
 )
-from .univariate import KnotVector, is_child_of, nearest_floats, parent_table, two_scale_table
+from .univariate import (
+    KnotVector,
+    exact_dtype,
+    is_child_of,
+    nearest_floats,
+    parent_slots,
+    two_scale_table,
+)
 
 TOL_EXACT = 1e-12
 TOL_OPERATOR = 1e-10
@@ -325,24 +342,42 @@ def _chk_uni_two_scale(ctx: _Context) -> InvariantResult:
 
 @_check("parent_child_characterization")
 def _chk_characterization(ctx: _Context) -> InvariantResult:
+    """Insertion (the two-scale slots), endpoints (is_child_of) and the
+    parent table name the same (parent, child) pairs, per direction.
+
+    is_child_of runs on the pairs whose supports nest alone, found from
+    the integer knots over a common denominator: on any other pair its
+    first test answers False.
+    """
     count = 0
     for ell, (coarse, fine) in enumerate(zip(ctx.levels, ctx.levels[1:])):
         for k, (ckv, fkv) in enumerate(zip(coarse.kvs, fine.kvs)):
+            # pair (j, i) at [j, i]: row-major order is parent by parent, child by child
+            shape = (ckv.num_basis, fkv.num_basis)
             tab = two_scale_table(ckv, fkv)
-            by_window = [set(i[m].tolist()) for i, m in zip(tab.index, tab.present)]
-            ptab = parent_table(ckv, fkv)
-            fine_locals = [fkv.local(i) for i in range(fkv.num_basis)]
-            for j in range(ckv.num_basis):
-                parent = ckv.local(j)
-                for i, child in enumerate(fine_locals):
-                    insertion = i in by_window[j]
-                    endpoint = is_child_of(child, parent)
-                    via_parents = j in ptab[i]
-                    count += 1
-                    if not insertion == endpoint == via_parents:
-                        return _verdict(False, count, f"{_pair(ell, k, j, i)} disagrees: "
-                                        f"insertion={insertion} endpoint={endpoint} "
-                                        f"parents={via_parents}")
+            insertion = np.zeros(shape, dtype=bool)
+            insertion[np.nonzero(tab.present)[0], tab.index[tab.present]] = True
+            index, present = parent_slots(ckv, fkv)
+            via_parents = np.zeros(shape, dtype=bool)
+            via_parents[index[present], np.nonzero(present)[0]] = True
+            (cknots, cd), (fknots, fd) = ckv.integer_knots, fkv.integer_knots
+            d = math.lcm(cd, fd)
+            ck, fk = (np.array([x * (d // e) for x in knots], dtype=exact_dtype(d))
+                      for knots, e in ((cknots, cd), (fknots, fd)))
+            # the pairs whose supports nest, then is_child_of on those alone
+            endpoint = (ck[:shape[0], None] <= fk[:shape[1]]) \
+                & (fk[fkv.degree + 1:] <= ck[ckv.degree + 1:, None])
+            endpoint[endpoint] = [is_child_of(fkv.local(i), ckv.local(j))
+                                  for j, i in np.argwhere(endpoint).tolist()]
+            bad = (insertion != endpoint) | (endpoint != via_parents)
+            if bad.any():
+                j, i = np.argwhere(bad)[0].tolist()
+                return _verdict(False, count + j * shape[1] + i + 1,
+                                f"{_pair(ell, k, j, i)} disagrees: "
+                                f"insertion={bool(insertion[j, i])} "
+                                f"endpoint={bool(endpoint[j, i])} "
+                                f"parents={bool(via_parents[j, i])}")
+            count += math.prod(shape)
     return _verdict(True, count)
 
 
@@ -666,20 +701,19 @@ def _chk_refinable_positive(ctx: _Context) -> InvariantResult:
     if not mismatch.passed:
         return mismatch
     # numeric weight zero must agree with the structural flag and with the
-    # parent-wise test, for every function the recursion defines below level 0;
-    # each parent's support is tested once
-    sunk: dict[Fid, bool] = {}
+    # parent-wise test, for every function the recursion defines below
+    # level 0, one level at a time; the flag is tested first
     levels = zip(weights.indices, weights.numerators, weights.flags)
     for ell, (indices, numerators, flags) in list(enumerate(levels))[1:]:
-        for idx, value, flag in zip(indices.tolist(), numerators.tolist(), flags.tolist()):
-            fid = Fid(ell, tuple(idx))
-            count += 1
-            if (value > 0) != flag:
-                return _verdict(False, count, f"flag disagrees at {fid}")
-            char = zero_weight_by_characterization(ctx.hierarchy, ctx.levels,
-                                                   fid, weights, sunk)
-            if char != (value == 0):
-                return _verdict(False, count, f"parent test disagrees at {fid}")
+        flag_bad = (numerators > 0) != flags
+        bad = flag_bad | (zero_weights_by_parents(ctx.hierarchy, ctx.levels, ell, indices,
+                                                  weights) != (numerators == 0))
+        if bad.any():
+            k = int(bad.argmax())
+            fid = Fid(ell, tuple(indices[k].tolist()))
+            return _verdict(False, count + k + 1, f"flag disagrees at {fid}" if flag_bad[k]
+                            else f"parent test disagrees at {fid}")
+        count += len(indices)
     return _verdict(True, count)
 
 
@@ -742,43 +776,52 @@ def _chk_admissibility(ctx: _Context) -> InvariantResult:
     return _verdict(True, 1, f"strict={rep.strictly_admissible} nested={rep.omega_nested}")
 
 
-def dual_pair_blocks(op: LevelQuasiInterpolant):
-    """lambda_i(b_j) for every pair of members of a level, in row blocks.
-
-    Yields (first row, values) with values[r, c] = lambda_i(b_j) for
-    i = members[first + r] and j = members[c]. Both the functional and the
-    function are tensor products, so each value is the product over
-    directions of the univariate dual column of i_k on the anchor interval
-    applied to the values of b_{j_k} at that interval's nodes. The values
-    come from _univariate_values, a route independent of the basis columns
-    that built the duals.
-    """
-    members, anchors = op.member_indices, op.anchor_indices
-    factors = []
-    for k, (kv, tab) in enumerate(zip(op.level.kvs, op.tables)):
-        values = _univariate_values(kv, tab.nodes.ravel()).reshape((-1,) + tab.nodes.shape)
-        # per interval, local function and univariate function j
-        per_interval = np.einsum("iql,jiq->ilj", tab.duals, values)
-        first = kv.first_functions
-        # row i: member i's k-th dual applied to every function of direction k
-        factors.append(per_interval[anchors[:, k], members[:, k] - first[anchors[:, k]]])
-    step = max(1, kernels.BLOCK // max(1, len(members)))
-    for r in range(0, len(members), step):
-        block = factors[0][r:r + step][:, members[:, 0]]
-        for k in range(1, len(factors)):
-            block *= factors[k][r:r + step][:, members[:, k]]
-        yield r, block
-
-
 @_check("dual_basis_kronecker")
 def _chk_kronecker(ctx: _Context) -> InvariantResult:
-    """Duality lambda_i(b_j) = delta_ij over all pairs of members per level."""
+    """Duality lambda_i(b_j) = delta_ij over all pairs of members per level.
+
+    Both the functional and the function are tensor products, so a value
+    is the product over directions of the univariate dual column of i_k on
+    the anchor interval applied to the values of b_{j_k} at that interval's
+    nodes. The values come from _univariate_values, a route independent of
+    the basis columns that built the duals. A B-spline is +0.0 at a point
+    strictly inside an interval it does not act on, so once every node is
+    checked to lie strictly inside its interval, lambda_i(b_j) is exactly
+    zero unless b_j acts on the anchor cell of i. Only those prod_k (p_k + 1)
+    functions per row are evaluated; the pairs counted are all of them.
+    """
     worst, count = 0.0, 0
     for op in ctx.stages:
-        for r, block in dual_pair_blocks(op):
-            rows = np.arange(block.shape[0])
-            block[rows, r + rows] -= 1.0
-            worst = max(worst, float(np.abs(block).max()))
+        if not len(op):
+            continue
+        members, anchors = op.member_indices, op.anchor_indices
+        near, keys = np.ones((len(op), 1)), np.zeros((len(op), 1), dtype=np.int64)
+        stride = 1
+        for k, (kv, tab) in enumerate(zip(op.level.kvs, op.tables)):
+            bps = kv.breakpoint_floats
+            outside = ~((bps[:-1, None] < tab.nodes) & (tab.nodes < bps[1:, None]))
+            if outside.any():
+                i, q = np.argwhere(outside)[0].tolist()
+                return _verdict(False, count, f"node {q} of interval {i} of level "
+                                f"{op.level_index}, direction {k}, outside its interval")
+            values = _univariate_values(kv, tab.nodes.ravel()).reshape((-1,) + tab.nodes.shape)
+            # per interval, local function and univariate function j
+            per_interval = np.einsum("iql,jiq->ilj", tab.duals, values)
+            first = kv.first_functions[anchors[:, k]]
+            acting = first[:, None] + np.arange(kv.degree + 1)
+            # row i: member i's k-th dual applied to the functions acting on its anchor
+            factor = per_interval[anchors[:, k, None], (members[:, k] - first)[:, None], acting]
+            # direction k varies slower than those before it; a product
+            # commutes exactly, so each value is formed as in direction order
+            near = (factor[:, :, None] * near[:, None, :]).reshape(len(op), -1)
+            keys = ((acting * stride)[:, :, None] + keys[:, None, :]).reshape(len(op), -1)
+            stride *= kv.num_basis
+        position = np.full(stride, -1)
+        position[np.ravel_multi_index(tuple(members.T), op.level.num_basis, order="F")] = \
+            np.arange(len(op))
+        column = position[keys]
+        residual = np.where(column == np.arange(len(op))[:, None], near - 1.0, near)
+        worst = max(worst, float(np.abs(residual[column >= 0]).max(initial=0.0)))
         count += len(op) ** 2
     return _within(worst, count, TOL_OPERATOR)
 
@@ -812,15 +855,17 @@ def _chk_mass(ctx: _Context) -> InvariantResult:
 def _chk_children_cover(ctx: _Context) -> InvariantResult:
     if ctx.fixture.refinement != "dyadic":
         return _verdict(True, 0, "dyadic refinement only")
+    grids = subdomain_grids(ctx.hierarchy, ctx.levels)
     count = 0
     for ell in range(ctx.hierarchy.depth - 1):
-        for idx in map(tuple, ctx.stages[ell + 1].member_indices.tolist()):
-            count += 1
-            parents = tensor_parents(idx, ctx.levels[ell], ctx.levels[ell + 1])
-            if not any(support_in_subdomain(ctx.hierarchy, ctx.levels, ell,
-                                            p, ell + 1) for p in parents):
-                return _verdict(False, count, f"{idx} at level {ell + 1} has no parent "
-                                f"sunk in subdomain {ell + 1}")
+        members = ctx.stages[ell + 1].member_indices
+        covered = has_marked_parent(members, ctx.levels[ell], ctx.levels[ell + 1],
+                                    grids.supports_inside(ell, ell + 1))
+        if not covered.all():
+            k = int(covered.argmin())
+            return _verdict(False, count + k + 1, f"{tuple(members[k].tolist())} at level "
+                            f"{ell + 1} has no parent sunk in subdomain {ell + 1}")
+        count += len(members)
     return _verdict(True, count)
 
 

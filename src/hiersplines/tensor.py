@@ -49,6 +49,7 @@ from .univariate import (
     TwoScaleTable,
     dyadic_refine,
     exact_dtype,
+    parent_slots,
     parent_table,
     two_scale_table,
 )
@@ -358,6 +359,23 @@ def tensor_parents(indices: Index, coarse: TensorLevel, fine: TensorLevel) -> li
                for ckv, fkv, j in zip(coarse.kvs, fine.kvs, indices)]
     return [tuple(per_dir[i][c] for i, c in enumerate(combo))
             for combo in iter_box([range(len(r)) for r in per_dir])]
+
+
+def has_marked_parent(indices: np.ndarray, coarse: TensorLevel, fine: TensorLevel,
+                      mask: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, d) array of fine functions have a parent that
+    ``mask`` marks on the coarse function grid. The parents are those of
+    :func:`tensor_parents`, from the endpoint tests: per direction the
+    padded slots of :func:`parent_slots`, then one gather of the mask per
+    combination of slots."""
+    per_dir = [(index[j], present[j]) for (index, present), j in
+               zip((parent_slots(ckv, fkv) for ckv, fkv in zip(coarse.kvs, fine.kvs)),
+                   indices.T)]
+    hit = np.zeros(len(indices), dtype=bool)
+    for slots in itertools.product(*(range(index.shape[1]) for index, _ in per_dir)):
+        filled = np.logical_and.reduce([present[:, s] for (_, present), s in zip(per_dir, slots)])
+        hit |= filled & mask[tuple(index[:, s] for (index, _), s in zip(per_dir, slots))]
+    return hit
 
 
 # ---------------------------------------------------------------------------

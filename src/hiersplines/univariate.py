@@ -583,3 +583,15 @@ def parent_table(coarse: KnotVector, fine: KnotVector) -> tuple[tuple[int, ...],
     table = tuple(rows)
     cache[coarse] = table
     return table
+
+
+def parent_slots(coarse: KnotVector, fine: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parent_table` padded to its widest row: ``index[i, s]`` is
+    the s-th parent of fine function i where ``present[i, s]``, else 0."""
+    table = parent_table(coarse, fine)
+    width = max(map(len, table), default=0)
+    present = np.arange(width) < np.array([len(row) for row in table])[:, None]
+    index = np.zeros(present.shape, dtype=np.int64)
+    # row by row, slot by slot: the order of the parents in the table
+    index[present] = [j for row in table for j in row]
+    return index, present

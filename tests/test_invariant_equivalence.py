@@ -5,10 +5,11 @@ cell_ancestor call per cell of every support extension, one
 LocalKnotVector per pair of functions, one evaluation per child, one
 support test per parent and function, one point at a time, expansions
 through the Fid dicts of expand_deactivated, two-scale coefficients as
-Fractions, and random draws one number at a time. Every rewritten
-invariant must give the same InvariantResult as its former route: the
-verdict, the count, the worst residual bit for bit and the detail, also
-on inputs where it fails.
+Fractions, the zero-weight test one function and one parent at a time,
+the dual functionals applied to every pair of members, and random draws
+one number at a time. Every rewritten invariant must give the same
+InvariantResult as its former route: the verdict, the count, the worst
+residual bit for bit and the detail, also on inputs where it fails.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hiersplines import hierarchy, invariants
+from hiersplines import hierarchy, invariants, kernels, tensor
 from hiersplines.errors import HierSplineError
 from hiersplines.fixtures import EnlargementSpec, Fixture, load_fixture
 from hiersplines.functions import get_function
@@ -28,7 +29,7 @@ from hiersplines.hierarchy import (
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
-    zero_weight_by_characterization,
+    support_in_subdomain,
 )
 from hiersplines.invariants import (
     TOL_EXACT,
@@ -36,6 +37,7 @@ from hiersplines.invariants import (
     InvariantResult,
     _Context,
     _LevelColumns,
+    _univariate_values,
 )
 from hiersplines.quasiinterp import (
     CoreDomains,
@@ -53,6 +55,7 @@ from hiersplines.tensor import (
     marked_indices,
     tensor_children,
     tensor_children_arrays,
+    tensor_parents,
     two_scale_tables,
 )
 from hiersplines.univariate import children_table, is_child_of, parent_table
@@ -240,6 +243,27 @@ def ref_stage_nesting(ctx):
     return _result("refinable_stage_nesting", worst, count, TOL_EXACT)
 
 
+def ref_support_in_cells(h, levels, level, indices, ell):
+    """Is the support inside subdomain ell, through cell_ancestor and the
+    stored cell set, with no grid?"""
+    cells = h.subdomain_cells(ell)
+    ranges = levels[level].function_cell_ranges(indices)
+    lo = cell_ancestor(levels, level, ell - 1, tuple(r.start for r in ranges))
+    hi = cell_ancestor(levels, level, ell - 1, tuple(r.stop - 1 for r in ranges))
+    return all(c in cells for c in iter_box([range(a, b + 1) for a, b in zip(lo, hi)]))
+
+
+def ref_zero_weight(h, levels, fid, weights):
+    """The zero-weight test through the parents, one parent at a time."""
+    ell = fid.level
+    for p in tensor_parents(fid.indices, levels[ell - 1], levels[ell]):
+        parent = Fid(ell - 1, p)
+        if weights.defined(parent) and weights.weight(parent) > 0 \
+                and ref_support_in_cells(h, levels, ell - 1, p, ell):
+            return False
+    return True
+
+
 def ref_refinable_positive(ctx):
     positive = {fid for fid in ctx.classical.functions() if ctx.weights.weight(fid) > 0}
     if positive != ctx.refinable.member_set:
@@ -256,11 +280,67 @@ def ref_refinable_positive(ctx):
         if (value > 0) != flag:
             return InvariantResult("refinable_equals_positive_weights", False,
                                    count, 1.0, f"flag disagrees at {fid}")
-        char = zero_weight_by_characterization(ctx.hierarchy, ctx.levels, fid, ctx.weights)
+        assert ref_support_in_cells(ctx.hierarchy, ctx.levels, fid.level, fid.indices,
+                                    fid.level)
+        char = ref_zero_weight(ctx.hierarchy, ctx.levels, fid, ctx.weights)
         if char != (value == 0):
             return InvariantResult("refinable_equals_positive_weights", False,
                                    count, 1.0, f"parent test disagrees at {fid}")
     return InvariantResult("refinable_equals_positive_weights", True, count, 0.0)
+
+
+def dual_pair_blocks(op):
+    """lambda_i(b_j) for every pair of members of a level, in row blocks.
+
+    Yields (first row, values) with values[r, c] = lambda_i(b_j) for
+    i = members[first + r] and j = members[c]: per direction, the
+    univariate dual column of i_k on the anchor interval applied to the
+    values of every function of the direction at that interval's nodes,
+    multiplied over the directions in order.
+    """
+    members, anchors = op.member_indices, op.anchor_indices
+    factors = []
+    for k, (kv, tab) in enumerate(zip(op.level.kvs, op.tables)):
+        values = _univariate_values(kv, tab.nodes.ravel()).reshape((-1,) + tab.nodes.shape)
+        # per interval, local function and univariate function j
+        per_interval = np.einsum("iql,jiq->ilj", tab.duals, values)
+        first = kv.first_functions
+        # row i: member i's k-th dual applied to every function of direction k
+        factors.append(per_interval[anchors[:, k], members[:, k] - first[anchors[:, k]]])
+    step = max(1, kernels.BLOCK // max(1, len(members)))
+    for r in range(0, len(members), step):
+        block = factors[0][r:r + step][:, members[:, 0]]
+        for k in range(1, len(factors)):
+            block *= factors[k][r:r + step][:, members[:, k]]
+        yield r, block
+
+
+def ref_kronecker(ctx):
+    worst, count = 0.0, 0
+    for op in ctx.stages:
+        for r, block in dual_pair_blocks(op):
+            rows = np.arange(block.shape[0])
+            block[rows, r + rows] -= 1.0
+            worst = max(worst, float(np.abs(block).max()))
+        count += len(op) ** 2
+    return _result("dual_basis_kronecker", worst, count, TOL_OPERATOR)
+
+
+def ref_children_cover(ctx):
+    if ctx.fixture.refinement != "dyadic":
+        return InvariantResult("children_cover_core_functions", True, 0, 0.0,
+                               "dyadic refinement only")
+    count = 0
+    for ell in range(ctx.hierarchy.depth - 1):
+        for idx in map(tuple, ctx.stages[ell + 1].member_indices.tolist()):
+            count += 1
+            parents = tensor_parents(idx, ctx.levels[ell], ctx.levels[ell + 1])
+            if not any(support_in_subdomain(ctx.hierarchy, ctx.levels, ell, p, ell + 1)
+                       for p in parents):
+                return InvariantResult("children_cover_core_functions", False, count, 1.0,
+                                       f"{idx} at level {ell + 1} has no parent sunk in "
+                                       f"subdomain {ell + 1}")
+    return InvariantResult("children_cover_core_functions", True, count, 0.0)
 
 
 def ref_core(ctx):
@@ -325,6 +405,8 @@ REFERENCES = {
     "refinable_stage_nesting": ref_stage_nesting,
     "refinable_equals_positive_weights": ref_refinable_positive,
     "core_domains_definition": ref_core,
+    "dual_basis_kronecker": ref_kronecker,
+    "children_cover_core_functions": ref_children_cover,
     "enlargement_monotonicity": ref_enlargement,
 }
 # checks whose only change is in the random draws they take
@@ -447,6 +529,95 @@ def test_flipped_weight_flag_is_named(name):
     got = _both("refinable_equals_positive_weights", ctx)
     assert got[1] is False
     assert got[4] == f"flag disagrees at {fid}"
+
+
+@pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
+                                  "d3_depth2_corner"])
+def test_zeroed_parent_weight_fails_the_parent_test(name):
+    ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
+    w = ctx.weights
+    # the first level-1 function with a single positive parent sunk in
+    # subdomain 1; that parent is no classical member, so zeroing its
+    # weight leaves the sets and the flags as they are
+    fid, parent = next((Fid(1, idx), sunk[0]) for idx in map(tuple, w.indices[1].tolist())
+                       for sunk in [[p for p in tensor_parents(idx, ctx.levels[0], ctx.levels[1])
+                                     if ref_support_in_cells(ctx.hierarchy, ctx.levels, 0, p, 1)]]
+                       if len(sunk) == 1)
+    numerators = list(w.numerators)
+    numerators[0] = numerators[0].copy()
+    numerators[0][w.positions(0, [parent])[0]] = 0
+    ctx.weights = dataclasses.replace(w, numerators=tuple(numerators))
+    got = _both("refinable_equals_positive_weights", ctx)
+    assert got[1] is False
+    assert got[4] == f"parent test disagrees at {fid}"
+
+
+def _first_stage(ctx):
+    return next(op for op in ctx.stages if len(op))
+
+
+@pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
+                                  "d3_depth2_corner", "d1_depth3_blocks"])
+def test_scaled_dual_fails_as_over_all_pairs(name):
+    ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
+    op = _first_stage(ctx)
+    # the direction-0 dual column of the first member on its anchor interval
+    a = op.anchor_indices[0, 0]
+    local = op.member_indices[0, 0] - op.level.kvs[0].first_functions[a]
+    duals = op.tables[0].duals.copy()
+    duals[a, :, local] *= 1.5
+    op.tables = (op.tables[0]._replace(duals=duals),) + op.tables[1:]
+    got = _both("dual_basis_kronecker", ctx)
+    assert got[1] is False
+    assert float.fromhex(got[3]) >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("name", ["d2_corner_admissible", "d1_depth3_blocks"])
+def test_node_outside_its_interval_is_named(name):
+    ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
+    op = _first_stage(ctx)
+    k = op.level.dim - 1
+    nodes = op.tables[k].nodes.copy()
+    # node 1 of interval 2 moved to the middle of interval 3
+    nodes[2, 1] = nodes[3].mean()
+    op.tables = op.tables[:k] + (op.tables[k]._replace(nodes=nodes),)
+    result = CHECKS["dual_basis_kronecker"](ctx)
+    assert not result.passed
+    assert result.detail == (f"node 1 of interval 2 of level {op.level_index}, "
+                             f"direction {k}, outside its interval")
+
+
+def test_rewritten_checks_take_no_per_item_route(monkeypatch):
+    # the per-level checks reach neither the scalar parent and support
+    # queries nor, for the zero weights, the subdomain grids; the
+    # characterization runs is_child_of on the nested pairs alone
+    ctx = _context(load_fixture(FIXTURE_DIR / "d2_nested_not_admissible.json"))
+    expected = {name: _outcome(CHECKS[name], ctx) for name in (
+        "refinable_equals_positive_weights", "children_cover_core_functions",
+        "parent_child_characterization")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-item route taken")
+
+    with monkeypatch.context() as m:
+        for module in (hierarchy, invariants, tensor):
+            for attr in ("tensor_parents", "cell_ancestor", "support_in_subdomain"):
+                if hasattr(module, attr):
+                    m.setattr(module, attr, refuse)
+        assert _outcome(CHECKS["children_cover_core_functions"], ctx) == \
+            expected["children_cover_core_functions"]
+        m.setattr(hierarchy.SubdomainGrids, "supports_inside", refuse)
+        m.setattr(hierarchy.SubdomainGrids, "boxes_inside", refuse)
+        assert _outcome(CHECKS["refinable_equals_positive_weights"], ctx) == \
+            expected["refinable_equals_positive_weights"]
+    pairs = []
+    real = invariants.is_child_of
+    monkeypatch.setattr(invariants, "is_child_of",
+                        lambda child, parent: pairs.append(1) or real(child, parent))
+    got = _outcome(CHECKS["parent_child_characterization"], ctx)
+    assert got == expected["parent_child_characterization"]
+    assert got[1:3] == (True, 6072)
+    assert 0 < len(pairs) < 6072
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hiersplines.hierarchy import (
     active_mesh,
     build_refinable_basis,
 )
-from hiersplines.invariants import dual_pair_blocks
 from hiersplines.quasiinterp import (
     LevelQuasiInterpolant,
     LocalProjectionWorkspace,
@@ -33,6 +32,7 @@ from hiersplines.tensor import (
 from hiersplines.univariate import make_open_knot_vector
 
 from .conftest import corner_hierarchy, make_levels, random_hierarchy, repo_fixture
+from .test_invariant_equivalence import dual_pair_blocks
 
 
 def _sin2(pts):
