@@ -47,7 +47,7 @@ a :class:`HierBasis`. The package's own code reads these arrays. Their
 tuple and frozenset views (``active``, ``member_set``, ``stages``) and
 the weight dicts are derived on first use, for the dumps, the dict API
 (:func:`express_over`, :func:`expand_deactivated`) and the tests;
-:mod:`hiersplines.invariants` reads ``stages`` alone, see there.
+:mod:`hiersplines.invariants` reads none of them.
 """
 
 from __future__ import annotations
@@ -535,31 +535,32 @@ def zero_weights_by_parents(h: SubdomainHierarchy, levels: Sequence[TensorLevel]
                              f"of level {ell}")
     grid = np.zeros(coarse.num_cells, dtype=bool)
     grid[index_arrays(h.subdomain_cells(ell), fine.dim)] = True
-    if not _supports_in(grid, fine, rows, fine.parent_arrays).all():
+    # per direction, the first and last interval of each support, those of
+    # level ell carried to the subdomain's grid by the interval parent maps
+    first, last = zip(*((m[a[j]], m[b[j]]) for (a, b), m, j in zip(
+        (kv.support_intervals for kv in fine.kvs), fine.parent_arrays, rows.T)))
+    if not boxes_in(grid, first, last).all():
         raise HierarchyError(
             "characterization applies only to functions supported inside "
             "their level's subdomain")
     positive = weights.indices[ell - 1][weights.numerators[ell - 1] > 0]
+    first, last = zip(*((a[j], b[j]) for (a, b), j in zip(
+        (kv.support_intervals for kv in coarse.kvs), positive.T)))
     sunk = np.zeros(coarse.num_basis, dtype=bool)
-    sunk[tuple(positive.T)] = _supports_in(grid, coarse, positive)
+    sunk[tuple(positive.T)] = boxes_in(grid, first, last)
     return ~has_marked_parent(rows, coarse, fine, sunk)
 
 
-def _supports_in(grid: np.ndarray, level: TensorLevel, rows: np.ndarray,
-                 maps: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Which supports of the rows of an (n, d) array of functions of
-    ``level`` meet only marked cells of ``grid``, a boolean grid over the
-    cells of ``level`` or, through the interval maps ``maps``, of another
-    level. The maps are monotone, so a support's cells form the box
-    between its end intervals' images; every cell of each box is tested,
+def boxes_in(grid: np.ndarray, first: Sequence[np.ndarray],
+             last: Sequence[np.ndarray]) -> np.ndarray:
+    """Which boxes of cells meet only marked cells of ``grid``, a boolean
+    grid over the cells of one level: box r spans, in direction k, the
+    cells first[k][r] to last[k][r]. Every cell of each box is tested,
     the offsets of a narrower box clipped to its last cell."""
-    ends = []
-    for k, kv in enumerate(level.kvs):
-        a, b = (e[rows[:, k]] for e in kv.support_intervals)
-        ends.append((a, b) if maps is None else (maps[k][a], maps[k][b]))
-    inside = np.ones(len(rows), dtype=bool)
-    for offsets in itertools.product(*(range(int((b - a).max(initial=0)) + 1) for a, b in ends)):
-        inside &= grid[tuple(np.minimum(a + o, b) for (a, b), o in zip(ends, offsets))]
+    inside = np.ones(len(first[0]), dtype=bool)
+    for offsets in itertools.product(*(range(int((b - a).max(initial=0)) + 1)
+                                       for a, b in zip(first, last))):
+        inside &= grid[tuple(np.minimum(a + o, b) for a, b, o in zip(first, last, offsets))]
     return inside
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -73,15 +74,18 @@ def random_explicit_levels(rng, initial, depth):
     return build_level_sequence(initial, depth, rule)
 
 
-def random_hierarchy(rng, dim=None, depth=None, degrees=None, explicit=False):
+def random_hierarchy(rng, dim=None, depth=None, degrees=None, explicit=False, raised=False):
     """A valid random hierarchy over a dyadic level sequence, or over
-    random explicit levels."""
+    random explicit levels; with ``raised``, the initial breakpoints k/n,
+    4 <= n <= 8, take random interior multiplicities from 1 to degree+1."""
     dim = dim if dim is not None else int(rng.integers(1, 3))
     depth = depth if depth is not None else int(rng.integers(2, 5))
     if degrees is None:
         degrees = [int(rng.integers(1, 4)) for _ in range(dim)]
-    intervals = [int(rng.integers(2, 5)) for _ in range(dim)]
-    initial = [uniform_open_knot_vector(p, m) for p, m in zip(degrees, intervals)]
+    intervals = [int(rng.integers(4, 9) if raised else rng.integers(2, 5)) for _ in range(dim)]
+    initial = [make_open_knot_vector(p, [Fraction(k, m) for k in range(m + 1)],
+                                     [p + 1, *rng.integers(1, p + 2, size=m - 1).tolist(), p + 1])
+               if raised else uniform_open_knot_vector(p, m) for p, m in zip(degrees, intervals)]
     if explicit:
         levels = random_explicit_levels(rng, initial, depth)
     else:

@@ -7,7 +7,6 @@ import sys
 import math
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -390,6 +389,29 @@ class TestInvariantSuite:
         assert details["multiscale_identities"] == "refused on non-nested core domains"
         assert details["core_functions_in_refinable"] == "core domains not nested"
 
+    def test_repeated_initial_knot_counts_the_children_of_a_simple_function(self):
+        # the knot 1/8 of multiplicity 2 leaves level-0 function 1, the
+        # first interior one, three distinct local knots and three
+        # children; function 2 has four distinct local knots and four
+        report = run_invariant_suite(load_fixture(DATA_DIR / "repeated_initial_knot.json"))
+        assert [(r.name, r.detail) for r in report.results if not r.passed] == []
+        details = {r.name: r.detail for r in report.results}
+        assert details["interior_child_count"] == "got 4, expected 4"
+
+    def test_raised_initial_multiplicities_pass_every_invariant(self):
+        # dyadic levels over initial knots k/n with interior multiplicities
+        # up to degree+1; a function with repeated local knots has fewer
+        # than degree+2 children per direction
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            dim = int(rng.integers(1, 3))
+            degrees = [int(rng.integers(0, 4)) for _ in range(dim)]
+            levels, h = random_hierarchy(rng, dim=dim, degrees=degrees, raised=True)
+            report = run_invariant_suite(Fixture(name="raised", dimension=dim,
+                                                 degrees=tuple(degrees), levels=levels,
+                                                 hierarchy=h, refinement="dyadic"))
+            assert [(r.name, r.detail) for r in report.results if not r.passed] == []
+
     def test_every_invariant_reports_its_wall_time(self):
         report = run_invariant_suite(repo_fixture("d2_single_cell"))
         rows = report.to_dict()["invariants"]
@@ -454,17 +476,25 @@ class TestInvariantSuite:
 
     @pytest.mark.parametrize("fault, detail", [
         ("asymmetric", "not symmetric"), ("negative", "not positive definite (-1.0)")])
-    def test_mass_matrix_fault_names_the_cell(self, fault, detail, monkeypatch):
+    def test_mass_matrix_fault_names_the_cell(self, fault, detail):
         ctx = _suite_context("d2_corner_admissible")
         cells = marked_indices(ctx.core.masks[0])
         cell = cells[len(cells) // 2]
-        mass = ctx.stages[0].workspace(cell).mass.copy()
+        # the cell's interval masses: the first one made asymmetric, or all
+        # made the identity and the first one negated, so their Kronecker
+        # product is -I
+        op = ctx.operator.stages[0]
+        masses = [tab.mass.copy() for tab in op.tables]
         if fault == "asymmetric":
-            mass[0, 1] += 1e-3
+            masses[0][cell[0], 0, 1] += 1e-3
         else:
-            mass = -np.eye(len(mass))
-        monkeypatch.setattr(ctx.stages[0], "workspace", lambda c: SimpleNamespace(mass=mass))
-        result = dict(invariants._CHECKS)["mass_matrix_quadrature"](ctx)
+            for mass, j in zip(masses, cell):
+                mass[j] = np.eye(len(mass[j]))
+            masses[0][cell[0]] *= -1
+        op.tables = tuple(tab._replace(mass=mass) for tab, mass in zip(op.tables, masses))
+        named = dict(invariants._CHECKS)["mass_matrix_quadrature"]
+        result = named(ctx)
+        assert _outcome(named, ctx) == _outcome(REFERENCES["mass_matrix_quadrature"], ctx)
         assert not result.passed
         assert result.detail == f"mass matrix of cell {cell} of level 0 {detail}"
 
@@ -487,7 +517,7 @@ class TestInvariantSuite:
 
 
 def _suite_context(name):
-    return invariants._Context(repo_fixture(name), OperatorConfig(), 20240831)
+    return invariants._Context(repo_fixture(name), OperatorConfig())
 
 
 def _with_member(basis, level, indices):

@@ -2,14 +2,18 @@
 
 The reference checks below are the former implementations: one
 cell_ancestor call per cell of every support extension, one
-LocalKnotVector per pair of functions, one evaluation per child, one
-support test per parent and function, one point at a time, expansions
-through the Fid dicts of expand_deactivated, two-scale coefficients as
+LocalKnotVector per pair of functions, one evaluation per child and per
+function (eval_function), one support test per parent and function, one
+point at a time, the stages as Fid sets, expansions through the Fid
+dicts of expand_deactivated, two-scale coefficients and supports as
 Fractions, the zero-weight test one function and one parent at a time,
-the dual functionals applied to every pair of members, and random draws
-one number at a time. Every rewritten invariant must give the same
-InvariantResult as its former route: the verdict, the count, the worst
-residual bit for bit and the detail, also on inputs where it fails.
+the dual functionals applied to every pair of members, a second
+projection workspace per mass matrix, and random draws one number at a
+time. Every rewritten invariant must give the same InvariantResult as
+its former route: the verdict, the count, the worst residual bit for bit
+and the detail, also on inputs where it fails. Where a reference walks a
+set, it walks it in canonical order, the first direction fastest, as
+the checks do.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hiersplines import hierarchy, invariants, kernels, tensor
+from hiersplines import hierarchy, invariants, kernels, quasiinterp, tensor
 from hiersplines.errors import HierSplineError
 from hiersplines.fixtures import EnlargementSpec, Fixture, load_fixture
 from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
+    build_hierarchical_basis,
     build_refinable_basis,
     compute_weights,
     enlarge_hierarchy,
@@ -40,17 +45,22 @@ from hiersplines.invariants import (
     _univariate_values,
 )
 from hiersplines.quasiinterp import (
+    MAX_INCREMENT,
     CoreDomains,
+    LocalProjectionWorkspace,
     MultiscaleQuasiInterpolant,
     OperatorConfig,
     error_norms,
+    level_tables,
 )
 from hiersplines.tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
     cell_ancestor,
     cell_descendant_ranges,
+    eval_function,
     extend_level_sequence,
+    id_sort_key,
     iter_box,
     marked_indices,
     tensor_children,
@@ -62,8 +72,6 @@ from hiersplines.univariate import children_table, is_child_of, parent_table
 
 from .conftest import DATA_DIR, FIXTURE_DIR, random_enlargement, random_hierarchy
 
-SEED = 20240831
-
 # ---------------------------------------------------------------------------
 # reference implementations
 
@@ -73,7 +81,11 @@ def _result(name, worst, count, tol, detail=""):
 
 
 class RefColumns(_LevelColumns):
-    """_LevelColumns with the former Fid-keyed expansions."""
+    """_LevelColumns with the former Fid-keyed expansions and one column
+    per function."""
+
+    def function(self, fid):
+        return self.columns(fid.level, [fid.indices])[:, 0]
 
     def combination(self, terms):
         by_level: dict[int, list] = {}
@@ -232,7 +244,8 @@ def ref_stage_nesting(ctx):
     basis = ctx.refinable
     worst, count = 0.0, 0
     for ell in range(len(basis.stages) - 1):
-        gone = list(basis.stages[ell] - basis.stages[ell + 1])
+        gone = sorted(basis.stages[ell] - basis.stages[ell + 1],
+                      key=lambda f: id_sort_key(f.indices))
         for fid, kids in zip(gone, cols.children(gone)):
             if not kids.keys() <= basis.stages[ell + 1]:
                 return InvariantResult("refinable_stage_nesting", False, count, 1.0,
@@ -317,7 +330,7 @@ def dual_pair_blocks(op):
 
 def ref_kronecker(ctx):
     worst, count = 0.0, 0
-    for op in ctx.stages:
+    for op in ctx.operator.stages:
         for r, block in dual_pair_blocks(op):
             rows = np.arange(block.shape[0])
             block[rows, r + rows] -= 1.0
@@ -332,7 +345,7 @@ def ref_children_cover(ctx):
                                "dyadic refinement only")
     count = 0
     for ell in range(ctx.hierarchy.depth - 1):
-        for idx in map(tuple, ctx.stages[ell + 1].member_indices.tolist()):
+        for idx in map(tuple, ctx.operator.stages[ell + 1].member_indices.tolist()):
             count += 1
             parents = tensor_parents(idx, ctx.levels[ell], ctx.levels[ell + 1])
             if not any(support_in_subdomain(ctx.hierarchy, ctx.levels, ell, p, ell + 1)
@@ -358,7 +371,7 @@ def ref_core(ctx):
         if not stored <= pool:
             return InvariantResult("core_domains_definition", False, count,
                                    1.0, f"core of level {ell} escapes the subdomain")
-        for c in pool:
+        for c in sorted(pool, key=id_sort_key):
             ext = lv.support_extension_cell_ranges(c)
             inside = all(cell_ancestor(ctx.levels, ell, ell - 1, cc) in cells
                          for cc in iter_box(ext))
@@ -396,7 +409,122 @@ def ref_enlargement(ctx):
     return _result("enlargement_monotonicity", worst, count, TOL_OPERATOR)
 
 
+def ref_uni_pou(ctx):
+    xs = ctx.rng("uni_pou").random(200)
+    xs = np.concatenate([xs, [0.0, 1.0]])
+    worst, count = 0.0, 0
+    for lv in ctx.levels:
+        for kv in lv.kvs:
+            total = np.zeros_like(xs)
+            for values in _univariate_values(kv, xs):
+                total += values
+            worst = max(worst, float(np.abs(total - 1.0).max()))
+            count += xs.size
+    return _result("univariate_partition_of_unity", worst, count, TOL_EXACT)
+
+
+def ref_child_count(ctx):
+    """The first interior function of level 0 with p+2 distinct local
+    knots in every direction, from Fraction supports and local knots."""
+    name = "interior_child_count"
+    if ctx.fixture.refinement != "dyadic" or len(ctx.levels) < 2:
+        return InvariantResult(name, True, 0, 0.0, "not applicable")
+    coarse, fine = ctx.levels[0], ctx.levels[1]
+    expected, interior = 1, []
+    for kv in coarse.kvs:
+        expected *= kv.degree + 2
+        interior.append(next((j for j in range(kv.num_basis)
+                              if kv.support(j)[0] > 0 and kv.support(j)[1] < 1
+                              and len(set(kv.local(j).knots)) == kv.degree + 2), None))
+    if None in interior:
+        return InvariantResult(name, True, 0, 0.0, "no interior function at level 0")
+    got = len(tensor_children(tuple(interior), coarse, fine))
+    return InvariantResult(name, got == expected, 1, 0.0 if got == expected else 1.0,
+                           f"got {got}, expected {expected}")
+
+
+def ref_local_li(ctx):
+    rng = ctx.rng("local_li")
+    count = 0
+    for lv in ctx.levels:
+        cell = next(iter_box([range(n // 2, n // 2 + 1) for n in lv.num_cells]))
+        funcs = list(iter_box(lv.functions_on_cell(cell)))
+        pts = np.column_stack([rng.uniform(float(lo), float(hi), len(funcs))
+                               for lo, hi in lv.cell_box(cell)])
+        rank = np.linalg.matrix_rank(np.column_stack([eval_function(lv, f, pts) for f in funcs]))
+        count += 1
+        if rank != len(funcs):
+            return InvariantResult("local_linear_independence", False, count, 1.0,
+                                   f"rank {rank} < {len(funcs)} on level {lv.index}")
+    return InvariantResult("local_linear_independence", True, count, 0.0)
+
+
+def ref_mass(ctx):
+    """The masses of the operator's workspace against those of a second
+    workspace over a finer rule's tables."""
+    name = "mass_matrix_quadrature"
+    worst, count = 0.0, 0
+    finer = OperatorConfig(quad_increment=min(ctx.config.quad_increment + 3, MAX_INCREMENT))
+    for ell in range(ctx.hierarchy.depth):
+        cells = marked_indices(ctx.core.masks[ell])
+        if not cells:
+            continue
+        cell = cells[len(cells) // 2]
+        ws = ctx.operator.stages[ell].workspace(cell)
+        ws_fine = LocalProjectionWorkspace(ctx.levels[ell], cell,
+                                           level_tables(ctx.levels[ell], finer))
+        if not np.array_equal(ws.mass, ws.mass.T):
+            return InvariantResult(name, False, count, 1.0, f"mass matrix of cell {cell} of "
+                                   f"level {ell} not symmetric")
+        eigmin = float(np.linalg.eigvalsh(ws.mass).min())
+        if eigmin <= 0:
+            return InvariantResult(name, False, count, 1.0, f"mass matrix of cell {cell} of "
+                                   f"level {ell} not positive definite ({eigmin})")
+        scale = float(np.abs(ws.mass).max())
+        worst = max(worst, float(np.abs(ws.mass - ws_fine.mass).max()) / scale)
+        count += 1
+    return _result(name, worst, count, 1e-12)
+
+
+def ref_core_in_refinable(ctx):
+    name = "core_functions_in_refinable"
+    if not ctx.report.omega_nested:
+        return InvariantResult(name, True, 0, 0.0, "core domains not nested")
+    count = 0
+    for ell, (op, selected) in enumerate(zip(ctx.operator.stages, ctx.refinable.selected)):
+        for idx in map(tuple, op.member_indices.tolist()):
+            count += 1
+            if not selected[idx]:
+                return InvariantResult(name, False, count, 1.0,
+                                       f"core function {idx} of level {ell} outside the stage")
+    return InvariantResult(name, True, count, 0.0)
+
+
+def ref_dense_independence(basis, mesh):
+    """The collocation matrix one function and one cell at a time, through
+    eval_function and the Fraction cell boxes."""
+    members = [(lv, i) for lv, m in zip(basis.levels, basis.active) for i in marked_indices(m)]
+    blocks = []
+    for ell, idx in mesh.cells():
+        lv = mesh.levels[ell]
+        axes = [float(lo) + (float(hi) - float(lo)) * ((np.arange(p + 1) + 1.0) / (p + 2.0))
+                for p, (lo, hi) in zip(lv.degrees, lv.cell_box(idx))]
+        combos = list(iter_box([range(len(a)) for a in axes]))
+        blocks.append(np.array([[a[i] for a, i in zip(axes, c)] for c in combos]))
+    pts = np.vstack(blocks)
+    rank = np.linalg.matrix_rank(np.column_stack([eval_function(lv, idx, pts)
+                                                  for lv, idx in members]))
+    ok = rank == len(members)
+    return InvariantResult("linear_independence_active", ok, 1, 0.0 if ok else 1.0,
+                           f"rank {rank} of {len(members)} at {pts.shape[0]} points")
+
+
 REFERENCES = {
+    "univariate_partition_of_unity": ref_uni_pou,
+    "interior_child_count": ref_child_count,
+    "local_linear_independence": ref_local_li,
+    "mass_matrix_quadrature": ref_mass,
+    "core_functions_in_refinable": ref_core_in_refinable,
     "univariate_two_scale": ref_uni_two_scale,
     "parent_child_characterization": ref_characterization,
     "tensor_two_scale": ref_tensor_two_scale,
@@ -445,10 +573,11 @@ def assert_same_outcomes(ctx, monkeypatch):
 
 
 def _context(fixture):
-    return _Context(fixture, OperatorConfig(), SEED)
+    return _Context(fixture, OperatorConfig())
 
 
-FIXTURES = sorted(FIXTURE_DIR.glob("*.json")) + [DATA_DIR / "raised_multiplicity_on_boundary.json"]
+FIXTURES = sorted(FIXTURE_DIR.glob("*.json")) + [DATA_DIR / "raised_multiplicity_on_boundary.json",
+                                                  DATA_DIR / "repeated_initial_knot.json"]
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
@@ -466,6 +595,14 @@ def test_random_invariants_match_former_routes(rng, explicit, monkeypatch):
                      "explicit" if explicit else "dyadic",
                      EnlargementSpec(additions, new_deepest))
         assert_same_outcomes(_context(fx), monkeypatch)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["dyadic", "explicit"])
+def test_dense_independence_matches_former_route(rng, explicit):
+    for _ in range(6):
+        levels, h = random_hierarchy(rng, explicit=explicit)
+        basis, mesh = build_hierarchical_basis(h, levels)
+        assert invariants.dense_independence(basis, mesh) == ref_dense_independence(basis, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +637,20 @@ def test_flipped_core_cell_is_named(name, into_core):
                                   "d1_depth3_blocks"])
 def test_child_dropped_from_a_stage_is_named(name):
     ctx = _context(load_fixture(FIXTURE_DIR / f"{name}.json"))
-    basis = dataclasses.replace(ctx.refinable)
-    stages = list(basis.stages)
-    ell = next(k for k in range(len(stages) - 1) if stages[k] - stages[k + 1])
-    parent = min(stages[ell] - stages[ell + 1], key=lambda f: f.indices[::-1])
-    kids = tensor_children(parent.indices, ctx.levels[ell], ctx.levels[ell + 1])
-    child = Fid(ell + 1, kids[0][0])
-    stages[ell + 1] = stages[ell + 1] - {child}
-    basis.stages = tuple(stages)
-    ctx.refinable = basis
+    basis = ctx.refinable
+    # the first function gone from a stage, in canonical order, loses its
+    # first child from the selection of the next level
+    ell = next(k for k in range(len(basis.selected) - 1)
+               if (basis.selected[k] & ~basis.active[k]).any())
+    parent = marked_indices(basis.selected[ell] & ~basis.active[ell])[0]
+    child = tensor_children(parent, ctx.levels[ell], ctx.levels[ell + 1])[0][0]
+    selected = list(basis.selected)
+    selected[ell + 1] = selected[ell + 1].copy()
+    selected[ell + 1][child] = False
+    ctx.refinable = dataclasses.replace(basis, selected=tuple(selected))
     got = _both("refinable_stage_nesting", ctx)
     assert got[1] is False
-    assert got[4].startswith(f"child of TensorFunctionId(level={ell}, indices=")
-    assert got[4].endswith(") missing from the next stage")
+    assert got[4] == f"child of {Fid(ell, parent)} missing from the next stage"
 
 
 @pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
@@ -553,7 +691,7 @@ def test_zeroed_parent_weight_fails_the_parent_test(name):
 
 
 def _first_stage(ctx):
-    return next(op for op in ctx.stages if len(op))
+    return next(op for op in ctx.operator.stages if len(op))
 
 
 @pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
@@ -588,28 +726,40 @@ def test_node_outside_its_interval_is_named(name):
 
 
 def test_rewritten_checks_take_no_per_item_route(monkeypatch):
-    # the per-level checks reach neither the scalar parent and support
-    # queries nor, for the zero weights, the subdomain grids; the
+    # the per-level checks reach neither the scalar parent, support and
+    # cell queries nor, for the zero weights and the core domains, the
+    # subdomain grids; the mass check builds no workspace, the
+    # independence checks evaluate no single function, and the
     # characterization runs is_child_of on the nested pairs alone
     ctx = _context(load_fixture(FIXTURE_DIR / "d2_nested_not_admissible.json"))
     expected = {name: _outcome(CHECKS[name], ctx) for name in (
         "refinable_equals_positive_weights", "children_cover_core_functions",
-        "parent_child_characterization")}
+        "parent_child_characterization", "core_domains_definition",
+        "mass_matrix_quadrature", "local_linear_independence")}
+    # the dense rank, on a basis small enough to take it twice
+    fx = load_fixture(FIXTURE_DIR / "d2_corner_admissible.json")
+    small = build_hierarchical_basis(fx.hierarchy, fx.levels)
+    dense = invariants.dense_independence(*small)
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-item route taken")
 
     with monkeypatch.context() as m:
         for module in (hierarchy, invariants, tensor):
-            for attr in ("tensor_parents", "cell_ancestor", "support_in_subdomain"):
+            for attr in ("tensor_parents", "cell_ancestor", "cell_descendant_ranges",
+                         "support_in_subdomain", "eval_function"):
                 if hasattr(module, attr):
                     m.setattr(module, attr, refuse)
-        assert _outcome(CHECKS["children_cover_core_functions"], ctx) == \
-            expected["children_cover_core_functions"]
-        m.setattr(hierarchy.SubdomainGrids, "supports_inside", refuse)
-        m.setattr(hierarchy.SubdomainGrids, "boxes_inside", refuse)
-        assert _outcome(CHECKS["refinable_equals_positive_weights"], ctx) == \
-            expected["refinable_equals_positive_weights"]
+        m.setattr(quasiinterp.LocalProjectionWorkspace, "__init__", refuse)
+        for name in ("children_cover_core_functions", "mass_matrix_quadrature",
+                     "local_linear_independence"):
+            assert _outcome(CHECKS[name], ctx) == expected[name], name
+        assert invariants.dense_independence(*small) == dense
+        for attr in ("__init__", "ancestor_maps", "boxes_inside", "cells_inside", "cell_inside",
+                     "supports_inside"):
+            m.setattr(hierarchy.SubdomainGrids, attr, refuse)
+        for name in ("refinable_equals_positive_weights", "core_domains_definition"):
+            assert _outcome(CHECKS[name], ctx) == expected[name], name
     pairs = []
     real = invariants.is_child_of
     monkeypatch.setattr(invariants, "is_child_of",
@@ -633,15 +783,13 @@ def test_the_suite_and_the_operator_build_no_views():
     op = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels)
     f = get_function("sin", fx.dimension)
     assert error_norms(f, op.apply(f), 2) > 0
-    # the only basis view built is the refinable stages, which
-    # refinable_stage_nesting iterates
+    # no basis view is built at all
     assert [name for basis in (ctx.classical, ctx.refinable, op.refinable)
-            for name in ("member_set", "stages") if name in vars(basis)] == ["stages"]
-    assert "stages" in vars(ctx.refinable)
+            for name in ("member_set", "stages") if name in vars(basis)] == []
     for owner, cache in [(ctx.weights, "_views"), (op.refinable.weights, "_views"),
                          (ctx.core, "_cellsets"), (op.core, "_cellsets")]:
         assert cache not in vars(owner)
-    for stage in [*ctx.stages, *op.stages]:
+    for stage in [*ctx.operator.stages, *op.stages]:
         assert not {"members", "anchor_cells"} & vars(stage).keys()
     for kv in [kv for lv in (*ctx.levels, *fx.levels) for kv in lv.kvs]:
         assert not vars(kv).get("_children_tables")
