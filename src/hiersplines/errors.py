@@ -17,6 +17,10 @@ class NestingError(HierSplineError):
     """Levels or subdomains violate a required nesting."""
 
 
+class LevelSizeError(HierSplineError):
+    """A level would have more cells than a level sequence may build."""
+
+
 class HierarchyError(HierSplineError):
     """Invalid hierarchy of subdomains."""
 

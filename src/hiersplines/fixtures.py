@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FixtureError, HierSplineError
+from .errors import FixtureError, HierSplineError, LevelSizeError
 from .hierarchy import (
     HierarchicalMesh,
     SubdomainHierarchy,
@@ -167,6 +167,8 @@ def _parse_levels(obj: Mapping, initial: list[KnotVector], degrees: list[int],
                            "must be \"dyadic\" or {\"explicit\": [...]}")
     try:
         return build_level_sequence(initial, depth, rule), rule
+    except LevelSizeError as exc:
+        raise FixtureError(f"{source}.depth", str(exc)) from None
     except HierSplineError as exc:
         raise FixtureError(f"{source}.refinement", str(exc)) from None
 
@@ -270,10 +272,8 @@ def fixture_to_dict(fixture: Fixture) -> dict:
         "name": fixture.name,
         "dimension": fixture.dimension,
         "degrees": list(fixture.degrees),
-        "breakpoints": [[str(v) for v in kv.breakpoints.values]
-                        for kv in fixture.levels[0].kvs],
-        "multiplicities": [list(kv.breakpoints.multiplicities)
-                           for kv in fixture.levels[0].kvs],
+        **{key: [_kv_to_dict(kv)[key] for kv in fixture.levels[0].kvs]
+           for key in ("breakpoints", "multiplicities")},
         "depth": fixture.hierarchy.depth,
     }
     if fixture.refinement == "dyadic":

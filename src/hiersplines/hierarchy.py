@@ -29,7 +29,9 @@ trips that.
 Containment, weights and selections are computed for whole levels.
 Each subdomain is a boolean grid over the previous level's cells
 (:class:`SubdomainGrids`), and which supports, cells or support
-extensions of a level lie in it is one box query per level. The
+extensions of a level lie in it is one box query per level; the
+invariant suite tests supports on the stored cells instead
+(:func:`supports_in_cells`). The
 two-scale relation is applied in one way: the (parent, child) pairs of
 :func:`hiersplines.tensor.tensor_children_arrays`, read from the integer
 slot arrays of the two-scale tables. The sweep, the weights and the
@@ -328,16 +330,14 @@ class HierarchicalMesh:
 
     def total_volume(self) -> Fraction:
         """The active cells' volumes summed exactly: per level, the mask
-        contracted with each direction's interval lengths, as the integer
-        knots' nonzero steps over their denominator."""
+        contracted with each direction's exact interval lengths."""
         vol = Fraction(0)
         for lv, mask in zip(self.levels, self.masks):
             total, denominator = mask.astype(object), 1
             # the last axis first: each product contracts it
             for kv in reversed(lv.kvs):
-                knots, d = kv.integer_knots
-                steps = np.diff(np.array(knots, dtype=object))
-                total = total @ steps[steps > 0]
+                lengths, d = kv.interval_lengths
+                total = total @ lengths
                 denominator *= d
             vol += Fraction(int(total), denominator)
         return vol
@@ -514,12 +514,11 @@ def zero_weights_by_parents(h: SubdomainHierarchy, levels: Sequence[TensorLevel]
     A row is True exactly when every parent with a positive weight keeps
     part of its support outside subdomain ell; it must agree with a zero
     numerator. Parents come from the endpoint tests
-    (:func:`has_marked_parent`), and a support lies in the subdomain
-    when every cell of level ell-1 that it meets, through the interval
-    parent maps, is one of the subdomain's stored cells. Nothing here
-    reads the two-scale tables or the subdomain grids that the recursion
-    uses. The first row that is no function of the level, or whose
-    support leaves subdomain ell, is refused.
+    (:func:`has_marked_parent`), and supports meet the stored cells in
+    :func:`supports_in_cells`. Nothing here reads the two-scale tables or
+    the subdomain grids that the recursion uses. The first row that is no
+    function of the level, or whose support leaves subdomain ell, is
+    refused.
     """
     rows = np.asarray(indices)
     if not 0 < ell < h.depth:
@@ -533,22 +532,35 @@ def zero_weights_by_parents(h: SubdomainHierarchy, levels: Sequence[TensorLevel]
         fid = Fid(ell, tuple(rows[off.argmax()].tolist()))
         raise HierarchyError(f"{fid} is outside the function grid {fine.num_basis} "
                              f"of level {ell}")
-    grid = np.zeros(coarse.num_cells, dtype=bool)
-    grid[index_arrays(h.subdomain_cells(ell), fine.dim)] = True
-    # per direction, the first and last interval of each support, those of
-    # level ell carried to the subdomain's grid by the interval parent maps
-    first, last = zip(*((m[a[j]], m[b[j]]) for (a, b), m, j in zip(
-        (kv.support_intervals for kv in fine.kvs), fine.parent_arrays, rows.T)))
-    if not boxes_in(grid, first, last).all():
+    if not supports_in_cells(h, levels, ell, ell)[tuple(rows.T)].all():
         raise HierarchyError(
             "characterization applies only to functions supported inside "
             "their level's subdomain")
     positive = weights.indices[ell - 1][weights.numerators[ell - 1] > 0]
-    first, last = zip(*((a[j], b[j]) for (a, b), j in zip(
-        (kv.support_intervals for kv in coarse.kvs), positive.T)))
     sunk = np.zeros(coarse.num_basis, dtype=bool)
-    sunk[tuple(positive.T)] = boxes_in(grid, first, last)
-    return ~has_marked_parent(rows, coarse, fine, sunk)
+    sunk[tuple(positive.T)] = True
+    return ~has_marked_parent(rows, coarse, fine, sunk & supports_in_cells(h, levels, ell - 1, ell))
+
+
+def supports_in_cells(h: SubdomainHierarchy, levels: Sequence[TensorLevel], level: int,
+                      ell: int) -> np.ndarray:
+    """Which functions of ``level`` have their support in subdomain ell,
+    0 <= ell < depth and level >= ell-1, as a boolean grid over them, by
+    the stored cells: every cell of level ell-1 that a support meets,
+    carried there by the interval parent maps, must be one of them
+    (:func:`boxes_in`). No subdomain grid is read."""
+    lv, cells = levels[level], h.subdomain_cells(ell)
+    if cells is None:
+        return np.ones(lv.num_basis, dtype=bool)
+    grid = np.zeros(levels[ell - 1].num_cells, dtype=bool)
+    grid[index_arrays(cells, lv.dim)] = True
+    # per direction, the first and last interval of each support, in C order
+    first, last = zip(*((a[j], b[j]) for (a, b), j in zip(
+        (kv.support_intervals for kv in lv.kvs), np.indices(lv.num_basis).reshape(lv.dim, -1))))
+    for finer in levels[level:ell - 1:-1]:
+        first = [m[a] for m, a in zip(finer.parent_arrays, first)]
+        last = [m[b] for m, b in zip(finer.parent_arrays, last)]
+    return boxes_in(grid, first, last).reshape(lv.num_basis)
 
 
 def boxes_in(grid: np.ndarray, first: Sequence[np.ndarray],
@@ -651,26 +663,12 @@ def _selections(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
     return selected, active
 
 
-def _closed_form_classical(h: SubdomainHierarchy,
-                           levels: Sequence[TensorLevel]) -> list[np.ndarray]:
-    grids = subdomain_grids(h, levels)
-    return [grids.supports_inside(ell, ell) & ~grids.supports_inside(ell, ell + 1)
-            for ell in range(h.depth)]
-
-
 def build_hierarchical_basis(h: SubdomainHierarchy,
                              levels: Sequence[TensorLevel],
                              weights: WeightMap | None = None
                              ) -> tuple[HierBasis, HierarchicalMesh]:
-    """The classical basis plus the active-cell mesh.
-
-    Both the recursive selection and the closed-form level-wise selection
-    are computed; disagreement means corrupt input or a bug, so it raises.
-    """
+    """The classical basis plus the active-cell mesh."""
     selected, active = _selections(h, levels, refinable=False)
-    if not all(map(np.array_equal, active, _closed_form_classical(h, levels))):
-        raise InternalInvariantError(
-            "recursive and closed-form selections disagree")
     return _basis(CLASSICAL, h, levels, selected, active, weights), active_mesh(h, levels)
 
 

@@ -24,13 +24,15 @@ one route:
 - children come from one ``tensor_children_arrays`` call per level,
   through ``_LevelColumns.two_scale`` where they are summed;
 - knots are compared as integers over a common denominator
-  (``_common_knots``);
+  (``univariate.common_knots``);
 - local mass matrices are Kronecker products of the interval tables'
   masses, as in ``LocalProjectionWorkspace.mass``;
-- in the zero-weight and core-domain checks, cells of a level are
-  carried to the previous one by the interval parent maps, and boxes of
-  them meet the stored subdomain cells in one box test,
-  ``hierarchy.boxes_in``.
+- in the zero-weight, children-cover, active-independence and
+  core-domain checks, cells of a level are carried to the previous one
+  by the interval parent maps, and boxes of them meet the stored
+  subdomain cells in one box test, ``hierarchy.boxes_in``; supports
+  take it through ``hierarchy.supports_in_cells``, not through the
+  subdomain grids that build the bases.
 
 Where independence is the point, a check takes a route of its own, not
 the builders', and runs it per level on index arrays:
@@ -40,8 +42,9 @@ the builders', and runs it per level on index arrays:
   of ``parent_table``, supports against the stored subdomain cells by
   the box test; no two-scale table or subdomain grid.
 - ``parent_child_characterization`` compares the two-scale slots, the
-  parent table and ``is_child_of`` on ``LocalKnotVector``s, which runs on
-  the pairs whose supports nest; the other pairs fail its first test.
+  parent table and ``is_child_of`` on ``LocalKnotVector``s cut from the
+  common integer knots, which runs on the pairs whose supports nest; the
+  other pairs fail its first test.
 - ``children_cover_core_functions`` takes the parents from the endpoint
   tests too (``has_marked_parent``).
 - ``refinable_stage_nesting`` takes the functions gone at each level from
@@ -71,7 +74,6 @@ from .functions import get_function
 from .hierarchy import (
     HierarchicalMesh,
     HierBasis,
-    _closed_form_classical,
     boxes_in,
     build_hierarchical_basis,
     build_refinable_basis,
@@ -79,7 +81,7 @@ from .hierarchy import (
     enlarge_hierarchy,
     express_arrays,
     partition_of_unity,
-    subdomain_grids,
+    supports_in_cells,
     zero_weights_by_parents,
 )
 from .quasiinterp import (
@@ -105,7 +107,8 @@ from .tensor import (
 )
 from .univariate import (
     KnotVector,
-    exact_dtype,
+    LocalKnotVector,
+    common_knots,
     is_child_of,
     nearest_floats,
     parent_slots,
@@ -299,14 +302,6 @@ class _LevelColumns:
         return rows, children, worst
 
 
-def _common_knots(*kvs: KnotVector) -> list[np.ndarray]:
-    """The knots of the knot vectors as integer numerators over one
-    denominator, the lcm of their integer_knots' denominators."""
-    d = math.lcm(*(kv.integer_knots[1] for kv in kvs))
-    return [np.array([x * (d // e) for x in knots], dtype=exact_dtype(d))
-            for knots, e in (kv.integer_knots for kv in kvs)]
-
-
 # ---------------------------------------------------------------------------
 # univariate / tensor checks
 
@@ -331,7 +326,7 @@ def _chk_uni_two_scale(ctx: _Context) -> InvariantResult:
         for k, (ckv, fkv) in enumerate(zip(coarse.kvs, fine.kvs)):
             p, tab = ckv.degree, two_scale_table(ckv, fkv)
             index, numerator, q = tab.index, tab.numerator, tab.denominator
-            ck, fk = _common_knots(ckv, fkv)
+            ck, fk = common_knots(ckv, fkv)
             # the slots that hold a child, and of those the first, row by
             # row, with a negative coefficient or a support off the parent's
             kid = numerator != 0
@@ -360,8 +355,8 @@ def _chk_characterization(ctx: _Context) -> InvariantResult:
     parent table name the same (parent, child) pairs, per direction.
 
     is_child_of runs on the pairs whose supports nest alone, found from
-    the integer knots of _common_knots: on any other pair its first test
-    answers False.
+    the integer knots of common_knots, on local knot vectors cut from
+    them: on any other pair its first test answers False.
     """
     count = 0
     for ell, (coarse, fine) in enumerate(zip(ctx.levels, ctx.levels[1:])):
@@ -374,11 +369,13 @@ def _chk_characterization(ctx: _Context) -> InvariantResult:
             index, present = parent_slots(ckv, fkv)
             via_parents = np.zeros(shape, dtype=bool)
             via_parents[index[present], np.nonzero(present)[0]] = True
-            ck, fk = _common_knots(ckv, fkv)
+            ck, fk = common_knots(ckv, fkv)
             # the pairs whose supports nest, then is_child_of on those alone
             endpoint = (ck[:shape[0], None] <= fk[:shape[1]]) \
                 & (fk[fkv.degree + 1:] <= ck[ckv.degree + 1:, None])
-            endpoint[endpoint] = [is_child_of(fkv.local(i), ckv.local(j))
+            p, q, cl, fl = ckv.degree, fkv.degree, ck.tolist(), fk.tolist()
+            endpoint[endpoint] = [is_child_of(LocalKnotVector(q, tuple(fl[i:i + q + 2])),
+                                              LocalKnotVector(p, tuple(cl[j:j + p + 2])))
                                   for j, i in np.argwhere(endpoint).tolist()]
             bad = (insertion != endpoint) | (endpoint != via_parents)
             if bad.any():
@@ -465,7 +462,7 @@ def _chk_local_li(ctx: _Context) -> InvariantResult:
 
 @_check("basis_selection_consistency")
 def _chk_selection(ctx: _Context) -> InvariantResult:
-    # build_hierarchical_basis already cross-checks; re-run to surface it here
+    # a second build of the classical selection must give the context's
     basis, _ = build_hierarchical_basis(ctx.hierarchy, ctx.levels, ctx.weights)
     return _same_masks(basis.active, ctx.classical.active, len(basis), "selection mismatch")
 
@@ -519,8 +516,8 @@ def active_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantRe
     When the structure or a block fails, the dense collocation matrix and
     matrix_rank give the verdict and the rank in the detail.
     """
-    levels, grids = basis.levels, subdomain_grids(basis.hierarchy, basis.levels)
-    structured = not any((members & ~grids.supports_inside(ell, ell)).any()
+    levels = basis.levels
+    structured = not any((members & ~supports_in_cells(basis.hierarchy, levels, ell, ell)).any()
                          for ell, members in enumerate(basis.active))
     if structured and all(_gram_block_regular(lv, cells, members)
                           for lv, cells, members in zip(levels, mesh.masks, basis.active)):
@@ -730,7 +727,7 @@ def _chk_roundtrip(ctx: _Context) -> InvariantResult:
     levels2, h2 = parse_mesh_dump(dump)
     if h2 != ctx.hierarchy:
         return _verdict(False, 1, "hierarchy differs after the round trip")
-    classical = _closed_form_classical(h2, levels2)
+    classical = build_hierarchical_basis(h2, levels2, ctx.weights)[0].active
     return _same_masks(classical, ctx.classical.active,
                        sum(int(np.count_nonzero(m)) for m in classical),
                        "selection mismatch after the round trip")
@@ -855,12 +852,11 @@ def _chk_mass(ctx: _Context) -> InvariantResult:
 def _chk_children_cover(ctx: _Context) -> InvariantResult:
     if ctx.fixture.refinement != "dyadic":
         return _verdict(True, 0, "dyadic refinement only")
-    grids = subdomain_grids(ctx.hierarchy, ctx.levels)
     count = 0
     for ell in range(ctx.hierarchy.depth - 1):
         members = ctx.operator.stages[ell + 1].member_indices
         covered = has_marked_parent(members, ctx.levels[ell], ctx.levels[ell + 1],
-                                    grids.supports_inside(ell, ell + 1))
+                                    supports_in_cells(ctx.hierarchy, ctx.levels, ell, ell + 1))
         if not covered.all():
             k = int(covered.argmin())
             return _verdict(False, count + k + 1, f"{tuple(members[k].tolist())} at level "

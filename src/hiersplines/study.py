@@ -27,8 +27,7 @@ from .errors import HierSplineError
 from .fixtures import Fixture, load_fixture
 from .functions import get_function
 from .hierarchy import (
-    _closed_form_classical,
-    active_mesh,
+    build_hierarchical_basis,
     build_refinable_basis,
     compute_weights,
     subdomain_grids,
@@ -199,7 +198,7 @@ def _study_step(step: int, fixture: Fixture, f, q, smoothness: list[int],
     op = MultiscaleQuasiInterpolant(h, levels, refinable, config)
     interpolant, core = op.apply(f), op.core
     del op
-    mesh = active_mesh(h, levels)
+    classical, mesh = build_hierarchical_basis(h, levels, refinable.weights)
     grids = subdomain_grids(h, levels)
     # subdomain ell is a grid over the cells of level ell - 1; subdomain 0
     # and core domain 0 are the whole domain
@@ -222,7 +221,7 @@ def _study_step(step: int, fixture: Fixture, f, q, smoothness: list[int],
         estimate_terms.append(term)
     return rows, StudyStep(
         step=step, mesh_id=fixture.name,
-        active_classical=_classical_count(h, levels),
+        active_classical=len(classical),
         active_refinable=len(refinable),
         mesh_sizes=[[str(v) for v in levels[ell].max_interval_lengths]
                     for ell in range(h.depth)],
@@ -243,12 +242,6 @@ def _level_norms(table: _CellRows, regions: Sequence[Sequence[CellSet | None]]
                     for region in level_regions])
         table.release(ell)
     return out
-
-
-def _classical_count(h, levels) -> int:
-    """Size of the classical basis, counted on the masks of its closed-form
-    selection."""
-    return sum(int(np.count_nonzero(m)) for m in _closed_form_classical(h, levels))
 
 
 def _fill_orders(rows: list[StudyRow]) -> None:

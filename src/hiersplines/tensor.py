@@ -42,19 +42,25 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import HierSplineError, NestingError
+from .errors import HierSplineError, LevelSizeError, NestingError
 from .univariate import (
     KnotVector,
     LocalKnotVector,
     TwoScaleTable,
     dyadic_refine,
     exact_dtype,
+    interval_parents,
     parent_slots,
     parent_table,
     two_scale_table,
 )
 
 Index = tuple[int, ...]
+
+# the most cells a level may have: a level sequence refuses a deeper
+# level before building it (the corner family at 256 cells per direction
+# needs 2**20)
+MAX_LEVEL_CELLS = 2 ** 22
 
 
 def id_sort_key(indices: Index) -> Index:
@@ -271,6 +277,7 @@ def build_level_sequence(initial: Sequence[KnotVector], depth: int,
                 raise NestingError(
                     f"level {ell}, direction {i}: knot vector does not refine "
                     "the previous level")
+        _refuse_oversized(ell, [kv.num_intervals for kv in fine])
         levels.append(_refined_level(coarse, fine))
     return levels
 
@@ -279,26 +286,24 @@ def extend_level_sequence(levels: Sequence[TensorLevel], depth: int) -> list[Ten
     """Extend by dyadic refinement until ``depth`` levels exist."""
     out = list(levels)
     while len(out) < depth:
+        _refuse_oversized(len(out), [2 * n for n in out[-1].num_cells])
         out.append(_refined_level(out[-1], tuple(dyadic_refine(kv) for kv in out[-1].kvs)))
     return out
 
 
 def _refined_level(coarse: TensorLevel, kvs: tuple[KnotVector, ...]) -> TensorLevel:
-    """The level after ``coarse`` with knot vectors ``kvs`` nesting it.
+    """The level after ``coarse`` with knot vectors ``kvs`` nesting it,
+    with the coarse interval of every fine one."""
+    return TensorLevel(coarse.index + 1, kvs, tuple(
+        tuple(interval_parents(ckv, fkv).tolist()) for ckv, fkv in zip(coarse.kvs, kvs)))
 
-    Every fine interval lies in the coarse interval its left end falls in;
-    one merge of the two sorted breakpoint lists finds it.
-    """
-    parents = []
-    for ckv, fkv in zip(coarse.kvs, kvs):
-        rights = ckv.breakpoints.values[1:]
-        parent, out = 0, []
-        for v in fkv.breakpoints.values[:-1]:
-            while rights[parent] <= v:
-                parent += 1
-            out.append(parent)
-        parents.append(tuple(out))
-    return TensorLevel(coarse.index + 1, kvs, tuple(parents))
+
+def _refuse_oversized(ell: int, cells: Sequence[int]) -> None:
+    """Refuse a level ``ell`` with ``cells`` intervals per direction when
+    it would have more than MAX_LEVEL_CELLS cells."""
+    if (count := math.prod(cells)) > MAX_LEVEL_CELLS:
+        raise LevelSizeError(f"level {ell} would have {count} cells, more than "
+                             f"the {MAX_LEVEL_CELLS} a level may have")
 
 
 # ---------------------------------------------------------------------------

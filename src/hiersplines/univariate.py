@@ -1,10 +1,14 @@
 """Open knot vectors and univariate B-spline machinery.
 
-Knots are stored as exact :class:`fractions.Fraction` values. Dyadic
-refinement, subsequence tests, multiplicity counts and the two-scale
-coefficients then stay exact, which removes every tolerance question from
-the parent/child bookkeeping. Floats coming from input files convert
-exactly (binary floats are rationals), so "equal as read" is literal.
+A knot vector stores its knots in one exact form: integer numerators over
+one denominator, the lcm of the reduced knots' denominators. Equal knot
+vectors therefore store equal integers, and dyadic refinement, subsequence
+tests, multiplicity counts, parent tests and the two-scale coefficients
+run on Python ints, which removes every tolerance question from the
+parent/child bookkeeping. Knots read from input files convert exactly
+(binary floats are rationals), so "equal as read" is literal; the
+``Fraction`` values of the knots, breakpoints, intervals and local knot
+vectors are views made on first use, for the dumps and the tests.
 
 Pointwise evaluation happens in float64 through :mod:`hiersplines.kernels`.
 The convention is right-continuity in the interior of the domain and the
@@ -12,10 +16,12 @@ limit from the left at the right end, which makes partitions of unity hold
 on the whole closed interval.
 
 A :class:`KnotVector` owns every table derived from its knots, each a
-``functools.cached_property``: its floats, its integer numerators over
-one denominator, the int64 index tables ``support_intervals``,
-``first_functions`` and ``extension_intervals``, and the two-scale
-tables of the pairs it belongs to.
+``functools.cached_property``: its floats, the int64 index tables
+``support_intervals``, ``first_functions`` and ``extension_intervals``,
+and the two-scale and parent tables of the pairs it belongs to. Every
+exact knot computation of the package happens here; other modules ask
+for its results (:func:`common_knots`, :func:`interval_parents`,
+``KnotVector.interval_lengths``).
 
 The two-scale relation is computed in one form, :class:`TwoScaleTable`:
 integer numerators over one denominator per coarse/fine pair. Its
@@ -34,6 +40,7 @@ turns numerators over q into the floats nearest n/q.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,15 +89,28 @@ def nearest_floats(numerators: np.ndarray, q: int) -> np.ndarray:
     return np.array([n / q for n in numerators.tolist()], dtype=np.float64)
 
 
+def _over(numerators: Sequence[int], d: int, e: int) -> np.ndarray:
+    """Numerators over ``d`` as an array of numerators over ``e``, a
+    multiple of ``d``, in the :func:`exact_dtype` of ``e``."""
+    return np.array(numerators, dtype=exact_dtype(e)) * (e // d)
+
+
 @dataclass(frozen=True)
 class Breakpoints:
-    """Distinct knot values with their multiplicities."""
+    """Distinct knot values with their multiplicities: the values as
+    integer numerators over the knot vector's denominator, and as
+    Fractions in ``values``, a view made on first use."""
 
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
     multiplicities: tuple[int, ...]
+    denominator: int
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.numerators)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
 
 @dataclass(frozen=True)
@@ -115,12 +135,15 @@ class IntervalCell:
 class LocalKnotVector:
     """The p+2 consecutive knots that determine one B-spline.
 
-    ``index`` is the position of the function in its owning basis when
-    known; hand-built local vectors may leave it as None.
+    The knots are exact values: Fractions in the views of a knot vector,
+    or, where they are only ordered and counted (:func:`is_child_of`),
+    integer numerators over one denominator. ``index`` is the position of
+    the function in its owning basis when known; hand-built local vectors
+    may leave it as None.
     """
 
     degree: int
-    knots: tuple[Fraction, ...]
+    knots: tuple
     index: int | None = None
 
     def __post_init__(self):
@@ -134,11 +157,8 @@ class LocalKnotVector:
             raise KnotVectorError("local knot vector spans an empty interval")
 
     @property
-    def support(self) -> tuple[Fraction, Fraction]:
+    def support(self) -> tuple:
         return (self.knots[0], self.knots[-1])
-
-    def multiplicity(self, value: Fraction) -> int:
-        return sum(1 for k in self.knots if k == value)
 
     def floats(self) -> np.ndarray:
         return np.array([float(k) for k in self.knots])
@@ -153,90 +173,90 @@ class LocalKnotVector:
 
 @dataclass(frozen=True, eq=False)
 class KnotVector:
-    """A p-open knot vector on [0, 1].
+    """A p-open knot vector on [0, 1], knot i being
+    ``knot_numerators[i] / knot_denominator``.
 
     Both end knots are repeated degree+1 times, internal multiplicities
     are at most degree+1, and at least degree+1 basis functions exist.
+    The denominator is the lcm of the reduced knots' denominators, so the
+    numerators share no factor with it, and equal knot vectors store
+    equal integers.
     """
 
     degree: int
-    knots: tuple[Fraction, ...]
+    knot_numerators: tuple[int, ...]
+    knot_denominator: int
 
     def __hash__(self) -> int:
-        # rational knots hash and compare slowly, and knot vectors key the
-        # two-scale table caches, so both operations get fast paths
+        # knot vectors key the table caches; the hash of a long tuple is
+        # kept, and equality tries identity first
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.degree, self.knots))
+        return hash((self.degree, self.knot_numerators, self.knot_denominator))
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, KnotVector):
             return NotImplemented
-        return self.degree == other.degree and self.knots == other.knots
+        return (self.degree, self.knot_denominator, self.knot_numerators) \
+            == (other.degree, other.knot_denominator, other.knot_numerators)
 
     def __post_init__(self):
-        p = self.degree
+        p, kn, d = self.degree, self.knot_numerators, self.knot_denominator
         if p < 0:
             raise KnotVectorError("degree must be nonnegative")
-        kn = self.knots
         if any(a > b for a, b in zip(kn, kn[1:])):
             raise KnotVectorError("knots must be nondecreasing")
-        n = len(kn) - p - 1
-        if n < p + 1:
+        if len(kn) < 2 * p + 2:
             raise KnotVectorError(
                 f"need at least {2 * p + 2} knots for degree {p}, got {len(kn)}")
-        if kn[0] != ZERO or kn[p] != ZERO:
+        if kn[0] != 0 or kn[p] != 0:
             raise KnotVectorError("first degree+1 knots must equal 0")
-        if kn[-1] != ONE or kn[-(p + 1)] != ONE:
+        if kn[-1] != d or kn[-(p + 1)] != d:
             raise KnotVectorError("last degree+1 knots must equal 1")
+        if math.gcd(*kn) != 1:
+            raise KnotVectorError("the numerators and the denominator share a factor")
         bp = self.breakpoints
-        for v, m in zip(bp.values[1:-1], bp.multiplicities[1:-1]):
+        for v, m in zip(bp.numerators[1:-1], bp.multiplicities[1:-1]):
             if m > p + 1:
                 raise KnotVectorError(
-                    f"internal knot {v} has multiplicity {m} > degree+1")
+                    f"internal knot {Fraction(v, d)} has multiplicity {m} > degree+1")
 
     # -- derived structure -------------------------------------------------
 
     @property
     def num_basis(self) -> int:
-        return len(self.knots) - self.degree - 1
+        return len(self.knot_numerators) - self.degree - 1
 
     @cached_property
     def breakpoints(self) -> Breakpoints:
-        values: list[Fraction] = []
-        mults: list[int] = []
-        for k in self.knots:
-            if values and values[-1] == k:
-                mults[-1] += 1
-            else:
-                values.append(k)
-                mults.append(1)
-        return Breakpoints(tuple(values), tuple(mults))
+        runs = [(k, len(list(g))) for k, g in itertools.groupby(self.knot_numerators)]
+        return Breakpoints(*map(tuple, zip(*runs)), self.knot_denominator)
+
+    @cached_property
+    def knots(self) -> tuple[Fraction, ...]:
+        """The knots as Fractions, a view for the dumps and the tests."""
+        return tuple(Fraction(n, self.knot_denominator) for n in self.knot_numerators)
 
     @cached_property
     def intervals(self) -> tuple[IntervalCell, ...]:
-        bp, kn, p = self.breakpoints, self.knots, self.degree
-        return tuple(IntervalCell(index=j, left=bp.values[j], right=bp.values[j + 1],
+        bp, kn, p = self.breakpoints.values, self.knots, self.degree
+        return tuple(IntervalCell(index=j, left=bp[j], right=bp[j + 1],
                                   extension=(kn[k], kn[k + 2 * p + 1]))
                      for j, k in enumerate(self.first_functions.tolist()))
 
     @cached_property
     def floats(self) -> np.ndarray:
-        return np.array([float(k) for k in self.knots])
-
-    @cached_property
-    def integer_knots(self) -> tuple[tuple[int, ...], int]:
-        """The knots as integer numerators over the lcm of their denominators."""
-        d = math.lcm(*(k.denominator for k in self.knots))
-        return tuple(k.numerator * (d // k.denominator) for k in self.knots), d
+        d = self.knot_denominator
+        return nearest_floats(_over(self.knot_numerators, d, d), d)
 
     @cached_property
     def breakpoint_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.breakpoints.values])
+        d = self.knot_denominator
+        return nearest_floats(_over(self.breakpoints.numerators, d, d), d)
 
     @cached_property
     def support_intervals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,15 +284,22 @@ class KnotVector:
         return len(self.breakpoints) - 1
 
     @cached_property
+    def interval_lengths(self) -> tuple[np.ndarray, int]:
+        """The intervals' lengths as integer numerators (Python ints) over
+        the knot denominator, and that denominator."""
+        bp = np.array(self.breakpoints.numerators, dtype=object)
+        return bp[1:] - bp[:-1], self.knot_denominator
+
+    @cached_property
     def max_interval_length(self) -> Fraction:
-        knots, d = self.integer_knots
-        return Fraction(max(b - a for a, b in zip(knots, knots[1:])), d)
+        lengths, d = self.interval_lengths
+        return Fraction(max(lengths.tolist()), d)
 
     @property
     def quasi_uniformity(self) -> float:
         """Largest ratio of adjacent nonempty interval lengths (diagnostic)."""
-        knots, d = self.integer_knots
-        lengths = [(b - a) / d for a, b in zip(knots, knots[1:]) if b > a]
+        lengths, d = self.interval_lengths
+        lengths = [n / d for n in lengths.tolist()]
         return max((max(la / lb, lb / la) for la, lb in zip(lengths, lengths[1:])), default=1.0)
 
     # -- functions ----------------------------------------------------------
@@ -297,7 +324,7 @@ class KnotVector:
 
     # the tables of two_scale_table and its view children_table (this knot
     # vector coarse) and of parent_table (this one fine), keyed by the other one;
-    # dict lookups try identity first, so a hit compares no rationals
+    # dict lookups try identity first, then the kept hashes and the integers
 
     @cached_property
     def _children_tables(self) -> dict:
@@ -311,29 +338,43 @@ class KnotVector:
     def _parent_tables(self) -> dict:
         return {}
 
-    def functions_supported_in(self, lo: Fraction, hi: Fraction) -> range:
-        """Indices j with supp b_j contained in [lo, hi]."""
-        first = bisect.bisect_left(self.knots, lo)
-        # largest j with knots[j + p + 1] <= hi
-        last = bisect.bisect_right(self.knots, hi) - 1 - (self.degree + 1)
-        last = min(last, self.num_basis - 1)
-        if first > last:
-            return range(0)
-        return range(first, last + 1)
-
-    @cached_property
-    def _multiplicities(self) -> dict[Fraction, int]:
-        bp = self.breakpoints
-        return dict(zip(bp.values, bp.multiplicities))
-
-    def multiplicity(self, value: Fraction) -> int:
-        return self._multiplicities.get(value, 0)
+    def functions_supported_in(self, lo, hi) -> range:
+        """Indices j with supp b_j contained in [lo, hi], exact bounds."""
+        lo, hi, d = as_knot(lo), as_knot(hi), self.knot_denominator
+        # the first knot at or right of lo; the largest j with knots[j + p + 1] <= hi
+        first = bisect.bisect_left(self.knot_numerators, -(-lo.numerator * d // lo.denominator))
+        last = min(bisect.bisect_right(self.knot_numerators, hi.numerator * d // hi.denominator)
+                   - self.degree - 2, self.num_basis - 1)
+        return range(first, max(first, last + 1))
 
     def contains_as_subsequence(self, other: "KnotVector") -> bool:
-        """True when every knot of ``other`` appears here at least as often."""
-        bp = other.breakpoints
-        return all(self.multiplicity(v) >= m
-                   for v, m in zip(bp.values, bp.multiplicities))
+        """True when every knot of ``other`` appears here at least as often.
+
+        Then every reduced denominator of ``other`` divides this
+        denominator, and so does their lcm, ``other``'s denominator.
+        """
+        d, e, bp, here = self.knot_denominator, other.knot_denominator, \
+            other.breakpoints, self.knot_numerators
+        return d % e == 0 and all(
+            bisect.bisect_right(here, v) - bisect.bisect_left(here, v) >= m
+            for v, m in zip(_over(bp.numerators, e, d).tolist(), bp.multiplicities))
+
+
+def common_knots(*kvs: KnotVector) -> list[np.ndarray]:
+    """The knots of the knot vectors as integer numerators over one
+    denominator, the lcm of theirs, in its :func:`exact_dtype`."""
+    d = math.lcm(*(kv.knot_denominator for kv in kvs))
+    return [_over(kv.knot_numerators, kv.knot_denominator, d) for kv in kvs]
+
+
+def interval_parents(coarse: KnotVector, fine: KnotVector) -> np.ndarray:
+    """Per interval of ``fine``, a knot vector nesting ``coarse``, the
+    coarse interval it lies in: the one its left end falls in, found by
+    one searchsorted over the common denominator."""
+    d = math.lcm(coarse.knot_denominator, fine.knot_denominator)
+    rights = _over(coarse.breakpoints.numerators, coarse.knot_denominator, d)[1:]
+    lefts = _over(fine.breakpoints.numerators, fine.knot_denominator, d)[:-1]
+    return np.searchsorted(rights, lefts, side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +389,14 @@ def make_open_knot_vector(degree: int,
     must equal degree+1.
     """
     values = [as_knot(v) for v in breakpoints]
+    # the lcm of the reduced breakpoints' denominators is that of the knots
+    d = math.lcm(*(v.denominator for v in values))
+    values = [v.numerator * (d // v.denominator) for v in values]
     if len(values) < 2:
         raise KnotVectorError("need at least two breakpoints")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise KnotVectorError("breakpoints must be strictly increasing")
-    if values[0] != ZERO or values[-1] != ONE:
+    if values[0] != 0 or values[-1] != d:
         raise KnotVectorError("breakpoints must start at 0 and end at 1")
     if multiplicities is None:
         multiplicities = [degree + 1] + [1] * (len(values) - 2) + [degree + 1]
@@ -361,12 +405,12 @@ def make_open_knot_vector(degree: int,
         raise KnotVectorError("one multiplicity per breakpoint required")
     if multiplicities[0] != degree + 1 or multiplicities[-1] != degree + 1:
         raise KnotVectorError("end multiplicities must equal degree+1")
-    knots: list[Fraction] = []
+    knots: list[int] = []
     for v, m in zip(values, multiplicities):
         if m < 1:
             raise KnotVectorError("multiplicities must be positive")
         knots.extend([v] * m)
-    return KnotVector(degree, tuple(knots))
+    return KnotVector(degree, tuple(knots), d)
 
 
 def uniform_open_knot_vector(degree: int, intervals: int) -> KnotVector:
@@ -378,14 +422,16 @@ def uniform_open_knot_vector(degree: int, intervals: int) -> KnotVector:
 
 
 def dyadic_refine(kv: KnotVector) -> KnotVector:
-    """Insert the midpoint of every nonempty interval once, keeping all knots."""
-    bp = kv.breakpoints
-    knots: list[Fraction] = []
-    for j, (v, m) in enumerate(zip(bp.values, bp.multiplicities)):
-        knots.extend([v] * m)
-        if j < len(bp) - 1:
-            knots.append((v + bp.values[j + 1]) / 2)
-    return KnotVector(kv.degree, tuple(knots))
+    """Insert the midpoint of every nonempty interval once, keeping all knots.
+
+    Over twice the denominator, the knots' numerators double and the
+    midpoint of breakpoints a and b is a + b. Some adjacent breakpoints
+    differ in parity (0 is even, and not every numerator is), so some
+    a + b is odd and twice the denominator is again the lcm.
+    """
+    bp = kv.breakpoints.numerators
+    knots = sorted([2 * k for k in kv.knot_numerators] + [a + b for a, b in zip(bp, bp[1:])])
+    return KnotVector(kv.degree, tuple(knots), 2 * kv.knot_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +450,15 @@ def children_with_coefficients(parent: LocalKnotVector, fine: KnotVector
     if p != fine.degree:
         raise RefinementMismatchError(
             f"degree mismatch: parent {p}, fine {fine.degree}")
-    for v in set(parent.knots):
-        if fine.multiplicity(v) < parent.multiplicity(v):
-            raise RefinementMismatchError(
-                f"knot {v} of the parent has multiplicity "
-                f"{parent.multiplicity(v)} but only {fine.multiplicity(v)} "
-                "in the fine knot vector")
-    t, scale = fine.integer_knots
-    first, (offsets, numerators, q) = _children_run(
-        p, [k.numerator * (scale // k.denominator) for k in parent.knots], t)
+    # over the lcm with the parent's denominators: the fine one if it refines the parent
+    d = math.lcm(fine.knot_denominator, *(k.denominator for k in parent.knots))
+    tau = [k.numerator * (d // k.denominator) for k in parent.knots]
+    t = _over(fine.knot_numerators, fine.knot_denominator, d).tolist()
+    for k, x in zip(parent.knots, tau):
+        if (have := bisect.bisect_right(t, x) - bisect.bisect_left(t, x)) < tau.count(x):
+            raise RefinementMismatchError(f"knot {k} of the parent has multiplicity "
+                                          f"{tau.count(x)} but only {have} in the fine knot vector")
+    first, (offsets, numerators, q) = _children_run(p, tau, t)
     return [(fine.local(first + i), Fraction(n, q)) for i, n in zip(offsets, numerators)]
 
 
@@ -471,34 +517,45 @@ def _oslo_run(p: int, pattern: tuple[int, ...]
     return tuple(offsets), tuple(c.numerator * (q // c.denominator) for c in coefficients), q
 
 
+def _nests(child: Sequence, parent: Sequence) -> bool:
+    """The endpoint test of :func:`is_child_of` on two knot sequences of
+    exact values on one scale."""
+    if not (parent[0] <= child[0] and child[-1] <= parent[-1]):
+        return False
+    for endpoint in (parent[0], parent[-1]):
+        mc = child.count(endpoint)
+        if mc and mc > parent.count(endpoint):
+            return False
+    return True
+
+
 def is_child_of(child: LocalKnotVector, parent: LocalKnotVector) -> bool:
     """Parent/child test by endpoint containment and endpoint multiplicities.
 
     This is an independent route from the Oslo recurrence in
     :func:`children_with_coefficients`; the two must agree on every pair.
+    It only orders and counts knots, so any exact values on one scale do.
     """
-    c_lo, c_hi = child.support
-    p_lo, p_hi = parent.support
-    if not (p_lo <= c_lo and c_hi <= p_hi):
-        return False
-    for endpoint in (p_lo, p_hi):
-        mc = child.multiplicity(endpoint)
-        if mc and mc > parent.multiplicity(endpoint):
-            return False
-    return True
+    return _nests(child.knots, parent.knots)
+
+
+def _parent_run(child: Sequence[int], tau: Sequence[int], p: int) -> list[int]:
+    """The coarse functions, of degree p on the knots ``tau``, of which the
+    B-spline on the knots ``child`` is a child, all integer numerators
+    over one denominator. The candidates, coarse functions whose support
+    contains the child's, form one run of indices found by bisection."""
+    first = max(bisect.bisect_left(tau, child[-1]) - p - 1, 0)
+    stop = min(bisect.bisect_right(tau, child[0]), len(tau) - p - 1)
+    return [j for j in range(first, stop) if _nests(child, tau[j:j + p + 2])]
 
 
 def parents_of(child: LocalKnotVector, coarse: KnotVector) -> list[LocalKnotVector]:
-    """All coarse basis functions of which ``child`` is a child.
-
-    The candidates, coarse functions whose support contains the child's,
-    form one run of indices found by bisection in the coarse knots.
-    """
-    c_lo, c_hi = child.support
-    first = max(bisect.bisect_left(coarse.knots, c_hi) - coarse.degree - 1, 0)
-    stop = min(bisect.bisect_right(coarse.knots, c_lo), coarse.num_basis)
-    return [cand for cand in map(coarse.local, range(first, stop))
-            if is_child_of(child, cand)]
+    """All coarse basis functions of which ``child`` is a child, by the
+    route of :func:`parent_table` on the knots over a common denominator."""
+    d = math.lcm(coarse.knot_denominator, *(k.denominator for k in child.knots))
+    tau = _over(coarse.knot_numerators, coarse.knot_denominator, d).tolist()
+    knots = [k.numerator * (d // k.denominator) for k in child.knots]
+    return [coarse.local(j) for j in _parent_run(knots, tau, coarse.degree)]
 
 
 def children_table(coarse: KnotVector, fine: KnotVector
@@ -554,9 +611,7 @@ def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
             f"degree mismatch: parent {coarse.degree}, fine {fine.degree}")
     p = coarse.degree
     # the coarse knots are fine knots, so their denominator divides the fine one
-    t, scale = fine.integer_knots
-    knots, d = coarse.integer_knots
-    tau = [x * (scale // d) for x in knots]
+    tau, t = (k.tolist() for k in common_knots(coarse, fine))
     runs = [_children_run(p, tau[j:j + p + 2], t) for j in range(coarse.num_basis)]
     q = math.lcm(*(r for _, (_, _, r) in runs))
     width = max(len(offsets) for _, (offsets, _, _) in runs)
@@ -572,15 +627,16 @@ def two_scale_table(coarse: KnotVector, fine: KnotVector) -> TwoScaleTable:
 
 
 def parent_table(coarse: KnotVector, fine: KnotVector) -> tuple[tuple[int, ...], ...]:
-    """Per fine function: indices of its coarse parents (endpoint test route)."""
+    """Per fine function: indices of its coarse parents, by bisection and
+    the endpoint tests on the knots over a common denominator."""
     cache = fine._parent_tables
     hit = cache.get(coarse)
     if hit is not None:
         return hit
-    rows = []
-    for j in range(fine.num_basis):
-        rows.append(tuple(p.index for p in parents_of(fine.local(j), coarse)))
-    table = tuple(rows)
+    tau, t = (k.tolist() for k in common_knots(coarse, fine))
+    p = fine.degree
+    table = tuple(tuple(_parent_run(t[i:i + p + 2], tau, coarse.degree))
+                  for i in range(fine.num_basis))
     cache[coarse] = table
     return table
 

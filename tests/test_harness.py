@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 import math
 import tracemalloc
 from fractions import Fraction
@@ -41,7 +42,7 @@ from hiersplines.invariants import (
 from hiersplines.quasiinterp import OperatorConfig
 from hiersplines.study import read_study_csv, run_convergence_study, write_report
 from hiersplines.tensor import build_level_sequence, marked_indices
-from hiersplines.univariate import make_open_knot_vector, uniform_open_knot_vector
+from hiersplines.univariate import common_knots, make_open_knot_vector, uniform_open_knot_vector
 
 from .conftest import (
     DATA_DIR,
@@ -462,12 +463,22 @@ class TestInvariantSuite:
 
     def test_disagreeing_characterization_is_named(self, monkeypatch):
         ctx = _suite_context("d1_depth3_blocks")
-        parent, child = ctx.levels[1].kvs[0].local(4), ctx.levels[2].kvs[0].local(9)
-        real = invariants.is_child_of
+        # the check cuts its local knot vectors from the common integer knots
+        # of one pair of knot vectors, which equal windows of other pairs may
+        # share, so the pair it works on is followed too
+        ckv, fkv = ctx.levels[1].kvs[0], ctx.levels[2].kvs[0]
+        ck, fk = (k.tolist() for k in common_knots(ckv, fkv))
+        parent, child = tuple(ck[4:4 + ckv.degree + 2]), tuple(fk[9:9 + fkv.degree + 2])
+        real, pair = invariants.is_child_of, []
+
+        def followed(*kvs):
+            pair[:] = kvs
+            return common_knots(*kvs)
 
         def flipped(c, p):
-            return real(c, p) != (c == child and p == parent)
+            return real(c, p) != (pair == [ckv, fkv] and c.knots == child and p.knots == parent)
 
+        monkeypatch.setattr(invariants, "common_knots", followed)
         monkeypatch.setattr(invariants, "is_child_of", flipped)
         result = dict(invariants._CHECKS)["parent_child_characterization"](ctx)
         assert not result.passed
@@ -779,6 +790,27 @@ class TestCli:
         bad.write_text(json.dumps(obj))
         assert cli.main(["check", str(bad)]) == 2
         assert f"breakpoints[3]: cannot parse knot value {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "study", "dump-mesh"])
+    def test_oversized_level_exit_two_at_once(self, tmp_path, capsys, command):
+        # 4 x 4 cells at level 0 and depth 40: level 10 would hold 2**24
+        # cells, the first level past tensor.MAX_LEVEL_CELLS, and the level
+        # sequence refuses it before building it
+        from hiersplines import cli
+
+        family = tmp_path / "family"
+        family.mkdir()
+        obj = json.loads((FIXTURE_DIR / "d2_single_cell.json").read_text())
+        obj.update(depth=40, subdomains=[])
+        fixture = family / "deep.json"
+        fixture.write_text(json.dumps(obj))
+        args = {"check": [str(fixture)],
+                "study": [str(family), "--f", "sin"],
+                "dump-mesh": [str(fixture), "--out", str(tmp_path / "cells.json")]}[command]
+        start = time.perf_counter()
+        assert cli.main([command, *args]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"deep.depth: level 10 would have {2 ** 24} cells" in capsys.readouterr().err
 
     def test_dump_mesh(self, tmp_path):
         out = tmp_path / "cells.json"

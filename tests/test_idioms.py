@@ -79,6 +79,63 @@ def test_limit_rule_sees_every_form():
     assert sorted(line for line, _ in _integer_limits(source)) == [1, 2, 3, 4, 5]
 
 
+# a knot vector's exact form is read in univariate alone: the other
+# modules ask it for results (common_knots, interval_parents,
+# interval_lengths), and only the dumps read the Fraction views
+KNOT_ATTRIBUTES = ("knots", "knot_numerators", "knot_denominator")
+BREAKPOINT_ATTRIBUTES = ("values", "numerators")
+# what an lcm of knot denominators would read
+KNOT_SOURCES = KNOT_ATTRIBUTES + ("breakpoints", "intervals", "interval_lengths")
+KNOT_READERS = {"fixtures.py": ("_kv_to_dict",)}
+
+
+def _knot_reads(source: str, allowed: tuple[str, ...] = ()) -> list[tuple[int, str]]:
+    """Line and text of every read of a KNOT_ATTRIBUTES attribute or of
+    ``.breakpoints.values`` and ``.breakpoints.numerators``, and of every
+    ``lcm`` call whose arguments read a KNOT_SOURCES attribute, outside the
+    functions named in ``allowed``."""
+    tree = ast.parse(source)
+    skip = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and f.name in allowed for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and (
+                node.attr in KNOT_ATTRIBUTES
+                or node.attr in BREAKPOINT_ATTRIBUTES and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "breakpoints"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and "lcm" in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)) \
+                and any(isinstance(n, ast.Attribute) and n.attr in KNOT_SOURCES
+                        for arg in node.args for n in ast.walk(arg)):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "univariate.py"], ids=lambda p: p.name)
+def test_exact_knots_stay_in_univariate(path):
+    source = path.read_text(encoding="utf-8")
+    assert _knot_reads(source, KNOT_READERS.get(path.name, ())) == []
+
+
+def test_knot_rule_sees_every_form():
+    source = ("a = kv.knots[0] + lv.kvs[1].local(2).knots[0]\n"
+              "b = [str(v) for v in kv.breakpoints.values]\n"
+              "c = kv.knot_numerators, kv.knot_denominator\n"
+              "d = math.lcm(*(v.denominator for v in weights)), lcm(tab.denominator, q)\n"
+              "e = lcm(*(kv.interval_lengths[1] for kv in kvs))\n"
+              "f = kv.breakpoints.multiplicities, bp.values, w.numerators, kv.intervals\n"
+              "def _kv_to_dict(kv):\n"
+              "    return kv.breakpoints.numerators\n"
+              "g = 'kv.knots'  # kv.knots\n")
+    assert sorted(line for line, _ in _knot_reads(source)) == [1, 1, 2, 3, 3, 5, 8]
+    assert sorted(line for line, _ in _knot_reads(source, ("_kv_to_dict",))) == \
+        [1, 1, 2, 3, 3, 5]
+
+
 # the invariants and the study read the per-level arrays; these views of
 # them serve the dumps, the dict API and the tests
 VIEW_FUNCTIONS = ("children_table", "tensor_children")

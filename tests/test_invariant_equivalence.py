@@ -727,15 +727,16 @@ def test_node_outside_its_interval_is_named(name):
 
 def test_rewritten_checks_take_no_per_item_route(monkeypatch):
     # the per-level checks reach neither the scalar parent, support and
-    # cell queries nor, for the zero weights and the core domains, the
-    # subdomain grids; the mass check builds no workspace, the
+    # cell queries nor, for the zero weights, the core domains, the
+    # children cover and the active independence, the subdomain grids;
+    # the mass check builds no workspace, the
     # independence checks evaluate no single function, and the
     # characterization runs is_child_of on the nested pairs alone
     ctx = _context(load_fixture(FIXTURE_DIR / "d2_nested_not_admissible.json"))
     expected = {name: _outcome(CHECKS[name], ctx) for name in (
         "refinable_equals_positive_weights", "children_cover_core_functions",
         "parent_child_characterization", "core_domains_definition",
-        "mass_matrix_quadrature", "local_linear_independence")}
+        "mass_matrix_quadrature", "local_linear_independence", "linear_independence_active")}
     # the dense rank, on a basis small enough to take it twice
     fx = load_fixture(FIXTURE_DIR / "d2_corner_admissible.json")
     small = build_hierarchical_basis(fx.hierarchy, fx.levels)
@@ -751,14 +752,14 @@ def test_rewritten_checks_take_no_per_item_route(monkeypatch):
                 if hasattr(module, attr):
                     m.setattr(module, attr, refuse)
         m.setattr(quasiinterp.LocalProjectionWorkspace, "__init__", refuse)
-        for name in ("children_cover_core_functions", "mass_matrix_quadrature",
-                     "local_linear_independence"):
+        for name in ("mass_matrix_quadrature", "local_linear_independence"):
             assert _outcome(CHECKS[name], ctx) == expected[name], name
         assert invariants.dense_independence(*small) == dense
         for attr in ("__init__", "ancestor_maps", "boxes_inside", "cells_inside", "cell_inside",
                      "supports_inside"):
             m.setattr(hierarchy.SubdomainGrids, attr, refuse)
-        for name in ("refinable_equals_positive_weights", "core_domains_definition"):
+        for name in ("refinable_equals_positive_weights", "core_domains_definition",
+                     "children_cover_core_functions", "linear_independence_active"):
             assert _outcome(CHECKS[name], ctx) == expected[name], name
     pairs = []
     real = invariants.is_child_of
@@ -793,6 +794,25 @@ def test_the_suite_and_the_operator_build_no_views():
         assert not {"members", "anchor_cells"} & vars(stage).keys()
     for kv in [kv for lv in (*ctx.levels, *fx.levels) for kv in lv.kvs]:
         assert not vars(kv).get("_children_tables")
+
+
+def test_the_suite_compares_and_hashes_no_knot_fractions(monkeypatch):
+    # knots are integer numerators, so a suite on a freshly loaded fixture,
+    # after a first one, compares one Fraction, the total volume of the
+    # active cells against 1, and hashes none
+    path = FIXTURE_DIR / "d2_nested_not_admissible.json"
+    invariants.run_invariant_suite(load_fixture(path))
+    fixture, calls = load_fixture(path), []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+        def counted(self, *args, _real=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    report = invariants.run_invariant_suite(fixture)
+    monkeypatch.undo()
+    assert report.passed
+    assert calls in ([], ["__eq__"])
 
 
 @pytest.mark.parametrize("name, calls", [("d2_nested_not_admissible", 1),

@@ -28,7 +28,6 @@ from hiersplines.errors import HierarchyError, HierSplineError, InternalInvarian
 from hiersplines.fixtures import Fixture
 from hiersplines.hierarchy import (
     SubdomainHierarchy,
-    _closed_form_classical,
     active_mesh,
     build_hierarchical_basis,
     build_refinable_basis,
@@ -368,7 +367,7 @@ def assert_equivalent(levels, h, rng):
     refinable = build_refinable_basis(h, levels, weights)
     for basis in (classical, refinable):
         assert list(basis.stages) == ref_selection_stages(h, levels, basis is refinable)
-    assert {Fid(ell, idx) for ell, mask in enumerate(_closed_form_classical(h, levels))
+    assert {Fid(ell, idx) for ell, mask in enumerate(classical.active)
             for idx in marked_indices(mask)} == ref_closed_form_classical(h, levels)
     assert [list(cells) for cells in active_mesh(h, levels).active] == \
         ref_active_cells_per_level(h, levels)

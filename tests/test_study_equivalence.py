@@ -23,6 +23,7 @@ from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
     WeightMap,
     active_mesh,
+    build_hierarchical_basis,
     build_refinable_basis,
     compute_weights,
     subdomain_grids,
@@ -139,7 +140,7 @@ def former_study(fixtures, f_name, q, smoothness=None, config=None) -> StudyRepo
             estimate_terms.append(term)
         steps.append(StudyStep(
             step=step, mesh_id=fixture.name,
-            active_classical=study._classical_count(h, levels),
+            active_classical=len(build_hierarchical_basis(h, levels, weights)[0]),
             active_refinable=len(refinable),
             mesh_sizes=[[str(v) for v in levels[ell].max_interval_lengths]
                         for ell in range(h.depth)],

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hiersplines.errors import HierSplineError, NestingError
+from hiersplines import tensor
+from hiersplines.errors import HierSplineError, LevelSizeError, NestingError
 from hiersplines.tensor import (
     LevelSpline,
     TensorLevel,
@@ -22,6 +23,7 @@ from hiersplines.tensor import (
 )
 from hiersplines.univariate import (
     children_with_coefficients,
+    dyadic_refine,
     make_open_knot_vector,
     uniform_open_knot_vector,
 )
@@ -36,6 +38,22 @@ from .conftest import (
 
 
 class TestLevelSequence:
+    @pytest.mark.parametrize("rule", ["dyadic", "explicit", "extended"])
+    def test_refuses_a_level_past_the_cell_limit(self, monkeypatch, rule):
+        # 4 x 4 cells at level 0: level 1 has 64 cells, the limit set
+        # here, and level 2 would have 256
+        monkeypatch.setattr(tensor, "MAX_LEVEL_CELLS", 64)
+        kv = uniform_open_knot_vector(2, 4)
+        explicit = [(dyadic_refine(kv),) * 2, (dyadic_refine(dyadic_refine(kv)),) * 2]
+        refused = {"dyadic": lambda: build_level_sequence([kv, kv], 3),
+                   "explicit": lambda: build_level_sequence([kv, kv], 3, explicit),
+                   "extended": lambda: extend_level_sequence(
+                       build_level_sequence([kv, kv], 2, explicit[:1]), 3)}[rule]
+        assert [lv.num_cells for lv in build_level_sequence([kv, kv], 2)] == [(4, 4), (8, 8)]
+        with pytest.raises(LevelSizeError, match="^level 2 would have 256 cells, more than "
+                                                 "the 64 a level may have$"):
+            refused()
+
     def test_dyadic_counts(self):
         levels = make_levels(2, 2, 4, 3)
         assert [lv.num_cells for lv in levels] == [(4, 4), (8, 8), (16, 16)]

@@ -37,11 +37,16 @@ class TestKnotVector:
 
     def test_rejects_wrong_end_multiplicity(self):
         with pytest.raises(KnotVectorError):
-            KnotVector(2, tuple(map(F, "0 0 1/2 1 1 1".split())))
+            KnotVector(2, (0, 0, 1, 2, 2, 2), 2)
 
     def test_rejects_decreasing(self):
         with pytest.raises(KnotVectorError):
-            KnotVector(1, (F(0), F(0), F(1, 2), F(1, 4), F(1), F(1)))
+            KnotVector(1, (0, 0, 2, 1, 4, 4), 4)
+
+    def test_rejects_numerators_sharing_a_factor_with_the_denominator(self):
+        # the stored form is unique: 1/2 is (1, 2), never (2, 4)
+        with pytest.raises(KnotVectorError, match="share a factor"):
+            KnotVector(1, (0, 0, 2, 4, 4), 4)
 
     def test_rejects_excess_internal_multiplicity(self):
         with pytest.raises(KnotVectorError):
@@ -49,7 +54,7 @@ class TestKnotVector:
 
     def test_rejects_too_few_functions(self):
         with pytest.raises(KnotVectorError):
-            KnotVector(2, (F(0), F(0), F(0), F(1), F(1), F(1))[:5])
+            KnotVector(2, (0, 0, 0, 1, 1), 1)
 
     def test_interval_support_extension(self):
         kv = uniform_open_knot_vector(2, 8)
@@ -82,7 +87,7 @@ class TestKnotVector:
                                                           [4, 2, 1, 4, 4])],
                              ids=["uniform", "repeated"])
     def test_integer_knots_and_mesh_size(self, kv):
-        knots, d = kv.integer_knots
+        knots, d = kv.knot_numerators, kv.knot_denominator
         assert [F(k, d) for k in knots] == list(kv.knots)
         assert d == lcm(*(k.denominator for k in kv.knots))
         assert kv.max_interval_length == max(c.length for c in kv.intervals)
@@ -130,7 +135,7 @@ class TestDyadicRefine:
         assert out.knots == tuple(map(F, "0 0 1/4 1/2 3/4 1 1".split()))
 
     def test_multiplicity_preserved(self):
-        kv = KnotVector(2, tuple(map(F, "0 0 0 1/2 1/2 1 1 1".split())))
+        kv = KnotVector(2, (0, 0, 0, 1, 1, 2, 2, 2), 2)
         out = dyadic_refine(kv)
         assert out.knots == tuple(map(F, "0 0 0 1/4 1/2 1/2 3/4 1 1 1".split()))
 
