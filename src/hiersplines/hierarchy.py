@@ -15,9 +15,11 @@ down keeps the coefficients of active functions and passes those of
 deactivated ones to their children, scaled by the two-scale coefficients.
 The coefficients are stored per level as index and value arrays
 (:class:`hiersplines.tensor.LevelSpline`), and the sweep runs on them
-level by level (:func:`express_arrays`); a :class:`HierSplineFunction`
-holds one such spline per level, and the ``Fid``-keyed ``coefficients``
-dicts of it and of :func:`express_over` are views derived from them.
+level by level (:func:`express_arrays`), which can carry a source per
+entry and so write many combinations in one sweep; a
+:class:`HierSplineFunction` holds one such spline per level, and the
+``Fid``-keyed ``coefficients`` dicts of it and of :func:`express_over`
+are views derived from them.
 
 Partition-of-unity weights are exact rationals and positivity is decided
 structurally (does the function inherit from a positive deactivated
@@ -775,7 +777,8 @@ def _neither(fid: Fid) -> HierarchyError:
 
 
 def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: HierBasis,
-                   names: Sequence[Sequence[Index]] | None = None) -> list[LevelSpline]:
+                   names: Sequence[Sequence[Index]] | None = None,
+                   sources: Sequence[np.ndarray] | None = None) -> list:
     """Write per-level coefficients over the active functions of a basis,
     one :class:`LevelSpline` per level.
 
@@ -803,27 +806,44 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
     mixes floats and exact values works on the objects one by one, as
     Python's arithmetic does.
 
+    ``sources[ell]``, when given, labels each entry of ``pending[ell]``
+    with its source, the row of a sparse coefficient matrix, and a child
+    takes its parent's source. Entries merge on (source, function), so
+    one sweep writes every row, each as a call with that row alone writes
+    it: within a source a level's entries keep that call's order. The
+    values must then be exact, and each level comes back as the kept
+    entries' indices, sources and numerators over D_ell, and D_ell; no
+    Fraction is made. Without ``sources`` every entry has one source.
+
     The first entry that is neither active nor deactivated, or is no
     function of its level, raises, named by ``names[ell][k]`` for the k-th
-    received entry when given.
+    received entry when given. Of several sources, the entry named is the
+    one of the lowest source that refuses, at that source's coarsest
+    refusing level, as a call on that source alone names it: a refusal is
+    raised after the last level, the sources swept on.
     """
     levels = basis.levels
     grids = subdomain_grids(basis.hierarchy, levels)
     denominator = math.lcm(*(v.denominator for _, values in pending if values.dtype == object
                              for v in values.tolist() if isinstance(v, Fraction)))
-    out, children, exact_terms = [], None, False
+    out, children, exact_terms, refusal = [], None, False, None
     for ell, (lv, active, (indices, values)) in enumerate(zip(levels, basis.active, pending)):
+        labels = np.zeros(len(indices), np.int64) if sources is None else sources[ell]
         inside = ((indices >= 0) & (indices < active.shape)).all(axis=1)
         numerators = None
-        # an entry outside the grid refuses the level before any child is reached
-        if children is not None and inside.all():
-            both = np.concatenate([indices, children])
-            keys = np.ravel_multi_index(tuple(both.T), active.shape, order="F")
+        if children is not None:
+            both, mine = np.concatenate([indices, children]), np.concatenate([labels, born])
+            inside = np.concatenate([inside, np.ones(len(children), dtype=bool)])
+            # an entry outside the grid merges with none
+            keys = np.where(inside, mine * active.size + np.ravel_multi_index(
+                tuple(np.where(inside, both.T, 0)), active.shape, order="F"),
+                -1 - np.arange(len(both)))
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             # slots in the order of first appearance: the received entries
             # are distinct and keep theirs, the new children follow
             slots = np.argsort(np.argsort(first))[inverse][len(indices):]
-            new = (first[inverse] == np.arange(len(both)))[len(indices):]
+            firsts = first[inverse] == np.arange(len(both))
+            new = firsts[len(indices):]
             if exact_terms and _all_exact(values):
                 numerators = _merged(_numerators(values, denominator), terms, slots, new)
                 reached = np.zeros(len(numerators), dtype=bool)
@@ -836,27 +856,33 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
                                      dtype=object)
                 values = np.concatenate([values, terms[new]])
                 np.add.at(values, slots[~new], terms[~new])
-            indices = np.concatenate([indices, children[new]])
-            inside = np.ones(len(indices), dtype=bool)
+            indices, labels, inside = both[firsts], mine[firsts], inside[firsts]
         at = tuple(np.where(inside, indices.T, 0))
         keep = inside & active[at]
         sunk = inside & ~keep & grids.supports_inside(ell, ell + 1)[at]
         refused = ~(keep | sunk)
         if refused.any():
-            k = int(refused.argmax())
-            fid = Fid(ell, names[ell][k] if names and k < len(names[ell])
-                      else tuple(indices[k].tolist()))
-            raise _neither(fid) if inside[k] else HierarchyError(
-                f"{fid} is outside the function grid {active.shape} of level {ell}")
-        if numerators is not None:
-            made = keep & reached
-            values[made] = [Fraction(n, denominator) for n in numerators[made].tolist()]
-        out.append(LevelSpline(lv, indices[keep], values[keep]))
+            k = int(np.flatnonzero(refused)[labels[refused].argmin()])
+            if refusal is None or labels[k] < refusal[0]:
+                fid = Fid(ell, names[ell][k] if names and k < len(names[ell])
+                          else tuple(indices[k].tolist()))
+                refusal = labels[k], _neither(fid) if inside[k] else HierarchyError(
+                    f"{fid} is outside the function grid {active.shape} of level {ell}")
+        if sources is not None:
+            kept = numerators[keep] if numerators is not None else \
+                _numerators(values[keep], denominator)
+            out.append((indices[keep], labels[keep], kept, denominator))
+        else:
+            if numerators is not None:
+                made = keep & reached
+                values[made] = [Fraction(n, denominator) for n in numerators[made].tolist()]
+            out.append(LevelSpline(lv, indices[keep], values[keep]))
         children = None
         # none sinks on the deepest level: its next subdomain is empty
         if sunk.any():
             rows, children, factors, q = tensor_children_arrays(
                 indices[sunk], two_scale_tables(lv, levels[ell + 1]))
+            born = labels[sunk][rows]
             exact_terms = numerators is not None or _all_exact(values[sunk])
             if exact_terms:
                 coarse = numerators[sunk] if numerators is not None else \
@@ -869,6 +895,8 @@ def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: Hier
             else:
                 terms = values[sunk][rows] * nearest_floats(factors, q)
             denominator *= q
+    if refusal is not None:
+        raise refusal[1]
     return out
 
 

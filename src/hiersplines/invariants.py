@@ -19,8 +19,12 @@ stage or ``Fraction`` views of these, and each quantity they share has
 one route:
 
 - univariate B-splines at given points come from one table,
-  ``_univariate_values``, and tensor functions from its per-direction
-  tables, as the columns of ``_LevelColumns``;
+  ``_univariate_values``, one ``kernels.local_values`` call on the stack
+  of a knot vector's local knot vectors, and tensor functions from its
+  per-direction tables, as the columns of ``_LevelColumns``;
+- exact expansions come from one ``express_arrays`` sweep per level of
+  functions to expand, each function its own source, read as the floats
+  nearest the sweep's integer numerators (``_expansion_residual``);
 - children come from one ``tensor_children_arrays`` call per level,
   through ``_LevelColumns.two_scale`` where they are summed;
 - knots are compared as integers over a common denominator
@@ -63,9 +67,10 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .errors import AdmissibilityError, HierSplineError
@@ -101,7 +106,6 @@ from .tensor import (
     index_arrays,
     iter_box,
     marked_array,
-    marked_indices,
     tensor_children_arrays,
     two_scale_tables,
 )
@@ -222,10 +226,8 @@ def _within(worst: float, count: int, tol: float) -> InvariantResult:
 
 def _univariate_values(kv: KnotVector, x) -> np.ndarray:
     """Every function of the knot vector at the points x, one row per
-    function, from kernels.local_values on its local knots."""
-    p, knots, x = kv.degree, kv.floats, np.ascontiguousarray(x)
-    return np.stack([kernels.local_values(knots[j:j + p + 2], p, x)
-                     for j in range(kv.num_basis)])
+    function: one kernels.local_values call on the stack of its local knots."""
+    return kernels.local_values(sliding_window_view(kv.floats, kv.degree + 2), kv.degree, x)
 
 
 def _pair(ell: int, k: int, j: int, i: int) -> str:
@@ -270,19 +272,16 @@ class _LevelColumns:
             out *= tables[k][:, idx[:, k]]
         return out
 
-    def combination(self, terms: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
-        """sum of c * g over the terms, given per level as the level, an
-        (m, d) index array and m float coefficients: one dot product per
-        level, in the order given."""
-        acc = np.zeros(self.pts.shape[0])
-        for ell, indices, coefficients in terms:
-            acc += self.columns(ell, indices) @ coefficients
-        return acc
-
-    def spline_sum(self, parts: Sequence[LevelSpline]) -> np.ndarray:
-        """The sum of per-level splines, coarsest first, with exact values."""
-        return self.combination((part.level.index, part.indices, part.values.astype(np.float64))
-                                for part in parts if len(part.indices))
+    def block_sums(self, ell: int, indices: np.ndarray, coefficients: np.ndarray,
+                   bounds: Sequence[int]) -> np.ndarray:
+        """sum of c * g at the points over each block of rows, from
+        ``bounds[r]`` to ``bounds[r + 1]``, of an (m, d) index array of
+        level ell and m float coefficients, as a (blocks, points) array.
+        The columns are gathered once; a block's matvec reads its slice of
+        them, which has the layout of a gather of that block alone, so it
+        takes the same BLAS route and gives the same bits."""
+        columns = self.columns(ell, indices)
+        return np.array([columns[:, a:b] @ coefficients[a:b] for a, b in zip(bounds, bounds[1:])])
 
     def two_scale(self, ell: int, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """The children of the rows of an (n, d) array of functions of level
@@ -290,16 +289,12 @@ class _LevelColumns:
         parents in row order, the parent's row and the child as an (m, d)
         index array. Then the largest residual at the points when each
         parent is written over its children, with the floats nearest their
-        coefficients n/q, in one combination matvec per parent."""
+        coefficients n/q, in one matvec per parent."""
         rows, children, numerators, q = tensor_children_arrays(
             parents, two_scale_tables(self.levels[ell], self.levels[ell + 1]))
-        coefficients = nearest_floats(numerators, q)
-        bounds = np.searchsorted(rows, np.arange(len(parents) + 1)).tolist()
-        worst = 0.0
-        for value, a, b in zip(self.columns(ell, parents).T, bounds, bounds[1:]):
-            acc = self.combination([(ell + 1, children[a:b], coefficients[a:b])])
-            worst = max(worst, float(np.abs(value - acc).max()))
-        return rows, children, worst
+        sums = self.block_sums(ell + 1, children, nearest_floats(numerators, q),
+                               np.searchsorted(rows, np.arange(len(parents) + 1)))
+        return rows, children, float(np.abs(self.columns(ell, parents).T - sums).max())
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +644,26 @@ def _expansion_residual(cols: _LevelColumns, marks: Sequence[np.ndarray],
                         basis: HierBasis) -> float:
     """The largest residual at the columns' points when each function that
     ``marks[ell]`` marks on level ell's grid is written exactly over the
-    active functions of the basis: one exact sweep per function, one
-    spline per level, as expand_deactivated writes it before its dict view."""
+    active functions of the basis, as expand_deactivated writes it: one
+    exact sweep per level of marks, each function its own source. A
+    function's sum runs coarsest level first, one matvec per level on the
+    floats nearest its coefficients."""
     worst = 0.0
     for level, mask in enumerate(marks):
-        for idx in marked_indices(mask):
-            acc = cols.spline_sum(express_arrays([
-                (np.array([idx], dtype=np.int64), np.array([Fraction(1)], dtype=object))
-                if ell == level else (np.zeros((0, lv.dim), dtype=np.int64), np.zeros(0))
-                for ell, lv in enumerate(basis.levels)], basis))
-            worst = max(worst, float(np.abs(cols.columns(level, [idx])[:, 0] - acc).max()))
+        marked = marked_array(mask)
+        if not len(marked):
+            continue
+        empty = np.zeros(0, dtype=np.int64)
+        pending = [(np.zeros((0, lv.dim), dtype=np.int64), empty) for lv in basis.levels]
+        pending[level] = (marked, np.ones(len(marked), dtype=object))
+        sources = [np.arange(len(marked)) if ell == level else empty for ell in range(len(pending))]
+        acc = np.zeros((len(marked), len(cols.pts)))
+        for ell, (indices, labels, numerators, q) in enumerate(
+                express_arrays(pending, basis, sources=sources)):
+            order = np.argsort(labels, kind="stable")
+            acc += cols.block_sums(ell, indices[order], nearest_floats(numerators[order], q),
+                                   np.searchsorted(labels[order], np.arange(len(marked) + 1)))
+        worst = max(worst, float(np.abs(cols.columns(level, marked).T - acc).max()))
     return worst
 
 

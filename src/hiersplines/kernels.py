@@ -11,6 +11,17 @@ guarantees. Spans are right-continuous in the interior and the value at
 the right end 1.0 is the limit from the left, so partitions of unity hold
 pointwise on the whole closed domain.
 
+``local_values(tau, degree, xs)`` evaluates B-splines from their local
+knot vectors by the Cox-de Boor triangle: one vector of degree+2 knots,
+or an (m, degree+2) stack of them, one table row per vector, so that the
+invariant suite tabulates every function of a knot vector in one call.
+The points go in blocks of ``BLOCK`` and the vectors in chunks of at
+most ``GRID_BLOCK // len(block)`` (at least one), so each temporary of
+the triangle holds at most about ``GRID_BLOCK`` numbers, and memory
+follows the returned table rather than degree+2 times it. The arithmetic
+per vector and point does not depend on the stack, the block or the
+chunk: a stacked call equals the calls on its rows, bit for bit.
+
 Tensor-product splines with dense coefficients ``coeffs`` (first
 direction fastest) over the per-direction knot arrays ``knots``
 (``KnotVector.floats``) and ``degrees`` have two entries.
@@ -106,7 +117,8 @@ BACKEND = "numpy"
 
 # points per block of the pointwise kernels
 BLOCK = 4096
-# nodes per batch of whole grids, in the grid kernel and the norms
+# nodes per batch of whole grids, in the grid kernel and the norms, and
+# numbers per temporary of a stacked local_values
 GRID_BLOCK = 12288
 
 
@@ -153,35 +165,42 @@ def _nonzero_basis(knots, degree, xs, spans):
 
 
 def local_values(tau, degree, xs):
-    x_all = np.asarray(xs, dtype=np.float64)
-    out = np.empty(x_all.shape[0])
+    """The B-splines of ``degree`` on local knot vectors at the points xs:
+    for one vector ``tau`` of degree+2 knots its (n,) values, for an
+    (m, degree+2) stack of them an (m, n) table, one row per vector.
+    Points go in blocks of BLOCK and vectors in chunks of at most
+    GRID_BLOCK numbers per temporary, as the module explains."""
+    taus = np.asarray(tau, dtype=np.float64)
+    stack, x_all = taus.reshape(-1, degree + 2), np.asarray(xs, dtype=np.float64)
+    out = np.empty(taus.shape[:-1] + x_all.shape)
+    table = out.reshape(len(stack), x_all.shape[0])
     for start in range(0, x_all.shape[0], BLOCK):
         x = x_all[start:start + BLOCK]
-        # left of a support the triangle can leave -0.0; adding 0.0 makes
-        # every zero +0.0
-        np.add(_local_block(tau, degree, x), 0.0,
-               out=out[start:start + BLOCK])
+        step = max(1, GRID_BLOCK // x.shape[0])
+        for first in range(0, table.shape[0], step):
+            table[first:first + step, start:start + BLOCK] = \
+                _local_block(stack[first:first + step], degree, x)
     return out
 
 
 def _local_block(tau, degree, x):
-    p = degree
+    """The Cox-de Boor triangle of the rows of an (m, degree+2) stack of
+    local knot vectors at the points x. A term over a zero knot span is
+    masked out, after a division by 1.0 in its place, and each step adds
+    its two terms, so every zero comes out +0.0."""
+    p, t = degree, [tau[:, i, None] for i in range(degree + 2)]
     at_right = x == 1.0  # the right end of the domain
     n = []
     for i in range(p + 1):
-        half_open = (tau[i] <= x) & (x < tau[i + 1])
-        left_limit = (tau[i] < x) & (x <= tau[i + 1])
+        half_open = (t[i] <= x) & (x < t[i + 1])
+        left_limit = (t[i] < x) & (x <= t[i + 1])
         n.append(np.where(at_right, left_limit, half_open))
     for k in range(1, p + 1):
         for i in range(p + 1 - k):
-            d1 = tau[i + k] - tau[i]
-            d2 = tau[i + k + 1] - tau[i + 1]
-            acc = 0.0
-            if d1 > 0.0:
-                acc = (x - tau[i]) / d1 * n[i]
-            if d2 > 0.0:
-                acc = acc + (tau[i + k + 1] - x) / d2 * n[i + 1]
-            n[i] = acc
+            d1, d2 = t[i + k] - t[i], t[i + k + 1] - t[i + 1]
+            left, right = d1 > 0.0, d2 > 0.0
+            n[i] = np.where(left, (x - t[i]) / np.where(left, d1, 1.0) * n[i], 0.0) \
+                + np.where(right, (t[i + k + 1] - x) / np.where(right, d2, 1.0) * n[i + 1], 0.0)
     return n[0]
 
 

@@ -243,10 +243,10 @@ class KnotVector:
 
     @cached_property
     def intervals(self) -> tuple[IntervalCell, ...]:
-        bp, kn, p = self.breakpoints.values, self.knots, self.degree
+        bp, (first, last) = self.breakpoints.values, self.extension_intervals
         return tuple(IntervalCell(index=j, left=bp[j], right=bp[j + 1],
-                                  extension=(kn[k], kn[k + 2 * p + 1]))
-                     for j, k in enumerate(self.first_functions.tolist()))
+                                  extension=(bp[a], bp[b + 1]))
+                     for j, (a, b) in enumerate(zip(first.tolist(), last.tolist())))
 
     @cached_property
     def floats(self) -> np.ndarray:

@@ -653,6 +653,32 @@ def test_child_dropped_from_a_stage_is_named(name):
     assert got[4] == f"child of {Fid(ell, parent)} missing from the next stage"
 
 
+@pytest.mark.parametrize("coarser", [False, True], ids=["one", "with_a_coarser_refusal"])
+def test_descendant_dropped_from_the_active_set_is_named(coarser):
+    # a level-2 function reached first by the expansion of deactivated
+    # level-0 function A loses its active bit, and with a coarser refusal
+    # also a level-1 function reached first by a later source B: the
+    # per-function route refuses at A, naming the level-2 function, and
+    # so must the one sweep over all sources, though B refuses a level
+    # higher up
+    ctx = _context(load_fixture(FIXTURE_DIR / "d2_nested_not_admissible.json"))
+    basis = ctx.refinable
+    reached = [expand_deactivated(Fid(0, idx), basis) for idx in marked_indices(~basis.active[0])]
+    a = next(k for k, e in enumerate(reached) if any(fid.level == 2 for fid in e))
+    dropped = [next(fid for fid in reached[a] if fid.level == 2)]
+    if coarser:
+        earlier = set().union(*reached[:a + 1])
+        dropped.append(next(fid for e in reached[a + 1:] for fid in e
+                            if fid.level == 1 and fid not in earlier))
+    active = [mask.copy() for mask in basis.active]
+    for fid in dropped:
+        active[fid.level][fid.indices] = False
+    ctx.refinable = dataclasses.replace(basis, active=tuple(active))
+    got = _both("coarse_space_in_refinable", ctx)
+    assert got == (hierarchy.HierarchyError,
+                   f"{dropped[0]} is neither active nor deactivated in this basis")
+
+
 @pytest.mark.parametrize("name", ["d2_corner_admissible", "d2_nested_not_admissible",
                                   "d3_depth2_corner"])
 def test_flipped_weight_flag_is_named(name):
@@ -769,6 +795,52 @@ def test_rewritten_checks_take_no_per_item_route(monkeypatch):
     assert got == expected["parent_child_characterization"]
     assert got[1:3] == (True, 6072)
     assert 0 < len(pairs) < 6072
+
+
+def _counted_sweeps(monkeypatch):
+    """The pending levels of every invariants.express_arrays call, and the
+    Fractions made, from here on."""
+    sweeps, fractions = [], []
+    real_sweep, real_new = invariants.express_arrays, Fraction.__new__
+
+    def sweep(pending, *args, **kwargs):
+        sweeps.append([len(indices) for indices, _ in pending])
+        return real_sweep(pending, *args, **kwargs)
+
+    def new(cls, *args, **kwargs):
+        fractions.append(1)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "express_arrays", sweep)
+    monkeypatch.setattr(Fraction, "__new__", new)
+    return sweeps, fractions
+
+
+def test_expansion_checks_sweep_once_per_level_of_marks(monkeypatch):
+    # every deactivated level-0 function in one exact sweep, which makes
+    # no Fraction (a warm call, so the tables are built)
+    ctx = _context(load_fixture(FIXTURE_DIR / "d2_nested_not_admissible.json"))
+    expected = _outcome(CHECKS["coarse_space_in_refinable"], ctx)
+    with monkeypatch.context() as m:
+        sweeps, fractions = _counted_sweeps(m)
+        got = _outcome(CHECKS["coarse_space_in_refinable"], ctx)
+    assert got == expected and got[1:3] == (True, 100)
+    assert sweeps == [[36, 0, 0, 0]]
+    assert fractions == []
+    # the functions gone from the enlarged refinable basis, one sweep per
+    # level that has any
+    ctx = _context(load_fixture(FIXTURE_DIR / "d1_linear_enlarge.json"))
+    spec = ctx.fixture.enlargement
+    h2 = enlarge_hierarchy(ctx.hierarchy, ctx.levels, spec.additions, spec.new_deepest)
+    levels2 = extend_level_sequence(ctx.levels, h2.depth)
+    refinable2 = build_refinable_basis(h2, levels2, compute_weights(h2, levels2))
+    gone = [int((a & ~a2).sum()) for a, a2 in zip(ctx.refinable.active, refinable2.active)]
+    with monkeypatch.context() as m:
+        sweeps, _ = _counted_sweeps(m)
+        assert _outcome(CHECKS["enlargement_monotonicity"], ctx)[1]
+    assert sum(n > 0 for n in gone) > 0
+    assert sweeps == [[n if ell == level else 0 for ell in range(h2.depth)]
+                      for level, n in enumerate(gone) if n]
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,40 @@ def _reference_local_values(tau, p, x):
     return n[:, 0]
 
 
+def _random_knot_floats(rng, degree):
+    """A random knot vector of ``degree`` with interior multiplicities up
+    to degree + 1, as its floats and breakpoint floats."""
+    n = int(rng.integers(1, 7))
+    values = [0] + sorted({Fraction(int(k), 3 * n) for k in rng.integers(1, 3 * n, size=n)}) + [1]
+    mults = [degree + 1] + [int(m) for m in rng.integers(1, degree + 2, len(values) - 2)] \
+        + [degree + 1]
+    kv = make_open_knot_vector(degree, values, mults)
+    return kv.floats, kv.breakpoint_floats
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("many", [False, True], ids=["block", "chunked"])
+def test_stacked_local_values_equal_single_calls(degree, many):
+    # one call on the stack of every function's local knots gives each
+    # function's values of a call on its own knots, and of the former
+    # per-function arithmetic, bit for bit: int64 views tell -0.0 from +0.0;
+    # with more than GRID_BLOCK points the functions of each block of
+    # points run a few to a chunk
+    from numpy.lib.stride_tricks import sliding_window_view
+    rng = np.random.default_rng(degree)
+    for _ in range(4):
+        knots, breakpoints = _random_knot_floats(rng, degree)
+        count = kernels.GRID_BLOCK + 5 if many else 40
+        x = np.concatenate([[0.0, 1.0], breakpoints, rng.random(count)])
+        stacked = kernels.local_values(sliding_window_view(knots, degree + 2), degree, x)
+        taus = [knots[j:j + degree + 2] for j in range(len(knots) - degree - 1)]
+        single = np.array([kernels.local_values(tau, degree, x) for tau in taus])
+        former = np.array([_reference_local_values(tau, degree, x) for tau in taus])
+        assert stacked.shape == (len(taus), len(x))
+        assert np.array_equal(stacked.view(np.int64), single.view(np.int64))
+        assert np.array_equal(stacked.view(np.int64), former.view(np.int64))
+
+
 def _assert_near_pointwise(grid, point, scale):
     """The grid route contracts each grid's coefficient block one direction
     at a time, so it rounds differently from the pointwise route: the two
