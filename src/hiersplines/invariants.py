@@ -58,6 +58,10 @@ the builders', and runs it per level on index arrays:
   ``_univariate_values``, not to the basis columns that built them.
 - ``core_domains_definition`` tests the support extensions with the box
   test, not with the summed-area tables that built the core.
+- ``linear_independence_active`` tests the active functions' supports
+  against the stored subdomain cells and against the active cells of
+  their level with the box test, with no float; the dense rank
+  (``dense_independence``) decides only when that fails.
 """
 
 from __future__ import annotations
@@ -491,111 +495,38 @@ def active_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantRe
     Points form a tensor grid of degree+1 interior points per active cell;
     a spline combination vanishing on all of them vanishes cell by cell,
     so the matrix has full column rank exactly when the active functions
-    are independent, and the grid keeps it numerically well separated.
+    are independent.
 
-    The rank is certified level by level, as in the independence proof of
-    Vuong, Giannelli, Juettler & Simeon (2011). Order the rows by the level
-    of their active cell and the columns by function level: an active
-    function of level k has its support in subdomain k, so it vanishes at
-    the interior points of the active cells of every coarser level, and the
-    matrix is block lower triangular. That zero structure is checked from
-    the supports, with no floats. Full rank of every diagonal block then
-    gives full rank of the whole. Block l has Gram matrix
-    G_l = sum over the active cells c of level l of A_c^T A_c, restricted to
-    the active functions of level l, where A_c is the Kronecker product of
-    per-direction (p+1) x (p+1) collocation blocks. G_l counts as regular
-    when G_l - tau I has a Cholesky factor, with tau = c * ||G_l||_inf and
-    c = max(rows, cols) * eps. Since ||G_l||_inf >= lambda_max, success
-    gives lambda_min > tau >= c * lambda_max; since lambda = sigma^2, that
-    is stricter than the c * sigma_max tolerance of numpy's matrix_rank.
-    When the structure or a block fails, the dense collocation matrix and
-    matrix_rank give the verdict and the rank in the detail.
+    The rank is certified level by level from two exact facts, as in the
+    independence proof of Vuong, Giannelli, Juettler & Simeon (2011).
+    First, order the rows by the level of their active cell and the
+    columns by function level: an active function of level k has its
+    support in subdomain k, so it vanishes at the points of the active
+    cells of every coarser level, and the matrix is block lower
+    triangular. That zero structure is checked from the supports. Second,
+    the B-splines of one level are locally linearly independent: on a
+    cell, the (p+1)^d functions acting there, taken at its (p+1)^d points,
+    form a nonsingular tensor collocation matrix. So a level's diagonal
+    block has full column rank exactly when every active function of the
+    level acts on an active cell of the level; a function that acts on
+    none has a zero column. That cover is a box test of the supports
+    against the level's active cells, with no floats. When the structure
+    or a cover fails, the dense collocation matrix and matrix_rank give
+    the verdict and the rank in the detail.
     """
     levels = basis.levels
-    structured = not any((members & ~supports_in_cells(basis.hierarchy, levels, ell, ell)).any()
-                         for ell, members in enumerate(basis.active))
-    if structured and all(_gram_block_regular(lv, cells, members)
-                          for lv, cells, members in zip(levels, mesh.masks, basis.active)):
-        n = len(basis)
-        m = sum(int(np.count_nonzero(cells)) * math.prod(p + 1 for p in lv.degrees)
-                for lv, cells in zip(levels, mesh.masks))
-        return InvariantResult("linear_independence_active", True, 1, 0.0,
-                               f"rank {n} of {n} at {m} points")
-    return dense_independence(basis, mesh)
-
-
-def _gram_block_regular(level: TensorLevel, cells: np.ndarray, members: np.ndarray) -> bool:
-    """Is the level's diagonal block of the collocation matrix regular?
-
-    ``cells`` and ``members`` mark the level's active cells and functions
-    on its grids. See :func:`active_independence`. Per direction, the
-    (p+1) x (p+1) Gram blocks B^T B of every interval come from one
-    find_spans and basis_columns pass; a cell's A_c^T A_c is their
-    Kronecker product, first direction fastest, and all cells scatter into
-    G_l at once. In canonical order G_l is banded: its half-bandwidth is
-    the widest spread of function positions within one cell, and
-    :func:`_shifted_cholesky` tests it block by block.
-    """
-    n = int(np.count_nonzero(members))
-    if not n:
-        return True
-    if not cells.any():
-        return False
-    # both in canonical order, the first direction fastest
-    cells = np.argwhere(cells.T)[:, ::-1]
-    position = np.full(level.num_basis, -1, dtype=np.int64)
-    position.T[members.T] = np.arange(n)
-    local = np.ones((len(cells), 1, 1))
-    flat = np.zeros((len(cells), 1), dtype=np.int64)
-    stride = 1
-    for k, kv in enumerate(level.kvs):
-        p, knots, x = kv.degree, kv.floats, _interval_ticks(kv).ravel()
-        spans = kernels.find_spans(knots, p, x)
-        block = kernels.basis_columns(knots, p, x, spans).reshape(-1, p + 1, p + 1)
-        gram = np.einsum("iqa,iqb->iab", block, block)[cells[:, k]]
-        first = kv.first_functions[cells[:, k]]
-        # direction k varies slower than the directions before it
-        local = np.einsum("cab,cij->caibj", gram, local).reshape(
-            len(cells), (p + 1) * local.shape[1], (p + 1) * local.shape[2])
-        flat = ((first[:, None] + np.arange(p + 1)) * stride)[:, :, None] + flat[:, None, :]
-        flat = flat.reshape(len(cells), -1)
-        stride *= kv.num_basis
-    pos = position.ravel(order="F")[flat]
-    keep = (pos[:, :, None] >= 0) & (pos[:, None, :] >= 0)
-    keys = (pos[:, :, None] * n + pos[:, None, :])[keep]
-    gram = np.bincount(keys, weights=local[keep], minlength=n * n).reshape(n, n)
-    spread = (pos.max(axis=1) - np.where(pos >= 0, pos, n).min(axis=1))[(pos >= 0).any(axis=1)]
-    rows = len(cells) * local.shape[1]
-    return _shifted_cholesky(gram, int(spread.max(initial=0)),
-                             max(rows, n) * np.finfo(float).eps)
-
-
-def _shifted_cholesky(gram: np.ndarray, bandwidth: int, c: float) -> bool:
-    """Does G - tau I have a Cholesky factor, tau = c * ||G||_inf?
-
-    ``gram`` is a symmetric n x n matrix G with G[i, j] = 0 whenever
-    |i - j| > ``bandwidth``; it is overwritten. In diagonal blocks of size
-    b = max(bandwidth, 1) the matrix is block tridiagonal, so each step
-    factors the pivot block, solves for the panel below it and updates the
-    next diagonal block by the Schur complement: about n * b^2 work and no
-    n x n temporary. A block that is not numerically positive definite
-    fails the test.
-    """
-    n, b = len(gram), max(bandwidth, 1)
-    starts = range(0, n, b)
-    norm = max(float(np.abs(gram[s:s + b, max(s - b, 0):s + 2 * b]).sum(axis=1).max())
-               for s in starts)
-    gram[np.diag_indices(n)] -= c * norm
-    try:
-        for s in starts:
-            e, f = s + b, s + 2 * b
-            low = np.linalg.cholesky(gram[s:e, s:e])
-            if e < n:
-                panel = np.linalg.solve(low, gram[e:f, s:e].T)
-                gram[e:f, e:f] -= panel.T @ panel
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    for ell, members in enumerate(basis.active):
+        kvs, j = levels[ell].kvs, marked_array(members).T
+        first = [kv.support_intervals[0][i] for kv, i in zip(kvs, j)]
+        last = [kv.support_intervals[1][i] for kv, i in zip(kvs, j)]
+        if (members & ~supports_in_cells(basis.hierarchy, levels, ell, ell)).any() \
+                or boxes_in(~mesh.masks[ell], first, last).any():
+            return dense_independence(basis, mesh)
+    n = len(basis)
+    m = sum(int(np.count_nonzero(cells)) * math.prod(p + 1 for p in lv.degrees)
+            for lv, cells in zip(levels, mesh.masks))
+    return InvariantResult("linear_independence_active", True, 1, 0.0,
+                           f"rank {n} of {n} at {m} points")
 
 
 def dense_independence(basis: HierBasis, mesh: HierarchicalMesh) -> InvariantResult:

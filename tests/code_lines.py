@@ -3,8 +3,9 @@
 A line counts when some token other than a comment starts, ends or runs
 through it, so every line of a multi-line string expression counts. The
 docstrings of the module, its classes and its functions do not count.
-Run as ``PYTHONPATH=src python -m tests.code_lines src/hiersplines``; it
+Run as ``PYTHONPATH=src python -m tests.code_lines [directory]``; it
 prints the count of every ``*.py`` file of the directory and their total.
+The directory defaults to the package, ``src/hiersplines``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hiersplines"
 
 
 def _docstring_lines(tree: ast.Module) -> set[int]:
@@ -47,7 +49,7 @@ def count_directory(directory: Path) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> None:
-    counts = count_directory(Path(argv[0]))
+    counts = count_directory(Path(argv[0]) if argv else PACKAGE)
     for name, n in counts.items():
         print(f"{n:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total")

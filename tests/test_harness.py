@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hiersplines import invariants
+from hiersplines import invariants, kernels
 from hiersplines.errors import (
     AdmissibilityError,
     FixtureError,
@@ -539,11 +539,14 @@ def _with_member(basis, level, indices):
 
 
 def _random_independence_cases(dim, explicit):
-    """Four random hierarchies of depth 3, as (basis, mesh) pairs."""
-    rng = np.random.default_rng(7 + dim + 10 * explicit)
-    for _ in range(4):
-        levels, h = random_hierarchy(rng, dim=dim, depth=3, explicit=explicit)
-        yield build_hierarchical_basis(h, levels)
+    """Eight random hierarchies of depth 3, as (basis, mesh) pairs: four
+    over uniform initial knots and four with raised interior multiplicities."""
+    for raised in (False, True):
+        rng = np.random.default_rng(7 + dim + 10 * explicit + 100 * raised)
+        for _ in range(4):
+            levels, h = random_hierarchy(rng, dim=dim, depth=3, explicit=explicit,
+                                         raised=raised)
+            yield build_hierarchical_basis(h, levels)
 
 
 def _fixture_basis(path):
@@ -592,9 +595,21 @@ class TestLinearIndependence:
         for basis, mesh in _random_independence_cases(dim, explicit):
             assert active_independence(basis, mesh).passed
 
+    @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+    def test_certificate_evaluates_no_b_spline(self, no_dense_rank, monkeypatch, path):
+        # the cover test reads supports and cells only
+        basis, mesh = _fixture_basis(path)
+
+        def refuse(*args, **kw):
+            raise AssertionError("a B-spline was evaluated")
+
+        for name in ("find_spans", "basis_columns", "local_values", "tensor_spline_values"):
+            monkeypatch.setattr(kernels, name, refuse)
+        assert active_independence(basis, mesh).passed
+
     def test_certificate_memory_stays_near_one_gram_block(self):
-        # numpy reports its array memory to tracemalloc; the Gram block of
-        # the largest level is the one n x n array the certificate makes
+        # numpy reports its array memory to tracemalloc; the certificate
+        # stays under a tenth of one n x n float64 block of the largest level
         basis, mesh = _fixture_basis(FIXTURE_DIR / "d2_nested_not_admissible.json")
         n = max(int(np.count_nonzero(mask)) for mask in basis.active)
         tracemalloc.start()
@@ -603,7 +618,7 @@ class TestLinearIndependence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
+        assert peak < 0.1 * n * n * 8
 
     def test_injected_dependent_column_fails(self):
         fx = repo_fixture("d2_corner_admissible")
@@ -634,79 +649,6 @@ class TestLinearIndependence:
         assert not got.passed
         assert got.detail == f"rank {len(basis)} of {len(basis) + 1} at 10 points"
 
-
-def _banded_spd(n, b, rng):
-    """B^T B for a random lower banded B with a dominant diagonal: symmetric
-    positive definite, with half-bandwidth b."""
-    lower = np.tril(np.triu(rng.normal(size=(n, n)), -b))
-    lower[np.diag_indices(n)] = 2.0 + rng.random(n)
-    return lower.T @ lower
-
-
-def _with_smallest_eigenvalue(gram, ratio):
-    """gram - s I with lambda_min = ratio * lambda_max."""
-    eig = np.linalg.eigvalsh(gram)
-    shift = (eig[0] - ratio * eig[-1]) / (1.0 - ratio)
-    return gram - shift * np.eye(len(gram))
-
-
-def _inf_norm(gram):
-    return np.abs(gram).sum(axis=1).max()
-
-
-class TestShiftedCholesky:
-    """The blocked test of G - c ||G||_inf I on constructed banded matrices."""
-
-    C = 1e-12
-
-    def _regular(self, gram, bandwidth):
-        return invariants._shifted_cholesky(gram.copy(), bandwidth, self.C)
-
-    def test_near_singular_block_fails(self):
-        gram = _with_smallest_eigenvalue(_banded_spd(40, 3, np.random.default_rng(1)),
-                                         0.5 * self.C)
-        eig = np.linalg.eigvalsh(gram)
-        assert eig[0] == pytest.approx(0.5 * self.C * eig[-1], rel=1e-3)
-        assert not self._regular(gram, 3)
-
-    def test_margin_over_the_shift_passes(self):
-        gram = _banded_spd(40, 3, np.random.default_rng(2))
-        for _ in range(3):
-            eig = np.linalg.eigvalsh(gram)
-            gram = gram - (eig[0] - 10 * self.C * _inf_norm(gram)) * np.eye(40)
-        eig = np.linalg.eigvalsh(gram)
-        assert eig[0] == pytest.approx(10 * self.C * _inf_norm(gram), rel=1e-3)
-        assert self._regular(gram, 3)
-
-    def test_singular_matrices_fail(self):
-        # the Neumann difference matrix annihilates the constants
-        n = 12
-        neumann = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        neumann[0, 0] = neumann[-1, -1] = 1
-        assert not self._regular(neumann, 1)
-        assert not self._regular(np.zeros((5, 5)), 0)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
-    @pytest.mark.parametrize("b", [0, 1, 3, 6, 39, 60])
-    def test_blocks_agree_with_dense_cholesky(self, n, b):
-        # regular, and shifted to near the limit from both sides; a band
-        # as wide as the matrix or wider is the dense case
-        rng = np.random.default_rng([n, b])
-        gram = _banded_spd(n, min(b, n - 1), rng)
-        for g in (gram, _with_smallest_eigenvalue(gram, 0.5 * self.C),
-                  _with_smallest_eigenvalue(gram, 100 * self.C)):
-            shifted = g - self.C * _inf_norm(g) * np.eye(n)
-            try:
-                np.linalg.cholesky(shifted)
-                want = True
-            except np.linalg.LinAlgError:
-                want = False
-            assert self._regular(g, b) == want
-
-    def test_one_by_one(self):
-        assert self._regular(np.array([[2.0]]), 0)
-        assert not self._regular(np.array([[0.0]]), 0)
-        assert not self._regular(np.array([[-1.0]]), 0)
 
 def _cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "hiersplines.cli", *args],
@@ -909,6 +851,18 @@ def test_raised_multiplicity_on_subdomain_boundary_runs_or_is_refused():
         run_convergence_study([fx], "sin", 2)
     except AdmissibilityError:
         pass
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="on intervals of length ratio 1000 the operator identity "
+                          "residuals exceed TOL_OPERATOR")
+def test_graded_mesh_checks_or_is_refused():
+    # d2_single_cell over breakpoints 0, 1/1000, 1 in both directions:
+    # level_operator_identities reads 2.121e-10 and multiscale_identities
+    # 1.431e-10, against TOL_OPERATOR 1e-10
+    res = _cli("check", str(DATA_DIR / "graded_interval_ratio_1000.json"))
+    assert "Traceback" not in res.stderr
+    assert res.returncode in (0, 2), res.stdout
 
 def test_import_leaves_scipy_unloaded():
     res = subprocess.run(

@@ -261,3 +261,13 @@ def test_code_line_counter_skips_blank_comment_and_docstring_lines():
               '                # a comment\n' # 20 comment
               '                os)\n')        # 21 code
     assert code_lines(source) == 9
+
+
+def test_code_line_counter_defaults_to_the_package(capsys):
+    from .code_lines import main
+
+    main([str(SRC)])
+    explicit = capsys.readouterr().out
+    main([])
+    assert capsys.readouterr().out == explicit
+    assert explicit.splitlines()[-1].endswith("total")
