@@ -23,11 +23,9 @@ from .univariate import (
     IntervalCell,
     KnotVector,
     LocalKnotVector,
-    children_with_coefficients,
     dyadic_refine,
     is_child_of,
     make_open_knot_vector,
-    parents_of,
     uniform_open_knot_vector,
 )
 from .tensor import (
@@ -38,7 +36,6 @@ from .tensor import (
     build_level_sequence,
     extend_level_sequence,
     tensor_children,
-    tensor_parents,
 )
 from .hierarchy import (
     CLASSICAL,
@@ -57,7 +54,6 @@ from .hierarchy import (
     express_over,
     partition_of_unity,
     validate_hierarchy,
-    zero_weight_by_characterization,
 )
 from .quasiinterp import (
     AdmissibilityReport,

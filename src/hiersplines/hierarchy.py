@@ -42,16 +42,14 @@ refinable selection all take their children from it. A
 array with integer numerators over one denominator and positivity flags,
 and looks functions up by their positions in those arrays; its
 ``Fid``-keyed dicts of Fractions are views made on first use. The
-scalar queries (:func:`support_in_subdomain`, :func:`cell_in_subdomain`)
-and the sweep look up the same cached level answers.
+selections, the weights and the sweep look up the same cached level
+answers.
 
 The results are stored as per-level boolean grids too: the active cells
 of a :class:`HierarchicalMesh`, and the selected and active functions of
-a :class:`HierBasis`. The package's own code reads these arrays. Their
-tuple and frozenset views (``active``, ``member_set``, ``stages``) and
-the weight dicts are derived on first use, for the dumps, the dict API
-(:func:`express_over`, :func:`expand_deactivated`) and the tests;
-:mod:`hiersplines.invariants` reads none of them.
+a :class:`HierBasis`. The package's own code reads these arrays. The
+mesh dumps derive the tuple view ``HierarchicalMesh.active`` and the
+weight dicts on first use; :mod:`hiersplines.invariants` reads neither.
 """
 
 from __future__ import annotations
@@ -227,14 +225,10 @@ class SubdomainGrids:
             return np.full(self.levels[level].num_cells, ell <= 0)
         return self._grids[ell - 1][np.ix_(*self.ancestor_maps(level, ell - 1))]
 
-    def cell_inside(self, level: int, indices: Index, ell: int) -> bool:
-        """:meth:`cells_inside` for one cell, 1 <= ell < depth."""
-        maps = self.ancestor_maps(level, ell - 1)
-        return bool(self._grids[ell - 1][tuple(m[j] for m, j in zip(maps, indices))])
-
     def supports_inside(self, level: int, ell: int) -> np.ndarray:
         """Which functions of ``level`` have their support in subdomain ell
-        (level >= ell-1). Cached: the scalar queries read it."""
+        (level >= ell-1). Cached: the selections, the weights and the
+        sweep each read it."""
         key = (level, ell)
         mask = self._masks.get(key)
         if mask is None:
@@ -266,44 +260,6 @@ def subdomain_grids(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> Sub
 def validate_hierarchy(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> None:
     """Check cell indices and the nesting chain; raise HierarchyError if bad."""
     subdomain_grids(h, levels)
-
-
-# ---------------------------------------------------------------------------
-# containment queries
-
-def cell_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
-                      level: int, indices: Index, ell: int) -> bool:
-    """Is the closed cell of ``level`` inside subdomain ``ell``?
-
-    Requires level >= ell-1 so the cell maps to whole cells of the
-    subdomain's granularity.
-    """
-    levels[level].check_index(indices, cells=True)
-    cells = h.subdomain_cells(ell)
-    if cells is None:
-        return True
-    if not cells:
-        return False
-    if level < ell - 1:
-        raise HierarchyError("cell coarser than the subdomain's granularity")
-    return subdomain_grids(h, levels).cell_inside(level, indices, ell)
-
-
-def support_in_subdomain(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
-                         level: int, indices: Index, ell: int) -> bool:
-    """Is the support of function ``indices`` of ``level`` inside subdomain ell?
-
-    Requires level >= ell-1, like :func:`cell_in_subdomain`.
-    """
-    levels[level].check_index(indices)
-    cells = h.subdomain_cells(ell)
-    if cells is None:
-        return True
-    if not cells:
-        return False
-    if level < ell - 1:
-        raise HierarchyError("function coarser than the subdomain's granularity")
-    return bool(subdomain_grids(h, levels).supports_inside(level, ell)[indices])
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +333,9 @@ class WeightMap:
     Per level ell: ``indices`` holds the defined functions as an (n, d)
     index array in canonical order, ``numerators`` their weights' integer
     numerators over ``denominators[ell]`` and ``flags`` their positivity.
-    :meth:`positions` finds functions among them, and ``weight``,
-    ``is_positive`` and ``defined`` read one entry through it. ``values``
-    (``Fid`` to ``Fraction``) and ``positive`` (``Fid`` to bool) are dict
-    views in that order, both made on the first use of either.
+    :meth:`positions` finds functions among them. ``values`` (``Fid`` to
+    ``Fraction``) and ``positive`` (``Fid`` to bool) are dict views in
+    that order, both made on the first use of either.
     """
 
     indices: tuple[np.ndarray, ...]
@@ -440,17 +395,6 @@ class WeightMap:
     @property
     def positive(self) -> dict[Fid, bool]:
         return self._views[1]
-
-    def weight(self, fid: Fid) -> Fraction:
-        at = self.defined_positions(fid.level, [fid.indices])[0]
-        return Fraction(int(self.numerators[fid.level][at]), self.denominators[fid.level])
-
-    def is_positive(self, fid: Fid) -> bool:
-        at = self.defined_positions(fid.level, [fid.indices])[0]
-        return bool(self.flags[fid.level][at])
-
-    def defined(self, fid: Fid) -> bool:
-        return bool(self.positions(fid.level, [fid.indices])[0] >= 0)
 
 
 def _no_weight(fid: Fid) -> HierarchyError:
@@ -578,12 +522,6 @@ def boxes_in(grid: np.ndarray, first: Sequence[np.ndarray],
     return inside
 
 
-def zero_weight_by_characterization(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
-                                    fid: Fid, weights: WeightMap) -> bool:
-    """:func:`zero_weights_by_parents` for one function."""
-    return bool(zero_weights_by_parents(h, levels, fid.level, [fid.indices], weights)[0])
-
-
 # ---------------------------------------------------------------------------
 # the two bases
 
@@ -605,33 +543,13 @@ class HierBasis:
     active: tuple[np.ndarray, ...]
     weights: WeightMap
 
-    @functools.cached_property
-    def member_set(self) -> frozenset[Fid]:
-        return frozenset(self.functions())
-
-    @functools.cached_property
-    def stages(self) -> tuple[frozenset[Fid], ...]:
-        """Stage k: every function alive after processing subdomain k."""
-        stages, before = [], []
-        for ell, (selected, active) in enumerate(zip(self.selected, self.active)):
-            stages.append(frozenset(before + [Fid(ell, idx) for idx in marked_indices(selected)]))
-            before += [Fid(ell, idx) for idx in marked_indices(active)]
-        return tuple(stages)
-
     def __len__(self) -> int:
         return sum(int(np.count_nonzero(m)) for m in self.active)
-
-    def __contains__(self, fid: Fid) -> bool:
-        return 0 <= fid.level < len(self.active) and self.levels[fid.level].holds(fid.indices) \
-            and bool(self.active[fid.level][fid.indices])
 
     def functions(self) -> Iterator[Fid]:
         for ell, mask in enumerate(self.active):
             for idx in marked_indices(mask):
                 yield Fid(ell, idx)
-
-    def weight(self, fid: Fid) -> Fraction:
-        return self.weights.weight(fid)
 
 
 def _selections(h: SubdomainHierarchy, levels: Sequence[TensorLevel],
@@ -702,6 +620,7 @@ class HierSplineFunction:
     basis: HierBasis
     parts: Sequence[LevelSpline]
 
+    # kept while the benchmark's workloads read it
     @functools.cached_property
     def coefficients(self) -> dict[Fid, Fraction | float]:
         return {Fid(part.level.index, idx): c
@@ -721,9 +640,6 @@ class HierSplineFunction:
             axes = as_axes(axes, self.basis.levels[0].dim)
             total = np.zeros((len(axes[0]),) + tuple(a.shape[1] for a in reversed(axes)))
         return total
-
-    def __call__(self, points) -> np.ndarray:
-        return self.evaluate(points)
 
 
 def _summed(arrays):
@@ -746,6 +662,7 @@ def partition_of_unity(basis: HierBasis) -> HierSplineFunction:
     return HierSplineFunction(basis, parts)
 
 
+# kept for expand_deactivated, which the benchmark's tracer wraps
 def express_over(coefficients: Mapping[Fid, Fraction | float],
                  basis: HierBasis) -> dict[Fid, Fraction | float]:
     """Write a combination of level functions over the active ones.
@@ -934,6 +851,7 @@ def _merged(received: np.ndarray, terms: np.ndarray, slots: np.ndarray,
     return merged
 
 
+# kept while the benchmark's tracer wraps it
 def expand_deactivated(fid: Fid, basis: HierBasis) -> dict[Fid, Fraction]:
     """Write a deactivated function exactly over the active ones of finer
     levels; an active function is returned as itself."""

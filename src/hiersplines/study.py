@@ -98,6 +98,7 @@ class StudyReport:
 _CSV_COLUMNS = {"step": int, "level": int, "h": float, "error": float, "order": float}
 
 
+# kept while the benchmark's workloads read it
 def read_study_csv(text: str) -> list[dict]:
     """The rows of a study CSV as :meth:`StudyReport.csv_text` writes it.
 

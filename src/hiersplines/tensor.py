@@ -14,8 +14,9 @@ derives the multi-indices in canonical order where a reader needs them.
 A :class:`TensorLevel` reads the index tables and float knots of its knot
 vectors and owns, as a ``functools.cached_property``, its parent maps as
 int64 arrays. It holds the one test that an index names one of its
-functions or cells (:meth:`TensorLevel.holds`), which every scalar
-per-index query passes its index through (:meth:`TensorLevel.check_index`).
+functions or cells (:meth:`TensorLevel.holds`); the two per-index
+queries, :func:`tensor_children` and :func:`cell_ancestor`, pass their
+index through it (:meth:`TensorLevel.check_index`).
 
 Spline coefficients are stored per level as index and value arrays: a
 :class:`LevelSpline` holds an (n, d) int64 array of distinct functions of
@@ -31,7 +32,6 @@ once (:func:`tensor_children_arrays`).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,13 +45,11 @@ from . import kernels
 from .errors import HierSplineError, LevelSizeError, NestingError
 from .univariate import (
     KnotVector,
-    LocalKnotVector,
     TwoScaleTable,
     dyadic_refine,
     exact_dtype,
     interval_parents,
     parent_slots,
-    parent_table,
     two_scale_table,
 )
 
@@ -108,9 +106,6 @@ class CellSet:
     level: int
     mask: np.ndarray
 
-    def sorted(self) -> list[Index]:
-        return marked_indices(self.mask)
-
 
 @dataclass(frozen=True)
 class TensorLevel:
@@ -161,8 +156,8 @@ class TensorLevel:
     def holds(self, indices: Index, cells: bool = False) -> bool:
         """Is ``indices`` a function of this level, or with ``cells`` a
         cell: as many entries as directions, each inside its grid. The
-        scalar queries run it thousands of times per check, so it is a
-        plain loop."""
+        subdomain cells of a hierarchy and of a mesh dump run through it
+        one at a time, thousands per check, so it is a plain loop."""
         grid = self.num_cells if cells else self.num_basis
         if len(indices) != len(grid):
             return False
@@ -181,23 +176,6 @@ class TensorLevel:
     def function_ids(self) -> Iterator[Index]:
         return iter_box([range(n) for n in self.num_basis])
 
-    def cell_ids(self) -> Iterator[Index]:
-        return iter_box([range(n) for n in self.num_cells])
-
-    def local(self, indices: Index) -> tuple[LocalKnotVector, ...]:
-        return tuple(kv.local(j) for kv, j in zip(self.kvs, indices))
-
-    def support_box(self, indices: Index) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(kv.support(j) for kv, j in zip(self.kvs, indices))
-
-    def function_cell_ranges(self, indices: Index) -> list[range]:
-        """Per-direction interval index ranges covered by the support."""
-        out = []
-        for kv, j in zip(self.kvs, indices):
-            a, b = kv.function_interval_range(j)
-            out.append(range(a, b + 1))
-        return out
-
     def cell_box(self, indices: Index) -> tuple[tuple[Fraction, Fraction], ...]:
         out = []
         for kv, j in zip(self.kvs, indices):
@@ -205,36 +183,13 @@ class TensorLevel:
             out.append((c.left, c.right))
         return tuple(out)
 
-    def cell_volume(self, indices: Index) -> Fraction:
-        vol = Fraction(1)
-        for kv, j in zip(self.kvs, indices):
-            vol *= kv.intervals[j].length
-        return vol
-
-    def support_extension_box(self, indices: Index) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Closed region covered by the supports of all functions acting on the cell."""
-        return tuple(kv.intervals[j].extension for kv, j in zip(self.kvs, indices))
-
-    def support_extension_cell_ranges(self, indices: Index) -> list[range]:
-        """The support extension of a cell, as per-direction interval ranges."""
-        return [range(kv.extension_intervals[0].item(j), kv.extension_intervals[1].item(j) + 1)
-                for kv, j in zip(self.kvs, indices)]
-
     def functions_on_cell(self, indices: Index) -> list[range]:
         return [kv.functions_on_interval(j) for kv, j in zip(self.kvs, indices)]
 
-    def functions_supported_in_box(self, box) -> list[range]:
-        return [kv.functions_supported_in(lo, hi)
-                for kv, (lo, hi) in zip(self.kvs, box)]
-
-    def locate(self, point: Sequence[float]) -> Index | None:
-        """Cell whose closure contains the point, by right-continuous lookup."""
-        found, cells = self.locate_all(np.array([point], dtype=np.float64))
-        return tuple(int(c[0]) for c in cells) if found[0] else None
-
     def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """:meth:`locate` for the rows of an (m, d) array: which points lie
-        in the domain, and their cells as one index array per direction."""
+        """The cells whose closures hold the rows of an (m, d) array of
+        points, by right-continuous lookup: which points lie in the
+        domain, and their cells as one index array per direction."""
         found = np.ones(points.shape[0], dtype=bool)
         cells = []
         for kv, x in zip(self.kvs, points.T):
@@ -342,6 +297,7 @@ def tensor_children_arrays(parents: np.ndarray, tables: Sequence[TwoScaleTable]
     return rows, children, numerators, q
 
 
+# kept while the benchmark's tracer wraps it
 def tensor_children(indices: Index, coarse: TensorLevel, fine: TensorLevel
                     ) -> list[tuple[Index, Fraction]]:
     """Children of a coarse function with two-scale coefficients.
@@ -357,22 +313,12 @@ def tensor_children(indices: Index, coarse: TensorLevel, fine: TensorLevel
     return [(tuple(c), Fraction(n, q)) for c, n in zip(children.tolist(), numerators.tolist())]
 
 
-def tensor_parents(indices: Index, coarse: TensorLevel, fine: TensorLevel) -> list[Index]:
-    """Parents of a fine function, from the univariate endpoint tests."""
-    fine.check_index(indices)
-    per_dir = [parent_table(ckv, fkv)[j]
-               for ckv, fkv, j in zip(coarse.kvs, fine.kvs, indices)]
-    return [tuple(per_dir[i][c] for i, c in enumerate(combo))
-            for combo in iter_box([range(len(r)) for r in per_dir])]
-
-
 def has_marked_parent(indices: np.ndarray, coarse: TensorLevel, fine: TensorLevel,
                       mask: np.ndarray) -> np.ndarray:
     """Which rows of an (n, d) array of fine functions have a parent that
-    ``mask`` marks on the coarse function grid. The parents are those of
-    :func:`tensor_parents`, from the endpoint tests: per direction the
-    padded slots of :func:`parent_slots`, then one gather of the mask per
-    combination of slots."""
+    ``mask`` marks on the coarse function grid. The parents come from the
+    endpoint tests: per direction the padded slots of :func:`parent_slots`,
+    then one gather of the mask per combination of slots."""
     per_dir = [(index[j], present[j]) for (index, present), j in
                zip((parent_slots(ckv, fkv) for ckv, fkv in zip(coarse.kvs, fine.kvs)),
                    indices.T)]
@@ -386,6 +332,7 @@ def has_marked_parent(indices: np.ndarray, coarse: TensorLevel, fine: TensorLeve
 # ---------------------------------------------------------------------------
 # cells across levels
 
+# kept while the benchmark's tracer wraps it
 def cell_ancestor(levels: Sequence[TensorLevel], from_level: int, to_level: int,
                   indices: Index) -> Index:
     """Map a cell of ``from_level`` to the cell of ``to_level`` containing it."""
@@ -396,23 +343,6 @@ def cell_ancestor(levels: Sequence[TensorLevel], from_level: int, to_level: int,
     for ell in range(from_level, to_level, -1):
         idx = tuple(m[j] for m, j in zip(levels[ell].interval_parents, idx))
     return idx
-
-
-def cell_descendant_ranges(levels: Sequence[TensorLevel], from_level: int,
-                           to_level: int, indices: Index) -> list[range]:
-    """Per-direction fine interval ranges of a coarse cell's descendants.
-
-    The parent maps are nondecreasing, so the children of a range of
-    intervals are the fine intervals whose parents fall in it.
-    """
-    if to_level < from_level:
-        raise HierSplineError("descendant level must not be coarser")
-    levels[from_level].check_index(indices, cells=True)
-    ranges = [range(j, j + 1) for j in indices]
-    for ell in range(from_level + 1, to_level + 1):
-        ranges = [range(bisect.bisect_left(m, r.start), bisect.bisect_right(m, r.stop - 1))
-                  for m, r in zip(levels[ell].interval_parents, ranges)]
-    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +367,7 @@ def as_axes(axes, dim: int) -> list[np.ndarray]:
     return axes if isinstance(axes, kernels.GridAxes) else arrs
 
 
+# kept while the benchmark's tracer wraps it
 def eval_function(level: TensorLevel, indices: Index, points) -> np.ndarray:
     """Evaluate one tensor-product basis function at a batch of points."""
     pts = as_points(points, level.dim)
@@ -513,6 +444,3 @@ class LevelSpline:
         lv = self.level
         return kernels.tensor_grid_values(
             self._dense, [kv.floats for kv in lv.kvs], lv.degrees, as_axes(axes, lv.dim))
-
-    def __call__(self, points) -> np.ndarray:
-        return self.evaluate(points)

@@ -6,9 +6,10 @@ vectors therefore store equal integers, and dyadic refinement, subsequence
 tests, multiplicity counts, parent tests and the two-scale coefficients
 run on Python ints, which removes every tolerance question from the
 parent/child bookkeeping. Knots read from input files convert exactly
-(binary floats are rationals), so "equal as read" is literal; the
-``Fraction`` values of the knots, breakpoints, intervals and local knot
-vectors are views made on first use, for the dumps and the tests.
+(binary floats are rationals), so "equal as read" is literal. The
+``Fraction`` values of the breakpoints and intervals are made on first
+use for the mesh dumps, and those of the knots (``KnotVector.knots``,
+``KnotVector.local``) for exact references outside the package.
 
 Pointwise evaluation happens in float64 through :mod:`hiersplines.kernels`.
 The convention is right-continuity in the interior of the domain and the
@@ -28,8 +29,8 @@ integer numerators over one denominator per coarse/fine pair. Its
 coefficients do not change under increasing affine maps of the knots, so
 the exact recurrence runs once per degree and reduced integer knot
 pattern in the process (:func:`_oslo_run`), whichever pair or level
-sequence the pattern comes from; :func:`children_table` and
-:func:`children_with_coefficients` read the same runs as Fractions.
+sequence the pattern comes from; :func:`children_table` reads the table
+as Fractions.
 
 Every exact integer array of the package takes its format from one rule
 here: :func:`exact_dtype` gives int64 for a stated bound on the
@@ -49,7 +50,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import KnotVectorError, RefinementMismatchError
 
 ZERO = Fraction(0)
@@ -126,16 +126,12 @@ class IntervalCell:
     right: Fraction
     extension: tuple[Fraction, Fraction]
 
-    @property
-    def length(self) -> Fraction:
-        return self.right - self.left
-
 
 @dataclass(frozen=True)
 class LocalKnotVector:
     """The p+2 consecutive knots that determine one B-spline.
 
-    The knots are exact values: Fractions in the views of a knot vector,
+    The knots are exact values: Fractions from :meth:`KnotVector.local`,
     or, where they are only ordered and counted (:func:`is_child_of`),
     integer numerators over one denominator. ``index`` is the position of
     the function in its owning basis when known; hand-built local vectors
@@ -155,20 +151,6 @@ class LocalKnotVector:
             raise KnotVectorError("local knot vector must be nondecreasing")
         if self.knots[0] == self.knots[-1]:
             raise KnotVectorError("local knot vector spans an empty interval")
-
-    @property
-    def support(self) -> tuple:
-        return (self.knots[0], self.knots[-1])
-
-    def floats(self) -> np.ndarray:
-        return np.array([float(k) for k in self.knots])
-
-    def evaluate(self, xs) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        return kernels.local_values(self.floats(), self.degree, xs)
-
-    def value_at(self, x: float) -> float:
-        return float(self.evaluate(np.array([x]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +218,10 @@ class KnotVector:
         runs = [(k, len(list(g))) for k, g in itertools.groupby(self.knot_numerators)]
         return Breakpoints(*map(tuple, zip(*runs)), self.knot_denominator)
 
+    # kept for exact references outside the package, such as a test's oracle
     @cached_property
     def knots(self) -> tuple[Fraction, ...]:
-        """The knots as Fractions, a view for the dumps and the tests."""
+        """The knots as Fractions."""
         return tuple(Fraction(n, self.knot_denominator) for n in self.knot_numerators)
 
     @cached_property
@@ -304,18 +287,11 @@ class KnotVector:
 
     # -- functions ----------------------------------------------------------
 
+    # kept for exact references outside the package, such as a test's oracle
     def local(self, j: int) -> LocalKnotVector:
         if not 0 <= j < self.num_basis:
             raise KnotVectorError(f"function index {j} out of range")
         return LocalKnotVector(self.degree, self.knots[j:j + self.degree + 2], index=j)
-
-    def support(self, j: int) -> tuple[Fraction, Fraction]:
-        return (self.knots[j], self.knots[j + self.degree + 1])
-
-    def function_interval_range(self, j: int) -> tuple[int, int]:
-        """Inclusive range of interval indices covered by supp of function j."""
-        first, last = self.support_intervals
-        return first.item(j), last.item(j)
 
     def functions_on_interval(self, interval_index: int) -> range:
         """Indices of the degree+1 functions that are nonzero on the interval."""
@@ -337,15 +313,6 @@ class KnotVector:
     @cached_property
     def _parent_tables(self) -> dict:
         return {}
-
-    def functions_supported_in(self, lo, hi) -> range:
-        """Indices j with supp b_j contained in [lo, hi], exact bounds."""
-        lo, hi, d = as_knot(lo), as_knot(hi), self.knot_denominator
-        # the first knot at or right of lo; the largest j with knots[j + p + 1] <= hi
-        first = bisect.bisect_left(self.knot_numerators, -(-lo.numerator * d // lo.denominator))
-        last = min(bisect.bisect_right(self.knot_numerators, hi.numerator * d // hi.denominator)
-                   - self.degree - 2, self.num_basis - 1)
-        return range(first, max(first, last + 1))
 
     def contains_as_subsequence(self, other: "KnotVector") -> bool:
         """True when every knot of ``other`` appears here at least as often.
@@ -437,31 +404,6 @@ def dyadic_refine(kv: KnotVector) -> KnotVector:
 # ---------------------------------------------------------------------------
 # two-scale machinery
 
-def children_with_coefficients(parent: LocalKnotVector, fine: KnotVector
-                               ) -> list[tuple[LocalKnotVector, Fraction]]:
-    """Decompose a coarse B-spline over the fine basis.
-
-    Returns every child, tagged with its index in ``fine``, with its
-    strictly positive coefficient, from the run of :func:`_oslo_run` on
-    the parent's knot pattern. The weighted children reproduce the parent
-    pointwise.
-    """
-    p = parent.degree
-    if p != fine.degree:
-        raise RefinementMismatchError(
-            f"degree mismatch: parent {p}, fine {fine.degree}")
-    # over the lcm with the parent's denominators: the fine one if it refines the parent
-    d = math.lcm(fine.knot_denominator, *(k.denominator for k in parent.knots))
-    tau = [k.numerator * (d // k.denominator) for k in parent.knots]
-    t = _over(fine.knot_numerators, fine.knot_denominator, d).tolist()
-    for k, x in zip(parent.knots, tau):
-        if (have := bisect.bisect_right(t, x) - bisect.bisect_left(t, x)) < tau.count(x):
-            raise RefinementMismatchError(f"knot {k} of the parent has multiplicity "
-                                          f"{tau.count(x)} but only {have} in the fine knot vector")
-    first, (offsets, numerators, q) = _children_run(p, tau, t)
-    return [(fine.local(first + i), Fraction(n, q)) for i, n in zip(offsets, numerators)]
-
-
 def _children_run(p: int, tau: Sequence[int], t: Sequence[int]
                   ) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The children of the B-spline on the integer knots ``tau`` among the
@@ -475,8 +417,8 @@ def _children_run(p: int, tau: Sequence[int], t: Sequence[int]
     increasing affine maps of the knots, so equal patterns have the same
     children relative to the first one, with equal coefficients.
     """
-    # the fine functions supported in the parent's support, as in
-    # KnotVector.functions_supported_in
+    # the fine functions supported in the parent's support: from the first
+    # fine knot at the parent's first to the last one ending by its last
     first = bisect.bisect_left(t, tau[0])
     stop = min(bisect.bisect_right(t, tau[-1]) - p - 1, len(t) - p - 1)
     knots = (*tau, *t[first:stop + p + 1])
@@ -532,8 +474,8 @@ def _nests(child: Sequence, parent: Sequence) -> bool:
 def is_child_of(child: LocalKnotVector, parent: LocalKnotVector) -> bool:
     """Parent/child test by endpoint containment and endpoint multiplicities.
 
-    This is an independent route from the Oslo recurrence in
-    :func:`children_with_coefficients`; the two must agree on every pair.
+    This is an independent route from the Oslo recurrence of
+    :func:`two_scale_table`; the two must agree on every pair.
     It only orders and counts knots, so any exact values on one scale do.
     """
     return _nests(child.knots, parent.knots)
@@ -549,15 +491,7 @@ def _parent_run(child: Sequence[int], tau: Sequence[int], p: int) -> list[int]:
     return [j for j in range(first, stop) if _nests(child, tau[j:j + p + 2])]
 
 
-def parents_of(child: LocalKnotVector, coarse: KnotVector) -> list[LocalKnotVector]:
-    """All coarse basis functions of which ``child`` is a child, by the
-    route of :func:`parent_table` on the knots over a common denominator."""
-    d = math.lcm(coarse.knot_denominator, *(k.denominator for k in child.knots))
-    tau = _over(coarse.knot_numerators, coarse.knot_denominator, d).tolist()
-    knots = [k.numerator * (d // k.denominator) for k in child.knots]
-    return [coarse.local(j) for j in _parent_run(knots, tau, coarse.degree)]
-
-
+# kept while the benchmark's tracer wraps it
 def children_table(coarse: KnotVector, fine: KnotVector
                    ) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Per coarse function: its children as (fine index, coefficient)

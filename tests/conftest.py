@@ -6,8 +6,10 @@ import pytest
 
 from hiersplines.fixtures import Fixture, load_fixture
 from hiersplines.hierarchy import SubdomainHierarchy
-from hiersplines.tensor import build_level_sequence, cell_descendant_ranges, iter_box
+from hiersplines.tensor import build_level_sequence, iter_box
 from hiersplines.univariate import make_open_knot_vector, uniform_open_knot_vector
+
+from .oracles import cell_descendant_ranges
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 # inputs kept out of the fixture set the golden files enumerate
@@ -21,6 +23,11 @@ def repo_fixture(name: str) -> Fixture:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240831)
+
+
+def cell_ids(level):
+    """The cells of a level in canonical order."""
+    return iter_box([range(n) for n in level.num_cells])
 
 
 def make_levels(dim, degrees, intervals, depth):
@@ -91,7 +98,7 @@ def random_hierarchy(rng, dim=None, depth=None, degrees=None, explicit=False, ra
     else:
         levels = build_level_sequence(initial, depth)
     subs = []
-    pool = [tuple(c) for c in levels[0].cell_ids()]
+    pool = [tuple(c) for c in cell_ids(levels[0])]
     for ell in range(1, depth):
         if not pool:
             break
@@ -114,7 +121,7 @@ def random_enlargement(rng, levels, h):
     enlarged = [set(s) for s in h.subdomains]
     for ell in range(1, h.depth):
         if ell == 1:
-            pool = [tuple(c) for c in levels[0].cell_ids()]
+            pool = [tuple(c) for c in cell_ids(levels[0])]
         else:
             pool = []
             for c in enlarged[ell - 2]:
@@ -130,7 +137,7 @@ def random_enlargement(rng, levels, h):
     if rng.random() < 0.5:
         grain = h.depth - 1  # the new deepest subdomain lives on this level
         if h.depth == 1:
-            pool = [tuple(c) for c in levels[0].cell_ids()]
+            pool = [tuple(c) for c in cell_ids(levels[0])]
         else:
             pool = []
             for c in enlarged[h.depth - 2]:

@@ -21,7 +21,7 @@ from hiersplines.hierarchy import (
     enlarge_hierarchy,
     expand_deactivated,
     partition_of_unity,
-    support_in_subdomain,
+    supports_in_cells,
 )
 from hiersplines.quasiinterp import (
     LevelQuasiInterpolant,
@@ -31,11 +31,10 @@ from hiersplines.quasiinterp import (
 from hiersplines.study import run_convergence_study
 from hiersplines.tensor import (
     LevelSpline,
-    TensorFunctionId as Fid,
     build_level_sequence,
     eval_function,
     extend_level_sequence,
-    tensor_parents,
+    marked_indices,
 )
 from hiersplines.univariate import (
     children_table,
@@ -50,7 +49,7 @@ from .conftest import (
     random_hierarchy,
     repo_fixture,
 )
-from .oracles import bspline_value_exact
+from .oracles import bspline_value_exact, dual_functional, local_values, tensor_parents
 
 POU_TOL = 1e-12
 TWO_SCALE_TOL = 1e-12
@@ -108,7 +107,7 @@ def test_criterion_01_partition_of_unity():
                   build_refinable_basis(h, levels)):
         for x in (F(1, 7), F(3, 5), F(1, 2), F(1)):
             total = sum(
-                basis.weight(fid)
+                basis.weights.values[fid]
                 * bspline_value_exact(levels[fid.level].kvs[0].local(fid.indices[0]).knots, x)
                 for fid in basis.functions())
             assert total == 1
@@ -131,11 +130,10 @@ def test_criterion_02_two_scale_oracle():
     worst = 0.0
     for k in picks:
         ckv, fkv, j = pools[int(k)]
-        parent = ckv.local(j)
-        vals = parent.evaluate(xs)
+        vals = local_values(ckv.local(j), xs)
         acc = np.zeros_like(xs)
         for i, c in children_table(ckv, fkv)[j]:
-            acc += float(c) * fkv.local(i).evaluate(xs)
+            acc += float(c) * local_values(fkv.local(i), xs)
         worst = max(worst, float(np.abs(vals - acc).max()))
     assert worst < TWO_SCALE_TOL
 
@@ -160,8 +158,8 @@ def test_criterion_03_characterization_equivalence():
         weights = compute_weights(h, levels)
         classical, _ = build_hierarchical_basis(h, levels, weights)
         refinable = build_refinable_basis(h, levels, weights)
-        positive = {f for f in classical.functions() if weights.weight(f) > 0}
-        assert refinable.member_set == positive
+        positive = {f for f in classical.functions() if weights.values[f] > 0}
+        assert set(refinable.functions()) == positive
         if len(positive) < len(classical):
             nontrivial += 1
         checked += 1
@@ -177,16 +175,16 @@ def test_criterion_04_narrow_cubic_fixtures():
         weights = compute_weights(fx.hierarchy, fx.levels)
         classical, _ = build_hierarchical_basis(fx.hierarchy, fx.levels, weights)
         refinable = build_refinable_basis(fx.hierarchy, fx.levels, weights)
-        dropped = sorted(classical.member_set - refinable.member_set,
+        dropped = sorted(set(classical.functions()) - set(refinable.functions()),
                          key=lambda f: (f.level, f.indices))
         assert dropped, f"{name}: expected zero-weight functions"
         for fid in dropped:
-            assert classical.weight(fid) == 0
+            assert weights.values[fid] == 0
             parents = tensor_parents(fid.indices, fx.levels[fid.level - 1],
                                      fx.levels[fid.level])
             assert parents
             for p in parents:
-                assert Fid(fid.level - 1, p) in classical
+                assert classical.active[fid.level - 1][p]
         found.append((name, len(dropped)))
     print(f"ACCEPTANCE 04 PASS: zero-weight functions with all parents "
           f"active: {found}")
@@ -202,9 +200,10 @@ def test_criterion_05_dual_basis_kronecker():
         core = compute_core_domains(fx.hierarchy, fx.levels)
         for ell in range(fx.hierarchy.depth):
             op = LevelQuasiInterpolant(fx.hierarchy, fx.levels, ell, core)
-            for mi in op.members:
-                lam = op.dual_functional(mi)
-                for mj in op.members:
+            members = list(map(tuple, op.member_indices.tolist()))
+            for mi in members:
+                lam = dual_functional(op, mi)
+                for mj in members:
                     val = lam(lambda p, mj=mj: eval_function(op.level, mj, p))
                     worst = max(worst, abs(val - (1.0 if mi == mj else 0.0)))
                     pairs += 1
@@ -223,10 +222,10 @@ def test_criterion_06_operator_identities():
         pts = rng.random((300, fx.dimension))
         # the per-level operators reproduce their member spans
         for stage in op.stages:
-            if not stage.members:
+            if not len(stage):
                 continue
             s = LevelSpline(stage.level, stage.member_indices,
-                            [float(rng.uniform(-1, 1)) for _ in stage.members])
+                            [float(rng.uniform(-1, 1)) for _ in range(len(stage))])
             out = stage.apply(s.evaluate)
             worst = max(worst, float(np.abs(out.evaluate(pts) - s.evaluate(pts)).max()))
         # the multiscale operator reproduces the coarsest space
@@ -239,12 +238,12 @@ def test_criterion_06_operator_identities():
         f = get_function("sin", fx.dimension)
         parts = op.apply_parts(f)
         expressed = op.express_over_refinable(parts)
-        assert set(expressed.coefficients) <= refinable.member_set
+        assert set(expressed.coefficients) <= set(refinable.functions())
         raw = sum(p.evaluate(pts) for p in parts)
         worst = max(worst, float(np.abs(expressed.evaluate(pts) - raw).max()))
         # the restricted decomposition matches the recursion on each core
         for ell in range(fx.hierarchy.depth):
-            cells = sorted(op.core.cells(ell))
+            cells = sorted(marked_indices(op.core.masks[ell]))
             if not cells:
                 continue
             loc = []
@@ -272,11 +271,11 @@ def test_criterion_07_children_cover_core_functions():
         core = compute_core_domains(fx.hierarchy, fx.levels)
         for ell in range(fx.hierarchy.depth - 1):
             op = LevelQuasiInterpolant(fx.hierarchy, fx.levels, ell + 1, core)
-            for idx in op.members:
+            sunk = supports_in_cells(fx.hierarchy, fx.levels, ell, ell + 1)
+            for idx in map(tuple, op.member_indices.tolist()):
                 checked += 1
                 parents = tensor_parents(idx, fx.levels[ell], fx.levels[ell + 1])
-                if not any(support_in_subdomain(fx.hierarchy, fx.levels, ell,
-                                                p, ell + 1) for p in parents):
+                if not any(sunk[p] for p in parents):
                     violations += 1
     assert violations == 0
     print(f"ACCEPTANCE 07 PASS: every core function of a finer level has a "
@@ -354,14 +353,14 @@ def test_criterion_09_enlargement_monotonicity():
         w1 = compute_weights(h, levels)
         w2 = compute_weights(h2, levels2)
         for fid, v in w1.values.items():
-            if w2.defined(fid):
-                assert w2.weight(fid) >= v
+            if fid in w2.values:
+                assert w2.values[fid] >= v
         refinable1 = build_refinable_basis(h, levels, w1)
         refinable2 = build_refinable_basis(h2, levels2, w2)
         pts = rng.random((100, levels[0].dim))
         for fid in refinable1.functions():
             want = eval_function(levels[fid.level], fid.indices, pts)
-            if fid in refinable2:
+            if refinable2.active[fid.level][fid.indices]:
                 continue
             acc = np.zeros(pts.shape[0])
             for g, c in expand_deactivated(fid, refinable2).items():
@@ -383,6 +382,6 @@ def test_criterion_10_mesh_roundtrip():
         levels2, h2 = parse_mesh_dump(dump_active_cells(mesh))
         assert h2 == fx.hierarchy, fx.name
         basis2, _ = build_hierarchical_basis(h2, levels2)
-        assert basis2.member_set == basis.member_set, fx.name
+        assert set(basis2.functions()) == set(basis.functions()), fx.name
     print(f"ACCEPTANCE 10 PASS: mesh round trip reproduces the hierarchy and "
           f"basis on {len(fixtures)} fixtures")

@@ -32,7 +32,7 @@ from hiersplines.functions import get_function
 from hiersplines.hierarchy import (
     SubdomainHierarchy,
     build_hierarchical_basis,
-    support_in_subdomain,
+    supports_in_cells,
 )
 from hiersplines.invariants import (
     active_independence,
@@ -189,7 +189,7 @@ class TestFixtureParsing:
         levels2, h2 = parse_mesh_dump(payload)
         assert h2 == fx.hierarchy
         basis2, _ = build_hierarchical_basis(h2, levels2)
-        assert basis2.member_set == basis.member_set
+        assert set(basis2.functions()) == set(basis.functions())
 
     @pytest.mark.parametrize("edit,where", [
         (lambda obj: obj.update(refinement="weird"), r"mesh\.refinement:"),
@@ -626,7 +626,7 @@ class TestLinearIndependence:
         # a level-0 function sunk into subdomain 1 is a combination of
         # active functions of finer levels
         sunk = next(idx for idx in fx.levels[0].function_ids()
-                    if support_in_subdomain(fx.hierarchy, fx.levels, 0, idx, 1))
+                    if supports_in_cells(fx.hierarchy, fx.levels, 0, 1)[idx])
         dependent = _with_member(basis, 0, sunk)
         got = self._assert_matches_dense(dependent, mesh)
         assert not got.passed
@@ -853,16 +853,29 @@ def test_raised_multiplicity_on_subdomain_boundary_runs_or_is_refused():
         pass
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="on intervals of length ratio 1000 the operator identity "
-                          "residuals exceed TOL_OPERATOR")
-def test_graded_mesh_checks_or_is_refused():
-    # d2_single_cell over breakpoints 0, 1/1000, 1 in both directions:
-    # level_operator_identities reads 2.121e-10 and multiscale_identities
-    # 1.431e-10, against TOL_OPERATOR 1e-10
-    res = _cli("check", str(DATA_DIR / "graded_interval_ratio_1000.json"))
+@pytest.mark.parametrize("ratio", [1000, 1000000])
+def test_graded_mesh_checks_or_is_refused(ratio):
+    # d2_single_cell over breakpoints 0, 1/ratio, 1 in both directions
+    res = _cli("check", str(DATA_DIR / f"graded_interval_ratio_{ratio}.json"))
     assert "Traceback" not in res.stderr
     assert res.returncode in (0, 2), res.stdout
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("ratio", [10 ** 3, 10 ** 6])
+def test_graded_meshes_keep_the_operator_identities(ratio, dim, degree):
+    # one interval 1/ratio long beside one of length 1 - 1/ratio in every
+    # direction, the short corner cell refined once: anchored on a cell of
+    # largest volume in its support, every dual functional stays bounded
+    # and the residuals stay at rounding level
+    fx = parse_fixture({"schema": "hiersplines-fixture-v1", "name": "graded", "dimension": dim,
+                        "degrees": [degree] * dim, "breakpoints": [["0", f"1/{ratio}", "1"]] * dim,
+                        "depth": 2, "refinement": "dyadic",
+                        "subdomains": [{"level": 1, "cells": [[0] * dim]}]})
+    results = {r.name: r for r in run_invariant_suite(fx).results}
+    for name in ("dual_basis_kronecker", "level_operator_identities", "multiscale_identities"):
+        assert results[name].passed and results[name].worst <= 1e-13, results[name]
 
 def test_import_leaves_scipy_unloaded():
     res = subprocess.run(

@@ -22,9 +22,8 @@ from hiersplines.hierarchy import (
     express_over,
     partition_of_unity,
     subdomain_grids,
-    support_in_subdomain,
     validate_hierarchy,
-    zero_weight_by_characterization,
+    zero_weights_by_parents,
 )
 from hiersplines.quasiinterp import MultiscaleQuasiInterpolant
 from hiersplines.tensor import (
@@ -36,11 +35,10 @@ from hiersplines.tensor import (
     iter_box,
     marked_indices,
     tensor_children,
-    tensor_parents,
 )
 
-from .conftest import FIXTURE_DIR, make_levels, random_hierarchy, repo_fixture
-from .oracles import bspline_value_exact
+from .conftest import FIXTURE_DIR, cell_ids, make_levels, random_hierarchy, repo_fixture
+from .oracles import bspline_value_exact, function_cell_ranges, locate, stages, tensor_parents
 from .test_structure_equivalence import (
     _exact_coefficient,
     _float_coefficient,
@@ -49,6 +47,11 @@ from .test_structure_equivalence import (
     random_case,
     ref_express_over,
 )
+
+
+def _sank(h, levels, level, indices):
+    """Does the support of a function of ``level`` lie in the next subdomain?"""
+    return bool(subdomain_grids(h, levels).supports_inside(level, level + 1)[indices])
 
 
 def _eval_over(levels, coeffs, pts):
@@ -101,11 +104,11 @@ class TestWeights:
         levels, h = random_hierarchy(rng)
         w = compute_weights(h, levels)
         for idx in levels[0].function_ids():
-            assert w.weight(Fid(0, idx)) == 1
+            assert w.values[Fid(0, idx)] == 1
 
     def test_full_refinement_gives_unit_weights(self):
         levels = make_levels(2, 2, 3, 2)
-        h = SubdomainHierarchy.from_cells([[c for c in levels[0].cell_ids()]])
+        h = SubdomainHierarchy.from_cells([list(cell_ids(levels[0]))])
         w = compute_weights(h, levels)
         lvl1 = [v for fid, v in w.values.items() if fid.level == 1]
         assert lvl1 and all(v == 1 for v in lvl1)
@@ -116,35 +119,32 @@ class TestWeights:
         h = SubdomainHierarchy.from_cells([block])
         w = compute_weights(h, levels)
         basis, _ = build_hierarchical_basis(h, levels, w)
-        zero = [f for f in basis.functions() if basis.weight(f) == 0]
+        zero = [f for f in basis.functions() if w.values[f] == 0]
         assert zero
         for fid in zero:
             assert fid.level == 1
             # every parent is still active, which is exactly why the weight
             # vanished
             for p in tensor_parents(fid.indices, levels[0], levels[1]):
-                assert Fid(0, p) in basis
+                assert basis.active[0][p]
 
     def test_characterization_matches_recursion(self, rng):
         for _ in range(6):
             levels, h = random_hierarchy(rng, dim=2, depth=2)
             w = compute_weights(h, levels)
-            for fid, v in w.values.items():
-                if fid.level == 0:
-                    continue
-                assert zero_weight_by_characterization(h, levels, fid, w) \
-                    == (v == 0)
+            for ell in range(1, h.depth):
+                got = zero_weights_by_parents(h, levels, ell, w.indices[ell], w)
+                assert got.tolist() == (w.numerators[ell] == 0).tolist()
 
     def test_missing_weight_is_refused_by_name(self):
         fx = repo_fixture("d2_corner_admissible")
         basis, _ = build_hierarchical_basis(fx.hierarchy, fx.levels)
         for fid in (Fid(9, (0, 0)), Fid(0, (0,))):
-            assert basis.weights.defined(fid) is False
-            for read in (basis.weight, basis.weights.weight, basis.weights.is_positive):
-                with pytest.raises(HierarchyError,
-                                   match=re.escape(f"no weight for {fid}: it is no function "
-                                                   f"of level {fid.level}")):
-                    read(fid)
+            assert basis.weights.positions(fid.level, [fid.indices]).tolist() == [-1]
+            with pytest.raises(HierarchyError,
+                               match=re.escape(f"no weight for {fid}: it is no function "
+                                               f"of level {fid.level}")):
+                basis.weights.defined_positions(fid.level, [fid.indices])
 
     @pytest.mark.parametrize("flat", [(3, 4), np.array([3, 4]), [[[3, 4]]]],
                              ids=["tuple", "array", "three-dimensional"])
@@ -190,7 +190,7 @@ class TestWeights:
             fid = Fid(level, (0, 0))
             with pytest.raises(HierarchyError, match=re.escape(
                     f"{fid}: level {level} is outside 1..{h.depth - 1}")):
-                zero_weight_by_characterization(h, fx.levels, fid, w)
+                zero_weights_by_parents(h, fx.levels, level, [fid.indices], w)
 
     @pytest.mark.parametrize("indices", [(0, 0, 0), (10 ** 6, 0), (-1, 0)])
     def test_characterization_refuses_indices_off_the_function_grid(self, indices):
@@ -199,7 +199,7 @@ class TestWeights:
         fid = Fid(1, indices)
         with pytest.raises(HierarchyError, match=re.escape(
                 f"{fid} is outside the function grid {levels[1].num_basis} of level 1")):
-            zero_weight_by_characterization(h, levels, fid, compute_weights(h, levels))
+            zero_weights_by_parents(h, levels, 1, [indices], compute_weights(h, levels))
 
     def test_partition_of_unity_exact_at_rationals(self):
         levels = make_levels(1, 2, 2, 2)
@@ -209,7 +209,7 @@ class TestWeights:
             total = F(0)
             for fid in basis.functions():
                 lkv = levels[fid.level].kvs[0].local(fid.indices[0])
-                total += basis.weight(fid) * bspline_value_exact(lkv.knots, x)
+                total += basis.weights.values[fid] * bspline_value_exact(lkv.knots, x)
             assert total == 1
 
 
@@ -219,7 +219,7 @@ class TestRefinableBasis:
         h = SubdomainHierarchy.from_cells([])
         classical, _ = build_hierarchical_basis(h, levels)
         refinable = build_refinable_basis(h, levels)
-        assert classical.member_set == refinable.member_set
+        assert set(classical.functions()) == set(refinable.functions())
 
     def test_equals_positive_weight_part(self, rng):
         for _ in range(8):
@@ -227,9 +227,9 @@ class TestRefinableBasis:
             w = compute_weights(h, levels)
             classical, _ = build_hierarchical_basis(h, levels, w)
             refinable = build_refinable_basis(h, levels, w)
-            assert refinable.member_set \
-                == {f for f in classical.functions() if w.weight(f) > 0}
-            assert refinable.member_set <= classical.member_set
+            assert set(refinable.functions()) \
+                == {f for f in classical.functions() if w.values[f] > 0}
+            assert set(refinable.functions()) <= set(classical.functions())
 
     def test_narrow_block_drops_only_zero_weight(self):
         levels = make_levels(2, 3, 8, 2)
@@ -237,9 +237,9 @@ class TestRefinableBasis:
         h = SubdomainHierarchy.from_cells([block])
         classical, _ = build_hierarchical_basis(h, levels)
         refinable = build_refinable_basis(h, levels)
-        dropped = classical.member_set - refinable.member_set
+        dropped = set(classical.functions()) - set(refinable.functions())
         assert dropped == {f for f in classical.functions()
-                           if classical.weight(f) == 0}
+                           if classical.weights.values[f] == 0}
 
     def test_weighted_partition_of_unity(self, rng):
         levels, h = random_hierarchy(rng, dim=2, depth=3)
@@ -261,15 +261,14 @@ class TestExpansion:
         one = HierSplineFunction(basis, [LevelSpline(levels[0], first,
                                                      np.array([F(1)], dtype=object))])
         empty = HierSplineFunction(basis, [LevelSpline(levels[0], first[:0], [])])
-        assert one(pts).shape == (5,)
-        assert np.array_equal(empty(pts), np.zeros(5))
+        assert one.evaluate(pts).shape == (5,)
+        assert np.array_equal(empty.evaluate(pts), np.zeros(5))
 
     def test_single_step_is_child_list(self):
         levels = make_levels(1, 2, 4, 2)
         h = SubdomainHierarchy.from_cells([[(0,), (1,), (2,)]])
         refinable = build_refinable_basis(h, levels)
-        deact = [Fid(0, i) for i in levels[0].function_ids()
-                 if Fid(0, i) not in refinable]
+        deact = [Fid(0, i) for i in levels[0].function_ids() if not refinable.active[0][i]]
         assert deact
         for fid in deact:
             exp = expand_deactivated(fid, refinable)
@@ -286,8 +285,7 @@ class TestExpansion:
         for flavor_build in (build_refinable_basis,
                              lambda hh, lv: build_hierarchical_basis(hh, lv)[0]):
             basis = flavor_build(h, levels)
-            deact = [Fid(0, i) for i in levels[0].function_ids()
-                     if Fid(0, i) not in basis]
+            deact = [Fid(0, i) for i in levels[0].function_ids() if not basis.active[0][i]]
             assert deact
             for fid in deact:
                 exp = expand_deactivated(fid, basis)
@@ -299,7 +297,7 @@ class TestExpansion:
         mixed = any(
             len({g.level for g in expand_deactivated(Fid(0, i), refinable)}) > 1
             for i in levels[0].function_ids()
-            if Fid(0, i) not in refinable)
+            if not refinable.active[0][i])
         assert mixed
 
 
@@ -307,10 +305,10 @@ def reference_expand(fid, basis, memo):
     """The memoised recursive expansion the level sweep replaced, kept as
     the reference: each deactivated function is written exactly over the
     active functions, depth first."""
-    if fid in basis:
+    if basis.active[fid.level][fid.indices]:
         return {fid: F(1)}
     h, levels = basis.hierarchy, basis.levels
-    if not support_in_subdomain(h, levels, fid.level, fid.indices, fid.level + 1):
+    if not _sank(h, levels, fid.level, fid.indices):
         raise HierarchyError(f"{fid} is neither active nor deactivated in this basis")
     if fid in memo:
         return memo[fid]
@@ -318,9 +316,9 @@ def reference_expand(fid, basis, memo):
     out = {}
     for child_idx, c in tensor_children(fid.indices, levels[ell], levels[ell + 1]):
         child = Fid(ell + 1, child_idx)
-        if child in basis:
+        if basis.active[ell + 1][child_idx]:
             out[child] = out.get(child, F(0)) + c
-        elif support_in_subdomain(h, levels, ell + 1, child_idx, ell + 2):
+        elif _sank(h, levels, ell + 1, child_idx):
             for g, cg in reference_expand(child, basis, memo).items():
                 out[g] = out.get(g, F(0)) + c * cg
         else:
@@ -337,7 +335,8 @@ def reference_express(parts, basis, memo, magnitude=False):
         for idx, c in part.coefficients.items():
             c = abs(c) if magnitude else c
             fid = Fid(part.level.index, idx)
-            terms = {fid: 1} if fid in basis else reference_expand(fid, basis, memo)
+            terms = {fid: 1} if basis.active[fid.level][idx] else \
+                reference_expand(fid, basis, memo)
             for g, cg in terms.items():
                 out[g] = out.get(g, 0.0) + c * float(cg)
     return out
@@ -367,7 +366,7 @@ class TestSweep:
         for basis in (build_hierarchical_basis(h, levels, weights)[0],
                       build_refinable_basis(h, levels, weights)):
             memo = {}
-            deactivated = frozenset().union(*basis.stages) - basis.member_set
+            deactivated = frozenset().union(*stages(basis)) - set(basis.functions())
             for fid in sorted(deactivated, key=lambda f: (f.level, f.indices)):
                 got = expand_deactivated(fid, basis)
                 assert got == reference_expand(fid, basis, memo), fid
@@ -377,8 +376,7 @@ class TestSweep:
             for ell in range(h.depth - 1):
                 for idx in levels[ell].function_ids():
                     fid = Fid(ell, idx)
-                    if fid in deactivated or not support_in_subdomain(
-                            h, levels, ell, idx, ell + 1):
+                    if fid in deactivated or not _sank(h, levels, ell, idx):
                         continue
                     try:
                         want = reference_expand(fid, basis, memo)
@@ -393,7 +391,7 @@ class TestSweep:
         rng = np.random.default_rng(41)
         op = MultiscaleQuasiInterpolant(h, levels)
         basis = op.refinable
-        alive = frozenset().union(*basis.stages)
+        alive = frozenset().union(*stages(basis))
         ordered = sorted(alive, key=lambda f: f.indices)
         parts = [LevelSpline(
             levels[ell],
@@ -459,8 +457,8 @@ class TestSweep:
         h = SubdomainHierarchy.from_cells([[(0,), (1,)], [(0,)]])
         basis = build_refinable_basis(h, levels)
         outside = Fid(1, (7,))
-        assert outside not in basis
-        assert not support_in_subdomain(h, levels, 1, (7,), 2)
+        assert not basis.active[1][7]
+        assert not _sank(h, levels, 1, (7,))
         for fid in (outside, Fid(2, (9,)), Fid(3, (0,))):
             with pytest.raises(HierarchyError, match=re.escape(str(fid))):
                 express_over({Fid(0, (0,)): 1.0, fid: 1.0}, basis)
@@ -502,15 +500,6 @@ class TestSweep:
             op.express_over_refinable([part, part])
 
 
-class TestContainment:
-    def test_coarse_function_against_finer_subdomain_refused(self):
-        levels = make_levels(1, 2, 4, 3)
-        h = SubdomainHierarchy.from_cells([[(0,), (1,)], [(0,), (1,)]])
-        with pytest.raises(HierarchyError, match="coarser than"):
-            support_in_subdomain(h, levels, 0, (0,), 2)
-        assert support_in_subdomain(h, levels, 1, (0,), 2)
-
-
 class TestEnlargement:
     def test_identity_enlargement(self, rng):
         levels, h = random_hierarchy(rng)
@@ -523,12 +512,12 @@ class TestEnlargement:
         h = SubdomainHierarchy.from_cells([block])
         w = compute_weights(h, levels)
         basis, _ = build_hierarchical_basis(h, levels, w)
-        fid = next(f for f in basis.functions() if basis.weight(f) == 0)
+        fid = next(f for f in basis.functions() if w.values[f] == 0)
         parent = tensor_parents(fid.indices, levels[0], levels[1])[0]
-        cells = list(iter_box(levels[0].function_cell_ranges(parent)))
+        cells = list(iter_box(function_cell_ranges(levels[0], parent)))
         h2 = enlarge_hierarchy(h, levels, {1: cells}, None)
         w2 = compute_weights(h2, levels)
-        assert w2.weight(fid) > 0
+        assert w2.values[fid] > 0
 
     def test_new_deepest_level_extends_depth(self):
         levels = make_levels(1, 1, 4, 2)
@@ -555,14 +544,14 @@ class TestEnlargement:
             w = compute_weights(h, levels)
             w2 = compute_weights(h2, levels2)
             for fid, v in w.values.items():
-                if w2.defined(fid):
-                    assert w2.weight(fid) >= v
+                if fid in w2.values:
+                    assert w2.values[fid] >= v
             refinable = build_refinable_basis(h, levels, w)
             refinable2 = build_refinable_basis(h2, levels2, w2)
             pts = rng.random((200, 1))
             for fid in refinable.functions():
                 want = eval_function(levels[fid.level], fid.indices, pts)
-                if fid in refinable2:
+                if refinable2.active[fid.level][fid.indices]:
                     continue
                 exp = expand_deactivated(fid, refinable2)
                 got = _eval_over(levels2, exp, pts)
@@ -579,6 +568,6 @@ class TestMesh:
             pt = rng.random(2)
             hits = sum(
                 1 for ell in range(len(active_sets))
-                if (loc := mesh.levels[ell].locate(pt)) is not None
+                if (loc := locate(mesh.levels[ell], pt)) is not None
                 and loc in active_sets[ell])
             assert hits == 1

@@ -137,26 +137,22 @@ def test_knot_rule_sees_every_form():
 
 
 # the invariants and the study read the per-level arrays; these views of
-# them serve the dumps, the dict API and the tests
+# them serve the mesh dumps and the benchmark
 VIEW_FUNCTIONS = ("children_table", "tensor_children")
-VIEW_ATTRIBUTES = ("member_set", "stages", "anchor_cells", "members", "coefficients")
-# the level operators of a MultiscaleQuasiInterpolant share the name of
-# the basis view ``stages``; read from an ``operator``, they are no view
+VIEW_ATTRIBUTES = ("coefficients",)
 
 
 def _view_uses(source: str) -> list[tuple[int, str]]:
     """Line and text of every call of a VIEW_FUNCTIONS function or of a
     ``.functions()`` method, and of every read of a VIEW_ATTRIBUTES
-    attribute other than an ``operator``'s ``stages``."""
+    attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         func = node.func if isinstance(node, ast.Call) else None
         if isinstance(func, ast.Name) and func.id in VIEW_FUNCTIONS \
                 or isinstance(func, ast.Attribute) \
                 and func.attr in VIEW_FUNCTIONS + ("functions",) \
-                or isinstance(node, ast.Attribute) and node.attr in VIEW_ATTRIBUTES \
-                and not (node.attr == "stages"
-                         and ast.unparse(node.value).rsplit(".", 1)[-1] == "operator"):
+                or isinstance(node, ast.Attribute) and node.attr in VIEW_ATTRIBUTES:
             found.append((node.lineno, ast.unparse(node)))
     return found
 
@@ -170,16 +166,86 @@ def test_view_rule_sees_every_form():
     source = ("a = children_table(c, f)\n"
               "b = univariate.tensor_children(i, c, f)\n"
               "c = list(basis.functions())\n"
-              "d = basis.member_set\n"
-              "e = basis.stages[0] - ctx.refinable.stages[1]\n"
-              "f = op.anchor_cells[m]\n"
-              "g = len(op.members)\n"
-              "h = part.coefficients.values()\n"
-              "i = functions(x) + tensor_children_arrays(p, t) + op.member_indices\n"
-              "j = 'basis.members'  # basis.functions()\n"
-              "k = ctx.operator.stages[0] + [s for s in self.operator.stages]\n"
-              "l = operators.stages\n")
-    assert sorted(line for line, _ in _view_uses(source)) == [1, 2, 3, 4, 5, 5, 6, 7, 8, 12]
+              "d = part.coefficients.values()\n"
+              "e = functions(x) + tensor_children_arrays(p, t) + op.member_indices\n"
+              "f = 'basis.coefficients'  # basis.functions()\n"
+              "g = ctx.operator.stages[0] + basis.selected[1]\n")
+    assert sorted(line for line, _ in _view_uses(source)) == [1, 2, 3, 4]
+
+
+# a function or class of the package is there for the package, for the
+# benchmark under perfbench/, or for a reason named here; one that only
+# the tests use belongs in the tests
+BENCHMARK = SRC.parent.parent / "perfbench"
+USED_ONLY_BY_TESTS = {
+    "load_mesh_dump": "reads a file in the format dump-mesh writes, as load_fixture reads "
+                      "a fixture; the package's public reader of its own output",
+}
+
+
+def _definitions(source: str) -> list[tuple[int, str]]:
+    """Line and name of every function and class a module defines, methods
+    and nested classes included, but no dunder method, which Python calls
+    by protocol, and no function registered by a ``_check(...)``
+    decorator, which the suite calls through its registry."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and not (node.name.startswith("__") and node.name.endswith("__")) \
+                and not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_check"
+                            for d in node.decorator_list):
+            found.append((node.lineno, node.name))
+    return found
+
+
+def _references(source: str) -> set[str]:
+    """The names that the module's Name and Attribute nodes read or
+    write; strings, comments and import lists name nothing."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _unused(package: dict[str, str], users: list[str], traced: set[str]
+            ) -> list[tuple[str, int, str]]:
+    """Module, line and name of every definition of the ``package``
+    sources (module name to source) that no package source, no ``users``
+    source and no ``traced`` name refers to."""
+    seen = set(traced).union(*map(_references, [*package.values(), *users]))
+    return [(module, line, name) for module, source in package.items()
+            for line, name in sorted(_definitions(source)) if name not in seen]
+
+
+def test_no_package_definition_is_used_only_by_the_tests():
+    from perfbench.tracer import TARGETS
+
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    users = [p.read_text(encoding="utf-8") for p in sorted(BENCHMARK.glob("*.py"))]
+    # "module:attribute" or "module:Class.method"
+    traced = {spec.rsplit(".", 1)[-1].rsplit(":", 1)[-1]
+              for target in TARGETS for spec in target.functions}
+    unused = _unused(package, users, traced)
+    assert [u for u in unused if u[2] not in USED_ONLY_BY_TESTS] == []
+    # every exemption still names a definition that needs it
+    assert sorted(name for _, _, name in unused) == sorted(USED_ONLY_BY_TESTS)
+
+
+def test_usage_rule_sees_every_form():
+    package = {"a.py": ("def called():\n    pass\n"
+                        "def read_as_attribute():\n    pass\n"
+                        "def traced():\n    pass\n"
+                        "def unused():\n    return 'unused'  # unused\n"
+                        "class Unused:\n"
+                        "    def __init__(self):\n        self.x = 1\n"
+                        "    def method(self):\n        return self.x\n"
+                        "    def recursive(self):\n        return self.recursive()\n"
+                        "@_check('name')\ndef _chk(ctx):\n    pass\n"
+                        "@other('name')\ndef _decorated(ctx):\n    pass\n"),
+               "b.py": "from .a import unused\nx = called()\n"}
+    users = ["y = module.read_as_attribute\n", "z = 'method'\n"]
+    assert _unused(package, users, {"traced"}) == [
+        ("a.py", 7, "unused"), ("a.py", 9, "Unused"), ("a.py", 12, "method"),
+        ("a.py", 20, "_decorated")]
 
 
 # the checks of invariants.py state their names once, in the registry
@@ -271,3 +337,13 @@ def test_code_line_counter_defaults_to_the_package(capsys):
     main([])
     assert capsys.readouterr().out == explicit
     assert explicit.splitlines()[-1].endswith("total")
+    # several directories: each one named before its own counts, then the
+    # sum of their totals
+    tests = Path(__file__).resolve().parent
+    main([str(tests)])
+    alone = capsys.readouterr().out
+    main([str(SRC), str(tests)])
+    lines = capsys.readouterr().out.splitlines()
+    totals = [int(out.splitlines()[-1].split()[0]) for out in (explicit, alone)]
+    assert lines == [str(SRC), *explicit.splitlines(), str(tests), *alone.splitlines(),
+                     f"{sum(totals):6d}  grand total"]

@@ -34,7 +34,7 @@ from hiersplines.hierarchy import (
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
-    support_in_subdomain,
+    subdomain_grids,
 )
 from hiersplines.invariants import (
     TOL_EXACT,
@@ -47,9 +47,9 @@ from hiersplines.invariants import (
 from hiersplines.quasiinterp import (
     MAX_INCREMENT,
     CoreDomains,
-    LocalProjectionWorkspace,
     MultiscaleQuasiInterpolant,
     OperatorConfig,
+    _kron,
     error_norms,
     level_tables,
 )
@@ -57,7 +57,6 @@ from hiersplines.tensor import (
     LevelSpline,
     TensorFunctionId as Fid,
     cell_ancestor,
-    cell_descendant_ranges,
     eval_function,
     extend_level_sequence,
     id_sort_key,
@@ -65,12 +64,21 @@ from hiersplines.tensor import (
     marked_indices,
     tensor_children,
     tensor_children_arrays,
-    tensor_parents,
     two_scale_tables,
 )
 from hiersplines.univariate import children_table, is_child_of, parent_table
 
 from .conftest import DATA_DIR, FIXTURE_DIR, random_enlargement, random_hierarchy
+from .oracles import (
+    cell_descendant_ranges,
+    cell_volume,
+    function_cell_ranges,
+    local_values,
+    locate,
+    stages,
+    support_extension_cell_ranges,
+    tensor_parents,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -132,7 +140,7 @@ def ref_points_in_cells(self, tag, level, mask, count):
 def ref_total_volume(mesh):
     vol = Fraction(0)
     for ell, c in mesh.cells():
-        vol += mesh.levels[ell].cell_volume(c)
+        vol += cell_volume(mesh.levels[ell], c)
     return vol
 
 
@@ -144,21 +152,21 @@ def ref_uni_two_scale(ctx):
             for j in range(ckv.num_basis):
                 parent = ckv.local(j)
                 kids = [(fkv.local(i), c) for i, c in children_table(ckv, fkv)[j]]
-                lo, hi = parent.support
+                lo, hi = parent.knots[0], parent.knots[-1]
                 for child, c in kids:
                     pair = (f"pair (parent {j} of level {ell}, child {child.index} "
                             f"of level {ell + 1}, direction {k})")
                     if c <= 0:
                         return InvariantResult("univariate_two_scale", False, count, 1.0,
                                                f"nonpositive coefficient {c} in {pair}")
-                    clo, chi = child.support
+                    clo, chi = child.knots[0], child.knots[-1]
                     if clo < lo or chi > hi:
                         return InvariantResult("univariate_two_scale", False, count, 1.0,
                                                f"child support escapes the parent in {pair}")
-                vals = parent.evaluate(xs)
+                vals = local_values(parent, xs)
                 acc = np.zeros_like(xs)
                 for child, c in kids:
-                    acc += float(c) * child.evaluate(xs)
+                    acc += float(c) * local_values(child, xs)
                 worst = max(worst, float(np.abs(vals - acc).max()))
                 count += 1
     return _result("univariate_two_scale", worst, count, TOL_EXACT)
@@ -216,7 +224,7 @@ def ref_partition(ctx):
         pt = rng.random(ctx.dim)
         hits = 0
         for lv, mask in zip(ctx.mesh.levels, ctx.mesh.masks):
-            loc = lv.locate(pt)
+            loc = locate(lv, pt)
             if loc is not None and mask[loc]:
                 hits += 1
         if hits != 1:
@@ -232,7 +240,7 @@ def ref_coarse_in_refinable(ctx):
     for idx in ctx.levels[0].function_ids():
         fid = Fid(0, idx)
         count += 1
-        if fid in ctx.refinable:
+        if ctx.refinable.active[0][idx]:
             continue
         acc = cols.combination(expand_deactivated(fid, ctx.refinable))
         worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
@@ -241,13 +249,12 @@ def ref_coarse_in_refinable(ctx):
 
 def ref_stage_nesting(ctx):
     cols = RefColumns(ctx.levels, ctx.points("stage_nesting", 100))
-    basis = ctx.refinable
+    sets = stages(ctx.refinable)
     worst, count = 0.0, 0
-    for ell in range(len(basis.stages) - 1):
-        gone = sorted(basis.stages[ell] - basis.stages[ell + 1],
-                      key=lambda f: id_sort_key(f.indices))
+    for ell in range(len(sets) - 1):
+        gone = sorted(sets[ell] - sets[ell + 1], key=lambda f: id_sort_key(f.indices))
         for fid, kids in zip(gone, cols.children(gone)):
-            if not kids.keys() <= basis.stages[ell + 1]:
+            if not kids.keys() <= sets[ell + 1]:
                 return InvariantResult("refinable_stage_nesting", False, count, 1.0,
                                        f"child of {fid} missing from the next stage")
             acc = cols.combination(kids)
@@ -260,7 +267,7 @@ def ref_support_in_cells(h, levels, level, indices, ell):
     """Is the support inside subdomain ell, through cell_ancestor and the
     stored cell set, with no grid?"""
     cells = h.subdomain_cells(ell)
-    ranges = levels[level].function_cell_ranges(indices)
+    ranges = function_cell_ranges(levels[level], indices)
     lo = cell_ancestor(levels, level, ell - 1, tuple(r.start for r in ranges))
     hi = cell_ancestor(levels, level, ell - 1, tuple(r.stop - 1 for r in ranges))
     return all(c in cells for c in iter_box([range(a, b + 1) for a, b in zip(lo, hi)]))
@@ -271,17 +278,18 @@ def ref_zero_weight(h, levels, fid, weights):
     ell = fid.level
     for p in tensor_parents(fid.indices, levels[ell - 1], levels[ell]):
         parent = Fid(ell - 1, p)
-        if weights.defined(parent) and weights.weight(parent) > 0 \
+        if weights.values.get(parent, 0) > 0 \
                 and ref_support_in_cells(h, levels, ell - 1, p, ell):
             return False
     return True
 
 
 def ref_refinable_positive(ctx):
-    positive = {fid for fid in ctx.classical.functions() if ctx.weights.weight(fid) > 0}
-    if positive != ctx.refinable.member_set:
+    positive = {fid for fid in ctx.classical.functions() if ctx.weights.values[fid] > 0}
+    members = set(ctx.refinable.functions())
+    if positive != members:
         # the first function in canonical order, the first direction fastest
-        fid = min(positive ^ ctx.refinable.member_set, key=lambda f: (f.level, f.indices[::-1]))
+        fid = min(positive ^ members, key=lambda f: (f.level, f.indices[::-1]))
         return InvariantResult("refinable_equals_positive_weights", False, len(positive), 1.0,
                                f"set mismatch: function {fid.indices} of level {fid.level}")
     count = len(positive)
@@ -289,7 +297,7 @@ def ref_refinable_positive(ctx):
         if fid.level == 0:
             continue
         count += 1
-        flag = ctx.weights.is_positive(fid)
+        flag = ctx.weights.positive[fid]
         if (value > 0) != flag:
             return InvariantResult("refinable_equals_positive_weights", False,
                                    count, 1.0, f"flag disagrees at {fid}")
@@ -344,12 +352,13 @@ def ref_children_cover(ctx):
         return InvariantResult("children_cover_core_functions", True, 0, 0.0,
                                "dyadic refinement only")
     count = 0
+    grids = subdomain_grids(ctx.hierarchy, ctx.levels)
     for ell in range(ctx.hierarchy.depth - 1):
+        sunk = grids.supports_inside(ell, ell + 1)
         for idx in map(tuple, ctx.operator.stages[ell + 1].member_indices.tolist()):
             count += 1
             parents = tensor_parents(idx, ctx.levels[ell], ctx.levels[ell + 1])
-            if not any(support_in_subdomain(ctx.hierarchy, ctx.levels, ell, p, ell + 1)
-                       for p in parents):
+            if not any(sunk[p] for p in parents):
                 return InvariantResult("children_cover_core_functions", False, count, 1.0,
                                        f"{idx} at level {ell + 1} has no parent sunk in "
                                        f"subdomain {ell + 1}")
@@ -363,7 +372,7 @@ def ref_core(ctx):
     count = 1
     for ell in range(1, ctx.hierarchy.depth):
         lv = ctx.levels[ell]
-        stored = ctx.core.cells(ell)
+        stored = frozenset(marked_indices(ctx.core.masks[ell]))
         cells = ctx.hierarchy.subdomain_cells(ell)
         pool: set = set()
         for c in cells:
@@ -372,7 +381,7 @@ def ref_core(ctx):
             return InvariantResult("core_domains_definition", False, count,
                                    1.0, f"core of level {ell} escapes the subdomain")
         for c in sorted(pool, key=id_sort_key):
-            ext = lv.support_extension_cell_ranges(c)
+            ext = support_extension_cell_ranges(lv, c)
             inside = all(cell_ancestor(ctx.levels, ell, ell - 1, cc) in cells
                          for cc in iter_box(ext))
             count += 1
@@ -392,9 +401,9 @@ def ref_enlargement(ctx):
     w2 = compute_weights(h2, levels2)
     count = 0
     for fid, value in ctx.weights.values.items():
-        if w2.defined(fid):
+        if fid in w2.values:
             count += 1
-            if w2.weight(fid) < value:
+            if w2.values[fid] < value:
                 return InvariantResult("enlargement_monotonicity", False,
                                        count, 1.0, f"weight dropped at {fid}")
     refinable2 = build_refinable_basis(h2, levels2, w2)
@@ -402,7 +411,7 @@ def ref_enlargement(ctx):
     worst = 0.0
     for fid in ctx.refinable.functions():
         count += 1
-        if fid in refinable2:
+        if refinable2.active[fid.level][fid.indices]:
             continue
         acc = cols.combination(expand_deactivated(fid, refinable2))
         worst = max(worst, float(np.abs(cols.function(fid) - acc).max()))
@@ -434,7 +443,7 @@ def ref_child_count(ctx):
     for kv in coarse.kvs:
         expected *= kv.degree + 2
         interior.append(next((j for j in range(kv.num_basis)
-                              if kv.support(j)[0] > 0 and kv.support(j)[1] < 1
+                              if kv.knots[j] > 0 and kv.knots[j + kv.degree + 1] < 1
                               and len(set(kv.local(j).knots)) == kv.degree + 2), None))
     if None in interior:
         return InvariantResult(name, True, 0, 0.0, "no interior function at level 0")
@@ -459,9 +468,15 @@ def ref_local_li(ctx):
     return InvariantResult("local_linear_independence", True, count, 0.0)
 
 
+def _cell_mass(tables, cell):
+    """A cell's local mass matrix, as a projection workspace formed it:
+    the Kronecker product of its intervals' masses."""
+    return _kron([tab.mass[j] for tab, j in zip(tables, cell)])
+
+
 def ref_mass(ctx):
-    """The masses of the operator's workspace against those of a second
-    workspace over a finer rule's tables."""
+    """The masses of the operator's tables against those of a finer
+    rule's tables, through the workspace's former mass."""
     name = "mass_matrix_quadrature"
     worst, count = 0.0, 0
     finer = OperatorConfig(quad_increment=min(ctx.config.quad_increment + 3, MAX_INCREMENT))
@@ -470,18 +485,17 @@ def ref_mass(ctx):
         if not cells:
             continue
         cell = cells[len(cells) // 2]
-        ws = ctx.operator.stages[ell].workspace(cell)
-        ws_fine = LocalProjectionWorkspace(ctx.levels[ell], cell,
-                                           level_tables(ctx.levels[ell], finer))
-        if not np.array_equal(ws.mass, ws.mass.T):
+        mass = _cell_mass(ctx.operator.stages[ell].tables, cell)
+        fine = _cell_mass(level_tables(ctx.levels[ell], finer), cell)
+        if not np.array_equal(mass, mass.T):
             return InvariantResult(name, False, count, 1.0, f"mass matrix of cell {cell} of "
                                    f"level {ell} not symmetric")
-        eigmin = float(np.linalg.eigvalsh(ws.mass).min())
+        eigmin = float(np.linalg.eigvalsh(mass).min())
         if eigmin <= 0:
             return InvariantResult(name, False, count, 1.0, f"mass matrix of cell {cell} of "
                                    f"level {ell} not positive definite ({eigmin})")
-        scale = float(np.abs(ws.mass).max())
-        worst = max(worst, float(np.abs(ws.mass - ws_fine.mass).max()) / scale)
+        scale = float(np.abs(mass).max())
+        worst = max(worst, float(np.abs(mass - fine).max()) / scale)
         count += 1
     return _result(name, worst, count, 1e-12)
 
@@ -752,12 +766,12 @@ def test_node_outside_its_interval_is_named(name):
 
 
 def test_rewritten_checks_take_no_per_item_route(monkeypatch):
-    # the per-level checks reach neither the scalar parent, support and
-    # cell queries nor, for the zero weights, the core domains, the
-    # children cover and the active independence, the subdomain grids;
-    # the mass check builds no workspace, the
-    # independence checks evaluate no single function, and the
-    # characterization runs is_child_of on the nested pairs alone
+    # the per-level checks map no single cell through cell_ancestor, and
+    # for the zero weights, the core domains, the children cover and the
+    # active independence they read no subdomain grid; the mass check
+    # builds no workspace, the independence checks evaluate no single
+    # function, and the characterization runs is_child_of on the nested
+    # pairs alone
     ctx = _context(load_fixture(FIXTURE_DIR / "d2_nested_not_admissible.json"))
     expected = {name: _outcome(CHECKS[name], ctx) for name in (
         "refinable_equals_positive_weights", "children_cover_core_functions",
@@ -773,15 +787,14 @@ def test_rewritten_checks_take_no_per_item_route(monkeypatch):
 
     with monkeypatch.context() as m:
         for module in (hierarchy, invariants, tensor):
-            for attr in ("tensor_parents", "cell_ancestor", "cell_descendant_ranges",
-                         "support_in_subdomain", "eval_function"):
+            for attr in ("cell_ancestor", "eval_function"):
                 if hasattr(module, attr):
                     m.setattr(module, attr, refuse)
         m.setattr(quasiinterp.LocalProjectionWorkspace, "__init__", refuse)
         for name in ("mass_matrix_quadrature", "local_linear_independence"):
             assert _outcome(CHECKS[name], ctx) == expected[name], name
         assert invariants.dense_independence(*small) == dense
-        for attr in ("__init__", "ancestor_maps", "boxes_inside", "cells_inside", "cell_inside",
+        for attr in ("__init__", "ancestor_maps", "boxes_inside", "cells_inside",
                      "supports_inside"):
             m.setattr(hierarchy.SubdomainGrids, attr, refuse)
         for name in ("refinable_equals_positive_weights", "core_domains_definition",
@@ -856,14 +869,9 @@ def test_the_suite_and_the_operator_build_no_views():
     op = MultiscaleQuasiInterpolant(fx.hierarchy, fx.levels)
     f = get_function("sin", fx.dimension)
     assert error_norms(f, op.apply(f), 2) > 0
-    # no basis view is built at all
-    assert [name for basis in (ctx.classical, ctx.refinable, op.refinable)
-            for name in ("member_set", "stages") if name in vars(basis)] == []
-    for owner, cache in [(ctx.weights, "_views"), (op.refinable.weights, "_views"),
-                         (ctx.core, "_cellsets"), (op.core, "_cellsets")]:
-        assert cache not in vars(owner)
-    for stage in [*ctx.operator.stages, *op.stages]:
-        assert not {"members", "anchor_cells"} & vars(stage).keys()
+    # no weight dict and no Fraction children table is built at all
+    for weights in (ctx.weights, op.refinable.weights):
+        assert "_views" not in vars(weights)
     for kv in [kv for lv in (*ctx.levels, *fx.levels) for kv in lv.kvs]:
         assert not vars(kv).get("_children_tables")
 

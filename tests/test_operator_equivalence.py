@@ -2,12 +2,12 @@
 routes it replaced.
 
 The references below are the former implementations: the anchor search
-as a ``min`` over every candidate core cell of every function, and the
-eager workspace that built each cell's node grid, weights and local
-function list on construction and formed one dual row at a time.
-Members, anchors, workspace arrays, the batched dual rows and the
-coefficients of an application must equal theirs exactly, and the
-callback must see the same points in the same order.
+as a ``min`` over every candidate core cell of largest volume of every
+function, the volumes exact Fractions, and the eager workspace that built
+each cell's node grid, weights and local function list on construction
+and formed one dual row at a time. Members, anchors, the batched dual
+rows and the coefficients of an application must equal theirs exactly,
+and the callback must see the same points in the same order.
 """
 
 from __future__ import annotations
@@ -30,36 +30,47 @@ from hiersplines.quasiinterp import (
     checked_callable,
     compute_core_domains,
 )
-from hiersplines.tensor import TensorLevel, id_sort_key, iter_box
+from hiersplines.tensor import TensorLevel, id_sort_key, iter_box, marked_indices
 from hiersplines.univariate import make_open_knot_vector
 
 from .conftest import FIXTURE_DIR, random_hierarchy, repo_fixture
+from .oracles import cell_volume, dual_functional, function_cell_ranges
 
 # ---------------------------------------------------------------------------
 # reference implementations
 
 
-def ref_anchor_search(level, cells):
-    """Members in canonical order and their anchors: among a function's
-    core cells the one closest to its support centre, ties to the first
-    in canonical order."""
+def ref_candidates(level, cells):
+    """Per function acting on a core cell, its core cells in canonical
+    order."""
     candidates = {}
     for cell in sorted(cells, key=id_sort_key):
         for fidx in iter_box(level.functions_on_cell(cell)):
             candidates.setdefault(fidx, []).append(cell)
-    anchor = {}
-    for fidx, cands in candidates.items():
-        ranges = level.function_cell_ranges(fidx)
-        center = [r.start + r.stop - 1 for r in ranges]  # doubled index
+    return candidates
 
-        def badness(cell, center=center):
-            dist = 0
-            for i, j in enumerate(cell):
-                delta = 2 * j - center[i]
-                dist += delta * delta
-            return (dist, id_sort_key(cell))
 
-        anchor[fidx] = min(cands, key=badness)
+def ref_distance(level, fidx, cell):
+    """The squared distance of a cell's doubled centre index to the
+    doubled centre index of a function's support."""
+    ranges = function_cell_ranges(level, fidx)
+    return sum((2 * j - (r.start + r.stop - 1)) ** 2 for j, r in zip(cell, ranges))
+
+
+def ref_largest(level, cands):
+    """The candidates of largest volume, by exact Fraction volumes."""
+    volumes = [cell_volume(level, cell) for cell in cands]
+    return [cell for cell, v in zip(cands, volumes) if v == max(volumes)]
+
+
+def ref_anchor_search(level, cells):
+    """Members in canonical order and their anchors: among a function's
+    core cells of largest volume the one closest to its support centre,
+    ties to the first in canonical order."""
+    anchor = {fidx: min(ref_largest(level, cands),
+                        key=lambda cell, fidx=fidx: (ref_distance(level, fidx, cell),
+                                                     id_sort_key(cell)))
+              for fidx, cands in ref_candidates(level, cells).items()}
     return tuple(sorted(anchor, key=id_sort_key)), anchor
 
 
@@ -69,20 +80,15 @@ def ref_tensor_grid(axes):
 
 
 class RefWorkspace:
-    """The eager workspace: every array built on construction."""
+    """The eager workspace: the node grid and local functions built on
+    construction."""
 
     def __init__(self, level, cell, tables):
         self.level = level
         self.cell = cell
         self.local_functions = list(iter_box(level.functions_on_cell(cell)))
-        nodes, weights, self._masses, self._duals = zip(
-            *[[field[j] for field in tab] for tab, j in zip(tables, cell)])
-        self.nodes = ref_tensor_grid(nodes)
-        self.weights = _kron(weights)
-
-    @property
-    def mass(self):
-        return _kron(self._masses)
+        self.nodes = ref_tensor_grid([tab.nodes[j] for tab, j in zip(tables, cell)])
+        self._duals = [tab.duals[j] for tab, j in zip(tables, cell)]
 
     def local_index(self, indices):
         return self.local_functions.index(indices)
@@ -130,12 +136,17 @@ class Recorder:
         return np.sin(3.0 * pts.sum(axis=1)) + pts[:, 0] ** 2
 
 
+def members_and_anchors(op):
+    """The members of a level operator and their anchor cells, as tuples."""
+    return [tuple(map(tuple, a.tolist())) for a in (op.member_indices, op.anchor_indices)]
+
+
 def assert_same_rows(op, refs=None):
     """Each member's batched dual row equals, byte for byte, the row the
     eager workspace of its anchor cell forms for it."""
     refs = {} if refs is None else refs
     assert op._dual_rows.shape[0] == len(op)
-    for row, (m, cell) in zip(op._dual_rows, op.anchor_cells.items()):
+    for row, m, cell in zip(op._dual_rows, *members_and_anchors(op)):
         if cell not in refs:
             refs[cell] = RefWorkspace(op.level, cell, op.tables)
         ref = refs[cell]
@@ -146,18 +157,12 @@ def assert_same_operator(levels, h):
     core = compute_core_domains(h, levels)
     for ell in range(h.depth):
         op = LevelQuasiInterpolant(h, levels, ell, core)
-        members, anchor = ref_anchor_search(op.level, core.cells(ell))
-        assert op.members == members
-        assert op.anchor_cells == anchor
-        assert all(type(i) is int for m in op.members for i in m + op.anchor_cells[m])
-        refs = {}
-        for cell in sorted(set(anchor.values()), key=id_sort_key):
-            ws = op.workspace(cell)
-            ref = refs[cell] = RefWorkspace(op.level, cell, op.tables)
-            assert ws.local_functions == ref.local_functions
-            for name in ("nodes", "weights", "mass"):
-                assert np.array_equal(getattr(ws, name), getattr(ref, name)), name
-        assert_same_rows(op, refs)
+        members, anchor = ref_anchor_search(op.level, marked_indices(core.masks[ell]))
+        assert [a.dtype for a in (op.member_indices, op.anchor_indices)] == [np.int64] * 2
+        got_members, got_anchors = members_and_anchors(op)
+        assert got_members == members
+        assert dict(zip(got_members, got_anchors)) == anchor
+        assert_same_rows(op)
         got, want = Recorder(), Recorder()
         coeffs = op.apply(got).coefficients
         ref_coeffs, _ = ref_apply(op, anchor, want)
@@ -196,25 +201,25 @@ def test_random_hierarchies_match_per_cell_routes(k, explicit):
 
 
 def test_random_cases_cover_ties_short_supports_and_empty_cores():
-    """The cases above include equidistant candidates, members whose
+    """The cases above include equidistant candidates of largest volume,
+    anchors that the volume moves off the nearest candidate, members whose
     support is shortened by a repeated knot, and levels without a core."""
-    ties = short = empty = 0
+    ties = moved = short = empty = 0
     for explicit in (False, True):
         for k in range(CASES):
             levels, h = random_case(k, explicit)
             core = compute_core_domains(h, levels)
             for ell in range(h.depth):
                 level = levels[ell]
-                members, anchor = ref_anchor_search(level, core.cells(ell))
-                empty += not members
-                for m in members:
-                    ranges = level.function_cell_ranges(m)
+                candidates = ref_candidates(level, marked_indices(core.masks[ell]))
+                empty += not candidates
+                for m, cands in candidates.items():
+                    ranges = function_cell_ranges(level, m)
                     short += any(len(r) < kv.degree + 1 for r, kv in zip(ranges, level.kvs))
-                    center = [r.start + r.stop - 1 for r in ranges]
-                    dists = [sum((2 * j - c) ** 2 for j, c in zip(cell, center))
-                             for cell in iter_box(ranges) if cell in core.cells(ell)]
+                    dists = [ref_distance(level, m, cell) for cell in ref_largest(level, cands)]
                     ties += dists.count(min(dists)) > 1
-    assert ties and short and empty
+                    moved += min(dists) > min(ref_distance(level, m, cell) for cell in cands)
+    assert ties and moved and short and empty
 
 
 def test_member_off_its_anchor_cell_is_named():
@@ -234,12 +239,12 @@ def test_member_off_its_anchor_cell_is_named():
         for k in fits[[3, 1]]:
             op.anchor_indices[k, 0] = outside[k]
         k = fits[1]
-        message = (f"function {op.members[k]} of level 1 does not act on cell "
-                   f"{tuple(op.anchor_indices[k].tolist())}")
+        message = (f"function {tuple(op.member_indices[k].tolist())} of level 1 does not "
+                   f"act on cell {tuple(op.anchor_indices[k].tolist())}")
         with pytest.raises(HierSplineError, match=f"^{re.escape(message)}$"):
             op.apply(lambda pts: pts[:, 0])
         with pytest.raises(HierSplineError, match=f"^{re.escape(message)}$"):
-            op.dual_functional(op.members[0])
+            dual_functional(op, op.member_indices[0])
 
 
 @st.composite

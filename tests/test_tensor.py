@@ -13,16 +13,14 @@ from hiersplines.tensor import (
     TensorLevel,
     build_level_sequence,
     cell_ancestor,
-    cell_descendant_ranges,
     eval_function,
     extend_level_sequence,
     id_sort_key,
     iter_box,
     tensor_children,
-    tensor_parents,
 )
 from hiersplines.univariate import (
-    children_with_coefficients,
+    children_table,
     dyadic_refine,
     make_open_knot_vector,
     uniform_open_knot_vector,
@@ -35,6 +33,7 @@ from .conftest import (
     random_refinement,
     repo_fixture,
 )
+from .oracles import cell_descendant_ranges, tensor_parents
 
 
 class TestLevelSequence:
@@ -176,9 +175,8 @@ class TestTensorChildren:
     def test_reduces_to_univariate_in_1d(self):
         levels = make_levels(1, 2, 5, 2)
         kids = tensor_children((2,), levels[0], levels[1])
-        uni = children_with_coefficients(levels[0].kvs[0].local(2),
-                                         levels[1].kvs[0])
-        assert [(i[0], c) for i, c in kids] == [(k.index, c) for k, c in uni]
+        uni = children_table(levels[0].kvs[0], levels[1].kvs[0])[2]
+        assert [(i[0], c) for i, c in kids] == list(uni)
 
     def test_support_containment_and_pointwise(self):
         levels = make_levels(2, (2, 1), (4, 5), 2)
@@ -186,12 +184,11 @@ class TestTensorChildren:
         pts = rng.random((300, 2))
         for idx in [(0, 0), (2, 3), (5, 4)]:
             kids = tensor_children(idx, levels[0], levels[1])
-            pbox = levels[0].support_box(idx)
             acc = np.zeros(300)
             for cidx, c in kids:
-                cbox = levels[1].support_box(cidx)
-                for (plo, phi), (clo, chi) in zip(pbox, cbox):
-                    assert plo <= clo and chi <= phi
+                for ckv, fkv, j, i in zip(levels[0].kvs, levels[1].kvs, idx, cidx):
+                    parent, child = ckv.local(j).knots, fkv.local(i).knots
+                    assert parent[0] <= child[0] and child[-1] <= parent[-1]
                 acc += float(c) * eval_function(levels[1], cidx, pts)
             want = eval_function(levels[0], idx, pts)
             assert np.abs(acc - want).max() < 1e-12
@@ -205,22 +202,29 @@ class TestTensorChildren:
 
 
 class TestCells:
+    # the support extension of a cell as interval ranges, first and last
+    # interval per direction
+    @staticmethod
+    def _extension(level, cell):
+        return [(int(first[j]), int(last[j]))
+                for (first, last), j in zip((kv.extension_intervals for kv in level.kvs), cell)]
+
     def test_support_extension_interior(self):
         levels = make_levels(1, 2, 8, 1)
-        box = levels[0].support_extension_box((4,))
-        assert box == ((F(2, 8), F(7, 8)),)
+        assert self._extension(levels[0], (4,)) == [(2, 6)]
+        assert levels[0].kvs[0].intervals[4].extension == (F(2, 8), F(7, 8))
 
     def test_support_extension_boundary_clipped(self):
         levels = make_levels(1, 2, 8, 1)
-        box = levels[0].support_extension_box((0,))
-        assert box == ((F(0), F(3, 8)),)
+        assert self._extension(levels[0], (0,)) == [(0, 2)]
+        assert levels[0].kvs[0].intervals[0].extension == (F(0), F(3, 8))
 
     def test_support_extension_is_tensor_product(self):
         levels = make_levels(2, (2, 1), 6, 1)
-        box = levels[0].support_extension_box((3, 2))
-        bx = make_levels(1, 2, 6, 1)[0].support_extension_box((3,))
-        by = make_levels(1, 1, 6, 1)[0].support_extension_box((2,))
-        assert box == (bx[0], by[0])
+        ext = self._extension(levels[0], (3, 2))
+        ex = self._extension(make_levels(1, 2, 6, 1)[0], (3,))
+        ey = self._extension(make_levels(1, 1, 6, 1)[0], (2,))
+        assert ext == ex + ey == [(1, 5), (1, 3)]
 
     def test_ancestors_and_descendants(self):
         levels = make_levels(2, 1, 3, 3)
@@ -229,8 +233,11 @@ class TestCells:
         assert [tuple(r) for r in ranges] == [(8, 9, 10, 11), (0, 1, 2, 3)]
 
     def test_cell_volume(self):
+        # the interval lengths as integer numerators over the denominator
         levels = make_levels(2, 1, (2, 4), 1)
-        assert levels[0].cell_volume((0, 0)) == F(1, 8)
+        lengths = [kv.interval_lengths for kv in levels[0].kvs]
+        assert [(n.tolist(), d) for n, d in lengths] == [([1, 1], 2), ([1, 1, 1, 1], 4)]
+        assert F(lengths[0][0][0] * lengths[1][0][0], lengths[0][1] * lengths[1][1]) == F(1, 8)
 
     def test_interval_ranges_match_bisection(self):
         # every knot vector of every fixture, an internal knot of
@@ -250,12 +257,10 @@ class TestCells:
         for kv in kvs:
             # the reference: bisection of the support ends in the interval lefts
             lefts = [c.left for c in kv.intervals]
-            level = build_level_sequence([kv], 1)[0]
             supports = []
             for j in range(kv.num_basis):
-                lo, hi = kv.support(j)
+                lo, hi = kv.knots[j], kv.knots[j + kv.degree + 1]
                 supports.append((bisect_left(lefts, lo), bisect_left(lefts, hi) - 1))
-                assert kv.function_interval_range(j) == supports[-1]
             assert [a.dtype for a in kv.support_intervals] == [np.int64] * 2
             assert list(zip(*(a.tolist() for a in kv.support_intervals))) == supports
             assert kv.first_functions.dtype == np.int64
@@ -267,7 +272,6 @@ class TestCells:
                 assert kv.functions_on_interval(c.index) == range(first, first + kv.degree + 1)
                 lo, hi = c.extension
                 want = range(bisect_left(lefts, lo), bisect_left(lefts, hi))
-                assert level.support_extension_cell_ranges((c.index,)) == [want]
                 got = [int(a[c.index]) for a in kv.extension_intervals]
                 assert got == [want.start, want.stop - 1]
 

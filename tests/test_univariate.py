@@ -17,16 +17,15 @@ from hiersplines.univariate import (
     LocalKnotVector,
     as_knot,
     children_table,
-    children_with_coefficients,
     dyadic_refine,
     is_child_of,
     make_open_knot_vector,
-    parents_of,
+    parent_table,
     uniform_open_knot_vector,
 )
 
 from .conftest import random_refinement
-from .oracles import bspline_value_exact, oslo_children
+from .oracles import bspline_value_exact, local_values, oslo_children
 
 
 class TestKnotVector:
@@ -90,7 +89,7 @@ class TestKnotVector:
         knots, d = kv.knot_numerators, kv.knot_denominator
         assert [F(k, d) for k in knots] == list(kv.knots)
         assert d == lcm(*(k.denominator for k in kv.knots))
-        assert kv.max_interval_length == max(c.length for c in kv.intervals)
+        assert kv.max_interval_length == max(c.right - c.left for c in kv.intervals)
 
     def test_quasi_uniformity_diagnostic(self):
         # intervals 1/8, 3/8, 1/2: adjacent ratios 3 and 4/3
@@ -98,25 +97,29 @@ class TestKnotVector:
         assert kv.quasi_uniformity == pytest.approx(3.0)
 
 
+def _value_at(local, x):
+    return float(local_values(local, [x])[0])
+
+
 class TestEvalBspline:
     def test_hat_peak(self):
         local = LocalKnotVector(1, (F(0), F(1, 2), F(1)))
-        assert local.value_at(0.5) == 1.0
+        assert _value_at(local, 0.5) == 1.0
 
     def test_uniform_quadratic_midpoint(self):
         # frozen from the exact recursion on {0, 1/3, 2/3, 1} at x = 1/2
         local = LocalKnotVector(2, (F(0), F(1, 3), F(2, 3), F(1)))
-        assert local.value_at(0.5) == pytest.approx(0.75, abs=1e-15)
+        assert _value_at(local, 0.5) == pytest.approx(0.75, abs=1e-15)
         assert bspline_value_exact(local.knots, F(1, 2)) == F(3, 4)
 
     def test_outside_support(self):
         local = LocalKnotVector(2, (F(0), F(0), F(0), F(1, 2)))
-        assert local.value_at(0.75) == 0.0
+        assert _value_at(local, 0.75) == 0.0
 
     def test_right_end_left_limit(self):
         kv = uniform_open_knot_vector(2, 4)
         last = kv.local(kv.num_basis - 1)
-        assert last.value_at(1.0) == 1.0
+        assert _value_at(last, 1.0) == 1.0
 
     def test_matches_exact_oracle_at_rationals(self):
         kv = make_open_knot_vector(3, ["0", "1/4", "1/2", "3/4", "1"],
@@ -125,7 +128,7 @@ class TestEvalBspline:
             local = kv.local(j)
             for x in [F(k, 13) for k in range(14)]:
                 want = float(bspline_value_exact(local.knots, x))
-                assert local.value_at(float(x)) == pytest.approx(want, abs=1e-14)
+                assert _value_at(local, float(x)) == pytest.approx(want, abs=1e-14)
 
 
 class TestDyadicRefine:
@@ -176,14 +179,14 @@ class TestChildren:
     def test_linear_interior_mask(self):
         kv = uniform_open_knot_vector(1, 4)
         fine = dyadic_refine(kv)
-        kids = children_with_coefficients(kv.local(1), fine)
+        kids = children_table(kv, fine)[1]
         assert [c for _, c in kids] == [F(1, 2), F(1), F(1, 2)]
-        assert [k.index for k, _ in kids] == [1, 2, 3]
+        assert [i for i, _ in kids] == [1, 2, 3]
 
     def test_quadratic_interior_mask(self):
         kv = uniform_open_knot_vector(2, 8)
         fine = dyadic_refine(kv)
-        kids = children_with_coefficients(kv.local(4), fine)
+        kids = children_table(kv, fine)[4]
         assert [c for _, c in kids] == [F(1, 4), F(3, 4), F(3, 4), F(1, 4)]
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -191,7 +194,7 @@ class TestChildren:
         kv = uniform_open_knot_vector(degree, 8)
         fine = dyadic_refine(kv)
         j = kv.num_basis // 2
-        kids = children_with_coefficients(kv.local(j), fine)
+        kids = children_table(kv, fine)[j]
         masks = [F(comb(degree + 1, k), 2 ** degree)
                  for k in range(degree + 2)]
         assert [c for _, c in kids] == masks
@@ -199,8 +202,8 @@ class TestChildren:
     def test_boundary_single_insertion(self):
         kv = uniform_open_knot_vector(2, 1)
         fine = dyadic_refine(kv)
-        kids = children_with_coefficients(kv.local(0), fine)
-        assert [(tuple(map(str, k.knots)), c) for k, c in kids] == [
+        kids = children_table(kv, fine)[0]
+        assert [(tuple(map(str, fine.local(i).knots)), c) for i, c in kids] == [
             (("0", "0", "0", "1/2"), F(1)),
             (("0", "0", "1/2", "1"), F(1, 2)),
         ]
@@ -211,40 +214,36 @@ class TestChildren:
         fine = dyadic_refine(kv)
         xs = np.random.default_rng(2).random(1000)
         for j in range(kv.num_basis):
-            parent = kv.local(j)
-            kids = children_with_coefficients(parent, fine)
             acc = np.zeros_like(xs)
-            for child, c in kids:
-                acc += float(c) * child.evaluate(xs)
-            assert np.abs(parent.evaluate(xs) - acc).max() < 1e-12
+            for i, c in children_table(kv, fine)[j]:
+                acc += float(c) * local_values(fine.local(i), xs)
+            assert np.abs(local_values(kv.local(j), xs) - acc).max() < 1e-12
 
     def test_exact_reproduction_at_rationals(self):
         kv = uniform_open_knot_vector(3, 4)
         fine = dyadic_refine(kv)
-        parent = kv.local(2)
-        kids = children_with_coefficients(parent, fine)
+        kids = children_table(kv, fine)[2]
         for x in [F(k, 7) for k in range(8)]:
-            want = bspline_value_exact(parent.knots, x)
-            got = sum(c * bspline_value_exact(child.knots, x)
-                      for child, c in kids)
+            want = bspline_value_exact(kv.local(2).knots, x)
+            got = sum(c * bspline_value_exact(fine.local(i).knots, x)
+                      for i, c in kids)
             assert got == want
 
     def test_refinement_mismatch_raises(self):
         kv = uniform_open_knot_vector(1, 4)
         other = uniform_open_knot_vector(1, 3)
         with pytest.raises(RefinementMismatchError):
-            children_with_coefficients(kv.local(1), other)
+            children_table(kv, other)
 
     def test_child_supports_inside_parent(self):
         kv = uniform_open_knot_vector(3, 5)
         fine = dyadic_refine(kv)
         for j in range(kv.num_basis):
-            parent = kv.local(j)
-            lo, hi = parent.support
-            for child, c in children_with_coefficients(parent, fine):
+            parent = kv.local(j).knots
+            for i, c in children_table(kv, fine)[j]:
                 assert c > 0
-                clo, chi = child.support
-                assert lo <= clo and chi <= hi
+                child = fine.local(i).knots
+                assert parent[0] <= child[0] and child[-1] <= parent[-1]
 
 
 class TestParents:
@@ -252,11 +251,9 @@ class TestParents:
         kv = make_open_knot_vector(2, ["0", "1/4", "1/2", "3/4", "1"],
                                    [3, 1, 2, 1, 3])
         fine = dyadic_refine(kv)
-        children = {j: {k.index for k, _ in
-                        children_with_coefficients(kv.local(j), fine)}
-                    for j in range(kv.num_basis)}
+        children = {j: {i for i, _ in row} for j, row in enumerate(children_table(kv, fine))}
         for i in range(fine.num_basis):
-            parents = {p.index for p in parents_of(fine.local(i), kv)}
+            parents = set(parent_table(kv, fine)[i])
             derived = {j for j, kids in children.items() if i in kids}
             assert parents == derived
 
@@ -270,8 +267,7 @@ class TestParents:
 
 def _parents_by_full_scan(child, coarse):
     """Reference: every coarse function tested with the endpoint route."""
-    return [coarse.local(j) for j in range(coarse.num_basis)
-            if is_child_of(child, coarse.local(j))]
+    return [j for j in range(coarse.num_basis) if is_child_of(child, coarse.local(j))]
 
 
 def _random_pairs(n):
@@ -297,26 +293,21 @@ class TestTwoScaleRandom:
         p = fine.degree
         xs = [F(0), F(1)]
         for cell in fine.intervals:
-            xs.extend(cell.left + cell.length * F(k, p + 3) for k in range(1, p + 3))
-        for j in range(coarse.num_basis):
-            parent = coarse.local(j)
-            kids = children_with_coefficients(parent, fine)
+            xs.extend(cell.left + (cell.right - cell.left) * F(k, p + 3) for k in range(1, p + 3))
+        for j, row in enumerate(children_table(coarse, fine)):
+            kids = [(fine.local(i).knots, c) for i, c in row]
             assert kids and all(c > 0 for _, c in kids)
             for x in xs:
                 # a B-spline vanishes outside its closed support
-                got = sum(c * bspline_value_exact(child.knots, x) for child, c in kids
-                          if child.support[0] <= x <= child.support[1])
-                assert got == bspline_value_exact(parent.knots, x), (j, x)
+                got = sum(c * bspline_value_exact(knots, x) for knots, c in kids
+                          if knots[0] <= x <= knots[-1])
+                assert got == bspline_value_exact(coarse.local(j).knots, x), (j, x)
 
     @pytest.mark.parametrize("coarse,fine", RANDOM_PAIRS)
     def test_parents_are_the_transpose_of_children(self, coarse, fine):
-        children = {j: {k.index for k, _ in
-                        children_with_coefficients(coarse.local(j), fine)}
-                    for j in range(coarse.num_basis)}
-        for i in range(fine.num_basis):
-            child = fine.local(i)
-            parents = [q.index for q in parents_of(child, coarse)]
-            assert parents == [q.index for q in _parents_by_full_scan(child, coarse)]
+        children = {j: {i for i, _ in row} for j, row in enumerate(children_table(coarse, fine))}
+        for i, parents in enumerate(parent_table(coarse, fine)):
+            assert list(parents) == _parents_by_full_scan(fine.local(i), coarse)
             assert set(parents) == {j for j, kids in children.items() if i in kids}
 
     @pytest.mark.parametrize("coarse,fine", RANDOM_PAIRS)
@@ -355,11 +346,9 @@ def test_two_scale_property_random(degree, intervals, steps, seed):
     for _ in range(steps):
         fine = dyadic_refine(fine)
     xs = np.random.default_rng(seed).random(50)
-    for j in range(kv.num_basis):
-        parent = kv.local(j)
-        kids = children_with_coefficients(parent, fine)
+    for j, row in enumerate(children_table(kv, fine)):
         acc = np.zeros_like(xs)
-        for child, c in kids:
+        for i, c in row:
             assert c > 0
-            acc += float(c) * child.evaluate(xs)
-        assert np.abs(parent.evaluate(xs) - acc).max() < 1e-12
+            acc += float(c) * local_values(fine.local(i), xs)
+        assert np.abs(local_values(kv.local(j), xs) - acc).max() < 1e-12
