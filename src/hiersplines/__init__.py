@@ -51,7 +51,6 @@ from .hierarchy import (
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
-    express_over,
     partition_of_unity,
     validate_hierarchy,
 )

@@ -13,13 +13,14 @@ A spline given by coefficients on functions of several levels is written
 over a basis by the same relations: one sweep from the coarsest level
 down keeps the coefficients of active functions and passes those of
 deactivated ones to their children, scaled by the two-scale coefficients.
-The coefficients are stored per level as index and value arrays
-(:class:`hiersplines.tensor.LevelSpline`), and the sweep runs on them
-level by level (:func:`express_arrays`), which can carry a source per
-entry and so write many combinations in one sweep; a
-:class:`HierSplineFunction` holds one such spline per level, and the
-``Fid``-keyed ``coefficients`` dicts of it and of :func:`express_over`
-are views derived from them.
+The sweep (:func:`express_arrays`) runs level by level on index and value
+arrays in one of two regimes, picked by the values' dtype: float64
+coefficients, which the operator writes, or integer ones carried exactly
+as numerators over one denominator per level, which the invariant suite
+writes. It can carry a source per entry and so write many combinations
+in one sweep. A :class:`HierSplineFunction` holds one float64
+:class:`hiersplines.tensor.LevelSpline` per level, and its ``Fid``-keyed
+``coefficients`` dict is a view derived from them.
 
 Partition-of-unity weights are exact rationals and positivity is decided
 structurally (does the function inherit from a positive deactivated
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -200,6 +200,7 @@ class SubdomainGrids:
         Many ranges share their ancestor range, so the boxes are counted
         once per distinct combination of ancestor ranges.
         """
+        _check_finer(level, ell)
         los, his, inverses = [], [], []
         for m, a, b, n in zip(self.ancestor_maps(level, ell - 1), lo, hi,
                               self._grids[ell - 1].shape):
@@ -221,6 +222,7 @@ class SubdomainGrids:
 
     def cells_inside(self, level: int, ell: int) -> np.ndarray:
         """Which cells of ``level`` lie in subdomain ell (level >= ell-1)."""
+        _check_finer(level, ell)
         if ell <= 0 or ell >= self.depth:
             return np.full(self.levels[level].num_cells, ell <= 0)
         return self._grids[ell - 1][np.ix_(*self.ancestor_maps(level, ell - 1))]
@@ -229,6 +231,7 @@ class SubdomainGrids:
         """Which functions of ``level`` have their support in subdomain ell
         (level >= ell-1). Cached: the selections, the weights and the
         sweep each read it."""
+        _check_finer(level, ell)
         key = (level, ell)
         mask = self._masks.get(key)
         if mask is None:
@@ -240,6 +243,14 @@ class SubdomainGrids:
                                                             for kv in lv.kvs)))
             self._masks[key] = mask
         return mask
+
+
+def _check_finer(level: int, ell: int) -> None:
+    """Refuse a containment query of ``level`` in subdomain ell unless
+    level >= ell-1: the parent maps carry cells to coarser levels only."""
+    if level < ell - 1:
+        raise HierarchyError(f"level {level} is coarser than level {ell - 1}, whose cells "
+                             f"make up subdomain {ell}")
 
 
 def subdomain_grids(h: SubdomainHierarchy, levels: Sequence[TensorLevel]) -> SubdomainGrids:
@@ -495,6 +506,7 @@ def supports_in_cells(h: SubdomainHierarchy, levels: Sequence[TensorLevel], leve
     the stored cells: every cell of level ell-1 that a support meets,
     carried there by the interval parent maps, must be one of them
     (:func:`boxes_in`). No subdomain grid is read."""
+    _check_finer(level, ell)
     lv, cells = levels[level], h.subdomain_cells(ell)
     if cells is None:
         return np.ones(lv.num_basis, dtype=bool)
@@ -622,7 +634,7 @@ class HierSplineFunction:
 
     # kept while the benchmark's workloads read it
     @functools.cached_property
-    def coefficients(self) -> dict[Fid, Fraction | float]:
+    def coefficients(self) -> dict[Fid, float]:
         return {Fid(part.level.index, idx): c
                 for part in self.parts for idx, c in part.coefficients.items()}
 
@@ -652,41 +664,14 @@ def _summed(arrays):
 
 
 def partition_of_unity(basis: HierBasis) -> HierSplineFunction:
-    """The weighted combination of active functions that sums to one."""
+    """The weighted combination of active functions that sums to one, its
+    coefficients the floats nearest the exact weights."""
     w, parts = basis.weights, []
     for ell, (lv, mask) in enumerate(zip(basis.levels, basis.active)):
         idx = marked_array(mask)
         numerators = w.numerators[ell][w.defined_positions(ell, idx)]
-        parts.append(LevelSpline(lv, idx, np.array(
-            [Fraction(n, w.denominators[ell]) for n in numerators.tolist()], dtype=object)))
+        parts.append(LevelSpline(lv, idx, nearest_floats(numerators, w.denominators[ell])))
     return HierSplineFunction(basis, parts)
-
-
-# kept for expand_deactivated, which the benchmark's tracer wraps
-def express_over(coefficients: Mapping[Fid, Fraction | float],
-                 basis: HierBasis) -> dict[Fid, Fraction | float]:
-    """Write a combination of level functions over the active ones.
-
-    The coefficients are grouped into per-level index and value arrays,
-    in the order given, for :func:`express_arrays`; a level's values are
-    float64 when all of them are floats, else Python objects of the types
-    given. A function that is neither active nor deactivated, or is no
-    function of its level, raises.
-    """
-    h = basis.hierarchy
-    grouped: list[dict[Index, Fraction | float]] = [{} for _ in range(h.depth)]
-    for fid, c in coefficients.items():
-        if not 0 <= fid.level < h.depth:
-            raise _neither(fid)
-        grouped[fid.level][fid.indices] = c
-    # an index of another length is no function of the level
-    pending = [(np.array([i if len(i) == lv.dim else (-1,) * lv.dim for i in row],
-                         dtype=np.int64).reshape(-1, lv.dim),
-                np.array(list(row.values()),
-                         dtype=float if all(type(c) is float for c in row.values()) else object))
-               for lv, row in zip(basis.levels, grouped)]
-    parts = express_arrays(pending, basis, [list(row) for row in grouped])
-    return HierSplineFunction(basis, parts).coefficients
 
 
 def _neither(fid: Fid) -> HierarchyError:
@@ -694,140 +679,87 @@ def _neither(fid: Fid) -> HierarchyError:
 
 
 def express_arrays(pending: Sequence[tuple[np.ndarray, np.ndarray]], basis: HierBasis,
-                   names: Sequence[Sequence[Index]] | None = None,
-                   sources: Sequence[np.ndarray] | None = None) -> list:
-    """Write per-level coefficients over the active functions of a basis,
-    one :class:`LevelSpline` per level.
+                   sources: Sequence[np.ndarray] | None = None
+                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Write per-level coefficients over the active functions of a basis.
 
     ``pending[ell]`` holds the coefficients of level ell as an (n, d)
-    index array and an (n,) value array. One sweep, coarsest level first,
-    keeps the entries of active functions and passes those of deactivated
-    ones, whose support sank into the next subdomain, to their children on
-    the next level times the two-scale coefficients n/q, read from the
-    slot arrays of the two-scale tables. A level's
-    entries run in the order received, then the children added, in the
-    order first reached; the first contribution to a new child is
+    array of distinct functions of the level and an (n,) value array. One
+    sweep, coarsest level first, keeps the entries of active functions and
+    passes those of deactivated ones, whose support sank into the next
+    subdomain, to their children on the next level times the two-scale
+    coefficients n/q, read from the slot arrays of the two-scale tables. A
+    level's entries run in the order received, then the children added, in
+    the order first reached; the first contribution to a new child is
     assigned (a -0.0 stays -0.0), later ones are added in parent order.
-    A float value is multiplied by the float nearest n/q
-    (:func:`nearest_floats`), which is what a product with the
-    coefficient's Fraction gives.
 
-    Exact values (ints and Fractions) stay exact. Every exact value the
-    sweep meets on level ell is a multiple of 1/D_ell, where D_0 is the lcm
-    of the denominators given and D_{ell+1} = D_ell * q, so a level whose
-    values are all exact carries integer numerators over D_ell: they are
-    scaled and merged by the same array operations as floats, each in the
-    :func:`exact_dtype` of a bound on their size. Fractions are made only
-    for the kept entries that children reached; a received entry no child
-    reached keeps its own object, so an int stays an int. A level that
-    mixes floats and exact values works on the objects one by one, as
-    Python's arithmetic does.
+    The dtype of the values picks one of two regimes:
+
+    - float values, the operator's, are multiplied by the float nearest
+      n/q (:func:`nearest_floats`), which is what a product with the
+      coefficient's Fraction gives;
+    - integer values, the suite's, stay exact. The sweep carries them as
+      integer numerators over D_ell, where D_0 = 1 and D_{ell+1} =
+      D_ell * q once level ell passes entries down, so the integers
+      received on level ell are scaled by D_ell. Each array of numerators
+      is in the :func:`exact_dtype` of a bound on its size.
 
     ``sources[ell]``, when given, labels each entry of ``pending[ell]``
     with its source, the row of a sparse coefficient matrix, and a child
     takes its parent's source. Entries merge on (source, function), so
     one sweep writes every row, each as a call with that row alone writes
-    it: within a source a level's entries keep that call's order. The
-    values must then be exact, and each level comes back as the kept
-    entries' indices, sources and numerators over D_ell, and D_ell; no
-    Fraction is made. Without ``sources`` every entry has one source.
+    it: within a source a level's entries keep that call's order. Without
+    ``sources`` every entry has source 0.
 
-    The first entry that is neither active nor deactivated, or is no
-    function of its level, raises, named by ``names[ell][k]`` for the k-th
-    received entry when given. Of several sources, the entry named is the
-    one of the lowest source that refuses, at that source's coarsest
-    refusing level, as a call on that source alone names it: a refusal is
-    raised after the last level, the sources swept on.
+    Each level comes back as the kept entries' indices, sources and
+    values, floats or numerators over D_ell, and D_ell.
+
+    The first entry that is neither active nor deactivated raises. Of
+    several sources, the entry named is the one of the lowest source that
+    refuses, at that source's coarsest refusing level, as a call on that
+    source alone names it: a refusal is raised after the last level, the
+    sources swept on.
     """
     levels = basis.levels
     grids = subdomain_grids(basis.hierarchy, levels)
-    denominator = math.lcm(*(v.denominator for _, values in pending if values.dtype == object
-                             for v in values.tolist() if isinstance(v, Fraction)))
-    out, children, exact_terms, refusal = [], None, False, None
+    exact = all(values.dtype.kind in "iu" for _, values in pending)
+    out, children, denominator, refusal = [], None, 1, None
     for ell, (lv, active, (indices, values)) in enumerate(zip(levels, basis.active, pending)):
         labels = np.zeros(len(indices), np.int64) if sources is None else sources[ell]
-        inside = ((indices >= 0) & (indices < active.shape)).all(axis=1)
-        numerators = None
+        if exact:
+            values = _product(values, np.array([denominator]))
         if children is not None:
             both, mine = np.concatenate([indices, children]), np.concatenate([labels, born])
-            inside = np.concatenate([inside, np.ones(len(children), dtype=bool)])
-            # an entry outside the grid merges with none
-            keys = np.where(inside, mine * active.size + np.ravel_multi_index(
-                tuple(np.where(inside, both.T, 0)), active.shape, order="F"),
-                -1 - np.arange(len(both)))
+            keys = mine * active.size + np.ravel_multi_index(tuple(both.T), active.shape,
+                                                             order="F")
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             # slots in the order of first appearance: the received entries
             # are distinct and keep theirs, the new children follow
             slots = np.argsort(np.argsort(first))[inverse][len(indices):]
             firsts = first[inverse] == np.arange(len(both))
-            new = firsts[len(indices):]
-            if exact_terms and _all_exact(values):
-                numerators = _merged(_numerators(values, denominator), terms, slots, new)
-                reached = np.zeros(len(numerators), dtype=bool)
-                reached[len(values):] = True
-                reached[slots] = True
-                values = np.concatenate([values.astype(object), np.empty(int(new.sum()), object)])
-            else:
-                if exact_terms:
-                    terms = np.array([Fraction(t, denominator) for t in terms.tolist()],
-                                     dtype=object)
-                values = np.concatenate([values, terms[new]])
-                np.add.at(values, slots[~new], terms[~new])
-            indices, labels, inside = both[firsts], mine[firsts], inside[firsts]
-        at = tuple(np.where(inside, indices.T, 0))
-        keep = inside & active[at]
-        sunk = inside & ~keep & grids.supports_inside(ell, ell + 1)[at]
+            values = _merged(values, terms, slots, firsts[len(indices):])
+            indices, labels = both[firsts], mine[firsts]
+        at = tuple(indices.T)
+        keep = active[at]
+        sunk = ~keep & grids.supports_inside(ell, ell + 1)[at]
         refused = ~(keep | sunk)
         if refused.any():
             k = int(np.flatnonzero(refused)[labels[refused].argmin()])
             if refusal is None or labels[k] < refusal[0]:
-                fid = Fid(ell, names[ell][k] if names and k < len(names[ell])
-                          else tuple(indices[k].tolist()))
-                refusal = labels[k], _neither(fid) if inside[k] else HierarchyError(
-                    f"{fid} is outside the function grid {active.shape} of level {ell}")
-        if sources is not None:
-            kept = numerators[keep] if numerators is not None else \
-                _numerators(values[keep], denominator)
-            out.append((indices[keep], labels[keep], kept, denominator))
-        else:
-            if numerators is not None:
-                made = keep & reached
-                values[made] = [Fraction(n, denominator) for n in numerators[made].tolist()]
-            out.append(LevelSpline(lv, indices[keep], values[keep]))
+                refusal = labels[k], _neither(Fid(ell, tuple(indices[k].tolist())))
+        out.append((indices[keep], labels[keep], values[keep], denominator))
         children = None
         # none sinks on the deepest level: its next subdomain is empty
         if sunk.any():
             rows, children, factors, q = tensor_children_arrays(
                 indices[sunk], two_scale_tables(lv, levels[ell + 1]))
             born = labels[sunk][rows]
-            exact_terms = numerators is not None or _all_exact(values[sunk])
-            if exact_terms:
-                coarse = numerators[sunk] if numerators is not None else \
-                    _numerators(values[sunk], denominator)
-                terms = _product(coarse[rows], factors)
-            elif values.dtype == object:
-                terms = np.array([c * (n / q) if isinstance(c, float) else c * Fraction(n, q)
-                                  for c, n in zip(values[sunk][rows].tolist(),
-                                                  factors.tolist())], dtype=object)
-            else:
-                terms = values[sunk][rows] * nearest_floats(factors, q)
+            terms = _product(values[sunk][rows], factors) if exact else \
+                values[sunk][rows] * nearest_floats(factors, q)
             denominator *= q
     if refusal is not None:
         raise refusal[1]
     return out
-
-
-def _all_exact(values: np.ndarray) -> bool:
-    """Are all the values ints or Fractions (true of none)?"""
-    return not len(values) or values.dtype == object and all(
-        isinstance(v, (int, Fraction)) for v in values.tolist())
-
-
-def _numerators(values: np.ndarray, denominator: int) -> np.ndarray:
-    """The numerators over ``denominator`` of exact values whose own
-    denominators divide it."""
-    nums = [v.numerator * (denominator // v.denominator) for v in values.tolist()]
-    return np.array(nums, dtype=exact_dtype(max(map(abs, nums), default=0)))
 
 
 def _bound(numbers: np.ndarray) -> int:
@@ -835,17 +767,19 @@ def _bound(numbers: np.ndarray) -> int:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, in the dtype of the product of their bounds."""
-    dtype = exact_dtype(_bound(a) * _bound(b))
+    """a * b elementwise, in a dtype that holds both and the product of
+    their bounds."""
+    dtype = exact_dtype(max(_bound(a), 1) * max(_bound(b), 1))
     return a.astype(dtype) * b.astype(dtype)
 
 
 def _merged(received: np.ndarray, terms: np.ndarray, slots: np.ndarray,
             new: np.ndarray) -> np.ndarray:
-    """The received numerators, then those of the new children, with the
-    other terms added into their slots: as the float merge does, in the
-    dtype of the received plus all terms' magnitudes."""
-    dtype = exact_dtype(_bound(received) + len(terms) * _bound(terms))
+    """The received values, then those of the new children, with the other
+    terms added into their slots in parent order: floats as they come,
+    numerators in the dtype of the received plus all terms' magnitudes."""
+    dtype = terms.dtype if terms.dtype.kind == "f" else \
+        exact_dtype(_bound(received) + len(terms) * _bound(terms))
     merged = np.concatenate([received.astype(dtype), terms[new].astype(dtype)])
     np.add.at(merged, slots[~new], terms[~new].astype(dtype))
     return merged
@@ -855,7 +789,18 @@ def _merged(received: np.ndarray, terms: np.ndarray, slots: np.ndarray,
 def expand_deactivated(fid: Fid, basis: HierBasis) -> dict[Fid, Fraction]:
     """Write a deactivated function exactly over the active ones of finer
     levels; an active function is returned as itself."""
-    return express_over({fid: Fraction(1)}, basis)
+    if not 0 <= fid.level < len(basis.levels):
+        raise _neither(fid)
+    level = basis.levels[fid.level]
+    if not level.holds(fid.indices):
+        raise HierarchyError(f"{fid} is outside the function grid {level.num_basis} "
+                             f"of level {fid.level}")
+    pending = [(np.zeros((0, lv.dim), dtype=np.int64), np.zeros(0, dtype=np.int64))
+               for lv in basis.levels]
+    pending[fid.level] = (np.array([fid.indices], dtype=np.int64), np.ones(1, dtype=np.int64))
+    return {Fid(ell, tuple(i)): Fraction(n, d)
+            for ell, (indices, _, numerators, d) in enumerate(express_arrays(pending, basis))
+            for i, n in zip(indices.tolist(), numerators.tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -588,7 +588,7 @@ def _expansion_residual(cols: _LevelColumns, marks: Sequence[np.ndarray],
             continue
         empty = np.zeros(0, dtype=np.int64)
         pending = [(np.zeros((0, lv.dim), dtype=np.int64), empty) for lv in basis.levels]
-        pending[level] = (marked, np.ones(len(marked), dtype=object))
+        pending[level] = (marked, np.ones(len(marked), dtype=np.int64))
         sources = [np.arange(len(marked)) if ell == level else empty for ell in range(len(pending))]
         acc = np.zeros((len(marked), len(cols.pts)))
         for ell, (indices, labels, numerators, q) in enumerate(
@@ -767,7 +767,8 @@ def _chk_kronecker(ctx: _Context) -> InvariantResult:
 @_check("mass_matrix_quadrature")
 def _chk_mass(ctx: _Context) -> InvariantResult:
     """The local mass matrix of a core cell per level, the Kronecker
-    product of the operator's interval masses, against a finer rule's."""
+    product of the operator's interval masses: symmetric, positive
+    definite (:func:`_positive_definite`) and equal to a finer rule's."""
     worst, count = 0.0, 0
     finer = OperatorConfig(quad_increment=min(ctx.config.quad_increment + 3, MAX_INCREMENT))
     for ell, op in enumerate(ctx.operator.stages):
@@ -780,12 +781,26 @@ def _chk_mass(ctx: _Context) -> InvariantResult:
         what = f"mass matrix of cell {cell} of level {ell}"
         if not np.array_equal(mass, mass.T):
             return _verdict(False, count, f"{what} not symmetric")
-        eigmin = float(np.linalg.eigvalsh(mass).min())
-        if eigmin <= 0:
-            return _verdict(False, count, f"{what} not positive definite ({eigmin})")
+        if not _positive_definite(mass):
+            return _verdict(False, count, f"{what} not positive definite")
         worst = max(worst, float(np.abs(mass - fine).max()) / float(np.abs(mass).max()))
         count += 1
     return _within(worst, count, 1e-12)
+
+
+def _positive_definite(mass: np.ndarray) -> bool:
+    """Does the Cholesky factorisation of the Jacobi-scaled matrix
+    D^-1/2 M D^-1/2 succeed, D the diagonal of M? The scaling takes out
+    the size of the cell, which scales every entry: on a cell 1e-6 wide
+    the raw smallest eigenvalue of a cubic mass matrix rounds below zero."""
+    diag = np.diag(mass)
+    if not (diag > 0).all():
+        return False
+    try:
+        np.linalg.cholesky(mass / np.sqrt(np.outer(diag, diag)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @_check("children_cover_core_functions")

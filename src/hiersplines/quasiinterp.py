@@ -417,8 +417,7 @@ class LevelQuasiInterpolant:
     Each application then takes one dot product per member.
     """
 
-    def __init__(self, h: SubdomainHierarchy, levels: Sequence[TensorLevel],
-                 ell: int, core: CoreDomains,
+    def __init__(self, levels: Sequence[TensorLevel], ell: int, core: CoreDomains,
                  config: OperatorConfig = DEFAULT_CONFIG):
         self.level = levels[ell]
         self.level_index = ell
@@ -512,7 +511,7 @@ class MultiscaleQuasiInterpolant:
         self.core = compute_core_domains(h, levels)
         self.report = check_admissibility(h, levels, self.core)
         self.refinable = refinable if refinable is not None else build_refinable_basis(h, levels)
-        self.stages = [LevelQuasiInterpolant(h, levels, ell, self.core, config)
+        self.stages = [LevelQuasiInterpolant(levels, ell, self.core, config)
                        for ell in range(h.depth)]
 
     def _require_nested(self):
@@ -550,8 +549,10 @@ class MultiscaleQuasiInterpolant:
             raise HierSplineError(
                 "express_over_refinable takes one spline per level, on the operator's levels "
                 f"and coarsest first; got splines on levels {[p.level.index for p in parts]}")
-        return HierSplineFunction(self.refinable, express_arrays(
-            [(part.indices, part.values) for part in parts], self.refinable))
+        return HierSplineFunction(self.refinable, [
+            LevelSpline(lv, indices, values) for lv, (indices, _, values, _) in zip(
+                self.levels, express_arrays([(p.indices, p.values) for p in parts],
+                                            self.refinable))])
 
     def _check_level(self, ell: int) -> None:
         if not 0 <= ell < self.hierarchy.depth:

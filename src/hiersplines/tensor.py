@@ -20,12 +20,12 @@ index through it (:meth:`TensorLevel.check_index`).
 
 Spline coefficients are stored per level as index and value arrays: a
 :class:`LevelSpline` holds an (n, d) int64 array of distinct functions of
-its level and an (n,) array of their values, float64 or, for exact
-values, object; its ``coefficients`` dict is a view derived on first use,
-in stored order. It hands its dense coefficients and the level's float
-knots straight to the kernels: ``kernels.tensor_spline_values`` at
-scattered points (``evaluate``) and ``kernels.tensor_grid_values`` on
-per-cell tensor grids (``on_grid``). The children of a whole array of
+its level and an (n,) float64 array of their values; its
+``coefficients`` dict is a view derived on first use, in stored order.
+It hands its dense coefficients and the level's float knots straight to
+the kernels: ``kernels.tensor_spline_values`` at scattered points
+(``evaluate``) and ``kernels.tensor_grid_values`` on per-cell tensor
+grids (``on_grid``). The children of a whole array of
 coarse functions come from the slot arrays of the two-scale tables at
 once (:func:`tensor_children_arrays`).
 """
@@ -385,9 +385,8 @@ class LevelSpline:
     function ``indices[k]``.
 
     ``indices`` is an (n, d) int64 array of distinct functions of the
-    level and ``values`` an (n,) array, float64, or object for exact
-    values; both are checked here. ``coefficients`` is the dict view, in
-    stored order.
+    level and ``values`` an (n,) float64 array; both are checked here.
+    ``coefficients`` is the dict view, in stored order.
     """
 
     level: TensorLevel
@@ -404,7 +403,7 @@ class LevelSpline:
                 f"values, got indices of shape {indices.shape} and dtype {indices.dtype} and "
                 f"values of shape {values.shape}")
         self.indices = indices.astype(np.int64, copy=False)
-        self.values = values if values.dtype == object else values.astype(np.float64, copy=False)
+        self.values = values.astype(np.float64, copy=False)
         refused = ~((self.indices >= 0) & (self.indices < lv.num_basis)).all(axis=1)
         twice = not refused.any() and np.unique(self._flat).size < len(indices)
         if twice:
@@ -417,7 +416,7 @@ class LevelSpline:
                 f"function {tuple(self.indices[refused.argmax()].tolist())} {why}")
 
     @cached_property
-    def coefficients(self) -> dict[Index, float | Fraction]:
+    def coefficients(self) -> dict[Index, float]:
         return dict(zip(map(tuple, self.indices.tolist()), self.values.tolist()))
 
     @cached_property
@@ -428,7 +427,7 @@ class LevelSpline:
     @cached_property
     def _dense(self) -> np.ndarray:
         arr = np.zeros(math.prod(self.level.num_basis))
-        arr[self._flat] = self.values.astype(np.float64)
+        arr[self._flat] = self.values
         return arr
 
     def evaluate(self, points) -> np.ndarray:

@@ -199,7 +199,7 @@ def test_criterion_05_dual_basis_kronecker():
         fx = repo_fixture(name)
         core = compute_core_domains(fx.hierarchy, fx.levels)
         for ell in range(fx.hierarchy.depth):
-            op = LevelQuasiInterpolant(fx.hierarchy, fx.levels, ell, core)
+            op = LevelQuasiInterpolant(fx.levels, ell, core)
             members = list(map(tuple, op.member_indices.tolist()))
             for mi in members:
                 lam = dual_functional(op, mi)
@@ -270,7 +270,7 @@ def test_criterion_07_children_cover_core_functions():
             continue
         core = compute_core_domains(fx.hierarchy, fx.levels)
         for ell in range(fx.hierarchy.depth - 1):
-            op = LevelQuasiInterpolant(fx.hierarchy, fx.levels, ell + 1, core)
+            op = LevelQuasiInterpolant(fx.levels, ell + 1, core)
             sunk = supports_in_cells(fx.hierarchy, fx.levels, ell, ell + 1)
             for idx in map(tuple, op.member_indices.tolist()):
                 checked += 1

@@ -486,7 +486,7 @@ class TestInvariantSuite:
             "pair (parent 4 of level 1, child 9 of level 2, direction 0) disagrees: ")
 
     @pytest.mark.parametrize("fault, detail", [
-        ("asymmetric", "not symmetric"), ("negative", "not positive definite (-1.0)")])
+        ("asymmetric", "not symmetric"), ("negative", "not positive definite")])
     def test_mass_matrix_fault_names_the_cell(self, fault, detail):
         ctx = _suite_context("d2_corner_admissible")
         cells = marked_indices(ctx.core.masks[0])
@@ -874,7 +874,10 @@ def test_graded_meshes_keep_the_operator_identities(ratio, dim, degree):
                         "depth": 2, "refinement": "dyadic",
                         "subdomains": [{"level": 1, "cells": [[0] * dim]}]})
     results = {r.name: r for r in run_invariant_suite(fx).results}
-    for name in ("dual_basis_kronecker", "level_operator_identities", "multiscale_identities"):
+    # mass_matrix_quadrature: the raw smallest eigenvalue of the ratio-1e6
+    # cubic mass matrix in d = 2 reads -2.9e-23, the Jacobi-scaled one 2.05e-4
+    for name in ("dual_basis_kronecker", "level_operator_identities", "multiscale_identities",
+                 "mass_matrix_quadrature"):
         assert results[name].passed and results[name].worst <= 1e-13, results[name]
 
 def test_import_leaves_scipy_unloaded():

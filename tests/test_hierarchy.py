@@ -19,9 +19,9 @@ from hiersplines.hierarchy import (
     compute_weights,
     enlarge_hierarchy,
     expand_deactivated,
-    express_over,
     partition_of_unity,
     subdomain_grids,
+    supports_in_cells,
     validate_hierarchy,
     zero_weights_by_parents,
 )
@@ -40,7 +40,6 @@ from hiersplines.tensor import (
 from .conftest import FIXTURE_DIR, cell_ids, make_levels, random_hierarchy, repo_fixture
 from .oracles import bspline_value_exact, function_cell_ranges, locate, stages, tensor_parents
 from .test_structure_equivalence import (
-    _exact_coefficient,
     _float_coefficient,
     _random_coefficients,
     assert_same_expression,
@@ -97,6 +96,22 @@ class TestConstruction:
         h = SubdomainHierarchy(3, (frozenset({(0,)}), frozenset({(7,)})))
         with pytest.raises(HierarchyError, match="nesting"):
             validate_hierarchy(h, levels)
+
+    @pytest.mark.parametrize("query", [
+        lambda h, levels, grids: supports_in_cells(h, levels, 0, 2),
+        lambda h, levels, grids: grids.cells_inside(0, 2),
+        lambda h, levels, grids: grids.supports_inside(0, 2),
+        lambda h, levels, grids: grids.boxes_inside(
+            2, 0, *zip(*(kv.support_intervals for kv in levels[0].kvs))),
+    ], ids=["supports_in_cells", "cells_inside", "supports_inside", "boxes_inside"])
+    def test_containment_below_the_subdomain_level_is_refused(self, query):
+        # subdomain 2 is made of level-1 cells; the parent maps carry
+        # level-0 cells nowhere finer
+        fx = repo_fixture("d1_depth3_blocks")
+        h, levels = fx.hierarchy, fx.levels
+        with pytest.raises(HierarchyError, match=re.escape(
+                "level 0 is coarser than level 1, whose cells make up subdomain 2")):
+            query(h, levels, subdomain_grids(h, levels))
 
 
 class TestWeights:
@@ -258,8 +273,7 @@ class TestExpansion:
         basis, _ = build_hierarchical_basis(SubdomainHierarchy.from_cells([]), levels)
         pts = rng.random(5) if dim == 1 else rng.random((5, dim))
         first = np.array([next(iter(basis.functions())).indices])
-        one = HierSplineFunction(basis, [LevelSpline(levels[0], first,
-                                                     np.array([F(1)], dtype=object))])
+        one = HierSplineFunction(basis, [LevelSpline(levels[0], first, [1.0])])
         empty = HierSplineFunction(basis, [LevelSpline(levels[0], first[:0], [])])
         assert one.evaluate(pts).shape == (5,)
         assert np.array_equal(empty.evaluate(pts), np.zeros(5))
@@ -414,18 +428,16 @@ class TestSweep:
         # route on the same coefficients as one Fid dict
         rng = np.random.default_rng(43)
         op = MultiscaleQuasiInterpolant(h, levels)
-        cases = [(_random_coefficients(rng, op.refinable, make), make is _exact_coefficient)
-                 for make in (_float_coefficient, _exact_coefficient)]
+        cases = [_random_coefficients(rng, op.refinable, _float_coefficient)]
         if op.report.omega_nested:
             f = get_function("sin", levels[0].dim)
-            cases.append(({Fid(part.level.index, idx): c for part in op.apply_parts(f)
-                           for idx, c in part.coefficients.items()}, False))
-        for coeffs, exact in cases:
+            cases.append({Fid(part.level.index, idx): c for part in op.apply_parts(f)
+                          for idx, c in part.coefficients.items()})
+        for coeffs in cases:
             parts = [LevelSpline(
                 lv, np.array([g.indices for g in coeffs if g.level == ell],
                              dtype=np.int64).reshape(-1, lv.dim),
-                np.array([c for g, c in coeffs.items() if g.level == ell],
-                         dtype=object if exact else np.float64))
+                [c for g, c in coeffs.items() if g.level == ell])
                 for ell, lv in enumerate(op.levels)]
             try:
                 want = ref_express_over(coeffs, op.refinable)
@@ -461,7 +473,7 @@ class TestSweep:
         assert not _sank(h, levels, 1, (7,))
         for fid in (outside, Fid(2, (9,)), Fid(3, (0,))):
             with pytest.raises(HierarchyError, match=re.escape(str(fid))):
-                express_over({Fid(0, (0,)): 1.0, fid: 1.0}, basis)
+                expand_deactivated(fid, basis)
 
     @pytest.mark.parametrize("indices", [(-7, -7), (10, 10), (0,)],
                              ids=["negative", "past_the_end", "wrong_length"])
@@ -474,8 +486,6 @@ class TestSweep:
         message = re.escape(f"{fid} is outside the function grid (10, 10) of level 0")
         with pytest.raises(HierarchyError, match=message):
             expand_deactivated(fid, basis)
-        with pytest.raises(HierarchyError, match=message):
-            express_over({Fid(0, (3, 3)): F(1), fid: F(1)}, basis)
 
     def test_multiplicity_raise_keeps_its_message(self):
         # the level-1 knot 1/2 goes from multiplicity 1 to 2

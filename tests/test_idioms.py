@@ -347,3 +347,46 @@ def test_code_line_counter_defaults_to_the_package(capsys):
     totals = [int(out.splitlines()[-1].split()[0]) for out in (explicit, alone)]
     assert lines == [str(SRC), *explicit.splitlines(), str(tests), *alone.splitlines(),
                      f"{sum(totals):6d}  grand total"]
+
+
+def test_traffic_statement_map_sees_every_form(tmp_path):
+    from .traffic import statements
+
+    path = tmp_path / "module.py"
+    path.write_text('"""Module docstring."""\n'      # 1 no function
+                    'x = 1\n'                        # 2 no function
+                    'class A:\n'                     # 3
+                    '    y = 2\n'                    # 4 class body, no function
+                    '    def f(self, z):\n'          # 5
+                    '        """Docstring."""\n'     # 6 not listed
+                    '        global x\n'             # 7 not listed
+                    '        if (z and\n'            # 8 header, two lines
+                    '                x):\n'          # 9
+                    '            return (1,\n'       # 10 simple, two lines
+                    '                    2)\n'       # 11
+                    '        try:\n'                 # 12 not listed
+                    '            def g():\n'         # 13 a function of its own
+                    '                return 3\n'     # 14
+                    '        finally:\n'
+                    '            pass\n',            # 16
+                    encoding="utf-8")
+    assert {name: [(first, list(own)) for first, own in stmts]
+            for name, stmts in statements(path).items()} == {
+        "A.f": [(8, [8, 9]), (10, [10, 11]), (16, [16])],
+        "A.f.g": [(14, [14])]}
+
+
+def test_traffic_enters_every_statement_of_the_sweep_but_its_refusal(tmp_path):
+    # two runs of the traffic that python -m tests.traffic runs, an exact
+    # sweep in the suite and a float one in the study: what they enter
+    # the whole traffic enters too
+    from .traffic import runs, statements, unentered
+
+    names = {"check fixtures/d1_depth3_blocks", "study sin q=2"}
+    missed = unentered(run for run in runs(tmp_path) if run[0] in names)
+    lines = (SRC / "hierarchy.py").read_text(encoding="utf-8").splitlines()
+    sweep = dict(statements(SRC / "hierarchy.py"))["express_arrays"]
+    never = missed.get(("hierarchy.py", "express_arrays"), [])
+    assert len(sweep) > len(never)
+    assert never and all("refus" in lines[first - 1] for first in never), \
+        [lines[first - 1] for first in never]

@@ -490,10 +490,12 @@ def ref_mass(ctx):
         if not np.array_equal(mass, mass.T):
             return InvariantResult(name, False, count, 1.0, f"mass matrix of cell {cell} of "
                                    f"level {ell} not symmetric")
-        eigmin = float(np.linalg.eigvalsh(mass).min())
-        if eigmin <= 0:
+        # positive definite when the Jacobi-scaled matrix has positive eigenvalues
+        diag = np.diag(mass)
+        if not (diag > 0).all() or \
+                np.linalg.eigvalsh(mass / np.sqrt(np.outer(diag, diag))).min() <= 0:
             return InvariantResult(name, False, count, 1.0, f"mass matrix of cell {cell} of "
-                                   f"level {ell} not positive definite ({eigmin})")
+                                   f"level {ell} not positive definite")
         scale = float(np.abs(mass).max())
         worst = max(worst, float(np.abs(mass - fine).max()) / scale)
         count += 1

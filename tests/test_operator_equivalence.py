@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiersplines.errors import HierSplineError
-from hiersplines.hierarchy import SubdomainHierarchy
 from hiersplines.quasiinterp import (
     CoreDomains,
     LevelQuasiInterpolant,
@@ -156,7 +155,7 @@ def assert_same_rows(op, refs=None):
 def assert_same_operator(levels, h):
     core = compute_core_domains(h, levels)
     for ell in range(h.depth):
-        op = LevelQuasiInterpolant(h, levels, ell, core)
+        op = LevelQuasiInterpolant(levels, ell, core)
         members, anchor = ref_anchor_search(op.level, marked_indices(core.masks[ell]))
         assert [a.dtype for a in (op.member_indices, op.anchor_indices)] == [np.int64] * 2
         got_members, got_anchors = members_and_anchors(op)
@@ -230,7 +229,7 @@ def test_member_off_its_anchor_cell_is_named():
     core = compute_core_domains(fx.hierarchy, fx.levels)
     first, last = fx.levels[1].kvs[0].support_intervals
     for step in (-1, 1):
-        op = LevelQuasiInterpolant(fx.hierarchy, fx.levels, 1, core)
+        op = LevelQuasiInterpolant(fx.levels, 1, core)
         # the interval next to each member's support in direction 0
         outside = (first if step < 0 else last)[op.member_indices[:, 0]] + step
         fits = np.flatnonzero((outside >= 0) & (outside < op.level.num_cells[0]))
@@ -268,7 +267,6 @@ def test_batched_rows_match_eager_workspaces(kvs, extra, data):
     cells = int(np.prod(level.num_cells))
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
     core = CoreDomains((mask.reshape(level.num_cells),), True)
-    op = LevelQuasiInterpolant(SubdomainHierarchy.from_cells([]), [level], 0, core,
-                               OperatorConfig(quad_increment=extra))
+    op = LevelQuasiInterpolant([level], 0, core, OperatorConfig(quad_increment=extra))
     assert op._dual_rows.shape == (len(op), np.prod([p + 1 + extra for p in level.degrees]))
     assert_same_rows(op)

